@@ -25,7 +25,13 @@ import numpy as np
 from . import classify as cls_mod
 from . import concentration as conc
 from . import harness
-from .empirical import build_ranks, empirical_stdf_lattice, jitter_columns, lattice_index
+from .empirical import (
+    build_ranks,
+    empirical_stdf_lattice,
+    jitter_columns,
+    lattice_index,
+    tail_order,
+)
 from .errors import (
     ConfigurationError,
     PreconditionError,
@@ -33,6 +39,7 @@ from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
 )
+from .gridscan import dominance_weight_grid
 from .models import parse_model
 from .reportio import (
     read_sample_csv,
@@ -69,6 +76,14 @@ def _resolve(args, config: dict, name: str, default=None, required=False):
     if required and value is None:
         raise ConfigurationError(f"missing required option --{name}")
     return value
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which a container can set below the host's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _out_dir(args, config: dict) -> Path:
@@ -160,36 +175,37 @@ def cmd_estimate(args, config: dict) -> int:
     values = sample.values
     if jitter_seed is not None:
         values = jitter_columns(values, int(jitter_seed))
-    ranks = build_ranks(values)
-    if k * T > ranks.n:
-        raise PreconditionError(f"k T = {k * T:g} exceeds n = {ranks.n}")
+    # only the exact d <= 2 lattice is served from the column tails; the
+    # strided sub-lattice needs every row's depth, so full ranks
+    lattice = values.shape[1] <= 2 and (stride is None or int(stride) == 1)
+    state = tail_order(values) if lattice else build_ranks(values)
+    if k * T > state.n:
+        raise PreconditionError(f"k T = {k * T:g} exceeds n = {state.n}")
     m_top = int(lattice_index(k, T))
-    if ranks.d >= 3 and stride is None:
+    if state.d >= 3 and stride is None:
         raise ConfigurationError(
-            f"d = {ranks.d} >= 3 requires --grid-stride (lattice steps per axis)"
+            f"d = {state.d} >= 3 requires --grid-stride (lattice steps per axis)"
         )
     stride = 1 if stride is None else int(stride)
     if stride < 1:
         raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
-    axes = [np.arange(0, m_top + 1, stride) for _ in range(ranks.d)]
-    if stride == 1 and ranks.d <= 2:
-        sub = empirical_stdf_lattice(ranks, k, [m_top] * ranks.d)
+    axes = [np.arange(0, m_top + 1, stride) for _ in range(state.d)]
+    if lattice:
+        sub = empirical_stdf_lattice(state, k, [m_top] * state.d)
     else:
         # evaluate only the strided sub-lattice; the full lattice may not fit
-        from .gridscan import dominance_weight_grid
-
-        depth = (ranks.n - ranks.ranks + 1).astype(float)
+        depth = (state.n - state.ranks + 1).astype(float)
         survivors = dominance_weight_grid(
-            depth, np.ones(ranks.n), [a.astype(float) for a in axes], strict=True
+            depth, np.ones(state.n), [a.astype(float) for a in axes], strict=True
         )
-        sub = (ranks.n - survivors) / k
+        sub = (state.n - survivors) / k
     mesh = np.meshgrid(*axes, indexing="ij")
     rows = []
     for idx in np.ndindex(sub.shape):
-        point = [mesh[j][idx] / k for j in range(ranks.d)]
+        point = [mesh[j][idx] / k for j in range(state.d)]
         rows.append(point + [sub[idx]])
     surface_path = out / "surface.csv"
-    header = [f"x{j + 1}" for j in range(ranks.d)] + ["l_n"]
+    header = [f"x{j + 1}" for j in range(state.d)] + ["l_n"]
     write_csv(surface_path, header, rows)
     write_manifest(
         out / "estimate_manifest.json",
@@ -220,7 +236,7 @@ def cmd_converge(args, config: dict) -> int:
     delta = float(_resolve(args, config, "delta", 0.05))
     trials = int(_resolve(args, config, "trials", required=True))
     workers = _resolve(args, config, "workers")
-    workers = int(workers) if workers is not None else (os.cpu_count() or 1)
+    workers = int(workers) if workers is not None else _usable_cpus()
     grid_res = _resolve(args, config, "grid-resolution")
     frozen_c = _resolve(args, config, "frozen-c")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, TailvcError
 from .gridscan import SupEstimate, sup_count_vs_mass, sup_count_vs_mass_grid, sup_signed_count
 from .models import StdfModel, parse_model, tail_union_prob, tail_union_prob_axes
 from .rng import substream
@@ -123,8 +123,12 @@ def union_mass(cls: RectClassSpec, model) -> float:
             f"(k/n) T = {a:g} exceeds 1; the union region leaves the unit cube"
         )
     p = float(tail_union_prob(model, np.full(cls.d, min(a, 1.0))))
-    # subadditivity guarantee p <= d T k / n
-    assert p <= cls.d * a + 1e-12
+    # subadditivity guarantees p <= d (k/n) T; anything above is a model fault
+    if p > cls.d * a + 1e-12:
+        raise TailvcError(
+            f"union mass p = {p!r} exceeds its subadditivity cap "
+            f"d (k/n) T = {cls.d * a!r}"
+        )
     return p
 
 

@@ -9,6 +9,10 @@ A coordinate with floor(k x_j) = 0 would need rank >= n + 1, which no row
 attains, so the zero case needs no special handling: its disjunct is
 simply false and l_n(0) = 0.
 
+Over [0, T]^d the estimator therefore depends only on the floor(k T)
+largest values of each column, and the lattice kernel reads nothing else:
+per column it selects the top rows in O(n) and orders only those.
+
 Everything here is exact integer counting on ranks; ties are rejected
 rather than broken, because the downstream identity checks require exact
 rank arithmetic.  All evaluators are pure and safe to call concurrently.
@@ -16,11 +20,13 @@ rank arithmetic.  All evaluators are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, TiesError
+from .gridscan import suffix_sums
 from .samplers import Sample, parse_margin
 
 
@@ -42,6 +48,56 @@ class RankState:
     @property
     def d(self) -> int:
         return self.ranks.shape[1]
+
+    def top_rows(self, j: int, m: int) -> np.ndarray:
+        """Rows of the m largest values of column j, largest first; O(n)."""
+        col = self.ranks[:, j]
+        rows = np.flatnonzero(col > self.n - m)
+        top = np.empty(m, dtype=np.intp)
+        top[self.n - col[rows]] = rows
+        return top
+
+
+@dataclass(frozen=True)
+class TailOrder:
+    """A tie-checked sample whose per-column tail order is read on demand.
+
+    ``sorted_cols[j]`` is column j sorted ascending.  ``top_rows`` gives
+    the same rows in the same order as the last m entries of
+    ``np.argsort(values[:, j], kind="stable")`` reversed, which is the
+    order ``build_ranks`` assigns: NaN ranks above every number, and NaNs
+    rank among themselves by row index.
+    """
+
+    values: np.ndarray
+    sorted_cols: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[1]
+
+    def top_rows(self, j: int, m: int) -> np.ndarray:
+        """Rows of the m largest values of column j, largest first.
+
+        O(n) selection against the m-th largest value, then a sort of the
+        selected rows only.
+        """
+        col, ordered = self.values[:, j], self.sorted_cols[j]
+        # NaNs sort last, so they are the top of the column
+        nan_rows = (
+            np.flatnonzero(np.isnan(col)) if np.isnan(ordered[-1])
+            else np.empty(0, dtype=np.intp)
+        )
+        if m <= nan_rows.size:
+            return nan_rows[::-1][:m]
+        # without ties exactly m - #NaN numbers reach the m-th largest value
+        rows = np.flatnonzero(col >= ordered[self.n - m])
+        rows = rows[np.argsort(col[rows])[::-1]]
+        return np.concatenate((nan_rows[::-1], rows))
 
 
 def _values_of(sample) -> np.ndarray:
@@ -69,6 +125,28 @@ def build_ranks(sample) -> RankState:
         order_stats[:, j] = col_sorted
         ranks[order, j] = np.arange(1, n + 1)
     return RankState(ranks=ranks, order_stats=order_stats)
+
+
+def tail_order(sample) -> TailOrder:
+    """Check every column for ties and keep it sorted for tail selection.
+
+    The ties contract is that of ``build_ranks``: each column is checked in
+    full, and a tie raises the same TiesError (column and rows).
+    """
+    values = _values_of(sample)
+    sorted_cols = np.empty(values.shape[::-1], dtype=values.dtype)
+    for j in range(values.shape[1]):
+        col_sorted = np.sort(values[:, j])
+        if np.any(col_sorted[1:] == col_sorted[:-1]):
+            build_ranks(values)  # raises build_ranks' TiesError for this column
+        sorted_cols[j] = col_sorted
+    return TailOrder(values=values, sorted_cols=sorted_cols)
+
+
+def _tail_source(sample) -> RankState | TailOrder:
+    if isinstance(sample, (RankState, TailOrder)):
+        return sample
+    return tail_order(sample)
 
 
 def jitter_columns(values, seed: int) -> np.ndarray:
@@ -148,40 +226,47 @@ def empirical_stdf(ranks: RankState, k: int, x) -> float | np.ndarray:
     return exceedance_count(ranks, m) / k
 
 
-def stdf_lattice_counts(ranks: RankState, mmax) -> np.ndarray:
+def stdf_lattice_counts(ranks, mmax) -> np.ndarray:
     """Exceedance counts on the full integer lattice 0..mmax_j per axis.
 
     Returns an int64 tensor C with C[m_1, ..., m_d] = the count behind
-    l_n(m/k).  Computed as n minus a suffix-summed depth histogram, which
-    is O(n + prod(mmax + 2)) instead of one pass per lattice point.
+    l_n(m/k).  ``ranks`` is a RankState, a TailOrder or raw sample values
+    (tie-checked here).  Only the mmax_j largest rows of each column are
+    read: a row's level in column j is its depth there (0 = largest),
+    capped at mmax_j, and the rows outside every tail all land in the
+    corner cell.  Suffix sums of the level histogram count the rows
+    surviving every level vector, so past the ties check (one np.sort per
+    column) the cost is O(n) selection plus O(M log M) ordering,
+    M = max mmax_j, plus O(prod(mmax + 1)) for the lattice.
     """
+    state = _tail_source(ranks)
+    n, d = state.n, state.d
     mmax = np.asarray(mmax, dtype=np.int64)
-    if mmax.shape != (ranks.d,):
-        raise PreconditionError(f"mmax must have shape ({ranks.d},)")
-    if np.any(mmax < 0) or np.any(mmax > ranks.n):
-        raise PreconditionError(f"mmax entries must lie in [0, n] = [0, {ranks.n}]")
-    n = ranks.n
-    depth = n - ranks.ranks + 1  # 1 = largest value in the column
-    # bucket depth_j at min(depth_j, mmax_j + 1); survivors of level m_j are
-    # exactly the rows with bucket_j > m_j, for every m_j <= mmax_j
-    shape = tuple(int(m) + 2 for m in mmax)
-    hist = np.zeros(shape, dtype=np.int64)
-    buckets = tuple(
-        np.minimum(depth[:, j], mmax[j] + 1) for j in range(ranks.d)
-    )
-    np.add.at(hist, buckets, 1)
-    for ax in range(hist.ndim):
-        hist = np.flip(np.cumsum(np.flip(hist, ax), axis=ax), ax)
-    # survivors[m] = #{rows with depth_j > m_j for all j} = hist[m_1+1, ..., m_d+1]
-    survivors = hist[(slice(1, None),) * ranks.d]
-    return n - survivors
+    if mmax.shape != (d,):
+        raise PreconditionError(f"mmax must have shape ({d},)")
+    if np.any(mmax < 0) or np.any(mmax > n):
+        raise PreconditionError(f"mmax entries must lie in [0, n] = [0, {n}]")
+    shape = tuple(int(m) + 1 for m in mmax)
+    tops = [state.top_rows(j, int(m)) for j, m in enumerate(mmax)]
+    union = np.unique(np.concatenate(tops))
+    cell = np.zeros(union.size, dtype=np.int64)
+    for j, top in enumerate(tops):
+        level = np.full(union.size, mmax[j], dtype=np.int64)
+        level[np.searchsorted(union, top)] = np.arange(top.size)
+        cell = cell * shape[j] + level  # C-order raveled index
+    hist = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
+    hist[tuple(mmax)] += n - union.size
+    # survivors[m] = #{rows with level_j >= m_j for all j}
+    survivors = suffix_sums(hist)
+    return np.subtract(n, survivors, out=survivors)
 
 
-def empirical_stdf_lattice(ranks: RankState, k: int, mmax) -> np.ndarray:
+def empirical_stdf_lattice(ranks, k: int, mmax) -> np.ndarray:
     """l_n on the lattice (m_1/k, ..., m_d/k), 0 <= m_j <= mmax_j."""
-    if not 1 <= k <= ranks.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
-    return stdf_lattice_counts(ranks, mmax) / k
+    state = _tail_source(ranks)
+    if not 1 <= k <= state.n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {state.n}], got {k}")
+    return stdf_lattice_counts(state, mmax) / k
 
 
 def tail_event_count(u, thresholds) -> int:

@@ -40,9 +40,15 @@ class SupEstimate:
 
 
 def suffix_sums(grid: np.ndarray) -> np.ndarray:
-    """Reverse cumulative sums along every axis."""
+    """Reverse cumulative sums along every axis, in place; returns ``grid``.
+
+    Accumulating into the reversed view adds in the same order as a
+    copying scan, so the sums are bit-identical, without a temporary grid
+    per axis.
+    """
     for ax in range(grid.ndim):
-        grid = np.flip(np.cumsum(np.flip(grid, ax), axis=ax), ax)
+        rev = np.flip(grid, ax)
+        np.cumsum(rev, axis=ax, out=rev)
     return grid
 
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import RankState, build_ranks, empirical_stdf_lattice, lattice_index
+from .empirical import (
+    RankState,
+    build_ranks,
+    empirical_stdf_lattice,
+    lattice_index,
+    tail_order,
+)
 from .errors import ConfigurationError, PreconditionError, TiesError
 from .concentration import RectClassSpec, sup_empirical_deviation
 from .gridscan import SupEstimate, dominance_weight_grid
@@ -69,6 +75,24 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     return d * gap
 
 
+def _cell_corner_sup(grid: np.ndarray, model: StdfModel, k: int, T: float) -> float:
+    """max over lattice cells of |grid - l| at the cells' two extreme corners.
+
+    ``grid`` holds a value per cell [m/k, (m+1)/k) of the lattice
+    0..m_top on every axis; the upper corners are clipped to T.  The gaps
+    are formed in place in the two model grids: at k = 800 each temporary
+    would be another 20 MB grid.
+    """
+    m_top = grid.shape[0] - 1
+    lo = np.arange(m_top + 1) / k
+    hi = np.minimum(np.arange(1, m_top + 2) / k, T)
+    l_lo = eval_stdf_axes(model, [lo] * grid.ndim)
+    l_hi = eval_stdf_axes(model, [hi] * grid.ndim)
+    np.abs(np.subtract(grid, l_lo, out=l_lo), out=l_lo)
+    np.abs(np.subtract(grid, l_hi, out=l_hi), out=l_hi)
+    return float(np.maximum(l_lo, l_hi, out=l_lo).max())
+
+
 def sup_stdf_deviation(
     sample,
     k: int,
@@ -76,11 +100,17 @@ def sup_stdf_deviation(
     T: float,
     grid_resolution: int | None = None,
 ) -> SupEstimate:
-    """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2."""
-    ranks = sample if isinstance(sample, RankState) else build_ranks(
-        sample.values if isinstance(sample, Sample) else sample
-    )
-    n, d = ranks.n, ranks.d
+    """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
+
+    ``sample`` is a RankState or raw values; raw values are tie-checked
+    and, on the exact lattice path, only their column tails are ordered.
+    """
+    if isinstance(sample, RankState):
+        state = sample
+    else:
+        values = sample.values if isinstance(sample, Sample) else sample
+        state = tail_order(values) if grid_resolution is None else build_ranks(values)
+    n, d = state.n, state.d
     if model.d != d:
         raise ConfigurationError(
             f"model dimension {model.d} does not match sample dimension {d}"
@@ -94,19 +124,15 @@ def sup_stdf_deviation(
 
     if grid_resolution is None:
         m_top = int(lattice_index(k, T))
-        counts = empirical_stdf_lattice(ranks, k, [m_top] * d)
-        lo = np.arange(m_top + 1) / k
-        hi = np.minimum(np.arange(1, m_top + 2) / k, T)
-        l_lo = eval_stdf_axes(model, [lo] * d)
-        l_hi = eval_stdf_axes(model, [hi] * d)
-        dev = np.maximum(np.abs(counts - l_lo), np.abs(counts - l_hi))
-        return SupEstimate(value=float(dev.max()), discretization_bound=0.0)
+        counts = empirical_stdf_lattice(state, k, [m_top] * d)
+        value = _cell_corner_sup(counts, model, k, T)
+        return SupEstimate(value=value, discretization_bound=0.0)
 
     # declared-grid scan; the estimator is still evaluated exactly at the
     # snapped lattice points under each grid node
     axis = np.linspace(0.0, T, grid_resolution)
     levels = lattice_index(k, axis).astype(float)
-    depth = (n - ranks.ranks + 1).astype(float)
+    depth = (n - state.ranks + 1).astype(float)
     survivors = dominance_weight_grid(
         depth, np.ones(n), [levels] * d, strict=True
     )
@@ -174,14 +200,14 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     asserts this trial by trial.
     """
     x = np.asarray(x, dtype=float)
-    ranks = build_ranks(x)
-    n, d = ranks.n, ranks.d
+    state = tail_order(x)
+    n, d = state.n, state.d
     u = 1.0 - x
     m_top = int(lattice_index(k, T))
     if m_top > n:
         raise PreconditionError(f"floor(k T) = {m_top} exceeds n = {n}")
 
-    counts = empirical_stdf_lattice(ranks, k, [m_top] * d)  # l_n on the lattice
+    counts = empirical_stdf_lattice(state, k, [m_top] * d)  # l_n on the lattice
     thr_axes = []
     for j in range(d):
         col = np.sort(u[:, j])
@@ -195,15 +221,8 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     l_at_thr = eval_stdf_axes(model, scaled_axes)
     bias = float(np.abs(tail_grid - l_at_thr).max())
 
-    lo = np.arange(m_top + 1) / k
-    hi = np.minimum(np.arange(1, m_top + 2) / k, T)
-    l_lo = eval_stdf_axes(model, [lo] * d)
-    l_hi = eval_stdf_axes(model, [hi] * d)
-    rounding = float(
-        np.maximum(np.abs(l_at_thr - l_lo), np.abs(l_at_thr - l_hi)).max()
-    )
-
-    total = float(np.maximum(np.abs(counts - l_lo), np.abs(counts - l_hi)).max())
+    rounding = _cell_corner_sup(l_at_thr, model, k, T)
+    total = _cell_corner_sup(counts, model, k, T)
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding
     )
@@ -314,10 +333,9 @@ def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
     rng = substream(seed, "rate", k, trial)
     x = draw_copula_sample(model, n, rng)
     try:
-        ranks = build_ranks(x)
+        dev = sup_stdf_deviation(x, k, model, T, grid_resolution)
     except TiesError as exc:  # abort this trial but report it
         return TrialRecord(k, trial, float("nan"), None, ok=False, note=str(exc))
-    dev = sup_stdf_deviation(ranks, k, model, T, grid_resolution)
     event = (
         check_order_stat_event(1.0 - x, k, T)
         if int(lattice_index(k, T)) >= 1

@@ -132,6 +132,26 @@ class TestConverge:
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("affinity,cpu_count,expected",
+                             [({0}, 64, 1), (None, 2, 2)],
+                             ids=["affinity", "no-affinity-api"])
+    def test_default_workers_are_usable_cpus(self, tmp_path, monkeypatch,
+                                             affinity, cpu_count, expected):
+        # a container may pin the process to fewer CPUs than the host has
+        import os
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        out = tmp_path / "c"
+        assert run(["converge", "--model", "independence", "--n", 1000, "--d", 2,
+                    "--k-schedule", "20", "--T", 1.5, "--trials", 2,
+                    "--seed", 3, "--out", out]) == 0
+        manifest = read_manifest(out / "converge_manifest.json")
+        assert manifest["config"]["workers"] == expected
+
     def test_budget_violation_surfaces_verbatim(self, tmp_path, capsys):
         code = run(["converge", "--model", "independence", "--n", 1000, "--d", 2,
                     "--k-schedule", "100", "--T", 15.0, "--delta", "0.05",

@@ -10,6 +10,7 @@ from tailvc import (
     ConfigurationError,
     PreconditionError,
     RectClassSpec,
+    TailvcError,
     bound_comparison,
     classical_vc_bound,
     low_mass_vc_bound,
@@ -48,6 +49,19 @@ class TestUnionMass:
         for tag in ("independence", "comonotone", "logistic(4)"):
             cls = RectClassSpec(d=2, k=10, n=1000, T=3.0)
             assert union_mass(cls, tag) <= cls.d * cls.T * cls.scale + 1e-12
+
+    def test_cap_violation_is_an_internal_error(self, monkeypatch):
+        # a model returning more mass than subadditivity allows is a fault;
+        # the check must survive python -O, so it is not an assert
+        import tailvc.concentration as conc
+
+        monkeypatch.setattr(conc, "tail_union_prob", lambda model, t: 0.5)
+        cls = RectClassSpec(d=2, k=10, n=1000, T=2.0)  # cap d (k/n) T = 0.04
+        with pytest.raises(TailvcError) as err:
+            union_mass(cls, "independence")
+        assert type(err.value) is TailvcError
+        assert err.value.exit_code == 5
+        assert "exceeds its subadditivity cap" in str(err.value)
 
     def test_edge_above_one_rejected(self):
         cls = RectClassSpec(d=2, k=600, n=1000, T=2.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from tailvc import (
@@ -25,7 +27,9 @@ from tailvc import (
 from tailvc.empirical import (
     exceedance_count,
     order_stat_thresholds,
+    stdf_lattice_counts,
     tail_event_count,
+    tail_order,
 )
 from tailvc.rng import substream
 from tailvc.samplers import GeneratorSpec
@@ -234,3 +238,89 @@ class TestStructuralInvariants:
                 assert grid[idx] == empirical_stdf(
                     r, k, np.asarray(idx, dtype=float) / k
                 )
+
+
+@st.composite
+def tail_kernel_cases(draw):
+    """A sample without ties, NaN and +-inf allowed, and a lattice corner.
+
+    Columns after the first may copy or negate column 0 (comonotone and
+    countermonotone).  NaN may repeat: the rank contract orders NaNs above
+    every number and among themselves by row index.
+    """
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 3))
+    cols = []
+    for j in range(d):
+        kind = draw(st.sampled_from(["perm", "comonotone", "countermonotone"]))
+        if j == 0 or kind == "perm":
+            col = np.array(draw(st.permutations(range(n))), dtype=float)
+            rows = draw(st.permutations(range(n)))
+            n_nan = draw(st.integers(0, n))
+            col[rows[:n_nan]] = np.nan
+            rest = rows[n_nan:]
+            if rest and draw(st.booleans()):
+                col[rest[0]] = np.inf
+            if len(rest) > 1 and draw(st.booleans()):
+                col[rest[1]] = -np.inf
+        else:
+            col = cols[0] if kind == "comonotone" else -cols[0]
+        cols.append(col)
+    mmax = [
+        draw(st.one_of(st.just(0), st.just(n), st.integers(0, n))) for _ in range(d)
+    ]
+    return np.column_stack(cols), mmax
+
+
+class TestTailKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(tail_kernel_cases())
+    def test_matches_exceedance_oracle_at_every_lattice_vector(self, case):
+        x, mmax = case
+        ranks = build_ranks(x)
+        lattice = np.indices([m + 1 for m in mmax]).reshape(len(mmax), -1).T
+        oracle = exceedance_count(ranks, lattice).reshape([m + 1 for m in mmax])
+        for source in (x, ranks, tail_order(x)):
+            counts = stdf_lattice_counts(source, mmax)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, oracle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tail_kernel_cases())
+    def test_tail_rows_match_stable_argsort(self, case):
+        x, _ = case
+        tails, ranks = tail_order(x), build_ranks(x)
+        for j in range(x.shape[1]):
+            order = np.argsort(x[:, j], kind="stable")[::-1]
+            for m in range(x.shape[0] + 1):
+                assert tails.top_rows(j, m).tolist() == order[:m].tolist()
+                assert ranks.top_rows(j, m).tolist() == order[:m].tolist()
+
+    @pytest.mark.parametrize("depths", [(30, 31), (5, 6), (1, 2)],
+                             ids=["body", "tail-boundary", "top"])
+    def test_tie_raises_the_rank_error(self, depths):
+        # column 1 ties its depth-a and depth-b values; the lattice reads
+        # depths 1..5, so "body" ties below the tail the kernel reads
+        rng = np.random.default_rng(81)
+        x = rng.random((60, 2))
+        order = np.argsort(x[:, 1])[::-1]
+        a, b = (order[i - 1] for i in depths)
+        x[a, 1] = x[b, 1]
+        with pytest.raises(TiesError) as expected:
+            build_ranks(x)
+        for call in (lambda: stdf_lattice_counts(x, [5, 5]),
+                     lambda: empirical_stdf_lattice(x, 4, [5, 5])):
+            with pytest.raises(TiesError) as got:
+                call()
+            assert got.value.column == expected.value.column == 1
+            assert got.value.rows == expected.value.rows == sorted((a, b))
+            assert str(got.value) == str(expected.value)
+
+    def test_shape_and_range_guards(self):
+        x = np.random.default_rng(82).random((10, 2))
+        with pytest.raises(PreconditionError):
+            stdf_lattice_counts(x, [3])
+        with pytest.raises(PreconditionError):
+            stdf_lattice_counts(x, [11, 0])
+        with pytest.raises(PreconditionError):
+            stdf_lattice_counts(x, [-1, 0])

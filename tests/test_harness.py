@@ -97,6 +97,15 @@ class TestSupStdfDeviation:
         assert exact >= brute - 1e-12
         assert abs(exact - brute) <= 2e-3
 
+    @pytest.mark.parametrize("tag,d", [("independence", 1), ("logistic(2)", 2),
+                                        ("comonotone", 2), ("independence", 2)])
+    def test_raw_values_match_rank_state(self, tag, d):
+        m = parse_model(tag, d)
+        x = draw_copula_sample(m, 3000, substream(10, "raw", tag, d))
+        for k, T in ((40, 2.0), (7, 0.09), (300, 10.0)):
+            from_ranks = sup_stdf_deviation(build_ranks(x), k, m, T)
+            assert sup_stdf_deviation(x, k, m, T) == from_ranks
+
     def test_budget_guard(self):
         s = draw_copula_sample(independence(2), 100, substream(7, "kt"))
         with pytest.raises(PreconditionError):
