@@ -25,13 +25,7 @@ import numpy as np
 from . import classify as cls_mod
 from . import concentration as conc
 from . import harness
-from .empirical import (
-    build_ranks,
-    empirical_stdf_lattice,
-    jitter_columns,
-    lattice_index,
-    tail_order,
-)
+from .empirical import build_ranks, empirical_stdf_lattice, jitter_columns, lattice_index
 from .errors import (
     ConfigurationError,
     PreconditionError,
@@ -175,37 +169,34 @@ def cmd_estimate(args, config: dict) -> int:
     values = sample.values
     if jitter_seed is not None:
         values = jitter_columns(values, int(jitter_seed))
-    # only the exact d <= 2 lattice is served from the column tails; the
-    # strided sub-lattice needs every row's depth, so full ranks
-    lattice = values.shape[1] <= 2 and (stride is None or int(stride) == 1)
-    state = tail_order(values) if lattice else build_ranks(values)
-    if k * T > state.n:
-        raise PreconditionError(f"k T = {k * T:g} exceeds n = {state.n}")
+    ranks = build_ranks(values)
+    if k * T > ranks.n:
+        raise PreconditionError(f"k T = {k * T:g} exceeds n = {ranks.n}")
     m_top = int(lattice_index(k, T))
-    if state.d >= 3 and stride is None:
+    if ranks.d >= 3 and stride is None:
         raise ConfigurationError(
-            f"d = {state.d} >= 3 requires --grid-stride (lattice steps per axis)"
+            f"d = {ranks.d} >= 3 requires --grid-stride (lattice steps per axis)"
         )
     stride = 1 if stride is None else int(stride)
     if stride < 1:
         raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
-    axes = [np.arange(0, m_top + 1, stride) for _ in range(state.d)]
-    if lattice:
-        sub = empirical_stdf_lattice(state, k, [m_top] * state.d)
+    axes = [np.arange(0, m_top + 1, stride) for _ in range(ranks.d)]
+    if stride == 1 and ranks.d <= 2:
+        sub = empirical_stdf_lattice(ranks, k, [m_top] * ranks.d)
     else:
         # evaluate only the strided sub-lattice; the full lattice may not fit
-        depth = (state.n - state.ranks + 1).astype(float)
+        depth = (ranks.n - ranks.ranks + 1).astype(float)
         survivors = dominance_weight_grid(
-            depth, np.ones(state.n), [a.astype(float) for a in axes], strict=True
+            depth, np.ones(ranks.n), [a.astype(float) for a in axes], strict=True
         )
-        sub = (state.n - survivors) / k
+        sub = (ranks.n - survivors) / k
     mesh = np.meshgrid(*axes, indexing="ij")
     rows = []
     for idx in np.ndindex(sub.shape):
-        point = [mesh[j][idx] / k for j in range(state.d)]
+        point = [mesh[j][idx] / k for j in range(ranks.d)]
         rows.append(point + [sub[idx]])
     surface_path = out / "surface.csv"
-    header = [f"x{j + 1}" for j in range(state.d)] + ["l_n"]
+    header = [f"x{j + 1}" for j in range(ranks.d)] + ["l_n"]
     write_csv(surface_path, header, rows)
     write_manifest(
         out / "estimate_manifest.json",

@@ -143,12 +143,6 @@ def tail_order(sample) -> TailOrder:
     return TailOrder(values=values, sorted_cols=sorted_cols)
 
 
-def _tail_source(sample) -> RankState | TailOrder:
-    if isinstance(sample, (RankState, TailOrder)):
-        return sample
-    return tail_order(sample)
-
-
 def jitter_columns(values, seed: int) -> np.ndarray:
     """Break within-column ties with deterministic sub-gap noise.
 
@@ -226,28 +220,27 @@ def empirical_stdf(ranks: RankState, k: int, x) -> float | np.ndarray:
     return exceedance_count(ranks, m) / k
 
 
-def stdf_lattice_counts(ranks, mmax) -> np.ndarray:
+def stdf_lattice_counts(ranks: RankState | TailOrder, mmax) -> np.ndarray:
     """Exceedance counts on the full integer lattice 0..mmax_j per axis.
 
     Returns an int64 tensor C with C[m_1, ..., m_d] = the count behind
-    l_n(m/k).  ``ranks`` is a RankState, a TailOrder or raw sample values
-    (tie-checked here).  Only the mmax_j largest rows of each column are
-    read: a row's level in column j is its depth there (0 = largest),
+    l_n(m/k).  ``ranks`` is a RankState or a TailOrder; either gives the
+    same order of each column's top rows.  Only the mmax_j largest rows of
+    each column are read: a row's level in column j is its depth there (0 = largest),
     capped at mmax_j, and the rows outside every tail all land in the
     corner cell.  Suffix sums of the level histogram count the rows
-    surviving every level vector, so past the ties check (one np.sort per
-    column) the cost is O(n) selection plus O(M log M) ordering,
-    M = max mmax_j, plus O(prod(mmax + 1)) for the lattice.
+    surviving every level vector, so the cost is O(n) selection plus
+    O(M log M) ordering, M = max mmax_j, plus O(prod(mmax + 1)) for the
+    lattice.
     """
-    state = _tail_source(ranks)
-    n, d = state.n, state.d
+    n, d = ranks.n, ranks.d
     mmax = np.asarray(mmax, dtype=np.int64)
     if mmax.shape != (d,):
         raise PreconditionError(f"mmax must have shape ({d},)")
     if np.any(mmax < 0) or np.any(mmax > n):
         raise PreconditionError(f"mmax entries must lie in [0, n] = [0, {n}]")
     shape = tuple(int(m) + 1 for m in mmax)
-    tops = [state.top_rows(j, int(m)) for j, m in enumerate(mmax)]
+    tops = [ranks.top_rows(j, int(m)) for j, m in enumerate(mmax)]
     union = np.unique(np.concatenate(tops))
     cell = np.zeros(union.size, dtype=np.int64)
     for j, top in enumerate(tops):
@@ -261,12 +254,11 @@ def stdf_lattice_counts(ranks, mmax) -> np.ndarray:
     return np.subtract(n, survivors, out=survivors)
 
 
-def empirical_stdf_lattice(ranks, k: int, mmax) -> np.ndarray:
+def empirical_stdf_lattice(ranks: RankState | TailOrder, k: int, mmax) -> np.ndarray:
     """l_n on the lattice (m_1/k, ..., m_d/k), 0 <= m_j <= mmax_j."""
-    state = _tail_source(ranks)
-    if not 1 <= k <= state.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {state.n}], got {k}")
-    return stdf_lattice_counts(state, mmax) / k
+    if not 1 <= k <= ranks.n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
+    return stdf_lattice_counts(ranks, mmax) / k
 
 
 def tail_event_count(u, thresholds) -> int:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .empirical import (
     RankState,
+    TailOrder,
     build_ranks,
     empirical_stdf_lattice,
     lattice_index,
@@ -75,22 +76,29 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     return d * gap
 
 
-def _cell_corner_sup(grid: np.ndarray, model: StdfModel, k: int, T: float) -> float:
-    """max over lattice cells of |grid - l| at the cells' two extreme corners.
+def _corner_model_grids(model: StdfModel, k: int, T: float, m_top: int, d: int):
+    """l at the lower and the upper corner of every lattice cell.
 
-    ``grid`` holds a value per cell [m/k, (m+1)/k) of the lattice
-    0..m_top on every axis; the upper corners are clipped to T.  The gaps
-    are formed in place in the two model grids: at k = 800 each temporary
-    would be another 20 MB grid.
+    Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top; the upper
+    corners are clipped to T.
     """
-    m_top = grid.shape[0] - 1
     lo = np.arange(m_top + 1) / k
     hi = np.minimum(np.arange(1, m_top + 2) / k, T)
-    l_lo = eval_stdf_axes(model, [lo] * grid.ndim)
-    l_hi = eval_stdf_axes(model, [hi] * grid.ndim)
-    np.abs(np.subtract(grid, l_lo, out=l_lo), out=l_lo)
-    np.abs(np.subtract(grid, l_hi, out=l_hi), out=l_hi)
-    return float(np.maximum(l_lo, l_hi, out=l_lo).max())
+    return eval_stdf_axes(model, [lo] * d), eval_stdf_axes(model, [hi] * d)
+
+
+def _cell_corner_sup(grid: np.ndarray, l_lo: np.ndarray, l_hi: np.ndarray,
+                     scratch: np.ndarray) -> float:
+    """max over lattice cells of |grid - l| at the cells' two extreme corners.
+
+    The gaps are formed in place, the lower-corner ones in ``scratch`` and
+    the upper-corner ones in ``grid``, which is overwritten; at k = 800
+    each temporary would be another 20 MB grid.  The larger of the two
+    maxima is the maximum of the elementwise larger gap, bit for bit.
+    """
+    lower = np.abs(np.subtract(grid, l_lo, out=scratch), out=scratch).max()
+    upper = np.abs(np.subtract(grid, l_hi, out=grid), out=grid).max()
+    return float(np.maximum(lower, upper))
 
 
 def sup_stdf_deviation(
@@ -102,14 +110,15 @@ def sup_stdf_deviation(
 ) -> SupEstimate:
     """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
 
-    ``sample`` is a RankState or raw values; raw values are tie-checked
-    and, on the exact lattice path, only their column tails are ordered.
+    ``sample`` is a RankState, a TailOrder or raw values, which are ranked
+    in full.  The exact lattice path reads only the column tails, so a
+    TailOrder serves it without ranking; the declared-grid path needs
+    every row's rank.
     """
-    if isinstance(sample, RankState):
+    if isinstance(sample, (RankState, TailOrder)):
         state = sample
     else:
-        values = sample.values if isinstance(sample, Sample) else sample
-        state = tail_order(values) if grid_resolution is None else build_ranks(values)
+        state = build_ranks(sample.values if isinstance(sample, Sample) else sample)
     n, d = state.n, state.d
     if model.d != d:
         raise ConfigurationError(
@@ -125,14 +134,16 @@ def sup_stdf_deviation(
     if grid_resolution is None:
         m_top = int(lattice_index(k, T))
         counts = empirical_stdf_lattice(state, k, [m_top] * d)
-        value = _cell_corner_sup(counts, model, k, T)
+        l_lo, l_hi = _corner_model_grids(model, k, T, m_top, d)
+        value = _cell_corner_sup(counts, l_lo, l_hi, scratch=l_lo)
         return SupEstimate(value=value, discretization_bound=0.0)
 
     # declared-grid scan; the estimator is still evaluated exactly at the
     # snapped lattice points under each grid node
     axis = np.linspace(0.0, T, grid_resolution)
     levels = lattice_index(k, axis).astype(float)
-    depth = (n - state.ranks + 1).astype(float)
+    ranks = state if isinstance(state, RankState) else build_ranks(state.values)
+    depth = (n - ranks.ranks + 1).astype(float)
     survivors = dominance_weight_grid(
         depth, np.ones(n), [levels] * d, strict=True
     )
@@ -221,8 +232,9 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     l_at_thr = eval_stdf_axes(model, scaled_axes)
     bias = float(np.abs(tail_grid - l_at_thr).max())
 
-    rounding = _cell_corner_sup(l_at_thr, model, k, T)
-    total = _cell_corner_sup(counts, model, k, T)
+    l_lo, l_hi = _corner_model_grids(model, k, T, m_top, d)
+    rounding = _cell_corner_sup(l_at_thr, l_lo, l_hi, scratch=tail_grid)
+    total = _cell_corner_sup(counts, l_lo, l_hi, scratch=tail_grid)
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding
     )
@@ -333,9 +345,11 @@ def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
     rng = substream(seed, "rate", k, trial)
     x = draw_copula_sample(model, n, rng)
     try:
-        dev = sup_stdf_deviation(x, k, model, T, grid_resolution)
+        # the exact lattice reads only the column tails, so no full ranks
+        state = tail_order(x) if grid_resolution is None else build_ranks(x)
     except TiesError as exc:  # abort this trial but report it
         return TrialRecord(k, trial, float("nan"), None, ok=False, note=str(exc))
+    dev = sup_stdf_deviation(state, k, model, T, grid_resolution)
     event = (
         check_order_stat_event(1.0 - x, k, T)
         if int(lattice_index(k, T)) >= 1

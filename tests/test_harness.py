@@ -28,6 +28,7 @@ from tailvc import (
     sup_stdf_deviation,
     sup_tail_process_deviation,
 )
+from tailvc.empirical import tail_order
 from tailvc.rng import substream
 
 
@@ -105,6 +106,7 @@ class TestSupStdfDeviation:
         for k, T in ((40, 2.0), (7, 0.09), (300, 10.0)):
             from_ranks = sup_stdf_deviation(build_ranks(x), k, m, T)
             assert sup_stdf_deviation(x, k, m, T) == from_ranks
+            assert sup_stdf_deviation(tail_order(x), k, m, T) == from_ranks
 
     def test_budget_guard(self):
         s = draw_copula_sample(independence(2), 100, substream(7, "kt"))
@@ -329,6 +331,7 @@ class TestDecomposition:
                 x = draw_copula_sample(model, 1000, substream(13, "dec", t))
                 terms = deviation_decomposition(x, 20, 2.0, model)
                 assert terms.total <= terms.upper + 1e-12
+                assert terms.total == sup_stdf_deviation(x, 20, model, 2.0).value
 
     def test_rounding_term_within_lattice_cap(self):
         model = independence(2)
