@@ -191,13 +191,10 @@ def cmd_estimate(args, config: dict) -> int:
         )
         sub = (ranks.n - survivors) / k
     mesh = np.meshgrid(*axes, indexing="ij")
-    rows = []
-    for idx in np.ndindex(sub.shape):
-        point = [mesh[j][idx] / k for j in range(ranks.d)]
-        rows.append(point + [sub[idx]])
+    surface = np.column_stack([g.ravel() / k for g in mesh] + [np.ravel(sub)])
     surface_path = out / "surface.csv"
     header = [f"x{j + 1}" for j in range(ranks.d)] + ["l_n"]
-    write_csv(surface_path, header, rows)
+    write_csv(surface_path, header, surface)
     write_manifest(
         out / "estimate_manifest.json",
         "estimate",

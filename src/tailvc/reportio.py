@@ -2,16 +2,21 @@
 
 All floats are written with ``repr``, the shortest representation that
 round-trips exactly, so re-running a configuration reproduces output
-files byte for byte.  Sample CSVs are UTF-8, comma-separated, '.'
-decimal point, one observation per line; a single header line is
+files byte for byte.  Float tables and samples are written column by
+column: each distinct float (bit pattern, so ``-0.0`` stays apart from
+``0.0``) is formatted once with ``repr`` and indexed back out, so the
+output is the ``repr`` bytes.  Sample CSVs are UTF-8, comma-separated,
+'.' decimal point, one observation per line; a single header line is
 auto-detected on read by a non-numeric first token.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, is_dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +37,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def _format_column(column: np.ndarray) -> list[str]:
+    """``repr`` of every float in ``column``, one ``repr`` call per distinct value."""
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_lines(path, header: list[str], body) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join([",".join(header), *body]) + "\n", encoding="utf-8")
+
+
+def _float_table_lines(table: np.ndarray):
+    return map(",".join, zip(*(_format_column(col) for col in table.T)))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows``; a 2-d float array is formatted column-wise."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        body = _float_table_lines(rows)
+    else:
+        body = (",".join(_fmt(v) for v in row) for row in rows)
+    _write_lines(path, header, body)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -50,15 +73,9 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def write_sample_csv(sample: Sample, path, header: bool = True) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    if header:
-        lines.append(",".join(f"x{j + 1}" for j in range(sample.d)))
-    for row in sample.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_sample_csv(sample: Sample, path) -> None:
+    header = [f"x{j + 1}" for j in range(sample.d)]
+    _write_lines(path, header, _float_table_lines(sample.values))
 
 
 def _is_number(token: str) -> bool:
@@ -69,28 +86,54 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _check_line(path, i: int, line: str) -> None:
+    """Raise the DataError naming line ``i`` if a field is not a finite float."""
+    fields = line.split(",")
+    try:
+        row = [float(f) for f in fields]
+    except ValueError as exc:
+        raise DataError(f"{path}: line {i}: {exc}")
+    for f, v in zip(fields, row):
+        if not math.isfinite(v):
+            raise DataError(f"{path}: line {i}: non-finite value {f!r}")
+
+
 def read_sample_csv(path) -> Sample:
+    """Read a sample CSV; the first malformed line, in file order, is reported.
+
+    Line numbers count non-blank lines, the header included.  A line is
+    malformed when its field count differs from the first data line's, a
+    field is not a float, or a field is not finite.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty sample file")
     first_token = lines[0].split(",")[0].strip()
     start = 0 if _is_number(first_token) else 1
-    rows = []
-    width = None
-    for i, ln in enumerate(lines[start:], start=start + 1):
-        fields = ln.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DataError(f"{path}: line {i} has {len(fields)} fields, expected {width}")
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i}: {exc}")
-    if not rows:
+    body = lines[start:]
+    if not body:
         raise DataError(f"{path}: no data rows")
-    return Sample(np.asarray(rows), provenance=str(path))
+    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64,
+                         count=len(body))
+    ragged = np.flatnonzero(commas != commas[0])
+    end = int(ragged[0]) if ragged.size else len(body)
+    width = int(commas[0]) + 1
+    try:
+        values = np.fromiter(map(float, ",".join(body[:end]).split(",")),
+                             dtype=np.float64, count=end * width).reshape(end, width)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # the one-pass parse cannot say which line failed
+        for i, line in enumerate(body[:end], start=start + 1):
+            _check_line(path, i, line)
+    if end < len(body):
+        i = start + end + 1
+        raise DataError(
+            f"{path}: line {i} has {commas[end] + 1} fields, expected {width}"
+        )
+    return Sample(values, provenance=str(path))
 
 
 def _jsonable(obj):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tailvc.cli import main
-from tailvc.reportio import read_csv, read_manifest
+from tailvc.empirical import build_ranks, exceedance_count, lattice_index
+from tailvc.reportio import read_csv, read_manifest, read_sample_csv
 
 
 def run(args):
@@ -89,6 +90,40 @@ class TestEstimate:
             for m2 in range(side):
                 assert vals[(m1, m2)] <= vals[(m1 + 1, m2)] + 1e-12
                 assert vals[(m2, m1)] <= vals[(m2, m1 + 1)] + 1e-12
+
+    @pytest.mark.parametrize("model,d,k,T,stride", [
+        ("logistic(2)", 2, 15, 2.0, None),
+        ("independence", 3, 10, 2.0, 3),
+    ], ids=["d2-full-lattice", "d3-strided"])
+    def test_surface_matches_cell_by_cell_reference(self, tmp_path, model, d, k, T,
+                                                    stride):
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert run(["simulate", "--model", model, "--n", 300, "--d", d,
+                    "--seed", 13, "--out", sim]) == 0
+        args = ["estimate", "--data", sim / "sample.csv", "--k", k, "--T", T,
+                "--out", est]
+        if stride is not None:
+            args += ["--grid-stride", stride]
+        assert run(args) == 0
+        # reference: one row per lattice cell in C order, each value repr'd
+        ranks = build_ranks(read_sample_csv(sim / "sample.csv").values)
+        axis = np.arange(0, int(lattice_index(k, T)) + 1, stride or 1)
+        mesh = np.meshgrid(*[axis] * d, indexing="ij")
+        lines = [",".join([f"x{j + 1}" for j in range(d)] + ["l_n"])]
+        for idx in np.ndindex(mesh[0].shape):
+            m = [mesh[j][idx] for j in range(d)]
+            point = [mj / k for mj in m] + [exceedance_count(ranks, m) / k]
+            lines.append(",".join(repr(float(v)) for v in point))
+        expected = "\n".join(lines) + "\n"
+        assert (est / "surface.csv").read_text() == expected
+
+    def test_non_finite_sample_names_the_line(self, tmp_path, capsys):
+        data = tmp_path / "nf.csv"
+        data.write_text("x1,x2\n1.0,2.0\n3.0,inf\n2.0,4.0\n")
+        code = run(["estimate", "--data", data, "--k", 1, "--T", 1.0,
+                    "--out", tmp_path / "e"])
+        assert code == 3
+        assert f"{data}: line 3: non-finite value 'inf'" in capsys.readouterr().err
 
     def test_ties_are_data_errors(self, tmp_path, capsys):
         data = tmp_path / "tied.csv"
