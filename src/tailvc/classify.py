@@ -78,9 +78,15 @@ class AxisClassifier:
             raise ConfigurationError(f"coordinate must be >= 0, got {self.coord}")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        raw = np.where(x[:, self.coord] >= self.threshold, 1, -1)
-        return self.sign * raw
+        return _axis_votes(np.asarray(x, dtype=float), (self,))[0]
+
+
+def _axis_votes(x: np.ndarray, members) -> np.ndarray:
+    """(members x rows) labels: sign * (+1 if x_coord >= threshold else -1)."""
+    coords = np.array([g.coord for g in members], dtype=np.intp)
+    thresholds = np.array([g.threshold for g in members], dtype=float)
+    signs = np.array([g.sign for g in members], dtype=np.int64)[:, None]
+    return np.where(x[:, coords].T >= thresholds[:, None], signs, -signs)
 
 
 @dataclass(frozen=True)
@@ -183,18 +189,15 @@ class LabeledGenerator:
         return LabeledSample(features=x, labels=y)
 
 
-def empirical_conditional_risk(data: LabeledSample, g: AxisClassifier, region) -> float:
-    """Mistake fraction on the empirically-thresholded rare region.
+def _tail_rows(data: LabeledSample, region) -> tuple[np.ndarray, float]:
+    """Rows of ``data`` in the rare region, and the risk denominator.
 
-    Quantile form: (1/(n alpha)) #{Y_i != g(X_i), ||X_i|| > ||X||_(floor(n alpha))}
-    with descending norm order statistics and a strict comparison, so the
-    threshold row itself never counts.  Norm ties are rejected.
-    Explicit form: (1/q) times the mistake fraction inside the region.
+    Quantile form: the rows whose norm strictly exceeds the floor(n alpha)-th
+    largest norm, over n alpha; norm ties are rejected.  Explicit form: the
+    rows inside the region, over n q.
     """
-    mistakes = data.labels != g.predict(data.features)
     if isinstance(region, ExplicitRegion):
-        inside = region.contains(data.features)
-        return float((mistakes & inside).sum() / (data.n * region.q))
+        return np.flatnonzero(region.contains(data.features)), data.n * region.q
     if not isinstance(region, QuantileRegion):
         raise ConfigurationError(f"unsupported region {region!r}")
     n = data.n
@@ -207,8 +210,30 @@ def empirical_conditional_risk(data: LabeledSample, g: AxisClassifier, region) -
     if np.unique(norms).size != n:
         raise DataError("norm ties at the empirical threshold; jitter the data")
     thr = np.partition(norms, n - m)[n - m]  # m-th largest
-    sel = norms > thr
-    return float((mistakes & sel).sum() / (n * region.alpha))
+    return np.flatnonzero(norms > thr), n * region.alpha
+
+
+def _mistake_counts(data: LabeledSample, members, rows: np.ndarray) -> np.ndarray:
+    """Exact number of mistakes of each member among ``rows``."""
+    votes = _axis_votes(data.features[rows], members)
+    return np.count_nonzero(votes != data.labels[rows], axis=1)
+
+
+def _family_empirical_risks(data: LabeledSample, members, region) -> np.ndarray:
+    """empirical_conditional_risk of every member, from one tail selection."""
+    rows, denom = _tail_rows(data, region)
+    return _mistake_counts(data, members, rows) / denom
+
+
+def empirical_conditional_risk(data: LabeledSample, g: AxisClassifier, region) -> float:
+    """Mistake fraction on the empirically-thresholded rare region.
+
+    Quantile form: (1/(n alpha)) #{Y_i != g(X_i), ||X_i|| > ||X||_(floor(n alpha))}
+    with descending norm order statistics and a strict comparison, so the
+    threshold row itself never counts.  Norm ties are rejected.
+    Explicit form: (1/q) times the mistake fraction inside the region.
+    """
+    return float(_family_empirical_risks(data, (g,), region)[0])
 
 
 @dataclass(frozen=True)
@@ -261,7 +286,7 @@ def _box_mass(box, cube_edge: float | None = None) -> float:
     return mass
 
 
-def _analytic_applicable(generator: LabeledGenerator, g: AxisClassifier, norm: str) -> bool:
+def _analytic_applicable(generator: LabeledGenerator, norm: str) -> bool:
     return generator.feature_model.variant == "independence" and norm == "linf"
 
 
@@ -283,6 +308,55 @@ def _analytic_joint_mistake(generator: LabeledGenerator, g: AxisClassifier,
     return eta * tail + (1.0 - 2.0 * eta) * dis_tail
 
 
+def _family_true_risks(
+    generator: LabeledGenerator,
+    members,
+    region,
+    reference_draws: int = 10_000_000,
+    reference_seed: int = 20_600_101,
+) -> list[RiskValue]:
+    """true_conditional_risk of every member, from at most one reference draw.
+
+    The reference sample, its norms and its threshold depend only on the
+    generator and the region, so they are computed once and every member
+    is evaluated against them.
+    """
+    if isinstance(region, ExplicitRegion):
+        alpha_like = region.q
+        threshold = region.threshold
+    elif isinstance(region, QuantileRegion):
+        alpha_like = region.alpha
+        threshold = None
+    else:
+        raise ConfigurationError(f"unsupported region {region!r}")
+    norm = region.norm
+    if _analytic_applicable(generator, norm):
+        if threshold is None:
+            threshold = sup_norm_tail_quantile(region.alpha, generator.d)
+        return [
+            RiskValue(
+                value=_analytic_joint_mistake(generator, g, threshold) / alpha_like,
+                stderr=0.0,
+                method="analytic",
+            )
+            for g in members
+        ]
+
+    rng = substream(reference_seed, "reference-risk")
+    data = generator.sample(reference_draws, rng)
+    norms = feature_norm(data.features, norm)
+    if threshold is None:
+        threshold = float(np.quantile(norms, 1.0 - alpha_like))
+    tail = norms > threshold
+    risks = []
+    for g in members:
+        hit = (data.labels != g.predict(data.features)) & tail
+        p_hat = float(hit.mean())
+        stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / reference_draws) / alpha_like
+        risks.append(RiskValue(value=p_hat / alpha_like, stderr=stderr, method="reference"))
+    return risks
+
+
 def true_conditional_risk(
     generator: LabeledGenerator,
     g: AxisClassifier,
@@ -295,39 +369,12 @@ def true_conditional_risk(
     Falls back to a single large reference sample with a reported
     standard error when no closed form applies.
     """
-    if isinstance(region, ExplicitRegion):
-        alpha_like = region.q
-        if _analytic_applicable(generator, g, region.norm):
-            joint = _analytic_joint_mistake(generator, g, region.threshold)
-            return RiskValue(value=joint / region.q, stderr=0.0, method="analytic")
-        threshold = region.threshold
-        norm = region.norm
-    elif isinstance(region, QuantileRegion):
-        alpha_like = region.alpha
-        norm = region.norm
-        if _analytic_applicable(generator, g, norm):
-            t_alpha = sup_norm_tail_quantile(region.alpha, generator.d)
-            joint = _analytic_joint_mistake(generator, g, t_alpha)
-            return RiskValue(value=joint / region.alpha, stderr=0.0, method="analytic")
-        threshold = None
-    else:
-        raise ConfigurationError(f"unsupported region {region!r}")
-
-    rng = substream(reference_seed, "reference-risk")
-    data = generator.sample(reference_draws, rng)
-    norms = feature_norm(data.features, norm)
-    if threshold is None:
-        threshold = float(np.quantile(norms, 1.0 - alpha_like))
-    hit = (data.labels != g.predict(data.features)) & (norms > threshold)
-    p_hat = float(hit.mean())
-    stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / reference_draws) / alpha_like
-    return RiskValue(value=p_hat / alpha_like, stderr=stderr, method="reference")
+    return _family_true_risks(generator, (g,), region, reference_draws, reference_seed)[0]
 
 
 def erm(data: LabeledSample, family: ClassifierFamily, region) -> int:
     """Index of the empirical-risk minimizer; ties break to the lowest index."""
-    risks = [empirical_conditional_risk(data, g, region) for g in family.members]
-    return int(np.argmin(risks))
+    return int(np.argmin(_family_empirical_risks(data, family.members, region)))
 
 
 @dataclass(frozen=True)
@@ -365,25 +412,20 @@ def rate_experiment_classification(
         raise ConfigurationError("schedule must be nonempty")
     records = []
     medians = {}
+    truths_of: dict = {}  # the truths depend on the region only, not on n
     for n, alpha in schedule:
         region = QuantileRegion(alpha=alpha, norm=norm)
-        truths = np.array(
-            [
-                true_conditional_risk(generator, g, region).value
-                for g in family.members
-            ]
-        )
+        if region not in truths_of:
+            truths_of[region] = np.array(
+                [r.value for r in _family_true_risks(generator, family.members, region)]
+            )
+        truths = truths_of[region]
         flagged = n * alpha < 10
         devs = []
         for t in range(trials):
             rng = substream(seed, "class-rate", int(round(n * alpha)), t)
             data = generator.sample(n, rng)
-            emp = np.array(
-                [
-                    empirical_conditional_risk(data, g, region)
-                    for g in family.members
-                ]
-            )
+            emp = _family_empirical_risks(data, family.members, region)
             dev = float(np.abs(emp - truths).max())
             devs.append(dev)
             records.append(
@@ -425,28 +467,25 @@ def risk_decomposition_check(
     deviation, and 1/n.  The slack term is exactly 1/n when n * alpha is
     an integer; configure the check that way.
     """
-    if not _analytic_applicable(generator, family.members[0], region.norm):
+    if not _analytic_applicable(generator, region.norm):
         raise ConfigurationError(
             "decomposition check needs the analytic oracle "
             "(independence features, sup norm, axis labelers)"
         )
+    members = family.members
     n = data.n
     alpha = region.alpha
     t_alpha = sup_norm_tail_quantile(alpha, generator.d)
-    norms = feature_norm(data.features, region.norm)
-    tail = norms > t_alpha
 
-    lhs = 0.0
-    joint = 0.0
-    for g in family.members:
-        emp = empirical_conditional_risk(data, g, region)
-        true = true_conditional_risk(generator, g, region).value
-        lhs = max(lhs, abs(emp - true))
-        mistakes = data.labels != g.predict(data.features)
-        emp_joint = float((mistakes & tail).mean())
-        true_joint = _analytic_joint_mistake(generator, g, t_alpha)
-        joint = max(joint, abs(emp_joint - true_joint))
-    marginal = abs(float(tail.mean()) - alpha)
+    emp = _family_empirical_risks(data, members, region)
+    true = np.array([r.value for r in _family_true_risks(generator, members, region)])
+    lhs = float(np.abs(emp - true).max())
+    # the tail at the true quantile t_alpha, a region of mass alpha
+    tail_rows, _ = _tail_rows(data, ExplicitRegion(region.norm, t_alpha, alpha))
+    emp_joint = _mistake_counts(data, members, tail_rows) / n
+    true_joint = np.array([_analytic_joint_mistake(generator, g, t_alpha) for g in members])
+    joint = float(np.abs(emp_joint - true_joint).max())
+    marginal = abs(tail_rows.size / n - alpha)
     rhs = (joint + marginal + 1.0 / n) / alpha
     return DecompositionCheck(
         holds=bool(lhs <= rhs + 1e-12),

@@ -165,7 +165,26 @@ def check_order_stat_event(u, k: int, T: float) -> bool:
     if m > n:
         raise PreconditionError(f"floor(k T) = {m} exceeds n = {n}")
     thr = np.partition(u, m - 1, axis=0)[m - 1]
+    return _event_holds(thr, n, k, T)
+
+
+def _event_holds(thr: np.ndarray, n: int, k: int, T: float) -> bool:
     return bool(np.all(n / k * thr <= 2.0 * T))
+
+
+def _order_stat_event(state: TailOrder, k: int, T: float) -> bool:
+    """check_order_stat_event(1.0 - state.values, k, T), read off the tail order.
+
+    fl(1 - x) is non-increasing in x, so the m-th smallest of 1 - x is
+    1 - (the m-th largest x), which the sorted columns already hold.  NaN
+    sorts last on both sides and breaks that mirror, so a sample with NaN
+    takes the direct path.
+    """
+    n = state.n
+    m = int(lattice_index(k, T))
+    if not 1 <= m <= n or np.isnan(state.sorted_cols[:, -1]).any():
+        return check_order_stat_event(1.0 - state.values, k, T)
+    return _event_holds(1.0 - state.sorted_cols[:, n - m], n, k, T)
 
 
 def sup_tail_process_deviation(u, k: int, T: float, model) -> SupEstimate:
@@ -350,11 +369,12 @@ def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
     except TiesError as exc:  # abort this trial but report it
         return TrialRecord(k, trial, float("nan"), None, ok=False, note=str(exc))
     dev = sup_stdf_deviation(state, k, model, T, grid_resolution)
-    event = (
-        check_order_stat_event(1.0 - x, k, T)
-        if int(lattice_index(k, T)) >= 1
-        else None
-    )
+    if int(lattice_index(k, T)) < 1:
+        event = None
+    elif isinstance(state, TailOrder):
+        event = _order_stat_event(state, k, T)
+    else:
+        event = check_order_stat_event(1.0 - x, k, T)
     return TrialRecord(k, trial, dev.value, event, ok=True)
 
 

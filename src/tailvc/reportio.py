@@ -16,7 +16,7 @@ import json
 import math
 import time
 from dataclasses import asdict, is_dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +45,18 @@ def _format_column(column: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
+_BLOCK_LINES = 1 << 16
+
+
 def _write_lines(path, header: list[str], body) -> None:
+    """Write the header line, then ``body`` in blocks of _BLOCK_LINES lines."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([",".join(header), *body]) + "\n", encoding="utf-8")
+    lines = iter(body)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        while block := list(islice(lines, _BLOCK_LINES)):
+            f.write("\n".join(block) + "\n")
 
 
 def _float_table_lines(table: np.ndarray):

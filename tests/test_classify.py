@@ -1,8 +1,14 @@
 """Conditional risk on rare regions: estimators, oracles, decomposition."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tailvc.classify as classify_mod
 from tailvc import (
     AxisClassifier,
     ClassifierFamily,
@@ -21,7 +27,12 @@ from tailvc import (
     risk_decomposition_check,
     true_conditional_risk,
 )
-from tailvc.classify import feature_norm, sup_norm_tail_quantile
+from tailvc.classify import (
+    _family_empirical_risks,
+    _family_true_risks,
+    feature_norm,
+    sup_norm_tail_quantile,
+)
 from tailvc.rng import substream
 
 
@@ -290,3 +301,202 @@ class TestRegretAndRegionQ:
                 vals.append(np.abs(emps - truths).max())
             meds.append(np.median(vals) * np.sqrt(q * n))
         assert max(meds) / min(meds) < 2.0
+
+
+def oracle_risk(data, g, region):
+    """The per-member estimator as written before the family kernel."""
+    x = np.asarray(data.features, dtype=float)
+    predicted = g.sign * np.where(x[:, g.coord] >= g.threshold, 1, -1)
+    mistakes = data.labels != predicted
+    if isinstance(region, ExplicitRegion):
+        inside = feature_norm(data.features, region.norm) > region.threshold
+        return float((mistakes & inside).sum() / (data.n * region.q))
+    n = data.n
+    m = int(math.floor(n * region.alpha))
+    if m < 1:
+        raise PreconditionError(
+            f"floor(n alpha) = {m} < 1; no tail rows at n={n}, alpha={region.alpha}"
+        )
+    norms = feature_norm(data.features, region.norm)
+    if np.unique(norms).size != n:
+        raise DataError("norm ties at the empirical threshold; jitter the data")
+    thr = np.partition(norms, n - m)[n - m]
+    sel = norms > thr
+    return float((mistakes & sel).sum() / (n * region.alpha))
+
+
+@st.composite
+def family_cases(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.0, 1.0, size=(n, d))
+    y = rng.choice([-1, 1], size=n)
+    data = LabeledSample(features=x, labels=y)
+    size = draw(st.integers(1, 8))
+    members = []
+    for _ in range(size):
+        coord = draw(st.integers(0, d - 1))
+        # thresholds on a data value exercise the >= side of the rule
+        on_row = draw(st.booleans())
+        thr = float(x[draw(st.integers(0, n - 1)), coord]) if on_row else draw(
+            st.floats(-1.0, 1.0))
+        members.append(AxisClassifier(coord, thr, draw(st.sampled_from([-1, 1]))))
+    norm = draw(st.sampled_from(["l1", "l2", "linf"]))
+    if draw(st.booleans()):
+        region = QuantileRegion(alpha=draw(st.floats(0.01, 0.99)), norm=norm)
+    else:
+        region = ExplicitRegion(norm=norm, threshold=draw(st.floats(0.0, 2.0)),
+                                q=draw(st.floats(0.01, 1.0)))
+    return data, tuple(members), region
+
+
+class TestFamilyKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(family_cases())
+    def test_matches_per_member_oracle(self, case):
+        data, members, region = case
+        family = ClassifierFamily(members=members, vc_dim=data.features.shape[1])
+        try:
+            expected = [oracle_risk(data, g, region) for g in members]
+        except (DataError, PreconditionError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _family_empirical_risks(data, members, region)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                erm(data, family, region)
+            return
+        family_risks = _family_empirical_risks(data, members, region)
+        assert family_risks.tolist() == expected  # equal floats, not approx
+        assert [empirical_conditional_risk(data, g, region) for g in members] == expected
+        assert erm(data, family, region) == int(np.argmin(expected))
+
+    def test_predict_matches_the_axis_rule(self):
+        x = np.array([[0.2, 0.7], [0.5, 0.1], [0.9, 0.5]])
+        for g in (AxisClassifier(0, 0.5), AxisClassifier(1, 0.5, sign=-1)):
+            expected = g.sign * np.where(x[:, g.coord] >= g.threshold, 1, -1)
+            assert g.predict(x).tolist() == expected.tolist()
+            assert g.predict(x).dtype == expected.dtype
+
+    def test_threshold_row_never_counts(self):
+        # every member errs on every row; only the 2 rows strictly above the
+        # 3rd largest norm count, so each risk is 2 / (n alpha)
+        x = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0], [0.5, 0.0],
+                      [0.6, 0.0], [0.7, 0.0], [0.8, 0.0], [0.9, 0.0], [0.95, 0.0]])
+        members = (AxisClassifier(0, 0.0), AxisClassifier(0, 2.0, sign=-1))
+        data = LabeledSample(features=x, labels=-np.ones(10, dtype=np.int64))
+        region = QuantileRegion(alpha=0.3, norm="l2")
+        risks = _family_empirical_risks(data, members, region)
+        assert risks.tolist() == [2 / 3, 2 / 3]
+        assert risks.tolist() == [oracle_risk(data, g, region) for g in members]
+
+    def test_norm_ties_raise_the_same_error(self):
+        x = np.array([[0.5, 0.1], [0.5, 0.2], [0.9, 0.3], [0.3, 0.25]])
+        data = LabeledSample(features=x, labels=np.array([1, 1, -1, -1]))
+        region = QuantileRegion(alpha=0.5, norm="linf")
+        family = axis_threshold_family(2, 3)
+        message = "norm ties at the empirical threshold; jitter the data"
+        with pytest.raises(DataError, match=message):
+            _family_empirical_risks(data, family.members, region)
+        with pytest.raises(DataError, match=message):
+            erm(data, family, region)
+
+    def test_empty_tail_raises_the_same_error(self):
+        data = fixed_sample(n=5)
+        family = axis_threshold_family(2, 3)
+        region = QuantileRegion(alpha=0.1, norm="linf")
+        message = r"floor\(n alpha\) = 0 < 1; no tail rows at n=5, alpha=0.1"
+        with pytest.raises(PreconditionError, match=message):
+            _family_empirical_risks(data, family.members, region)
+        with pytest.raises(PreconditionError, match=message):
+            erm(data, family, region)
+
+    def test_erm_ties_break_to_lowest_index(self):
+        gen = toy_generator(noise=0.0)
+        data = gen.sample(500, substream(13, "erm-ties"))
+        # two copies of the Bayes rule behind a worse member; both have risk 0
+        family = ClassifierFamily(
+            members=(AxisClassifier(1, 0.9), gen.rule, AxisClassifier(0, 0.5)),
+            vc_dim=2,
+        )
+        region = QuantileRegion(alpha=0.2, norm="linf")
+        risks = [oracle_risk(data, g, region) for g in family.members]
+        assert risks[1] == risks[2] == 0.0 < risks[0]
+        assert erm(data, family, region) == 1
+
+    def test_one_norm_per_sample_in_the_rate_experiment(self, monkeypatch):
+        calls = []
+        original = classify_mod.feature_norm
+
+        def counting(x, norm):
+            calls.append(len(x))
+            return original(x, norm)
+
+        monkeypatch.setattr(classify_mod, "feature_norm", counting)
+        family = axis_threshold_family(2, 5)
+        schedule = [(200, 0.1), (400, 0.1), (400, 0.05)]
+        rate_experiment_classification(toy_generator(), family, schedule, 3, seed=14)
+        assert calls == [n for n, _ in schedule for _ in range(3)]
+
+    def test_decomposition_check_matches_per_member_terms(self):
+        gen = toy_generator(noise=0.1)
+        family = axis_threshold_family(2, 4)
+        region = QuantileRegion(alpha=0.1, norm="linf")
+        data = gen.sample(1000, substream(15, "dec-family"))
+        t_alpha = sup_norm_tail_quantile(0.1, 2)
+        tail = feature_norm(data.features, "linf") > t_alpha
+        lhs = joint = 0.0
+        for g in family.members:
+            truth = true_conditional_risk(gen, g, region).value
+            lhs = max(lhs, abs(oracle_risk(data, g, region) - truth))
+            emp_joint = float(((data.labels != g.predict(data.features)) & tail).mean())
+            true_joint = classify_mod._analytic_joint_mistake(gen, g, t_alpha)
+            joint = max(joint, abs(emp_joint - true_joint))
+        check = risk_decomposition_check(data, family, region, gen)
+        assert check.lhs == lhs
+        assert check.joint_term == joint
+        assert check.marginal_term == abs(float(tail.mean()) - 0.1)
+
+
+class TestFamilyTruths:
+    @pytest.mark.parametrize("region", [
+        QuantileRegion(alpha=0.2, norm="l2"),
+        ExplicitRegion(norm="l1", threshold=1.2, q=0.3),
+        QuantileRegion(alpha=0.2, norm="linf"),
+    ], ids=["quantile-l2", "explicit-l1", "analytic-linf"])
+    def test_one_reference_draw_per_region(self, monkeypatch, region):
+        gen = toy_generator(noise=0.1)
+        family = axis_threshold_family(2, 3)
+        members = family.members + (AxisClassifier(1, 0.4, sign=-1),)
+        draws = 20_000
+        expected = [
+            true_conditional_risk(gen, g, region, reference_draws=draws)
+            for g in members
+        ]
+        sizes = []
+        original = LabeledGenerator.sample
+
+        def counting(self, n, rng):
+            sizes.append(n)
+            return original(self, n, rng)
+
+        monkeypatch.setattr(LabeledGenerator, "sample", counting)
+        got = _family_true_risks(gen, members, region, reference_draws=draws)
+        assert got == expected  # value, stderr and method all equal
+        analytic = region.norm == "linf"
+        assert sizes == ([] if analytic else [draws])
+        assert {r.method for r in got} == {"analytic" if analytic else "reference"}
+
+    def test_rate_experiment_computes_truths_once_per_region(self, monkeypatch):
+        regions = []
+        original = classify_mod._family_true_risks
+
+        def counting(generator, members, region):
+            regions.append(region)
+            return original(generator, members, region, reference_draws=20_000)
+
+        monkeypatch.setattr(classify_mod, "_family_true_risks", counting)
+        family = axis_threshold_family(2, 2)
+        schedule = [(400, 0.1), (800, 0.1), (800, 0.05)]
+        rate_experiment_classification(toy_generator(), family, schedule, 1,
+                                       seed=16, norm="l2")
+        assert regions == [QuantileRegion(0.1, "l2"), QuantileRegion(0.05, "l2")]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailvc import (
     ConfigurationError,
@@ -29,6 +31,7 @@ from tailvc import (
     sup_tail_process_deviation,
 )
 from tailvc.empirical import tail_order
+from tailvc.harness import _one_trial, _order_stat_event
 from tailvc.rng import substream
 
 
@@ -154,6 +157,34 @@ class TestOrderStatEvent:
             x = draw_copula_sample(comonotone(2), n, substream(9, "evt", t))
             hits += check_order_stat_event(1.0 - x, k, T)
         assert hits == 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tail_order_event_matches_direct(self, data):
+        n = data.draw(st.integers(1, 30))
+        d = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # wide values, so the event is true in some draws and false in others
+        x = rng.uniform(-2.0, 1.0, size=(n, d)) * data.draw(
+            st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+        for special in data.draw(st.lists(
+                st.sampled_from([np.nan, np.inf, -np.inf, 1.0, 0.0]), max_size=3)):
+            x[rng.integers(n), rng.integers(d)] = special
+        if any(np.unique(col[~np.isnan(col)]).size != np.count_nonzero(~np.isnan(col))
+               for col in x.T):
+            return  # tail_order rejects ties
+        k = data.draw(st.integers(1, n))
+        m = data.draw(st.integers(1, n))
+        T = m / k
+        assert _order_stat_event(tail_order(x), k, T) == check_order_stat_event(
+            1.0 - x, k, T)
+
+    def test_trial_event_matches_direct(self):
+        model, n, k, T = logistic(2.0, 2), 2000, 20, 2.0
+        for trial in range(5):
+            record = _one_trial(model, n, 2, k, T, 17, trial, None)
+            x = draw_copula_sample(model, n, substream(17, "rate", k, trial))
+            assert record.order_stat_event == check_order_stat_event(1.0 - x, k, T)
 
 
 class TestTailProcessDeviation:

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from tailvc import DataError, GeneratorSpec, Sample, draw_sample, independence
 from tailvc.reportio import (
+    _BLOCK_LINES,
     read_csv,
     read_manifest,
     read_sample_csv,
@@ -145,6 +146,25 @@ class TestGenericCsv:
         path = tmp_path / "e.csv"
         write_csv(path, ["a", "b"], np.empty((0, 2)))
         assert path.read_text() == "a,b\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK_LINES, _BLOCK_LINES + 1,
+                                      2 * _BLOCK_LINES + 1])
+    def test_block_writes_keep_the_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.random((rows, 3))
+        table[::3] = np.round(table[::3], 3)  # short and repeated values
+        table[::7, 1] = -0.0
+        expected = "\n".join(
+            ["a,b,c", *(",".join(map(repr, row)) for row in table.tolist())]
+        ) + "\n"
+        for body in (table, table.tolist()):
+            path = tmp_path / "t.csv"
+            write_csv(path, ["a", "b", "c"], body)
+            assert path.read_bytes() == expected.encode("utf-8")
+        sample_path = tmp_path / "s.csv"
+        write_sample_csv(Sample(table), sample_path)
+        assert sample_path.read_bytes() == expected.replace(
+            "a,b,c", "x1,x2,x3", 1).encode("utf-8")
 
 
 class TestManifest:
