@@ -347,11 +347,11 @@ def _family_true_risks(
     norms = feature_norm(data.features, norm)
     if threshold is None:
         threshold = float(np.quantile(norms, 1.0 - alpha_like))
-    tail = norms > threshold
+    tail = np.flatnonzero(norms > threshold)
     risks = []
-    for g in members:
-        hit = (data.labels != g.predict(data.features)) & tail
-        p_hat = float(hit.mean())
+    for g in members:  # one member at a time: no members x draws matrix
+        # an exact count over the draws: bit-identical to the hit-mask mean
+        p_hat = float(_mistake_counts(data, (g,), tail)[0] / reference_draws)
         stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / reference_draws) / alpha_like
         risks.append(RiskValue(value=p_hat / alpha_like, stderr=stderr, method="reference"))
     return risks

@@ -80,6 +80,11 @@ class TailOrder:
     def d(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def order_stats(self) -> np.ndarray:
+        """n x d ascending columns, as in ``RankState.order_stats`` (a view)."""
+        return self.sorted_cols.T
+
     def top_rows(self, j: int, m: int) -> np.ndarray:
         """Rows of the m largest values of column j, largest first.
 

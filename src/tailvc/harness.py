@@ -155,36 +155,39 @@ def sup_stdf_deviation(
     return SupEstimate(value=value, discretization_bound=slack)
 
 
-def check_order_stat_event(u, k: int, T: float) -> bool:
-    """True iff every coordinate satisfies (n/k) U_(floor(kT)) <= 2T."""
-    u = np.asarray(u, dtype=float)
-    n, d = u.shape
+def _order_stat_index(n: int, k: int, T: float) -> int:
     m = int(lattice_index(k, T))
     if m < 1:
         raise PreconditionError(f"floor(k T) = {m} < 1; order statistic undefined")
     if m > n:
         raise PreconditionError(f"floor(k T) = {m} exceeds n = {n}")
-    thr = np.partition(u, m - 1, axis=0)[m - 1]
-    return _event_holds(thr, n, k, T)
+    return m
 
 
 def _event_holds(thr: np.ndarray, n: int, k: int, T: float) -> bool:
     return bool(np.all(n / k * thr <= 2.0 * T))
 
 
-def _order_stat_event(state: TailOrder, k: int, T: float) -> bool:
-    """check_order_stat_event(1.0 - state.values, k, T), read off the tail order.
+def check_order_stat_event(u, k: int, T: float) -> bool:
+    """True iff every coordinate satisfies (n/k) U_(floor(kT)) <= 2T."""
+    u = np.asarray(u, dtype=float)
+    n, _ = u.shape
+    m = _order_stat_index(n, k, T)
+    thr = np.partition(u, m - 1, axis=0)[m - 1]
+    return _event_holds(thr, n, k, T)
 
+
+def _order_stat_event(order_stats: np.ndarray, k: int, T: float) -> bool:
+    """check_order_stat_event(1.0 - x, k, T) from x's ascending order statistics.
+
+    ``order_stats`` is n x d with each column of x sorted ascending.
     fl(1 - x) is non-increasing in x, so the m-th smallest of 1 - x is
-    1 - (the m-th largest x), which the sorted columns already hold.  NaN
-    sorts last on both sides and breaks that mirror, so a sample with NaN
-    takes the direct path.
+    1 - (the m-th largest x).  NaN sorts last on both sides and breaks
+    that mirror, so x must be NaN-free, as every copula sample is.
     """
-    n = state.n
-    m = int(lattice_index(k, T))
-    if not 1 <= m <= n or np.isnan(state.sorted_cols[:, -1]).any():
-        return check_order_stat_event(1.0 - state.values, k, T)
-    return _event_holds(1.0 - state.sorted_cols[:, n - m], n, k, T)
+    n = order_stats.shape[0]
+    m = _order_stat_index(n, k, T)
+    return _event_holds(1.0 - order_stats[n - m], n, k, T)
 
 
 def sup_tail_process_deviation(u, k: int, T: float, model) -> SupEstimate:
@@ -369,12 +372,11 @@ def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
     except TiesError as exc:  # abort this trial but report it
         return TrialRecord(k, trial, float("nan"), None, ok=False, note=str(exc))
     dev = sup_stdf_deviation(state, k, model, T, grid_resolution)
-    if int(lattice_index(k, T)) < 1:
-        event = None
-    elif isinstance(state, TailOrder):
-        event = _order_stat_event(state, k, T)
-    else:
-        event = check_order_stat_event(1.0 - x, k, T)
+    event = (
+        _order_stat_event(state.order_stats, k, T)
+        if int(lattice_index(k, T)) >= 1
+        else None
+    )
     return TrialRecord(k, trial, dev.value, event, ok=True)
 
 

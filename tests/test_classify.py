@@ -483,6 +483,18 @@ class TestFamilyTruths:
         got = _family_true_risks(gen, members, region, reference_draws=draws)
         assert got == expected  # value, stderr and method all equal
         analytic = region.norm == "linf"
+        if not analytic:  # the per-member hit-mask mean, drawn independently
+            data = original(gen, draws, substream(20_600_101, "reference-risk"))
+            norms = feature_norm(data.features, region.norm)
+            if isinstance(region, ExplicitRegion):
+                alpha, threshold = region.q, region.threshold
+            else:
+                alpha = region.alpha
+                threshold = float(np.quantile(norms, 1.0 - alpha))
+            tail = norms > threshold
+            for g, risk in zip(members, got):
+                hit = (data.labels != g.predict(data.features)) & tail
+                assert risk.value == float(hit.mean()) / alpha
         assert sizes == ([] if analytic else [draws])
         assert {r.method for r in got} == {"analytic" if analytic else "reference"}
 

@@ -160,7 +160,7 @@ class TestOrderStatEvent:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_tail_order_event_matches_direct(self, data):
+    def test_order_stats_event_matches_direct(self, data):
         n = data.draw(st.integers(1, 30))
         d = data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -168,21 +168,31 @@ class TestOrderStatEvent:
         x = rng.uniform(-2.0, 1.0, size=(n, d)) * data.draw(
             st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
         for special in data.draw(st.lists(
-                st.sampled_from([np.nan, np.inf, -np.inf, 1.0, 0.0]), max_size=3)):
+                st.sampled_from([np.inf, -np.inf, 1.0, 0.0]), max_size=3)):
             x[rng.integers(n), rng.integers(d)] = special
-        if any(np.unique(col[~np.isnan(col)]).size != np.count_nonzero(~np.isnan(col))
-               for col in x.T):
-            return  # tail_order rejects ties
+        if any(np.unique(col).size != n for col in x.T):
+            return  # tail_order and build_ranks reject ties
         k = data.draw(st.integers(1, n))
         m = data.draw(st.integers(1, n))
         T = m / k
-        assert _order_stat_event(tail_order(x), k, T) == check_order_stat_event(
-            1.0 - x, k, T)
+        direct = check_order_stat_event(1.0 - x, k, T)
+        assert _order_stat_event(tail_order(x).order_stats, k, T) == direct
+        assert _order_stat_event(build_ranks(x).order_stats, k, T) == direct
 
-    def test_trial_event_matches_direct(self):
+    def test_order_stats_event_keeps_preconditions(self):
+        x = np.random.default_rng(3).uniform(size=(10, 2))
+        for k, T in ((10, 0.05), (2, 6.0)):  # floor(kT) = 0 and 12 > n
+            with pytest.raises(PreconditionError) as direct:
+                check_order_stat_event(1.0 - x, k, T)
+            with pytest.raises(PreconditionError) as read:
+                _order_stat_event(tail_order(x).order_stats, k, T)
+            assert str(read.value) == str(direct.value)
+
+    @pytest.mark.parametrize("grid_resolution", [None, 9])
+    def test_trial_event_matches_direct(self, grid_resolution):
         model, n, k, T = logistic(2.0, 2), 2000, 20, 2.0
         for trial in range(5):
-            record = _one_trial(model, n, 2, k, T, 17, trial, None)
+            record = _one_trial(model, n, 2, k, T, 17, trial, grid_resolution)
             x = draw_copula_sample(model, n, substream(17, "rate", k, trial))
             assert record.order_stat_event == check_order_stat_event(1.0 - x, k, T)
 
