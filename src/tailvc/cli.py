@@ -358,16 +358,25 @@ def cmd_rademacher(args, config: dict) -> int:
     T = float(_resolve(args, config, "T", required=True))
     model_tag = str(_resolve(args, config, "model", "uniform"))
     statistic = str(_resolve(args, config, "statistic", "rademacher"))
-    trials = int(_resolve(args, config, "trials", 100))
-    pairs = int(_resolve(args, config, "pairs", 100_000))
-    grid_res = _resolve(args, config, "grid-resolution")
-    if d >= 3 and grid_res is None:
-        raise ConfigurationError(
-            f"d = {d} >= 3 requires --grid-resolution for the set scan"
-        )
     if statistic not in ("rademacher", "separation", "both"):
         raise ConfigurationError(
             f"unknown statistic {statistic!r}; expected rademacher | separation | both"
+        )
+    unused = {"rademacher": ("pairs",), "separation": ("trials", "grid-resolution")}
+    for name in unused.get(statistic, ()):
+        if _resolve(args, config, name) is not None:
+            raise ConfigurationError(
+                f"--{name} has no effect with --statistic {statistic}"
+            )
+    trials = pairs = None
+    if statistic != "separation":
+        trials = int(_resolve(args, config, "trials", 100))
+    if statistic != "rademacher":
+        pairs = int(_resolve(args, config, "pairs", 100_000))
+    grid_res = _resolve(args, config, "grid-resolution")
+    if d >= 3 and grid_res is None and statistic != "separation":
+        raise ConfigurationError(
+            f"d = {d} >= 3 requires --grid-resolution for the set scan"
         )
     model = parse_model(model_tag, d)
     spec = conc.RectClassSpec(d=d, k=k, n=n, T=T)

@@ -15,15 +15,27 @@ Whether the threshold comparison is strict or closed changes the count
 only on the measure-zero set of thresholds sitting exactly on data
 points; the supremum over cell closures is identical for the two
 conventions, so a single scan serves both.
+
+Every scan streams the dominance grid in strips of axis-0 rows, from
+the top down, and reduces each strip before the next is built.  With m
+breakpoints per axis and S rows per strip, memory is O(n + S m^(d-1))
+in place of the m^d dense grid, and the strips hold the dense grid's
+values bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
+
+# Working set of one strip: 32 rows of float64 at m = 4001 breakpoints
+# per axis, small enough to stay in cache.  At that m, strips of 8 to 64
+# rows timed within 15% of each other.
+_STRIP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,64 @@ def candidate_axes(points: np.ndarray, tmax: np.ndarray) -> list[np.ndarray]:
     return axes
 
 
+def _check_box(tmax, d: int) -> np.ndarray:
+    """The threshold box as a length-d array; it must be finite and >= 0."""
+    tmax = np.broadcast_to(np.asarray(tmax, dtype=float), (d,))
+    if not np.all(np.isfinite(tmax)) or np.any(tmax < 0):
+        raise PreconditionError(
+            f"threshold box must be finite and nonnegative, got {tmax.tolist()}"
+        )
+    return tmax
+
+
+def _dominance_strips(
+    points: np.ndarray,
+    weights: np.ndarray,
+    axes: list[np.ndarray],
+    strict: bool,
+):
+    """Yield ``(lo, hi, block)`` with block = dominance grid rows lo..hi-1.
+
+    Strips come from the top of axis 0 down.  Each strip's histogram is
+    filled with the strip's points in their original order, the carried
+    axis-0 suffix row is added to its last row, and the reversed cumsums
+    run down axis 0 and then along the other axes: the same additions in
+    the same order as ``suffix_sums`` on the dense histogram, so every
+    node is bit-identical to it.  ``block`` is reused, so it is valid only
+    until the next strip is requested; the caller may overwrite it.
+    """
+    side = "left" if strict else "right"
+    shape = tuple(len(a) for a in axes)
+    buckets = []
+    alive = np.ones(points.shape[0], dtype=bool)
+    for j, a in enumerate(axes):
+        b = np.searchsorted(a, points[:, j], side=side) - 1
+        alive &= b >= 0
+        buckets.append(b)
+    order = np.argsort(buckets[0][alive], kind="stable")
+    buckets = [b[alive][order] for b in buckets]
+    weights = weights[alive][order]
+    rows = max(1, _STRIP_BYTES // max(8 * math.prod(shape[1:]), 1))
+    buf = np.empty((min(rows, shape[0]),) + shape[1:])
+    carry = None
+    for hi in range(shape[0], 0, -rows):
+        lo = max(hi - rows, 0)
+        block = buf[: hi - lo]
+        block.fill(0.0)
+        start, stop = np.searchsorted(buckets[0], (lo, hi))
+        idx = [buckets[0][start:stop] - lo] + [b[start:stop] for b in buckets[1:]]
+        np.add.at(block, tuple(idx), weights[start:stop])
+        if carry is not None:
+            block[-1] += carry
+        rev = np.flip(block, 0)
+        np.cumsum(rev, axis=0, out=rev)
+        carry = block[0].copy()
+        for ax in range(1, block.ndim):
+            rev = np.flip(block, ax)
+            np.cumsum(rev, axis=ax, out=rev)
+        yield lo, hi, block
+
+
 def dominance_weight_grid(
     points: np.ndarray,
     weights: np.ndarray,
@@ -72,28 +142,32 @@ def dominance_weight_grid(
 
     Entry [i_1, ..., i_d] is the summed weight of rows with
     z_j > axes[j][i_j] (strict=True) or z_j >= axes[j][i_j] for all j.
+    Holds the whole grid; the scans below reduce it strip by strip.
     """
-    side = "left" if strict else "right"
-    shape = tuple(len(a) for a in axes)
-    hist = np.zeros(shape, dtype=float)
-    buckets = []
-    alive = np.ones(points.shape[0], dtype=bool)
-    for j, a in enumerate(axes):
-        b = np.searchsorted(a, points[:, j], side=side) - 1
-        alive &= b >= 0
-        buckets.append(b)
-    if alive.any():
-        idx = tuple(b[alive] for b in buckets)
-        np.add.at(hist, idx, weights[alive])
-    return suffix_sums(hist)
+    grid = np.empty(tuple(len(a) for a in axes))
+    for lo, hi, block in _dominance_strips(points, weights, axes, strict):
+        grid[lo:hi] = block
+    return grid
 
 
-def _pairwise_cell_max(count_frac: np.ndarray, mass: np.ndarray) -> float:
-    """Max over cells of |count - mass| at lower and upper corners."""
-    dev = np.abs(count_frac - mass)
-    best = float(dev.max())
-    d = count_frac.ndim
-    lower = count_frac[(slice(None, -1),) * d]
+def _strip_mass(mass_axes_fn, axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """The comparison measure on rows lo..hi-1 of the product grid of ``axes``."""
+    strip_axes = [axes[0][lo:hi]] + list(axes[1:])
+    mass = np.asarray(mass_axes_fn(strip_axes), dtype=float)
+    if mass.shape != tuple(len(a) for a in strip_axes):
+        raise PreconditionError("mass grid shape does not match candidate grid")
+    return mass
+
+
+def _cell_corner_max(count_frac: np.ndarray, mass: np.ndarray) -> float:
+    """Max over a strip's cells of |count - mass| at lower and upper corners.
+
+    ``mass`` covers the strip's rows plus, below the top strip, the next
+    row up, which holds the upper corners of the strip's last row.
+    """
+    rows, d = count_frac.shape[0], count_frac.ndim
+    best = float(np.abs(count_frac - mass[:rows]).max())
+    lower = count_frac[(slice(0, mass.shape[0] - 1),) + (slice(None, -1),) * (d - 1)]
     upper = mass[(slice(1, None),) * d]
     if lower.size:
         best = max(best, float(np.abs(lower - upper).max()))
@@ -109,22 +183,46 @@ def sup_count_vs_mass(
 
     ``points`` is the n x d data matrix, ``mass_axes_fn(axes)`` must
     return the continuous measure of A(t) on the product grid of the
-    per-coordinate threshold arrays.  The count is the fraction of rows
-    with some coordinate below its threshold.
+    per-coordinate threshold arrays; it is called once per strip of
+    axis-0 thresholds.  The count is the fraction of rows with some
+    coordinate below its threshold.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    tmax = np.broadcast_to(np.asarray(tmax, dtype=float), (points.shape[1],))
-    if np.any(tmax < 0):
-        raise PreconditionError("threshold box must be nonnegative")
+    tmax = _check_box(tmax, points.shape[1])
     axes = candidate_axes(points, tmax)
-    ones = np.ones(n)
-    dominated = dominance_weight_grid(points, ones, axes, strict=True)
-    count_frac = (n - dominated) / n  # rows with some coordinate <= node
-    mass = np.asarray(mass_axes_fn(axes), dtype=float)
-    if mass.shape != count_frac.shape:
-        raise PreconditionError("mass grid shape does not match candidate grid")
-    return _pairwise_cell_max(count_frac, mass)
+    best = 0.0
+    for lo, hi, block in _dominance_strips(points, np.ones(n), axes, strict=True):
+        # the fraction of rows with some coordinate <= node, in place
+        count_frac = np.divide(np.subtract(n, block, out=block), n, out=block)
+        mass = _strip_mass(mass_axes_fn, axes, lo, hi + 1)
+        best = max(best, _cell_corner_max(count_frac, mass))
+    return best
+
+
+def max_count_gap(
+    points: np.ndarray,
+    axes: list[np.ndarray],
+    scale: float,
+    ref_axes_fn,
+    ref_axes: list[np.ndarray] | None = None,
+) -> float:
+    """max over the nodes t of ``axes`` of |(n - #{rows > t}) / scale - ref|.
+
+    ``ref_axes_fn`` gives the comparison on the product grid of
+    ``ref_axes`` (default: ``axes``) and is called once per strip of
+    axis-0 nodes; ``ref_axes`` lets the count be read at snapped nodes
+    while the comparison is evaluated at the declared ones.
+    """
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    ref_axes = axes if ref_axes is None else ref_axes
+    best = 0.0
+    for lo, hi, block in _dominance_strips(points, np.ones(n), axes, strict=True):
+        gap = np.divide(np.subtract(n, block, out=block), scale, out=block)
+        gap -= _strip_mass(ref_axes_fn, ref_axes, lo, hi)
+        best = max(best, float(np.abs(gap, out=gap).max()))
+    return best
 
 
 def sup_count_vs_mass_grid(
@@ -143,12 +241,9 @@ def sup_count_vs_mass_grid(
         raise ConfigurationError(f"grid resolution must be >= 2, got {resolution}")
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    tmax = np.broadcast_to(np.asarray(tmax, dtype=float), (points.shape[1],))
+    tmax = _check_box(tmax, points.shape[1])
     axes = [np.linspace(0.0, tmax[j], resolution) for j in range(points.shape[1])]
-    dominated = dominance_weight_grid(points, np.ones(n), axes, strict=True)
-    count_frac = (n - dominated) / n
-    mass = np.asarray(mass_axes_fn(axes), dtype=float)
-    value = float(np.abs(count_frac - mass).max())
+    value = max_count_gap(points, axes, n, mass_axes_fn)
     slack = 0.0
     for j, a in enumerate(axes):
         step = a[1] - a[0] if len(a) > 1 else 0.0
@@ -171,10 +266,15 @@ def sup_signed_count(
     """
     points = np.asarray(points, dtype=float)
     signs = np.asarray(signs, dtype=float)
-    tmax = np.broadcast_to(np.asarray(tmax, dtype=float), (points.shape[1],))
+    tmax = _check_box(tmax, points.shape[1])
     if axes is None:
         axes = candidate_axes(points, tmax)
-    # class comparison is strict (<); membership = 1 - {z >= t everywhere}
-    dominated = dominance_weight_grid(points, signs, axes, strict=False)
-    inside = signs.sum() - dominated
-    return float(np.abs(inside).max())
+    total = signs.sum()
+    best = np.float64(0.0)
+    # class comparison is strict (<); membership = 1 - {z >= t everywhere}.
+    # Rounding is monotone and sign-symmetric, so the largest
+    # |fl(total - x)| over a strip is fl(total - min) or fl(max - total).
+    for _, _, dominated in _dominance_strips(points, signs, axes, strict=False):
+        strip_best = np.maximum(total - dominated.min(), dominated.max() - total)
+        best = np.maximum(best, strip_best)
+    return float(best)

@@ -32,7 +32,7 @@ from .empirical import (
 )
 from .errors import ConfigurationError, PreconditionError, TiesError
 from .concentration import RectClassSpec, sup_empirical_deviation
-from .gridscan import SupEstimate, dominance_weight_grid
+from .gridscan import SupEstimate, max_count_gap
 from .models import (
     StdfModel,
     eval_stdf_axes,
@@ -144,12 +144,10 @@ def sup_stdf_deviation(
     levels = lattice_index(k, axis).astype(float)
     ranks = state if isinstance(state, RankState) else build_ranks(state.values)
     depth = (n - ranks.ranks + 1).astype(float)
-    survivors = dominance_weight_grid(
-        depth, np.ones(n), [levels] * d, strict=True
+    value = max_count_gap(
+        depth, [levels] * d, k,
+        lambda axes: eval_stdf_axes(model, axes), ref_axes=[axis] * d,
     )
-    ln_grid = (n - survivors) / k
-    l_grid = eval_stdf_axes(model, [axis] * d)
-    value = float(np.abs(ln_grid - l_grid).max())
     h = T / (grid_resolution - 1)
     slack = d * (2.0 * h + 1.0 / k)
     return SupEstimate(value=value, discretization_bound=slack)

@@ -256,6 +256,59 @@ class TestRademacher:
         assert code == 2
         assert "grid" in capsys.readouterr().err
 
+    BASE = ["rademacher", "--model", "uniform", "--n", 500, "--d", 2, "--k", 10,
+            "--T", 2.0, "--seed", 3]
+
+    @pytest.mark.parametrize("statistic,option,value", [
+        ("separation", "grid-resolution", 8),
+        ("separation", "trials", 5),
+        ("rademacher", "pairs", 2000),
+    ])
+    def test_ignored_flag_is_usage_error(self, tmp_path, capsys, statistic,
+                                         option, value):
+        code = run(self.BASE + ["--statistic", statistic, f"--{option}", value,
+                                "--out", tmp_path])
+        assert code == 2
+        assert f"--{option}" in capsys.readouterr().err
+        assert not (tmp_path / "rademacher.csv").exists()
+
+    @pytest.mark.parametrize("statistic,option,value", [
+        ("separation", "grid-resolution", 8),
+        ("separation", "trials", 5),
+        ("rademacher", "pairs", 2000),
+    ])
+    def test_ignored_config_option_is_usage_error(self, tmp_path, capsys,
+                                                  statistic, option, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"statistic": statistic, option: value}))
+        code = run(self.BASE + ["--config", cfg, "--out", tmp_path / "o"])
+        assert code == 2
+        assert f"--{option}" in capsys.readouterr().err
+
+    def test_both_accepts_every_option(self, tmp_path):
+        out = tmp_path / "b"
+        assert run(self.BASE + ["--statistic", "both", "--trials", 3,
+                                "--pairs", 2000, "--grid-resolution", 8,
+                                "--out", out]) == 0
+        config = read_manifest(out / "rademacher_manifest.json")["config"]
+        assert (config["trials"], config["pairs"], config["grid-resolution"]) == (
+            3, 2000, 8)
+
+    def test_separation_needs_no_grid_in_three_dims(self, tmp_path):
+        assert run(["rademacher", "--model", "uniform", "--n", 500, "--d", 3,
+                    "--k", 10, "--T", 2.0, "--statistic", "separation",
+                    "--pairs", 2000, "--seed", 3, "--out", tmp_path]) == 0
+
+    def test_separation_manifest_replays(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(self.BASE + ["--statistic", "separation", "--pairs", 2000,
+                                "--out", a]) == 0
+        manifest = a / "rademacher_manifest.json"
+        assert read_manifest(manifest)["config"]["trials"] is None
+        assert run(["rademacher", "--config", manifest, "--out", b]) == 0
+        assert (a / "rademacher.csv").read_bytes() == (
+            b / "rademacher.csv").read_bytes()
+
 
 class TestClassify:
     def test_rate_smoke(self, tmp_path):

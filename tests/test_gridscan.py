@@ -1,14 +1,74 @@
 """The exact cell-scan engine against brute-force enumeration."""
 
-import numpy as np
+import math
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from tailvc import gridscan
+from tailvc.errors import PreconditionError
 from tailvc.gridscan import (
+    _dominance_strips,
     candidate_axes,
+    dominance_weight_grid,
+    suffix_sums,
     sup_count_vs_mass,
     sup_count_vs_mass_grid,
     sup_signed_count,
 )
 from tailvc.models import parse_model, tail_union_prob, tail_union_prob_axes
+from tailvc.samplers import draw_tail_uniforms
+
+
+def dense_dominance_grid(points, weights, axes, strict):
+    """The dense scan the strip walker replaced: one histogram, one suffix sum."""
+    side = "left" if strict else "right"
+    hist = np.zeros(tuple(len(a) for a in axes))
+    buckets = [np.searchsorted(a, points[:, j], side=side) - 1
+               for j, a in enumerate(axes)]
+    alive = np.all([b >= 0 for b in buckets], axis=0)
+    np.add.at(hist, tuple(b[alive] for b in buckets), weights[alive])
+    return suffix_sums(hist)
+
+
+def dense_count_frac(points, axes):
+    n = points.shape[0]
+    return (n - dense_dominance_grid(points, np.ones(n), axes, strict=True)) / n
+
+
+def dense_sup_count_vs_mass(points, tmax, mass_fn):
+    axes = candidate_axes(points, np.full(points.shape[1], tmax))
+    count_frac = dense_count_frac(points, axes)
+    mass = mass_fn(axes)
+    d = points.shape[1]
+    best = float(np.abs(count_frac - mass).max())
+    lower = count_frac[(slice(None, -1),) * d]
+    if lower.size:
+        upper = mass[(slice(1, None),) * d]
+        best = max(best, float(np.abs(lower - upper).max()))
+    return best
+
+
+def dense_sup_signed_count(points, signs, tmax):
+    axes = candidate_axes(points, np.full(points.shape[1], tmax))
+    dominated = dense_dominance_grid(points, signs, axes, strict=False)
+    return float(np.abs(signs.sum() - dominated).max())
+
+
+def set_strip_rows(monkeypatch, rows, axes):
+    """Make the walker cut strips of ``rows`` axis-0 rows."""
+    row_bytes = 8 * math.prod(len(a) for a in axes[1:])
+    monkeypatch.setattr(gridscan, "_STRIP_BYTES", rows * row_bytes)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def tied_sample(rng, n, d):
+    """Uniform points snapped to a coarse grid, so buckets repeat."""
+    return np.round(rng.random((n, d)) * 7) / 8
 
 
 def brute_points(z, tmax, d, extra=401):
@@ -52,7 +112,7 @@ class TestSupCountVsMass:
             )
             pts = brute_points(z, tmax, d, extra=201)
             cnt = np.any(z[None, :, :] <= pts[:, None, :], axis=2).mean(axis=1)
-            mass = np.array([tail_union_prob(model, p) for p in pts])
+            mass = tail_union_prob(model, pts)
             brute = np.abs(cnt - mass).max()
             assert exact >= brute - 1e-12
             # enrichment puts grid points within 1e-9 of every cell corner
@@ -136,3 +196,139 @@ class TestCandidateAxes:
         z = np.array([[0.3]])
         axes = candidate_axes(z, np.array([0.3]))
         assert axes[0].tolist() == [0.0, 0.3]
+
+
+class TestDominanceStrips:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("rows", ["1", "2", "m-1", "m", "m+1"])
+    def test_strips_match_dense_grid_bit_for_bit(self, monkeypatch, d, strict, rows):
+        rng = np.random.default_rng(17 + d)
+        n = 300
+        z = np.concatenate([tied_sample(rng, n // 2, d), rng.random((n // 2, d))])
+        weights = rng.normal(size=n)
+        axes = candidate_axes(z, np.full(d, 0.8))
+        m = len(axes[0])
+        assert m > 3
+        strip = {"1": 1, "2": 2, "m-1": m - 1, "m": m, "m+1": m + 1}[rows]
+        set_strip_rows(monkeypatch, strip, axes)
+        dense = dense_dominance_grid(z, weights, axes, strict)
+        covered = np.zeros(m, dtype=bool)
+        top = m
+        for lo, hi, block in _dominance_strips(z, weights, axes, strict):
+            assert hi == top and lo < hi
+            np.testing.assert_array_equal(bits(block), bits(dense[lo:hi]))
+            covered[lo:hi] = True
+            top = lo
+        assert top == 0 and covered.all()
+        np.testing.assert_array_equal(
+            bits(dominance_weight_grid(z, weights, axes, strict)), bits(dense)
+        )
+
+    def test_points_outside_every_bucket_carry_no_weight(self):
+        z = np.array([[-0.5, 0.2], [0.3, -1.0], [0.4, 0.4]])
+        axes = candidate_axes(z, np.array([0.5, 0.5]))
+        grid = dominance_weight_grid(z, np.array([1.0, 2.0, 4.0]), axes, strict=True)
+        np.testing.assert_array_equal(grid, dense_dominance_grid(
+            z, np.array([1.0, 2.0, 4.0]), axes, strict=True))
+        assert grid[0, 0] == 4.0
+
+
+class TestPreviousValues:
+    """The streamed scans return exactly what the dense scans returned."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_fixed_seeds(self, monkeypatch, rows):
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(20, 400))
+            tmax = float(rng.uniform(0.05, 0.9))
+            tag = str(rng.choice(["independence", "comonotone", "logistic(3)"]))
+            model = parse_model(tag, d)
+            z = draw_tail_uniforms(model, n, rng)
+            if rng.random() < 0.5:
+                z = np.round(z * 40) / 40
+            signs = rng.integers(0, 2, n) * 2.0 - 1.0
+            mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+            axes = candidate_axes(z, np.full(d, tmax))
+            if rows is not None:
+                set_strip_rows(monkeypatch, rows, axes)
+            assert sup_signed_count(z, signs, np.full(d, tmax)) == (
+                dense_sup_signed_count(z, signs, tmax))
+            if d <= 2:
+                assert sup_count_vs_mass(z, np.full(d, tmax), mass_fn) == (
+                    dense_sup_count_vs_mass(z, tmax, mass_fn))
+            res = int(rng.integers(2, 25))
+            grid_axes = [np.linspace(0.0, tmax, res)] * d
+            if rows is not None:
+                set_strip_rows(monkeypatch, rows, grid_axes)
+            got = sup_count_vs_mass_grid(z, np.full(d, tmax), mass_fn, res)
+            assert got.value == float(np.abs(
+                dense_count_frac(z, grid_axes) - mass_fn(grid_axes)).max())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_upper_corner_in_next_strip(self, monkeypatch, d):
+        # the largest gap is a cell's count against the mass at its upper
+        # corner, and that corner is the first row of the strip above
+        model = parse_model("independence", d)
+        mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+        z = np.array([[0.5] * d, [0.6] * d])
+        axes = candidate_axes(z, np.full(d, 0.7))
+        count_frac = dense_count_frac(z, axes)
+        mass = mass_fn(axes)
+        gaps = np.abs(count_frac[(slice(None, -1),) * d] - mass[(slice(1, None),) * d])
+        row = int(np.unravel_index(gaps.argmax(), gaps.shape)[0])
+        assert gaps.max() > np.abs(count_frac - mass).max()
+        m = len(axes[0])
+        set_strip_rows(monkeypatch, m - row - 1, axes)
+        first_lo = next(_dominance_strips(z, np.ones(2), axes, strict=True))[0]
+        assert first_lo == row + 1  # the top strip starts at the upper corner
+        got = sup_count_vs_mass(z, np.full(d, 0.7), mass_fn)
+        assert got == gaps.max() == dense_sup_count_vs_mass(z, 0.7, mass_fn)
+
+    def test_upper_corner_in_next_strip_random(self, monkeypatch):
+        model = parse_model("logistic(3)", 2)
+        mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+        rng = np.random.default_rng(5)
+        z = draw_tail_uniforms(model, 60, rng)
+        axes = candidate_axes(z, np.full(2, 0.3))
+        count_frac = dense_count_frac(z, axes)
+        mass = mass_fn(axes)
+        gaps = np.abs(count_frac[:-1, :-1] - mass[1:, 1:])
+        assert gaps.max() > np.abs(count_frac - mass).max()
+        row = int(np.unravel_index(gaps.argmax(), gaps.shape)[0])
+        set_strip_rows(monkeypatch, len(axes[0]) - row - 1, axes)
+        assert sup_count_vs_mass(z, np.full(2, 0.3), mass_fn) == gaps.max()
+
+
+class TestBoxValidation:
+    @pytest.mark.parametrize("tmax", [-0.1, np.nan, np.inf])
+    def test_every_scan_rejects_a_bad_box(self, tmax):
+        model = parse_model("independence", 2)
+        mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+        z = np.random.default_rng(3).random((10, 2))
+        box = np.array([0.5, tmax])
+        with pytest.raises(PreconditionError, match="threshold box"):
+            sup_signed_count(z, np.ones(10), box)
+        with pytest.raises(PreconditionError, match="threshold box"):
+            sup_count_vs_mass(z, box, mass_fn)
+        with pytest.raises(PreconditionError, match="threshold box"):
+            sup_count_vs_mass_grid(z, box, mass_fn, resolution=5)
+
+
+class TestScanMemory:
+    def test_signed_scan_memory_is_linear_in_breakpoints(self):
+        # m = 4001 breakpoints per axis: the dense scan held three
+        # 4001 x 4001 float grids, about 384 MB
+        rng = np.random.default_rng(11)
+        z = rng.random((3999, 2))
+        signs = rng.integers(0, 2, 3999) * 2.0 - 1.0
+        assert len(candidate_axes(z, np.ones(2))[0]) == 4001
+        tracemalloc.start()
+        try:
+            sup_signed_count(z, signs, np.ones(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -30,7 +30,7 @@ from tailvc import (
     sup_stdf_deviation,
     sup_tail_process_deviation,
 )
-from tailvc.empirical import tail_order
+from tailvc.empirical import lattice_index, tail_order
 from tailvc.harness import _one_trial, _order_stat_event
 from tailvc.rng import substream
 
@@ -93,11 +93,20 @@ class TestSupStdfDeviation:
         ranks = build_ranks(s)
         exact = sup_stdf_deviation(ranks, 10, m, 2.0).value
         g = np.linspace(0, 2.0, 2001)
-        a, b = np.meshgrid(g, g, indexing="ij")
-        pts = np.column_stack([a.ravel(), b.ravel()])
-        brute = np.abs(
-            empirical_stdf(ranks, 10, pts) - eval_stdf(m, pts)
-        ).max()
+        n, k = ranks.n, 10
+        # hit[j][a, i]: row i is in column j's top floor(k g[a]) ranks
+        hit = [ranks.ranks[:, j] >= n - lattice_index(k, g)[:, None] + 1
+               for j in range(2)]
+        brute = 0.0
+        for block in np.array_split(np.arange(g.size), 20):  # grid rows
+            pts = np.stack(np.meshgrid(g[block], g, indexing="ij"), axis=-1)
+            counts = np.count_nonzero(hit[0][block, None, :] | hit[1][None], axis=2)
+            if block[0] == 0:  # the blocked count is l_n's own exact count
+                spot = pts[::7, ::97].reshape(-1, 2)
+                np.testing.assert_array_equal(
+                    counts[::7, ::97].ravel() / k, empirical_stdf(ranks, k, spot)
+                )
+            brute = max(brute, np.abs(counts / k - eval_stdf(m, pts)).max())
         assert exact >= brute - 1e-12
         assert abs(exact - brute) <= 2e-3
 
@@ -110,6 +119,21 @@ class TestSupStdfDeviation:
             from_ranks = sup_stdf_deviation(build_ranks(x), k, m, T)
             assert sup_stdf_deviation(x, k, m, T) == from_ranks
             assert sup_stdf_deviation(tail_order(x), k, m, T) == from_ranks
+
+    @pytest.mark.parametrize("tag,d", [("independence", 3), ("logistic(2)", 2)])
+    def test_declared_grid_streams_in_strips(self, monkeypatch, tag, d):
+        import tailvc.gridscan as gridscan
+
+        m = parse_model(tag, d)
+        ranks = build_ranks(draw_copula_sample(m, 400, substream(12, "strip", tag, d)))
+        k, T, res = 10, 1.5, 9
+        whole = sup_stdf_deviation(ranks, k, m, T, grid_resolution=res)
+        monkeypatch.setattr(gridscan, "_STRIP_BYTES", 8)  # one axis-0 node per strip
+        assert sup_stdf_deviation(ranks, k, m, T, grid_resolution=res) == whole
+        axis = np.linspace(0.0, T, res)
+        pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        brute = np.abs(empirical_stdf(ranks, k, pts) - eval_stdf(m, pts)).max()
+        assert whole.value == pytest.approx(brute, abs=1e-12)
 
     def test_budget_guard(self):
         s = draw_copula_sample(independence(2), 100, substream(7, "kt"))
