@@ -94,9 +94,6 @@ from .samplers import (
     draw_sample,
     draw_tail_uniforms,
     parse_margin,
-    sample_comonotone,
-    sample_independence,
-    sample_logistic,
 )
 
 __version__ = "0.1.0"

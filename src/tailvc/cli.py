@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Subcommands: simulate, estimate, converge, bound, rademacher, classify.
-Global flags: --config PATH (JSON), --seed U64, --workers N, --out DIR.
-Flag values win over config-file values; the environment variable
-TAILVC_OUT supplies the default output directory.  Every run writes a
-manifest next to its outputs; re-running with ``--config manifest.json``
-reproduces the data files byte for byte.
+Each subcommand declares its options once, in ``_SPECS``; the parser, the
+``--config PATH`` (JSON) resolution and the manifest ``config`` block are
+all generated from that table.  Flag values win over config-file values,
+which win over defaults; the environment variable TAILVC_OUT supplies the
+default output directory.  An option given where it does not apply, or a
+config-file key that is not an option of the subcommand, is a usage error.
+Every run writes a manifest next to its outputs; re-running with
+``--config manifest.json`` reproduces the data files byte for byte.
 
 Exit codes: 0 success, 2 usage/configuration, 3 data, 4 precondition,
 5 internal.
@@ -19,6 +22,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,16 +66,6 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _resolve(args, config: dict, name: str, default=None, required=False):
-    """Flag wins, then config file, then default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        value = config.get(name, config.get(name.replace("-", "_"), default))
-    if required and value is None:
-        raise ConfigurationError(f"missing required option --{name}")
-    return value
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on, which a container can set below the host's."""
     try:
@@ -80,40 +74,181 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = _resolve(args, config, "out")
-    if out is None:
-        out = os.environ.get("TAILVC_OUT", "tailvc-out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _default_out() -> str:
+    return os.environ.get("TAILVC_OUT", "tailvc-out")
 
 
-def _require_seed(args, config: dict) -> int:
-    seed = _resolve(args, config, "seed")
-    if seed is None:
-        raise ConfigurationError(
-            "missing --seed: seeds are mandatory and never auto-generated"
-        )
-    return int(seed)
+def _split(text) -> list:
+    items = text if isinstance(text, (list, tuple)) else str(text).split(",")
+    return [item for item in items if str(item).strip()]
 
 
 def _int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigurationError(f"cannot parse integer list from {text!r}")
+    return [int(v) for v in _split(text)]
 
 
 def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigurationError(f"cannot parse number list from {text!r}")
+    return [float(v) for v in _split(text)]
+
+
+def _margins(text) -> list[str]:
+    return [str(m).strip() for m in _split(text)]
+
+
+# ----------------------------------------------------------------- options
+
+
+class Opt(NamedTuple):
+    """One option of one subcommand, declared once.
+
+    ``default`` may be a function, called when the value is resolved.
+    ``when`` = (selector, values) makes the option apply only while the
+    option ``selector``, declared earlier in the same table, is one of
+    ``values``; elsewhere giving it is a usage error and it resolves to None.
+    """
+
+    name: str
+    conv: object = str
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    when: tuple | None = None
+    choices: tuple | None = None
+
+
+_SEED = Opt("seed", int, required=True, help="64-bit master seed")
+_OUT = Opt("out", default=_default_out,
+           help="output directory (default: $TAILVC_OUT, else ./tailvc-out)")
+_SERIAL = Opt("workers", int, 1, choices=(1,),
+              help="must be 1: this command runs serially")
+_VC_KINDS = ("vc", "vc-simple", "vc-classical")
+_STDF = ("kind", ("stdf",))
+_SCAN = ("statistic", ("rademacher", "both"))
+_RATE = ("mode", ("rate",))
+
+_SPECS = {
+    "simulate": (
+        _SEED, _OUT,
+        Opt("model", required=True),
+        Opt("n", int, required=True),
+        Opt("d", int, required=True),
+        Opt("margins", _margins, "uniform"),
+    ),
+    "estimate": (
+        _OUT,
+        Opt("data", required=True),
+        Opt("k", int, required=True),
+        Opt("T", float, required=True),
+        Opt("grid-stride", int),
+        Opt("jitter-seed", int,
+            help="break ties in real data with seeded sub-gap noise"),
+    ),
+    "converge": (
+        _SEED,
+        Opt("workers", int, _usable_cpus, help="worker process cap"),
+        _OUT,
+        Opt("model", required=True),
+        Opt("n", int, required=True),
+        Opt("d", int, required=True),
+        Opt("k-schedule", _int_list, required=True),
+        Opt("T", float, required=True),
+        Opt("delta", float, 0.05),
+        Opt("trials", int, required=True),
+        Opt("grid-resolution", int),
+        Opt("frozen-c", float, help="frozen constant for coverage evaluation"),
+    ),
+    "bound": (
+        _OUT,
+        Opt("kind", required=True, choices=("stdf",) + _VC_KINDS + ("vc-compare",)),
+        Opt("delta", float, required=True),
+        Opt("C", float, 1.0),
+        Opt("k", int, required=True, when=_STDF),
+        Opt("d", int, required=True, when=_STDF),
+        Opt("T", float, required=True, when=_STDF),
+        Opt("bias", float, 0.0, when=_STDF),
+        Opt("n", int, required=True, when=("kind", _VC_KINDS)),
+        Opt("V", int, required=True, when=("kind", _VC_KINDS + ("vc-compare",))),
+        Opt("p", float, required=True, when=("kind", _VC_KINDS + ("vc-compare",))),
+        Opt("n-grid", _int_list, required=True, when=("kind", ("vc-compare",))),
+    ),
+    "rademacher": (
+        _SEED, _SERIAL, _OUT,
+        Opt("model", default="uniform"),
+        Opt("n", int, required=True),
+        Opt("d", int, required=True),
+        Opt("k", int, required=True),
+        Opt("T", float, required=True),
+        Opt("statistic", default="rademacher",
+            choices=("rademacher", "separation", "both")),
+        Opt("trials", int, 100, when=_SCAN),
+        Opt("pairs", int, 100_000, when=("statistic", ("separation", "both"))),
+        Opt("grid-resolution", int, when=_SCAN),
+    ),
+    "classify": (
+        _SEED, _SERIAL, _OUT,
+        Opt("mode", default="rate", choices=("rate", "decomposition")),
+        Opt("d", int, 2),
+        Opt("alpha", float, 0.1),
+        Opt("noise", float, 0.1),
+        Opt("norm", default="linf"),
+        Opt("rule-threshold", float, 0.5),
+        Opt("trials", int, 50),
+        Opt("family-size", int, 20, when=_RATE),
+        Opt("n-alpha-grid", _float_list, "100,400,1600,6400", when=_RATE),
+        Opt("n", int, 1000, when=("mode", ("decomposition",))),
+    ),
+}
+
+
+def _options(subcommand: str, args, config: dict) -> dict:
+    """Every option of ``subcommand``: flag, then config file, then default.
+
+    The result is the manifest's ``config`` block, with the options that do
+    not apply recorded as None.
+    """
+    specs = _SPECS[subcommand]
+    names = {opt.name for opt in specs}
+    config = {key.replace("_", "-"): value for key, value in config.items()}
+    for key in config:
+        if key not in names:
+            raise ConfigurationError(
+                f"config file key {key!r} is not an option of {subcommand}"
+            )
+    resolved: dict = {}
+    for opt in specs:
+        value = getattr(args, opt.name.replace("-", "_"))
+        if value is None:
+            value = config.get(opt.name)
+        if opt.when is not None and resolved[opt.when[0]] not in opt.when[1]:
+            if value is not None:
+                raise ConfigurationError(
+                    f"--{opt.name} does not apply with --{opt.when[0]} "
+                    f"{resolved[opt.when[0]]}"
+                )
+            resolved[opt.name] = None
+            continue
+        if value is None:
+            if opt.required:
+                raise ConfigurationError(f"missing required option --{opt.name}")
+            value = opt.default() if callable(opt.default) else opt.default
+        if value is not None:
+            try:
+                value = opt.conv(value)
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"--{opt.name}: cannot read {value!r}")
+        if opt.choices is not None and value not in opt.choices:
+            raise ConfigurationError(
+                f"--{opt.name} must be {' | '.join(map(str, opt.choices))}, "
+                f"got {value!r}"
+            )
+        resolved[opt.name] = value
+    return resolved
+
+
+def _out_dir(options: dict) -> Path:
+    path = Path(options["out"])
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # ----------------------------------------------------------------- simulate
@@ -121,34 +256,17 @@ def _float_list(text) -> list[float]:
 
 def cmd_simulate(args, config: dict) -> int:
     started = time.time()
-    out = _out_dir(args, config)
-    seed = _require_seed(args, config)
-    n = int(_resolve(args, config, "n", required=True))
-    d = int(_resolve(args, config, "d", required=True))
-    model_tag = str(_resolve(args, config, "model", required=True))
-    margins = _resolve(args, config, "margins", "uniform")
-    if isinstance(margins, str):
-        margins = tuple(m.strip() for m in margins.split(","))
-    model = parse_model(model_tag, d)
-    spec = GeneratorSpec(model=model, n=n, d=d, seed=seed, margins=margins)
+    o = _options("simulate", args, config)
+    out = _out_dir(o)
+    model = parse_model(o["model"], o["d"])
+    spec = GeneratorSpec(model=model, n=o["n"], d=o["d"], seed=o["seed"],
+                         margins=o["margins"])
     sample = draw_sample(spec)
     sample_path = out / "sample.csv"
     write_sample_csv(sample, sample_path)
     write_manifest(
-        out / "simulate_manifest.json",
-        "simulate",
-        {
-            "model": model.tag(),
-            "n": n,
-            "d": d,
-            "margins": list(spec.margin_tags()),
-            "seed": seed,
-            "out": str(out),
-        },
-        seed,
-        inputs=[],
-        outputs=[sample_path],
-        started=started,
+        out / "simulate_manifest.json", "simulate", o, o["seed"],
+        inputs=[], outputs=[sample_path], started=started,
     )
     print(sample_path)
     return EXIT_OK
@@ -159,17 +277,15 @@ def cmd_simulate(args, config: dict) -> int:
 
 def cmd_estimate(args, config: dict) -> int:
     started = time.time()
-    out = _out_dir(args, config)
-    data_path = _resolve(args, config, "data", required=True)
-    k = int(_resolve(args, config, "k", required=True))
-    T = float(_resolve(args, config, "T", required=True))
-    stride = _resolve(args, config, "grid-stride")
-    jitter_seed = _resolve(args, config, "jitter-seed")
-    sample = read_sample_csv(data_path)
-    values = sample.values
-    if jitter_seed is not None:
-        values = jitter_columns(values, int(jitter_seed))
+    o = _options("estimate", args, config)
+    out = _out_dir(o)
+    k, T, stride = o["k"], o["T"], o["grid-stride"]
+    values = read_sample_csv(o["data"]).values
+    if o["jitter-seed"] is not None:
+        values = jitter_columns(values, o["jitter-seed"])
     ranks = build_ranks(values)
+    if not 1 <= k <= ranks.n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
     if k * T > ranks.n:
         raise PreconditionError(f"k T = {k * T:g} exceeds n = {ranks.n}")
     m_top = int(lattice_index(k, T))
@@ -177,7 +293,7 @@ def cmd_estimate(args, config: dict) -> int:
         raise ConfigurationError(
             f"d = {ranks.d} >= 3 requires --grid-stride (lattice steps per axis)"
         )
-    stride = 1 if stride is None else int(stride)
+    stride = 1 if stride is None else stride
     if stride < 1:
         raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
     axes = [np.arange(0, m_top + 1, stride) for _ in range(ranks.d)]
@@ -196,14 +312,8 @@ def cmd_estimate(args, config: dict) -> int:
     header = [f"x{j + 1}" for j in range(ranks.d)] + ["l_n"]
     write_csv(surface_path, header, surface)
     write_manifest(
-        out / "estimate_manifest.json",
-        "estimate",
-        {"data": str(data_path), "k": k, "T": T, "grid-stride": stride,
-         "jitter-seed": jitter_seed, "out": str(out)},
-        seed=None,
-        inputs=[data_path],
-        outputs=[surface_path],
-        started=started,
+        out / "estimate_manifest.json", "estimate", o, seed=None,
+        inputs=[o["data"]], outputs=[surface_path], started=started,
     )
     print(surface_path)
     return EXIT_OK
@@ -214,25 +324,15 @@ def cmd_estimate(args, config: dict) -> int:
 
 def cmd_converge(args, config: dict) -> int:
     started = time.time()
-    out = _out_dir(args, config)
-    seed = _require_seed(args, config)
-    n = int(_resolve(args, config, "n", required=True))
-    d = int(_resolve(args, config, "d", required=True))
-    model = parse_model(str(_resolve(args, config, "model", required=True)), d)
-    ks = _int_list(_resolve(args, config, "k-schedule", required=True))
-    T = float(_resolve(args, config, "T", required=True))
-    delta = float(_resolve(args, config, "delta", 0.05))
-    trials = int(_resolve(args, config, "trials", required=True))
-    workers = _resolve(args, config, "workers")
-    workers = int(workers) if workers is not None else _usable_cpus()
-    grid_res = _resolve(args, config, "grid-resolution")
-    frozen_c = _resolve(args, config, "frozen-c")
+    o = _options("converge", args, config)
+    out = _out_dir(o)
+    n, d, T, delta = o["n"], o["d"], o["T"], o["delta"]
 
     exp = harness.ExperimentConfig(
-        model=model, n=n, d=d, k_schedule=tuple(ks), T=T, delta=delta,
-        trials=trials, seed=seed,
-        grid_resolution=None if grid_res is None else int(grid_res),
-        workers=workers,
+        model=parse_model(o["model"], d), n=n, d=d,
+        k_schedule=tuple(o["k-schedule"]), T=T, delta=delta,
+        trials=o["trials"], seed=o["seed"],
+        grid_resolution=o["grid-resolution"], workers=o["workers"],
     )
     report = harness.run_rate_experiment(exp)
 
@@ -264,23 +364,13 @@ def cmd_converge(args, config: dict) -> int:
     except (PreconditionError, ConfigurationError) as exc:
         results["calibrated_C"] = None
         results["calibration_note"] = str(exc)
+    frozen_c = o["frozen-c"]
     if frozen_c is not None:
-        results["frozen_C"] = float(frozen_c)
-        results["coverage"] = harness.coverage_against_bound(report, float(frozen_c))
+        results["frozen_C"] = frozen_c
+        results["coverage"] = harness.coverage_against_bound(report, frozen_c)
     write_manifest(
-        out / "converge_manifest.json",
-        "converge",
-        {
-            "model": model.tag(), "n": n, "d": d,
-            "k-schedule": ks, "T": T, "delta": delta, "trials": trials,
-            "seed": seed, "workers": workers,
-            "grid-resolution": grid_res,
-            "frozen-c": frozen_c, "out": str(out),
-        },
-        seed,
-        inputs=[],
-        outputs=[trials_path, summary_path],
-        started=started,
+        out / "converge_manifest.json", "converge", o, o["seed"],
+        inputs=[], outputs=[trials_path, summary_path], started=started,
         results=results,
     )
     print(summary_path)
@@ -292,40 +382,18 @@ def cmd_converge(args, config: dict) -> int:
 
 def cmd_bound(args, config: dict) -> int:
     started = time.time()
-    out = _out_dir(args, config)
-    kind = str(_resolve(args, config, "kind", required=True))
-    delta = float(_resolve(args, config, "delta", required=True))
-    C = float(_resolve(args, config, "C", 1.0))
+    o = _options("bound", args, config)
+    out = _out_dir(o)
+    kind, delta, C = o["kind"], o["delta"], o["C"]
     bound_path = out / "bound.csv"
-    cfg: dict = {"kind": kind, "delta": delta, "C": C, "out": str(out)}
 
     if kind == "stdf":
-        k = int(_resolve(args, config, "k", required=True))
-        d = int(_resolve(args, config, "d", required=True))
-        T = float(_resolve(args, config, "T", required=True))
-        bias = float(_resolve(args, config, "bias", 0.0))
-        value = harness.stdf_deviation_bound(k, d, T, delta, C, bias)
-        cfg.update({"k": k, "d": d, "T": T, "bias": bias})
-        write_csv(bound_path, ["kind", "value"], [[kind, value]])
-    elif kind in ("vc", "vc-simple", "vc-classical"):
-        n = int(_resolve(args, config, "n", required=True))
-        V = int(_resolve(args, config, "V", required=True))
-        p = float(_resolve(args, config, "p", required=True))
-        params = conc.BoundParams(n=n, V=V, p=p, delta=delta, C=C)
-        fn = {
-            "vc": conc.low_mass_vc_bound,
-            "vc-simple": conc.simplified_vc_bound,
-            "vc-classical": conc.classical_vc_bound,
-        }[kind]
-        value = fn(params)
-        cfg.update({"n": n, "V": V, "p": p})
+        value = harness.stdf_deviation_bound(o["k"], o["d"], o["T"], delta, C,
+                                             o["bias"])
         write_csv(bound_path, ["kind", "value"], [[kind, value]])
     elif kind == "vc-compare":
-        n_grid = _int_list(_resolve(args, config, "n-grid", required=True))
-        V = int(_resolve(args, config, "V", required=True))
-        p = float(_resolve(args, config, "p", required=True))
-        rows = conc.bound_comparison(n_grid, V=V, p=p, delta=delta, C=C)
-        cfg.update({"n-grid": n_grid, "V": V, "p": p})
+        rows = conc.bound_comparison(o["n-grid"], V=o["V"], p=o["p"], delta=delta,
+                                     C=C)
         write_csv(
             bound_path,
             ["n", "low_mass_bound", "classical_bound", "ratio"],
@@ -333,12 +401,15 @@ def cmd_bound(args, config: dict) -> int:
              for r in rows],
         )
     else:
-        raise ConfigurationError(
-            f"unknown bound kind {kind!r}; expected stdf | vc | vc-simple | "
-            "vc-classical | vc-compare"
-        )
+        params = conc.BoundParams(n=o["n"], V=o["V"], p=o["p"], delta=delta, C=C)
+        fn = {
+            "vc": conc.low_mass_vc_bound,
+            "vc-simple": conc.simplified_vc_bound,
+            "vc-classical": conc.classical_vc_bound,
+        }[kind]
+        write_csv(bound_path, ["kind", "value"], [[kind, fn(params)]])
     write_manifest(
-        out / "bound_manifest.json", "bound", cfg, seed=None,
+        out / "bound_manifest.json", "bound", o, seed=None,
         inputs=[], outputs=[bound_path], started=started,
     )
     print(bound_path)
@@ -350,43 +421,22 @@ def cmd_bound(args, config: dict) -> int:
 
 def cmd_rademacher(args, config: dict) -> int:
     started = time.time()
-    out = _out_dir(args, config)
-    seed = _require_seed(args, config)
-    n = int(_resolve(args, config, "n", required=True))
-    d = int(_resolve(args, config, "d", required=True))
-    k = int(_resolve(args, config, "k", required=True))
-    T = float(_resolve(args, config, "T", required=True))
-    model_tag = str(_resolve(args, config, "model", "uniform"))
-    statistic = str(_resolve(args, config, "statistic", "rademacher"))
-    if statistic not in ("rademacher", "separation", "both"):
-        raise ConfigurationError(
-            f"unknown statistic {statistic!r}; expected rademacher | separation | both"
-        )
-    unused = {"rademacher": ("pairs",), "separation": ("trials", "grid-resolution")}
-    for name in unused.get(statistic, ()):
-        if _resolve(args, config, name) is not None:
-            raise ConfigurationError(
-                f"--{name} has no effect with --statistic {statistic}"
-            )
-    trials = pairs = None
-    if statistic != "separation":
-        trials = int(_resolve(args, config, "trials", 100))
-    if statistic != "rademacher":
-        pairs = int(_resolve(args, config, "pairs", 100_000))
-    grid_res = _resolve(args, config, "grid-resolution")
+    o = _options("rademacher", args, config)
+    seed, n, d, k, T = o["seed"], o["n"], o["d"], o["k"], o["T"]
+    statistic, grid_res = o["statistic"], o["grid-resolution"]
     if d >= 3 and grid_res is None and statistic != "separation":
         raise ConfigurationError(
             f"d = {d} >= 3 requires --grid-resolution for the set scan"
         )
-    model = parse_model(model_tag, d)
+    out = _out_dir(o)
+    model = parse_model(o["model"], d)
     spec = conc.RectClassSpec(d=d, k=k, n=n, T=T)
     rows = []
     results: dict = {"p": conc.union_mass(spec, model)}
 
     if statistic in ("rademacher", "both"):
         est = conc.relative_rademacher(
-            model, spec, trials, seed,
-            grid_resolution=None if grid_res is None else int(grid_res),
+            model, spec, o["trials"], seed, grid_resolution=grid_res,
         )
         for t, v in enumerate(est.values):
             rows.append([t, n, k, d, T, "", "relative_rademacher_sup", v])
@@ -396,7 +446,7 @@ def cmd_rademacher(args, config: dict) -> int:
             "mean": est.mean, "stderr": est.stderr, "trials": est.trials,
         }
     if statistic in ("separation", "both"):
-        est_q = conc.pair_separation_complexity(model, spec, pairs, seed)
+        est_q = conc.pair_separation_complexity(model, spec, o["pairs"], seed)
         rows.append(["", n, k, d, T, "", "pair_separation_q", est_q.value])
         rows.append(["", n, k, d, T, "", "pair_separation_stderr", est_q.stderr])
         results["pair_separation"] = {
@@ -410,16 +460,8 @@ def cmd_rademacher(args, config: dict) -> int:
         rows,
     )
     write_manifest(
-        out / "rademacher_manifest.json",
-        "rademacher",
-        {"model": model.tag(), "n": n, "d": d, "k": k, "T": T,
-         "statistic": statistic, "trials": trials, "pairs": pairs,
-         "grid-resolution": grid_res, "seed": seed, "out": str(out)},
-        seed,
-        inputs=[],
-        outputs=[trials_path],
-        started=started,
-        results=results,
+        out / "rademacher_manifest.json", "rademacher", o, seed,
+        inputs=[], outputs=[trials_path], started=started, results=results,
     )
     print(trials_path)
     return EXIT_OK
@@ -430,38 +472,22 @@ def cmd_rademacher(args, config: dict) -> int:
 
 def cmd_classify(args, config: dict) -> int:
     started = time.time()
-    out = _out_dir(args, config)
-    seed = _require_seed(args, config)
-    mode = str(_resolve(args, config, "mode", "rate"))
-    d = int(_resolve(args, config, "d", 2))
-    alpha = float(_resolve(args, config, "alpha", 0.1))
-    noise = float(_resolve(args, config, "noise", 0.1))
-    norm = str(_resolve(args, config, "norm", "linf"))
-    rule_threshold = float(_resolve(args, config, "rule-threshold", 0.5))
-    trials = int(_resolve(args, config, "trials", 50))
+    o = _options("classify", args, config)
+    out = _out_dir(o)
+    seed, d, alpha, norm, trials = o["seed"], o["d"], o["alpha"], o["norm"], o["trials"]
 
     generator = cls_mod.LabeledGenerator(
         feature_model=parse_model("independence", d),
-        rule=cls_mod.AxisClassifier(coord=0, threshold=rule_threshold),
-        noise=noise,
+        rule=cls_mod.AxisClassifier(coord=0, threshold=o["rule-threshold"]),
+        noise=o["noise"],
     )
     rows = []
     results: dict = {}
-    manifest_cfg = {
-        "mode": mode, "d": d, "alpha": alpha, "noise": noise, "norm": norm,
-        "rule-threshold": rule_threshold, "trials": trials, "seed": seed,
-        "out": str(out),
-    }
 
-    if mode == "rate":
-        family_size = int(_resolve(args, config, "family-size", 20))
-        na_grid = _float_list(
-            _resolve(args, config, "n-alpha-grid", "100,400,1600,6400")
-        )
-        manifest_cfg.update({"family-size": family_size, "n-alpha-grid": na_grid})
-        per_axis = max(1, family_size // d)
+    if o["mode"] == "rate":
+        per_axis = max(1, o["family-size"] // d)
         family = cls_mod.axis_threshold_family(d, per_axis)
-        schedule = [(int(round(na / alpha)), alpha) for na in na_grid]
+        schedule = [(int(round(na / alpha)), alpha) for na in o["n-alpha-grid"]]
         report = cls_mod.rate_experiment_classification(
             generator, family, schedule, trials, seed, norm=norm
         )
@@ -480,12 +506,11 @@ def cmd_classify(args, config: dict) -> int:
             [[n, a, n * a, report.medians[(n, a)]] for n, a in schedule],
         )
         outputs = [summary_path, family_path]
-    elif mode == "decomposition":
-        n = int(_resolve(args, config, "n", 1000))
-        manifest_cfg["n"] = n
+    else:
+        n = o["n"]
         family = cls_mod.ClassifierFamily(
             members=(
-                cls_mod.AxisClassifier(coord=0, threshold=rule_threshold),
+                cls_mod.AxisClassifier(coord=0, threshold=o["rule-threshold"]),
                 cls_mod.AxisClassifier(coord=1 % d, threshold=0.7),
             ),
             vc_dim=d,
@@ -503,10 +528,6 @@ def cmd_classify(args, config: dict) -> int:
         results["decomposition_holds"] = holds
         results["trials"] = trials
         outputs = []
-    else:
-        raise ConfigurationError(
-            f"unknown mode {mode!r}; expected rate | decomposition"
-        )
 
     trials_path = out / "classify_trials.csv"
     write_csv(
@@ -516,14 +537,8 @@ def cmd_classify(args, config: dict) -> int:
     )
     outputs.append(trials_path)
     write_manifest(
-        out / "classify_manifest.json",
-        "classify",
-        manifest_cfg,
-        seed,
-        inputs=[],
-        outputs=outputs,
-        started=started,
-        results=results,
+        out / "classify_manifest.json", "classify", o, seed,
+        inputs=[], outputs=outputs, started=started, results=results,
     )
     print(trials_path)
     return EXIT_OK
@@ -538,87 +553,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tail dependence estimation and concentration experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", help="JSON config file (flags win)")
-        sp.add_argument("--seed", type=int, help="64-bit master seed")
-        sp.add_argument("--workers", type=int, help="worker process cap")
-        sp.add_argument("--out", help="output directory")
-
-    sp = sub.add_parser("simulate", help="draw a synthetic sample to CSV")
-    add_common(sp)
-    sp.add_argument("--model")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--margins")
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("estimate", help="tabulate the empirical surface")
-    add_common(sp)
-    sp.add_argument("--data")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--grid-stride", type=int)
-    sp.add_argument("--jitter-seed", type=int,
-                    help="break ties in real data with seeded sub-gap noise")
-    sp.set_defaults(fn=cmd_estimate)
-
-    sp = sub.add_parser("converge", help="sup-deviation rate experiment")
-    add_common(sp)
-    sp.add_argument("--model")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--k-schedule")
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--grid-resolution", type=int)
-    sp.add_argument("--frozen-c", type=float,
-                    help="frozen constant for coverage evaluation")
-    sp.set_defaults(fn=cmd_converge)
-
-    sp = sub.add_parser("bound", help="evaluate a deviation bound")
-    add_common(sp)
-    sp.add_argument("--kind")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--bias", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--V", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--n-grid")
-    sp.set_defaults(fn=cmd_bound)
-
-    sp = sub.add_parser("rademacher", help="relative complexity estimates")
-    add_common(sp)
-    sp.add_argument("--model")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--statistic")
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--grid-resolution", type=int)
-    sp.set_defaults(fn=cmd_rademacher)
-
-    sp = sub.add_parser("classify", help="rare-region classification experiments")
-    add_common(sp)
-    sp.add_argument("--mode")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--noise", type=float)
-    sp.add_argument("--norm")
-    sp.add_argument("--rule-threshold", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--family-size", type=int)
-    sp.add_argument("--n-alpha-grid")
-    sp.set_defaults(fn=cmd_classify)
-
+    for name, fn, text in (
+        ("simulate", cmd_simulate, "draw a synthetic sample to CSV"),
+        ("estimate", cmd_estimate, "tabulate the empirical surface"),
+        ("converge", cmd_converge, "sup-deviation rate experiment"),
+        ("bound", cmd_bound, "evaluate a deviation bound"),
+        ("rademacher", cmd_rademacher, "relative complexity estimates"),
+        ("classify", cmd_classify, "rare-region classification experiments"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config", help="JSON config file or manifest (flags win)")
+        for opt in _SPECS[name]:
+            sp.add_argument(f"--{opt.name}", help=opt.help)
+        sp.set_defaults(fn=fn)
     return parser
 
 

@@ -192,44 +192,10 @@ def _finish(base: np.ndarray, spec: GeneratorSpec) -> Sample:
     return Sample(np.column_stack(cols), provenance=spec)
 
 
-def sample_independence(spec: GeneratorSpec) -> Sample:
-    """Mutually independent coordinates, uniform before margin transforms."""
-    if spec.model.variant != "independence":
-        raise ConfigurationError(f"spec model is {spec.model.tag()}, not independence")
-    rng = substream(spec.seed, "sample")
-    return _finish(draw_copula_sample(spec.model, spec.n, rng), spec)
-
-
-def sample_comonotone(spec: GeneratorSpec) -> Sample:
-    """One uniform per row copied to all coordinates, then margins."""
-    if spec.model.variant != "comonotone":
-        raise ConfigurationError(f"spec model is {spec.model.tag()}, not comonotone")
-    rng = substream(spec.seed, "sample")
-    return _finish(draw_copula_sample(spec.model, spec.n, rng), spec)
-
-
-def sample_logistic(spec: GeneratorSpec, theta: float | None = None) -> Sample:
-    """Gumbel-family dependence via the positive-stable frailty construction."""
-    if spec.model.variant != "logistic":
-        raise ConfigurationError(f"spec model is {spec.model.tag()}, not logistic")
-    if theta is not None and theta != spec.model.theta:
-        raise ConfigurationError(
-            f"explicit theta {theta} conflicts with model theta {spec.model.theta}"
-        )
-    rng = substream(spec.seed, "sample")
-    return _finish(draw_copula_sample(spec.model, spec.n, rng), spec)
-
-
-_DISPATCH = {
-    "independence": sample_independence,
-    "comonotone": sample_comonotone,
-    "logistic": sample_logistic,
-}
-
-
 def draw_sample(spec: GeneratorSpec) -> Sample:
-    """Dispatch on the spec's model variant."""
-    return _DISPATCH[spec.model.variant](spec)
+    """Draw the spec's sample: its model copula, then its margins."""
+    rng = substream(spec.seed, "sample")
+    return _finish(draw_copula_sample(spec.model, spec.n, rng), spec)
 
 
 def apply_margins(sample: Sample, transforms) -> Sample:

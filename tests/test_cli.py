@@ -5,13 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from tailvc.cli import main
+from tailvc.cli import _SPECS, main
 from tailvc.empirical import build_ranks, exceedance_count, lattice_index
 from tailvc.reportio import read_csv, read_manifest, read_sample_csv
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def write_distinct_sample(path, n=50):
+    """A two-column CSV with no ties: i and 7 i mod n, a permutation of 0..n-1."""
+    path.write_text("x1,x2\n" + "".join(f"{i},{7 * i % n}\n" for i in range(n)))
 
 
 class TestSimulate:
@@ -132,6 +137,19 @@ class TestEstimate:
                     "--out", tmp_path / "e"])
         assert code == 3
         assert "column 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stride", [None, 2], ids=["stride-1", "strided"])
+    def test_k_zero_is_precondition_error_on_both_paths(self, tmp_path, capsys,
+                                                        stride):
+        data = tmp_path / "s.csv"
+        write_distinct_sample(data)
+        out = tmp_path / "e"
+        args = ["estimate", "--data", data, "--k", 0, "--T", 1.0, "--out", out]
+        if stride is not None:
+            args += ["--grid-stride", stride]
+        assert run(args) == 4
+        assert "k must lie in [1, n]" in capsys.readouterr().err
+        assert not (out / "surface.csv").exists()
 
 
 class TestConverge:
@@ -354,3 +372,115 @@ class TestConfigPrecedence:
         assert run(["simulate", "--config", cfg, "--n", 25, "--out", out]) == 0
         lines = (out / "sample.csv").read_text().strip().splitlines()
         assert len(lines) == 26
+
+
+# one small valid command line per subcommand and mode; "{data}" is a sample
+SIMULATE = ["simulate", "--model", "logistic(2)", "--n", 60, "--d", 2, "--seed", 4,
+            "--margins", "uniform,exponential"]
+ESTIMATE = ["estimate", "--data", "{data}", "--k", 5, "--T", 2.0]
+CONVERGE = ["converge", "--model", "independence", "--n", 1000, "--d", 2,
+            "--k-schedule", "20", "--T", 1.5, "--trials", 2, "--seed", 3,
+            "--workers", 1]
+BOUND_STDF = ["bound", "--kind", "stdf", "--k", 100, "--d", 2, "--T", 4.0,
+              "--delta", "0.05"]
+VC_ARGS = ["--n", 10_000, "--V", 2, "--p", "0.01", "--delta", "0.05"]
+BOUND_VC = ["bound", "--kind", "vc"] + VC_ARGS
+BOUND_CMP = ["bound", "--kind", "vc-compare", "--n-grid", "100,1000", "--V", 2,
+             "--p", "0.01", "--delta", "0.05"]
+RADEMACHER = ["rademacher", "--model", "uniform", "--n", 500, "--d", 2, "--k", 10,
+              "--T", 2.0, "--seed", 3]
+CLASSIFY_RATE = ["classify", "--mode", "rate", "--alpha", "0.1",
+                 "--n-alpha-grid", "50,100", "--trials", 2, "--family-size", 4,
+                 "--seed", 9]
+CLASSIFY_DEC = ["classify", "--mode", "decomposition", "--n", 300, "--alpha", "0.1",
+                "--trials", 2, "--seed", 10]
+BASE = {"simulate": SIMULATE, "estimate": ESTIMATE, "converge": CONVERGE,
+        "bound": BOUND_VC, "rademacher": RADEMACHER, "classify": CLASSIFY_RATE}
+
+
+def fill(args, tmp_path):
+    data = tmp_path / "data.csv"
+    if not data.exists():
+        write_distinct_sample(data)
+    return [str(a).format(data=data) for a in args]
+
+
+def run_status(args):
+    """Exit code of a run, counting an argparse rejection as its SystemExit code."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestNoIgnoredOption:
+    CASES = {
+        "estimate-seed": (ESTIMATE + ["--seed", 5], "--seed"),
+        "simulate-workers": (SIMULATE + ["--workers", 1], "--workers"),
+        "estimate-workers": (ESTIMATE + ["--workers", 1], "--workers"),
+        "bound-workers": (BOUND_VC + ["--workers", 1], "--workers"),
+        "rademacher-workers-2": (RADEMACHER + ["--workers", 2], "--workers"),
+        "classify-workers-2": (CLASSIFY_RATE + ["--workers", 2], "--workers"),
+        "bound-stdf-n-grid": (BOUND_STDF + ["--n-grid", "1,2"], "--n-grid"),
+        "bound-vc-k": (BOUND_VC + ["--k", 100], "--k"),
+        "bound-vc-compare-bias": (BOUND_CMP + ["--bias", 0.1], "--bias"),
+        "classify-rate-n": (CLASSIFY_RATE + ["--n", 500], "--n"),
+        "classify-decomposition-family-size": (
+            CLASSIFY_DEC + ["--family-size", 4], "--family-size"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag_is_usage_error(self, tmp_path, capsys, case):
+        args, option = self.CASES[case]
+        out = tmp_path / "o"
+        assert run_status(fill(args, tmp_path) + ["--out", str(out)]) == 2
+        assert f"{option} " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("subcommand", sorted(BASE))
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, subcommand):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sede": 1}))
+        out = tmp_path / "o"
+        args = fill(BASE[subcommand], tmp_path) + ["--config", str(cfg),
+                                                  "--out", str(out)]
+        assert run_status(args) == 2
+        assert "'sede'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestManifestReplay:
+    CASES = {
+        "simulate": SIMULATE,
+        "estimate-stride-1": ESTIMATE,
+        "estimate-strided": ESTIMATE + ["--grid-stride", 3],
+        "converge": CONVERGE,
+        "bound-stdf": BOUND_STDF + ["--bias", 0.01],
+        "bound-vc": BOUND_VC,
+        "bound-vc-simple": ["bound", "--kind", "vc-simple"] + VC_ARGS,
+        "bound-vc-classical": ["bound", "--kind", "vc-classical"] + VC_ARGS,
+        "bound-vc-compare": BOUND_CMP,
+        "rademacher-rademacher": RADEMACHER + ["--trials", 2],
+        "rademacher-separation": RADEMACHER + ["--statistic", "separation",
+                                               "--pairs", 2000],
+        "rademacher-both": RADEMACHER + ["--statistic", "both", "--trials", 2,
+                                         "--pairs", 2000],
+        "classify-rate": CLASSIFY_RATE,
+        "classify-decomposition": CLASSIFY_DEC,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_replay_is_byte_identical(self, tmp_path, case):
+        args = fill(self.CASES[case], tmp_path)
+        subcommand = args[0]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(args + ["--out", str(a)]) == 0
+        manifest = a / f"{subcommand}_manifest.json"
+        config = read_manifest(manifest)["config"]
+        assert set(config) == {opt.name for opt in _SPECS[subcommand]}
+        assert run([subcommand, "--config", manifest, "--out", b]) == 0
+        data = sorted(p.name for p in a.iterdir() if p != manifest)
+        assert data and data == sorted(
+            p.name for p in b.iterdir() if p.name != manifest.name)
+        for name in data:
+            assert (a / name).read_bytes() == (b / name).read_bytes()

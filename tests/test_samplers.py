@@ -14,9 +14,6 @@ from tailvc import (
     draw_sample,
     independence,
     logistic,
-    sample_comonotone,
-    sample_independence,
-    sample_logistic,
 )
 from tailvc.rng import substream
 
@@ -50,18 +47,14 @@ class TestIndependence:
         corr = np.corrcoef(s.values[:, 0], s.values[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sample_independence(spec(comonotone(2), 10, 2, seed=1))
-
 
 class TestComonotone:
     def test_rows_constant_across_coordinates(self):
-        s = sample_comonotone(spec(comonotone(3), 5, 3, seed=7))
+        s = draw_sample(spec(comonotone(3), 5, 3, seed=7))
         assert np.all(s.values == s.values[:, [0]])
 
     def test_ranks_agree_across_coordinates(self):
-        s = sample_comonotone(
+        s = draw_sample(
             spec(comonotone(2), 50, 2, seed=8, margins=("uniform", "exponential"))
         )
         r0 = np.argsort(np.argsort(s.values[:, 0]))
@@ -103,11 +96,6 @@ class TestLogistic:
         hit = np.mean((u[:, 0] <= t) | (u[:, 1] <= t))
         stderr = np.sqrt(hit * (1 - hit) / u.shape[0])
         assert abs(hit / t - 2 ** (1 / 3)) < 4 * stderr / t
-
-    def test_explicit_theta_must_match_model(self):
-        s = spec(logistic(2.0, 2), 10, 2, seed=3)
-        with pytest.raises(ConfigurationError):
-            sample_logistic(s, theta=3.0)
 
 
 class TestMargins:
