@@ -29,7 +29,13 @@ import numpy as np
 from . import classify as cls_mod
 from . import concentration as conc
 from . import harness
-from .empirical import build_ranks, empirical_stdf_lattice, jitter_columns, lattice_index
+from .empirical import (
+    build_ranks,
+    empirical_stdf_lattice,
+    jitter_columns,
+    lattice_index,
+    tail_depths,
+)
 from .errors import (
     ConfigurationError,
     PreconditionError,
@@ -283,33 +289,35 @@ def cmd_estimate(args, config: dict) -> int:
     values = read_sample_csv(o["data"]).values
     if o["jitter-seed"] is not None:
         values = jitter_columns(values, o["jitter-seed"])
-    ranks = build_ranks(values)
-    if not 1 <= k <= ranks.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
-    if k * T > ranks.n:
-        raise PreconditionError(f"k T = {k * T:g} exceeds n = {ranks.n}")
+    state = build_ranks(values)
+    n, d = state.n, state.d
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
+    if k * T > n:
+        raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
     m_top = int(lattice_index(k, T))
-    if ranks.d >= 3 and stride is None:
+    if d >= 3 and stride is None:
         raise ConfigurationError(
-            f"d = {ranks.d} >= 3 requires --grid-stride (lattice steps per axis)"
+            f"d = {d} >= 3 requires --grid-stride (lattice steps per axis)"
         )
     stride = 1 if stride is None else stride
     if stride < 1:
         raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
-    axes = [np.arange(0, m_top + 1, stride) for _ in range(ranks.d)]
-    if stride == 1 and ranks.d <= 2:
-        sub = empirical_stdf_lattice(ranks, k, [m_top] * ranks.d)
+    axes = [np.arange(0, m_top + 1, stride) for _ in range(d)]
+    if stride == 1 and d <= 2:
+        sub = empirical_stdf_lattice(state, k, [m_top] * d)
     else:
         # evaluate only the strided sub-lattice; the full lattice may not fit
-        depth = (ranks.n - ranks.ranks + 1).astype(float)
+        depths = tail_depths(state, [m_top] * d).astype(float)
         survivors = dominance_weight_grid(
-            depth, np.ones(ranks.n), [a.astype(float) for a in axes], strict=True
+            depths, np.ones(depths.shape[0]), [a.astype(float) for a in axes],
+            strict=True,
         )
-        sub = (ranks.n - survivors) / k
+        sub = (depths.shape[0] - survivors) / k
     mesh = np.meshgrid(*axes, indexing="ij")
     surface = np.column_stack([g.ravel() / k for g in mesh] + [np.ravel(sub)])
     surface_path = out / "surface.csv"
-    header = [f"x{j + 1}" for j in range(ranks.d)] + ["l_n"]
+    header = [f"x{j + 1}" for j in range(d)] + ["l_n"]
     write_csv(surface_path, header, surface)
     write_manifest(
         out / "estimate_manifest.json", "estimate", o, seed=None,
@@ -326,7 +334,7 @@ def cmd_converge(args, config: dict) -> int:
     started = time.time()
     o = _options("converge", args, config)
     out = _out_dir(o)
-    n, d, T, delta = o["n"], o["d"], o["T"], o["delta"]
+    n, d, T, delta, frozen_c = o["n"], o["d"], o["T"], o["delta"], o["frozen-c"]
 
     exp = harness.ExperimentConfig(
         model=parse_model(o["model"], d), n=n, d=d,
@@ -334,6 +342,10 @@ def cmd_converge(args, config: dict) -> int:
         trials=o["trials"], seed=o["seed"],
         grid_resolution=o["grid-resolution"], workers=o["workers"],
     )
+    if frozen_c is not None:
+        # coverage compares every k with the bound: check it before the trials
+        for k in exp.k_schedule:
+            harness.stdf_deviation_bound(k, d, T, delta, frozen_c)
     report = harness.run_rate_experiment(exp)
 
     trial_rows = []
@@ -364,7 +376,6 @@ def cmd_converge(args, config: dict) -> int:
     except (PreconditionError, ConfigurationError) as exc:
         results["calibrated_C"] = None
         results["calibration_note"] = str(exc)
-    frozen_c = o["frozen-c"]
     if frozen_c is not None:
         results["frozen_C"] = frozen_c
         results["coverage"] = harness.coverage_against_bound(report, frozen_c)

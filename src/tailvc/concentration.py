@@ -28,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, TailvcError
-from .gridscan import SupEstimate, sup_count_vs_mass, sup_count_vs_mass_grid, sup_signed_count
+from .gridscan import (
+    SupEstimate,
+    declared_axis,
+    sup_count_vs_mass,
+    sup_count_vs_mass_grid,
+    sup_signed_count,
+)
 from .models import StdfModel, parse_model, tail_union_prob, tail_union_prob_axes
 from .rng import substream
 from .samplers import draw_tail_uniforms
@@ -254,11 +260,7 @@ def relative_rademacher(
     edge = cls.box_edge
     axes = None
     if grid_resolution is not None:
-        if grid_resolution < 2:
-            raise ConfigurationError(
-                f"grid resolution must be >= 2, got {grid_resolution}"
-            )
-        axes = [np.linspace(0.0, edge, grid_resolution)] * cls.d
+        axes = [declared_axis(edge, grid_resolution)] * cls.d
     values = np.empty(trials)
     for t in range(trials):
         rng = substream(seed, "rademacher", t)

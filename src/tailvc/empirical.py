@@ -225,18 +225,18 @@ def empirical_stdf(ranks: RankState, k: int, x) -> float | np.ndarray:
     return exceedance_count(ranks, m) / k
 
 
-def stdf_lattice_counts(ranks: RankState | TailOrder, mmax) -> np.ndarray:
-    """Exceedance counts on the full integer lattice 0..mmax_j per axis.
+def tail_depths(ranks: RankState | TailOrder, mmax) -> np.ndarray:
+    """Per-column depths of the rows in some column's top mmax_j.
 
-    Returns an int64 tensor C with C[m_1, ..., m_d] = the count behind
-    l_n(m/k).  ``ranks`` is a RankState or a TailOrder; either gives the
-    same order of each column's top rows.  Only the mmax_j largest rows of
-    each column are read: a row's level in column j is its depth there (0 = largest),
-    capped at mmax_j, and the rows outside every tail all land in the
-    corner cell.  Suffix sums of the level histogram count the rows
-    surviving every level vector, so the cost is O(n) selection plus
-    O(M log M) ordering, M = max mmax_j, plus O(prod(mmax + 1)) for the
-    lattice.
+    Returns an int64 U x d matrix, one row per member of the union of the
+    column tails (U rows, in row order).  Entry [i, j] is the row's depth
+    in column j, 1 for the largest value, and mmax_j + 1 when the row is
+    outside column j's top mmax_j.  A row counts at a lattice vector m
+    (0 <= m <= mmax) iff depth_j <= m_j for some j, so the rows outside
+    the union never count and the count at m is U - #{rows with depth > m}.
+    ``ranks`` is a RankState or a TailOrder; either gives the same order
+    of each column's top rows.  Cost: O(n) selection per column plus the
+    ordering of the selected rows.
     """
     n, d = ranks.n, ranks.d
     mmax = np.asarray(mmax, dtype=np.int64)
@@ -244,17 +244,32 @@ def stdf_lattice_counts(ranks: RankState | TailOrder, mmax) -> np.ndarray:
         raise PreconditionError(f"mmax must have shape ({d},)")
     if np.any(mmax < 0) or np.any(mmax > n):
         raise PreconditionError(f"mmax entries must lie in [0, n] = [0, {n}]")
-    shape = tuple(int(m) + 1 for m in mmax)
     tops = [ranks.top_rows(j, int(m)) for j, m in enumerate(mmax)]
     union = np.unique(np.concatenate(tops))
-    cell = np.zeros(union.size, dtype=np.int64)
+    depths = np.empty((union.size, d), dtype=np.int64)
     for j, top in enumerate(tops):
-        level = np.full(union.size, mmax[j], dtype=np.int64)
-        level[np.searchsorted(union, top)] = np.arange(top.size)
-        cell = cell * shape[j] + level  # C-order raveled index
+        depths[:, j] = mmax[j] + 1
+        depths[np.searchsorted(union, top), j] = np.arange(1, top.size + 1)
+    return depths
+
+
+def stdf_lattice_counts(ranks: RankState | TailOrder, mmax) -> np.ndarray:
+    """Exceedance counts on the full integer lattice 0..mmax_j per axis.
+
+    Returns an int64 tensor C with C[m_1, ..., m_d] = the count behind
+    l_n(m/k).  Only the tail rows of ``tail_depths`` are read: each lands
+    in the histogram cell depth - 1, and the rows outside every tail all
+    land in the corner cell.  Suffix sums of the histogram count the rows
+    surviving every level vector, so the cost is that of ``tail_depths``
+    plus O(prod(mmax + 1)) for the lattice.
+    """
+    depths = tail_depths(ranks, mmax)
+    n, mmax = ranks.n, np.asarray(mmax, dtype=np.int64)
+    shape = tuple(int(m) + 1 for m in mmax)
+    cell = np.ravel_multi_index(tuple(depths.T - 1), shape)
     hist = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
-    hist[tuple(mmax)] += n - union.size
-    # survivors[m] = #{rows with level_j >= m_j for all j}
+    hist[tuple(mmax)] += n - depths.shape[0]
+    # survivors[m] = #{rows with depth_j > m_j for all j}
     survivors = suffix_sums(hist)
     return np.subtract(n, survivors, out=survivors)
 

@@ -84,6 +84,17 @@ def _check_box(tmax, d: int) -> np.ndarray:
     return tmax
 
 
+def declared_axis(edge: float, resolution: int) -> np.ndarray:
+    """The declared grid on [0, edge]: ``resolution`` evenly spaced nodes.
+
+    A grid scan needs both ends of the box, so fewer than two nodes is a
+    configuration error.
+    """
+    if resolution < 2:
+        raise ConfigurationError(f"grid resolution must be >= 2, got {resolution}")
+    return np.linspace(0.0, edge, resolution)
+
+
 def _dominance_strips(
     points: np.ndarray,
     weights: np.ndarray,
@@ -237,12 +248,10 @@ def sup_count_vs_mass_grid(
     (at most one per axis for uniform margins) and the worst per-axis
     count mass strictly inside any step.
     """
-    if resolution < 2:
-        raise ConfigurationError(f"grid resolution must be >= 2, got {resolution}")
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     tmax = _check_box(tmax, points.shape[1])
-    axes = [np.linspace(0.0, tmax[j], resolution) for j in range(points.shape[1])]
+    axes = [declared_axis(t, resolution) for t in tmax]
     value = max_count_gap(points, axes, n, mass_axes_fn)
     slack = 0.0
     for j, a in enumerate(axes):

@@ -28,11 +28,12 @@ from .empirical import (
     build_ranks,
     empirical_stdf_lattice,
     lattice_index,
+    tail_depths,
     tail_order,
 )
 from .errors import ConfigurationError, PreconditionError, TiesError
 from .concentration import RectClassSpec, sup_empirical_deviation
-from .gridscan import SupEstimate, max_count_gap
+from .gridscan import SupEstimate, declared_axis, max_count_gap
 from .models import (
     StdfModel,
     eval_stdf_axes,
@@ -77,25 +78,31 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
 
 
 def _corner_model_grids(model: StdfModel, k: int, T: float, m_top: int, d: int):
-    """l at the lower and the upper corner of every lattice cell.
+    """l at every corner of the lattice cells, on one (m_top + 2)^d grid.
 
-    Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top; the upper
-    corners are clipped to T.
+    Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top, so its lower
+    corner is node m and its upper corner node m + 1 of the axis
+    0, 1/k, ..., m_top/k, T.  The axis is clipped to T: when
+    ``lattice_index`` snaps floor(k T) up, m_top/k lies just above T.
     """
-    lo = np.arange(m_top + 1) / k
-    hi = np.minimum(np.arange(1, m_top + 2) / k, T)
-    return eval_stdf_axes(model, [lo] * d), eval_stdf_axes(model, [hi] * d)
+    axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+    return eval_stdf_axes(model, [axis] * d)
 
 
-def _cell_corner_sup(grid: np.ndarray, l_lo: np.ndarray, l_hi: np.ndarray,
+def _cell_corner_sup(grid: np.ndarray, corners: np.ndarray,
                      scratch: np.ndarray) -> float:
     """max over lattice cells of |grid - l| at the cells' two extreme corners.
 
+    ``corners`` is ``_corner_model_grids``' grid: the lower corners are
+    its view [:-1, ..., :-1] and the upper corners its view [1:, ..., 1:].
     The gaps are formed in place, the lower-corner ones in ``scratch`` and
-    the upper-corner ones in ``grid``, which is overwritten; at k = 800
-    each temporary would be another 20 MB grid.  The larger of the two
-    maxima is the maximum of the elementwise larger gap, bit for bit.
+    the upper-corner ones in ``grid``, which is overwritten; ``scratch``
+    must not share memory with ``corners``.  The larger of the two maxima
+    is the maximum of the elementwise larger gap, bit for bit.
     """
+    d = grid.ndim
+    l_lo = corners[(slice(None, -1),) * d]
+    l_hi = corners[(slice(1, None),) * d]
     lower = np.abs(np.subtract(grid, l_lo, out=scratch), out=scratch).max()
     upper = np.abs(np.subtract(grid, l_hi, out=grid), out=grid).max()
     return float(np.maximum(lower, upper))
@@ -111,9 +118,8 @@ def sup_stdf_deviation(
     """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
 
     ``sample`` is a RankState, a TailOrder or raw values, which are ranked
-    in full.  The exact lattice path reads only the column tails, so a
-    TailOrder serves it without ranking; the declared-grid path needs
-    every row's rank.
+    in full.  Both paths read only the floor(k T) largest values of each
+    column, so a TailOrder serves them without ranking.
     """
     if isinstance(sample, (RankState, TailOrder)):
         state = sample
@@ -131,21 +137,21 @@ def sup_stdf_deviation(
     if d >= 3 and grid_resolution is None:
         raise ConfigurationError(f"d = {d} >= 3 requires an explicit grid resolution")
 
+    m_top = int(lattice_index(k, T))
     if grid_resolution is None:
-        m_top = int(lattice_index(k, T))
         counts = empirical_stdf_lattice(state, k, [m_top] * d)
-        l_lo, l_hi = _corner_model_grids(model, k, T, m_top, d)
-        value = _cell_corner_sup(counts, l_lo, l_hi, scratch=l_lo)
+        corners = _corner_model_grids(model, k, T, m_top, d)
+        value = _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
         return SupEstimate(value=value, discretization_bound=0.0)
 
     # declared-grid scan; the estimator is still evaluated exactly at the
-    # snapped lattice points under each grid node
-    axis = np.linspace(0.0, T, grid_resolution)
-    levels = lattice_index(k, axis).astype(float)
-    ranks = state if isinstance(state, RankState) else build_ranks(state.values)
-    depth = (n - ranks.ranks + 1).astype(float)
+    # snapped lattice points under each grid node, none above floor(k T),
+    # so only the column tails can count
+    axis = declared_axis(T, grid_resolution)
+    levels = lattice_index(k, axis)
+    depths = tail_depths(state, [m_top] * d).astype(float)
     value = max_count_gap(
-        depth, [levels] * d, k,
+        depths, [levels.astype(float)] * d, k,
         lambda axes: eval_stdf_axes(model, axes), ref_axes=[axis] * d,
     )
     h = T / (grid_resolution - 1)
@@ -252,9 +258,9 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     l_at_thr = eval_stdf_axes(model, scaled_axes)
     bias = float(np.abs(tail_grid - l_at_thr).max())
 
-    l_lo, l_hi = _corner_model_grids(model, k, T, m_top, d)
-    rounding = _cell_corner_sup(l_at_thr, l_lo, l_hi, scratch=tail_grid)
-    total = _cell_corner_sup(counts, l_lo, l_hi, scratch=tail_grid)
+    corners = _corner_model_grids(model, k, T, m_top, d)
+    rounding = _cell_corner_sup(l_at_thr, corners, scratch=tail_grid)
+    total = _cell_corner_sup(counts, corners, scratch=tail_grid)
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding
     )
@@ -301,6 +307,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.d >= 3 and self.grid_resolution is None:
             raise ConfigurationError("d >= 3 requires an explicit grid resolution")
+        if self.grid_resolution is not None:
+            declared_axis(self.T, self.grid_resolution)  # rejects fewer than 2 nodes
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
@@ -365,8 +373,7 @@ def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
     rng = substream(seed, "rate", k, trial)
     x = draw_copula_sample(model, n, rng)
     try:
-        # the exact lattice reads only the column tails, so no full ranks
-        state = tail_order(x) if grid_resolution is None else build_ranks(x)
+        state = tail_order(x)
     except TiesError as exc:  # abort this trial but report it
         return TrialRecord(k, trial, float("nan"), None, ok=False, note=str(exc))
     dev = sup_stdf_deviation(state, k, model, T, grid_resolution)

@@ -114,9 +114,6 @@ class GeneratorSpec:
             )
         object.__setattr__(self, "margins", margins)
 
-    def margin_tags(self) -> tuple[str, ...]:
-        return tuple(m.tag for m in self.margins)
-
 
 @dataclass(frozen=True)
 class Sample:

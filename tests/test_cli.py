@@ -98,8 +98,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("model,d,k,T,stride", [
         ("logistic(2)", 2, 15, 2.0, None),
+        ("logistic(2)", 2, 15, 2.0, 2),
         ("independence", 3, 10, 2.0, 3),
-    ], ids=["d2-full-lattice", "d3-strided"])
+    ], ids=["d2-full-lattice", "d2-strided", "d3-strided"])
     def test_surface_matches_cell_by_cell_reference(self, tmp_path, model, d, k, T,
                                                     stride):
         sim, est = tmp_path / "sim", tmp_path / "est"
@@ -204,6 +205,25 @@ class TestConverge:
                     "--seed", 3, "--out", out]) == 0
         manifest = read_manifest(out / "converge_manifest.json")
         assert manifest["config"]["workers"] == expected
+
+    @pytest.mark.parametrize("res", [0, 1, -3])
+    def test_grid_resolution_below_two_is_usage_error(self, tmp_path, capsys, res):
+        code = run(["converge", "--model", "independence", "--n", 3000, "--d", 2,
+                    "--k-schedule", "10,20", "--T", 2.0, "--trials", 2,
+                    "--seed", 1, "--workers", 1, "--grid-resolution", res,
+                    "--out", tmp_path])
+        assert code == 2
+        assert f"grid resolution must be >= 2, got {res}" in capsys.readouterr().err
+        assert not (tmp_path / "trials.csv").exists()
+
+    def test_frozen_c_precondition_fails_before_trials(self, tmp_path, capsys):
+        # T = 2 < 7/2((log 2)/k + 1): the coverage bound is undefined at every k
+        code = run(["converge", "--model", "comonotone", "--n", 5000, "--d", 2,
+                    "--k-schedule", "50,100", "--T", 2.0, "--trials", 3,
+                    "--seed", 1, "--frozen-c", 1.0, "--out", tmp_path])
+        assert code == 4
+        assert "T >= 7/2((log d)/k + 1) violated: T=2.0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_budget_violation_surfaces_verbatim(self, tmp_path, capsys):
         code = run(["converge", "--model", "independence", "--n", 1000, "--d", 2,

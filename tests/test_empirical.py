@@ -28,9 +28,11 @@ from tailvc.empirical import (
     exceedance_count,
     order_stat_thresholds,
     stdf_lattice_counts,
+    tail_depths,
     tail_event_count,
     tail_order,
 )
+from tailvc.gridscan import dominance_weight_grid
 from tailvc.rng import substream
 from tailvc.samplers import GeneratorSpec
 
@@ -284,6 +286,30 @@ class TestTailKernel:
             counts = stdf_lattice_counts(source, mmax)
             assert counts.dtype == np.int64
             assert np.array_equal(counts, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_kernel_cases(), st.data())
+    def test_tail_rows_count_on_any_level_grid(self, case, data):
+        # the declared-grid and strided consumers: the count at a node is
+        # U - #{tail rows dominating it}, on sorted levels from 0 to mmax
+        x, mmax = case
+        levels = [
+            np.array(sorted({0, m} | set(data.draw(
+                st.lists(st.integers(0, m), max_size=4), label=f"levels{j}"))))
+            for j, m in enumerate(mmax)
+        ]
+        nodes = np.stack(np.meshgrid(*levels, indexing="ij"), axis=-1)
+        oracle = exceedance_count(build_ranks(x), nodes.reshape(-1, len(mmax)))
+        for source in (build_ranks(x), tail_order(x)):
+            depths = tail_depths(source, mmax)
+            assert depths.dtype == np.int64
+            assert np.all((depths >= 1) & (depths <= np.add(mmax, 1)))
+            dominating = dominance_weight_grid(
+                depths.astype(float), np.ones(depths.shape[0]),
+                [a.astype(float) for a in levels], strict=True,
+            )
+            counts = depths.shape[0] - dominating
+            assert np.array_equal(counts.ravel(), oracle)
 
     @settings(max_examples=100, deadline=None)
     @given(tail_kernel_cases())

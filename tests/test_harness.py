@@ -30,8 +30,9 @@ from tailvc import (
     sup_stdf_deviation,
     sup_tail_process_deviation,
 )
-from tailvc.empirical import lattice_index, tail_order
+from tailvc.empirical import empirical_stdf_lattice, lattice_index, tail_order
 from tailvc.harness import _one_trial, _order_stat_event
+from tailvc.models import eval_stdf_axes
 from tailvc.rng import substream
 
 
@@ -135,6 +136,53 @@ class TestSupStdfDeviation:
         brute = np.abs(empirical_stdf(ranks, k, pts) - eval_stdf(m, pts)).max()
         assert whole.value == pytest.approx(brute, abs=1e-12)
 
+    @pytest.mark.parametrize("res", [0, 1, -3])
+    def test_declared_resolution_below_two_is_rejected(self, res):
+        m = independence(2)
+        s = draw_copula_sample(m, 500, substream(9, "res"))
+        with pytest.raises(ConfigurationError,
+                           match=f"grid resolution must be >= 2, got {res}"):
+            sup_stdf_deviation(s, 10, m, 1.5, grid_resolution=res)
+        with pytest.raises(ConfigurationError,
+                           match=f"grid resolution must be >= 2, got {res}"):
+            ExperimentConfig(model=m, n=500, d=2, k_schedule=(10,), T=1.5,
+                             delta=0.05, trials=2, seed=1, grid_resolution=res)
+
+    @pytest.mark.parametrize("k,T", [(50, 2.0), (7, 0.09), (3, 0.3333333333)])
+    def test_exact_scan_evaluates_one_model_grid(self, monkeypatch, k, T):
+        import tailvc.harness as hmod
+
+        calls = []
+
+        def spy(model, axes):
+            calls.append([np.asarray(a) for a in axes])
+            return eval_stdf_axes(model, axes)
+
+        monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        m = logistic(2.0, 2)
+        x = tail_order(draw_copula_sample(m, 2000, substream(15, "spy", k)))
+        sup_stdf_deviation(x, k, m, T)
+        assert len(calls) == 1
+        m_top = int(lattice_index(k, T))
+        for axis in calls[0]:
+            assert axis.size == m_top + 2
+            assert axis.max() <= T and axis[-1] == T
+
+    def test_one_grid_matches_two_grid_scan(self):
+        # the former scan: l on the lower corners arange(M + 1) / k and, as a
+        # second grid, on the upper corners min(arange(1, M + 2) / k, T)
+        m, T = logistic(2.0, 2), 2.0
+        x = tail_order(draw_copula_sample(m, 20_000, substream(16, "two-grid")))
+        for k in (50, 100, 200, 400, 800):
+            m_top = int(lattice_index(k, T))
+            counts = empirical_stdf_lattice(x, k, [m_top] * 2)
+            l_lo = eval_stdf_axes(m, [np.arange(m_top + 1) / k] * 2)
+            l_hi = eval_stdf_axes(m, [np.minimum(np.arange(1, m_top + 2) / k, T)] * 2)
+            lower = np.abs(counts - l_lo).max()
+            upper = np.abs(counts - l_hi).max()
+            old = float(np.maximum(lower, upper))
+            assert sup_stdf_deviation(x, k, m, T).value == old
+
     def test_budget_guard(self):
         s = draw_copula_sample(independence(2), 100, substream(7, "kt"))
         with pytest.raises(PreconditionError):
@@ -211,6 +259,21 @@ class TestOrderStatEvent:
             with pytest.raises(PreconditionError) as read:
                 _order_stat_event(tail_order(x).order_stats, k, T)
             assert str(read.value) == str(direct.value)
+
+    def test_declared_grid_trial_ranks_no_rows(self, monkeypatch):
+        import tailvc.harness as hmod
+
+        model, n, k, T = logistic(2.0, 2), 2000, 20, 2.0
+        x = draw_copula_sample(model, n, substream(18, "rate", k, 0))
+        expected = sup_stdf_deviation(build_ranks(x), k, model, T, grid_resolution=9)
+
+        def no_ranks(sample):
+            raise AssertionError("a declared-grid trial ranked every row")
+
+        monkeypatch.setattr(hmod, "build_ranks", no_ranks)
+        record = _one_trial(model, n, 2, k, T, 18, 0, 9)
+        assert record.ok
+        assert record.sup_deviation == expected.value
 
     @pytest.mark.parametrize("grid_resolution", [None, 9])
     def test_trial_event_matches_direct(self, grid_resolution):
