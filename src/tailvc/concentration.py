@@ -265,7 +265,7 @@ def relative_rademacher(
     for t in range(trials):
         rng = substream(seed, "rademacher", t)
         z = draw_tail_uniforms(model, cls.n, rng)
-        signs = rng.integers(0, 2, size=cls.n) * 2.0 - 1.0
+        signs = rng.integers(0, 2, size=cls.n) * 2 - 1
         values[t] = sup_signed_count(
             z, signs, np.full(cls.d, edge), axes=axes
         ) / (cls.n * p)

@@ -16,11 +16,19 @@ only on the measure-zero set of thresholds sitting exactly on data
 points; the supremum over cell closures is identical for the two
 conventions, so a single scan serves both.
 
-Every scan streams the dominance grid in strips of axis-0 rows, from
-the top down, and reduces each strip before the next is built.  With m
-breakpoints per axis and S rows per strip, memory is O(n + S m^(d-1))
-in place of the m^d dense grid, and the strips hold the dense grid's
-values bit for bit.
+The count-versus-mass scans (``sup_count_vs_mass``, ``max_count_gap``
+and through it ``sup_count_vs_mass_grid``), ``dominance_weight_grid``
+and the d >= 3 signed scan stream the dominance grid in strips of
+axis-0 rows, from the top down, and reduce each strip before the next
+is built.  With m breakpoints per axis and S rows per strip, memory is
+O(n + S m^(d-1)) in place of the m^d dense grid, and the strips hold
+the dense grid's values bit for bit.
+
+The d <= 2 signed scan (``sup_signed_count``) needs only the largest
+and smallest node of the grid, so it never builds a strip: it splits
+axis 1 into blocks of about sqrt(m) columns and reads each block's
+extremes off the few distinct profiles its points allow, in integer
+arithmetic, in O(n + m^1.5) time and memory.
 """
 
 from __future__ import annotations
@@ -261,6 +269,76 @@ def sup_count_vs_mass_grid(
     return SupEstimate(value=value, discretization_bound=float(slack))
 
 
+def _integer_signs(signs, n: int) -> np.ndarray:
+    """The sign vector as int64; it must have shape (n,) and integer values."""
+    signs = np.asarray(signs)
+    if signs.shape != (n,):
+        raise PreconditionError(
+            f"signs must have shape ({n},), got {signs.shape}"
+        )
+    if signs.dtype.kind in "biu":
+        return signs.astype(np.int64, copy=False)
+    # floats are accepted when they are integers that int64 holds exactly
+    if signs.dtype.kind == "f" and np.all(
+        (np.abs(signs) <= 2.0**53) & (np.trunc(signs) == signs)
+    ):
+        return signs.astype(np.int64)
+    raise PreconditionError("signs must be integer-valued")
+
+
+def _signed_dominance_range(
+    points: np.ndarray, signs: np.ndarray, axes: list[np.ndarray]
+) -> tuple[int, int]:
+    """(min, max) over the nodes of a d <= 2 grid of the signed dominance sum.
+
+    Node [i0, i1] sums the signs of the rows with z_j >= axes[j][i_j] on
+    every axis (d = 1 has one node on a second axis).  Rows in the top
+    bucket of every axis count at every node and fold into a constant.
+    Axis 1 is cut into blocks of B = ceil(sqrt(m1)) columns, swept from
+    the right.  At a node in block c the sum is the rows right of the
+    block, a suffix sum over axis 0 of their per-bucket histogram, plus
+    the rows inside it, whose profile along the block changes only at
+    the K_c distinct axis-0 buckets of those rows.  The extremes of the
+    K_c + 1 profiles give every axis-0 row's extremes in the block, in
+    O(n + m0 nb + sum_c K_c B) integer work and O(n + m0 + m1) memory.
+    """
+    d = points.shape[1]
+    top = np.array([a[-1] for a in axes])
+    folded = np.all(points >= top, axis=1)
+    const = int(signs[folded].sum())
+    rest, signs = points[~folded], signs[~folded]
+    buckets = [np.searchsorted(a, rest[:, j], side="right") - 1
+               for j, a in enumerate(axes)]
+    if d == 1:
+        buckets.append(np.zeros_like(buckets[0]))
+    alive = (buckets[0] >= 0) & (buckets[1] >= 0)
+    order = np.argsort(buckets[1][alive], kind="stable")
+    b0, b1, signs = (x[alive][order] for x in (*buckets, signs))
+    m0, m1 = len(axes[0]), len(axes[1]) if d == 2 else 1
+
+    width = math.isqrt(m1 - 1) + 1
+    nblocks = -(-m1 // width)
+    edges = np.searchsorted(b1, np.arange(nblocks + 1) * width)
+    rows = np.arange(m0)
+    beyond = np.zeros(m0, dtype=np.int64)  # rows right of block c, by b0
+    lows = np.empty(nblocks, dtype=np.int64)
+    highs = np.empty(nblocks, dtype=np.int64)
+    for c in reversed(range(nblocks)):
+        sl = slice(edges[c], edges[c + 1])
+        levels, state = np.unique(b0[sl], return_inverse=True)
+        # profile q: the block's rows with b0 >= levels[q]; the last is empty
+        profiles = np.zeros((len(levels) + 1, min(width, m1 - c * width)),
+                            dtype=np.int64)
+        np.add.at(profiles, (state, b1[sl] - c * width), signs[sl])
+        suffix_sums(profiles)
+        at_row = np.searchsorted(levels, rows)
+        right = np.cumsum(beyond[::-1])[::-1]
+        lows[c] = (right + profiles.min(axis=1)[at_row]).min()
+        highs[c] = (right + profiles.max(axis=1)[at_row]).max()
+        np.add.at(beyond, b0[sl], signs[sl])
+    return const + int(lows.min()), const + int(highs.max())
+
+
 def sup_signed_count(
     points: np.ndarray,
     signs: np.ndarray,
@@ -271,19 +349,27 @@ def sup_signed_count(
 
     Exact when ``axes`` is omitted (the scan runs on the data's own
     breakpoints); passing explicit axes evaluates on that grid instead,
-    which is the declared fallback for higher dimensions.
+    which is the declared fallback for higher dimensions.  ``signs``
+    must be integer-valued, as the sums are exact in int64; ``points``
+    must be finite.  d <= 2 runs the column-block kernel, d >= 3 the
+    strip walker.
     """
     points = np.asarray(points, dtype=float)
-    signs = np.asarray(signs, dtype=float)
+    if points.ndim != 2:
+        raise PreconditionError(f"points must be an n x d matrix, got {points.shape}")
+    signs = _integer_signs(signs, points.shape[0])
+    if not np.all(np.isfinite(points)):
+        raise PreconditionError("points must be finite")
     tmax = _check_box(tmax, points.shape[1])
     if axes is None:
         axes = candidate_axes(points, tmax)
-    total = signs.sum()
-    best = np.float64(0.0)
-    # class comparison is strict (<); membership = 1 - {z >= t everywhere}.
-    # Rounding is monotone and sign-symmetric, so the largest
-    # |fl(total - x)| over a strip is fl(total - min) or fl(max - total).
-    for _, _, dominated in _dominance_strips(points, signs, axes, strict=False):
-        strip_best = np.maximum(total - dominated.min(), dominated.max() - total)
-        best = np.maximum(best, strip_best)
-    return float(best)
+    # class comparison is strict (<); membership = 1 - {z >= t everywhere},
+    # so the largest |total - dominated| is total - min or max - total
+    total = int(signs.sum())
+    if points.shape[1] <= 2:
+        low, high = _signed_dominance_range(points, signs, axes)
+    else:
+        low, high = math.inf, -math.inf
+        for _, _, dominated in _dominance_strips(points, signs, axes, strict=False):
+            low, high = min(low, dominated.min()), max(high, dominated.max())
+    return float(max(total - low, high - total))

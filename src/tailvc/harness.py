@@ -17,6 +17,7 @@ the worker count or completion order.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -77,16 +78,36 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     return d * gap
 
 
-def _corner_model_grids(model: StdfModel, k: int, T: float, m_top: int, d: int):
+# The last corner grid with its key (model, k, T, d): every trial of one
+# k reads the same grid, and a new key drops it before the next grid is
+# evaluated, so a process holds at most one.
+_corner_grid: tuple | None = None
+
+
+def _corner_model_grids(model: StdfModel, k: int, T: float, d: int) -> np.ndarray:
     """l at every corner of the lattice cells, on one (m_top + 2)^d grid.
 
-    Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top, so its lower
-    corner is node m and its upper corner node m + 1 of the axis
-    0, 1/k, ..., m_top/k, T.  The axis is clipped to T: when
-    ``lattice_index`` snaps floor(k T) up, m_top/k lies just above T.
+    Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top with
+    m_top = ``lattice_index(k, T)``, so its lower corner is node m and its
+    upper corner node m + 1 of the axis 0, 1/k, ..., m_top/k, T.  The axis
+    is clipped to T: when ``lattice_index`` snaps floor(k T) up, m_top/k
+    lies just above T.  The grid depends on no sample, so it is kept for
+    the next call with the same key and is returned read-only.
     """
-    axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
-    return eval_stdf_axes(model, [axis] * d)
+    global _corner_grid
+    key = (model, k, T, d)
+    if _corner_grid is None or _corner_grid[0] != key:
+        _corner_grid = None
+        m_top = int(lattice_index(k, T))
+        axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+        values = eval_stdf_axes(model, [axis] * d)
+        # an anonymous mapping keeps the long-lived grid off the malloc
+        # heap, where it would pin the space each trial's grids free
+        grid = np.frombuffer(mmap.mmap(-1, values.nbytes)).reshape(values.shape)
+        grid[...] = values
+        grid.flags.writeable = False
+        _corner_grid = (key, grid)
+    return _corner_grid[1]
 
 
 def _cell_corner_sup(grid: np.ndarray, corners: np.ndarray,
@@ -140,7 +161,7 @@ def sup_stdf_deviation(
     m_top = int(lattice_index(k, T))
     if grid_resolution is None:
         counts = empirical_stdf_lattice(state, k, [m_top] * d)
-        corners = _corner_model_grids(model, k, T, m_top, d)
+        corners = _corner_model_grids(model, k, T, d)
         value = _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
         return SupEstimate(value=value, discretization_bound=0.0)
 
@@ -258,7 +279,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     l_at_thr = eval_stdf_axes(model, scaled_axes)
     bias = float(np.abs(tail_grid - l_at_thr).max())
 
-    corners = _corner_model_grids(model, k, T, m_top, d)
+    corners = _corner_model_grids(model, k, T, d)
     rounding = _cell_corner_sup(l_at_thr, corners, scratch=tail_grid)
     total = _cell_corner_sup(counts, corners, scratch=tail_grid)
     return DecompositionTerms(

@@ -186,6 +186,17 @@ class TestConverge:
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
+    def test_worker_counts_write_identical_bytes(self, tmp_path):
+        # each worker process keeps its own corner model grid per k
+        outs = [tmp_path / "w1", tmp_path / "w2"]
+        for workers, out in zip((1, 2), outs):
+            assert run(["converge", "--model", "logistic(2)", "--n", 3000,
+                        "--d", 2, "--k-schedule", "20,40,80", "--T", 2.0,
+                        "--trials", 5, "--seed", 8, "--workers", workers,
+                        "--out", out]) == 0
+        for name in ("trials.csv", "summary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     @pytest.mark.parametrize("affinity,cpu_count,expected",
                              [({0}, 64, 1), (None, 2, 2)],
                              ids=["affinity", "no-affinity-api"])

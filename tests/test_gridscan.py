@@ -5,8 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailvc import gridscan
+from tailvc.cli import main
+from tailvc.concentration import RectClassSpec, union_mass
 from tailvc.errors import PreconditionError
 from tailvc.gridscan import (
     _dominance_strips,
@@ -18,6 +22,8 @@ from tailvc.gridscan import (
     sup_signed_count,
 )
 from tailvc.models import parse_model, tail_union_prob, tail_union_prob_axes
+from tailvc.reportio import read_csv
+from tailvc.rng import substream
 from tailvc.samplers import draw_tail_uniforms
 
 
@@ -50,8 +56,9 @@ def dense_sup_count_vs_mass(points, tmax, mass_fn):
     return best
 
 
-def dense_sup_signed_count(points, signs, tmax):
-    axes = candidate_axes(points, np.full(points.shape[1], tmax))
+def dense_sup_signed_count(points, signs, tmax, axes=None):
+    if axes is None:
+        axes = candidate_axes(points, np.full(points.shape[1], tmax))
     dominated = dense_dominance_grid(points, signs, axes, strict=False)
     return float(np.abs(signs.sum() - dominated).max())
 
@@ -183,6 +190,115 @@ class TestSupSignedCount:
         z = rng.random((20, 2))
         signs = rng.integers(0, 2, 20) * 2.0 - 1.0
         assert sup_signed_count(z, signs, np.zeros(2)) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        levels=st.integers(1, 12),
+        cells=st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14),
+                                 st.sampled_from([-1, 1, 2, -3, 0])),
+                       max_size=80),
+        tmax=st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                       st.sampled_from([0.0, 0.5, 1.0])),
+        declared=st.one_of(st.none(), st.integers(2, 30)),
+    )
+    def test_column_blocks_match_dense_scan(self, d, levels, cells, tmax, declared):
+        # coordinates on a coarse lattice: ties, points <= 0 and >= tmax
+        box = np.array(tmax[:d])
+        ij = np.array([c[:2] for c in cells], dtype=float).reshape(-1, 2)[:, :d]
+        z = ij / levels * np.where(box > 0, box, 1.0)
+        signs = np.array([c[2] for c in cells], dtype=np.int64)
+        axes = None
+        if declared is not None and d == 2:
+            axes = [np.linspace(0.0, t, declared) for t in box]
+        got = sup_signed_count(z, signs, box, axes=axes)
+        ref_axes = candidate_axes(z, box) if axes is None else axes
+        assert got == dense_sup_signed_count(z, signs.astype(float), box, ref_axes)
+
+    @pytest.mark.parametrize("m1", [1, 2, 15, 16, 17, 21, 24, 25, 26, 101])
+    def test_block_edges(self, m1):
+        # blocks are B = ceil(sqrt(m1)) columns wide; the last block holds
+        # B - 1 columns at m1 = 15 and 24, B at 16 and 25, 1 at 21
+        rng = np.random.default_rng(m1)
+        inner = np.arange(1, m1 - 1) / (m1 - 1)
+        pool = np.concatenate([inner, [0.0, 1.0, 1.5, -0.1]])
+        col1 = np.concatenate([inner, rng.choice(pool, 400)])
+        n = len(col1)
+        z = np.column_stack([np.round(rng.random(n) * 30) / 25, col1])
+        signs = rng.integers(0, 2, n) * 2 - 1
+        box = np.array([1.0, 1.0 if m1 > 1 else 0.0])
+        axes = candidate_axes(z, box)
+        assert len(axes[1]) == m1
+        assert sup_signed_count(z, signs, box) == dense_sup_signed_count(
+            z, signs.astype(float), box, axes)
+
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_declared_axes_three_dims_use_the_strip_walker(self, monkeypatch, rows):
+        rng = np.random.default_rng(31)
+        z = np.concatenate([tied_sample(rng, 60, 3), rng.random((60, 3)) - 0.05])
+        signs = rng.integers(0, 2, 120) * 2 - 1
+        axes = [np.linspace(0.0, 0.7, 9)] * 3
+        if rows is not None:
+            set_strip_rows(monkeypatch, rows, axes)
+        walked = []
+        real = gridscan._dominance_strips
+        monkeypatch.setattr(gridscan, "_dominance_strips",
+                            lambda *a, **kw: walked.append(1) or real(*a, **kw))
+        got = sup_signed_count(z, signs, np.full(3, 0.7), axes=axes)
+        assert walked
+        assert got == dense_sup_signed_count(z, signs.astype(float), 0.7, axes)
+
+    def test_integer_valued_float_signs_match_int_signs(self):
+        rng = np.random.default_rng(12)
+        z = rng.random((200, 2))
+        signs = rng.integers(0, 2, 200) * 2 - 1
+        box = np.full(2, 0.6)
+        assert sup_signed_count(z, signs.astype(float), box) == sup_signed_count(
+            z, signs, box)
+
+    @pytest.mark.parametrize("case", ["short", "long", "matrix", "half", "nan-sign",
+                                      "nan-point", "inf-point", "vector-points"])
+    def test_bad_input_is_precondition_error(self, case):
+        z = np.random.default_rng(4).random((10, 2))
+        signs = np.ones(10)
+        if case == "short":
+            signs = np.ones(9)
+        elif case == "long":
+            signs = np.ones(11)
+        elif case == "matrix":
+            signs = np.ones((10, 1))
+        elif case == "half":
+            signs[3] = 0.5
+        elif case == "nan-sign":
+            signs[3] = np.nan
+        elif case == "nan-point":
+            z[2, 1] = np.nan
+        elif case == "inf-point":
+            z[2, 0] = np.inf
+        elif case == "vector-points":
+            z = z[:, 0]
+        with pytest.raises(PreconditionError):
+            sup_signed_count(z, signs, np.full(2, 0.5))
+
+    def test_cli_trials_match_dense_reference(self, tmp_path):
+        n, d, k, T, seed = 600, 2, 20, 2.0, 13
+        out = tmp_path / "r"
+        assert main([str(a) for a in [
+            "rademacher", "--model", "uniform", "--n", n, "--d", d, "--k", k,
+            "--T", T, "--statistic", "rademacher", "--trials", 3,
+            "--seed", seed, "--out", out]]) == 0
+        _, rows = read_csv(out / "rademacher.csv")
+        got = [float(r[7]) for r in rows if r[6] == "relative_rademacher_sup"]
+        model = parse_model("uniform", d)
+        cls = RectClassSpec(d=d, k=k, n=n, T=T)
+        p = union_mass(cls, model)
+        want = []
+        for t in range(3):
+            rng = substream(seed, "rademacher", t)
+            z = draw_tail_uniforms(model, n, rng)
+            signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            want.append(dense_sup_signed_count(z, signs, cls.box_edge) / (n * p))
+        assert got == want
 
 
 class TestCandidateAxes:

@@ -31,7 +31,7 @@ from tailvc import (
     sup_tail_process_deviation,
 )
 from tailvc.empirical import empirical_stdf_lattice, lattice_index, tail_order
-from tailvc.harness import _one_trial, _order_stat_event
+from tailvc.harness import _corner_model_grids, _one_trial, _order_stat_event
 from tailvc.models import eval_stdf_axes
 from tailvc.rng import substream
 
@@ -159,6 +159,7 @@ class TestSupStdfDeviation:
             return eval_stdf_axes(model, axes)
 
         monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        monkeypatch.setattr(hmod, "_corner_grid", None)  # an earlier test's grid
         m = logistic(2.0, 2)
         x = tail_order(draw_copula_sample(m, 2000, substream(15, "spy", k)))
         sup_stdf_deviation(x, k, m, T)
@@ -167,6 +168,52 @@ class TestSupStdfDeviation:
         for axis in calls[0]:
             assert axis.size == m_top + 2
             assert axis.max() <= T and axis[-1] == T
+
+    def test_corner_grid_is_read_only(self, monkeypatch):
+        import tailvc.harness as hmod
+
+        monkeypatch.setattr(hmod, "_corner_grid", None)  # restored afterwards
+        grid = _corner_model_grids(logistic(2.0, 2), 50, 2.0, 2)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+
+    def test_one_corner_grid_per_k_across_trials(self, monkeypatch):
+        import tailvc.harness as hmod
+
+        corner_calls, held = [], []
+
+        def spy(model, axes):
+            corner_calls.append(axes[0].size)
+            held.append(hmod._corner_grid)
+            return eval_stdf_axes(model, axes)
+
+        monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        cfg = ExperimentConfig(model=logistic(2.0, 2), n=2000, d=2,
+                               k_schedule=(20, 40, 80), T=2.0, delta=0.05,
+                               trials=3, seed=4)
+        run_rate_experiment(cfg)
+        assert corner_calls == [42, 82, 162]
+        assert held == [None] * 3  # the old grid is dropped before the next
+
+    def test_decomposition_reads_the_same_corner_grid(self, monkeypatch):
+        import tailvc.harness as hmod
+
+        calls = []
+
+        def spy(model, axes):
+            calls.append(axes[0].size)
+            return eval_stdf_axes(model, axes)
+
+        monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        m, k, T = logistic(2.0, 2), 30, 2.0
+        x = draw_copula_sample(m, 3000, substream(17, "share"))
+        sup_stdf_deviation(tail_order(x), k, m, T)
+        deviation_decomposition(x, k, T, m)
+        # one corner grid, plus the decomposition's own l at the thresholds
+        assert calls == [62, 61]
 
     def test_one_grid_matches_two_grid_scan(self):
         # the former scan: l on the lower corners arange(M + 1) / k and, as a
