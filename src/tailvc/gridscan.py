@@ -17,8 +17,9 @@ points; the supremum over cell closures is identical for the two
 conventions, so a single scan serves both.
 
 The count-versus-mass scans (``sup_count_vs_mass``, ``max_count_gap``
-and through it ``sup_count_vs_mass_grid``), ``dominance_weight_grid``
-and the d >= 3 signed scan stream the dominance grid in strips of
+and through it ``sup_count_vs_mass_grid``), ``dominance_weight_grid``,
+the d >= 3 signed scan and the exact d <= 2 lattice scan of
+``harness.sup_stdf_deviation`` stream the dominance grid in strips of
 axis-0 rows, from the top down, and reduce each strip before the next
 is built.  With m breakpoints per axis and S rows per strip, memory is
 O(n + S m^(d-1)) in place of the m^d dense grid, and the strips hold
@@ -82,6 +83,16 @@ def candidate_axes(points: np.ndarray, tmax: np.ndarray) -> list[np.ndarray]:
     return axes
 
 
+def _check_points(points) -> np.ndarray:
+    """The data as a float n x d matrix; every coordinate must be finite."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise PreconditionError(f"points must be an n x d matrix, got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise PreconditionError("points must be finite")
+    return points
+
+
 def _check_box(tmax, d: int) -> np.ndarray:
     """The threshold box as a length-d array; it must be finite and >= 0."""
     tmax = np.broadcast_to(np.asarray(tmax, dtype=float), (d,))
@@ -113,10 +124,11 @@ def _dominance_strips(
 
     Strips come from the top of axis 0 down.  Each strip's histogram is
     filled with the strip's points in their original order, the carried
-    axis-0 suffix row is added to its last row, and the reversed cumsums
-    run down axis 0 and then along the other axes: the same additions in
-    the same order as ``suffix_sums`` on the dense histogram, so every
-    node is bit-identical to it.  ``block`` is reused, so it is valid only
+    axis-0 suffix row is added to its last row, each row then adds the
+    row above it, from the top of the strip down, and the reversed
+    cumsums run along the other axes: the same additions in the same
+    order as ``suffix_sums`` on the dense histogram, so every node is
+    bit-identical to it.  ``block`` is reused, so it is valid only
     until the next strip is requested; the caller may overwrite it.
     """
     side = "left" if strict else "right"
@@ -142,8 +154,14 @@ def _dominance_strips(
         np.add.at(block, tuple(idx), weights[start:stop])
         if carry is not None:
             block[-1] += carry
-        rev = np.flip(block, 0)
-        np.cumsum(rev, axis=0, out=rev)
+        if block.ndim == 1:
+            rev = block[::-1]
+            np.cumsum(rev, out=rev)
+        else:
+            # whole-row adds: a strided cumsum down axis 0 makes the same
+            # sums several times slower on wide rows
+            for i in range(block.shape[0] - 2, -1, -1):
+                block[i] += block[i + 1]
         carry = block[0].copy()
         for ax in range(1, block.ndim):
             rev = np.flip(block, ax)
@@ -204,9 +222,9 @@ def sup_count_vs_mass(
     return the continuous measure of A(t) on the product grid of the
     per-coordinate threshold arrays; it is called once per strip of
     axis-0 thresholds.  The count is the fraction of rows with some
-    coordinate below its threshold.
+    coordinate below its threshold.  ``points`` must be finite.
     """
-    points = np.asarray(points, dtype=float)
+    points = _check_points(points)
     n = points.shape[0]
     tmax = _check_box(tmax, points.shape[1])
     axes = candidate_axes(points, tmax)
@@ -231,9 +249,10 @@ def max_count_gap(
     ``ref_axes_fn`` gives the comparison on the product grid of
     ``ref_axes`` (default: ``axes``) and is called once per strip of
     axis-0 nodes; ``ref_axes`` lets the count be read at snapped nodes
-    while the comparison is evaluated at the declared ones.
+    while the comparison is evaluated at the declared ones.  ``points``
+    must be finite.
     """
-    points = np.asarray(points, dtype=float)
+    points = _check_points(points)
     n = points.shape[0]
     ref_axes = axes if ref_axes is None else ref_axes
     best = 0.0
@@ -354,12 +373,8 @@ def sup_signed_count(
     must be finite.  d <= 2 runs the column-block kernel, d >= 3 the
     strip walker.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise PreconditionError(f"points must be an n x d matrix, got {points.shape}")
+    points = _check_points(points)
     signs = _integer_signs(signs, points.shape[0])
-    if not np.all(np.isfinite(points)):
-        raise PreconditionError("points must be finite")
     tmax = _check_box(tmax, points.shape[1])
     if axes is None:
         axes = candidate_axes(points, tmax)

@@ -34,6 +34,7 @@ from .empirical import (
 )
 from .errors import ConfigurationError, PreconditionError, TiesError
 from .concentration import RectClassSpec, sup_empirical_deviation
+from . import gridscan
 from .gridscan import SupEstimate, declared_axis, max_count_gap
 from .models import (
     StdfModel,
@@ -100,11 +101,16 @@ def _corner_model_grids(model: StdfModel, k: int, T: float, d: int) -> np.ndarra
         _corner_grid = None
         m_top = int(lattice_index(k, T))
         axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
-        values = eval_stdf_axes(model, [axis] * d)
+        shape = (axis.size,) * d
         # an anonymous mapping keeps the long-lived grid off the malloc
         # heap, where it would pin the space each trial's grids free
-        grid = np.frombuffer(mmap.mmap(-1, values.nbytes)).reshape(values.shape)
-        grid[...] = values
+        grid = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+        # l is evaluated elementwise, so strips of axis-0 rows fill the
+        # grid bit for bit without a full-size temporary
+        rows = max(1, gridscan._STRIP_BYTES // (8 * axis.size ** (d - 1)))
+        for lo in range(0, axis.size, rows):
+            grid[lo:lo + rows] = eval_stdf_axes(
+                model, [axis[lo:lo + rows]] + [axis] * (d - 1))
         grid.flags.writeable = False
         _corner_grid = (key, grid)
     return _corner_grid[1]
@@ -114,8 +120,9 @@ def _cell_corner_sup(grid: np.ndarray, corners: np.ndarray,
                      scratch: np.ndarray) -> float:
     """max over lattice cells of |grid - l| at the cells' two extreme corners.
 
-    ``corners`` is ``_corner_model_grids``' grid: the lower corners are
-    its view [:-1, ..., :-1] and the upper corners its view [1:, ..., 1:].
+    ``corners`` is ``_corner_model_grids``' grid, or for a strip of grid
+    rows lo..hi-1 its rows lo..hi: the lower corners are its view
+    [:-1, ..., :-1] and the upper corners its view [1:, ..., 1:].
     The gaps are formed in place, the lower-corner ones in ``scratch`` and
     the upper-corner ones in ``grid``, which is overwritten; ``scratch``
     must not share memory with ``corners``.  The larger of the two maxima
@@ -140,7 +147,11 @@ def sup_stdf_deviation(
 
     ``sample`` is a RankState, a TailOrder or raw values, which are ranked
     in full.  Both paths read only the floor(k T) largest values of each
-    column, so a TailOrder serves them without ranking.
+    column, so a TailOrder serves them without ranking.  The exact path
+    streams the lattice counts in strips of axis-0 rows through the
+    ``gridscan`` walker and compares each strip with the matching rows
+    of the cached corner grid, so it never holds a (floor(k T) + 1)^d
+    grid of its own.
     """
     if isinstance(sample, (RankState, TailOrder)):
         state = sample
@@ -157,20 +168,31 @@ def sup_stdf_deviation(
         raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
     if d >= 3 and grid_resolution is None:
         raise ConfigurationError(f"d = {d} >= 3 requires an explicit grid resolution")
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
 
+    # only the column tails can count: l_n(m/k) = (U - #{tail rows with
+    # depth > m}) / k on the lattice, none above floor(k T)
     m_top = int(lattice_index(k, T))
+    depths = tail_depths(state, [m_top] * d).astype(float)
     if grid_resolution is None:
-        counts = empirical_stdf_lattice(state, k, [m_top] * d)
         corners = _corner_model_grids(model, k, T, d)
-        value = _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+        levels = np.arange(m_top + 1, dtype=float)
+        value, scratch = 0.0, None
+        for lo, hi, block in gridscan._dominance_strips(
+                depths, np.ones(depths.shape[0]), [levels] * d, strict=True):
+            counts = np.divide(np.subtract(depths.shape[0], block, out=block), k,
+                               out=block)
+            if scratch is None:  # the first strip is the largest
+                scratch = np.empty_like(counts)
+            value = max(value, _cell_corner_sup(
+                counts, corners[lo:hi + 1], scratch=scratch[: hi - lo]))
         return SupEstimate(value=value, discretization_bound=0.0)
 
     # declared-grid scan; the estimator is still evaluated exactly at the
-    # snapped lattice points under each grid node, none above floor(k T),
-    # so only the column tails can count
+    # snapped lattice points under each grid node
     axis = declared_axis(T, grid_resolution)
     levels = lattice_index(k, axis)
-    depths = tail_depths(state, [m_top] * d).astype(float)
     value = max_count_gap(
         depths, [levels.astype(float)] * d, k,
         lambda axes: eval_stdf_axes(model, axes), ref_axes=[axis] * d,
@@ -281,7 +303,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
 
     corners = _corner_model_grids(model, k, T, d)
     rounding = _cell_corner_sup(l_at_thr, corners, scratch=tail_grid)
-    total = _cell_corner_sup(counts, corners, scratch=tail_grid)
+    total = sup_stdf_deviation(state, k, model, T).value
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding
     )

@@ -143,6 +143,16 @@ class TestSupEmpiricalDeviation:
         assert dev.value == pytest.approx(union_mass(cls, "independence"), abs=1e-15)
         assert dev.discretization_bound == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_rejected(self, bad):
+        cls = RectClassSpec(d=2, k=2, n=5, T=1.0)  # edge 0.4
+        z = np.array([[0.1, 0.2], [0.3, 0.05], [0.5, 0.5]])
+        assert sup_empirical_deviation(z, cls, "independence").value == (
+            0.5216666666666666)
+        z[2, 0] = bad
+        with pytest.raises(PreconditionError, match="points must be finite"):
+            sup_empirical_deviation(z, cls, "independence")
+
     def test_single_point_candidate_scan(self):
         z = np.array([[0.1]])
         cls = RectClassSpec(d=1, k=1, n=1, T=0.3)

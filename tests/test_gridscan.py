@@ -15,7 +15,9 @@ from tailvc.errors import PreconditionError
 from tailvc.gridscan import (
     _dominance_strips,
     candidate_axes,
+    declared_axis,
     dominance_weight_grid,
+    max_count_gap,
     suffix_sums,
     sup_count_vs_mass,
     sup_count_vs_mass_grid,
@@ -431,6 +433,33 @@ class TestBoxValidation:
             sup_count_vs_mass(z, box, mass_fn)
         with pytest.raises(PreconditionError, match="threshold box"):
             sup_count_vs_mass_grid(z, box, mass_fn, resolution=5)
+
+
+class TestPointValidation:
+    @staticmethod
+    def scans():
+        model = parse_model("independence", 2)
+        mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+        return {
+            "sup_count_vs_mass": lambda z: sup_count_vs_mass(z, 0.4, mass_fn),
+            "max_count_gap": lambda z: max_count_gap(
+                z, [declared_axis(0.4, 5)] * 2, 3, mass_fn),
+        }
+
+    def test_finite_points_reference_values(self):
+        z = np.array([[0.1, 0.2], [0.3, 0.05], [0.5, 0.5]])
+        scans = self.scans()
+        assert scans["sup_count_vs_mass"](z) == 0.5216666666666666
+        assert scans["max_count_gap"](z) == 0.4766666666666667
+
+    @pytest.mark.parametrize("scan", ["sup_count_vs_mass", "max_count_gap"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_rejected(self, scan, bad):
+        # a NaN or inf coordinate used to count as +inf and pass silently
+        z = np.array([[0.1, 0.2], [0.3, 0.05], [0.5, 0.5]])
+        z[2, 0] = bad
+        with pytest.raises(PreconditionError, match="points must be finite"):
+            self.scans()[scan](z)
 
 
 class TestScanMemory:

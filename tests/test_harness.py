@@ -1,6 +1,7 @@
 """Deviation experiments: exact suprema, bounds, events, decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,12 @@ from tailvc import (
     sup_tail_process_deviation,
 )
 from tailvc.empirical import empirical_stdf_lattice, lattice_index, tail_order
-from tailvc.harness import _corner_model_grids, _one_trial, _order_stat_event
+from tailvc.harness import (
+    _cell_corner_sup,
+    _corner_model_grids,
+    _one_trial,
+    _order_stat_event,
+)
 from tailvc.models import eval_stdf_axes
 from tailvc.rng import substream
 
@@ -244,6 +250,97 @@ class TestSupStdfDeviation:
         assert est.discretization_bound > 0
         exact_like = sup_stdf_deviation(s, 10, m, 1.5, grid_resolution=46)
         assert est.value <= exact_like.value + est.discretization_bound + 1e-12
+
+
+def dense_sup_stdf_deviation(state, k, model, T):
+    """The former exact scan: dense lattice counts against a dense corner grid."""
+    m_top = int(lattice_index(k, T))
+    counts = empirical_stdf_lattice(state, k, [m_top] * state.d)
+    axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+    corners = eval_stdf_axes(model, [axis] * state.d)
+    return _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+
+
+def set_strip_rows(monkeypatch, rows, m, d):
+    """Strips of ``rows`` axis-0 rows for a lattice of m nodes per axis."""
+    import tailvc.gridscan as gridscan
+
+    monkeypatch.setattr(gridscan, "_STRIP_BYTES", 8 * m ** (d - 1) * rows)
+
+
+class TestStripScan:
+    CASES = [(k, 2.0) for k in (50, 100, 200, 400, 800)] + [
+        (7, 0.09), (3, 0.3333333333)]
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bit_identical_to_dense_scan(self, monkeypatch, tag, d):
+        import tailvc.harness as hmod
+
+        m = parse_model(tag, d)
+        x = draw_copula_sample(m, 20_000, substream(18, "strips", tag, d))
+        states = (tail_order(x), build_ranks(x))
+        for k, T in self.CASES:
+            old = dense_sup_stdf_deviation(states[1], k, m, T)
+            assert dense_sup_stdf_deviation(states[0], k, m, T) == old
+            rows = int(lattice_index(k, T)) + 1
+            for strip in (1, 2, rows - 1, rows, rows + 1):
+                set_strip_rows(monkeypatch, strip, rows, d)
+                monkeypatch.setattr(hmod, "_corner_grid", None)  # refill in strips
+                for state in states:
+                    got = sup_stdf_deviation(state, k, m, T)
+                    assert got.value == old, (k, T, strip, type(state).__name__)
+                    assert got.discretization_bound == 0.0
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_corner_grid_filled_in_one_row_strips(self, monkeypatch, tag, d):
+        import tailvc.harness as hmod
+
+        m, k, T = parse_model(tag, d), 50, 2.0
+        axis = np.minimum(np.append(np.arange(101) / k, T), T)
+        whole = eval_stdf_axes(m, [axis] * d)
+        set_strip_rows(monkeypatch, 1, axis.size, d)
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        grid = _corner_model_grids(m, k, T, d)
+        assert grid.shape == whole.shape
+        assert grid.tobytes() == whole.tobytes()
+
+    def test_exact_scan_memory_is_linear_in_the_tail(self, monkeypatch):
+        # the dense scan held three 1601 x 1601 grids here, about 40 MiB
+        import tailvc.harness as hmod
+
+        m, k, T = logistic(2.0, 2), 800, 2.0
+        x = tail_order(draw_copula_sample(m, 20_000, substream(19, "mem")))
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        _corner_model_grids(m, k, T, 2)
+        tracemalloc.start()
+        try:
+            sup_stdf_deviation(x, k, m, T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_corner_grid_fill_holds_no_full_temporary(self, monkeypatch):
+        # a full 1602 x 1602 temporary alone is about 19.6 MiB
+        import tailvc.harness as hmod
+
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        tracemalloc.start()
+        try:
+            _corner_model_grids(logistic(2.0, 2), 800, 2.0, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("k,T", [(0, 2.0), (20_001, 0.5)])
+    def test_k_outside_one_to_n_is_rejected(self, k, T):
+        m = logistic(2.0, 2)
+        x = tail_order(draw_copula_sample(m, 20_000, substream(19, "k-guard")))
+        with pytest.raises(PreconditionError, match=r"k must lie in \[1, n\]"):
+            sup_stdf_deviation(x, k, m, T)
 
 
 class TestOrderStatEvent:
