@@ -44,7 +44,7 @@ from .errors import (
     EXIT_OK,
 )
 from .gridscan import dominance_weight_grid
-from .models import parse_model
+from .models import parse_model, sup_bias_method
 from .reportio import (
     read_sample_csv,
     write_csv,
@@ -370,7 +370,7 @@ def cmd_converge(args, config: dict) -> int:
         [[s.k, s.trials_ok, s.median, s.upper_quantile, s.bias_T, s.bias_2T]
          for s in report.summaries],
     )
-    results = {"slope": report.slope}
+    results = {"slope": report.slope, "bias_method": sup_bias_method(exp.model)}
     try:
         results["calibrated_C"] = harness.calibrate_constant(report)
     except (PreconditionError, ConfigurationError) as exc:

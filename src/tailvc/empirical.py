@@ -141,10 +141,12 @@ def tail_order(sample) -> TailOrder:
     values = _values_of(sample)
     sorted_cols = np.empty(values.shape[::-1], dtype=values.dtype)
     for j in range(values.shape[1]):
-        col_sorted = np.sort(values[:, j])
+        # sorted in place: a fresh n-row copy per column costs its page faults
+        col_sorted = sorted_cols[j]
+        col_sorted[:] = values[:, j]
+        col_sorted.sort()
         if np.any(col_sorted[1:] == col_sorted[:-1]):
             build_ranks(values)  # raises build_ranks' TiesError for this column
-        sorted_cols[j] = col_sorted
     return TailOrder(values=values, sorted_cols=sorted_cols)
 
 

@@ -4,9 +4,11 @@ The headline statistic is the exact supremum over [0, T]^d of
 |l_n(x) - l(x)|.  The estimator is constant on the lattice cells
 [m_j/k, (m_j+1)/k), and l is continuous and componentwise nondecreasing,
 so on each cell the supremum of their gap is attained at one of the two
-extreme corners; the scan below enumerates every cell, making the
-supremum exact for d <= 2 (and for any d when the full lattice fits in
-memory).  For d >= 3 a declared grid is scanned instead and an explicit
+extreme corners; the scan below covers every cell, making the supremum
+exact for d <= 2.  For d = 2 it first tries ``gridscan``'s prune-and-
+verify scan, which evaluates only the blocks of cells that can hold the
+maximum, and otherwise walks every cell in strips; both give the same
+float.  For d >= 3 a declared grid is scanned instead and an explicit
 slack is reported.
 
 Experiments are trial-parallel: every (k, trial) pair derives its own
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +80,16 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     return d * gap
 
 
-# The last corner grid with its key (model, k, T, d): every trial of one
-# k reads the same grid, and a new key drops it before the next grid is
-# evaluated, so a process holds at most one.
+# The last corner grid with its key (model, k, T, d) and its blocks for
+# the pruned scan: every trial of one k reads the same grid, and a new
+# key drops it before the next grid is evaluated, so a process holds at
+# most one.
 _corner_grid: tuple | None = None
 
 
-def _corner_model_grids(model: StdfModel, k: int, T: float, d: int) -> np.ndarray:
+def _corner_model_grids(
+    model: StdfModel, k: int, T: float, d: int
+) -> tuple[np.ndarray, gridscan.CornerBlocks | None]:
     """l at every corner of the lattice cells, on one (m_top + 2)^d grid.
 
     Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top with
@@ -93,7 +97,8 @@ def _corner_model_grids(model: StdfModel, k: int, T: float, d: int) -> np.ndarra
     upper corner node m + 1 of the axis 0, 1/k, ..., m_top/k, T.  The axis
     is clipped to T: when ``lattice_index`` snaps floor(k T) up, m_top/k
     lies just above T.  The grid depends on no sample, so it is kept for
-    the next call with the same key and is returned read-only.
+    the next call with the same key and is returned read-only, with its
+    ``gridscan.corner_blocks`` (None unless d = 2), prepared once.
     """
     global _corner_grid
     key = (model, k, T, d)
@@ -112,8 +117,8 @@ def _corner_model_grids(model: StdfModel, k: int, T: float, d: int) -> np.ndarra
             grid[lo:lo + rows] = eval_stdf_axes(
                 model, [axis[lo:lo + rows]] + [axis] * (d - 1))
         grid.flags.writeable = False
-        _corner_grid = (key, grid)
-    return _corner_grid[1]
+        _corner_grid = (key, grid, gridscan.corner_blocks(grid) if d == 2 else None)
+    return _corner_grid[1], _corner_grid[2]
 
 
 def _cell_corner_sup(grid: np.ndarray, corners: np.ndarray,
@@ -136,6 +141,28 @@ def _cell_corner_sup(grid: np.ndarray, corners: np.ndarray,
     return float(np.maximum(lower, upper))
 
 
+def _strip_corner_sup(depths: np.ndarray, k: int, corners: np.ndarray) -> float:
+    """The lattice corner scan, streamed: every node of every strip.
+
+    The ``gridscan`` walker yields the dominance counts of the U tail rows
+    at the integer levels 0..m_top in strips of axis-0 rows; each strip's
+    counts, (U - block) / k, meet rows lo..hi of the corner grid.
+    """
+    d, m_top = depths.shape[1], corners.shape[0] - 2
+    levels = np.arange(m_top + 1, dtype=float)
+    value, scratch = 0.0, None
+    for lo, hi, block in gridscan._dominance_strips(
+            depths.astype(float), np.ones(depths.shape[0]), [levels] * d,
+            strict=True):
+        counts = np.divide(np.subtract(depths.shape[0], block, out=block), k,
+                           out=block)
+        if scratch is None:  # the first strip is the largest
+            scratch = np.empty_like(counts)
+        value = max(value, _cell_corner_sup(
+            counts, corners[lo:hi + 1], scratch=scratch[: hi - lo]))
+    return value
+
+
 def sup_stdf_deviation(
     sample,
     k: int,
@@ -148,10 +175,12 @@ def sup_stdf_deviation(
     ``sample`` is a RankState, a TailOrder or raw values, which are ranked
     in full.  Both paths read only the floor(k T) largest values of each
     column, so a TailOrder serves them without ranking.  The exact path
-    streams the lattice counts in strips of axis-0 rows through the
-    ``gridscan`` walker and compares each strip with the matching rows
-    of the cached corner grid, so it never holds a (floor(k T) + 1)^d
-    grid of its own.
+    never holds a (floor(k T) + 1)^d grid of its own.  For d = 2 with a
+    nondecreasing corner grid it runs ``gridscan.pruned_corner_max``;
+    when that declines (d = 1, a grid that dips, or too many blocks left
+    after the bound pass) it streams the lattice counts in strips of
+    axis-0 rows through the ``gridscan`` walker against the matching rows
+    of the cached corner grid.
     """
     if isinstance(sample, (RankState, TailOrder)):
         state = sample
@@ -174,19 +203,14 @@ def sup_stdf_deviation(
     # only the column tails can count: l_n(m/k) = (U - #{tail rows with
     # depth > m}) / k on the lattice, none above floor(k T)
     m_top = int(lattice_index(k, T))
-    depths = tail_depths(state, [m_top] * d).astype(float)
+    depths = tail_depths(state, [m_top] * d)
     if grid_resolution is None:
-        corners = _corner_model_grids(model, k, T, d)
-        levels = np.arange(m_top + 1, dtype=float)
-        value, scratch = 0.0, None
-        for lo, hi, block in gridscan._dominance_strips(
-                depths, np.ones(depths.shape[0]), [levels] * d, strict=True):
-            counts = np.divide(np.subtract(depths.shape[0], block, out=block), k,
-                               out=block)
-            if scratch is None:  # the first strip is the largest
-                scratch = np.empty_like(counts)
-            value = max(value, _cell_corner_sup(
-                counts, corners[lo:hi + 1], scratch=scratch[: hi - lo]))
+        corners, blocks = _corner_model_grids(model, k, T, d)
+        value = None
+        if blocks is not None:
+            value = gridscan.pruned_corner_max(depths, k, blocks)
+        if value is None:
+            value = _strip_corner_sup(depths, k, corners)
         return SupEstimate(value=value, discretization_bound=0.0)
 
     # declared-grid scan; the estimator is still evaluated exactly at the
@@ -194,7 +218,7 @@ def sup_stdf_deviation(
     axis = declared_axis(T, grid_resolution)
     levels = lattice_index(k, axis)
     value = max_count_gap(
-        depths, [levels.astype(float)] * d, k,
+        depths.astype(float), [levels.astype(float)] * d, k,
         lambda axes: eval_stdf_axes(model, axes), ref_axes=[axis] * d,
     )
     h = T / (grid_resolution - 1)
@@ -301,7 +325,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     l_at_thr = eval_stdf_axes(model, scaled_axes)
     bias = float(np.abs(tail_grid - l_at_thr).max())
 
-    corners = _corner_model_grids(model, k, T, d)
+    corners, _ = _corner_model_grids(model, k, T, d)
     rounding = _cell_corner_sup(l_at_thr, corners, scratch=tail_grid)
     total = sup_stdf_deviation(state, k, model, T).value
     return DecompositionTerms(
@@ -446,6 +470,10 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
         for t in range(config.trials)
     ]
     if config.workers > 1:
+        # imported here: a serial run, and every other subcommand, never
+        # pays for loading multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_one_trial_star, jobs, chunksize=4))
     else:

@@ -217,6 +217,16 @@ def bias_term(model: StdfModel, t: float, x) -> float | np.ndarray:
     return np.abs(pre_limit_tail(model, t, x) - eval_stdf(model, x))
 
 
+def sup_bias_method(model: StdfModel) -> str:
+    """How ``sup_bias`` gets its value for this model.
+
+    "exact" for the closed forms (comonotone, independence); "grid-max"
+    for the logistic family, whose value is the largest node of a grid
+    that contains the corner, not a proven supremum.
+    """
+    return "grid-max" if model.variant == "logistic" else "exact"
+
+
 def sup_bias(model: StdfModel, t: float, radius: float, grid: int = 256) -> float:
     """sup over [0, radius]^d of |pre_limit_tail(t, .) - l(.)|.
 

@@ -153,8 +153,14 @@ def draw_copula_sample(model: StdfModel, n: int, rng: np.random.Generator) -> np
     if theta == 1.0:
         return rng.random((n, d))
     s = _positive_stable(1.0 / theta, n, rng)
+    # exp(-((e / s) ** (1 / theta))), in place on the exponentials; the
+    # division goes column by column, as a length-d inner loop is slow
     e = rng.exponential(size=(n, d))
-    return np.exp(-((e / s[:, None]) ** (1.0 / theta)))
+    for j in range(d):
+        np.divide(e[:, j], s, out=e[:, j])
+    e **= 1.0 / theta
+    e = np.negative(e, out=e)
+    return np.exp(e, out=e)
 
 
 def draw_tail_uniforms(model: StdfModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,10 +184,22 @@ def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarr
         raise PreconditionError(f"stable index must lie in (0, 1), got {alpha}")
     v = rng.uniform(0.0, math.pi, size=n)
     w = rng.exponential(size=n)
-    sin_v = np.sin(v)
-    return (
-        np.sin(alpha * v) / sin_v ** (1.0 / alpha)
-    ) * (np.sin((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+    # the formula's operations, each written over an array it no longer
+    # needs: a fresh n-row temporary costs its page faults
+    sin_av = alpha * v
+    np.sin(sin_av, out=sin_av)
+    # at theta = 2, 1 - alpha == alpha: the same operand gives the same bits
+    sin_rest = sin_av
+    if 1.0 - alpha != alpha:
+        sin_rest = (1.0 - alpha) * v
+        np.sin(sin_rest, out=sin_rest)
+    rest = np.divide(sin_rest, w, out=w)
+    rest **= (1.0 - alpha) / alpha
+    s = np.sin(v, out=v)
+    s **= 1.0 / alpha
+    s = np.divide(sin_av, s, out=s)
+    s *= rest
+    return s
 
 
 def _finish(base: np.ndarray, spec: GeneratorSpec) -> Sample:

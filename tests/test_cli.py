@@ -197,6 +197,34 @@ class TestConverge:
         for name in ("trials.csv", "summary.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_cli_import_loads_no_process_pool(self):
+        # only --workers > 1 needs the pool; --help probes and serial runs
+        # should not pay for importing multiprocessing
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tailvc
+
+        src = str(Path(tailvc.__file__).resolve().parents[1])
+        code = ("import sys, tailvc.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("tag,method", [("logistic(2)", "grid-max"),
+                                            ("independence", "exact"),
+                                            ("comonotone", "exact")])
+    def test_manifest_names_the_bias_method(self, tmp_path, tag, method):
+        assert run(["converge", "--model", tag, "--n", 2000, "--d", 2,
+                    "--k-schedule", "20,40", "--T", 2.0, "--trials", 2,
+                    "--seed", 6, "--workers", 1, "--out", tmp_path]) == 0
+        manifest = read_manifest(tmp_path / "converge_manifest.json")
+        assert manifest["results"]["bias_method"] == method
+
     @pytest.mark.parametrize("affinity,cpu_count,expected",
                              [({0}, 64, 1), (None, 2, 2)],
                              ids=["affinity", "no-affinity-api"])

@@ -179,7 +179,7 @@ class TestSupStdfDeviation:
         import tailvc.harness as hmod
 
         monkeypatch.setattr(hmod, "_corner_grid", None)  # restored afterwards
-        grid = _corner_model_grids(logistic(2.0, 2), 50, 2.0, 2)
+        grid, _ = _corner_model_grids(logistic(2.0, 2), 50, 2.0, 2)
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
@@ -261,6 +261,43 @@ def dense_sup_stdf_deviation(state, k, model, T):
     return _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
 
 
+def dense_corner_sup(depths, k, corners):
+    """The dense corner scan straight from a U x 2 depth matrix."""
+    m_top = corners.shape[0] - 2
+    hist = np.zeros((m_top + 1,) * 2)
+    np.add.at(hist, (depths[:, 0] - 1, depths[:, 1] - 1), 1.0)
+    survivors = np.flip(np.flip(hist, 0).cumsum(0), 0)
+    survivors = np.flip(np.flip(survivors, 1).cumsum(1), 1)
+    counts = (depths.shape[0] - survivors) / k
+    return _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+
+
+def synthetic_depths(m_top, rng):
+    """A tail_depths-shaped matrix: each column ranks m_top of the U rows.
+
+    The second column's depths follow the first's up to Gaussian noise,
+    so the counts are neither independent nor comonotone.
+    """
+    extra = int(rng.integers(0, m_top + 1))
+    u = m_top + extra
+    depths = np.full((u, 2), m_top + 1, dtype=np.int64)
+    depths[:m_top, 0] = rng.permutation(m_top) + 1
+    # the rows outside column 0's tail must sit in column 1's
+    rows = np.concatenate((np.arange(m_top, u),
+                           rng.permutation(m_top)[: m_top - extra]))
+    near = depths[rows, 0].astype(float) + rng.normal(0, m_top / 8, rows.size)
+    near[: extra] = rng.uniform(0, m_top, extra)
+    depths[rows, 1] = np.argsort(np.argsort(near, kind="stable")) + 1
+    return depths[rng.permutation(u)]
+
+
+def monotone_grid(m_top, k, rng):
+    """A random corner grid, nondecreasing along both axes, near l's scale."""
+    steps = rng.exponential(1.0, (m_top + 2,) * 2)
+    grid = steps.cumsum(0).cumsum(1)
+    return grid * (2.0 * m_top / k / grid[-1, -1])
+
+
 def set_strip_rows(monkeypatch, rows, m, d):
     """Strips of ``rows`` axis-0 rows for a lattice of m nodes per axis."""
     import tailvc.gridscan as gridscan
@@ -302,7 +339,7 @@ class TestStripScan:
         whole = eval_stdf_axes(m, [axis] * d)
         set_strip_rows(monkeypatch, 1, axis.size, d)
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        grid = _corner_model_grids(m, k, T, d)
+        grid, _ = _corner_model_grids(m, k, T, d)
         assert grid.shape == whole.shape
         assert grid.tobytes() == whole.tobytes()
 
@@ -341,6 +378,144 @@ class TestStripScan:
         x = tail_order(draw_copula_sample(m, 20_000, substream(19, "k-guard")))
         with pytest.raises(PreconditionError, match=r"k must lie in \[1, n\]"):
             sup_stdf_deviation(x, k, m, T)
+
+
+class TestPrunedScan:
+    """The prune-and-verify corner scan against the dense scan."""
+
+    @pytest.mark.parametrize("m_top", [7, 8, 9, 63, 64, 65, 401])
+    def test_synthetic_depths_match_dense_scan(self, monkeypatch, m_top):
+        import tailvc.gridscan as gridscan
+
+        monkeypatch.setattr(gridscan, "_PRUNE_CUT", 2.0)  # never fall back
+        rng = np.random.default_rng(m_top)
+        k = max(m_top // 2, 1)
+        axis = np.minimum(np.append(np.arange(m_top + 1) / k, 2.0), 2.0)
+        for trial in range(4):
+            depths = synthetic_depths(m_top, rng)
+            grids = [monotone_grid(m_top, k, rng),
+                     eval_stdf_axes(logistic(2.0, 2), [axis] * 2),
+                     np.full((m_top + 2,) * 2, 0.5)]
+            for corners in grids:
+                blocks = gridscan.corner_blocks(corners)
+                got = gridscan.pruned_corner_max(depths, k, blocks)
+                assert got == dense_corner_sup(depths, k, corners), (trial,)
+
+    @pytest.mark.parametrize("m_top,cut", [(0, False), (1, False), (6, False),
+                                           (7, True)])
+    def test_lattice_narrower_than_a_block_is_not_cut(self, m_top, cut):
+        import tailvc.gridscan as gridscan
+
+        blocks = gridscan.corner_blocks(np.zeros((m_top + 2,) * 2))
+        assert (blocks is not None) == cut
+
+    def test_block_bound_equal_to_best_is_skipped(self, monkeypatch):
+        # on a zero grid every block's bound is its high node's exact value,
+        # so the block holding the maximum has bound == best and no block
+        # needs evaluating
+        import tailvc.gridscan as gridscan
+
+        gaps = []
+
+        def spy(*args):
+            gaps.append(args[0].shape)
+            return node_gap(*args)
+
+        node_gap = gridscan._node_gap
+        monkeypatch.setattr(gridscan, "_node_gap", spy)
+        monkeypatch.setattr(gridscan, "_PRUNE_CUT", 2.0)
+        m_top, k = 64, 32
+        depths = synthetic_depths(m_top, np.random.default_rng(5))
+        corners = np.zeros((m_top + 2,) * 2)
+        got = gridscan.pruned_corner_max(depths, k, gridscan.corner_blocks(corners))
+        assert got == dense_corner_sup(depths, k, corners) == depths.shape[0] / k
+        assert len(gaps) == 1  # the high nodes only
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("strip", [None, 1, 16])
+    def test_one_ulp_dip_takes_the_strip_walk(self, monkeypatch, axis, strip):
+        # node (r, c) one ulp below its neighbour on ``axis`` only (l's
+        # level lines put the other neighbour lower); with strips of 1 or
+        # 16 rows, r = 160 is a strip's first row
+        import tailvc.gridscan as gridscan
+        import tailvc.harness as hmod
+
+        m, k, T = logistic(2.0, 2), 200, 2.0
+        r, c = 160, (170 if axis == 0 else 37)
+        if strip is not None:
+            set_strip_rows(monkeypatch, strip, int(lattice_index(k, T)) + 2, 2)
+
+        def dipped(model, axes):
+            # the grid is filled in strips of axis-0 rows: find row r in this one
+            grid = eval_stdf_axes(model, axes)
+            i = np.flatnonzero(axes[0] == r / k)
+            if i.size:
+                i = i[0]
+                if axis == 0:
+                    below = (grid[i - 1, c] if i else
+                             eval_stdf_axes(model, [[(r - 1) / k], axes[1]])[0, c])
+                else:
+                    below = grid[i, c - 1]
+                grid[i, c] = np.nextafter(below, -np.inf)
+            return grid
+
+        calls = {"pruned": 0, "walk": 0}
+
+        def count(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(hmod, "eval_stdf_axes", dipped)
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        monkeypatch.setattr(gridscan, "pruned_corner_max",
+                            count("pruned", gridscan.pruned_corner_max))
+        monkeypatch.setattr(hmod, "_strip_corner_sup",
+                            count("walk", hmod._strip_corner_sup))
+        x = tail_order(draw_copula_sample(m, 20_000, substream(23, "dip")))
+        got = sup_stdf_deviation(x, k, m, T).value
+        corners, blocks = _corner_model_grids(m, k, T, 2)
+        neighbour = corners[r - 1, c] if axis == 0 else corners[r, c - 1]
+        other = corners[r, c - 1] if axis == 0 else corners[r - 1, c]
+        assert other <= corners[r, c] < neighbour and blocks is None
+        assert calls == {"pruned": 0, "walk": 1}
+        m_top = int(lattice_index(k, T))
+        counts = empirical_stdf_lattice(x, k, [m_top] * 2)
+        want = _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+        assert got == want
+
+    @pytest.mark.parametrize("tag,n,k,pruned", [
+        ("comonotone", 20_000, 800, False),
+        ("independence", 200_000, 800, False),
+        ("logistic(2)", 20_000, 800, True),
+    ])
+    def test_path_taken(self, monkeypatch, tag, n, k, pruned):
+        # the fast path must not rot silently: logistic(2) at k = 800 is
+        # pruned, while high-survival models fall back to the strip walk
+        import tailvc.gridscan as gridscan
+        import tailvc.harness as hmod
+
+        results, walks = [], []
+
+        def spy_pruned(*args):
+            results.append(prune(*args))
+            return results[-1]
+
+        def spy_walk(*args):
+            walks.append(1)
+            return walk(*args)
+
+        prune, walk = gridscan.pruned_corner_max, hmod._strip_corner_sup
+        monkeypatch.setattr(gridscan, "pruned_corner_max", spy_pruned)
+        monkeypatch.setattr(hmod, "_strip_corner_sup", spy_walk)
+        m, T = parse_model(tag, 2), 2.0
+        x = tail_order(draw_copula_sample(m, n, substream(24, "path", tag)))
+        got = sup_stdf_deviation(x, k, m, T).value
+        assert len(results) == 1
+        assert (results[0] is not None) == pruned
+        assert len(walks) == (0 if pruned else 1)
+        assert got == dense_sup_stdf_deviation(x, k, m, T)
 
 
 class TestOrderStatEvent:

@@ -1,5 +1,7 @@
 """Generators: determinism, dependence structure, margins."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
@@ -96,6 +98,40 @@ class TestLogistic:
         hit = np.mean((u[:, 0] <= t) | (u[:, 1] <= t))
         stderr = np.sqrt(hit * (1 - hit) / u.shape[0])
         assert abs(hit / t - 2 ** (1 / 3)) < 4 * stderr / t
+
+
+def three_sine_logistic_draw(model, n, rng):
+    """The logistic draw as first written: three sine passes, no in-place steps."""
+    theta, alpha = model.theta, 1.0 / model.theta
+    v = rng.uniform(0.0, math.pi, size=n)
+    w = rng.exponential(size=n)
+    sin_v = np.sin(v)
+    s = (
+        np.sin(alpha * v) / sin_v ** (1.0 / alpha)
+    ) * (np.sin((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+    e = rng.exponential(size=(n, model.d))
+    return np.exp(-((e / s[:, None]) ** (1.0 / theta)))
+
+
+class TestPositiveStableBits:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_logistic_two_matches_three_sine_draw(self, seed):
+        # at theta = 2 one sine pass serves both sin(alpha V) and
+        # sin((1 - alpha) V)
+        m = logistic(2.0, 2)
+        got = draw_copula_sample(m, 20_000, substream(seed, "sines"))
+        old = three_sine_logistic_draw(m, 20_000, substream(seed, "sines"))
+        assert got.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("theta", [1.2, 1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_other_thetas_match_three_sine_draw(self, theta, d):
+        m = logistic(theta, d)
+        for seed in range(5):
+            key = (seed, "sines", str(theta))
+            got = draw_copula_sample(m, 5_000, substream(*key))
+            old = three_sine_logistic_draw(m, 5_000, substream(*key))
+            assert got.tobytes() == old.tobytes()
 
 
 class TestMargins:
