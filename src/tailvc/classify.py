@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -30,17 +31,26 @@ from .models import StdfModel, independence
 from .rng import substream
 from .samplers import draw_copula_sample
 
+# linf folds the d columns with elementwise maxima: the same maxima as
+# max(axis=1), NaN rows included, without a reduction along a length-d
+# axis (only a NaN's payload bits may differ: max(axis=1) resets them).
+# l1 and l2 keep sum(axis=1), whose bits follow numpy's summation order.
 _NORMS = {
     "l2": lambda x: np.sqrt((x**2).sum(axis=1)),
     "l1": lambda x: np.abs(x).sum(axis=1),
-    "linf": lambda x: np.abs(x).max(axis=1),
+    "linf": lambda x: reduce(np.maximum, np.abs(x).T),
 }
 
 
 def feature_norm(x: np.ndarray, norm: str) -> np.ndarray:
     if norm not in _NORMS:
         raise ConfigurationError(f"unknown norm tag {norm!r}; expected {set(_NORMS)}")
-    return _NORMS[norm](np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise PreconditionError(
+            f"expected an n x d matrix with d >= 1, got shape {x.shape}"
+        )
+    return _NORMS[norm](x)
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ class LabeledSample:
         y = np.asarray(self.labels)
         if f.ndim != 2 or y.shape != (f.shape[0],):
             raise ConfigurationError("features must be n x d with n labels")
-        if not np.all(np.isin(y, (-1, 1))):
+        if not np.all((y == 1) | (y == -1)):
             raise ConfigurationError("labels must be -1 or +1")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y.astype(np.int64))
@@ -207,9 +217,11 @@ def _tail_rows(data: LabeledSample, region) -> tuple[np.ndarray, float]:
             f"floor(n alpha) = {m} < 1; no tail rows at n={n}, alpha={region.alpha}"
         )
     norms = feature_norm(data.features, region.norm)
-    if np.unique(norms).size != n:
+    ordered = np.sort(norms)
+    # ties as np.unique counts them: equal neighbours, or two NaNs (sorted last)
+    if np.any(ordered[1:] == ordered[:-1]) or (n > 1 and np.isnan(ordered[-2])):
         raise DataError("norm ties at the empirical threshold; jitter the data")
-    thr = np.partition(norms, n - m)[n - m]  # m-th largest
+    thr = ordered[n - m]  # m-th largest
     return np.flatnonzero(norms > thr), n * region.alpha
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -301,9 +302,10 @@ def pair_separation_complexity(
     rng = substream(seed, "pair-separation")
     z = draw_tail_uniforms(model, pairs, rng)
     z2 = z if coupled else draw_tail_uniforms(model, pairs, rng)
-    split = np.any((z < z2) & (z < edge), axis=1) | np.any(
-        (z2 < z) & (z2 < edge), axis=1
-    )
+    # the pair is split on coordinate j either way round; OR over the columns
+    split = reduce(np.logical_or, (
+        ((a < b) & (a < edge)) | ((b < a) & (b < edge)) for a, b in zip(z.T, z2.T)
+    ))
     q_hat = float(split.mean())
     stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / pairs)
     return PairSeparationEstimate(value=q_hat, stderr=stderr, pairs=pairs, p=p)

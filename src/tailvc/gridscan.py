@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -488,8 +489,8 @@ def _signed_dominance_range(
     O(n + m0 nb + sum_c K_c B) integer work and O(n + m0 + m1) memory.
     """
     d = points.shape[1]
-    top = np.array([a[-1] for a in axes])
-    folded = np.all(points >= top, axis=1)
+    # one comparison per column: a reduction along the short axis 1 is slower
+    folded = reduce(np.logical_and, (points[:, j] >= a[-1] for j, a in enumerate(axes)))
     const = int(signs[folded].sum())
     rest, signs = points[~folded], signs[~folded]
     buckets = [np.searchsorted(a, rest[:, j], side="right") - 1

@@ -512,3 +512,152 @@ class TestFamilyTruths:
         rate_experiment_classification(toy_generator(), family, schedule, 1,
                                        seed=16, norm="l2")
         assert regions == [QuantileRegion(0.1, "l2"), QuantileRegion(0.05, "l2")]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@st.composite
+def norm_matrices(draw):
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(0, 40))
+    cell = st.one_of(
+        st.sampled_from([math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf]),
+        st.floats(allow_nan=False),
+    )
+    values = draw(st.lists(cell, min_size=n * d, max_size=n * d))
+    return np.array(values, dtype=float).reshape(n, d)
+
+
+class TestSupNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(norm_matrices())
+    def test_linf_matches_the_row_max_bit_for_bit(self, x):
+        assert np.array_equal(_bits(feature_norm(x, "linf")),
+                              _bits(np.abs(x).max(axis=1)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_linf_matches_the_row_max_on_long_columns(self, d):
+        # long enough for numpy's vectorised loops, specials at random cells
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((4099, d))
+        specials = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf])
+        cells = rng.integers(0, x.size, size=400)
+        x.flat[cells] = specials[rng.integers(0, specials.size, size=cells.size)]
+        assert np.array_equal(_bits(feature_norm(x, "linf")),
+                              _bits(np.abs(x).max(axis=1)))
+
+    def test_nan_payloads_stay_nan_on_the_same_rows(self):
+        # max(axis=1) returns numpy's default NaN, the elementwise maximum the
+        # NaN it met first: the payload bits may differ, never the NaN rows
+        payload = np.array([0x7FF0000000000001, 0x7FF8DEAD00000001],
+                           dtype=np.int64).view(float)
+        x = np.array([[payload[0], 1.0], [0.5, payload[1]], [0.25, 0.75],
+                      [payload[0], payload[1]]])
+        got = feature_norm(x, "linf")
+        assert np.array_equal(got, np.abs(x).max(axis=1), equal_nan=True)
+        assert np.isnan(got).tolist() == [True, True, False, True]
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (4, 0), (0, 0), ()])
+    def test_non_matrix_input_is_a_precondition_error(self, norm, shape):
+        message = f"expected an n x d matrix with d >= 1, got shape {shape}"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            feature_norm(np.ones(shape), norm)
+
+    def test_region_paths_reject_a_zero_column_sample(self):
+        data = LabeledSample(features=np.ones((5, 0)), labels=np.ones(5))
+        region = QuantileRegion(alpha=0.5, norm="linf")
+        with pytest.raises(PreconditionError, match=re.escape("got shape (5, 0)")):
+            _family_empirical_risks(data, (AxisClassifier(0, 0.5),), region)
+        with pytest.raises(PreconditionError, match=re.escape("got shape (3,)")):
+            ExplicitRegion("l2", 0.5, 0.1).contains(np.ones(3))
+        assert PreconditionError.exit_code == 4
+
+
+def old_tail_rows(data, region):
+    """The tail selection as written before the single sort."""
+    n = data.n
+    m = int(math.floor(n * region.alpha))
+    if m < 1:
+        raise PreconditionError(
+            f"floor(n alpha) = {m} < 1; no tail rows at n={n}, alpha={region.alpha}"
+        )
+    norms = feature_norm(data.features, region.norm)
+    if np.unique(norms).size != n:
+        raise DataError("norm ties at the empirical threshold; jitter the data")
+    thr = np.partition(norms, n - m)[n - m]
+    return np.flatnonzero(norms > thr), n * region.alpha
+
+
+@st.composite
+def tail_cases(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.0, 1.0, size=(n, d))
+    for _ in range(draw(st.integers(0, 2))):  # norm ties: a copy or a mirror
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        x[dst] = x[src] * draw(st.sampled_from([1.0, -1.0]))
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        x[row, draw(st.integers(0, d - 1))] = math.nan
+    y = rng.choice([-1, 1], size=n)
+    region = QuantileRegion(alpha=draw(st.floats(0.01, 0.99)),
+                            norm=draw(st.sampled_from(["l1", "l2", "linf"])))
+    return LabeledSample(features=x, labels=y), region
+
+
+class TestTailRows:
+    @settings(max_examples=400, deadline=None)
+    @given(tail_cases())
+    def test_matches_unique_and_partition(self, case):
+        data, region = case
+        try:
+            rows, denom = old_tail_rows(data, region)
+        except (DataError, PreconditionError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                classify_mod._tail_rows(data, region)
+            return
+        got_rows, got_denom = classify_mod._tail_rows(data, region)
+        assert got_rows.tolist() == rows.tolist()
+        assert got_denom == denom
+
+    @pytest.mark.parametrize("nan_rows, tied", [
+        ([3], False), ([3, 7], True), ([0, 1, 2], True), ([9], False),
+    ])
+    def test_nan_norms_tie_as_np_unique_counts(self, nan_rows, tied):
+        x = np.linspace(0.05, 0.95, 10)[:, None] * np.array([[1.0, 0.5]])
+        x[nan_rows, 1] = math.nan
+        data = LabeledSample(features=x, labels=np.ones(10))
+        region = QuantileRegion(alpha=0.3, norm="linf")
+        if tied:
+            with pytest.raises(DataError, match="norm ties"):
+                classify_mod._tail_rows(data, region)
+            return
+        rows, denom = classify_mod._tail_rows(data, region)
+        expected, _ = old_tail_rows(data, region)
+        assert rows.tolist() == expected.tolist()
+        assert denom == 10 * 0.3
+
+
+class TestLabels:
+    @pytest.mark.parametrize("labels, ok", [
+        ([1, -1, 1], True),
+        ([1.0, -1.0, -1.0], True),
+        ([True, True, True], True),
+        ([1, 0, -1], False),
+        ([1, 2, -1], False),
+        ([1.0, -1.0, 0.5], False),
+        ([1.0, -1.0, math.nan], False),
+        (["1", "-1", "1"], False),
+    ])
+    def test_plus_minus_one_only(self, labels, ok):
+        y = np.array(labels)
+        assert bool(np.all(np.isin(y, (-1, 1)))) is ok  # the former check
+        if ok:
+            assert LabeledSample(np.zeros((3, 2)), y).labels.tolist() == [
+                int(v) for v in y]
+        else:
+            with pytest.raises(ConfigurationError, match="labels must be -1 or \\+1"):
+                LabeledSample(np.zeros((3, 2)), y)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tailvc import concentration
 from tailvc import (
     BoundParams,
     ConfigurationError,
@@ -239,6 +240,26 @@ class TestPairSeparation:
                 cls = RectClassSpec(d=d, k=100, n=10_000, T=2.0)
                 est = pair_separation_complexity(tag, cls, 50_000, 17)
                 assert est.value <= 2 * est.p + 3 * est.stderr
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_split_mask_matches_the_row_reductions(self, monkeypatch, d):
+        masks = []
+        real = concentration.reduce
+        monkeypatch.setattr(concentration, "reduce",
+                            lambda *a: masks.append(real(*a)) or masks[-1])
+        cls = RectClassSpec(d=d, k=100, n=1000, T=2.0)
+        est = pair_separation_complexity("logistic(2)", cls, 5000, 21)
+        model = parse_model("logistic(2)", d)
+        rng = substream(21, "pair-separation")
+        z = draw_tail_uniforms(model, 5000, rng)
+        z2 = draw_tail_uniforms(model, 5000, rng)
+        edge = cls.box_edge
+        want = np.any((z < z2) & (z < edge), axis=1) | np.any(
+            (z2 < z) & (z2 < edge), axis=1)
+        assert len(masks) == 1
+        assert masks[0].dtype == bool and masks[0].tolist() == want.tolist()
+        assert 0 < want.sum() < want.size
+        assert est.value == float(want.mean())
 
     def test_matches_closed_form(self):
         # splitting happens exactly when either draw lands in the union

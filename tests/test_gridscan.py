@@ -217,6 +217,27 @@ class TestSupSignedCount:
         ref_axes = candidate_axes(z, box) if axes is None else axes
         assert got == dense_sup_signed_count(z, signs.astype(float), box, ref_axes)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("declared", [None, 7])
+    def test_fold_mask_matches_the_row_reduction(self, monkeypatch, d, declared):
+        # rows at or above the top breakpoint of every axis, column by column,
+        # against np.all over axis 1; coarse values put ties on the top
+        rng = np.random.default_rng(40 + d)
+        box = np.full(d, 0.5)
+        z = np.round(rng.random((500, d)) * 8) / 10
+        signs = rng.integers(0, 2, 500) * 2 - 1
+        axes = candidate_axes(z, box) if declared is None else [
+            np.linspace(0.0, 0.45, declared)] * d
+        masks = []
+        real = gridscan.reduce
+        monkeypatch.setattr(gridscan, "reduce",
+                            lambda *a: masks.append(real(*a)) or masks[-1])
+        sup_signed_count(z, signs, box, axes=axes)
+        want = np.all(z >= np.array([a[-1] for a in axes]), axis=1)
+        assert len(masks) == 1
+        assert masks[0].dtype == bool and masks[0].tolist() == want.tolist()
+        assert want.any() and not want.all()
+
     @pytest.mark.parametrize("m1", [1, 2, 15, 16, 17, 21, 24, 25, 26, 101])
     def test_block_edges(self, m1):
         # blocks are B = ceil(sqrt(m1)) columns wide; the last block holds
