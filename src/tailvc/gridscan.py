@@ -8,22 +8,23 @@ Over such a family, an empirical count is piecewise constant with
 breakpoints at the data coordinates, while the comparison measure is
 continuous and componentwise monotone.  The supremum of their absolute
 difference over the whole continuum is therefore attained by comparing
-each cell's count against the measure at the cell's two extreme corners,
-which this module enumerates exactly.
+each cell's count against the measure at the cell's two extreme corners.
+This module is the one place where counts meet such a reference.
 
 Whether the threshold comparison is strict or closed changes the count
 only on the measure-zero set of thresholds sitting exactly on data
 points; the supremum over cell closures is identical for the two
 conventions, so a single scan serves both.
 
-The count-versus-mass scans (``sup_count_vs_mass``, ``max_count_gap``
-and through it ``sup_count_vs_mass_grid``), ``dominance_weight_grid``,
-the d >= 3 signed scan and the exact d <= 2 lattice scan of
-``harness.sup_stdf_deviation`` stream the dominance grid in strips of
-axis-0 rows, from the top down, and reduce each strip before the next
-is built.  With m breakpoints per axis and S rows per strip, memory is
-O(n + S m^(d-1)) in place of the m^d dense grid, and the strips hold
-the dense grid's values bit for bit.
+One walker streams the dominance grid in strips of axis-0 rows, from the
+top down, and every scan reduces a strip before the next is built: with
+m breakpoints per axis and S rows per strip, memory is O(n + S m^(d-1))
+in place of the m^d dense grid, and the strips hold the dense grid's
+values bit for bit.  ``count_strips`` turns each strip into counts, and
+one reducer, ``cell_corner_max``, meets them with the reference at both
+cell corners, for ``sup_count_vs_mass``, for the lattice scan
+``lattice_corner_max`` and for the decomposition check.  ``max_count_gap``
+reads the nodes only, and the d >= 3 signed scan the grid's extremes.
 
 The d <= 2 signed scan (``sup_signed_count``) needs only the largest
 and smallest node of the grid, so it never builds a strip: it splits
@@ -31,14 +32,13 @@ axis 1 into blocks of about sqrt(m) columns and reads each block's
 extremes off the few distinct profiles its points allow, in integer
 arithmetic, in O(n + m^1.5) time and memory.
 
-The d = 2 lattice scan has a second exact path, ``pruned_corner_max``,
-for corner grids that are nondecreasing in floats (``corner_blocks``).
-It bounds every block of nodes from the counts at the block's two
-extreme nodes, skips each block whose bound cannot beat the best node
-value found, and evaluates the rest exactly from the depth
-permutations.  When most blocks survive the bound (a deviation flat at
-its maximum, as for independence and comonotone data), it hands back
-to the strip walk.
+The d = 2 lattice scan first tries ``pruned_corner_max``, for corner
+grids that are nondecreasing in floats (``corner_blocks``).  It bounds
+every block of nodes from the counts at the block's two extreme nodes,
+skips each block whose bound cannot beat the best node value found, and
+evaluates the rest exactly from the depth permutations.  When most
+blocks survive the bound (a deviation flat at its maximum, as for
+independence and comonotone data), the strip walk runs instead.
 """
 
 from __future__ import annotations
@@ -99,11 +99,13 @@ def candidate_axes(points: np.ndarray, tmax: np.ndarray) -> list[np.ndarray]:
     return axes
 
 
-def _check_points(points) -> np.ndarray:
-    """The data as a float n x d matrix; every coordinate must be finite."""
+def _check_points(points, min_rows: int = 0) -> np.ndarray:
+    """The data as a float n x d matrix, n >= min_rows, d >= 1, all finite."""
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise PreconditionError(f"points must be an n x d matrix, got {points.shape}")
+    if points.ndim != 2 or points.shape[0] < min_rows or points.shape[1] < 1:
+        need = f"n >= {min_rows} and d >= 1" if min_rows else "d >= 1"
+        raise PreconditionError(f"points must be an n x d matrix with {need}, "
+                                f"got {points.shape}")
     if not np.all(np.isfinite(points)):
         raise PreconditionError("points must be finite")
     return points
@@ -117,6 +119,11 @@ def _check_box(tmax, d: int) -> np.ndarray:
             f"threshold box must be finite and nonnegative, got {tmax.tolist()}"
         )
     return tmax
+
+
+def strip_rows(row_nodes: int) -> int:
+    """Axis-0 rows per strip when a row holds ``row_nodes`` float64 nodes."""
+    return max(1, _STRIP_BYTES // (8 * max(row_nodes, 1)))
 
 
 def declared_axis(edge: float, resolution: int) -> np.ndarray:
@@ -158,7 +165,7 @@ def _dominance_strips(
     order = np.argsort(buckets[0][alive], kind="stable")
     buckets = [b[alive][order] for b in buckets]
     weights = weights[alive][order]
-    rows = max(1, _STRIP_BYTES // max(8 * math.prod(shape[1:]), 1))
+    rows = strip_rows(math.prod(shape[1:]))
     buf = np.empty((min(rows, shape[0]),) + shape[1:])
     carry = None
     for hi in range(shape[0], 0, -rows):
@@ -209,7 +216,7 @@ def _nondecreasing_2d(grid: np.ndarray) -> bool:
     Read in strips of axis-0 rows, each with the row above it, so no
     temporary is larger than a strip.  A NaN fails the check.
     """
-    rows = max(1, _STRIP_BYTES // (8 * max(grid.shape[1], 1)))
+    rows = strip_rows(grid.shape[1])
     for lo in range(0, grid.shape[0], rows):
         strip = grid[max(lo - 1, 0): lo + rows]
         if not (np.all(strip[1:] >= strip[:-1])
@@ -363,86 +370,123 @@ def _strip_mass(mass_axes_fn, axes: list[np.ndarray], lo: int, hi: int) -> np.nd
     return mass
 
 
-def _cell_corner_max(count_frac: np.ndarray, mass: np.ndarray) -> float:
-    """Max over a strip's cells of |count - mass| at lower and upper corners.
+def _checked_max(gap: np.ndarray) -> float:
+    """The largest of the gaps (>= 0), 0 for none; NaN (a NaN reference) raises."""
+    value = float(gap.max(initial=0.0))
+    if math.isnan(value):
+        raise PreconditionError("the comparison is NaN at some grid node")
+    return value
 
-    ``mass`` covers the strip's rows plus, below the top strip, the next
-    row up, which holds the upper corners of the strip's last row.
+
+def cell_corner_max(values: np.ndarray, ref: np.ndarray, scratch: np.ndarray) -> float:
+    """max over the nodes i of |values[i] - ref[i]| and |values[i] - ref[i+1]|.
+
+    ref[i] is node i's lower cell corner and ref[i+1], where ``ref`` has
+    it, the upper one.  Along each axis ``ref`` has one node more than
+    ``values`` (a lattice's corner grid) or as many (a set-mass grid that
+    ends at the box).  The gaps are formed in place, the lower-corner
+    ones in ``scratch`` (``values``' shape, sharing no memory with
+    ``ref``) and the upper-corner ones in ``values``, which is overwritten.
     """
-    rows, d = count_frac.shape[0], count_frac.ndim
-    best = float(np.abs(count_frac - mass[:rows]).max())
-    lower = count_frac[(slice(0, mass.shape[0] - 1),) + (slice(None, -1),) * (d - 1)]
-    upper = mass[(slice(1, None),) * d]
-    if lower.size:
-        best = max(best, float(np.abs(lower - upper).max()))
+    low = tuple(slice(0, s) for s in values.shape)
+    best = _checked_max(np.abs(np.subtract(values, ref[low], out=scratch), out=scratch))
+    up = tuple(slice(0, min(s, r - 1)) for s, r in zip(values.shape, ref.shape))
+    upper, ref_up = values[up], ref[tuple(slice(1, 1 + sl.stop) for sl in up)]
+    gap = np.abs(np.subtract(upper, ref_up, out=upper), out=upper)
+    return max(best, _checked_max(gap))
+
+
+def count_strips(points: np.ndarray, axes: list[np.ndarray], scale: float):
+    """Yield ``(lo, hi, counts)``: (n - #{rows > node}) / scale on rows lo..hi-1.
+
+    That is the number of rows with some coordinate at or below the node,
+    formed in place in the walker's block: valid until the next strip.
+    """
+    n = points.shape[0]
+    for lo, hi, block in _dominance_strips(points, np.ones(n), axes, strict=True):
+        yield lo, hi, np.divide(np.subtract(n, block, out=block), scale, out=block)
+
+
+def _corner_scan(points: np.ndarray, axes: list[np.ndarray], scale: float,
+                 ref_rows) -> float:
+    """``cell_corner_max`` of every count strip against ``ref_rows(lo, hi + 1)``.
+
+    That is the reference's rows lo..hi (or up to its end): the strip's
+    own rows and the next row up, the upper corners of its last row.
+    """
+    best, scratch = 0.0, None
+    for lo, hi, counts in count_strips(points, axes, scale):
+        if scratch is None:  # the first strip is the largest
+            scratch = np.empty_like(counts)
+        best = max(best, cell_corner_max(counts, ref_rows(lo, hi + 1), scratch[: hi - lo]))
     return best
 
 
-def sup_count_vs_mass(
-    points: np.ndarray,
-    tmax,
-    mass_axes_fn,
-) -> float:
+def lattice_corner_max(depths: np.ndarray, k: int, corners: np.ndarray,
+                       blocks: CornerBlocks | None) -> float:
+    """The exact lattice corner scan of a d <= 2 sample's U tail rows.
+
+    max over the lattice nodes m of |c(m)/k - l| at the cell corners m and
+    m + 1, c(m) = #{tail rows with depth_j <= m_j for some j}.  ``depths``
+    is ``tail_depths``' U x d matrix at m_top on every axis (U may be 0),
+    ``corners`` the (m_top + 2)^d grid of l and ``blocks`` its
+    ``corner_blocks``.  ``pruned_corner_max`` runs first when there are
+    blocks; otherwise, or when it declines, the count strips at the
+    levels 0..m_top meet rows lo..hi of ``corners``.  Both give one float.
+    """
+    if blocks is not None:
+        value = pruned_corner_max(depths, k, blocks)
+        if value is not None:
+            return value
+    levels = np.arange(corners.shape[0] - 1, dtype=float)
+    return _corner_scan(depths.astype(float), [levels] * depths.shape[1], k,
+                        lambda lo, hi: corners[lo:hi])
+
+
+def sup_count_vs_mass(points: np.ndarray, tmax, mass_axes_fn) -> float:
     """Exact sup over t in [0, tmax]^d of |count_n(A(t)) - mass(A(t))|.
 
     ``points`` is the n x d data matrix, ``mass_axes_fn(axes)`` must
     return the continuous measure of A(t) on the product grid of the
     per-coordinate threshold arrays; it is called once per strip of
     axis-0 thresholds.  The count is the fraction of rows with some
-    coordinate below its threshold.  ``points`` must be finite.
+    coordinate below its threshold.  ``points`` must be finite, n >= 1.
     """
-    points = _check_points(points)
-    n = points.shape[0]
+    points = _check_points(points, min_rows=1)  # the count divides by n
     tmax = _check_box(tmax, points.shape[1])
     axes = candidate_axes(points, tmax)
-    best = 0.0
-    for lo, hi, block in _dominance_strips(points, np.ones(n), axes, strict=True):
-        # the fraction of rows with some coordinate <= node, in place
-        count_frac = np.divide(np.subtract(n, block, out=block), n, out=block)
-        mass = _strip_mass(mass_axes_fn, axes, lo, hi + 1)
-        best = max(best, _cell_corner_max(count_frac, mass))
-    return best
+    return _corner_scan(points, axes, points.shape[0],
+                        lambda lo, hi: _strip_mass(mass_axes_fn, axes, lo, hi))
 
 
-def max_count_gap(
-    points: np.ndarray,
-    axes: list[np.ndarray],
-    scale: float,
-    ref_axes_fn,
-    ref_axes: list[np.ndarray] | None = None,
-) -> float:
+def max_count_gap(points: np.ndarray, axes: list[np.ndarray], scale: float,
+                  ref_axes_fn, ref_axes: list[np.ndarray] | None = None) -> float:
     """max over the nodes t of ``axes`` of |(n - #{rows > t}) / scale - ref|.
 
     ``ref_axes_fn`` gives the comparison on the product grid of
     ``ref_axes`` (default: ``axes``) and is called once per strip of
     axis-0 nodes; ``ref_axes`` lets the count be read at snapped nodes
     while the comparison is evaluated at the declared ones.  ``points``
-    must be finite.
+    must be finite; n = 0 rows count 0 everywhere.
     """
     points = _check_points(points)
-    n = points.shape[0]
     ref_axes = axes if ref_axes is None else ref_axes
     best = 0.0
-    for lo, hi, block in _dominance_strips(points, np.ones(n), axes, strict=True):
-        gap = np.divide(np.subtract(n, block, out=block), scale, out=block)
+    for lo, hi, gap in count_strips(points, axes, scale):
         gap -= _strip_mass(ref_axes_fn, ref_axes, lo, hi)
-        best = max(best, float(np.abs(gap, out=gap).max()))
+        best = max(best, _checked_max(np.abs(gap, out=gap)))
     return best
 
 
-def sup_count_vs_mass_grid(
-    points: np.ndarray,
-    tmax,
-    mass_axes_fn,
-    resolution: int,
-) -> SupEstimate:
+def sup_count_vs_mass_grid(points: np.ndarray, tmax, mass_axes_fn,
+                           resolution: int) -> SupEstimate:
     """Grid fallback for d >= 3: regular scan plus an explicit error bound.
 
     The reported slack adds the measure's variation across one grid step
     (at most one per axis for uniform margins) and the worst per-axis
-    count mass strictly inside any step.
+    count mass strictly inside any step.  ``points`` must be finite, n >= 1.
     """
-    points = np.asarray(points, dtype=float)
+    points = _check_points(points, min_rows=1)  # the count divides by n
     n = points.shape[0]
     tmax = _check_box(tmax, points.shape[1])
     axes = [declared_axis(t, resolution) for t in tmax]

@@ -4,12 +4,12 @@ The headline statistic is the exact supremum over [0, T]^d of
 |l_n(x) - l(x)|.  The estimator is constant on the lattice cells
 [m_j/k, (m_j+1)/k), and l is continuous and componentwise nondecreasing,
 so on each cell the supremum of their gap is attained at one of the two
-extreme corners; the scan below covers every cell, making the supremum
-exact for d <= 2.  For d = 2 it first tries ``gridscan``'s prune-and-
-verify scan, which evaluates only the blocks of cells that can hold the
-maximum, and otherwise walks every cell in strips; both give the same
-float.  For d >= 3 a declared grid is scanned instead and an explicit
-slack is reported.
+extreme corners.  This module supplies the tail rows and l's cached
+corner grid; ``gridscan.lattice_corner_max`` covers every cell, making
+the supremum exact for d <= 2.  For d >= 3 a declared grid is scanned
+instead and an explicit slack is reported.  The decomposition check
+reads the same count strips and the same cell-corner reducer, one strip
+at a time, and never builds the lattice.
 
 Experiments are trial-parallel: every (k, trial) pair derives its own
 random stream from the master seed, so results are identical whatever
@@ -28,7 +28,6 @@ from .empirical import (
     RankState,
     TailOrder,
     build_ranks,
-    empirical_stdf_lattice,
     lattice_index,
     tail_depths,
     tail_order,
@@ -112,55 +111,13 @@ def _corner_model_grids(
         grid = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
         # l is evaluated elementwise, so strips of axis-0 rows fill the
         # grid bit for bit without a full-size temporary
-        rows = max(1, gridscan._STRIP_BYTES // (8 * axis.size ** (d - 1)))
+        rows = gridscan.strip_rows(axis.size ** (d - 1))
         for lo in range(0, axis.size, rows):
             grid[lo:lo + rows] = eval_stdf_axes(
                 model, [axis[lo:lo + rows]] + [axis] * (d - 1))
         grid.flags.writeable = False
         _corner_grid = (key, grid, gridscan.corner_blocks(grid) if d == 2 else None)
     return _corner_grid[1], _corner_grid[2]
-
-
-def _cell_corner_sup(grid: np.ndarray, corners: np.ndarray,
-                     scratch: np.ndarray) -> float:
-    """max over lattice cells of |grid - l| at the cells' two extreme corners.
-
-    ``corners`` is ``_corner_model_grids``' grid, or for a strip of grid
-    rows lo..hi-1 its rows lo..hi: the lower corners are its view
-    [:-1, ..., :-1] and the upper corners its view [1:, ..., 1:].
-    The gaps are formed in place, the lower-corner ones in ``scratch`` and
-    the upper-corner ones in ``grid``, which is overwritten; ``scratch``
-    must not share memory with ``corners``.  The larger of the two maxima
-    is the maximum of the elementwise larger gap, bit for bit.
-    """
-    d = grid.ndim
-    l_lo = corners[(slice(None, -1),) * d]
-    l_hi = corners[(slice(1, None),) * d]
-    lower = np.abs(np.subtract(grid, l_lo, out=scratch), out=scratch).max()
-    upper = np.abs(np.subtract(grid, l_hi, out=grid), out=grid).max()
-    return float(np.maximum(lower, upper))
-
-
-def _strip_corner_sup(depths: np.ndarray, k: int, corners: np.ndarray) -> float:
-    """The lattice corner scan, streamed: every node of every strip.
-
-    The ``gridscan`` walker yields the dominance counts of the U tail rows
-    at the integer levels 0..m_top in strips of axis-0 rows; each strip's
-    counts, (U - block) / k, meet rows lo..hi of the corner grid.
-    """
-    d, m_top = depths.shape[1], corners.shape[0] - 2
-    levels = np.arange(m_top + 1, dtype=float)
-    value, scratch = 0.0, None
-    for lo, hi, block in gridscan._dominance_strips(
-            depths.astype(float), np.ones(depths.shape[0]), [levels] * d,
-            strict=True):
-        counts = np.divide(np.subtract(depths.shape[0], block, out=block), k,
-                           out=block)
-        if scratch is None:  # the first strip is the largest
-            scratch = np.empty_like(counts)
-        value = max(value, _cell_corner_sup(
-            counts, corners[lo:hi + 1], scratch=scratch[: hi - lo]))
-    return value
 
 
 def sup_stdf_deviation(
@@ -175,12 +132,8 @@ def sup_stdf_deviation(
     ``sample`` is a RankState, a TailOrder or raw values, which are ranked
     in full.  Both paths read only the floor(k T) largest values of each
     column, so a TailOrder serves them without ranking.  The exact path
-    never holds a (floor(k T) + 1)^d grid of its own.  For d = 2 with a
-    nondecreasing corner grid it runs ``gridscan.pruned_corner_max``;
-    when that declines (d = 1, a grid that dips, or too many blocks left
-    after the bound pass) it streams the lattice counts in strips of
-    axis-0 rows through the ``gridscan`` walker against the matching rows
-    of the cached corner grid.
+    is one ``gridscan.lattice_corner_max`` call against the cached corner
+    grid and never holds a (floor(k T) + 1)^d grid of its own.
     """
     if isinstance(sample, (RankState, TailOrder)):
         state = sample
@@ -206,11 +159,7 @@ def sup_stdf_deviation(
     depths = tail_depths(state, [m_top] * d)
     if grid_resolution is None:
         corners, blocks = _corner_model_grids(model, k, T, d)
-        value = None
-        if blocks is not None:
-            value = gridscan.pruned_corner_max(depths, k, blocks)
-        if value is None:
-            value = _strip_corner_sup(depths, k, corners)
+        value = gridscan.lattice_corner_max(depths, k, corners, blocks)
         return SupEstimate(value=value, discretization_bound=0.0)
 
     # declared-grid scan; the estimator is still evaluated exactly at the
@@ -310,23 +259,27 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     m_top = int(lattice_index(k, T))
     if m_top > n:
         raise PreconditionError(f"floor(k T) = {m_top} exceeds n = {n}")
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
 
-    counts = empirical_stdf_lattice(state, k, [m_top] * d)  # l_n on the lattice
-    thr_axes = []
-    for j in range(d):
-        col = np.sort(u[:, j])
-        thr = np.concatenate(([0.0], col[:m_top]))  # m-th smallest, m = 0..m_top
-        thr_axes.append(thr)
-
-    tail_grid = tail_union_prob_axes(model, thr_axes) * (n / k)
-    substitution = float(np.abs(counts - tail_grid).max())
-
-    scaled_axes = [n / k * a for a in thr_axes]
-    l_at_thr = eval_stdf_axes(model, scaled_axes)
-    bias = float(np.abs(tail_grid - l_at_thr).max())
-
+    # the m-th smallest U of each column, m = 0..m_top
+    thr_axes = [np.concatenate(([0.0], np.sort(u[:, j])[:m_top])) for j in range(d)]
+    # l_n on the lattice, one strip of axis-0 levels at a time; the model
+    # terms are elementwise, so each strip's rows equal the dense grid's
     corners, _ = _corner_model_grids(model, k, T, d)
-    rounding = _cell_corner_sup(l_at_thr, corners, scratch=tail_grid)
+    levels = [np.arange(m_top + 1, dtype=float)] * d
+    depths = tail_depths(state, [m_top] * d).astype(float)
+    substitution = bias = rounding = 0.0
+    for lo, hi, counts in gridscan.count_strips(depths, levels, k):
+        rows = [thr_axes[0][lo:hi]] + thr_axes[1:]
+        tail = tail_union_prob_axes(model, rows) * (n / k)
+        l_at_thr = eval_stdf_axes(model, [n / k * a for a in rows])
+        gap = np.abs(np.subtract(counts, tail, out=counts), out=counts)
+        substitution = max(substitution, float(gap.max()))
+        gap = np.abs(np.subtract(tail, l_at_thr, out=counts), out=counts)
+        bias = max(bias, float(gap.max()))
+        rounding = max(rounding, gridscan.cell_corner_max(
+            l_at_thr, corners[lo:hi + 1], scratch=tail))
     total = sup_stdf_deviation(state, k, model, T).value
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding

@@ -12,21 +12,29 @@ from tailvc import gridscan
 from tailvc.cli import main
 from tailvc.concentration import RectClassSpec, union_mass
 from tailvc.errors import PreconditionError
+from tailvc.empirical import tail_depths, tail_order
 from tailvc.gridscan import (
     _dominance_strips,
     candidate_axes,
+    cell_corner_max,
     declared_axis,
     dominance_weight_grid,
+    lattice_corner_max,
     max_count_gap,
     suffix_sums,
     sup_count_vs_mass,
     sup_count_vs_mass_grid,
     sup_signed_count,
 )
-from tailvc.models import parse_model, tail_union_prob, tail_union_prob_axes
+from tailvc.models import (
+    eval_stdf_axes,
+    parse_model,
+    tail_union_prob,
+    tail_union_prob_axes,
+)
 from tailvc.reportio import read_csv
 from tailvc.rng import substream
-from tailvc.samplers import draw_tail_uniforms
+from tailvc.samplers import draw_copula_sample, draw_tail_uniforms
 
 
 def dense_dominance_grid(points, weights, axes, strict):
@@ -63,6 +71,28 @@ def dense_sup_signed_count(points, signs, tmax, axes=None):
         axes = candidate_axes(points, np.full(points.shape[1], tmax))
     dominated = dense_dominance_grid(points, signs, axes, strict=False)
     return float(np.abs(signs.sum() - dominated).max())
+
+
+def per_cell_corner_max(values, ref):
+    """max over the nodes i of |values[i] - ref[i]| and, where ref has it,
+    |values[i] - ref[i + 1]|, one node at a time."""
+    best = 0.0
+    for i in np.ndindex(values.shape):
+        best = max(best, abs(values[i] - ref[i]))
+        up = tuple(j + 1 for j in i)
+        if all(u < r for u, r in zip(up, ref.shape)):
+            best = max(best, abs(values[i] - ref[up]))
+    return best
+
+
+def lattice_counts(depths, k, m_top):
+    """#{rows with depth_j <= m_j for some j} / k on the whole lattice."""
+    d = depths.shape[1]
+    levels = np.meshgrid(*[np.arange(m_top + 1)] * d, indexing="ij")
+    hit = np.zeros(levels[0].shape + (depths.shape[0],), dtype=bool)
+    for j in range(d):
+        hit |= depths[:, j] <= levels[j][..., None]
+    return hit.sum(axis=-1) / k
 
 
 def set_strip_rows(monkeypatch, rows, axes):
@@ -324,6 +354,81 @@ class TestSupSignedCount:
         assert got == want
 
 
+class TestCellCornerMax:
+    """The one cell-corner reducer, on both reference shapes."""
+
+    @pytest.mark.parametrize("shapes", [
+        ((7,), (7,)), ((7,), (8,)), ((5, 6), (5, 6)), ((5, 6), (6, 7)),
+        ((5, 6), (6, 6)), ((1, 6), (1, 6)), ((1,), (1,)),
+    ])
+    def test_matches_per_cell_loop(self, shapes):
+        # a lattice's corner grid has one node more per axis; a set-mass
+        # grid as many, plus the next row up below the top strip
+        rng = np.random.default_rng(len(shapes[0]) * 10 + shapes[1][0])
+        values, ref = rng.random(shapes[0]), rng.random(shapes[1])
+        want = per_cell_corner_max(values, ref)
+        got = cell_corner_max(values.copy(), ref, scratch=np.empty(shapes[0]))
+        assert got == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rows", ["1", "2", "m-1", "m", "m+1"])
+    def test_lattice_strips_match_per_cell_loop(self, monkeypatch, d, rows):
+        model, k, T = parse_model("logistic(2)", d), 10, 2.0
+        x = draw_copula_sample(model, 300, substream(41, "lattice", d))
+        m_top = 20
+        depths = tail_depths(tail_order(x), [m_top] * d)
+        axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+        corners = eval_stdf_axes(model, [axis] * d)
+        m = m_top + 1
+        strip = {"1": 1, "2": 2, "m-1": m - 1, "m": m, "m+1": m + 1}[rows]
+        set_strip_rows(monkeypatch, strip, [axis[:-1]] * d)
+        want = per_cell_corner_max(lattice_counts(depths, k, m_top), corners)
+        assert lattice_corner_max(depths, k, corners, None) == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("rows", ["1", "2", "m-1", "m", "m+1"])
+    def test_set_mass_strips_match_per_cell_loop(self, monkeypatch, d, rows):
+        model = parse_model("logistic(3)", d)
+        mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+        z = draw_tail_uniforms(model, 40, np.random.default_rng(42 + d))
+        axes = candidate_axes(z, np.full(d, 0.5))
+        m = len(axes[0])
+        strip = {"1": 1, "2": 2, "m-1": m - 1, "m": m, "m+1": m + 1}[rows]
+        set_strip_rows(monkeypatch, strip, axes)
+        want = per_cell_corner_max(dense_count_frac(z, axes), mass_fn(axes))
+        assert sup_count_vs_mass(z, np.full(d, 0.5), mass_fn) == want
+
+    def test_no_tail_rows(self):
+        # floor(k T) = 0 leaves U = 0 rows: the count is 0 on the one cell
+        corners = np.array([[0.0, 0.25], [0.5, 0.75]])
+        depths = np.empty((0, 2), dtype=np.int64)
+        assert lattice_corner_max(depths, 10, corners, None) == 0.75
+        assert max_count_gap(np.empty((0, 2)), [np.array([0.0, 1.0])] * 2, 10,
+                             lambda axes: np.full((axes[0].size, 2), 0.5)) == 0.5
+
+    @pytest.mark.parametrize("scan", ["sup_count_vs_mass", "max_count_gap",
+                                      "lattice_corner_max"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_nan_reference_is_rejected(self, scan, where):
+        # a NaN reference used to be dropped by max(best, nan) and read 0.0
+        model = parse_model("independence", 2)
+
+        def with_nan(axes):
+            ref = tail_union_prob_axes(model, axes)
+            ref[0 if where == "first" else -1, 1] = np.nan
+            return ref
+
+        z = np.array([[0.1, 0.2], [0.3, 0.05], [0.5, 0.5]])
+        with pytest.raises(PreconditionError, match="NaN"):
+            if scan == "sup_count_vs_mass":
+                sup_count_vs_mass(z, 0.7, with_nan)
+            elif scan == "max_count_gap":
+                max_count_gap(z, [declared_axis(0.4, 5)] * 2, 3, with_nan)
+            else:
+                depths = tail_depths(tail_order(z), [2, 2])
+                lattice_corner_max(depths, 2, with_nan([np.arange(4) / 8] * 2), None)
+
+
 class TestCandidateAxes:
     def test_zero_and_tmax_always_present(self):
         z = np.array([[0.5, 0.2], [0.9, 0.4]])
@@ -481,6 +586,40 @@ class TestPointValidation:
         z[2, 0] = bad
         with pytest.raises(PreconditionError, match="points must be finite"):
             self.scans()[scan](z)
+
+
+class TestDegeneratePoints:
+    @staticmethod
+    def scans():
+        model = parse_model("independence", 2)
+        mass_fn = lambda axes: tail_union_prob_axes(model, axes)
+        return {
+            "sup_signed_count": lambda z: sup_signed_count(
+                z, np.ones(z.shape[0]), 0.4),
+            "sup_count_vs_mass": lambda z: sup_count_vs_mass(z, 0.4, mass_fn),
+            "sup_count_vs_mass_grid": lambda z: sup_count_vs_mass_grid(
+                z, 0.4, mass_fn, 5),
+            "max_count_gap": lambda z: max_count_gap(
+                z, [declared_axis(0.4, 5)] * z.shape[1], 3, mass_fn),
+        }
+
+    @pytest.mark.parametrize("scan", ["sup_signed_count", "sup_count_vs_mass",
+                                      "sup_count_vs_mass_grid", "max_count_gap"])
+    def test_no_columns_is_rejected(self, scan):
+        # an n x 0 matrix used to raise TypeError or IndexError (exit 5)
+        with pytest.raises(PreconditionError, match=r"d >= 1, got \(3, 0\)"):
+            self.scans()[scan](np.ones((3, 0)))
+
+    @pytest.mark.parametrize("scan", ["sup_count_vs_mass", "sup_count_vs_mass_grid"])
+    def test_set_mass_scans_reject_no_rows(self, scan):
+        # both divide by n: 0.0 with a divide warning, or a NaN slack
+        with pytest.raises(PreconditionError, match="n >= 1 and d >= 1"):
+            self.scans()[scan](np.ones((0, 2)))
+
+    def test_count_gap_accepts_no_rows(self):
+        # the count is 0 everywhere, so the gap is the largest reference
+        got = self.scans()["max_count_gap"](np.ones((0, 2)))
+        assert got == tail_union_prob(parse_model("independence", 2), [0.4, 0.4])
 
 
 class TestScanMemory:

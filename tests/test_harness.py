@@ -32,13 +32,13 @@ from tailvc import (
     sup_tail_process_deviation,
 )
 from tailvc.empirical import empirical_stdf_lattice, lattice_index, tail_order
+from tailvc.gridscan import cell_corner_max
 from tailvc.harness import (
-    _cell_corner_sup,
     _corner_model_grids,
     _one_trial,
     _order_stat_event,
 )
-from tailvc.models import eval_stdf_axes
+from tailvc.models import eval_stdf_axes, tail_union_prob_axes
 from tailvc.rng import substream
 
 
@@ -258,7 +258,7 @@ def dense_sup_stdf_deviation(state, k, model, T):
     counts = empirical_stdf_lattice(state, k, [m_top] * state.d)
     axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
     corners = eval_stdf_axes(model, [axis] * state.d)
-    return _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+    return cell_corner_max(counts, corners, scratch=np.empty_like(counts))
 
 
 def dense_corner_sup(depths, k, corners):
@@ -269,7 +269,7 @@ def dense_corner_sup(depths, k, corners):
     survivors = np.flip(np.flip(hist, 0).cumsum(0), 0)
     survivors = np.flip(np.flip(survivors, 1).cumsum(1), 1)
     counts = (depths.shape[0] - survivors) / k
-    return _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+    return cell_corner_max(counts, corners, scratch=np.empty_like(counts))
 
 
 def synthetic_depths(m_top, rng):
@@ -471,8 +471,8 @@ class TestPrunedScan:
         monkeypatch.setattr(hmod, "_corner_grid", None)
         monkeypatch.setattr(gridscan, "pruned_corner_max",
                             count("pruned", gridscan.pruned_corner_max))
-        monkeypatch.setattr(hmod, "_strip_corner_sup",
-                            count("walk", hmod._strip_corner_sup))
+        monkeypatch.setattr(gridscan, "_corner_scan",
+                            count("walk", gridscan._corner_scan))
         x = tail_order(draw_copula_sample(m, 20_000, substream(23, "dip")))
         got = sup_stdf_deviation(x, k, m, T).value
         corners, blocks = _corner_model_grids(m, k, T, 2)
@@ -482,7 +482,7 @@ class TestPrunedScan:
         assert calls == {"pruned": 0, "walk": 1}
         m_top = int(lattice_index(k, T))
         counts = empirical_stdf_lattice(x, k, [m_top] * 2)
-        want = _cell_corner_sup(counts, corners, scratch=np.empty_like(counts))
+        want = cell_corner_max(counts, corners, scratch=np.empty_like(counts))
         assert got == want
 
     @pytest.mark.parametrize("tag,n,k,pruned", [
@@ -494,7 +494,6 @@ class TestPrunedScan:
         # the fast path must not rot silently: logistic(2) at k = 800 is
         # pruned, while high-survival models fall back to the strip walk
         import tailvc.gridscan as gridscan
-        import tailvc.harness as hmod
 
         results, walks = [], []
 
@@ -506,9 +505,9 @@ class TestPrunedScan:
             walks.append(1)
             return walk(*args)
 
-        prune, walk = gridscan.pruned_corner_max, hmod._strip_corner_sup
+        prune, walk = gridscan.pruned_corner_max, gridscan._corner_scan
         monkeypatch.setattr(gridscan, "pruned_corner_max", spy_pruned)
-        monkeypatch.setattr(hmod, "_strip_corner_sup", spy_walk)
+        monkeypatch.setattr(gridscan, "_corner_scan", spy_walk)
         m, T = parse_model(tag, 2), 2.0
         x = tail_order(draw_copula_sample(m, n, substream(24, "path", tag)))
         got = sup_stdf_deviation(x, k, m, T).value
@@ -789,3 +788,66 @@ class TestDecomposition:
         # dominated by the lattice gap plus the threshold displacement
         assert terms.rounding >= 0
         assert lattice_rounding_sup(k, T, 2) == pytest.approx(2 / k)
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)",
+                                     "logistic(5)"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k,T", [(40, 2.0), (7, 0.09)])
+    def test_bit_identical_to_dense_terms(self, monkeypatch, tag, d, k, T):
+        # k T = 0.63 < 1 leaves one lattice cell and no tail rows
+        import tailvc.harness as hmod
+
+        m = parse_model(tag, d)
+        x = draw_copula_sample(m, 3000, substream(25, "dense-dec", tag, d, k))
+        want = [v.hex() for v in dense_decomposition(x, k, T, m)]
+        lattice = int(lattice_index(k, T)) + 1
+        for strip in (None, 1, 3):
+            if strip is not None:
+                set_strip_rows(monkeypatch, strip, lattice, d)
+                monkeypatch.setattr(hmod, "_corner_grid", None)
+            terms = deviation_decomposition(x, k, T, m)
+            got = [terms.substitution, terms.bias, terms.rounding]
+            assert [v.hex() for v in got] == want, strip
+            assert terms.total == sup_stdf_deviation(tail_order(x), k, m, T).value
+
+    def test_memory_is_linear_in_the_tail(self, monkeypatch):
+        # the dense terms held (floor(kT) + 1)^2 grids here: 99.7 MiB peak
+        import tailvc.harness as hmod
+
+        m, k, T = logistic(2.0, 2), 800, 2.0
+        x = draw_copula_sample(m, 20_000, substream(19, "mem"))
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        _corner_model_grids(m, k, T, 2)
+        tracemalloc.start()
+        try:
+            deviation_decomposition(x, k, T, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("k", [0, 1001])
+    def test_k_outside_one_to_n_is_rejected(self, k):
+        m = logistic(2.0, 2)
+        x = draw_copula_sample(m, 1000, substream(26, "dec-k"))
+        with pytest.raises(PreconditionError, match=r"k must lie in \[1, n\]"):
+            deviation_decomposition(x, k, 0.5, m)
+
+
+def dense_decomposition(x, k, T, model):
+    """The former decomposition terms, from dense lattice and model grids."""
+    state = tail_order(x)
+    n, d = state.n, state.d
+    u = 1.0 - x
+    m_top = int(lattice_index(k, T))
+    counts = empirical_stdf_lattice(state, k, [m_top] * d)
+    thr_axes = [np.concatenate(([0.0], np.sort(u[:, j])[:m_top])) for j in range(d)]
+    tail_grid = tail_union_prob_axes(model, thr_axes) * (n / k)
+    substitution = float(np.abs(counts - tail_grid).max())
+    l_at_thr = eval_stdf_axes(model, [n / k * a for a in thr_axes])
+    bias = float(np.abs(tail_grid - l_at_thr).max())
+    axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+    corners = eval_stdf_axes(model, [axis] * d)
+    lower = np.abs(l_at_thr - corners[(slice(None, -1),) * d]).max()
+    upper = np.abs(l_at_thr - corners[(slice(1, None),) * d]).max()
+    return substitution, bias, float(np.maximum(lower, upper))
