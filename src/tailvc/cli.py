@@ -34,7 +34,6 @@ from .empirical import (
     empirical_stdf_lattice,
     jitter_columns,
     lattice_index,
-    tail_depths,
 )
 from .errors import (
     ConfigurationError,
@@ -43,7 +42,6 @@ from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
 )
-from .gridscan import dominance_weight_grid
 from .models import parse_model, sup_bias_method
 from .reportio import (
     read_sample_csv,
@@ -286,6 +284,8 @@ def cmd_estimate(args, config: dict) -> int:
     o = _options("estimate", args, config)
     out = _out_dir(o)
     k, T, stride = o["k"], o["T"], o["grid-stride"]
+    if stride is not None and stride < 1:
+        raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
     values = read_sample_csv(o["data"]).values
     if o["jitter-seed"] is not None:
         values = jitter_columns(values, o["jitter-seed"])
@@ -301,20 +301,9 @@ def cmd_estimate(args, config: dict) -> int:
             f"d = {d} >= 3 requires --grid-stride (lattice steps per axis)"
         )
     stride = 1 if stride is None else stride
-    if stride < 1:
-        raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
-    axes = [np.arange(0, m_top + 1, stride) for _ in range(d)]
-    if stride == 1 and d <= 2:
-        sub = empirical_stdf_lattice(state, k, [m_top] * d)
-    else:
-        # evaluate only the strided sub-lattice; the full lattice may not fit
-        depths = tail_depths(state, [m_top] * d).astype(float)
-        survivors = dominance_weight_grid(
-            depths, np.ones(depths.shape[0]), [a.astype(float) for a in axes],
-            strict=True,
-        )
-        sub = (depths.shape[0] - survivors) / k
-    mesh = np.meshgrid(*axes, indexing="ij")
+    # only the strided sub-lattice is evaluated; the full one may not fit
+    sub = empirical_stdf_lattice(state, k, [m_top] * d, stride)
+    mesh = np.meshgrid(*[np.arange(0, m_top + 1, stride)] * d, indexing="ij")
     surface = np.column_stack([g.ravel() / k for g in mesh] + [np.ravel(sub)])
     surface_path = out / "surface.csv"
     header = [f"x{j + 1}" for j in range(d)] + ["l_n"]

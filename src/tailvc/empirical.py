@@ -20,42 +20,13 @@ rank arithmetic.  All evaluators are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, TiesError
-from .gridscan import suffix_sums
+from .gridscan import dominance_weight_grid
 from .samplers import Sample, parse_margin
-
-
-@dataclass(frozen=True)
-class RankState:
-    """Per-column ascending order statistics and within-column ranks.
-
-    ``ranks[i, j]`` is r when X_i^j is the r-th smallest in column j;
-    ranks within each column are a permutation of 1..n.
-    """
-
-    ranks: np.ndarray
-    order_stats: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.ranks.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.ranks.shape[1]
-
-    def top_rows(self, j: int, m: int) -> np.ndarray:
-        """Rows of the m largest values of column j, largest first; O(n)."""
-        col = self.ranks[:, j]
-        rows = np.flatnonzero(col > self.n - m)
-        top = np.empty(m, dtype=np.intp)
-        top[self.n - col[rows]] = rows
-        return top
 
 
 @dataclass(frozen=True)
@@ -82,7 +53,7 @@ class TailOrder:
 
     @property
     def order_stats(self) -> np.ndarray:
-        """n x d ascending columns, as in ``RankState.order_stats`` (a view)."""
+        """n x d ascending columns: a transposed view of ``sorted_cols``."""
         return self.sorted_cols.T
 
     def top_rows(self, j: int, m: int) -> np.ndarray:
@@ -105,6 +76,17 @@ class TailOrder:
         return np.concatenate((nan_rows[::-1], rows))
 
 
+@dataclass(frozen=True)
+class RankState(TailOrder):
+    """A ``TailOrder`` that also holds every row's within-column rank.
+
+    ``ranks[i, j]`` is r when X_i^j is the r-th smallest in column j;
+    ranks within each column are a permutation of 1..n.
+    """
+
+    ranks: np.ndarray
+
+
 def _values_of(sample) -> np.ndarray:
     values = sample.values if isinstance(sample, Sample) else np.asarray(sample, float)
     if values.ndim == 1:
@@ -119,17 +101,17 @@ def build_ranks(sample) -> RankState:
     values = _values_of(sample)
     n, d = values.shape
     ranks = np.empty((n, d), dtype=np.int64)
-    order_stats = np.empty_like(values)
+    sorted_cols = np.empty((d, n), dtype=values.dtype)
     for j in range(d):
         order = np.argsort(values[:, j], kind="stable")
-        col_sorted = values[order, j]
+        col_sorted = sorted_cols[j]
+        col_sorted[:] = values[order, j]
         dup = np.nonzero(col_sorted[1:] == col_sorted[:-1])[0]
         if dup.size:
             i = dup[0]
             raise TiesError(column=j, rows=sorted((order[i], order[i + 1])))
-        order_stats[:, j] = col_sorted
         ranks[order, j] = np.arange(1, n + 1)
-    return RankState(ranks=ranks, order_stats=order_stats)
+    return RankState(values=values, sorted_cols=sorted_cols, ranks=ranks)
 
 
 def tail_order(sample) -> TailOrder:
@@ -227,7 +209,7 @@ def empirical_stdf(ranks: RankState, k: int, x) -> float | np.ndarray:
     return exceedance_count(ranks, m) / k
 
 
-def tail_depths(ranks: RankState | TailOrder, mmax) -> np.ndarray:
+def tail_depths(ranks: TailOrder, mmax) -> np.ndarray:
     """Per-column depths of the rows in some column's top mmax_j.
 
     Returns an int64 U x d matrix, one row per member of the union of the
@@ -236,9 +218,8 @@ def tail_depths(ranks: RankState | TailOrder, mmax) -> np.ndarray:
     outside column j's top mmax_j.  A row counts at a lattice vector m
     (0 <= m <= mmax) iff depth_j <= m_j for some j, so the rows outside
     the union never count and the count at m is U - #{rows with depth > m}.
-    ``ranks`` is a RankState or a TailOrder; either gives the same order
-    of each column's top rows.  Cost: O(n) selection per column plus the
-    ordering of the selected rows.
+    ``ranks`` is any ``TailOrder``, a ``RankState`` included.  Cost: O(n)
+    selection per column plus the ordering of the selected rows.
     """
     n, d = ranks.n, ranks.d
     mmax = np.asarray(mmax, dtype=np.int64)
@@ -255,32 +236,29 @@ def tail_depths(ranks: RankState | TailOrder, mmax) -> np.ndarray:
     return depths
 
 
-def stdf_lattice_counts(ranks: RankState | TailOrder, mmax) -> np.ndarray:
-    """Exceedance counts on the full integer lattice 0..mmax_j per axis.
+def stdf_lattice_counts(ranks: TailOrder, mmax, stride: int = 1) -> np.ndarray:
+    """Exceedance counts on the lattice 0, stride, ... <= mmax_j per axis.
 
-    Returns an int64 tensor C with C[m_1, ..., m_d] = the count behind
-    l_n(m/k).  Only the tail rows of ``tail_depths`` are read: each lands
-    in the histogram cell depth - 1, and the rows outside every tail all
-    land in the corner cell.  Suffix sums of the histogram count the rows
-    surviving every level vector, so the cost is that of ``tail_depths``
-    plus O(prod(mmax + 1)) for the lattice.
+    Returns an int64 tensor C with C[i_1, ..., i_d] = the count behind
+    l_n(m/k) at m_j = i_j * stride.  Only the U tail rows of
+    ``tail_depths`` are read: the count at m is U less the tail rows
+    dominating m, one ``dominance_weight_grid`` over those rows.  The cost
+    is that of ``tail_depths`` plus O(U + nodes) for the lattice.
     """
-    depths = tail_depths(ranks, mmax)
-    n, mmax = ranks.n, np.asarray(mmax, dtype=np.int64)
-    shape = tuple(int(m) + 1 for m in mmax)
-    cell = np.ravel_multi_index(tuple(depths.T - 1), shape)
-    hist = np.bincount(cell, minlength=math.prod(shape)).reshape(shape)
-    hist[tuple(mmax)] += n - depths.shape[0]
-    # survivors[m] = #{rows with depth_j > m_j for all j}
-    survivors = suffix_sums(hist)
-    return np.subtract(n, survivors, out=survivors)
+    if stride < 1:
+        raise PreconditionError(f"lattice stride must be >= 1, got {stride}")
+    depths = tail_depths(ranks, mmax).astype(float)
+    levels = [np.arange(0, int(m) + 1, stride, dtype=float) for m in mmax]
+    grid = dominance_weight_grid(depths, np.ones(depths.shape[0]), levels, strict=True)
+    return np.subtract(depths.shape[0], grid, out=grid).astype(np.int64)
 
 
-def empirical_stdf_lattice(ranks: RankState | TailOrder, k: int, mmax) -> np.ndarray:
-    """l_n on the lattice (m_1/k, ..., m_d/k), 0 <= m_j <= mmax_j."""
+def empirical_stdf_lattice(ranks: TailOrder, k: int, mmax,
+                           stride: int = 1) -> np.ndarray:
+    """l_n on the lattice (m_1/k, ..., m_d/k), m_j = 0, stride, ... <= mmax_j."""
     if not 1 <= k <= ranks.n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
-    return stdf_lattice_counts(ranks, mmax) / k
+    return stdf_lattice_counts(ranks, mmax, stride) / k
 
 
 def tail_event_count(u, thresholds) -> int:

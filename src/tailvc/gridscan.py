@@ -20,11 +20,14 @@ One walker streams the dominance grid in strips of axis-0 rows, from the
 top down, and every scan reduces a strip before the next is built: with
 m breakpoints per axis and S rows per strip, memory is O(n + S m^(d-1))
 in place of the m^d dense grid, and the strips hold the dense grid's
-values bit for bit.  ``count_strips`` turns each strip into counts, and
-one reducer, ``cell_corner_max``, meets them with the reference at both
-cell corners, for ``sup_count_vs_mass``, for the lattice scan
-``lattice_corner_max`` and for the decomposition check.  ``max_count_gap``
-reads the nodes only, and the d >= 3 signed scan the grid's extremes.
+values bit for bit.  It is the one dominance kernel: every survivor
+count on a lattice, kept whole (``dominance_weight_grid``) or reduced a
+strip at a time, comes out of it.  ``count_strips`` turns each strip
+into counts, and one reducer, ``cell_corner_max``, meets them with the
+reference at both cell corners, for ``sup_count_vs_mass``, for the
+lattice scan ``lattice_corner_max`` and for the decomposition check.
+``max_count_gap`` reads the nodes only, and the d >= 3 signed scan the
+grid's extremes.
 
 The d <= 2 signed scan (``sup_signed_count``) needs only the largest
 and smallest node of the grid, so it never builds a strip: it splits
@@ -34,11 +37,12 @@ arithmetic, in O(n + m^1.5) time and memory.
 
 The d = 2 lattice scan first tries ``pruned_corner_max``, for corner
 grids that are nondecreasing in floats (``corner_blocks``).  It bounds
-every block of nodes from the counts at the block's two extreme nodes,
-skips each block whose bound cannot beat the best node value found, and
-evaluates the rest exactly from the depth permutations.  When most
-blocks survive the bound (a deviation flat at its maximum, as for
-independence and comonotone data), the strip walk runs instead.
+every block of nodes from the counts at the block's two extreme nodes
+(two small dominance grids of the walker), skips each block whose bound
+cannot beat the best node value found, and evaluates the rest exactly
+from the depth permutations.  When most blocks survive the bound (a
+deviation flat at its maximum, as for independence and comonotone
+data), the strip walk runs instead.
 """
 
 from __future__ import annotations
@@ -202,7 +206,10 @@ def dominance_weight_grid(
 
     Entry [i_1, ..., i_d] is the summed weight of rows with
     z_j > axes[j][i_j] (strict=True) or z_j >= axes[j][i_j] for all j.
-    Holds the whole grid; the scans below reduce it strip by strip.
+    Holds the whole grid, for the callers that keep every node (the
+    lattice counts of ``empirical.stdf_lattice_counts`` and the block
+    corners of ``pruned_corner_max``); the scans below reduce it strip by
+    strip.
     """
     grid = np.empty(tuple(len(a) for a in axes))
     for lo, hi, block in _dominance_strips(points, weights, axes, strict):
@@ -261,20 +268,6 @@ def corner_blocks(grid: np.ndarray) -> CornerBlocks | None:
                         grid[np.ix_(ends, ends)], grid[np.ix_(ends + 1, ends + 1)])
 
 
-def _survivor_counts(depths: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """#{rows with depth_0 > levels[i] and depth_1 > levels[j]}, int64, [i, j].
-
-    ``levels`` is increasing.  A row lands in histogram cell
-    (#{levels < depth_0}, #{levels < depth_1}); cell 0 on an axis holds
-    the rows below every level, which the suffix sums then leave out.
-    """
-    nl = levels.size + 1
-    below = np.cumsum(np.bincount(levels + 1, minlength=int(depths.max()) + 1))
-    cell = below[depths]
-    hist = np.bincount(cell[:, 0] * nl + cell[:, 1], minlength=nl * nl)
-    return suffix_sums(hist.reshape(nl, nl))[1:, 1:]
-
-
 def _node_gap(count_k, l_lo, l_hi) -> np.ndarray:
     """max(|c/k - l_lo|, |c/k - l_hi|) at nodes where l_lo <= l_hi.
 
@@ -314,9 +307,12 @@ def pruned_corner_max(depths: np.ndarray, k: int, blocks: CornerBlocks) -> float
     corners, lows, ends = blocks.grid, blocks.lows, blocks.ends
     side = int(ends[0] - lows[0]) + 1
     m_top, nb, u = int(ends[-1]), ends.size, depths.shape[0]
-    surv_hi = _survivor_counts(depths, ends)
+    points, ones = depths.astype(float), np.ones(u)
+    surv_hi = dominance_weight_grid(points, ones, [ends.astype(float)] * 2,
+                                    strict=True).astype(np.int64)
     count_hi = (u - surv_hi) / k
-    count_lo = (u - _survivor_counts(depths, lows)) / k
+    count_lo = (u - dominance_weight_grid(points, ones, [lows.astype(float)] * 2,
+                                          strict=True)) / k
     bound = np.subtract(count_hi, blocks.l_low)
     np.maximum(bound, np.subtract(blocks.l_up, count_lo, out=count_lo), out=bound)
     bound = bound.ravel()

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import (
-    RankState,
     TailOrder,
     build_ranks,
     lattice_index,
@@ -43,7 +42,7 @@ from .models import (
     tail_union_prob_axes,
 )
 from .rng import substream
-from .samplers import Sample, draw_copula_sample
+from .samplers import draw_copula_sample
 
 
 def stdf_deviation_bound(
@@ -129,16 +128,14 @@ def sup_stdf_deviation(
 ) -> SupEstimate:
     """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
 
-    ``sample`` is a RankState, a TailOrder or raw values, which are ranked
-    in full.  Both paths read only the floor(k T) largest values of each
-    column, so a TailOrder serves them without ranking.  The exact path
-    is one ``gridscan.lattice_corner_max`` call against the cached corner
-    grid and never holds a (floor(k T) + 1)^d grid of its own.
+    ``sample`` is a TailOrder (a RankState is one) or raw values, which
+    are ranked in full.  Both paths read only the floor(k T) largest
+    values of each column, so a TailOrder serves them without ranking.
+    The exact path is one ``gridscan.lattice_corner_max`` call against
+    the cached corner grid and never holds a (floor(k T) + 1)^d grid of
+    its own.
     """
-    if isinstance(sample, (RankState, TailOrder)):
-        state = sample
-    else:
-        state = build_ranks(sample.values if isinstance(sample, Sample) else sample)
+    state = sample if isinstance(sample, TailOrder) else build_ranks(sample)
     n, d = state.n, state.d
     if model.d != d:
         raise ConfigurationError(
@@ -248,22 +245,24 @@ class DecompositionTerms:
 def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> DecompositionTerms:
     """Compute the exact proof-shaped split of sup |l_n - l| on one sample.
 
-    Expects a sample with uniform margins (so U = 1 - X is exact).  The
-    total never exceeds substitution + bias + rounding; the test suite
-    asserts this trial by trial.
+    Expects a NaN-free sample with uniform margins (so U = 1 - X is
+    exact).  The total never exceeds substitution + bias + rounding; the
+    test suite asserts this trial by trial.
     """
-    x = np.asarray(x, dtype=float)
     state = tail_order(x)
     n, d = state.n, state.d
-    u = 1.0 - x
+    if n and np.isnan(state.sorted_cols[:, -1]).any():  # NaN sorts last
+        raise PreconditionError("the sample must not contain NaN")
     m_top = int(lattice_index(k, T))
     if m_top > n:
         raise PreconditionError(f"floor(k T) = {m_top} exceeds n = {n}")
     if not 1 <= k <= n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
 
-    # the m-th smallest U of each column, m = 0..m_top
-    thr_axes = [np.concatenate(([0.0], np.sort(u[:, j])[:m_top])) for j in range(d)]
+    # the m-th smallest U of each column, m = 0..m_top: fl(1 - x) is
+    # non-increasing in x, so these are 1 - the m_top largest x, in order
+    thr_axes = [np.concatenate(([0.0], 1.0 - col[::-1][:m_top]))
+                for col in state.sorted_cols]
     # l_n on the lattice, one strip of axis-0 levels at a time; the model
     # terms are elementwise, so each strip's rows equal the dense grid's
     corners, _ = _corner_model_grids(model, k, T, d)

@@ -1,6 +1,10 @@
-"""Module boundaries: only ``gridscan`` reads ``gridscan``'s private names."""
+"""Module boundaries: only ``gridscan`` reads ``gridscan``'s private names,
+and every function the benchmark tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,24 @@ def test_detector(source, names):
 def test_no_module_reads_gridscan_privates(path):
     source = (PACKAGE / path).read_text(encoding="utf-8")
     assert private_gridscan_reads(source) == []
+
+
+def traced_layers() -> dict[str, list[str]]:
+    """``LAYERS`` of the benchmark tracer, loaded from its file, unregistered."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_tailvc_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+@pytest.mark.parametrize("name", [f"{mod}.{fn}" for mod, fns in traced_layers().items()
+                                  for fn in fns])
+def test_every_traced_name_resolves(name):
+    # the tracer raises on a missing name, so deleting one breaks every
+    # traced benchmark run; fail here first
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"tailvc.{module}")
+    for part in path:
+        obj = getattr(obj, part)
+    assert inspect.isfunction(obj)

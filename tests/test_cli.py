@@ -139,6 +139,17 @@ class TestEstimate:
         assert code == 3
         assert "column 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_is_usage_error_before_the_data_is_read(
+            self, tmp_path, capsys, stride):
+        # no data file exists: the stride is checked before it is read
+        out = tmp_path / "e"
+        code = run(["estimate", "--data", tmp_path / "missing.csv", "--k", 5,
+                    "--T", 2.0, "--grid-stride", stride, "--out", out])
+        assert code == 2
+        assert f"grid stride must be >= 1, got {stride}" in capsys.readouterr().err
+        assert not (out / "surface.csv").exists()
+
     @pytest.mark.parametrize("stride", [None, 2], ids=["stride-1", "strided"])
     def test_k_zero_is_precondition_error_on_both_paths(self, tmp_path, capsys,
                                                         stride):

@@ -25,6 +25,7 @@ from tailvc import (
     standardize,
 )
 from tailvc.empirical import (
+    TailOrder,
     exceedance_count,
     order_stat_thresholds,
     stdf_lattice_counts,
@@ -288,6 +289,34 @@ class TestTailKernel:
             assert np.array_equal(counts, oracle)
 
     @settings(max_examples=200, deadline=None)
+    @given(tail_kernel_cases(), st.integers(1, 5))
+    def test_strided_counts_match_exceedance_oracle(self, case, stride):
+        x, mmax = case
+        ranks = build_ranks(x)
+        axes = [np.arange(0, m + 1, stride) for m in mmax]
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        oracle = exceedance_count(ranks, nodes.reshape(-1, len(mmax)))
+        for source in (ranks, tail_order(x)):
+            counts = stdf_lattice_counts(source, mmax, stride)
+            assert counts.dtype == np.int64
+            assert counts.shape == tuple(a.size for a in axes)
+            assert np.array_equal(counts.ravel(), oracle)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tail_kernel_cases())
+    def test_rank_state_sorts_as_tail_order(self, case):
+        x, _ = case
+        ranks = build_ranks(x)
+        assert isinstance(ranks, TailOrder)
+        for got, want in ((ranks.sorted_cols, tail_order(x).sorted_cols),
+                          (ranks.order_stats, np.sort(x, axis=0))):
+            # bit for bit, but a NaN only as NaN: np.sort writes the default
+            # NaN where the stable argsort keeps the row's own (a -NaN here)
+            nan = np.isnan(got)
+            assert np.array_equal(nan, np.isnan(want))
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
     @given(tail_kernel_cases(), st.data())
     def test_tail_rows_count_on_any_level_grid(self, case, data):
         # the declared-grid and strided consumers: the count at a node is
@@ -348,3 +377,11 @@ class TestTailKernel:
             stdf_lattice_counts(x, [11, 0])
         with pytest.raises(PreconditionError):
             stdf_lattice_counts(x, [-1, 0])
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_is_a_precondition_error(self, stride):
+        x = tail_order(np.random.default_rng(83).random((10, 2)))
+        with pytest.raises(PreconditionError, match="stride must be >= 1"):
+            stdf_lattice_counts(x, [3, 3], stride)
+        with pytest.raises(PreconditionError, match="stride must be >= 1"):
+            empirical_stdf_lattice(x, 5, [3, 3], stride)

@@ -826,6 +826,32 @@ class TestDecomposition:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_thresholds_where_one_minus_x_collides(self):
+        # below 0.5 distinct x can round to one 1 - x: adjacent doubles at
+        # 0.3 collide in pairs, and every x under 2^-54 gives 1 - x = 1.0
+        rng = np.random.default_rng(27)
+        col = np.concatenate((0.3 + np.arange(100) * np.spacing(0.3),
+                              1e-300 * np.arange(1, 51), rng.random(150)))
+        x = np.column_stack((rng.permutation(col), rng.permutation(col)))
+        n, k, T = x.shape[0], 150, 2.0
+        state = tail_order(x)
+        for j in range(2):
+            u_sorted = np.sort(1.0 - x[:, j])
+            assert np.unique(u_sorted).size < n
+            assert np.array_equal(1.0 - state.sorted_cols[j][::-1], u_sorted)
+        m = independence(2)
+        terms = deviation_decomposition(x, k, T, m)
+        got = [terms.substitution, terms.bias, terms.rounding]
+        assert [v.hex() for v in got] == [
+            v.hex() for v in dense_decomposition(x, k, T, m)]
+
+    def test_nan_is_rejected(self):
+        m = logistic(2.0, 2)
+        x = draw_copula_sample(m, 1000, substream(26, "dec-nan"))
+        x[3, 1] = np.nan
+        with pytest.raises(PreconditionError, match="must not contain NaN"):
+            deviation_decomposition(x, 20, 2.0, m)
+
     @pytest.mark.parametrize("k", [0, 1001])
     def test_k_outside_one_to_n_is_rejected(self, k):
         m = logistic(2.0, 2)
