@@ -7,17 +7,19 @@ all generated from that table.  Flag values win over config-file values,
 which win over defaults; the environment variable TAILVC_OUT supplies the
 default output directory.  An option given where it does not apply, or a
 config-file key that is not an option of the subcommand, is a usage error.
-Every run writes a manifest next to its outputs; re-running with
-``--config manifest.json`` reproduces the data files byte for byte.
+``cmd_<name>(options, out)`` writes its data files and returns
+``(outputs, results)``; ``main`` alone creates ``out``, writes the manifest
+and prints the last output.  Re-running with ``--config manifest.json``
+reproduces the data files byte for byte.
 
-Exit codes: 0 success, 2 usage/configuration, 3 data, 4 precondition,
-5 internal.
+Exit codes: 0 success, 2 usage/configuration (also an unreadable config
+file or an ``--out`` that cannot be a directory), 3 data (also an
+unreadable ``--data`` file), 4 precondition, 5 internal.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -37,6 +39,7 @@ from .empirical import (
 )
 from .errors import (
     ConfigurationError,
+    DataError,
     PreconditionError,
     TailvcError,
     EXIT_INTERNAL,
@@ -44,6 +47,7 @@ from .errors import (
 )
 from .models import parse_model, sup_bias_method
 from .reportio import (
+    read_manifest,
     read_sample_csv,
     write_csv,
     write_manifest,
@@ -57,11 +61,9 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path}: {exc}")
+        raw = read_manifest(path)  # any JSON file, not only a manifest
+    except DataError as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigurationError(f"config file {exc}")
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
     # a manifest is accepted as a config source
@@ -249,40 +251,23 @@ def _options(subcommand: str, args, config: dict) -> dict:
     return resolved
 
 
-def _out_dir(options: dict) -> Path:
-    path = Path(options["out"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # ----------------------------------------------------------------- simulate
 
 
-def cmd_simulate(args, config: dict) -> int:
-    started = time.time()
-    o = _options("simulate", args, config)
-    out = _out_dir(o)
+def cmd_simulate(o: dict, out: Path) -> tuple[list, dict]:
     model = parse_model(o["model"], o["d"])
     spec = GeneratorSpec(model=model, n=o["n"], d=o["d"], seed=o["seed"],
                          margins=o["margins"])
     sample = draw_sample(spec)
     sample_path = out / "sample.csv"
     write_sample_csv(sample, sample_path)
-    write_manifest(
-        out / "simulate_manifest.json", "simulate", o, o["seed"],
-        inputs=[], outputs=[sample_path], started=started,
-    )
-    print(sample_path)
-    return EXIT_OK
+    return [sample_path], {}
 
 
 # ----------------------------------------------------------------- estimate
 
 
-def cmd_estimate(args, config: dict) -> int:
-    started = time.time()
-    o = _options("estimate", args, config)
-    out = _out_dir(o)
+def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     k, T, stride = o["k"], o["T"], o["grid-stride"]
     if stride is not None and stride < 1:
         raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
@@ -308,21 +293,13 @@ def cmd_estimate(args, config: dict) -> int:
     surface_path = out / "surface.csv"
     header = [f"x{j + 1}" for j in range(d)] + ["l_n"]
     write_csv(surface_path, header, surface)
-    write_manifest(
-        out / "estimate_manifest.json", "estimate", o, seed=None,
-        inputs=[o["data"]], outputs=[surface_path], started=started,
-    )
-    print(surface_path)
-    return EXIT_OK
+    return [surface_path], {}
 
 
 # ----------------------------------------------------------------- converge
 
 
-def cmd_converge(args, config: dict) -> int:
-    started = time.time()
-    o = _options("converge", args, config)
-    out = _out_dir(o)
+def cmd_converge(o: dict, out: Path) -> tuple[list, dict]:
     n, d, T, delta, frozen_c = o["n"], o["d"], o["T"], o["delta"], o["frozen-c"]
 
     exp = harness.ExperimentConfig(
@@ -368,22 +345,13 @@ def cmd_converge(args, config: dict) -> int:
     if frozen_c is not None:
         results["frozen_C"] = frozen_c
         results["coverage"] = harness.coverage_against_bound(report, frozen_c)
-    write_manifest(
-        out / "converge_manifest.json", "converge", o, o["seed"],
-        inputs=[], outputs=[trials_path, summary_path], started=started,
-        results=results,
-    )
-    print(summary_path)
-    return EXIT_OK
+    return [trials_path, summary_path], results
 
 
 # ----------------------------------------------------------------- bound
 
 
-def cmd_bound(args, config: dict) -> int:
-    started = time.time()
-    o = _options("bound", args, config)
-    out = _out_dir(o)
+def cmd_bound(o: dict, out: Path) -> tuple[list, dict]:
     kind, delta, C = o["kind"], o["delta"], o["C"]
     bound_path = out / "bound.csv"
 
@@ -408,27 +376,19 @@ def cmd_bound(args, config: dict) -> int:
             "vc-classical": conc.classical_vc_bound,
         }[kind]
         write_csv(bound_path, ["kind", "value"], [[kind, fn(params)]])
-    write_manifest(
-        out / "bound_manifest.json", "bound", o, seed=None,
-        inputs=[], outputs=[bound_path], started=started,
-    )
-    print(bound_path)
-    return EXIT_OK
+    return [bound_path], {}
 
 
 # ----------------------------------------------------------------- rademacher
 
 
-def cmd_rademacher(args, config: dict) -> int:
-    started = time.time()
-    o = _options("rademacher", args, config)
+def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
     seed, n, d, k, T = o["seed"], o["n"], o["d"], o["k"], o["T"]
     statistic, grid_res = o["statistic"], o["grid-resolution"]
     if d >= 3 and grid_res is None and statistic != "separation":
         raise ConfigurationError(
             f"d = {d} >= 3 requires --grid-resolution for the set scan"
         )
-    out = _out_dir(o)
     model = parse_model(o["model"], d)
     spec = conc.RectClassSpec(d=d, k=k, n=n, T=T)
     rows = []
@@ -459,21 +419,13 @@ def cmd_rademacher(args, config: dict) -> int:
         ["trial_id", "n", "k", "d", "T", "delta", "statistic_name", "value"],
         rows,
     )
-    write_manifest(
-        out / "rademacher_manifest.json", "rademacher", o, seed,
-        inputs=[], outputs=[trials_path], started=started, results=results,
-    )
-    print(trials_path)
-    return EXIT_OK
+    return [trials_path], results
 
 
 # ----------------------------------------------------------------- classify
 
 
-def cmd_classify(args, config: dict) -> int:
-    started = time.time()
-    o = _options("classify", args, config)
-    out = _out_dir(o)
+def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
     seed, d, alpha, norm, trials = o["seed"], o["d"], o["alpha"], o["norm"], o["trials"]
 
     generator = cls_mod.LabeledGenerator(
@@ -536,12 +488,7 @@ def cmd_classify(args, config: dict) -> int:
         rows,
     )
     outputs.append(trials_path)
-    write_manifest(
-        out / "classify_manifest.json", "classify", o, seed,
-        inputs=[], outputs=outputs, started=started, results=results,
-    )
-    print(trials_path)
-    return EXIT_OK
+    return outputs, results
 
 
 # ----------------------------------------------------------------- plumbing
@@ -553,33 +500,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tail dependence estimation and concentration experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, fn, text in (
-        ("simulate", cmd_simulate, "draw a synthetic sample to CSV"),
-        ("estimate", cmd_estimate, "tabulate the empirical surface"),
-        ("converge", cmd_converge, "sup-deviation rate experiment"),
-        ("bound", cmd_bound, "evaluate a deviation bound"),
-        ("rademacher", cmd_rademacher, "relative complexity estimates"),
-        ("classify", cmd_classify, "rare-region classification experiments"),
+    for name, text in (
+        ("simulate", "draw a synthetic sample to CSV"),
+        ("estimate", "tabulate the empirical surface"),
+        ("converge", "sup-deviation rate experiment"),
+        ("bound", "evaluate a deviation bound"),
+        ("rademacher", "relative complexity estimates"),
+        ("classify", "rare-region classification experiments"),
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="JSON config file or manifest (flags win)")
         for opt in _SPECS[name]:
             sp.add_argument(f"--{opt.name}", help=opt.help)
-        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    name = args.subcommand
     try:
-        config = _load_config(args.config)
-        return args.fn(args, config)
+        started = time.time()
+        o = _options(name, args, _load_config(args.config))
+        out = Path(o["out"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"--out {out}: cannot create the directory: {exc.strerror or exc}"
+            )
+        # looked up at call time, so a wrapper bound to the module name runs
+        outputs, results = globals()[f"cmd_{name}"](o, out)
+        write_manifest(
+            out / f"{name}_manifest.json", name, o, o.get("seed"),
+            inputs=[o["data"]] if "data" in o else [], outputs=outputs,
+            started=started, results=results,
+        )
+        print(outputs[-1])
+        return EXIT_OK
     except TailvcError as exc:
-        print(f"tailvc {args.subcommand}: {exc}", file=sys.stderr)
+        print(f"tailvc {name}: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception as exc:  # internal
-        print(f"tailvc {args.subcommand}: internal error: {exc}", file=sys.stderr)
+        print(f"tailvc {name}: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

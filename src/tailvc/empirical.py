@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import PreconditionError, TiesError
 from .gridscan import dominance_weight_grid
-from .samplers import Sample, parse_margin
+from .samplers import Sample, parse_margins
 
 
 @dataclass(frozen=True)
@@ -284,15 +284,7 @@ def empirical_tilde_F(u, x) -> float:
 def standardize(sample, margins) -> np.ndarray:
     """Entrywise U_i^j = 1 - F_j(X_i^j) using the known true margins."""
     values = _values_of(sample)
-    if isinstance(margins, str):
-        margins = (margins,)
-    specs = tuple(parse_margin(m) for m in margins)
-    if len(specs) == 1:
-        specs = specs * values.shape[1]
-    if len(specs) != values.shape[1]:
-        raise PreconditionError(
-            f"{len(specs)} margin tags for dimension {values.shape[1]}"
-        )
+    specs = parse_margins(margins, values.shape[1])
     u = np.column_stack([m.survival(values[:, j]) for j, m in enumerate(specs)])
     if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
         raise PreconditionError("standardized values left [0, 1]; wrong margins?")

@@ -119,6 +119,24 @@ def _corner_model_grids(
     return _corner_grid[1], _corner_grid[2]
 
 
+def _check_lattice_scan(state: TailOrder, k: int, model: StdfModel, T: float,
+                        grid_resolution: int | None) -> None:
+    """The preconditions of the lattice scan of ``state``, in a fixed order."""
+    n, d = state.n, state.d
+    if model.d != d:
+        raise ConfigurationError(
+            f"model dimension {model.d} does not match sample dimension {d}"
+        )
+    if T <= 0:
+        raise PreconditionError(f"T must be > 0, got {T}")
+    if k * T > n:
+        raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
+    if d >= 3 and grid_resolution is None:
+        raise ConfigurationError(f"d = {d} >= 3 requires an explicit grid resolution")
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
+
+
 def sup_stdf_deviation(
     sample,
     k: int,
@@ -136,19 +154,8 @@ def sup_stdf_deviation(
     its own.
     """
     state = sample if isinstance(sample, TailOrder) else build_ranks(sample)
-    n, d = state.n, state.d
-    if model.d != d:
-        raise ConfigurationError(
-            f"model dimension {model.d} does not match sample dimension {d}"
-        )
-    if T <= 0:
-        raise PreconditionError(f"T must be > 0, got {T}")
-    if k * T > n:
-        raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
-    if d >= 3 and grid_resolution is None:
-        raise ConfigurationError(f"d = {d} >= 3 requires an explicit grid resolution")
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
+    _check_lattice_scan(state, k, model, T, grid_resolution)
+    d = state.d
 
     # only the column tails can count: l_n(m/k) = (U - #{tail rows with
     # depth > m}) / k on the lattice, none above floor(k T)
@@ -253,11 +260,8 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     n, d = state.n, state.d
     if n and np.isnan(state.sorted_cols[:, -1]).any():  # NaN sorts last
         raise PreconditionError("the sample must not contain NaN")
+    _check_lattice_scan(state, k, model, T, None)
     m_top = int(lattice_index(k, T))
-    if m_top > n:
-        raise PreconditionError(f"floor(k T) = {m_top} exceeds n = {n}")
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
 
     # the m-th smallest U of each column, m = 0..m_top: fl(1 - x) is
     # non-increasing in x, so these are 1 - the m_top largest x, in order
@@ -265,11 +269,11 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
                 for col in state.sorted_cols]
     # l_n on the lattice, one strip of axis-0 levels at a time; the model
     # terms are elementwise, so each strip's rows equal the dense grid's
-    corners, _ = _corner_model_grids(model, k, T, d)
+    corners, blocks = _corner_model_grids(model, k, T, d)
     levels = [np.arange(m_top + 1, dtype=float)] * d
-    depths = tail_depths(state, [m_top] * d).astype(float)
+    depths = tail_depths(state, [m_top] * d)
     substitution = bias = rounding = 0.0
-    for lo, hi, counts in gridscan.count_strips(depths, levels, k):
+    for lo, hi, counts in gridscan.count_strips(depths.astype(float), levels, k):
         rows = [thr_axes[0][lo:hi]] + thr_axes[1:]
         tail = tail_union_prob_axes(model, rows) * (n / k)
         l_at_thr = eval_stdf_axes(model, [n / k * a for a in rows])
@@ -279,7 +283,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
         bias = max(bias, float(gap.max()))
         rounding = max(rounding, gridscan.cell_corner_max(
             l_at_thr, corners[lo:hi + 1], scratch=tail))
-    total = sup_stdf_deviation(state, k, model, T).value
+    total = gridscan.lattice_corner_max(depths, k, corners, blocks)
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding
     )
@@ -408,6 +412,16 @@ def _one_trial_star(args):
     return _one_trial(*args)
 
 
+def _ok_deviations(records, k: int) -> np.ndarray:
+    """The sup deviations of the successful trials at ``k``."""
+    return np.array([r.sup_deviation for r in records if r.k == k and r.ok])
+
+
+def _envelope_bias(summ: KSummary) -> float:
+    """The bias added to the envelope: over [0, 2T]^d where finite, else [0, T]^d."""
+    return summ.bias_2T if math.isfinite(summ.bias_2T) else summ.bias_T
+
+
 def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
     """Measure the sup deviation across the k schedule and fit its rate.
 
@@ -435,7 +449,7 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
     summaries = []
     medians = []
     for k in config.k_schedule:
-        devs = np.array([r.sup_deviation for r in records if r.k == k and r.ok])
+        devs = _ok_deviations(records, k)
         t_level = k / config.n
         bias_T = sup_bias(config.model, t_level, config.T)
         try:
@@ -478,12 +492,10 @@ def calibrate_constant(report: DeviationReport) -> float:
     cfg = report.config
     out = 0.0
     for summ in report.summaries:
-        devs = np.array(
-            [r.sup_deviation for r in report.trials if r.k == summ.k and r.ok]
-        )
+        devs = _ok_deviations(report.trials, summ.k)
         if devs.size == 0:
             raise PreconditionError(f"no successful trials at k = {summ.k}")
-        bias = summ.bias_2T if math.isfinite(summ.bias_2T) else summ.bias_T
+        bias = _envelope_bias(summ)
         unit = cfg.d * math.sqrt(
             cfg.T / summ.k * math.log((cfg.d + 3) / cfg.delta)
         )
@@ -497,11 +509,9 @@ def coverage_against_bound(report: DeviationReport, C: float) -> dict:
     cfg = report.config
     coverage = {}
     for summ in report.summaries:
-        bias = summ.bias_2T if math.isfinite(summ.bias_2T) else summ.bias_T
-        bound = stdf_deviation_bound(summ.k, cfg.d, cfg.T, cfg.delta, C, bias)
-        devs = np.array(
-            [r.sup_deviation for r in report.trials if r.k == summ.k and r.ok]
-        )
+        bound = stdf_deviation_bound(summ.k, cfg.d, cfg.T, cfg.delta, C,
+                                     _envelope_bias(summ))
+        devs = _ok_deviations(report.trials, summ.k)
         # calibrated bounds can sit exactly on a deviation; tolerate one ulp
         tol = 1e-12 * max(1.0, bound)
         coverage[summ.k] = (

@@ -72,8 +72,18 @@ def write_csv(path, header: list[str], rows) -> None:
     _write_lines(path, header, body)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read is a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}")
+
+
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty CSV")
@@ -113,7 +123,7 @@ def read_sample_csv(path) -> Sample:
     malformed when its field count differs from the first data line's, a
     field is not a float, or a field is not finite.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty sample file")
@@ -189,7 +199,9 @@ def write_manifest(
 
 
 def read_manifest(path) -> dict:
+    """The JSON value in ``path``; unreadable or malformed JSON is a DataError."""
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed manifest: {exc}")
+        raise DataError(f"{path}: malformed JSON: {exc}")

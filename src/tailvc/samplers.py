@@ -83,6 +83,21 @@ def parse_margin(tag) -> MarginSpec:
     raise ConfigurationError(f"unsupported margin tag {tag!r}")
 
 
+def parse_margins(tags, d: int) -> tuple:
+    """One MarginSpec per column: one tag for every column, else one per column.
+
+    ``tags`` is a single tag or MarginSpec, or a sequence of them.
+    """
+    if isinstance(tags, (str, MarginSpec)):
+        tags = (tags,)
+    specs = tuple(parse_margin(t) for t in tags)
+    if len(specs) == 1:
+        specs *= d
+    if len(specs) != d:
+        raise ConfigurationError(f"{len(specs)} margin tags for dimension {d}")
+    return specs
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Full recipe for one synthetic sample; equal specs give bit-equal data."""
@@ -102,17 +117,7 @@ class GeneratorSpec:
             raise ConfigurationError(
                 f"model dimension {self.model.d} does not match spec dimension {self.d}"
             )
-        margins = self.margins
-        if isinstance(margins, (str, MarginSpec)):
-            margins = (margins,)
-        margins = tuple(parse_margin(m) for m in margins)
-        if len(margins) == 1:
-            margins = margins * self.d
-        if len(margins) != self.d:
-            raise ConfigurationError(
-                f"{len(margins)} margin tags for dimension {self.d}"
-            )
-        object.__setattr__(self, "margins", margins)
+        object.__setattr__(self, "margins", parse_margins(self.margins, self.d))
 
 
 @dataclass(frozen=True)
@@ -215,14 +220,6 @@ def draw_sample(spec: GeneratorSpec) -> Sample:
 
 def apply_margins(sample: Sample, transforms) -> Sample:
     """Apply per-coordinate strictly increasing transforms; ranks unchanged."""
-    if isinstance(transforms, (str, MarginSpec)):
-        transforms = (transforms,)
-    specs = tuple(parse_margin(t) for t in transforms)
-    if len(specs) == 1:
-        specs = specs * sample.d
-    if len(specs) != sample.d:
-        raise ConfigurationError(
-            f"{len(specs)} transforms for dimension {sample.d}"
-        )
+    specs = parse_margins(transforms, sample.d)
     cols = [m.transform(sample.values[:, j]) for j, m in enumerate(specs)]
     return Sample(np.column_stack(cols), provenance=sample.provenance)

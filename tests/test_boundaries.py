@@ -1,10 +1,14 @@
 """Module boundaries: only ``gridscan`` reads ``gridscan``'s private names,
-and every function the benchmark tracer wraps exists."""
+every function the benchmark tracer wraps exists, and the tracer can
+rebind every alias of them."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ import pytest
 import tailvc
 
 PACKAGE = Path(tailvc.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def private_gridscan_reads(source: str) -> list[str]:
@@ -70,8 +75,7 @@ def test_no_module_reads_gridscan_privates(path):
 
 def traced_layers() -> dict[str, list[str]]:
     """``LAYERS`` of the benchmark tracer, loaded from its file, unregistered."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_tailvc_bench_tracer", path)
+    spec = importlib.util.spec_from_file_location("_tailvc_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer.LAYERS
@@ -87,3 +91,23 @@ def test_every_traced_name_resolves(name):
     for part in path:
         obj = getattr(obj, part)
     assert inspect.isfunction(obj)
+
+
+def test_tracer_installs_and_restores_on_a_fresh_interpreter():
+    # install raises when a dict or closure outside the package's module
+    # namespaces holds a traced function (a table of commands, say); this
+    # process's test modules hold their own, so a fresh interpreter runs it
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('_tailvc_bench_tracer',"
+        " sys.argv[1])\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "t.restore()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", code, str(TRACER)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

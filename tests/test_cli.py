@@ -554,3 +554,28 @@ class TestManifestReplay:
             p.name for p in b.iterdir() if p.name != manifest.name)
         for name in data:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("flag,code", [("--data", 3), ("--config", 2)])
+    def test_unreadable_input_names_the_path(self, tmp_path, capsys, flag, code,
+                                             kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"x1,x2\n0.5,\xff\n")
+        args = fill(ESTIMATE, tmp_path) + ["--out", str(tmp_path / "e")]
+        if flag == "--data":
+            args[args.index("--data") + 1] = path
+        else:
+            args += ["--config", path]
+        assert run(args) == code
+        assert f"{path}: " in capsys.readouterr().err
+
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(BOUND_VC + ["--out", out]) == 2
+        assert f"--out {out}: cannot create" in capsys.readouterr().err

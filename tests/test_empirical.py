@@ -35,7 +35,7 @@ from tailvc.empirical import (
 )
 from tailvc.gridscan import dominance_weight_grid
 from tailvc.rng import substream
-from tailvc.samplers import GeneratorSpec
+from tailvc.samplers import GeneratorSpec, parse_margin
 
 
 def antimonotone_sample():
@@ -148,6 +148,12 @@ class TestStandardize:
         u = standardize(base, "pareto(2)")
         for j in range(2):
             assert kstest(u[:, j], "uniform").pvalue > 0.01
+
+    def test_margin_spec_is_one_tag_for_every_column(self):
+        base = draw_sample(GeneratorSpec(model=independence(2), n=50, d=2, seed=8))
+        s = apply_margins(base, "exponential")
+        u = standardize(s, parse_margin("exponential"))
+        assert np.array_equal(u, standardize(s, "exponential"))
 
 
 class TestOrderStatIdentity:

@@ -859,6 +859,19 @@ class TestDecomposition:
         with pytest.raises(PreconditionError, match=r"k must lie in \[1, n\]"):
             deviation_decomposition(x, k, 0.5, m)
 
+    def test_d3_is_rejected_before_any_work(self, monkeypatch):
+        import tailvc.harness as hmod
+
+        def fail(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(hmod, "tail_depths", fail)
+        monkeypatch.setattr(hmod, "_corner_model_grids", fail)
+        m = independence(3)
+        x = draw_copula_sample(m, 500, substream(26, "dec-d3"))
+        with pytest.raises(ConfigurationError, match="d = 3 >= 3 requires"):
+            deviation_decomposition(x, 10, 2.0, m)
+
 
 def dense_decomposition(x, k, T, model):
     """The former decomposition terms, from dense lattice and model grids."""
