@@ -10,7 +10,9 @@ config-file key that is not an option of the subcommand, is a usage error.
 ``cmd_<name>(options, out)`` writes its data files and returns
 ``(outputs, results)``; ``main`` alone creates ``out``, writes the manifest
 and prints the last output.  Re-running with ``--config manifest.json``
-reproduces the data files byte for byte.
+reproduces the data files byte for byte.  No command checks a scan
+precondition of its own: its grid option is the declared grid of the
+library call, and ``gridscan.scan_is_exact`` decides whether d needs one.
 
 Exit codes: 0 success, 2 usage/configuration (also an unreadable config
 file or an ``--out`` that cannot be a directory), 3 data (also an
@@ -275,17 +277,8 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     if o["jitter-seed"] is not None:
         values = jitter_columns(values, o["jitter-seed"])
     state = build_ranks(values)
-    n, d = state.n, state.d
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
-    if k * T > n:
-        raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
-    m_top = int(lattice_index(k, T))
-    if d >= 3 and stride is None:
-        raise ConfigurationError(
-            f"d = {d} >= 3 requires --grid-stride (lattice steps per axis)"
-        )
-    stride = 1 if stride is None else stride
+    harness._check_lattice_scan(state, k, None, T, stride)  # no model to compare
+    d, m_top, stride = state.d, int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
     sub = empirical_stdf_lattice(state, k, [m_top] * d, stride)
     mesh = np.meshgrid(*[np.arange(0, m_top + 1, stride)] * d, indexing="ij")
@@ -385,10 +378,6 @@ def cmd_bound(o: dict, out: Path) -> tuple[list, dict]:
 def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
     seed, n, d, k, T = o["seed"], o["n"], o["d"], o["k"], o["T"]
     statistic, grid_res = o["statistic"], o["grid-resolution"]
-    if d >= 3 and grid_res is None and statistic != "separation":
-        raise ConfigurationError(
-            f"d = {d} >= 3 requires --grid-resolution for the set scan"
-        )
     model = parse_model(o["model"], d)
     spec = conc.RectClassSpec(d=d, k=k, n=n, T=T)
     rows = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import ConfigurationError, PreconditionError, TailvcError
 from .gridscan import (
     SupEstimate,
     declared_axis,
+    scan_is_exact,
     sup_count_vs_mass,
     sup_count_vs_mass_grid,
     sup_signed_count,
@@ -91,6 +92,8 @@ class BoundParams:
             raise ConfigurationError(f"union mass must lie in [0, 1], got {self.p}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
+        if not 0.0 <= self.C < math.inf:
+            raise ConfigurationError(f"C must be finite and >= 0, got {self.C}")
 
 
 @dataclass(frozen=True)
@@ -220,18 +223,10 @@ def sup_empirical_deviation(
     edge = cls.box_edge
     if edge > 1.0 + 1e-12:
         raise PreconditionError(f"(k/n) T = {edge:g} exceeds 1")
-
-    def mass_fn(axes):
-        return tail_union_prob_axes(model, axes)
-
-    if cls.d <= 2 and grid_resolution is None:
-        value = sup_count_vs_mass(u, np.full(cls.d, edge), mass_fn)
-        return SupEstimate(value=value, discretization_bound=0.0)
-    if grid_resolution is None:
-        raise ConfigurationError(
-            f"d = {cls.d} >= 3 requires an explicit grid resolution"
-        )
-    return sup_count_vs_mass_grid(u, np.full(cls.d, edge), mass_fn, grid_resolution)
+    mass_fn, tmax = partial(tail_union_prob_axes, model), np.full(cls.d, edge)
+    if scan_is_exact(cls.d, grid_resolution):
+        return SupEstimate(value=sup_count_vs_mass(u, tmax, mass_fn))
+    return sup_count_vs_mass_grid(u, tmax, mass_fn, grid_resolution)
 
 
 def relative_rademacher(
@@ -254,14 +249,9 @@ def relative_rademacher(
     p = union_mass(cls, model)
     if p <= 0:
         raise PreconditionError("union mass is zero; renormalization undefined")
-    if cls.d >= 3 and grid_resolution is None:
-        raise ConfigurationError(
-            f"d = {cls.d} >= 3 requires an explicit grid resolution"
-        )
     edge = cls.box_edge
-    axes = None
-    if grid_resolution is not None:
-        axes = [declared_axis(edge, grid_resolution)] * cls.d
+    axes = (None if scan_is_exact(cls.d, grid_resolution)
+            else [declared_axis(edge, grid_resolution)] * cls.d)
     values = np.empty(trials)
     for t in range(trials):
         rng = substream(seed, "rademacher", t)

@@ -165,8 +165,8 @@ def lattice_index(k: int, x) -> np.ndarray:
     treated as that integer.
     """
     kx = np.asarray(k * np.asarray(x, dtype=float))
-    if np.any(kx < 0):
-        raise PreconditionError("evaluation point must be >= 0")
+    if not np.all((kx >= 0) & (kx < np.inf)):  # NaN fails both
+        raise PreconditionError("evaluation point must be finite and >= 0")
     m = np.floor(kx)
     up = np.ceil(kx)
     snap = (up - kx) <= 1e-9 * np.maximum(1.0, np.abs(kx))

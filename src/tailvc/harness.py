@@ -9,7 +9,8 @@ corner grid; ``gridscan.lattice_corner_max`` covers every cell, making
 the supremum exact for d <= 2.  For d >= 3 a declared grid is scanned
 instead and an explicit slack is reported.  The decomposition check
 reads the same count strips and the same cell-corner reducer, one strip
-at a time, and never builds the lattice.
+at a time, and never builds the lattice.  ``_check_lattice_scan`` holds
+every lattice scan's preconditions, the CLI's ``estimate`` included.
 
 Experiments are trial-parallel: every (k, trial) pair derives its own
 random stream from the master seed, so results are identical whatever
@@ -34,7 +35,7 @@ from .empirical import (
 from .errors import ConfigurationError, PreconditionError, TiesError
 from .concentration import RectClassSpec, sup_empirical_deviation
 from . import gridscan
-from .gridscan import SupEstimate, declared_axis, max_count_gap
+from .gridscan import SupEstimate, declared_axis, max_count_gap, scan_is_exact
 from .models import (
     StdfModel,
     eval_stdf_axes,
@@ -54,6 +55,9 @@ def stdf_deviation_bound(
     tail law at t = k/n and its limit, taken over [0, 2T]^d; it is exactly
     zero for the comonotone model.
     """
+    if k < 1 or d < 1 or not (math.isfinite(T) and math.isfinite(C)):
+        raise PreconditionError(
+            f"need k >= 1, d >= 1 and finite T and C, got k={k}, d={d}, T={T}, C={C}")
     t_required = 3.5 * (math.log(d) / k + 1.0)
     if T < t_required - 1e-12:
         raise PreconditionError(
@@ -65,8 +69,8 @@ def stdf_deviation_bound(
         )
     if not 0 < delta < 1:
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
-    if bias < 0:
-        raise PreconditionError(f"bias must be >= 0, got {bias}")
+    if not 0 <= bias < math.inf:
+        raise PreconditionError(f"bias must be finite and >= 0, got {bias}")
     return C * d * math.sqrt(T / k * math.log((d + 3) / delta)) + bias
 
 
@@ -119,22 +123,25 @@ def _corner_model_grids(
     return _corner_grid[1], _corner_grid[2]
 
 
-def _check_lattice_scan(state: TailOrder, k: int, model: StdfModel, T: float,
-                        grid_resolution: int | None) -> None:
-    """The preconditions of the lattice scan of ``state``, in a fixed order."""
+def _check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,
+                        T: float, grid) -> bool:
+    """The preconditions of a lattice scan of ``state``, then ``scan_is_exact``.
+
+    ``grid`` is the declared grid (a resolution or a lattice stride) or
+    None; ``model`` is None when no l is compared (the CLI surface).
+    """
     n, d = state.n, state.d
-    if model.d != d:
+    if model is not None and model.d != d:
         raise ConfigurationError(
             f"model dimension {model.d} does not match sample dimension {d}"
         )
-    if T <= 0:
-        raise PreconditionError(f"T must be > 0, got {T}")
+    if not 0 < T < math.inf:
+        raise PreconditionError(f"T must be finite and > 0, got {T}")
     if k * T > n:
         raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
-    if d >= 3 and grid_resolution is None:
-        raise ConfigurationError(f"d = {d} >= 3 requires an explicit grid resolution")
     if not 1 <= k <= n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
+    return scan_is_exact(d, grid)
 
 
 def sup_stdf_deviation(
@@ -154,17 +161,15 @@ def sup_stdf_deviation(
     its own.
     """
     state = sample if isinstance(sample, TailOrder) else build_ranks(sample)
-    _check_lattice_scan(state, k, model, T, grid_resolution)
-    d = state.d
+    d, exact = state.d, _check_lattice_scan(state, k, model, T, grid_resolution)
 
     # only the column tails can count: l_n(m/k) = (U - #{tail rows with
     # depth > m}) / k on the lattice, none above floor(k T)
     m_top = int(lattice_index(k, T))
     depths = tail_depths(state, [m_top] * d)
-    if grid_resolution is None:
+    if exact:
         corners, blocks = _corner_model_grids(model, k, T, d)
-        value = gridscan.lattice_corner_max(depths, k, corners, blocks)
-        return SupEstimate(value=value, discretization_bound=0.0)
+        return SupEstimate(gridscan.lattice_corner_max(depths, k, corners, blocks))
 
     # declared-grid scan; the estimator is still evaluated exactly at the
     # snapped lattice points under each grid node
@@ -318,6 +323,8 @@ class ExperimentConfig:
                 f"max k = {ks[-1]} exceeds n/10 = {self.n / 10:g}; "
                 "the tail budget must stay small relative to n"
             )
+        if not 0 < self.T < math.inf:
+            raise ConfigurationError(f"T must be finite and > 0, got {self.T}")
         if any(k * self.T > self.n for k in ks):
             raise ConfigurationError(f"k T exceeds n for some k in {ks}")
         if self.model.d != self.d:
@@ -328,9 +335,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if self.d >= 3 and self.grid_resolution is None:
-            raise ConfigurationError("d >= 3 requires an explicit grid resolution")
-        if self.grid_resolution is not None:
+        if not scan_is_exact(self.d, self.grid_resolution):
             declared_axis(self.T, self.grid_resolution)  # rejects fewer than 2 nodes
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")

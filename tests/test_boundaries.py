@@ -1,6 +1,6 @@
 """Module boundaries: only ``gridscan`` reads ``gridscan``'s private names,
-every function the benchmark tracer wraps exists, and the tracer can
-rebind every alias of them."""
+every function the benchmark tracer wraps exists, the tracer can rebind
+every alias of them, and one function owns the d >= 3 scan rule."""
 
 import ast
 import importlib
@@ -10,10 +10,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tailvc
+from tailvc import cli, concentration, gridscan, harness
+from tailvc.errors import EXIT_USAGE, ConfigurationError
+from tailvc.models import independence
+from tailvc.rng import substream
+from tailvc.samplers import draw_copula_sample
 
 PACKAGE = Path(tailvc.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -111,3 +117,116 @@ def test_tracer_installs_and_restores_on_a_fresh_interpreter():
     result = subprocess.run([sys.executable, "-c", code, str(TRACER)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+# ---------------------------------------------------- the d >= 3 scan policy
+
+D3_MESSAGE = "d = 3 >= 3 requires a declared grid; the exact scan serves d <= 2"
+
+
+def raisers_of(source: str, fragment: str) -> list[str]:
+    """The innermost function around each ``raise`` whose message holds ``fragment``.
+
+    A raise outside any function is reported as ``<module>``.
+    """
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str)
+                and fragment in c.value for c in ast.walk(node)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source,names", [
+    ('def f(d):\n    raise E(f"d = {d} >= 3 requires x")', ["f"]),
+    ('def f():\n    def g():\n        raise E(">= 3 requires")\n    return g', ["g"]),
+    ('raise E(">= 3 requires")\ndef f():\n    x = ">= 3 requires"', ["<module>"]),
+    ('def f():\n    raise E("d >= 2 requires")', []),
+])
+def test_raiser_detector(source, names):
+    assert raisers_of(source, ">= 3 requires") == names
+
+
+def test_the_d3_rule_is_raised_in_one_function():
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in raisers_of(path.read_text(encoding="utf-8"), ">= 3 requires")]
+    assert found == ["gridscan.scan_is_exact"]
+
+
+def _cli(*args):
+    return lambda a: cli.main([str(v).format(data=a.data) for v in args]
+                              + ["--out", str(a.out)])
+
+
+# each d = 3 entry point called without a grid, on the inputs of ``d3_inputs``
+D3_CALLS = {
+    "sup_stdf_deviation": lambda a: harness.sup_stdf_deviation(a.x, 10, a.model, 2.0),
+    "deviation_decomposition": lambda a: harness.deviation_decomposition(
+        a.x, 10, 2.0, a.model),
+    "ExperimentConfig": lambda a: harness.ExperimentConfig(
+        model=a.model, n=400, d=3, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
+        seed=1),
+    "sup_empirical_deviation": lambda a: concentration.sup_empirical_deviation(
+        1.0 - a.x, a.cls, a.model),
+    "relative_rademacher": lambda a: concentration.relative_rademacher(
+        a.model, a.cls, 5, 1),
+    "cli-estimate": _cli("estimate", "--data", "{data}", "--k", 5, "--T", 2.0),
+    "cli-converge": _cli("converge", "--model", "independence", "--n", 400, "--d", 3,
+                         "--k-schedule", 10, "--T", 2.0, "--trials", 2, "--seed", 1,
+                         "--workers", 1),
+    "cli-rademacher": _cli("rademacher", "--n", 400, "--d", 3, "--k", 10, "--T", 2.0,
+                           "--trials", 2, "--seed", 1),
+    "cli-rademacher-both": _cli("rademacher", "--statistic", "both", "--n", 400,
+                                "--d", 3, "--k", 10, "--T", 2.0, "--trials", 2,
+                                "--seed", 1),
+}
+
+
+@pytest.fixture
+def d3_inputs(tmp_path):
+    model = independence(3)
+    data = tmp_path / "d3.csv"
+    # three permutations of 0..49: no ties
+    data.write_text("x1,x2,x3\n" + "".join(f"{i},{7 * i % 50},{11 * i % 50}\n"
+                                           for i in range(50)))
+    return SimpleNamespace(
+        model=model, x=draw_copula_sample(model, 400, substream(5, "d3-owner")),
+        cls=concentration.RectClassSpec(d=3, k=10, n=400, T=2.0), data=data,
+        out=tmp_path / "o")
+
+
+@pytest.mark.parametrize("entry", sorted(D3_CALLS))
+def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
+                                                      monkeypatch, entry):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sample was drawn or a scan started")
+
+    # every sampler alias and every scan kernel the entry points can reach
+    for module, names in (
+        (harness, ["draw_copula_sample", "tail_depths", "_corner_model_grids",
+                   "max_count_gap"]),
+        (concentration, ["draw_tail_uniforms", "sup_count_vs_mass",
+                         "sup_count_vs_mass_grid", "sup_signed_count"]),
+        (cli, ["draw_sample", "empirical_stdf_lattice"]),
+        (gridscan, ["_dominance_strips", "_signed_dominance_range"]),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
+    if entry.startswith("cli-"):
+        assert D3_CALLS[entry](d3_inputs) == EXIT_USAGE
+        subcommand = entry.split("-")[1]
+        assert capsys.readouterr().err == f"tailvc {subcommand}: {D3_MESSAGE}\n"
+        assert not any(d3_inputs.out.iterdir())
+    else:
+        with pytest.raises(ConfigurationError) as err:
+            D3_CALLS[entry](d3_inputs)
+        assert str(err.value) == D3_MESSAGE
+        assert err.value.exit_code == EXIT_USAGE

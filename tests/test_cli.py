@@ -275,6 +275,23 @@ class TestConverge:
         assert "T >= 7/2((log d)/k + 1) violated: T=2.0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", ["nan", "inf", "0", "-1"])
+    def test_t_outside_zero_to_inf_fails_before_any_draw(self, tmp_path, capsys,
+                                                         monkeypatch, T):
+        import tailvc.harness as hmod
+
+        def fail(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(hmod, "draw_copula_sample", fail)
+        code = run(["converge", "--model", "independence", "--n", 1000, "--d", 2,
+                    "--k-schedule", "10", "--T", T, "--trials", 2, "--seed", 1,
+                    "--workers", 1, "--out", tmp_path])
+        assert code == 2
+        assert "T must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_budget_violation_surfaces_verbatim(self, tmp_path, capsys):
         code = run(["converge", "--model", "independence", "--n", 1000, "--d", 2,
                     "--k-schedule", "100", "--T", 15.0, "--delta", "0.05",
@@ -320,9 +337,54 @@ class TestBound:
         ratios = [float(r[3]) for r in rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    STDF = {"k": 100, "d": 2, "T": 4.0, "C": 1.0, "bias": 0.0}
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("k", 0, "need k >= 1, d >= 1"),
+        ("d", 0, "need k >= 1, d >= 1"),
+        ("T", "nan", "finite T and C"),
+        ("T", "inf", "finite T and C"),
+        ("C", "nan", "finite T and C"),
+        ("bias", "nan", "bias must be finite and >= 0"),
+        ("bias", "inf", "bias must be finite and >= 0"),
+    ], ids=["k0", "d0", "T-nan", "T-inf", "C-nan", "bias-nan", "bias-inf"])
+    def test_stdf_input_outside_the_domain_writes_nothing(self, tmp_path, capsys,
+                                                          flag, value, message):
+        args = ["bound", "--kind", "stdf", "--delta", "0.05", "--out", tmp_path]
+        for name, v in dict(self.STDF, **{flag: value}).items():
+            args += [f"--{name}", v]
+        assert run(args) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["vc", "vc-compare"])
+    @pytest.mark.parametrize("C", ["nan", "inf", "-1"])
+    def test_vc_constant_outside_the_domain_is_usage_error(self, tmp_path, capsys,
+                                                          kind, C):
+        sizes = (["--n", 10_000] if kind == "vc"
+                 else ["--n-grid", "100,1000"])
+        code = run(["bound", "--kind", kind, *sizes, "--V", 2, "--p", "0.01",
+                    "--delta", "0.05", "--C", C, "--out", tmp_path])
+        assert code == 2
+        assert "C must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
+
     def test_unknown_kind_is_usage_error(self, tmp_path):
         assert run(["bound", "--kind", "hoeffding", "--delta", "0.05",
                     "--out", tmp_path]) == 2
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", ["nan", "inf", "0", "-1"])
+    def test_t_outside_zero_to_inf_is_precondition_error(self, tmp_path, capsys,
+                                                         T):
+        data = tmp_path / "s.csv"
+        write_distinct_sample(data)
+        out = tmp_path / "e"
+        assert run(["estimate", "--data", data, "--k", 5, "--T", T,
+                    "--out", out]) == 4
+        assert "T must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "surface.csv").exists()
 
 
 class TestRademacher:

@@ -93,6 +93,11 @@ class TestBounds:
         params = BoundParams(n=100, V=3, p=0.2, delta=1 - 1e-12)
         assert low_mass_vc_bound(params) < 1e-6
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -0.5])
+    def test_constant_must_be_finite_and_nonnegative(self, C):
+        with pytest.raises(ConfigurationError, match="C must be finite and >= 0"):
+            BoundParams(n=100, V=2, p=0.01, delta=0.05, C=C)
+
     def test_simplified_guard(self):
         # delta below exp(-n p) is out of regime
         with pytest.raises(PreconditionError):

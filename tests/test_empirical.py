@@ -105,6 +105,12 @@ class TestEmpiricalStdf:
             v = empirical_stdf(r, k, [0.7, 1.3])
             assert round(v * k) == pytest.approx(v * k, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -1.0, [1.0, np.nan]])
+    def test_lattice_index_rejects_points_outside_zero_to_inf(self, x):
+        with pytest.raises(PreconditionError, match="must be finite and >= 0"):
+            lattice_index(10, x)
+
     def test_lattice_index_snaps_float_dust(self):
         k = 7
         for m in range(0, 30):

@@ -469,6 +469,19 @@ class TestDominanceStrips:
             bits(dominance_weight_grid(z, weights, axes, strict)), bits(dense)
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("narrow", [0, 1 << 30], ids=["row-loop", "cumsum"])
+    def test_both_row_adds_match_dense_grid_bit_for_bit(self, monkeypatch, d, narrow):
+        # every d through each way of adding up a strip's rows
+        monkeypatch.setattr(gridscan, "_NARROW_ROW", narrow)
+        rng = np.random.default_rng(23 + d)
+        z, weights = rng.random((300, d)), rng.normal(size=300)
+        axes = candidate_axes(z, np.full(d, 0.8))
+        set_strip_rows(monkeypatch, 7, axes)
+        np.testing.assert_array_equal(
+            bits(dominance_weight_grid(z, weights, axes, strict=True)),
+            bits(dense_dominance_grid(z, weights, axes, strict=True)))
+
     def test_points_outside_every_bucket_carry_no_weight(self):
         z = np.array([[-0.5, 0.2], [0.3, -1.0], [0.4, 0.4]])
         axes = candidate_axes(z, np.array([0.5, 0.5]))

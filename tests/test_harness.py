@@ -69,6 +69,21 @@ class TestDeviationBound:
             base + 0.25
         )
 
+    @pytest.mark.parametrize("k,d,T,C,bias,match", [
+        (0, 2, 4.0, 1.0, 0.0, "need k >= 1, d >= 1"),
+        (100, 0, 4.0, 1.0, 0.0, "need k >= 1, d >= 1"),
+        (100, 2, math.nan, 1.0, 0.0, "finite T and C"),
+        (100, 2, math.inf, 1.0, 0.0, "finite T and C"),
+        (100, 2, 4.0, math.nan, 0.0, "finite T and C"),
+        (100, 2, 4.0, math.inf, 0.0, "finite T and C"),
+        (100, 2, 4.0, 1.0, math.nan, "bias must be finite and >= 0"),
+        (100, 2, 4.0, 1.0, math.inf, "bias must be finite and >= 0"),
+    ], ids=["k0", "d0", "T-nan", "T-inf", "C-nan", "C-inf", "bias-nan", "bias-inf"])
+    def test_input_outside_the_domain_is_a_precondition_error(self, k, d, T, C,
+                                                              bias, match):
+        with pytest.raises(PreconditionError, match=match):
+            stdf_deviation_bound(k, d, T, 0.05, C=C, bias=bias)
+
 
 class TestLatticeRounding:
     def test_interior_cells_give_one_over_k(self):
@@ -680,6 +695,13 @@ class TestRateExperiment:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(model=m, n=1000, d=2, k_schedule=(10,), T=200.0,
                              delta=0.05, trials=2, seed=0)  # k T > n
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_t_must_be_finite_and_positive(self, T):
+        with pytest.raises(ConfigurationError, match="T must be finite and > 0"):
+            ExperimentConfig(model=comonotone(2), n=1000, d=2, k_schedule=(10,),
+                             T=T, delta=0.05, trials=2, seed=0)
 
     def test_deterministic_across_worker_counts(self):
         m = independence(2)
