@@ -281,8 +281,13 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     d, m_top, stride = state.d, int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
     sub = empirical_stdf_lattice(state, k, [m_top] * d, stride)
-    mesh = np.meshgrid(*[np.arange(0, m_top + 1, stride)] * d, indexing="ij")
-    surface = np.column_stack([g.ravel() / k for g in mesh] + [np.ravel(sub)])
+    axis = np.arange(0, m_top + 1, stride) / k
+    surface = np.empty(sub.shape + (d + 1,))
+    for j in range(d):  # x_j varies along lattice axis j
+        surface[..., j] = axis.reshape([-1 if i == j else 1 for i in range(d)])
+    surface[..., d] = sub
+    del sub  # the surface holds it now; the write need not hold both
+    surface = surface.reshape(-1, d + 1)
     surface_path = out / "surface.csv"
     header = [f"x{j + 1}" for j in range(d)] + ["l_n"]
     write_csv(surface_path, header, surface)

@@ -76,8 +76,8 @@ def stdf_deviation_bound(
 
 def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     """sup over [0,T]^d of sum_j |floor(k x_j)/k - x_j|, exactly d * max gap."""
-    if k < 1 or T <= 0 or d < 1:
-        raise PreconditionError("need k >= 1, T > 0, d >= 1")
+    if k < 1 or not (math.isfinite(T) and T > 0) or d < 1:
+        raise PreconditionError("need k >= 1, finite T > 0, d >= 1")
     gap = 1.0 / k if math.floor(k * T) >= 1 else T
     return d * gap
 

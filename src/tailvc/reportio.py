@@ -2,12 +2,15 @@
 
 All floats are written with ``repr``, the shortest representation that
 round-trips exactly, so re-running a configuration reproduces output
-files byte for byte.  Float tables and samples are written column by
-column: each distinct float (bit pattern, so ``-0.0`` stays apart from
-``0.0``) is formatted once with ``repr`` and indexed back out, so the
-output is the ``repr`` bytes.  Sample CSVs are UTF-8, comma-separated,
-'.' decimal point, one observation per line; a single header line is
-auto-detected on read by a non-numeric first token.
+files byte for byte.  CSVs are written and read in blocks of
+``_BLOCK_LINES`` lines, in file order, so the text of a whole file or
+column is never held at once.  A float table is formatted block by
+block, column by column in row order; a column whose block repeats a
+value (bit pattern, so ``-0.0`` stays apart from ``0.0``), such as a
+lattice axis, formats each distinct value once and indexes it back.
+Sample CSVs are UTF-8, comma-separated, '.' decimal point, one
+observation per line; a single header line is auto-detected on read by
+a non-numeric first token.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,8 @@ from .errors import DataError
 from .samplers import Sample
 
 TOOL_VERSION = "0.1.0"
+
+_BLOCK_LINES = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -38,62 +44,100 @@ def _fmt(value) -> str:
 
 
 def _format_column(column: np.ndarray) -> list[str]:
-    """``repr`` of every float in ``column``, one ``repr`` call per distinct value."""
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    """``repr`` of every float in ``column``, in row order.
+
+    When a value repeats, each distinct one is formatted once and indexed
+    back; otherwise each is formatted where it stands.
+    """
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    if (ordered[1:] != ordered[:-1]).all():
+        return list(map(repr, values.tolist()))
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return text[inverse].tolist()
 
 
-_BLOCK_LINES = 1 << 16
+def _float_table_blocks(table: np.ndarray):
+    """The text of ``table``, _BLOCK_LINES rows at a time."""
+    width = table.shape[1]
+    for lo in range(0, len(table), _BLOCK_LINES):
+        block = table[lo:lo + _BLOCK_LINES]
+        # field, separator, field, ... in row order: one join per block
+        parts = [","] * (2 * block.size)
+        for j, column in enumerate(block.T):
+            parts[2 * j::2 * width] = _format_column(column)
+        parts[2 * width - 1::2 * width] = ["\n"] * len(block)
+        yield "".join(parts)
 
 
-def _write_lines(path, header: list[str], body) -> None:
-    """Write the header line, then ``body`` in blocks of _BLOCK_LINES lines."""
+def _row_blocks(rows):
+    """The text of the row lists ``rows``, _BLOCK_LINES rows at a time."""
+    lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    while text := "".join(islice(lines, _BLOCK_LINES)):
+        yield text
+
+
+def _write_blocks(path, header: list[str], blocks) -> None:
+    """Write the header line, then each block of text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = iter(body)
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        while block := list(islice(lines, _BLOCK_LINES)):
-            f.write("\n".join(block) + "\n")
-
-
-def _float_table_lines(table: np.ndarray):
-    return map(",".join, zip(*(_format_column(col) for col in table.T)))
+        for text in blocks:
+            f.write(text)
 
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows``; a 2-d float array is formatted column-wise."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        body = _float_table_lines(rows)
+        blocks = _float_table_blocks(rows)
     else:
-        body = (",".join(_fmt(v) for v in row) for row in rows)
-    _write_lines(path, header, body)
+        blocks = _row_blocks(rows)
+    _write_blocks(path, header, blocks)
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of ``path``; a file that cannot be read is a DataError."""
+@contextmanager
+def _reading(path):
+    """Turn a failure to read ``path`` as UTF-8 text into a DataError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}")
 
 
+def _line_blocks(path):
+    """The non-blank lines of ``path``, in file order, a block at a time.
+
+    A block is cut from _BLOCK_LINES physical lines.  Lines are those of
+    ``str.splitlines``, and a line is blank when it is all whitespace.
+    For ASCII text with no space, tab or ``\\x1f``, ``str.split()`` cuts
+    exactly the non-blank lines, and faster.
+    """
+    with _reading(path), open(path, encoding="utf-8") as f:
+        while text := "".join(islice(f, _BLOCK_LINES)):
+            if text.isascii() and not any(c in text for c in " \t\x1f"):
+                lines = text.split()
+            else:
+                lines = [ln for ln in text.splitlines() if ln.strip()]
+            del text  # not held while the caller parses the block
+            yield lines
+
+
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    text = read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = chain.from_iterable(_line_blocks(path))
+    header = next(lines, None)
+    if header is None:
         raise DataError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    return header.split(","), [ln.split(",") for ln in lines]
 
 
 def write_sample_csv(sample: Sample, path) -> None:
     header = [f"x{j + 1}" for j in range(sample.d)]
-    _write_lines(path, header, _float_table_lines(sample.values))
+    _write_blocks(path, header, _float_table_blocks(sample.values))
 
 
 def _is_number(token: str) -> bool:
@@ -121,36 +165,47 @@ def read_sample_csv(path) -> Sample:
 
     Line numbers count non-blank lines, the header included.  A line is
     malformed when its field count differs from the first data line's, a
-    field is not a float, or a field is not finite.
+    field is not a float, or a field is not finite.  Each block of lines
+    is parsed in one ``float()`` pass; only a block that fails is
+    rescanned line by line to name the line.
     """
-    text = read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    values, width, seen = np.empty((0, 0)), None, 0  # seen: non-blank lines read
+    for lines in _line_blocks(path):
+        body = lines
+        if seen == 0 and lines and not _is_number(lines[0].split(",")[0].strip()):
+            body = lines[1:]  # the header
+        first = seen + len(lines) - len(body) + 1  # line number of body[0]
+        seen += len(lines)
+        if not body:
+            continue
+        if width is None:
+            width = body[0].count(",") + 1
+        commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64,
+                             count=len(body))
+        ragged = np.flatnonzero(commas != width - 1)
+        end = int(ragged[0]) if ragged.size else len(body)
+        try:
+            block = np.fromiter(map(float, ",".join(body[:end]).split(",")),
+                                dtype=np.float64, count=end * width)
+            ok = np.isfinite(block).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            # the one-pass parse cannot say which line failed
+            for i, line in enumerate(body[:end], start=first):
+                _check_line(path, i, line)
+        if end < len(body):
+            raise DataError(f"{path}: line {first + end} has {commas[end] + 1} "
+                            f"fields, expected {width}")
+        rows = len(values)
+        # grown in place, so the parsed rows are never held twice; nothing
+        # else refers to ``values`` before it is returned
+        values.resize((rows + end, width), refcheck=False)
+        values[rows:] = block.reshape(end, width)
+    if seen == 0:
         raise DataError(f"{path}: empty sample file")
-    first_token = lines[0].split(",")[0].strip()
-    start = 0 if _is_number(first_token) else 1
-    body = lines[start:]
-    if not body:
+    if width is None:
         raise DataError(f"{path}: no data rows")
-    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64,
-                         count=len(body))
-    ragged = np.flatnonzero(commas != commas[0])
-    end = int(ragged[0]) if ragged.size else len(body)
-    width = int(commas[0]) + 1
-    try:
-        values = np.fromiter(map(float, ",".join(body[:end]).split(",")),
-                             dtype=np.float64, count=end * width).reshape(end, width)
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        # the one-pass parse cannot say which line failed
-        for i, line in enumerate(body[:end], start=start + 1):
-            _check_line(path, i, line)
-    if end < len(body):
-        i = start + end + 1
-        raise DataError(
-            f"{path}: line {i} has {commas[end] + 1} fields, expected {width}"
-        )
     return Sample(values, provenance=str(path))
 
 
@@ -200,7 +255,8 @@ def write_manifest(
 
 def read_manifest(path) -> dict:
     """The JSON value in ``path``; unreadable or malformed JSON is a DataError."""
-    text = read_text(path)
+    with _reading(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

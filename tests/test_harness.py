@@ -93,6 +93,13 @@ class TestLatticeRounding:
     def test_degenerate_region(self):
         assert lattice_rounding_sup(3, 0.2, 2) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("k,T,d", [(0, 2.0, 2), (10, 0.0, 2), (10, -1.0, 2),
+                                       (10, math.nan, 2), (10, math.inf, 2),
+                                       (10, 2.0, 0)])
+    def test_out_of_range_is_a_precondition_error(self, k, T, d):
+        with pytest.raises(PreconditionError, match="finite T > 0"):
+            lattice_rounding_sup(k, T, d)
+
 
 class TestSupStdfDeviation:
     def test_comonotone_at_most_one_over_k(self):

@@ -1,5 +1,8 @@
 """CSV and manifest round trips."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tailvc import DataError, GeneratorSpec, Sample, draw_sample, independence
+from tailvc import reportio
 from tailvc.reportio import (
     _BLOCK_LINES,
     read_csv,
@@ -113,6 +117,121 @@ class TestSampleCsv:
         write_sample_csv(s, a)
         write_sample_csv(s, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def oracle_read_sample(path):
+    """read_sample_csv's contract, one line at a time over the whole text."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if not lines:
+        raise DataError(f"{path}: empty sample file")
+    try:
+        float(lines[0].split(",")[0].strip())
+        start = 0
+    except ValueError:
+        start = 1
+    rows, width = [], None
+    for i, line in enumerate(lines[start:], start=start + 1):
+        fields = line.split(",")
+        width = width or len(fields)
+        if len(fields) != width:
+            raise DataError(f"{path}: line {i} has {len(fields)} fields, expected {width}")
+        try:
+            row = [float(f) for f in fields]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {i}: {exc}")
+        for f, v in zip(fields, row):
+            if not math.isfinite(v):
+                raise DataError(f"{path}: line {i}: non-finite value {f!r}")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64)
+
+
+# Line ends include the non-newline breaks of str.splitlines; padding
+# includes the whitespace that is no line break (\x1f, and U+00A0, which
+# also leaves the ASCII fast split).
+PADS = st.sampled_from(["", " ", "\t", "\x1f", " \t", "\xa0"])
+ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"])
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+BAD = st.sampled_from(["oops", "", "1.0.0", "inf", "-inf", "nan", "1e999"])
+
+
+@st.composite
+def csv_line(draw, tokens, n):
+    return ",".join(draw(PADS) + draw(tokens) + draw(PADS) for _ in range(n))
+
+
+@st.composite
+def sample_texts(draw):
+    """Sample CSV text, clean or with blank, ragged and malformed lines."""
+    width = draw(st.integers(1, 3))
+    good = csv_line(NUMBERS, width)
+    if draw(st.booleans()):
+        ragged = st.sampled_from([w for w in (width - 1, width + 1) if w > 0])
+        malformed = csv_line(BAD, width) | csv_line(st.one_of(NUMBERS, BAD), width)
+        line = st.one_of(good, good, good, PADS, ragged.flatmap(
+            lambda n: csv_line(NUMBERS, n)), malformed)
+    else:
+        line = good
+    lines = draw(st.lists(line, max_size=24))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"x{j + 1}" for j in range(width)))
+    return "".join(ln + draw(ENDS) for ln in lines)
+
+
+class TestSampleCsvAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(text=sample_texts(), block=st.integers(1, 4))
+    def test_same_bits_or_same_error(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("oracle") / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = oracle_read_sample(path)
+        except DataError as exc:
+            expected = exc
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reportio, "_BLOCK_LINES", block)
+            if isinstance(expected, DataError):
+                with pytest.raises(DataError) as err:
+                    read_sample_csv(path)
+                assert str(err.value) == str(expected)
+            else:
+                got = read_sample_csv(path).values
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def traced_peak(fn, *args):
+    """(peak bytes traced while ``fn(*args)`` runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """Memory follows the block, not the file: 16 blocks peak as 2 do."""
+
+    BLOCK = 4096
+
+    def peaks(self, tmp_path, blocks):
+        sample = Sample(np.random.default_rng(blocks).random((blocks * self.BLOCK, 2)))
+        path = tmp_path / f"s{blocks}.csv"
+        written, _ = traced_peak(write_sample_csv, sample, path)
+        read, back = traced_peak(read_sample_csv, path)
+        # the parsed array itself grows with the file; the work beside it must not
+        return written, read - back.values.nbytes
+
+    def test_peak_follows_the_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reportio, "_BLOCK_LINES", self.BLOCK)
+        self.peaks(tmp_path, 1)  # first-call allocations stay out of the figures
+        write2, read2 = self.peaks(tmp_path, 2)
+        write16, read16 = self.peaks(tmp_path, 16)
+        assert write16 < 1.5 * write2
+        assert read16 < 1.5 * read2
 
 
 class TestGenericCsv:
