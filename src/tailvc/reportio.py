@@ -50,11 +50,9 @@ def _format_column(column: np.ndarray) -> list[str]:
     back; otherwise each is formatted where it stands.
     """
     values = np.ascontiguousarray(column, dtype=np.float64)
-    bits = values.view(np.int64)
-    ordered = np.sort(bits)
-    if (ordered[1:] != ordered[:-1]).all():
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if len(distinct) == len(values):
         return list(map(repr, values.tolist()))
-    distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return text[inverse].tolist()
 
@@ -114,15 +112,10 @@ def _line_blocks(path):
 
     A block is cut from _BLOCK_LINES physical lines.  Lines are those of
     ``str.splitlines``, and a line is blank when it is all whitespace.
-    For ASCII text with no space, tab or ``\\x1f``, ``str.split()`` cuts
-    exactly the non-blank lines, and faster.
     """
     with _reading(path), open(path, encoding="utf-8") as f:
         while text := "".join(islice(f, _BLOCK_LINES)):
-            if text.isascii() and not any(c in text for c in " \t\x1f"):
-                lines = text.split()
-            else:
-                lines = [ln for ln in text.splitlines() if ln.strip()]
+            lines = [ln for ln in text.splitlines() if ln.strip()]
             del text  # not held while the caller parses the block
             yield lines
 
@@ -165,11 +158,13 @@ def read_sample_csv(path) -> Sample:
 
     Line numbers count non-blank lines, the header included.  A line is
     malformed when its field count differs from the first data line's, a
-    field is not a float, or a field is not finite.  Each block of lines
-    is parsed in one ``float()`` pass; only a block that fails is
-    rescanned line by line to name the line.
+    field is not a float, or a field is not finite.  The file is decoded
+    block by block, so a malformed line is reported before bytes in a
+    later block that are not UTF-8.  Each block of lines is parsed in one
+    ``float()`` pass; only a block that fails is rescanned line by line to
+    name the line.
     """
-    values, width, seen = np.empty((0, 0)), None, 0  # seen: non-blank lines read
+    blocks, width, seen = [], None, 0  # seen: non-blank lines read
     for lines in _line_blocks(path):
         body = lines
         if seen == 0 and lines and not _is_number(lines[0].split(",")[0].strip()):
@@ -197,16 +192,12 @@ def read_sample_csv(path) -> Sample:
         if end < len(body):
             raise DataError(f"{path}: line {first + end} has {commas[end] + 1} "
                             f"fields, expected {width}")
-        rows = len(values)
-        # grown in place, so the parsed rows are never held twice; nothing
-        # else refers to ``values`` before it is returned
-        values.resize((rows + end, width), refcheck=False)
-        values[rows:] = block.reshape(end, width)
+        blocks.append(block.reshape(end, width))
     if seen == 0:
         raise DataError(f"{path}: empty sample file")
     if width is None:
         raise DataError(f"{path}: no data rows")
-    return Sample(values, provenance=str(path))
+    return Sample(np.concatenate(blocks), provenance=str(path))
 
 
 def _jsonable(obj):
