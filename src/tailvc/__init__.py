@@ -41,7 +41,6 @@ from .concentration import (
     union_mass,
 )
 from .empirical import (
-    RankState,
     build_ranks,
     empirical_stdf,
     empirical_stdf_lattice,

@@ -86,6 +86,8 @@ class AxisClassifier:
             raise ConfigurationError(f"sign must be -1 or +1, got {self.sign}")
         if self.coord < 0:
             raise ConfigurationError(f"coordinate must be >= 0, got {self.coord}")
+        if not np.isfinite(self.threshold):
+            raise ConfigurationError(f"threshold must be finite, got {self.threshold}")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return _axis_votes(np.asarray(x, dtype=float), (self,))[0]
@@ -422,15 +424,15 @@ def rate_experiment_classification(
     """
     if not schedule:
         raise ConfigurationError("schedule must be nonempty")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    # every alpha is checked before any draw; the truths depend on it, not on n
+    regions = [QuantileRegion(alpha=alpha, norm=norm) for _, alpha in schedule]
+    truths_of = {region: np.array([r.value for r in _family_true_risks(
+        generator, family.members, region)]) for region in dict.fromkeys(regions)}
     records = []
     medians = {}
-    truths_of: dict = {}  # the truths depend on the region only, not on n
-    for n, alpha in schedule:
-        region = QuantileRegion(alpha=alpha, norm=norm)
-        if region not in truths_of:
-            truths_of[region] = np.array(
-                [r.value for r in _family_true_risks(generator, family.members, region)]
-            )
+    for (n, alpha), region in zip(schedule, regions):
         truths = truths_of[region]
         flagged = n * alpha < 10
         devs = []

@@ -95,8 +95,17 @@ def _int_list(text) -> list[int]:
     return [int(v) for v in _split(text)]
 
 
-def _float_list(text) -> list[float]:
-    return [float(v) for v in _split(text)]
+def _positive_floats(text) -> list[float]:
+    values = [float(v) for v in _split(text)]
+    if not all(0 < v < np.inf for v in values):
+        raise ConfigurationError(f"values must be finite and > 0, got {values}")
+    return values
+
+
+def _seed(text) -> int:
+    if int(text) < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ConfigurationError(f"a seed must be >= 0, got {int(text)}")
+    return int(text)
 
 
 def _margins(text) -> list[str]:
@@ -124,7 +133,7 @@ class Opt(NamedTuple):
     choices: tuple | None = None
 
 
-_SEED = Opt("seed", int, required=True, help="64-bit master seed")
+_SEED = Opt("seed", _seed, required=True, help="64-bit master seed")
 _OUT = Opt("out", default=_default_out,
            help="output directory (default: $TAILVC_OUT, else ./tailvc-out)")
 _SERIAL = Opt("workers", int, 1, choices=(1,),
@@ -148,7 +157,7 @@ _SPECS = {
         Opt("k", int, required=True),
         Opt("T", float, required=True),
         Opt("grid-stride", int),
-        Opt("jitter-seed", int,
+        Opt("jitter-seed", _seed,
             help="break ties in real data with seeded sub-gap noise"),
     ),
     "converge": (
@@ -202,7 +211,7 @@ _SPECS = {
         Opt("rule-threshold", float, 0.5),
         Opt("trials", int, 50),
         Opt("family-size", int, 20, when=_RATE),
-        Opt("n-alpha-grid", _float_list, "100,400,1600,6400", when=_RATE),
+        Opt("n-alpha-grid", _positive_floats, "100,400,1600,6400", when=_RATE),
         Opt("n", int, 1000, when=("mode", ("decomposition",))),
     ),
 }
@@ -244,6 +253,8 @@ def _options(subcommand: str, args, config: dict) -> dict:
                 value = opt.conv(value)
             except (TypeError, ValueError):
                 raise ConfigurationError(f"--{opt.name}: cannot read {value!r}")
+            except ConfigurationError as exc:  # readable, but out of range
+                raise ConfigurationError(f"--{opt.name}: {exc}")
         if opt.choices is not None and value not in opt.choices:
             raise ConfigurationError(
                 f"--{opt.name} must be {' | '.join(map(str, opt.choices))}, "
@@ -427,12 +438,15 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         rule=cls_mod.AxisClassifier(coord=0, threshold=o["rule-threshold"]),
         noise=o["noise"],
     )
+    region = cls_mod.QuantileRegion(alpha=alpha, norm=norm)
     rows = []
     results: dict = {}
 
     if o["mode"] == "rate":
-        per_axis = max(1, o["family-size"] // d)
-        family = cls_mod.axis_threshold_family(d, per_axis)
+        if o["family-size"] < d:
+            raise ConfigurationError(f"--family-size must be >= --d = {d}, one "
+                                     f"threshold per axis; got {o['family-size']}")
+        family = cls_mod.axis_threshold_family(d, o["family-size"] // d)
         schedule = [(int(round(na / alpha)), alpha) for na in o["n-alpha-grid"]]
         report = cls_mod.rate_experiment_classification(
             generator, family, schedule, trials, seed, norm=norm
@@ -454,14 +468,12 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         outputs = [summary_path, family_path]
     else:
         n = o["n"]
+        if trials < 1:
+            raise ConfigurationError(f"--trials must be >= 1, got {trials}")
         family = cls_mod.ClassifierFamily(
-            members=(
-                cls_mod.AxisClassifier(coord=0, threshold=o["rule-threshold"]),
-                cls_mod.AxisClassifier(coord=1 % d, threshold=0.7),
-            ),
+            members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)),
             vc_dim=d,
         )
-        region = cls_mod.QuantileRegion(alpha=alpha, norm=norm)
         holds = 0
         for t in range(trials):
             data = generator.sample(n, substream(seed, "decomposition", t))

@@ -13,9 +13,11 @@ Over [0, T]^d the estimator therefore depends only on the floor(k T)
 largest values of each column, and the lattice kernel reads nothing else:
 per column it selects the top rows in O(n) and orders only those.
 
-Everything here is exact integer counting on ranks; ties are rejected
-rather than broken, because the downstream identity checks require exact
-rank arithmetic.  All evaluators are pure and safe to call concurrently.
+Every path starts from one tie-checked, column-sorted ``TailOrder``; its
+ranks are computed only when the rank-based oracles read them.  Ties are
+rejected rather than broken, because the downstream identity checks
+require exact rank arithmetic.  All evaluators are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class TailOrder:
     ``sorted_cols[j]`` is column j sorted ascending.  ``top_rows`` gives
     the same rows in the same order as the last m entries of
     ``np.argsort(values[:, j], kind="stable")`` reversed, which is the
-    order ``build_ranks`` assigns: NaN ranks above every number, and NaNs
-    rank among themselves by row index.
+    order ``ranks`` assigns: NaN ranks above every number, and NaNs rank
+    among themselves by row index.
     """
 
     values: np.ndarray
@@ -50,6 +52,16 @@ class TailOrder:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """n x d ranks, 1..n per column, from one stable argsort per column
+        on each read: for the oracles, as no tail kernel needs them."""
+        n, d = self.values.shape
+        ranks = np.empty((n, d), dtype=np.int64)
+        for j in range(d):
+            ranks[np.argsort(self.values[:, j], kind="stable"), j] = np.arange(1, n + 1)
+        return ranks
 
     @property
     def order_stats(self) -> np.ndarray:
@@ -76,17 +88,6 @@ class TailOrder:
         return np.concatenate((nan_rows[::-1], rows))
 
 
-@dataclass(frozen=True)
-class RankState(TailOrder):
-    """A ``TailOrder`` that also holds every row's within-column rank.
-
-    ``ranks[i, j]`` is r when X_i^j is the r-th smallest in column j;
-    ranks within each column are a permutation of 1..n.
-    """
-
-    ranks: np.ndarray
-
-
 def _values_of(sample) -> np.ndarray:
     values = sample.values if isinstance(sample, Sample) else np.asarray(sample, float)
     if values.ndim == 1:
@@ -96,29 +97,21 @@ def _values_of(sample) -> np.ndarray:
     return values
 
 
-def build_ranks(sample) -> RankState:
-    """Sort each column and assign ranks 1..n; raise TiesError on ties."""
-    values = _values_of(sample)
-    n, d = values.shape
-    ranks = np.empty((n, d), dtype=np.int64)
-    sorted_cols = np.empty((d, n), dtype=values.dtype)
-    for j in range(d):
-        order = np.argsort(values[:, j], kind="stable")
-        col_sorted = sorted_cols[j]
-        col_sorted[:] = values[order, j]
-        dup = np.nonzero(col_sorted[1:] == col_sorted[:-1])[0]
-        if dup.size:
-            i = dup[0]
-            raise TiesError(column=j, rows=sorted((order[i], order[i + 1])))
-        ranks[order, j] = np.arange(1, n + 1)
-    return RankState(values=values, sorted_cols=sorted_cols, ranks=ranks)
+def build_ranks(sample) -> TailOrder:
+    """The sample's ``TailOrder``; its ``ranks`` are computed when read.
+
+    A function of its own, not an alias, so that wrapping it by name (as
+    the benchmark tracer does) leaves the ``tail_order`` calls unwrapped.
+    """
+    return tail_order(sample)
 
 
 def tail_order(sample) -> TailOrder:
-    """Check every column for ties and keep it sorted for tail selection.
+    """Sort every column and check it for ties in full.
 
-    The ties contract is that of ``build_ranks``: each column is checked in
-    full, and a tie raises the same TiesError (column and rows).
+    A tie raises TiesError with the first tied column and the first two
+    rows holding its smallest tied value, the first equal neighbours of
+    its stable argsort.  NaN never ties; -0.0 ties 0.0.
     """
     values = _values_of(sample)
     sorted_cols = np.empty(values.shape[::-1], dtype=values.dtype)
@@ -127,8 +120,10 @@ def tail_order(sample) -> TailOrder:
         col_sorted = sorted_cols[j]
         col_sorted[:] = values[:, j]
         col_sorted.sort()
-        if np.any(col_sorted[1:] == col_sorted[:-1]):
-            build_ranks(values)  # raises build_ranks' TiesError for this column
+        tied = col_sorted[1:] == col_sorted[:-1]
+        if tied.any():
+            rows = np.flatnonzero(values[:, j] == col_sorted[tied.argmax()])
+            raise TiesError(column=j, rows=rows[:2])
     return TailOrder(values=values, sorted_cols=sorted_cols)
 
 
@@ -173,7 +168,7 @@ def lattice_index(k: int, x) -> np.ndarray:
     return np.where(snap, up, m).astype(np.int64)
 
 
-def exceedance_count(ranks: RankState, m) -> int | np.ndarray:
+def exceedance_count(ranks: TailOrder, m) -> int | np.ndarray:
     """#rows with rank >= n - m_j + 1 in some column, exact integer.
 
     ``m`` is an integer lattice vector (d,) or a batch (P, d); each entry
@@ -194,14 +189,15 @@ def exceedance_count(ranks: RankState, m) -> int | np.ndarray:
     # chunked so P x n x d never exceeds ~32M entries
     chunk = max(1, int(32_000_000 // max(1, n * ranks.d)))
     thresholds = n - m2 + 1
+    rank_matrix = ranks.ranks
     for lo in range(0, m2.shape[0], chunk):
         hi = min(lo + chunk, m2.shape[0])
-        hit = ranks.ranks[None, :, :] >= thresholds[lo:hi, None, :]
+        hit = rank_matrix[None, :, :] >= thresholds[lo:hi, None, :]
         counts[lo:hi] = hit.any(axis=2).sum(axis=1)
     return int(counts[0]) if single else counts
 
 
-def empirical_stdf(ranks: RankState, k: int, x) -> float | np.ndarray:
+def empirical_stdf(ranks: TailOrder, k: int, x) -> float | np.ndarray:
     """Empirical dependence function l_n(x); multiple of 1/k, exact count."""
     if not 1 <= k <= ranks.n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
@@ -218,8 +214,8 @@ def tail_depths(ranks: TailOrder, mmax) -> np.ndarray:
     outside column j's top mmax_j.  A row counts at a lattice vector m
     (0 <= m <= mmax) iff depth_j <= m_j for some j, so the rows outside
     the union never count and the count at m is U - #{rows with depth > m}.
-    ``ranks`` is any ``TailOrder``, a ``RankState`` included.  Cost: O(n)
-    selection per column plus the ordering of the selected rows.
+    It reads no ranks.  Cost: O(n) selection per column plus the ordering
+    of the selected rows.
     """
     n, d = ranks.n, ranks.d
     mmax = np.asarray(mmax, dtype=np.int64)
@@ -307,7 +303,7 @@ def order_stat_thresholds(u, m) -> np.ndarray:
     return out
 
 
-def empirical_stdf_via_order_stats(ranks: RankState, u, k: int, x) -> float:
+def empirical_stdf_via_order_stats(ranks: TailOrder, u, k: int, x) -> float:
     """(n/k) * F_n-tilde at the vector of floor(k x_j)-th smallest U values.
 
     With u the exact margin-standardization of the ranked sample this

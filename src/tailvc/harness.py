@@ -153,9 +153,9 @@ def sup_stdf_deviation(
 ) -> SupEstimate:
     """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
 
-    ``sample`` is a TailOrder (a RankState is one) or raw values, which
-    are ranked in full.  Both paths read only the floor(k T) largest
-    values of each column, so a TailOrder serves them without ranking.
+    ``sample`` is a TailOrder or raw values, which get one through
+    ``build_ranks``.  Both paths read only the floor(k T) largest values
+    of each column, never the ranks.
     The exact path is one ``gridscan.lattice_corner_max`` call against
     the cached corner grid and never holds a (floor(k T) + 1)^d grid of
     its own.

@@ -1,6 +1,7 @@
 """Module boundaries: only ``gridscan`` reads ``gridscan``'s private names,
 every function the benchmark tracer wraps exists, the tracer can rebind
-every alias of them, and one function owns the d >= 3 scan rule."""
+every alias of them, one function owns the d >= 3 scan rule, and no
+production path reads a ``TailOrder``'s ranks."""
 
 import ast
 import importlib
@@ -16,10 +17,12 @@ import pytest
 
 import tailvc
 from tailvc import cli, concentration, gridscan, harness
+from tailvc.empirical import TailOrder, tail_order
 from tailvc.errors import EXIT_USAGE, ConfigurationError
-from tailvc.models import independence
+from tailvc.models import independence, logistic
+from tailvc.reportio import write_sample_csv
 from tailvc.rng import substream
-from tailvc.samplers import draw_copula_sample
+from tailvc.samplers import Sample, draw_copula_sample
 
 PACKAGE = Path(tailvc.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -230,3 +233,47 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
             D3_CALLS[entry](d3_inputs)
         assert str(err.value) == D3_MESSAGE
         assert err.value.exit_code == EXIT_USAGE
+
+
+def production_outputs(x, root):
+    """The bytes and values of every production path that orders a sample:
+    ``estimate`` plain, strided and jittered, a tiny ``converge``, and
+    ``sup_stdf_deviation`` and ``deviation_decomposition`` on raw values."""
+    model, data = logistic(2.0, 2), root / "sample.csv"
+    root.mkdir()
+    write_sample_csv(Sample(x), data)
+    runs = {
+        "estimate": ["estimate", "--data", data, "--k", 20, "--T", 2.0],
+        "estimate-strided": ["estimate", "--data", data, "--k", 20, "--T", 2.0,
+                             "--grid-stride", 3],
+        "estimate-jittered": ["estimate", "--data", data, "--k", 20, "--T", 2.0,
+                              "--jitter-seed", 4],
+        "converge": ["converge", "--model", "logistic(2)", "--n", 1000, "--d", 2,
+                     "--k-schedule", "10,20", "--T", 1.5, "--trials", 2,
+                     "--seed", 6, "--workers", 1],
+        "converge-grid": ["converge", "--model", "logistic(2)", "--n", 1000,
+                          "--d", 2, "--k-schedule", "20", "--T", 1.5, "--trials", 2,
+                          "--seed", 6, "--workers", 1, "--grid-resolution", 9],
+    }
+    outputs = {}
+    for name, args in runs.items():
+        out = root / name
+        assert cli.main([str(a) for a in args] + ["--out", str(out)]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    outputs["sup_stdf_deviation"] = harness.sup_stdf_deviation(x, 20, model, 2.0)
+    outputs["deviation_decomposition"] = harness.deviation_decomposition(
+        x, 20, 2.0, model)
+    return outputs
+
+
+def test_no_production_path_reads_ranks(tmp_path, monkeypatch):
+    x = draw_copula_sample(logistic(2.0, 2), 2000, substream(31, "no-ranks"))
+    expected = production_outputs(x, tmp_path / "plain")
+
+    def refuse(self):
+        raise AssertionError("a production path read TailOrder.ranks")
+
+    monkeypatch.setattr(TailOrder, "ranks", property(refuse))
+    with pytest.raises(AssertionError, match="read TailOrder.ranks"):
+        tail_order(x).ranks
+    assert production_outputs(x, tmp_path / "patched") == expected

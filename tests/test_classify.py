@@ -219,6 +219,28 @@ class TestRateExperiment:
         )
         assert all(r.flagged for r in rep.records)
 
+    @pytest.mark.parametrize("schedule,trials,message", [
+        ([(400, 0.1)], 0, "trials must be >= 1, got 0"),
+        ([(400, 0.1)], -1, "trials must be >= 1, got -1"),
+        ([(400, 0.1), (400, 0.0)], 2, "alpha must lie in (0, 1), got 0.0"),
+        ([(400, 0.1), (400, math.nan)], 2, "alpha must lie in (0, 1), got nan"),
+    ])
+    def test_refuses_before_any_draw(self, monkeypatch, schedule, trials, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(LabeledGenerator, "sample", fail)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            rate_experiment_classification(
+                toy_generator(), axis_threshold_family(2, 2), schedule, trials, seed=7)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ConfigurationError, match="threshold must be finite"):
+            AxisClassifier(coord=0, threshold=threshold)
+        with pytest.raises(ConfigurationError, match="threshold must be finite"):
+            ClassifierFamily.deserialize(f"0,{threshold!r},1\n", vc_dim=1)
+
     def test_naive_scaling_drifts_when_alpha_shrinks(self):
         # with alpha_n = n^(-0.6), sqrt(n)-normalized deviations blow up
         # while sqrt(n alpha)-normalized ones stay flat

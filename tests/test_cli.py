@@ -641,3 +641,79 @@ class TestUnusablePaths:
         out.write_text("")
         assert run(BOUND_VC + ["--out", out]) == 2
         assert f"--out {out}: cannot create" in capsys.readouterr().err
+
+
+class TestRefusedBeforeAnyDraw:
+    SEEDS = {
+        "simulate": (SIMULATE, "--seed"),
+        "converge": (CONVERGE, "--seed"),
+        "rademacher": (RADEMACHER, "--seed"),
+        "classify-rate": (CLASSIFY_RATE, "--seed"),
+        "classify-decomposition": (CLASSIFY_DEC, "--seed"),
+        "estimate": (ESTIMATE, "--jitter-seed"),
+    }
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(SEEDS))
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                          case, via):
+        def fail(*args, **kwargs):
+            raise AssertionError("data was read or drawn")
+
+        for name in ("read_sample_csv", "draw_sample"):
+            monkeypatch.setattr(f"tailvc.cli.{name}", fail)
+        args, flag = self.SEEDS[case]
+        args = fill(args, tmp_path)
+        if flag in args:  # drop the valid seed
+            del args[args.index(flag):args.index(flag) + 2]
+        if via == "flag":
+            args += [flag, "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: -1}))
+            args += ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert run(args + ["--out", str(out)]) == 2
+        assert f"{flag}: a seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    CLASSIFY = {
+        "alpha-zero": (CLASSIFY_RATE, ["--alpha", "0"], "alpha must lie in (0, 1)"),
+        "alpha-nan": (CLASSIFY_RATE, ["--alpha", "nan"], "alpha must lie in (0, 1)"),
+        "decomposition-alpha-nan": (CLASSIFY_DEC, ["--alpha", "nan"],
+                                    "alpha must lie in (0, 1)"),
+        "grid-nan": (CLASSIFY_RATE, ["--n-alpha-grid", "nan"],
+                     "--n-alpha-grid: values must be finite and > 0"),
+        "grid-inf": (CLASSIFY_RATE, ["--n-alpha-grid", "50,inf"],
+                     "--n-alpha-grid: values must be finite and > 0"),
+        "grid-negative": (CLASSIFY_RATE, ["--n-alpha-grid", "-5"],
+                          "--n-alpha-grid: values must be finite and > 0"),
+        "rate-trials-zero": (CLASSIFY_RATE, ["--trials", 0],
+                             "trials must be >= 1, got 0"),
+        "decomposition-trials-zero": (CLASSIFY_DEC, ["--trials", 0],
+                                      "--trials must be >= 1, got 0"),
+        "family-below-d": (CLASSIFY_RATE, ["--family-size", 1, "--d", 2],
+                           "--family-size must be >= --d = 2"),
+        "threshold-nan": (CLASSIFY_RATE, ["--rule-threshold", "nan"],
+                          "threshold must be finite, got nan"),
+        "decomposition-threshold-inf": (CLASSIFY_DEC, ["--rule-threshold", "inf"],
+                                        "threshold must be finite, got inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFY))
+    def test_classify_input_it_cannot_serve(self, tmp_path, capsys, monkeypatch,
+                                            case):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr("tailvc.classify.LabeledGenerator.sample", fail)
+        monkeypatch.setattr("tailvc.classify.draw_copula_sample", fail)
+        base, extra, message = self.CLASSIFY[case]
+        args = list(base)
+        for flag in extra[::2]:  # the case's value replaces the valid one
+            if flag in args:
+                del args[args.index(flag):args.index(flag) + 2]
+        out = tmp_path / "o"
+        assert run(args + extra + ["--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

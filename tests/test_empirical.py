@@ -43,7 +43,46 @@ def antimonotone_sample():
     return np.array([[1, 5], [2, 4], [3, 3], [4, 2], [5, 1]], dtype=float)
 
 
+@st.composite
+def tie_cases(draw):
+    """A sample whose cells come from a few tie groups, +-0.0, NaN, +-inf
+    and free floats, so a column may tie in several places or not at all."""
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 3))
+    groups = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3))
+    cell = st.one_of(
+        st.sampled_from(groups + [0.0, -0.0, np.nan, np.inf, -np.inf]),
+        st.floats(allow_nan=False),
+    )
+    return np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)),
+                    dtype=float).reshape(n, d)
+
+
+def first_stable_tie(x):
+    """(column, rows) of the first equal neighbours in a column's stable
+    argsort order, in the first column that has any; None without ties."""
+    for j, col in enumerate(x.T):
+        order = np.argsort(col, kind="stable")
+        for a, b in zip(order, order[1:]):
+            if col[a] == col[b]:  # NaN never equals NaN
+                return j, sorted((int(a), int(b)))
+    return None
+
+
 class TestBuildRanks:
+    @settings(max_examples=500, deadline=None)
+    @given(tie_cases())
+    def test_ties_raise_the_first_stable_argsort_pair(self, x):
+        tie = first_stable_tie(x)
+        if tie is None:
+            assert np.array_equal(tail_order(x).order_stats, np.sort(x, axis=0),
+                                  equal_nan=True)
+            return
+        with pytest.raises(TiesError) as err:
+            tail_order(x)
+        assert (err.value.column, err.value.rows) == tie
+        assert str(err.value) == f"ties detected in column {tie[0]} at rows {tie[1]}"
+
     def test_three_element_column(self):
         r = build_ranks(np.array([[3.0], [1.0], [2.0]]))
         assert r.ranks[:, 0].tolist() == [3, 1, 2]
