@@ -35,9 +35,9 @@ from . import concentration as conc
 from . import harness
 from .empirical import (
     build_ranks,
-    empirical_stdf_lattice,
     jitter_columns,
     lattice_index,
+    stdf_lattice_counts,
 )
 from .errors import (
     ConfigurationError,
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .models import parse_model, sup_bias_method
 from .reportio import (
+    FloatBlocks,
     read_manifest,
     read_sample_csv,
     write_csv,
@@ -291,17 +292,22 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     harness._check_lattice_scan(state, k, None, T, stride)  # no model to compare
     d, m_top, stride = state.d, int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
-    sub = empirical_stdf_lattice(state, k, [m_top] * d, stride)
+    counts = stdf_lattice_counts(state, [m_top] * d, stride)
     axis = np.arange(0, m_top + 1, stride) / k
-    surface = np.empty(sub.shape + (d + 1,))
-    for j in range(d):  # x_j varies along lattice axis j
-        surface[..., j] = axis.reshape([-1 if i == j else 1 for i in range(d)])
-    surface[..., d] = sub
-    del sub  # the surface holds it now; the write need not hold both
-    surface = surface.reshape(-1, d + 1)
+
+    def surface(lo, hi):
+        # rows lo..hi-1 of (x_1, ..., x_d, l_n) over the lattice in C order:
+        # x_j is the axis at the row's index along lattice axis j, and l_n
+        # the count over k, as ``empirical_stdf_lattice`` gives it
+        block = np.empty((hi - lo, d + 1))
+        for j, at in enumerate(np.unravel_index(np.arange(lo, hi), counts.shape)):
+            block[:, j] = axis[at]
+        block[:, d] = counts.reshape(-1)[lo:hi] / k
+        return block
+
     surface_path = out / "surface.csv"
     header = [f"x{j + 1}" for j in range(d)] + ["l_n"]
-    write_csv(surface_path, header, surface)
+    write_csv(surface_path, header, FloatBlocks(counts.size, surface))
     return [surface_path], {}
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, TiesError
-from .gridscan import dominance_weight_grid
+from .gridscan import count_strips
 from .samplers import Sample, parse_margins
 
 
@@ -238,15 +238,18 @@ def stdf_lattice_counts(ranks: TailOrder, mmax, stride: int = 1) -> np.ndarray:
     Returns an int64 tensor C with C[i_1, ..., i_d] = the count behind
     l_n(m/k) at m_j = i_j * stride.  Only the U tail rows of
     ``tail_depths`` are read: the count at m is U less the tail rows
-    dominating m, one ``dominance_weight_grid`` over those rows.  The cost
-    is that of ``tail_depths`` plus O(U + nodes) for the lattice.
+    dominating m, the dominance walker's ``count_strips`` over those rows,
+    each strip written into C, so no float grid is held beside it.  The
+    cost is that of ``tail_depths`` plus O(U + nodes) for the lattice.
     """
     if stride < 1:
         raise PreconditionError(f"lattice stride must be >= 1, got {stride}")
     depths = tail_depths(ranks, mmax).astype(float)
     levels = [np.arange(0, int(m) + 1, stride, dtype=float) for m in mmax]
-    grid = dominance_weight_grid(depths, np.ones(depths.shape[0]), levels, strict=True)
-    return np.subtract(depths.shape[0], grid, out=grid).astype(np.int64)
+    counts = np.empty(tuple(a.size for a in levels), dtype=np.int64)
+    for lo, hi, strip in count_strips(depths, levels, 1):
+        counts[lo:hi] = strip
+    return counts
 
 
 def empirical_stdf_lattice(ranks: TailOrder, k: int, mmax,

@@ -37,20 +37,26 @@ axis 1 into blocks of about sqrt(m) columns and reads each block's
 extremes off the few distinct profiles its points allow, in integer
 arithmetic, in O(n + m^1.5) time and memory.
 
-The d = 2 lattice scan first tries ``pruned_corner_max``, for corner
-grids that are nondecreasing in floats (``corner_blocks``).  It bounds
-every block of nodes from the counts at the block's two extreme nodes
-(two small dominance grids of the walker), skips each block whose bound
-cannot beat the best node value found, and evaluates the rest exactly
-from the depth permutations.  When most blocks survive the bound (a
-deviation flat at its maximum, as for independence and comonotone
-data), the strip walk runs instead.
+The lattice scan reads the reference, l at the cell corners, from a
+``CornerGrid``, which serves it a strip of rows or a batch of small
+windows at a time and is held whole only when small, so no scan needs
+the (m_top + 2)^d grid in memory.  For d = 2 it first tries
+``pruned_corner_max``.  One pass over the grid, in strips of block rows,
+keeps l's extremes over each block's corner window (``corner_grid``);
+the scan bounds every block of nodes from those and from the counts at
+the block's two extreme nodes (two small dominance grids of the walker),
+skips each block whose bound cannot beat the best node value found, and
+evaluates the rest exactly from the depth permutations and l on their
+windows.  When most blocks survive the bound (a deviation flat at its
+maximum, as for independence and comonotone data), the strip walk runs
+instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -221,30 +227,15 @@ def dominance_weight_grid(
 
     Entry [i_1, ..., i_d] is the summed weight of rows with
     z_j > axes[j][i_j] (strict=True) or z_j >= axes[j][i_j] for all j.
-    Holds the whole grid, for the callers that keep every node (the
-    lattice counts of ``empirical.stdf_lattice_counts`` and the block
-    corners of ``pruned_corner_max``); the scans below reduce it strip by
-    strip.
+    Holds the whole float grid, for the block corners of
+    ``pruned_corner_max``; ``empirical.stdf_lattice_counts`` writes its
+    ``count_strips`` into int64 counts, and the scans below reduce them
+    strip by strip.
     """
     grid = np.empty(tuple(len(a) for a in axes))
     for lo, hi, block in _dominance_strips(points, weights, axes, strict):
         grid[lo:hi] = block
     return grid
-
-
-def _nondecreasing_2d(grid: np.ndarray) -> bool:
-    """True iff a 2-d grid is nondecreasing in floats along both axes.
-
-    Read in strips of axis-0 rows, each with the row above it, so no
-    temporary is larger than a strip.  A NaN fails the check.
-    """
-    rows = strip_rows(grid.shape[1])
-    for lo in range(0, grid.shape[0], rows):
-        strip = grid[max(lo - 1, 0): lo + rows]
-        if not (np.all(strip[1:] >= strip[:-1])
-                and np.all(strip[:, 1:] >= strip[:, :-1])):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -253,85 +244,155 @@ class CornerBlocks:
 
     The lattice nodes 0..m_top of each axis fall in blocks of
     _PRUNE_BLOCK nodes, lows[i]..ends[i]; the last block ends at m_top
-    and may overlap its neighbour.  ``l_low``, ``l_end`` and ``l_up`` are
-    the grid at (lows, lows), (ends, ends) and (ends + 1, ends + 1): all
-    that the bound pass reads of it.
+    and may overlap its neighbour.  Block (p, q) reads l on its corner
+    window, nodes lows..ends + 1 on both axes: ``l_min`` and ``l_max``
+    are l's extremes over each window, and ``l_end`` and ``l_up`` l at
+    (ends, ends) and (ends + 1, ends + 1).  That is all the bound pass
+    reads of the grid, O(nb^2) floats for nb blocks a side.
     """
 
-    grid: np.ndarray
     lows: np.ndarray
     ends: np.ndarray
-    l_low: np.ndarray
+    l_min: np.ndarray
+    l_max: np.ndarray
     l_end: np.ndarray
     l_up: np.ndarray
 
 
-def corner_blocks(grid: np.ndarray) -> CornerBlocks | None:
-    """The (m_top + 2)^2 corner grid cut into blocks, or None.
+@dataclass(frozen=True)
+class CornerGrid:
+    """l at the corners of a lattice's cells, served a strip or a window at a time.
 
-    None when the grid dips anywhere along an axis, so the block bound
-    would not hold, or when the lattice is narrower than one block.
-    Prepared once per grid; every scan against the grid reuses it.
+    Every axis has the m_top + 2 nodes 0..m_top + 1: the cell corners
+    of the levels 0..m_top and the box edge.  ``evaluate(idx)`` returns
+    l on the product grid of the node index arrays ``idx``, one per axis;
+    index arrays of shape (P, L_j) give P product grids, stacked.  A
+    small grid is ``held`` whole instead.  ``blocks`` is the pruned
+    scan's summary of the grid, or None.
     """
-    side = _PRUNE_BLOCK
-    m_top = grid.shape[0] - 2
-    if m_top + 1 < side or not _nondecreasing_2d(grid):
-        return None
+
+    m_top: int
+    d: int
+    evaluate: Callable[[list[np.ndarray]], np.ndarray] | None
+    held: np.ndarray | None = None
+    blocks: CornerBlocks | None = None
+
+    def at(self, idx: list[np.ndarray]) -> np.ndarray:
+        """l on the product grid(s) of the node index arrays ``idx``."""
+        if self.held is None:
+            return self.evaluate(idx)
+        # each index array broadcasts along its own axis of the product
+        d = self.d
+        return self.held[tuple(
+            np.reshape(i, np.shape(i)[:-1] + (1,) * j + (-1,) + (1,) * (d - 1 - j))
+            for j, i in enumerate(idx))]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The grid's axis-0 rows lo..hi-1 (a view of a held grid)."""
+        if self.held is not None:
+            return self.held[lo:hi]
+        nodes = np.arange(self.m_top + 2)
+        return self.evaluate([np.arange(lo, hi)] + [nodes] * (self.d - 1))
+
+
+def corner_grid(m_top: int, d: int, evaluate=None, held=None) -> CornerGrid:
+    """The corner grid ``evaluate`` serves, or ``held``, with its blocks when d = 2.
+
+    The blocks come from one pass over the grid in strips of block rows
+    (``_corner_blocks``); none when the lattice is narrower than one
+    block.  Prepared once per grid; every scan against it reuses them.
+    """
+    grid = CornerGrid(m_top, d, evaluate, held)
+    if d != 2 or m_top + 1 < _PRUNE_BLOCK:
+        return grid
+    return replace(grid, blocks=_corner_blocks(grid))
+
+
+def _corner_blocks(grid: CornerGrid) -> CornerBlocks:
+    """The blocks of a d = 2 corner grid, from one pass in strips of block rows.
+
+    A strip holds the grid rows of a few block rows (the next strip
+    re-reads the row they share).  Every block but the last starts at a
+    multiple of _PRUNE_BLOCK on each axis, so l's extremes fold
+    elementwise over strided views: across each block row's window of
+    rows, then across each block's window of columns.  The last block
+    row, which may overlap its neighbour, is a strip of its own.  A NaN
+    anywhere in the grid reaches some window's extremes and raises, as
+    it does in the strip walk.
+    """
+    side, m_top = _PRUNE_BLOCK, grid.m_top
     ends = np.minimum(np.arange(side - 1, m_top + side, side), m_top)
     lows = ends - (side - 1)
-    return CornerBlocks(grid, lows, ends, grid[np.ix_(lows, lows)],
-                        grid[np.ix_(ends, ends)], grid[np.ix_(ends + 1, ends + 1)])
+    nb = ends.size
+    l_min, l_max, l_end, l_up = (np.empty((nb, nb)) for _ in range(4))
+    per = max(1, strip_rows(m_top + 2) // side)  # block rows per strip
+    strips = [slice(p0, min(p0 + per, nb - 1)) for p0 in range(0, nb - 1, per)]
+    for p in strips + [slice(nb - 1, nb)]:
+        r0, count = lows[p.start], p.stop - p.start
+        rows = grid.rows(r0, ends[p.stop - 1] + 2)
+        for out, fold in ((l_min, np.minimum), (l_max, np.maximum)):
+            across = reduce(fold, (rows[t:t + side * count:side] for t in range(side + 1)))
+            out[p, :-1] = reduce(fold, (across[:, t:t + side * (nb - 1):side]
+                                        for t in range(side + 1)))
+            out[p, -1] = fold.reduce(across[:, lows[-1]:], axis=1)
+        l_end[p] = rows[np.ix_(ends[p] - r0, ends)]
+        l_up[p] = rows[np.ix_(ends[p] + 1 - r0, ends + 1)]
+    if np.isnan(l_max).any():
+        raise PreconditionError("the comparison is NaN at some grid node")
+    return CornerBlocks(lows, ends, l_min, l_max, l_end, l_up)
 
 
 def _node_gap(count_k, l_lo, l_hi) -> np.ndarray:
-    """max(|c/k - l_lo|, |c/k - l_hi|) at nodes where l_lo <= l_hi.
-
-    With l_lo <= l_hi the two differences are ordered, so the larger
-    absolute value is max(c/k - l_lo, l_hi - c/k), bit for bit.
-    """
-    return np.maximum(count_k - l_lo, l_hi - count_k)
+    """max(|c/k - l_lo|, |c/k - l_hi|): a node's gap at its two cell corners."""
+    low, high = np.subtract(count_k, l_lo), np.subtract(count_k, l_hi)
+    return np.maximum(np.abs(low, out=low), np.abs(high, out=high), out=low)
 
 
-def pruned_corner_max(depths: np.ndarray, k: int, blocks: CornerBlocks) -> float | None:
+def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float | None:
     """The lattice corner scan of a d = 2 sample, by prune and verify.
 
     The scan is max over the nodes (i, j), 0 <= i, j <= m_top, of
-    |c/k - grid[i, j]| and |c/k - grid[i+1, j+1]|, with
-    c = #{rows with depth_0 <= i or depth_1 <= j} and ``grid`` the
-    corner grid of ``blocks``.  ``depths`` is ``tail_depths``' U x 2
-    integer matrix at m_top on both axes, so each column's depths
-    1..m_top belong to distinct rows.
+    |c/k - l[i, j]| and |c/k - l[i+1, j+1]|, with
+    c = #{rows with depth_0 <= i or depth_1 <= j} and ``l`` the corner
+    grid ``corners``, which must have blocks.  ``depths`` is
+    ``tail_depths``' U x 2 integer matrix at m_top on both axes, so each
+    column's depths 1..m_top belong to distinct rows.
 
-    c is nondecreasing in both indices, the grid is nondecreasing along
-    both axes, and rounded subtraction is monotone in each argument, so
-    on a block [a..A] x [b..B] every node is at most
-    max(c(A, B)/k - grid[a, b], grid[A+1, B+1] - c(a, b)/k).  The best
-    value starts at the exact value of every block's high node; a block
-    whose bound does not exceed it cannot raise the maximum.  The others
-    are evaluated exactly, in descending bound order, in chunks, and the
-    best value rises after each chunk.  Inside a block, a node's
-    survivors (c = U - survivors) are the high node's plus the tail rows
-    of the block's row band and column band that lie beyond the node, at
-    most 2 (B - 1) rows, read off the depth permutations.  Every node's
-    value is the one the strip walk computes, so the maximum is
-    bit-identical to it.
+    c is nondecreasing in both indices and rounded subtraction is
+    monotone in each argument, so on a block [a..A] x [b..B], whose nodes
+    read l only on its corner window, every node is at most
+    max(c(A, B)/k - min l, max l - c(a, b)/k) over that window.  The
+    bound needs no monotone l; where l is nondecreasing the window's
+    extremes are l[a, b] and l[A+1, B+1].  The best value starts at the
+    exact value of every block's high node; a block whose bound does not
+    exceed it cannot raise the maximum.  The others are evaluated
+    exactly, in descending bound order, in chunks, and the best value
+    rises after each chunk; l is read on each chunk's windows only.
+    Inside a block, a node's survivors (c = U - survivors) are the high
+    node's plus the tail rows of the block's row band and column band
+    that lie beyond the node, at most 2 (B - 1) rows, read off the depth
+    permutations.  Every node's value is the one the strip walk
+    computes, so the maximum is bit-identical to it.
 
     Returns None when at least _PRUNE_CUT of the blocks survive the first
     pass; the strip walk is then the cheaper exact scan.
     """
-    corners, lows, ends = blocks.grid, blocks.lows, blocks.ends
+    blocks = corners.blocks
+    lows, ends = blocks.lows, blocks.ends
     side = int(ends[0] - lows[0]) + 1
     m_top, nb, u = int(ends[-1]), ends.size, depths.shape[0]
     points, ones = depths.astype(float), np.ones(u)
-    surv_hi = dominance_weight_grid(points, ones, [ends.astype(float)] * 2,
-                                    strict=True).astype(np.int64)
+    # nb x nb arrays, each freed once read: only surv_hi and the bound stay
+    surv_hi = dominance_weight_grid(points, ones, [ends.astype(float)] * 2, strict=True)
     count_hi = (u - surv_hi) / k
-    count_lo = (u - dominance_weight_grid(points, ones, [lows.astype(float)] * 2,
-                                          strict=True)) / k
-    bound = np.subtract(count_hi, blocks.l_low)
-    np.maximum(bound, np.subtract(blocks.l_up, count_lo, out=count_lo), out=bound)
+    count_lo = dominance_weight_grid(points, ones, [lows.astype(float)] * 2, strict=True)
+    count_lo = np.divide(np.subtract(u, count_lo, out=count_lo), k, out=count_lo)
+    bound = np.subtract(count_hi, blocks.l_min)
+    np.maximum(bound, np.subtract(blocks.l_max, count_lo, out=count_lo), out=bound)
+    del count_lo
     bound = bound.ravel()
     best = max(0.0, float(_node_gap(count_hi, blocks.l_end, blocks.l_up).max()))
+    del count_hi
     alive = np.flatnonzero(bound > best)
     if alive.size >= _PRUNE_CUT * bound.size:
         return None
@@ -342,7 +403,7 @@ def pruned_corner_max(depths: np.ndarray, k: int, blocks: CornerBlocks) -> float
         own = depths[:, j] <= m_top
         band[j][depths[own, j]] = depths[own, 1 - j]
     offs = np.arange(side)
-    window = np.lib.stride_tricks.sliding_window_view(corners, (side + 1,) * 2)
+    window = np.arange(side + 1)  # a block's corner window, from its low node
     alive = alive[np.argsort(bound[alive], kind="stable")[::-1]]
     chunk = 256  # blocks per batch; 128 to 512 timed alike at k = 800
     for lo in range(0, alive.size, chunk):
@@ -359,14 +420,14 @@ def pruned_corner_max(depths: np.ndarray, k: int, blocks: CornerBlocks) -> float
         beyond = band[1][b[:, None] + offs[1:]] > ends[p, None]
         row = np.zeros((part.size, side), dtype=np.int64)
         np.cumsum(beyond[:, ::-1], axis=1, out=row[:, -2::-1])
-        row += surv_hi[p, q][:, None]
+        row += surv_hi[p, q].astype(np.int64)[:, None]
         surv = np.empty((part.size, side, side), dtype=np.int64)
         surv[:, -1] = row
         for t in range(side - 2, -1, -1):
             row += band[0][a + t + 1][:, None] > cols
             surv[:, t] = row
         count = np.subtract(u, surv, out=surv) / k
-        l_near = window[a, b]
+        l_near = corners.at([a[:, None] + window, b[:, None] + window])
         gap = _node_gap(count, l_near[:, :-1, :-1], l_near[:, 1:, 1:])
         best = max(best, float(gap.max()))
     return best
@@ -433,25 +494,24 @@ def _corner_scan(points: np.ndarray, axes: list[np.ndarray], scale: float,
     return best
 
 
-def lattice_corner_max(depths: np.ndarray, k: int, corners: np.ndarray,
-                       blocks: CornerBlocks | None) -> float:
+def lattice_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float:
     """The exact lattice corner scan of a d <= 2 sample's U tail rows.
 
     max over the lattice nodes m of |c(m)/k - l| at the cell corners m and
     m + 1, c(m) = #{tail rows with depth_j <= m_j for some j}.  ``depths``
-    is ``tail_depths``' U x d matrix at m_top on every axis (U may be 0),
-    ``corners`` the (m_top + 2)^d grid of l and ``blocks`` its
-    ``corner_blocks``.  ``pruned_corner_max`` runs first when there are
-    blocks; otherwise, or when it declines, the count strips at the
-    levels 0..m_top meet rows lo..hi of ``corners``.  Both give one float.
+    is ``tail_depths``' U x d matrix at m_top on every axis (U may be 0)
+    and ``corners`` the (m_top + 2)^d grid of l.  ``pruned_corner_max``
+    runs first when the grid has blocks; otherwise, or when it declines,
+    the count strips at the levels 0..m_top meet rows lo..hi of
+    ``corners``, read a strip at a time.  Both give one float.
     """
-    if blocks is not None:
-        value = pruned_corner_max(depths, k, blocks)
+    if corners.blocks is not None:
+        value = pruned_corner_max(depths, k, corners)
         if value is not None:
             return value
-    levels = np.arange(corners.shape[0] - 1, dtype=float)
+    levels = np.arange(corners.m_top + 1, dtype=float)
     return _corner_scan(depths.astype(float), [levels] * depths.shape[1], k,
-                        lambda lo, hi: corners[lo:hi])
+                        corners.rows)
 
 
 def sup_count_vs_mass(points: np.ndarray, tmax, mass_axes_fn) -> float:

@@ -4,13 +4,16 @@ The headline statistic is the exact supremum over [0, T]^d of
 |l_n(x) - l(x)|.  The estimator is constant on the lattice cells
 [m_j/k, (m_j+1)/k), and l is continuous and componentwise nondecreasing,
 so on each cell the supremum of their gap is attained at one of the two
-extreme corners.  This module supplies the tail rows and l's cached
-corner grid; ``gridscan.lattice_corner_max`` covers every cell, making
-the supremum exact for d <= 2.  For d >= 3 a declared grid is scanned
+extreme corners.  This module supplies the tail rows and l's corner
+grid, a ``gridscan.CornerGrid`` kept per (model, k, T, d): held whole
+when it is small, evaluated a strip or a window at a time when it is
+not.  ``gridscan.lattice_corner_max`` covers every cell, making the
+supremum exact for d <= 2.  For d >= 3 a declared grid is scanned
 instead and an explicit slack is reported.  The decomposition check
-reads the same count strips and the same cell-corner reducer, one strip
-at a time, and never builds the lattice.  ``_check_lattice_scan`` holds
-every lattice scan's preconditions, the CLI's ``estimate`` included.
+reads the same count strips, corner grid rows and cell-corner reducer,
+one strip at a time, and never builds the lattice.
+``_check_lattice_scan`` holds every lattice scan's preconditions, the
+CLI's ``estimate`` included.
 
 Experiments are trial-parallel: every (k, trial) pair derives its own
 random stream from the master seed, so results are identical whatever
@@ -20,7 +23,6 @@ the worker count or completion order.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,25 +84,31 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     return d * gap
 
 
-# The last corner grid with its key (model, k, T, d) and its blocks for
-# the pruned scan: every trial of one k reads the same grid, and a new
-# key drops it before the next grid is evaluated, so a process holds at
-# most one.
+# A corner grid of at most this many bytes is held whole, so each trial's
+# strip walk reads it instead of evaluating l again.  Above it (for d = 2,
+# floor(k T) > 722) l is evaluated on demand, and only the blocks' summaries
+# are kept.  The converge benchmark holds the grids of k <= 200 at T = 2.
+_CORNER_CACHE_BYTES = 4 << 20
+
+# The last corner grid with its key (model, k, T, d): every trial of one
+# k reads the same grid, and a new key drops it before the next grid is
+# prepared, so a process holds at most one.
 _corner_grid: tuple | None = None
 
 
-def _corner_model_grids(
-    model: StdfModel, k: int, T: float, d: int
-) -> tuple[np.ndarray, gridscan.CornerBlocks | None]:
-    """l at every corner of the lattice cells, on one (m_top + 2)^d grid.
+def _corner_model_grids(model: StdfModel, k: int, T: float,
+                        d: int) -> gridscan.CornerGrid:
+    """l at every corner of the lattice cells, served as a ``gridscan.CornerGrid``.
 
     Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top with
     m_top = ``lattice_index(k, T)``, so its lower corner is node m and its
     upper corner node m + 1 of the axis 0, 1/k, ..., m_top/k, T.  The axis
     is clipped to T: when ``lattice_index`` snaps floor(k T) up, m_top/k
     lies just above T.  The grid depends on no sample, so it is kept for
-    the next call with the same key and is returned read-only, with its
-    ``gridscan.corner_blocks`` (None unless d = 2), prepared once.
+    the next call with the same key, with its blocks (d = 2), prepared
+    once: held whole, read-only, within _CORNER_CACHE_BYTES, and evaluated
+    on demand, a strip or a window at a time, above it.  l is elementwise,
+    so every value served equals the whole grid's, bit for bit.
     """
     global _corner_grid
     key = (model, k, T, d)
@@ -108,19 +116,23 @@ def _corner_model_grids(
         _corner_grid = None
         m_top = int(lattice_index(k, T))
         axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
-        shape = (axis.size,) * d
-        # an anonymous mapping keeps the long-lived grid off the malloc
-        # heap, where it would pin the space each trial's grids free
-        grid = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-        # l is evaluated elementwise, so strips of axis-0 rows fill the
-        # grid bit for bit without a full-size temporary
-        rows = gridscan.strip_rows(axis.size ** (d - 1))
-        for lo in range(0, axis.size, rows):
-            grid[lo:lo + rows] = eval_stdf_axes(
-                model, [axis[lo:lo + rows]] + [axis] * (d - 1))
-        grid.flags.writeable = False
-        _corner_grid = (key, grid, gridscan.corner_blocks(grid) if d == 2 else None)
-    return _corner_grid[1], _corner_grid[2]
+
+        def evaluate(idx):  # eval_stdf_axes is looked up by name, never kept
+            return eval_stdf_axes(model, [axis[i] for i in idx])
+
+        if 8 * axis.size ** d > _CORNER_CACHE_BYTES:
+            corners = gridscan.corner_grid(m_top, d, evaluate)
+        else:
+            # filled in strips of axis-0 rows, with no full-size temporary
+            live = gridscan.CornerGrid(m_top, d, evaluate)
+            grid = np.empty((axis.size,) * d)
+            rows = gridscan.strip_rows(axis.size ** (d - 1))
+            for lo in range(0, axis.size, rows):
+                grid[lo:lo + rows] = live.rows(lo, min(lo + rows, axis.size))
+            grid.flags.writeable = False
+            corners = gridscan.corner_grid(m_top, d, held=grid)
+        _corner_grid = (key, corners)
+    return _corner_grid[1]
 
 
 def _check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,
@@ -157,7 +169,7 @@ def sup_stdf_deviation(
     ``build_ranks``.  Both paths read only the floor(k T) largest values
     of each column, never the ranks.
     The exact path is one ``gridscan.lattice_corner_max`` call against
-    the cached corner grid and never holds a (floor(k T) + 1)^d grid of
+    the kept corner grid and never holds a (floor(k T) + 1)^d grid of
     its own.
     """
     state = sample if isinstance(sample, TailOrder) else build_ranks(sample)
@@ -168,8 +180,8 @@ def sup_stdf_deviation(
     m_top = int(lattice_index(k, T))
     depths = tail_depths(state, [m_top] * d)
     if exact:
-        corners, blocks = _corner_model_grids(model, k, T, d)
-        return SupEstimate(gridscan.lattice_corner_max(depths, k, corners, blocks))
+        corners = _corner_model_grids(model, k, T, d)
+        return SupEstimate(gridscan.lattice_corner_max(depths, k, corners))
 
     # declared-grid scan; the estimator is still evaluated exactly at the
     # snapped lattice points under each grid node
@@ -274,7 +286,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
                 for col in state.sorted_cols]
     # l_n on the lattice, one strip of axis-0 levels at a time; the model
     # terms are elementwise, so each strip's rows equal the dense grid's
-    corners, blocks = _corner_model_grids(model, k, T, d)
+    corners = _corner_model_grids(model, k, T, d)
     levels = [np.arange(m_top + 1, dtype=float)] * d
     depths = tail_depths(state, [m_top] * d)
     substitution = bias = rounding = 0.0
@@ -287,8 +299,8 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
         gap = np.abs(np.subtract(tail, l_at_thr, out=counts), out=counts)
         bias = max(bias, float(gap.max()))
         rounding = max(rounding, gridscan.cell_corner_max(
-            l_at_thr, corners[lo:hi + 1], scratch=tail))
-    total = gridscan.lattice_corner_max(depths, k, corners, blocks)
+            l_at_thr, corners.rows(lo, hi + 1), scratch=tail))
+    total = gridscan.lattice_corner_max(depths, k, corners)
     return DecompositionTerms(
         total=total, substitution=substitution, bias=bias, rounding=rounding
     )

@@ -121,13 +121,16 @@ def eval_stdf_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray:
     """Evaluate l on the product grid of per-coordinate value arrays.
 
     Returns a tensor of shape (len(axes[0]), ..., len(axes[d-1])) without
-    materializing the stacked coordinate grid.
+    materializing the stacked coordinate grid.  Axes of shape (P, L_j),
+    one shared P, give P product grids at once, shape (P, L_0, ...,
+    L_{d-1}); l is elementwise, so each equals its own single-grid call.
     """
     if len(axes) != model.d:
         raise PreconditionError(f"expected {model.d} axes, got {len(axes)}")
+    shaped = [np.asarray(a, dtype=float) for a in axes]
     shaped = [
-        np.asarray(a, dtype=float).reshape((-1,) + (1,) * (model.d - 1 - j))
-        for j, a in enumerate(axes)
+        a.reshape(a.shape[:-1] + (1,) * j + (-1,) + (1,) * (model.d - 1 - j))
+        for j, a in enumerate(shaped)
     ]
     for a in shaped:
         if np.any(a < 0):

@@ -7,7 +7,8 @@ files byte for byte.  CSVs are written and read in blocks of
 column is never held at once.  A float table is formatted block by
 block, column by column in row order; a column whose block repeats a
 value (bit pattern, so ``-0.0`` stays apart from ``0.0``), such as a
-lattice axis, formats each distinct value once and indexes it back.
+lattice axis, formats each distinct value once and indexes it back.  A
+table given as ``FloatBlocks`` is also formed a block at a time.
 Sample CSVs are UTF-8, comma-separated, '.' decimal point, one
 observation per line; a single header line is auto-detected on read by
 a non-numeric first token.
@@ -18,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -57,11 +59,27 @@ def _format_column(column: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
-def _float_table_blocks(table: np.ndarray):
+@dataclass(frozen=True)
+class FloatBlocks:
+    """A float table of ``rows`` rows, formed a block at a time.
+
+    ``block(lo, hi)`` returns rows lo..hi-1 as a 2-d float array, so a
+    table that is a function of its row index is never held whole.
+    """
+
+    rows: int
+    block: Callable[[int, int], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _float_table_blocks(table: np.ndarray | FloatBlocks):
     """The text of ``table``, _BLOCK_LINES rows at a time."""
-    width = table.shape[1]
     for lo in range(0, len(table), _BLOCK_LINES):
-        block = table[lo:lo + _BLOCK_LINES]
+        hi = min(lo + _BLOCK_LINES, len(table))
+        block = table[lo:hi] if isinstance(table, np.ndarray) else table.block(lo, hi)
+        width = block.shape[1]
         # field, separator, field, ... in row order: one join per block
         parts = [","] * (2 * block.size)
         for j, column in enumerate(block.T):
@@ -88,8 +106,10 @@ def _write_blocks(path, header: list[str], blocks) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows``; a 2-d float array is formatted column-wise."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+    """Write ``header`` and ``rows``; a float table (a 2-d float array or
+    ``FloatBlocks``) is formatted column-wise."""
+    if isinstance(rows, FloatBlocks) or (
+            isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"):
         blocks = _float_table_blocks(rows)
     else:
         blocks = _row_blocks(rows)

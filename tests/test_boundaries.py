@@ -218,7 +218,7 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
                    "max_count_gap"]),
         (concentration, ["draw_tail_uniforms", "sup_count_vs_mass",
                          "sup_count_vs_mass_grid", "sup_signed_count"]),
-        (cli, ["draw_sample", "empirical_stdf_lattice"]),
+        (cli, ["draw_sample", "stdf_lattice_counts"]),
         (gridscan, ["_dominance_strips", "_signed_dominance_range"]),
     ):
         for name in names:

@@ -123,6 +123,56 @@ class TestEstimate:
         expected = "\n".join(lines) + "\n"
         assert (est / "surface.csv").read_text() == expected
 
+    @pytest.mark.parametrize("d,extra", [(2, []), (2, ["--grid-stride", 7]),
+                                         (2, ["--jitter-seed", 3]), (1, [])],
+                             ids=["d2", "d2-stride-7", "d2-jitter-3", "d1"])
+    def test_surface_blocks_match_the_whole_surface(self, tmp_path, monkeypatch, d,
+                                                    extra):
+        # the surface is formed a block at a time; the former (P, d + 1)
+        # array, written whole, gives the same bytes across many blocks
+        import tailvc.reportio as reportio
+        from tailvc.empirical import empirical_stdf_lattice, jitter_columns
+
+        monkeypatch.setattr(reportio, "_BLOCK_LINES", 97)
+        sim, est, k, T = tmp_path / "sim", tmp_path / "est", 100, 2.0
+        assert run(["simulate", "--model", "logistic(2)", "--n", 3000, "--d", d,
+                    "--seed", 14, "--out", sim]) == 0
+        assert run(["estimate", "--data", sim / "sample.csv", "--k", k, "--T", T,
+                    "--out", est] + extra) == 0
+        values = read_sample_csv(sim / "sample.csv").values
+        if "--jitter-seed" in extra:
+            values = jitter_columns(values, 3)
+        stride, m_top = (7 if "--grid-stride" in extra else 1), int(lattice_index(k, T))
+        sub = empirical_stdf_lattice(build_ranks(values), k, [m_top] * d, stride)
+        axis = np.arange(0, m_top + 1, stride) / k
+        surface = np.empty(sub.shape + (d + 1,))
+        for j in range(d):
+            surface[..., j] = axis.reshape([-1 if i == j else 1 for i in range(d)])
+        surface[..., d] = sub
+        header = [f"x{j + 1}" for j in range(d)] + ["l_n"]
+        reportio.write_csv(tmp_path / "whole.csv", header, surface.reshape(-1, d + 1))
+        assert (est / "surface.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_surface_is_never_held_whole(self, tmp_path, monkeypatch):
+        # 1001^2 lattice nodes: the int64 counts are 8 MB; the former
+        # (P, 3) surface array was 24 MB, held beside an 8 MB l_n grid
+        import tracemalloc
+
+        import tailvc.reportio as reportio
+
+        monkeypatch.setattr(reportio, "_BLOCK_LINES", 4096)
+        sim, est, k, T = tmp_path / "sim", tmp_path / "est", 500, 2.0
+        assert run(["simulate", "--model", "logistic(2)", "--n", 20_000, "--d", 2,
+                    "--seed", 15, "--out", sim]) == 0
+        tracemalloc.start()
+        try:
+            assert run(["estimate", "--data", sim / "sample.csv", "--k", k,
+                        "--T", T, "--out", est]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (int(lattice_index(k, T)) + 1) ** 2
+
     def test_non_finite_sample_names_the_line(self, tmp_path, capsys):
         data = tmp_path / "nf.csv"
         data.write_text("x1,x2\n1.0,2.0\n3.0,inf\n2.0,4.0\n")
@@ -225,6 +275,33 @@ class TestConverge:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_k_8000_runs_in_one_gib_of_address_space(self, tmp_path):
+        # l on the whole 16002^2 corner grid would be 2.05 GB; the scan keeps
+        # per-block summaries only, so the run fits under the cap
+        import os
+        import resource
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tailvc
+
+        def cap():  # in the child, before it runs Python
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        # one BLAS thread: each thread's buffers take address space of their own
+        env = dict(os.environ, PYTHONPATH=str(Path(tailvc.__file__).resolve().parents[1]),
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        args = ["converge", "--model", "logistic(2)", "--n", 80000, "--d", 2,
+                "--k-schedule", 8000, "--T", 2.0, "--trials", 1, "--seed", 1,
+                "--workers", 1, "--out", tmp_path]
+        done = subprocess.run([sys.executable, "-m", "tailvc.cli"] + [str(a) for a in args],
+                              env=env, preexec_fn=cap, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        _, rows = read_csv(tmp_path / "summary.csv")
+        assert [r[:2] for r in rows] == [["8000", "1"]]
 
     @pytest.mark.parametrize("tag,method", [("logistic(2)", "grid-max"),
                                             ("independence", "exact"),

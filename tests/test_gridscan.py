@@ -354,6 +354,11 @@ class TestSupSignedCount:
         assert got == want
 
 
+def walked(corners):
+    """A corner grid held whole with no blocks: the lattice scan walks strips."""
+    return gridscan.CornerGrid(corners.shape[0] - 2, corners.ndim, None, held=corners)
+
+
 class TestCellCornerMax:
     """The one cell-corner reducer, on both reference shapes."""
 
@@ -383,7 +388,7 @@ class TestCellCornerMax:
         strip = {"1": 1, "2": 2, "m-1": m - 1, "m": m, "m+1": m + 1}[rows]
         set_strip_rows(monkeypatch, strip, [axis[:-1]] * d)
         want = per_cell_corner_max(lattice_counts(depths, k, m_top), corners)
-        assert lattice_corner_max(depths, k, corners, None) == want
+        assert lattice_corner_max(depths, k, walked(corners)) == want
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("rows", ["1", "2", "m-1", "m", "m+1"])
@@ -402,7 +407,7 @@ class TestCellCornerMax:
         # floor(k T) = 0 leaves U = 0 rows: the count is 0 on the one cell
         corners = np.array([[0.0, 0.25], [0.5, 0.75]])
         depths = np.empty((0, 2), dtype=np.int64)
-        assert lattice_corner_max(depths, 10, corners, None) == 0.75
+        assert lattice_corner_max(depths, 10, walked(corners)) == 0.75
         assert max_count_gap(np.empty((0, 2)), [np.array([0.0, 1.0])] * 2, 10,
                              lambda axes: np.full((axes[0].size, 2), 0.5)) == 0.5
 
@@ -426,7 +431,7 @@ class TestCellCornerMax:
                 max_count_gap(z, [declared_axis(0.4, 5)] * 2, 3, with_nan)
             else:
                 depths = tail_depths(tail_order(z), [2, 2])
-                lattice_corner_max(depths, 2, with_nan([np.arange(4) / 8] * 2), None)
+                lattice_corner_max(depths, 2, walked(with_nan([np.arange(4) / 8] * 2)))
 
 
 class TestCandidateAxes:

@@ -32,6 +32,7 @@ from tailvc import (
     sup_tail_process_deviation,
 )
 from tailvc.empirical import empirical_stdf_lattice, lattice_index, tail_order
+from tailvc import gridscan
 from tailvc.gridscan import cell_corner_max
 from tailvc.harness import (
     _corner_model_grids,
@@ -201,10 +202,10 @@ class TestSupStdfDeviation:
         import tailvc.harness as hmod
 
         monkeypatch.setattr(hmod, "_corner_grid", None)  # restored afterwards
-        grid, _ = _corner_model_grids(logistic(2.0, 2), 50, 2.0, 2)
-        assert not grid.flags.writeable
+        corners = _corner_model_grids(logistic(2.0, 2), 50, 2.0, 2)
+        assert not corners.held.flags.writeable
         with pytest.raises(ValueError):
-            grid[0, 0] = 0.0
+            corners.rows(0, 1)[0, 0] = 0.0
 
     def test_one_corner_grid_per_k_across_trials(self, monkeypatch):
         import tailvc.harness as hmod
@@ -320,6 +321,11 @@ def monotone_grid(m_top, k, rng):
     return grid * (2.0 * m_top / k / grid[-1, -1])
 
 
+def held_grid(corners):
+    """A corner grid array as the ``gridscan.CornerGrid`` that holds it."""
+    return gridscan.corner_grid(corners.shape[0] - 2, corners.ndim, held=corners)
+
+
 def set_strip_rows(monkeypatch, rows, m, d):
     """Strips of ``rows`` axis-0 rows for a lattice of m nodes per axis."""
     import tailvc.gridscan as gridscan
@@ -361,7 +367,7 @@ class TestStripScan:
         whole = eval_stdf_axes(m, [axis] * d)
         set_strip_rows(monkeypatch, 1, axis.size, d)
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        grid, _ = _corner_model_grids(m, k, T, d)
+        grid = _corner_model_grids(m, k, T, d).rows(0, axis.size)
         assert grid.shape == whole.shape
         assert grid.tobytes() == whole.tobytes()
 
@@ -417,18 +423,18 @@ class TestPrunedScan:
             depths = synthetic_depths(m_top, rng)
             grids = [monotone_grid(m_top, k, rng),
                      eval_stdf_axes(logistic(2.0, 2), [axis] * 2),
-                     np.full((m_top + 2,) * 2, 0.5)]
+                     np.full((m_top + 2,) * 2, 0.5),
+                     # the bound needs no monotone grid
+                     np.random.default_rng((m_top, trial)).uniform(
+                         0.0, 2.0 * m_top / k, (m_top + 2,) * 2)]
             for corners in grids:
-                blocks = gridscan.corner_blocks(corners)
-                got = gridscan.pruned_corner_max(depths, k, blocks)
+                got = gridscan.pruned_corner_max(depths, k, held_grid(corners))
                 assert got == dense_corner_sup(depths, k, corners), (trial,)
 
     @pytest.mark.parametrize("m_top,cut", [(0, False), (1, False), (6, False),
                                            (7, True)])
     def test_lattice_narrower_than_a_block_is_not_cut(self, m_top, cut):
-        import tailvc.gridscan as gridscan
-
-        blocks = gridscan.corner_blocks(np.zeros((m_top + 2,) * 2))
+        blocks = held_grid(np.zeros((m_top + 2,) * 2)).blocks
         assert (blocks is not None) == cut
 
     def test_block_bound_equal_to_best_is_skipped(self, monkeypatch):
@@ -449,7 +455,7 @@ class TestPrunedScan:
         m_top, k = 64, 32
         depths = synthetic_depths(m_top, np.random.default_rng(5))
         corners = np.zeros((m_top + 2,) * 2)
-        got = gridscan.pruned_corner_max(depths, k, gridscan.corner_blocks(corners))
+        got = gridscan.pruned_corner_max(depths, k, held_grid(corners))
         assert got == dense_corner_sup(depths, k, corners) == depths.shape[0] / k
         assert len(gaps) == 1  # the high nodes only
 
@@ -458,27 +464,28 @@ class TestPrunedScan:
     def test_one_ulp_dip_takes_the_strip_walk(self, monkeypatch, axis, strip):
         # node (r, c) one ulp below its neighbour on ``axis`` only (l's
         # level lines put the other neighbour lower); with strips of 1 or
-        # 16 rows, r = 160 is a strip's first row
-        import tailvc.gridscan as gridscan
+        # 16 rows, r = 160 is a strip's first row.  The block bound holds
+        # on such a grid too, so the dipped grid has blocks: the strip walk
+        # serves it when pruning declines, the pruned scan otherwise, and
+        # both equal the dense scan
         import tailvc.harness as hmod
 
         m, k, T = logistic(2.0, 2), 200, 2.0
         r, c = 160, (170 if axis == 0 else 37)
+        m_top = int(lattice_index(k, T))
         if strip is not None:
-            set_strip_rows(monkeypatch, strip, int(lattice_index(k, T)) + 2, 2)
+            set_strip_rows(monkeypatch, strip, m_top + 2, 2)
+        below = [[r - 1], [c]] if axis == 0 else [[r], [c - 1]]
+        dip = np.nextafter(eval_stdf_axes(m, [np.divide(i, k) for i in below])[0, 0],
+                           -np.inf)
 
         def dipped(model, axes):
-            # the grid is filled in strips of axis-0 rows: find row r in this one
+            # l is served in strips of rows and in stacks of block windows:
+            # dip node (r, c) wherever it is served
             grid = eval_stdf_axes(model, axes)
-            i = np.flatnonzero(axes[0] == r / k)
-            if i.size:
-                i = i[0]
-                if axis == 0:
-                    below = (grid[i - 1, c] if i else
-                             eval_stdf_axes(model, [[(r - 1) / k], axes[1]])[0, c])
-                else:
-                    below = grid[i, c - 1]
-                grid[i, c] = np.nextafter(below, -np.inf)
+            at = ((np.expand_dims(axes[0], -1) == r / k)
+                  & (np.expand_dims(axes[1], -2) == c / k))
+            grid[np.broadcast_to(at, grid.shape)] = dip
             return grid
 
         calls = {"pruned": 0, "walk": 0}
@@ -496,16 +503,20 @@ class TestPrunedScan:
         monkeypatch.setattr(gridscan, "_corner_scan",
                             count("walk", gridscan._corner_scan))
         x = tail_order(draw_copula_sample(m, 20_000, substream(23, "dip")))
-        got = sup_stdf_deviation(x, k, m, T).value
-        corners, blocks = _corner_model_grids(m, k, T, 2)
-        neighbour = corners[r - 1, c] if axis == 0 else corners[r, c - 1]
-        other = corners[r, c - 1] if axis == 0 else corners[r - 1, c]
-        assert other <= corners[r, c] < neighbour and blocks is None
-        assert calls == {"pruned": 0, "walk": 1}
-        m_top = int(lattice_index(k, T))
         counts = empirical_stdf_lattice(x, k, [m_top] * 2)
-        want = cell_corner_max(counts, corners, scratch=np.empty_like(counts))
-        assert got == want
+        for cut, walks in ((0.0, 1), (2.0, 0)):  # pruning declines, then never
+            monkeypatch.setattr(gridscan, "_PRUNE_CUT", cut)
+            calls.update(pruned=0, walk=0)
+            got = sup_stdf_deviation(x, k, m, T).value
+            assert calls == {"pruned": 1, "walk": walks}
+            corners = _corner_model_grids(m, k, T, 2)
+            near = corners.at([np.array([r - 1, r]), np.array([c - 1, c])])
+            neighbour = near[0, 1] if axis == 0 else near[1, 0]
+            other = near[1, 0] if axis == 0 else near[0, 1]
+            assert other <= near[1, 1] < neighbour and corners.blocks is not None
+            whole = corners.rows(0, m_top + 2)
+            want = cell_corner_max(counts.copy(), whole, scratch=np.empty_like(counts))
+            assert got == want, cut
 
     @pytest.mark.parametrize("tag,n,k,pruned", [
         ("comonotone", 20_000, 800, False),
@@ -537,6 +548,107 @@ class TestPrunedScan:
         assert (results[0] is not None) == pruned
         assert len(walks) == (0 if pruned else 1)
         assert got == dense_sup_stdf_deviation(x, k, m, T)
+
+
+@pytest.fixture
+def no_held_grid(monkeypatch):
+    """No corner grid is held whole: l is served a strip or a window at a time."""
+    import tailvc.harness as hmod
+
+    monkeypatch.setattr(hmod, "_CORNER_CACHE_BYTES", 0)
+    monkeypatch.setattr(hmod, "_corner_grid", None)
+
+
+@pytest.mark.usefixtures("no_held_grid")
+class TestStripScanOnDemand(TestStripScan):
+    """Every strip-scan test with l evaluated on demand."""
+
+
+@pytest.mark.usefixtures("no_held_grid")
+class TestPrunedScanOnDemand(TestPrunedScan):
+    """Every pruned-scan test with l evaluated on demand."""
+
+
+def held_bytes(obj, seen=None) -> int:
+    """The bytes of the arrays ``obj`` holds: through containers, dataclass
+    fields and closures, counting each buffer once, at its owner."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        base = obj.base
+        return held_bytes(base, seen) if isinstance(base, np.ndarray) else obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        parts = obj
+    elif isinstance(obj, dict):
+        parts = list(obj.values())
+    elif callable(obj) and hasattr(obj, "__closure__"):
+        parts = [cell.cell_contents for cell in obj.__closure__ or ()]
+    elif hasattr(obj, "__dataclass_fields__"):
+        parts = list(vars(obj).values())
+    else:
+        return 0
+    return sum(held_bytes(part, seen) for part in parts)
+
+
+class TestCornerGridOnDemand:
+    """l served a strip or a window at a time, against l on the whole grid."""
+
+    @pytest.mark.parametrize("tag", ["logistic(1.2)", "logistic(2)", "logistic(5)",
+                                     "independence", "comonotone"])
+    @pytest.mark.parametrize("m_top", [7, 9, 65, 401])
+    def test_served_l_is_the_whole_grid_bit_for_bit(self, no_held_grid, tag, m_top):
+        # theta != 2 runs the real pow on gathered arrays, where a vector
+        # kernel and a scalar one could round apart
+        m, k, T = parse_model(tag, 2), 2 * m_top + 1, 0.5  # T between two levels
+        assert int(lattice_index(k, T)) == m_top
+        axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+        whole = eval_stdf_axes(m, [axis] * 2)
+        corners = _corner_model_grids(m, k, T, 2)
+        assert corners.held is None
+        for rows in (1, 3, m_top + 2):  # the strips of the walk and the decomposition
+            for lo in range(0, m_top + 2, rows):
+                hi = min(lo + rows, m_top + 2)
+                assert corners.rows(lo, hi).tobytes() == whole[lo:hi].tobytes()
+        # every block's corner window, alone and in the pruned scan's chunks
+        blocks = corners.blocks
+        p, q = (a.ravel() for a in np.meshgrid(blocks.lows, blocks.lows, indexing="ij"))
+        window = np.arange(gridscan._PRUNE_BLOCK + 1)
+        rows, cols = p[:, None] + window, q[:, None] + window
+        want = whole[rows[:, :, None], cols[:, None, :]]
+        for chunk in (1, 256):
+            for lo in range(0, p.size, chunk):
+                got = corners.at([rows[lo:lo + chunk], cols[lo:lo + chunk]])
+                assert got.tobytes() == want[lo:lo + chunk].tobytes()
+        shape = (blocks.lows.size,) * 2
+        assert np.array_equal(blocks.l_min, want.min(axis=(1, 2)).reshape(shape))
+        assert np.array_equal(blocks.l_max, want.max(axis=(1, 2)).reshape(shape))
+        assert np.array_equal(blocks.l_end, whole[np.ix_(blocks.ends, blocks.ends)])
+        assert np.array_equal(blocks.l_up, whole[np.ix_(blocks.ends + 1, blocks.ends + 1)])
+        # l is nondecreasing here, so the window extremes are its corners
+        assert np.array_equal(blocks.l_min, whole[np.ix_(blocks.lows, blocks.lows)])
+        assert np.array_equal(blocks.l_max, blocks.l_up)
+
+    def test_cache_holds_no_grid_at_k_800(self, monkeypatch):
+        # the whole 1602 x 1602 grid is 20.5 MB; the blocks' summaries 1.3 MB
+        import tailvc.harness as hmod
+
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        m, k, T = logistic(2.0, 2), 800, 2.0
+        x = tail_order(draw_copula_sample(m, 20_000, substream(19, "mem")))
+        value = sup_stdf_deviation(x, k, m, T).value
+        assert value == dense_sup_stdf_deviation(x, k, m, T)
+        assert hmod._corner_grid is not None
+        assert held_bytes(hmod._corner_grid) < 2 * 2**20
+
+    def test_nan_in_a_blocked_grid_is_rejected(self):
+        # the bound pass reads every node: a NaN must not prune its block away
+        for where in ((0, 0), (5, 9), (17, 17)):
+            corners = np.zeros((18, 18))
+            corners[where] = np.nan
+            with pytest.raises(PreconditionError, match="NaN"):
+                held_grid(corners)
 
 
 class TestOrderStatEvent:
@@ -900,6 +1012,15 @@ class TestDecomposition:
         x = draw_copula_sample(m, 500, substream(26, "dec-d3"))
         with pytest.raises(ConfigurationError, match="d = 3 >= 3 requires"):
             deviation_decomposition(x, 10, 2.0, m)
+
+
+@pytest.mark.usefixtures("no_held_grid")
+class TestDecompositionOnDemand:
+    """The decomposition's bit-identity tests with l evaluated on demand."""
+
+    test_bit_identical_to_dense_terms = TestDecomposition.test_bit_identical_to_dense_terms
+    test_thresholds_where_one_minus_x_collides = (
+        TestDecomposition.test_thresholds_where_one_minus_x_collides)
 
 
 def dense_decomposition(x, k, T, model):
