@@ -38,18 +38,17 @@ extremes off the few distinct profiles its points allow, in integer
 arithmetic, in O(n + m^1.5) time and memory.
 
 The lattice scan reads the reference, l at the cell corners, from a
-``CornerGrid``, which serves it a strip of rows or a batch of small
-windows at a time and is held whole only when small, so no scan needs
-the (m_top + 2)^d grid in memory.  For d = 2 it first tries
-``pruned_corner_max``.  One pass over the grid, in strips of block rows,
-keeps l's extremes over each block's corner window (``corner_grid``);
-the scan bounds every block of nodes from those and from the counts at
-the block's two extreme nodes (two small dominance grids of the walker),
-skips each block whose bound cannot beat the best node value found, and
-evaluates the rest exactly from the depth permutations and l on their
-windows.  When most blocks survive the bound (a deviation flat at its
-maximum, as for independence and comonotone data), the strip walk runs
-instead.
+``CornerGrid``, which evaluates it a strip of rows or a batch of small
+windows at a time, so no scan holds the (m_top + 2)^d grid.  For d = 2
+it first tries ``pruned_corner_max``.  One pass over the grid, in
+strips of block rows, keeps l's extremes over each block's corner
+window (``corner_grid``); the scan bounds every block of nodes from
+those and from the counts at the block's two extreme nodes (two small
+dominance grids of the walker), skips each block whose bound cannot
+beat the best node value found, and evaluates the rest exactly from the
+depth permutations and l on their windows.  When most blocks survive
+the bound (a deviation flat at its maximum, as for independence and
+comonotone data), the strip walk runs instead.
 """
 
 from __future__ import annotations
@@ -266,43 +265,30 @@ class CornerGrid:
     Every axis has the m_top + 2 nodes 0..m_top + 1: the cell corners
     of the levels 0..m_top and the box edge.  ``evaluate(idx)`` returns
     l on the product grid of the node index arrays ``idx``, one per axis;
-    index arrays of shape (P, L_j) give P product grids, stacked.  A
-    small grid is ``held`` whole instead.  ``blocks`` is the pruned
-    scan's summary of the grid, or None.
+    index arrays of shape (P, L_j) give P product grids, stacked.  No
+    scan holds the whole grid.  ``blocks`` is the pruned scan's summary
+    of the grid, or None.
     """
 
     m_top: int
     d: int
-    evaluate: Callable[[list[np.ndarray]], np.ndarray] | None
-    held: np.ndarray | None = None
+    evaluate: Callable[[list[np.ndarray]], np.ndarray]
     blocks: CornerBlocks | None = None
 
-    def at(self, idx: list[np.ndarray]) -> np.ndarray:
-        """l on the product grid(s) of the node index arrays ``idx``."""
-        if self.held is None:
-            return self.evaluate(idx)
-        # each index array broadcasts along its own axis of the product
-        d = self.d
-        return self.held[tuple(
-            np.reshape(i, np.shape(i)[:-1] + (1,) * j + (-1,) + (1,) * (d - 1 - j))
-            for j, i in enumerate(idx))]
-
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """The grid's axis-0 rows lo..hi-1 (a view of a held grid)."""
-        if self.held is not None:
-            return self.held[lo:hi]
+        """The grid's axis-0 rows lo..hi-1."""
         nodes = np.arange(self.m_top + 2)
         return self.evaluate([np.arange(lo, hi)] + [nodes] * (self.d - 1))
 
 
-def corner_grid(m_top: int, d: int, evaluate=None, held=None) -> CornerGrid:
-    """The corner grid ``evaluate`` serves, or ``held``, with its blocks when d = 2.
+def corner_grid(m_top: int, d: int, evaluate) -> CornerGrid:
+    """The corner grid ``evaluate`` serves, with its blocks when d = 2.
 
     The blocks come from one pass over the grid in strips of block rows
     (``_corner_blocks``); none when the lattice is narrower than one
     block.  Prepared once per grid; every scan against it reuses them.
     """
-    grid = CornerGrid(m_top, d, evaluate, held)
+    grid = CornerGrid(m_top, d, evaluate)
     if d != 2 or m_top + 1 < _PRUNE_BLOCK:
         return grid
     return replace(grid, blocks=_corner_blocks(grid))
@@ -427,7 +413,7 @@ def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float 
             row += band[0][a + t + 1][:, None] > cols
             surv[:, t] = row
         count = np.subtract(u, surv, out=surv) / k
-        l_near = corners.at([a[:, None] + window, b[:, None] + window])
+        l_near = corners.evaluate([a[:, None] + window, b[:, None] + window])
         gap = _node_gap(count, l_near[:, :-1, :-1], l_near[:, 1:, 1:])
         best = max(best, float(gap.max()))
     return best

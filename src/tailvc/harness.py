@@ -5,10 +5,10 @@ The headline statistic is the exact supremum over [0, T]^d of
 [m_j/k, (m_j+1)/k), and l is continuous and componentwise nondecreasing,
 so on each cell the supremum of their gap is attained at one of the two
 extreme corners.  This module supplies the tail rows and l's corner
-grid, a ``gridscan.CornerGrid`` kept per (model, k, T, d): held whole
-when it is small, evaluated a strip or a window at a time when it is
-not.  ``gridscan.lattice_corner_max`` covers every cell, making the
-supremum exact for d <= 2.  For d >= 3 a declared grid is scanned
+grid, a ``gridscan.CornerGrid`` kept per (model, k, T, d) that
+evaluates l a strip or a window at a time and is never held whole.
+``gridscan.lattice_corner_max`` covers every cell, making the supremum
+exact for d <= 2.  For d >= 3 a declared grid is scanned
 instead and an explicit slack is reported.  The decomposition check
 reads the same count strips, corner grid rows and cell-corner reducer,
 one strip at a time, and never builds the lattice.
@@ -84,12 +84,6 @@ def lattice_rounding_sup(k: int, T: float, d: int) -> float:
     return d * gap
 
 
-# A corner grid of at most this many bytes is held whole, so each trial's
-# strip walk reads it instead of evaluating l again.  Above it (for d = 2,
-# floor(k T) > 722) l is evaluated on demand, and only the blocks' summaries
-# are kept.  The converge benchmark holds the grids of k <= 200 at T = 2.
-_CORNER_CACHE_BYTES = 4 << 20
-
 # The last corner grid with its key (model, k, T, d): every trial of one
 # k reads the same grid, and a new key drops it before the next grid is
 # prepared, so a process holds at most one.
@@ -104,15 +98,17 @@ def _corner_model_grids(model: StdfModel, k: int, T: float,
     m_top = ``lattice_index(k, T)``, so its lower corner is node m and its
     upper corner node m + 1 of the axis 0, 1/k, ..., m_top/k, T.  The axis
     is clipped to T: when ``lattice_index`` snaps floor(k T) up, m_top/k
-    lies just above T.  The grid depends on no sample, so it is kept for
-    the next call with the same key, with its blocks (d = 2), prepared
-    once: held whole, read-only, within _CORNER_CACHE_BYTES, and evaluated
-    on demand, a strip or a window at a time, above it.  l is elementwise,
-    so every value served equals the whole grid's, bit for bit.
+    lies just above T.  l is evaluated on demand, a strip or a window at
+    a time; it depends on no sample, so the grid and its blocks (d = 2),
+    prepared once, are kept for the next call with the same key.  l is
+    elementwise, so every value served equals the whole grid's, bit for
+    bit.  The entry is returned from a local: another thread may replace
+    the module's entry with its own key's meanwhile.
     """
     global _corner_grid
     key = (model, k, T, d)
-    if _corner_grid is None or _corner_grid[0] != key:
+    entry = _corner_grid
+    if entry is None or entry[0] != key:
         _corner_grid = None
         m_top = int(lattice_index(k, T))
         axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
@@ -120,19 +116,9 @@ def _corner_model_grids(model: StdfModel, k: int, T: float,
         def evaluate(idx):  # eval_stdf_axes is looked up by name, never kept
             return eval_stdf_axes(model, [axis[i] for i in idx])
 
-        if 8 * axis.size ** d > _CORNER_CACHE_BYTES:
-            corners = gridscan.corner_grid(m_top, d, evaluate)
-        else:
-            # filled in strips of axis-0 rows, with no full-size temporary
-            live = gridscan.CornerGrid(m_top, d, evaluate)
-            grid = np.empty((axis.size,) * d)
-            rows = gridscan.strip_rows(axis.size ** (d - 1))
-            for lo in range(0, axis.size, rows):
-                grid[lo:lo + rows] = live.rows(lo, min(lo + rows, axis.size))
-            grid.flags.writeable = False
-            corners = gridscan.corner_grid(m_top, d, held=grid)
-        _corner_grid = (key, corners)
-    return _corner_grid[1]
+        entry = (key, gridscan.corner_grid(m_top, d, evaluate))
+        _corner_grid = entry
+    return entry[1]
 
 
 def _check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,

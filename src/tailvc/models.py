@@ -117,6 +117,15 @@ def eval_stdf(model: StdfModel, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _plus_zero(out: np.ndarray, d: int) -> np.ndarray:
+    """``out + 0.0`` (-0.0 becomes +0.0, every other value stays), in place.
+
+    ``out`` is a reduction over d axes; for d = 1 it is the caller's own
+    array, so that one is copied instead.
+    """
+    return out + 0.0 if d == 1 else np.add(out, 0.0, out=out)
+
+
 def eval_stdf_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray:
     """Evaluate l on the product grid of per-coordinate value arrays.
 
@@ -136,9 +145,9 @@ def eval_stdf_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray:
         if np.any(a < 0):
             raise PreconditionError("grid values must be >= 0")
     if model.variant == "independence":
-        return reduce(np.add, shaped) + 0.0
+        return _plus_zero(reduce(np.add, shaped), model.d)
     if model.variant == "comonotone":
-        return reduce(np.maximum, shaped) + 0.0
+        return _plus_zero(reduce(np.maximum, shaped), model.d)
     th = model.theta
     return reduce(np.add, [a**th for a in shaped]) ** (1.0 / th)
 
@@ -186,7 +195,7 @@ def tail_union_prob_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray
             raise PreconditionError("tail thresholds must lie in [0, 1]")
         raw.append(a.reshape((-1,) + (1,) * (model.d - 1 - j)))
     if model.variant == "comonotone":
-        return reduce(np.maximum, raw) + 0.0
+        return _plus_zero(reduce(np.maximum, raw), model.d)
     shaped = [1.0 - a for a in raw]
     if model.variant == "independence":
         c = reduce(np.multiply, shaped)

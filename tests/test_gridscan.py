@@ -354,9 +354,15 @@ class TestSupSignedCount:
         assert got == want
 
 
-def walked(corners):
-    """A corner grid held whole with no blocks: the lattice scan walks strips."""
-    return gridscan.CornerGrid(corners.shape[0] - 2, corners.ndim, None, held=corners)
+def indexed(grid):
+    """A ``gridscan.CornerGrid`` ``evaluate`` that reads l off the array ``grid``."""
+    def evaluate(idx):
+        # each index array broadcasts along its own axis of the product
+        d = grid.ndim
+        return grid[tuple(
+            np.reshape(i, np.shape(i)[:-1] + (1,) * j + (-1,) + (1,) * (d - 1 - j))
+            for j, i in enumerate(idx))]
+    return evaluate
 
 
 class TestCellCornerMax:
@@ -388,7 +394,8 @@ class TestCellCornerMax:
         strip = {"1": 1, "2": 2, "m-1": m - 1, "m": m, "m+1": m + 1}[rows]
         set_strip_rows(monkeypatch, strip, [axis[:-1]] * d)
         want = per_cell_corner_max(lattice_counts(depths, k, m_top), corners)
-        assert lattice_corner_max(depths, k, walked(corners)) == want
+        walked = gridscan.CornerGrid(m_top, d, indexed(corners))  # no blocks
+        assert lattice_corner_max(depths, k, walked) == want
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("rows", ["1", "2", "m-1", "m", "m+1"])
@@ -407,7 +414,8 @@ class TestCellCornerMax:
         # floor(k T) = 0 leaves U = 0 rows: the count is 0 on the one cell
         corners = np.array([[0.0, 0.25], [0.5, 0.75]])
         depths = np.empty((0, 2), dtype=np.int64)
-        assert lattice_corner_max(depths, 10, walked(corners)) == 0.75
+        walked = gridscan.CornerGrid(0, 2, indexed(corners))
+        assert lattice_corner_max(depths, 10, walked) == 0.75
         assert max_count_gap(np.empty((0, 2)), [np.array([0.0, 1.0])] * 2, 10,
                              lambda axes: np.full((axes[0].size, 2), 0.5)) == 0.5
 
@@ -431,7 +439,8 @@ class TestCellCornerMax:
                 max_count_gap(z, [declared_axis(0.4, 5)] * 2, 3, with_nan)
             else:
                 depths = tail_depths(tail_order(z), [2, 2])
-                lattice_corner_max(depths, 2, walked(with_nan([np.arange(4) / 8] * 2)))
+                corners = with_nan([np.arange(4) / 8] * 2)
+                lattice_corner_max(depths, 2, gridscan.CornerGrid(2, 2, indexed(corners)))
 
 
 class TestCandidateAxes:

@@ -1,6 +1,8 @@
 """Deviation experiments: exact suprema, bounds, events, decomposition."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -41,6 +43,7 @@ from tailvc.harness import (
 )
 from tailvc.models import eval_stdf_axes, tail_union_prob_axes
 from tailvc.rng import substream
+from test_gridscan import indexed
 
 
 class TestDeviationBound:
@@ -192,57 +195,131 @@ class TestSupStdfDeviation:
         m = logistic(2.0, 2)
         x = tail_order(draw_copula_sample(m, 2000, substream(15, "spy", k)))
         sup_stdf_deviation(x, k, m, T)
-        assert len(calls) == 1
+        # l is served in strips and windows of the one clipped corner axis
         m_top = int(lattice_index(k, T))
-        for axis in calls[0]:
-            assert axis.size == m_top + 2
-            assert axis.max() <= T and axis[-1] == T
-
-    def test_corner_grid_is_read_only(self, monkeypatch):
-        import tailvc.harness as hmod
-
-        monkeypatch.setattr(hmod, "_corner_grid", None)  # restored afterwards
-        corners = _corner_model_grids(logistic(2.0, 2), 50, 2.0, 2)
-        assert not corners.held.flags.writeable
-        with pytest.raises(ValueError):
-            corners.rows(0, 1)[0, 0] = 0.0
+        axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+        assert axis[-1] == T and axis.size == m_top + 2
+        for j in range(2):
+            seen = np.concatenate([c[j].ravel() for c in calls])
+            assert seen.min() >= 0.0 and seen.max() <= T
+            assert np.array_equal(np.unique(seen), np.unique(axis))
 
     def test_one_corner_grid_per_k_across_trials(self, monkeypatch):
         import tailvc.harness as hmod
 
-        corner_calls, held = [], []
+        prepared, held = [], []
 
-        def spy(model, axes):
-            corner_calls.append(axes[0].size)
+        def spy(m_top, d, evaluate):
+            prepared.append(m_top + 2)
             held.append(hmod._corner_grid)
-            return eval_stdf_axes(model, axes)
+            return corner_grid(m_top, d, evaluate)
 
-        monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        corner_grid = gridscan.corner_grid
+        monkeypatch.setattr(gridscan, "corner_grid", spy)
         monkeypatch.setattr(hmod, "_corner_grid", None)
         cfg = ExperimentConfig(model=logistic(2.0, 2), n=2000, d=2,
                                k_schedule=(20, 40, 80), T=2.0, delta=0.05,
                                trials=3, seed=4)
         run_rate_experiment(cfg)
-        assert corner_calls == [42, 82, 162]
+        assert prepared == [42, 82, 162]  # one summary pass per k
         assert held == [None] * 3  # the old grid is dropped before the next
 
     def test_decomposition_reads_the_same_corner_grid(self, monkeypatch):
         import tailvc.harness as hmod
 
-        calls = []
+        prepared, shapes = [], []
 
-        def spy(model, axes):
-            calls.append(axes[0].size)
+        def spy(m_top, d, evaluate):
+            prepared.append(m_top + 2)
+            return corner_grid(m_top, d, evaluate)
+
+        def spy_l(model, axes):
+            shapes.append(tuple(np.shape(a) for a in axes))
             return eval_stdf_axes(model, axes)
 
-        monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        corner_grid = gridscan.corner_grid
+        monkeypatch.setattr(gridscan, "corner_grid", spy)
+        monkeypatch.setattr(hmod, "eval_stdf_axes", spy_l)
         monkeypatch.setattr(hmod, "_corner_grid", None)
         m, k, T = logistic(2.0, 2), 30, 2.0
         x = draw_copula_sample(m, 3000, substream(17, "share"))
         sup_stdf_deviation(tail_order(x), k, m, T)
+        shapes.clear()
         deviation_decomposition(x, k, T, m)
-        # one corner grid, plus the decomposition's own l at the thresholds
-        assert calls == [62, 61]
+        assert prepared == [62]  # one summary pass for both calls
+        # plus the decomposition's own l at the thresholds, in one strip
+        assert shapes.count(((61,), (61,))) == 1
+
+    def test_cache_returns_its_own_key_under_a_concurrent_store(self, monkeypatch):
+        # another thread may store its key's grid between this call's store
+        # and its return; the old entry's finaliser, which runs during the
+        # store, stands in for that thread here
+        import tailvc.harness as hmod
+
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        m, T = logistic(2.0, 2), 2.0
+        other_key = (m, 20, T, 2)
+        other = _corner_model_grids(*other_key)
+
+        class Finaliser:
+            def __del__(self):
+                hmod._corner_grid = (other_key, other)
+
+        def spy(m_top, d, evaluate):
+            hmod._corner_grid = (other_key, Finaliser())
+            return corner_grid(m_top, d, evaluate)
+
+        corner_grid = gridscan.corner_grid
+        monkeypatch.setattr(gridscan, "corner_grid", spy)
+        got = _corner_model_grids(m, 50, T, 2)
+        assert hmod._corner_grid[1] is other  # the store was replaced
+        assert got is not other and got.m_top == int(lattice_index(50, T)) == 100
+
+    def test_threads_at_different_k_get_their_own_grids(self, monkeypatch):
+        import tailvc.harness as hmod
+
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        m, T = logistic(2.0, 2), 2.0
+        wrong = []
+
+        def work(k):
+            for _ in range(40):
+                grid = _corner_model_grids(m, k, T, 2)
+                if grid.m_top != 2 * k:
+                    wrong.append((k, grid.m_top))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in (4, 8, 12, 16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_cache_keeps_no_function_object(self, monkeypatch):
+        # the benchmark tracer rebinds harness.eval_stdf_axes: a kept grid
+        # must look it up by name at every call
+        import tailvc.harness as hmod
+
+        monkeypatch.setattr(hmod, "_corner_grid", None)
+        m, k, T = comonotone(2), 50, 2.0
+        x = tail_order(draw_copula_sample(m, 5000, substream(4, "com")))
+        want = sup_stdf_deviation(x, k, m, T)
+        entry, calls = hmod._corner_grid, []
+
+        def spy(model, axes):
+            calls.append(model)
+            return eval_stdf_axes(model, axes)
+
+        monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
+        assert sup_stdf_deviation(x, k, m, T) == want
+        assert hmod._corner_grid is entry  # the grid was kept, not prepared again
+        assert calls and all(c is m for c in calls)
 
     def test_one_grid_matches_two_grid_scan(self):
         # the former scan: l on the lower corners arange(M + 1) / k and, as a
@@ -319,11 +396,6 @@ def monotone_grid(m_top, k, rng):
     steps = rng.exponential(1.0, (m_top + 2,) * 2)
     grid = steps.cumsum(0).cumsum(1)
     return grid * (2.0 * m_top / k / grid[-1, -1])
-
-
-def held_grid(corners):
-    """A corner grid array as the ``gridscan.CornerGrid`` that holds it."""
-    return gridscan.corner_grid(corners.shape[0] - 2, corners.ndim, held=corners)
 
 
 def set_strip_rows(monkeypatch, rows, m, d):
@@ -428,13 +500,14 @@ class TestPrunedScan:
                      np.random.default_rng((m_top, trial)).uniform(
                          0.0, 2.0 * m_top / k, (m_top + 2,) * 2)]
             for corners in grids:
-                got = gridscan.pruned_corner_max(depths, k, held_grid(corners))
+                got = gridscan.pruned_corner_max(
+                    depths, k, gridscan.corner_grid(m_top, 2, indexed(corners)))
                 assert got == dense_corner_sup(depths, k, corners), (trial,)
 
     @pytest.mark.parametrize("m_top,cut", [(0, False), (1, False), (6, False),
                                            (7, True)])
     def test_lattice_narrower_than_a_block_is_not_cut(self, m_top, cut):
-        blocks = held_grid(np.zeros((m_top + 2,) * 2)).blocks
+        blocks = gridscan.corner_grid(m_top, 2, indexed(np.zeros((m_top + 2,) * 2))).blocks
         assert (blocks is not None) == cut
 
     def test_block_bound_equal_to_best_is_skipped(self, monkeypatch):
@@ -455,7 +528,8 @@ class TestPrunedScan:
         m_top, k = 64, 32
         depths = synthetic_depths(m_top, np.random.default_rng(5))
         corners = np.zeros((m_top + 2,) * 2)
-        got = gridscan.pruned_corner_max(depths, k, held_grid(corners))
+        got = gridscan.pruned_corner_max(depths, k, gridscan.corner_grid(
+            m_top, 2, indexed(corners)))
         assert got == dense_corner_sup(depths, k, corners) == depths.shape[0] / k
         assert len(gaps) == 1  # the high nodes only
 
@@ -510,7 +584,7 @@ class TestPrunedScan:
             got = sup_stdf_deviation(x, k, m, T).value
             assert calls == {"pruned": 1, "walk": walks}
             corners = _corner_model_grids(m, k, T, 2)
-            near = corners.at([np.array([r - 1, r]), np.array([c - 1, c])])
+            near = corners.evaluate([np.array([r - 1, r]), np.array([c - 1, c])])
             neighbour = near[0, 1] if axis == 0 else near[1, 0]
             other = near[1, 0] if axis == 0 else near[0, 1]
             assert other <= near[1, 1] < neighbour and corners.blocks is not None
@@ -551,22 +625,25 @@ class TestPrunedScan:
 
 
 @pytest.fixture
-def no_held_grid(monkeypatch):
-    """No corner grid is held whole: l is served a strip or a window at a time."""
+def rebound_l(monkeypatch):
+    """``harness.eval_stdf_axes`` rebound to a pass-through, as the benchmark
+    tracer rebinds it, and no grid cached: every grid the test prepares
+    serves l through the rebound name, and the test's values must not move."""
     import tailvc.harness as hmod
 
-    monkeypatch.setattr(hmod, "_CORNER_CACHE_BYTES", 0)
+    real = hmod.eval_stdf_axes
+    monkeypatch.setattr(hmod, "eval_stdf_axes", lambda model, axes: real(model, axes))
     monkeypatch.setattr(hmod, "_corner_grid", None)
 
 
-@pytest.mark.usefixtures("no_held_grid")
+@pytest.mark.usefixtures("rebound_l")
 class TestStripScanOnDemand(TestStripScan):
-    """Every strip-scan test with l evaluated on demand."""
+    """Every strip-scan test with l served through a rebound ``eval_stdf_axes``."""
 
 
-@pytest.mark.usefixtures("no_held_grid")
+@pytest.mark.usefixtures("rebound_l")
 class TestPrunedScanOnDemand(TestPrunedScan):
-    """Every pruned-scan test with l evaluated on demand."""
+    """Every pruned-scan test with l served through a rebound ``eval_stdf_axes``."""
 
 
 def held_bytes(obj, seen=None) -> int:
@@ -598,7 +675,7 @@ class TestCornerGridOnDemand:
     @pytest.mark.parametrize("tag", ["logistic(1.2)", "logistic(2)", "logistic(5)",
                                      "independence", "comonotone"])
     @pytest.mark.parametrize("m_top", [7, 9, 65, 401])
-    def test_served_l_is_the_whole_grid_bit_for_bit(self, no_held_grid, tag, m_top):
+    def test_served_l_is_the_whole_grid_bit_for_bit(self, rebound_l, tag, m_top):
         # theta != 2 runs the real pow on gathered arrays, where a vector
         # kernel and a scalar one could round apart
         m, k, T = parse_model(tag, 2), 2 * m_top + 1, 0.5  # T between two levels
@@ -606,7 +683,6 @@ class TestCornerGridOnDemand:
         axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
         whole = eval_stdf_axes(m, [axis] * 2)
         corners = _corner_model_grids(m, k, T, 2)
-        assert corners.held is None
         for rows in (1, 3, m_top + 2):  # the strips of the walk and the decomposition
             for lo in range(0, m_top + 2, rows):
                 hi = min(lo + rows, m_top + 2)
@@ -619,7 +695,7 @@ class TestCornerGridOnDemand:
         want = whole[rows[:, :, None], cols[:, None, :]]
         for chunk in (1, 256):
             for lo in range(0, p.size, chunk):
-                got = corners.at([rows[lo:lo + chunk], cols[lo:lo + chunk]])
+                got = corners.evaluate([rows[lo:lo + chunk], cols[lo:lo + chunk]])
                 assert got.tobytes() == want[lo:lo + chunk].tobytes()
         shape = (blocks.lows.size,) * 2
         assert np.array_equal(blocks.l_min, want.min(axis=(1, 2)).reshape(shape))
@@ -630,17 +706,20 @@ class TestCornerGridOnDemand:
         assert np.array_equal(blocks.l_min, whole[np.ix_(blocks.lows, blocks.lows)])
         assert np.array_equal(blocks.l_max, blocks.l_up)
 
-    def test_cache_holds_no_grid_at_k_800(self, monkeypatch):
-        # the whole 1602 x 1602 grid is 20.5 MB; the blocks' summaries 1.3 MB
+    @pytest.mark.parametrize("k", [50, 200, 800])
+    def test_cache_holds_no_grid(self, monkeypatch, k):
+        # at k = 800 the whole 1602 x 1602 grid is 20.5 MB, the blocks'
+        # summaries 1.3 MB; at k = 50 the grid is 83 kB, the summaries 6 kB
         import tailvc.harness as hmod
 
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        m, k, T = logistic(2.0, 2), 800, 2.0
+        m, T = logistic(2.0, 2), 2.0
         x = tail_order(draw_copula_sample(m, 20_000, substream(19, "mem")))
         value = sup_stdf_deviation(x, k, m, T).value
         assert value == dense_sup_stdf_deviation(x, k, m, T)
         assert hmod._corner_grid is not None
-        assert held_bytes(hmod._corner_grid) < 2 * 2**20
+        whole = 8 * (int(lattice_index(k, T)) + 2) ** 2
+        assert held_bytes(hmod._corner_grid) < min(whole / 4, 2 * 2**20)
 
     def test_nan_in_a_blocked_grid_is_rejected(self):
         # the bound pass reads every node: a NaN must not prune its block away
@@ -648,7 +727,7 @@ class TestCornerGridOnDemand:
             corners = np.zeros((18, 18))
             corners[where] = np.nan
             with pytest.raises(PreconditionError, match="NaN"):
-                held_grid(corners)
+                gridscan.corner_grid(16, 2, indexed(corners))
 
 
 class TestOrderStatEvent:
@@ -1014,9 +1093,10 @@ class TestDecomposition:
             deviation_decomposition(x, 10, 2.0, m)
 
 
-@pytest.mark.usefixtures("no_held_grid")
+@pytest.mark.usefixtures("rebound_l")
 class TestDecompositionOnDemand:
-    """The decomposition's bit-identity tests with l evaluated on demand."""
+    """The decomposition's bit-identity tests with l served through a rebound
+    ``eval_stdf_axes``."""
 
     test_bit_identical_to_dense_terms = TestDecomposition.test_bit_identical_to_dense_terms
     test_thresholds_where_one_minus_x_collides = (

@@ -178,6 +178,27 @@ class TestTailUnion:
             assert errs[-1] < 1e-2
 
 
+class TestZeroSign:
+    """The additive and max grids return +0.0 where every input is -0.0."""
+
+    @pytest.mark.parametrize("fn,variant", [(eval_stdf_axes, "independence"),
+                                            (eval_stdf_axes, "comonotone"),
+                                            (tail_union_prob_axes, "comonotone")])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_negative_zero_gives_positive_zero(self, fn, variant, d):
+        m = parse_model(variant, d)
+        axes = [np.array([-0.0, 0.25, -0.0, 0.5]) for _ in range(d)]
+        for a in axes:
+            a.flags.writeable = False  # the caller's arrays are never written
+        grid = fn(m, axes)
+        assert grid.shape == (4,) * d
+        zero = grid == 0.0
+        assert zero.any() and not np.signbit(grid[zero]).any()
+        assert not any(np.shares_memory(grid, a) for a in axes)
+        assert all(np.array_equal(a, [-0.0, 0.25, -0.0, 0.5]) and np.signbit(a[0])
+                   for a in axes)
+
+
 class TestSupBias:
     def test_comonotone_zero(self):
         assert sup_bias(comonotone(2), 0.01, 3.0) == 0.0
