@@ -69,11 +69,9 @@ from .harness import (
     run_rate_experiment,
     stdf_deviation_bound,
     sup_stdf_deviation,
-    sup_tail_process_deviation,
 )
 from .models import (
     StdfModel,
-    bias_term,
     comonotone,
     eval_stdf,
     independence,

@@ -41,6 +41,8 @@ _NORMS = {
     "linf": lambda x: reduce(np.maximum, np.abs(x).T),
 }
 
+_AXIS_THRESHOLD_SPAN = (0.05, 0.95)
+
 
 def feature_norm(x: np.ndarray, norm: str) -> np.ndarray:
     if norm not in _NORMS:
@@ -129,10 +131,10 @@ class ClassifierFamily:
         return cls(members=tuple(members), vc_dim=vc_dim)
 
 
-def axis_threshold_family(d: int, per_axis: int, lo: float = 0.05, hi: float = 0.95
-                          ) -> ClassifierFamily:
-    """per_axis positive-orientation thresholds on each of the d axes."""
-    thresholds = np.linspace(lo, hi, per_axis)
+def axis_threshold_family(d: int, per_axis: int) -> ClassifierFamily:
+    """per_axis positive-orientation thresholds on each of the d axes,
+    evenly spaced over _AXIS_THRESHOLD_SPAN."""
+    thresholds = np.linspace(*_AXIS_THRESHOLD_SPAN, per_axis)
     members = [
         AxisClassifier(coord=j, threshold=float(c)) for j in range(d) for c in thresholds
     ]
@@ -268,13 +270,13 @@ def _disagreement_boxes(g: AxisClassifier, rule: AxisClassifier, d: int) -> list
     cg, tg, up_g = _plus_box(g)
     cr, tr, up_r = _plus_box(rule)
 
-    def interval(coord, thr, plus_side):
+    def interval(thr, plus_side):
         return (thr, 1.0) if plus_side else (0.0, thr)
 
     # g=+1, rule=-1 and g=-1, rule=+1
     for side in (True, False):
-        ig = interval(cg, tg, up_g if side else not up_g)
-        ir = interval(cr, tr, (not up_r) if side else up_r)
+        ig = interval(tg, up_g if side else not up_g)
+        ir = interval(tr, (not up_r) if side else up_r)
         box = [(0.0, 1.0)] * d
         if cg == cr:
             lo = max(ig[0], ir[0])

@@ -68,10 +68,6 @@ class RectClassSpec:
         """Per-coordinate threshold ceiling (k/n) T of the union region."""
         return self.scale * self.T
 
-    @property
-    def vc_dimension(self) -> int:
-        return self.d
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -275,14 +271,12 @@ def pair_separation_complexity(
     cls: RectClassSpec,
     pairs: int,
     seed: int,
-    coupled: bool = False,
 ) -> PairSeparationEstimate:
     """Estimate of q: the chance some set in the family splits a pair.
 
     A set A(x) contains Z but not Z' exactly when some coordinate j has
     Z_j < min(Z'_j, (k/n) T), so the supremum over the family is decided
-    coordinatewise without enumeration.  ``coupled=True`` draws Z' = Z
-    (degenerate coupling hook; the estimate is then exactly 0).
+    coordinatewise without enumeration.
     """
     if pairs < 2:
         raise ConfigurationError(f"need at least 2 pairs, got {pairs}")
@@ -291,7 +285,7 @@ def pair_separation_complexity(
     edge = cls.box_edge
     rng = substream(seed, "pair-separation")
     z = draw_tail_uniforms(model, pairs, rng)
-    z2 = z if coupled else draw_tail_uniforms(model, pairs, rng)
+    z2 = draw_tail_uniforms(model, pairs, rng)
     # the pair is split on coordinate j either way round; OR over the columns
     split = reduce(np.logical_or, (
         ((a < b) & (a < edge)) | ((b < a) & (b < edge)) for a, b in zip(z.T, z2.T)

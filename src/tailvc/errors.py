@@ -51,7 +51,5 @@ class PreconditionError(TailvcError):
 
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_PRECONDITION = 4
-EXIT_INTERNAL = 5
+EXIT_USAGE = ConfigurationError.exit_code
+EXIT_INTERNAL = TailvcError.exit_code

@@ -35,7 +35,6 @@ from .empirical import (
     tail_order,
 )
 from .errors import ConfigurationError, PreconditionError, TiesError
-from .concentration import RectClassSpec, sup_empirical_deviation
 from . import gridscan
 from .gridscan import SupEstimate, declared_axis, max_count_gap, scan_is_exact
 from .models import (
@@ -215,22 +214,6 @@ def _order_stat_event(order_stats: np.ndarray, k: int, T: float) -> bool:
     n = order_stats.shape[0]
     m = _order_stat_index(n, k, T)
     return _event_holds(1.0 - order_stats[n - m], n, k, T)
-
-
-def sup_tail_process_deviation(u, k: int, T: float, model) -> SupEstimate:
-    """(n/k) sup over [0,T]^d of the raw set-mass deviation at scale k/n.
-
-    Shares the exact cell scan with sup_empirical_deviation; this is the
-    scaled uniform deviation of the tail empirical process.
-    """
-    u = np.asarray(u, dtype=float)
-    n, d = u.shape
-    cls = RectClassSpec(d=d, k=k, n=n, T=T)
-    raw = sup_empirical_deviation(u, cls, model)
-    return SupEstimate(
-        value=n / k * raw.value,
-        discretization_bound=n / k * raw.discretization_bound,
-    )
 
 
 @dataclass(frozen=True)

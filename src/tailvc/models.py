@@ -31,8 +31,7 @@ from .errors import ConfigurationError, PreconditionError
 
 VARIANTS = ("independence", "comonotone", "logistic")
 
-#: Relative tolerance for analytic identities (homogeneity, norm axioms).
-ANALYTIC_RTOL = 1e-12
+_SUP_BIAS_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,6 @@ class StdfModel:
             raise ConfigurationError(
                 f"{self.variant} model takes no dependence parameter"
             )
-
-    def tag(self) -> str:
-        if self.variant == "logistic":
-            return f"logistic({self.theta:g})"
-        return self.variant
 
 
 def independence(d: int) -> StdfModel:
@@ -152,28 +146,8 @@ def eval_stdf_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray:
     return reduce(np.add, [a**th for a in shaped]) ** (1.0 / th)
 
 
-def copula(model: StdfModel, u) -> float | np.ndarray:
-    """Model copula C(u) = P(X_1 <= u_1, ..., X_d <= u_d)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != model.d:
-        raise PreconditionError(
-            f"point has {u.shape[-1]} coordinates, model dimension is {model.d}"
-        )
-    if np.any(u < 0) or np.any(u > 1):
-        raise PreconditionError("copula arguments must lie in [0, 1]")
-    if model.variant == "independence":
-        out = u.prod(axis=-1)
-    elif model.variant == "comonotone":
-        out = u.min(axis=-1)
-    else:
-        with np.errstate(divide="ignore"):
-            s = ((-np.log(u)) ** model.theta).sum(axis=-1)
-        out = np.exp(-(s ** (1.0 / model.theta)))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def tail_union_prob(model: StdfModel, y) -> float | np.ndarray:
-    """P(U^1 <= y_1 or ... or U^d <= y_d) for U = 1 - X, exact."""
+    """P(U^1 <= y_1 or ... or U^d <= y_d) for U = 1 - X, exact: 1 - C(1 - y)."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > 1):
         raise PreconditionError("tail thresholds must lie in [0, 1]")
@@ -181,7 +155,18 @@ def tail_union_prob(model: StdfModel, y) -> float | np.ndarray:
         # all coordinates share one uniform; avoids the 1 - (1 - y) round trip
         out = y.max(axis=-1)
         return float(out) if np.ndim(out) == 0 else out
-    return 1.0 - copula(model, 1.0 - y)
+    if y.shape[-1] != model.d:
+        raise PreconditionError(
+            f"point has {y.shape[-1]} coordinates, model dimension is {model.d}"
+        )
+    u = 1.0 - y
+    if model.variant == "independence":
+        c = u.prod(axis=-1)
+    else:
+        with np.errstate(divide="ignore"):
+            s = ((-np.log(u)) ** model.theta).sum(axis=-1)
+        c = np.exp(-(s ** (1.0 / model.theta)))
+    return 1.0 - (float(c) if np.ndim(c) == 0 else c)
 
 
 def tail_union_prob_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray:
@@ -224,11 +209,6 @@ def pre_limit_tail(model: StdfModel, t: float, x) -> float | np.ndarray:
     return tail_union_prob(model, np.minimum(t * x, 1.0)) / t
 
 
-def bias_term(model: StdfModel, t: float, x) -> float | np.ndarray:
-    """|pre_limit_tail(t, x) - l(x)|; identically zero for comonotone."""
-    return np.abs(pre_limit_tail(model, t, x) - eval_stdf(model, x))
-
-
 def sup_bias_method(model: StdfModel) -> str:
     """How ``sup_bias`` gets its value for this model.
 
@@ -239,13 +219,14 @@ def sup_bias_method(model: StdfModel) -> str:
     return "grid-max" if model.variant == "logistic" else "exact"
 
 
-def sup_bias(model: StdfModel, t: float, radius: float, grid: int = 256) -> float:
+def sup_bias(model: StdfModel, t: float, radius: float) -> float:
     """sup over [0, radius]^d of |pre_limit_tail(t, .) - l(.)|.
 
     Comonotone is exactly zero.  Independence is monotone in every
     coordinate, so the supremum sits at the upper corner and is analytic.
-    The logistic family is scanned on a grid that always contains the
-    corner; the scan is a bound reporter, not a proof.
+    The logistic family is scanned on a grid of _SUP_BIAS_GRID nodes per
+    axis that always contains the corner; the scan is a bound reporter,
+    not a proof.
     """
     if radius < 0:
         raise PreconditionError(f"radius must be >= 0, got {radius}")
@@ -257,7 +238,7 @@ def sup_bias(model: StdfModel, t: float, radius: float, grid: int = 256) -> floa
         return 0.0
     if model.variant == "independence":
         return float(model.d * radius - (1.0 - (1.0 - t * radius) ** model.d) / t)
-    axis = np.linspace(0.0, radius, grid)
+    axis = np.linspace(0.0, radius, _SUP_BIAS_GRID)
     grid_l = eval_stdf_axes(model, [axis] * model.d)
     grid_pre = tail_union_prob_axes(model, [t * axis] * model.d) / t
     return float(np.abs(grid_pre - grid_l).max())

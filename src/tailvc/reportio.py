@@ -217,7 +217,7 @@ def read_sample_csv(path) -> Sample:
         raise DataError(f"{path}: empty sample file")
     if width is None:
         raise DataError(f"{path}: no data rows")
-    return Sample(np.concatenate(blocks), provenance=str(path))
+    return Sample(np.concatenate(blocks))
 
 
 def _jsonable(obj):

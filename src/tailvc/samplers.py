@@ -122,10 +122,9 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class Sample:
-    """An n x d matrix of observations plus its provenance."""
+    """An n x d matrix of observations."""
 
     values: np.ndarray
-    provenance: object = "unspecified"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -207,19 +206,15 @@ def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarr
     return s
 
 
-def _finish(base: np.ndarray, spec: GeneratorSpec) -> Sample:
-    cols = [m.transform(base[:, j]) for j, m in enumerate(spec.margins)]
-    return Sample(np.column_stack(cols), provenance=spec)
-
-
 def draw_sample(spec: GeneratorSpec) -> Sample:
     """Draw the spec's sample: its model copula, then its margins."""
     rng = substream(spec.seed, "sample")
-    return _finish(draw_copula_sample(spec.model, spec.n, rng), spec)
+    base = Sample(draw_copula_sample(spec.model, spec.n, rng))
+    return apply_margins(base, spec.margins)
 
 
 def apply_margins(sample: Sample, transforms) -> Sample:
     """Apply per-coordinate strictly increasing transforms; ranks unchanged."""
     specs = parse_margins(transforms, sample.d)
     cols = [m.transform(sample.values[:, j]) for j, m in enumerate(specs)]
-    return Sample(np.column_stack(cols), provenance=sample.provenance)
+    return Sample(np.column_stack(cols))

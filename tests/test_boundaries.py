@@ -8,10 +8,11 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from tailvc.samplers import Sample, draw_copula_sample
 
 PACKAGE = Path(tailvc.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def private_gridscan_reads(source: str) -> list[str]:
@@ -277,3 +279,12 @@ def test_no_production_path_reads_ranks(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="read TailOrder.ranks"):
         tail_order(x).ranks
     assert production_outputs(x, tmp_path / "patched") == expected
+
+
+def test_readme_library_layout_names_every_export():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+    exported = {name for name, value in vars(tailvc).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert sorted(exported - named) == []

@@ -229,11 +229,6 @@ class TestRelativeRademacher:
 
 
 class TestPairSeparation:
-    def test_coupled_pairs_never_split(self):
-        cls = RectClassSpec(d=2, k=10, n=100, T=1.0)
-        est = pair_separation_complexity("independence", cls, 1000, 5, coupled=True)
-        assert est.value == 0.0
-
     def test_tiny_region_rarely_splits(self):
         cls = RectClassSpec(d=2, k=1, n=100_000, T=1.0)  # edge 1e-5
         est = pair_separation_complexity("independence", cls, 20_000, 6)
@@ -284,7 +279,7 @@ class TestDeviationCoverage:
         model = parse_model("independence", 2)
         p = union_mass(cls, model)
         delta = 0.05
-        params = BoundParams(n=cls.n, V=cls.vc_dimension, p=p, delta=delta)
+        params = BoundParams(n=cls.n, V=cls.d, p=p, delta=delta)
         unit = low_mass_vc_bound(params)  # C = 1 reference shape
 
         def sup_devs(seed, trials):

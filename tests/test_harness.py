@@ -14,6 +14,7 @@ from tailvc import (
     ConfigurationError,
     ExperimentConfig,
     PreconditionError,
+    RectClassSpec,
     build_ranks,
     calibrate_constant,
     check_order_stat_event,
@@ -30,8 +31,8 @@ from tailvc import (
     parse_model,
     run_rate_experiment,
     stdf_deviation_bound,
+    sup_empirical_deviation,
     sup_stdf_deviation,
-    sup_tail_process_deviation,
 )
 from tailvc.empirical import empirical_stdf_lattice, lattice_index, tail_order
 from tailvc import gridscan
@@ -636,6 +637,58 @@ def rebound_l(monkeypatch):
     monkeypatch.setattr(hmod, "_corner_grid", None)
 
 
+class TestReboundL:
+    """The strip walk, the pruned scan and the decomposition give the same
+    bits with ``harness.eval_stdf_axes`` rebound to a pass-through, and
+    each of them serves l through that name."""
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)",
+                                     "logistic(5)"])
+    @pytest.mark.parametrize("d,k,T", [(1, 200, 2.0), (2, 50, 2.0), (2, 400, 2.0),
+                                       (2, 7, 0.09)])
+    def test_rebinding_moves_no_bit(self, monkeypatch, tag, d, k, T):
+        import tailvc.harness as hmod
+
+        m = parse_model(tag, d)
+        x = draw_copula_sample(m, 20_000, substream(28, "rebound", tag, d, k))
+        state = tail_order(x)
+        whole = gridscan._STRIP_BYTES
+        served = []
+
+        def scans():
+            got, calls = [], []
+            for strip in (None, 3):  # the default strips, then 3-row strips
+                if strip is None:
+                    monkeypatch.setattr(gridscan, "_STRIP_BYTES", whole)
+                else:
+                    set_strip_rows(monkeypatch, strip, int(lattice_index(k, T)) + 2, d)
+                # pruning always declines (the strip walk), then never does
+                for cut in (0.0, 2.0):
+                    monkeypatch.setattr(gridscan, "_PRUNE_CUT", cut)
+                    monkeypatch.setattr(hmod, "_corner_grid", None)
+                    got.append(sup_stdf_deviation(state, k, m, T).value)
+                    calls.append(len(served))
+            monkeypatch.setattr(hmod, "_corner_grid", None)
+            terms = deviation_decomposition(x, k, T, m)
+            got += [terms.substitution, terms.bias, terms.rounding]
+            calls.append(len(served))
+            return [v.hex() for v in got], np.diff([0] + calls)
+
+        plain, _ = scans()
+        assert len(set(plain[:4])) == 1
+        assert plain[0] == dense_sup_stdf_deviation(state, k, m, T).hex()
+        real = hmod.eval_stdf_axes
+
+        def pass_through(model, axes):
+            served.append(1)
+            return real(model, axes)
+
+        monkeypatch.setattr(hmod, "eval_stdf_axes", pass_through)
+        rebound, calls = scans()
+        assert rebound == plain
+        assert (calls > 0).all()
+
+
 @pytest.mark.usefixtures("rebound_l")
 class TestStripScanOnDemand(TestStripScan):
     """Every strip-scan test with l served through a rebound ``eval_stdf_axes``."""
@@ -820,7 +873,8 @@ class TestTailProcessDeviation:
         n, k, T = 5000, 50, 2.0
         m = comonotone(1)
         u = 1.0 - draw_copula_sample(m, n, substream(3, "ks"))
-        stat = sup_tail_process_deviation(u, k, T, m).value
+        cls = RectClassSpec(d=1, k=k, n=n, T=T)
+        stat = n / k * sup_empirical_deviation(u, cls, m).value
         q = k / n * T
         us = np.sort(u[:, 0])
         uu = us[us <= q]
@@ -841,7 +895,8 @@ class TestTailProcessDeviation:
         n = 500
         m = independence(2)
         u = 1.0 - draw_copula_sample(m, n, substream(4, "edge"))
-        stat = sup_tail_process_deviation(u, n, 0.9, m)
+        cls = RectClassSpec(d=2, k=n, n=n, T=0.9)
+        stat = sup_empirical_deviation(u, cls, m)  # the n/k scale is 1 here
         assert np.isfinite(stat.value)
 
     def test_rate_on_zero_discrepancy_model(self):
@@ -852,12 +907,10 @@ class TestTailProcessDeviation:
         ks = (50, 100, 200, 400, 800)
         meds = []
         for k in ks:
+            cls = RectClassSpec(d=2, k=k, n=n, T=T)
             vals = [
-                sup_tail_process_deviation(
-                    1.0 - draw_copula_sample(m, n, substream(77, "tp", k, t)),
-                    k,
-                    T,
-                    m,
+                n / k * sup_empirical_deviation(
+                    1.0 - draw_copula_sample(m, n, substream(77, "tp", k, t)), cls, m
                 ).value
                 for t in range(100)
             ]

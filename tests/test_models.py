@@ -1,12 +1,13 @@
 """Closed-form model oracles: values, norm structure, finite-level laws."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from tailvc import (
     ConfigurationError,
     PreconditionError,
-    bias_term,
     comonotone,
     eval_stdf,
     independence,
@@ -62,16 +63,19 @@ class TestPreLimit:
         m = comonotone(2)
         for t in (0.5, 0.1, 0.01, 1 / 3):
             assert pre_limit_tail(m, t, [1, 2]) == 2.0
-            assert bias_term(m, t, [1, 2]) == 0.0
+            assert abs(pre_limit_tail(m, t, [1, 2]) - eval_stdf(m, [1, 2])) == 0.0
 
     def test_independence_half(self):
         # 1 - (1 - 0.5)^2 = 0.75, divided by t = 0.5
-        assert pre_limit_tail(independence(2), 0.5, [1, 1]) == pytest.approx(1.5)
-        assert bias_term(independence(2), 0.5, [1, 1]) == pytest.approx(0.5)
+        m = independence(2)
+        assert pre_limit_tail(m, 0.5, [1, 1]) == pytest.approx(1.5)
+        bias = abs(pre_limit_tail(m, 0.5, [1, 1]) - eval_stdf(m, [1, 1]))
+        assert bias == pytest.approx(0.5)
 
     def test_independence_small_t_bias(self):
         # exact remainder is t * x1 * x2
-        b = bias_term(independence(2), 0.001, [1, 1])
+        m = independence(2)
+        b = abs(pre_limit_tail(m, 0.001, [1, 1]) - eval_stdf(m, [1, 1]))
         assert b <= 1e-3 + 1e-12
         assert b == pytest.approx(0.001, rel=1e-9)
 
@@ -173,9 +177,76 @@ class TestTailUnion:
         for m in (independence(2), logistic(2.0, 2), comonotone(2)):
             errs = []
             for t in (0.25, 0.1, 0.04, 0.01, 0.001):
-                errs.append(max(bias_term(m, t, x) for x in x_grid))
+                errs.append(max(abs(pre_limit_tail(m, t, x) - eval_stdf(m, x))
+                                for x in x_grid))
             assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
             assert errs[-1] < 1e-2
+
+
+# tail_union_prob at y = (0.04, ..., 0.04) and y_j = 0.25 * 0.6^j, one call
+# per point: float.hex of each value, by model tag and d
+TAIL_UNION_BITS = {
+    "logistic(1.3)": {
+        1: ("0x1.47ae147ae1480p-5", "0x1.0000000000000p-2"),
+        2: ("0x1.134b02dbc7560p-4", "0x1.4964fc4648f0ap-2"),
+        3: ("0x1.735c5f0dcee78p-4", "0x1.690bb4643aa06p-2"),
+        8: ("0x1.76c444029f538p-3", "0x1.85fab5aaafb1cp-2"),
+        9: ("0x1.9687fa42fa9e8p-3", "0x1.8679887d2c51ep-2"),
+    },
+    "logistic(2)": {
+        1: ("0x1.47ae147ae1480p-5", "0x1.0000000000000p-2"),
+        2: ("0x1.cb8a3ec082180p-5", "0x1.2020743ab800ap-2"),
+        3: ("0x1.179bfe8e60718p-4", "0x1.29c60e5fb6506p-2"),
+        8: ("0x1.bea69aa1c9f28p-4", "0x1.2eb71f20bcf34p-2"),
+        9: ("0x1.d81f10667f918p-4", "0x1.2ebbc941c7ffap-2"),
+    },
+    "logistic(5)": {
+        1: ("0x1.47ae147ae1480p-5", "0x1.0000000000000p-2"),
+        2: ("0x1.7745eab47c840p-5", "0x1.027b5dcfe61a6p-2"),
+        3: ("0x1.962ca709420e0p-5", "0x1.02a4215d611aep-2"),
+        8: ("0x1.eb837badbca60p-5", "0x1.02a73c06f7706p-2"),
+        9: ("0x1.f6dcc3a0990b0p-5", "0x1.02a73c0770260p-2"),
+    },
+    "independence": {
+        1: ("0x1.47ae147ae1480p-5", "0x1.0000000000000p-2"),
+        2: ("0x1.41205bc01a370p-4", "0x1.7333333333334p-2"),
+        3: ("0x1.d81f10667f910p-4", "0x1.adf3b645a1cacp-2"),
+        8: ("0x1.1d4c0cda5b5e2p-2", "0x1.f4b75a6ee4234p-2"),
+        9: ("0x1.3ad85e42433bap-2", "0x1.f6e9dbff95e18p-2"),
+    },
+    "comonotone": {
+        d: ("0x1.47ae147ae147bp-5", "0x1.0000000000000p-2") for d in (1, 2, 3, 8, 9)
+    },
+}
+# SHA-256 of the same points passed as one (2, d) batch per (tag, d), in
+# table order; at logistic(5), d = 9 the batch rounds apart from the
+# one-point calls
+TAIL_UNION_BATCH_SHA256 = (
+    "275ef1637b85608fefaf1682872ff48d9fb32e0c77c32a186e1f28168c4329e2")
+
+
+class TestTailUnionBits:
+    """tail_union_prob's exact bits: a change to the order of its operations
+    shows here."""
+
+    @staticmethod
+    def points(d):
+        return np.array([np.full(d, 0.04), 0.25 * 0.6 ** np.arange(d)])
+
+    @pytest.mark.parametrize("tag", list(TAIL_UNION_BITS))
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    def test_one_point_bits(self, tag, d):
+        m = parse_model(tag, d)
+        got = tuple(tail_union_prob(m, y).hex() for y in self.points(d))
+        assert got == TAIL_UNION_BITS[tag][d]
+
+    def test_batch_bits(self):
+        h = hashlib.sha256()
+        for tag, by_d in TAIL_UNION_BITS.items():
+            for d in by_d:
+                batch = tail_union_prob(parse_model(tag, d), self.points(d))
+                h.update(batch.astype("<f8").tobytes())
+        assert h.hexdigest() == TAIL_UNION_BATCH_SHA256
 
 
 class TestZeroSign:

@@ -1,5 +1,6 @@
 """Generators: determinism, dependence structure, margins."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,14 @@ class TestDeterminism:
             a = draw_sample(s).values
             b = draw_sample(s).values
             assert a.tobytes() == b.tobytes()
+
+    def test_margined_sample_bits(self):
+        # the exact bits of a sample with a margin of each kind
+        s = spec(logistic(2.5, 3), 2000, 3, seed=11,
+                 margins=("uniform", "pareto(2)", "exponential"))
+        values = draw_sample(s).values.astype("<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "473e837aa61c9f4d383fefa8049f8879c01d1d841980f1ded1123a34339e82b2")
 
     def test_different_seed_differs(self):
         a = draw_sample(spec(independence(2), 100, 2, seed=1)).values
