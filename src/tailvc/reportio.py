@@ -2,27 +2,32 @@
 
 All floats are written with ``repr``, the shortest representation that
 round-trips exactly, so re-running a configuration reproduces output
-files byte for byte.  CSVs are written and read in blocks of
-``_BLOCK_LINES`` lines, in file order, so the text of a whole file or
-column is never held at once.  A float table is formatted block by
-block, column by column in row order; a column whose block repeats a
-value (bit pattern, so ``-0.0`` stays apart from ``0.0``), such as a
-lattice axis, formats each distinct value once and indexes it back.  A
-table given as ``FloatBlocks`` is also formed a block at a time.
-Sample CSVs are UTF-8, comma-separated, '.' decimal point, one
-observation per line; a single header line is auto-detected on read by
-a non-numeric first token.
+files byte for byte.  CSVs are written and read in blocks bounded by
+``_BLOCK_VALUES`` values, in file order, so neither the text of a whole
+file nor a block that grows with the table's width is ever held.  A
+float table is formatted block by block, column by column in row order;
+a column whose block repeats a value (bit pattern, so ``-0.0`` stays
+apart from ``0.0``), such as a lattice axis, formats each distinct value
+once, or takes its text from the column's previous block, and indexes it
+back.  A table given as ``FloatBlocks`` is also
+formed a block at a time.  Sample CSVs are UTF-8, comma-separated, '.'
+decimal point, one observation per line; a single header line is
+auto-detected on read by a non-numeric first token.  A sample block
+made only of the characters ``repr`` writes is parsed in C by
+``np.loadtxt``; any other block, and any block that parse rejects, is
+parsed by ``float()``, which decides what is accepted and every message.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +37,14 @@ from .samplers import Sample
 
 TOOL_VERSION = "0.1.0"
 
-_BLOCK_LINES = 1 << 16
+# values per CSV block: a written block holds max(1, _BLOCK_VALUES // width)
+# rows, and a read block the text of _BLOCK_VALUES values at repr's longest
+# (24 characters, as in -2.2250738585072014e-308) and their separators
+_BLOCK_VALUES = 1 << 14
+
+# the characters of a sample CSV body as repr and the writer make it; only
+# text made of these reaches the C parser, where it agrees with float()
+_REPR_BYTES = b"0123456789.eE+-,\n"
 
 
 def _fmt(value) -> str:
@@ -45,18 +57,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(column: np.ndarray) -> list[str]:
-    """``repr`` of every float in ``column``, in row order.
+def _format_column(column: np.ndarray, known=None):
+    """``repr`` of every float in ``column``, in row order, and what the
+    next block of the column may reuse: (sorted distinct bit patterns, their
+    text), or None.
 
     When a value repeats, each distinct one is formatted once and indexed
-    back; otherwise each is formatted where it stands.
+    back, and one that ``known`` (the previous block's) holds is not
+    formatted again, so a lattice axis costs one ``repr`` per value and not
+    one per block; otherwise each value is formatted where it stands.
     """
     values = np.ascontiguousarray(column, dtype=np.float64)
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     if len(distinct) == len(values):
-        return list(map(repr, values.tolist()))
-    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+        return list(map(repr, values.tolist())), None
+    text = np.empty(len(distinct), dtype=object)
+    new = np.ones(len(distinct), dtype=bool)
+    if known is not None:
+        bits, old = known
+        at = np.minimum(np.searchsorted(bits, distinct), len(bits) - 1)
+        new = bits[at] != distinct
+        text[~new] = old[at[~new]]
+    text[new] = np.array(list(map(repr, distinct[new].view(np.float64).tolist())),
+                         dtype=object)
+    return text[inverse].tolist(), (distinct, text)
 
 
 @dataclass(frozen=True)
@@ -74,29 +98,38 @@ class FloatBlocks:
         return self.rows
 
 
-def _float_table_blocks(table: np.ndarray | FloatBlocks):
-    """The text of ``table``, _BLOCK_LINES rows at a time."""
-    for lo in range(0, len(table), _BLOCK_LINES):
-        hi = min(lo + _BLOCK_LINES, len(table))
+def _float_table_blocks(table: np.ndarray | FloatBlocks, step: int):
+    """The text of ``table``, ``step`` rows at a time."""
+    known = {}  # column -> what its previous block formatted
+    for lo in range(0, len(table), step):
+        hi = min(lo + step, len(table))
         block = table[lo:hi] if isinstance(table, np.ndarray) else table.block(lo, hi)
         width = block.shape[1]
         # field, separator, field, ... in row order: one join per block
         parts = [","] * (2 * block.size)
         for j, column in enumerate(block.T):
-            parts[2 * j::2 * width] = _format_column(column)
+            parts[2 * j::2 * width], known[j] = _format_column(column, known.get(j))
         parts[2 * width - 1::2 * width] = ["\n"] * len(block)
         yield "".join(parts)
 
 
-def _row_blocks(rows):
-    """The text of the row lists ``rows``, _BLOCK_LINES rows at a time."""
+def _row_blocks(rows, step: int):
+    """The text of the row lists ``rows``, ``step`` rows at a time."""
     lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    while text := "".join(islice(lines, _BLOCK_LINES)):
+    while text := "".join(islice(lines, step)):
         yield text
 
 
-def _write_blocks(path, header: list[str], blocks) -> None:
-    """Write the header line, then each block of text."""
+def _write_blocks(path, header: list[str], rows) -> None:
+    """Write the header line, then ``rows`` a block of at most _BLOCK_VALUES
+    values (and at least one row) at a time; a float table (a 2-d float
+    array or ``FloatBlocks``) is formatted column-wise."""
+    step = max(1, _BLOCK_VALUES // len(header))
+    if isinstance(rows, FloatBlocks) or (
+            isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"):
+        blocks = _float_table_blocks(rows, step)
+    else:
+        blocks = _row_blocks(rows, step)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
@@ -108,12 +141,11 @@ def _write_blocks(path, header: list[str], blocks) -> None:
 def write_csv(path, header: list[str], rows) -> None:
     """Write ``header`` and ``rows``; a float table (a 2-d float array or
     ``FloatBlocks``) is formatted column-wise."""
-    if isinstance(rows, FloatBlocks) or (
-            isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"):
-        blocks = _float_table_blocks(rows)
-    else:
-        blocks = _row_blocks(rows)
-    _write_blocks(path, header, blocks)
+    _write_blocks(path, header, rows)
+
+
+def write_sample_csv(sample: Sample, path) -> None:
+    _write_blocks(path, [f"x{j + 1}" for j in range(sample.d)], sample.values)
 
 
 @contextmanager
@@ -125,32 +157,6 @@ def _reading(path):
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}")
-
-
-def _line_blocks(path):
-    """The non-blank lines of ``path``, in file order, a block at a time.
-
-    A block is cut from _BLOCK_LINES physical lines.  Lines are those of
-    ``str.splitlines``, and a line is blank when it is all whitespace.
-    """
-    with _reading(path), open(path, encoding="utf-8") as f:
-        while text := "".join(islice(f, _BLOCK_LINES)):
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            del text  # not held while the caller parses the block
-            yield lines
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    lines = chain.from_iterable(_line_blocks(path))
-    header = next(lines, None)
-    if header is None:
-        raise DataError(f"{path}: empty CSV")
-    return header.split(","), [ln.split(",") for ln in lines]
-
-
-def write_sample_csv(sample: Sample, path) -> None:
-    header = [f"x{j + 1}" for j in range(sample.d)]
-    _write_blocks(path, header, _float_table_blocks(sample.values))
 
 
 def _is_number(token: str) -> bool:
@@ -173,6 +179,34 @@ def _check_line(path, i: int, line: str) -> None:
             raise DataError(f"{path}: line {i}: non-finite value {f!r}")
 
 
+def _parse_repr_block(text: str, width: int) -> np.ndarray | None:
+    """The rows of ``text`` parsed in C, or None where ``float()`` must decide.
+
+    Only text made of ``_REPR_BYTES`` is parsed.  On such text
+    ``np.loadtxt`` and ``float()`` accept the same fields with the same
+    bits; on other text they differ (``np.loadtxt`` strips the ``'\\x1f'``
+    of ``'0.0\\x1f'``, which ``float()`` rejects, and ``float()`` reads
+    ``'1_0'``, which ``np.loadtxt`` rejects).  A block ``np.loadtxt``
+    rejects, of another width, or holding a non-finite value is left to
+    ``float()``, which names the line.  Blank lines are skipped, so there
+    is one row per non-blank line.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _REPR_BYTES) or not data.strip(b"\n"):
+        return None  # other characters, or no rows (np.loadtxt would warn)
+    try:
+        # a line at a time off the bytes, not a list of every line
+        block = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2,
+                           encoding="ascii")
+    except ValueError:
+        return None
+    if block.shape[1] != width or not np.isfinite(block).all():
+        return None
+    return block
+
+
 def read_sample_csv(path) -> Sample:
     """Read a sample CSV; the first malformed line, in file order, is reported.
 
@@ -180,39 +214,50 @@ def read_sample_csv(path) -> Sample:
     malformed when its field count differs from the first data line's, a
     field is not a float, or a field is not finite.  The file is decoded
     block by block, so a malformed line is reported before bytes in a
-    later block that are not UTF-8.  Each block of lines is parsed in one
-    ``float()`` pass; only a block that fails is rescanned line by line to
-    name the line.
+    later block that are not UTF-8.  The file is read a line at a time up
+    to the first data line, which sets the width, and then in blocks of
+    25 * _BLOCK_VALUES characters and the rest of the line they end in.
+    A block is parsed in C where ``_parse_repr_block`` can; any other
+    block of lines is parsed in one ``float()`` pass, and only a block
+    that fails is rescanned line by line to name the line.
     """
     blocks, width, seen = [], None, 0  # seen: non-blank lines read
-    for lines in _line_blocks(path):
-        body = lines
-        if seen == 0 and lines and not _is_number(lines[0].split(",")[0].strip()):
-            body = lines[1:]  # the header
-        first = seen + len(lines) - len(body) + 1  # line number of body[0]
-        seen += len(lines)
-        if not body:
-            continue
-        if width is None:
-            width = body[0].count(",") + 1
-        commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64,
-                             count=len(body))
-        ragged = np.flatnonzero(commas != width - 1)
-        end = int(ragged[0]) if ragged.size else len(body)
-        try:
-            block = np.fromiter(map(float, ",".join(body[:end]).split(",")),
-                                dtype=np.float64, count=end * width)
-            ok = np.isfinite(block).all()
-        except ValueError:
-            ok = False
-        if not ok:
-            # the one-pass parse cannot say which line failed
-            for i, line in enumerate(body[:end], start=first):
-                _check_line(path, i, line)
-        if end < len(body):
-            raise DataError(f"{path}: line {first + end} has {commas[end] + 1} "
-                            f"fields, expected {width}")
-        blocks.append(block.reshape(end, width))
+    chars = 25 * _BLOCK_VALUES
+    with _reading(path), open(path, encoding="utf-8") as f:
+        while text := f.readline() if width is None else f.read(chars) + f.readline():
+            if width is not None and (block := _parse_repr_block(text, width)) is not None:
+                blocks.append(block)
+                seen += len(block)
+                continue
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            del text  # not held while the block is parsed
+            body = lines
+            if seen == 0 and lines and not _is_number(lines[0].split(",")[0].strip()):
+                body = lines[1:]  # the header
+            first = seen + len(lines) - len(body) + 1  # line number of body[0]
+            seen += len(lines)
+            if not body:
+                continue
+            if width is None:
+                width = body[0].count(",") + 1
+            commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64,
+                                 count=len(body))
+            ragged = np.flatnonzero(commas != width - 1)
+            end = int(ragged[0]) if ragged.size else len(body)
+            try:
+                block = np.fromiter(map(float, ",".join(body[:end]).split(",")),
+                                    dtype=np.float64, count=end * width)
+                ok = np.isfinite(block).all()
+            except ValueError:
+                ok = False
+            if not ok:
+                # the one-pass parse cannot say which line failed
+                for i, line in enumerate(body[:end], start=first):
+                    _check_line(path, i, line)
+            if end < len(body):
+                raise DataError(f"{path}: line {first + end} has {commas[end] + 1} "
+                                f"fields, expected {width}")
+            blocks.append(block.reshape(end, width))
     if seen == 0:
         raise DataError(f"{path}: empty sample file")
     if width is None:

@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from csv_text import read_csv
 from tailvc import apply_margins, draw_copula_sample, parse_model
 from tailvc.cli import main
 from tailvc.empirical import (
@@ -28,7 +29,7 @@ from tailvc.empirical import (
     exceedance_count,
     standardize,
 )
-from tailvc.reportio import read_csv, read_manifest
+from tailvc.reportio import read_manifest
 from tailvc.samplers import Sample
 
 

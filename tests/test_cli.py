@@ -1,13 +1,15 @@
 """Command-line surface: smoke runs, determinism, exit codes, manifests."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from csv_text import read_csv
 from tailvc.cli import _SPECS, main
 from tailvc.empirical import build_ranks, exceedance_count, lattice_index
-from tailvc.reportio import read_csv, read_manifest, read_sample_csv
+from tailvc.reportio import read_manifest, read_sample_csv
 
 
 def run(args):
@@ -133,7 +135,7 @@ class TestEstimate:
         import tailvc.reportio as reportio
         from tailvc.empirical import empirical_stdf_lattice, jitter_columns
 
-        monkeypatch.setattr(reportio, "_BLOCK_LINES", 97)
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 3 * 97)  # 97 rows at d = 2
         sim, est, k, T = tmp_path / "sim", tmp_path / "est", 100, 2.0
         assert run(["simulate", "--model", "logistic(2)", "--n", 3000, "--d", d,
                     "--seed", 14, "--out", sim]) == 0
@@ -160,7 +162,7 @@ class TestEstimate:
 
         import tailvc.reportio as reportio
 
-        monkeypatch.setattr(reportio, "_BLOCK_LINES", 4096)
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 3 * 4096)  # 4096 rows
         sim, est, k, T = tmp_path / "sim", tmp_path / "est", 500, 2.0
         assert run(["simulate", "--model", "logistic(2)", "--n", 20_000, "--d", 2,
                     "--seed", 15, "--out", sim]) == 0
@@ -212,6 +214,40 @@ class TestEstimate:
         assert run(args) == 4
         assert "k must lie in [1, n]" in capsys.readouterr().err
         assert not (out / "surface.csv").exists()
+
+
+class TestDataFileBytes:
+    """SHA-256 of seeded ``simulate`` and ``estimate`` data files, recorded
+    before the CSV blocks were bounded by values; the samples span several
+    written and read blocks, and so does the d = 2 surface."""
+
+    SAMPLE = {
+        1: "6ab236680e104fdeefd30939dc0b1b8ef952b9413fb51f98219b15c576d9de34",
+        2: "90f8771139b0b50b62cf360affe91bebf620e79158b06bbcef04fda6cc524197",
+    }
+    SURFACE = {
+        (1, None): "41c1a7fde73b3fab8e53918cd73c114dde4e988c30f0c1c7ce50510535623b02",
+        (1, 3): "fc2878e27c13ee7b49b2809f6f7610f850509167926a911901ef50819a53a7ad",
+        (2, None): "e511ed45b586f19f690d700c725f0c1c6aa7b91d4e5c42c9bb65cde203096ced",
+        (2, 3): "8ef899a77c1ec335dfd13242e005f377788abd21189f7fb40cf8f0ed299fe1c3",
+    }
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sample_and_surface_hashes(self, tmp_path, d):
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        sim = tmp_path / "sim"
+        margins = "pareto(2)" if d == 1 else "uniform,pareto(2)"
+        assert run(["simulate", "--model", "logistic(2)", "--n", 20_000, "--d", d,
+                    "--margins", margins, "--seed", 5, "--out", sim]) == 0
+        assert sha256(sim / "sample.csv") == self.SAMPLE[d]
+        for stride in (None, 3):
+            est = tmp_path / f"est{stride}"
+            extra = [] if stride is None else ["--grid-stride", stride]
+            assert run(["estimate", "--data", sim / "sample.csv", "--k", 100,
+                        "--T", 2.0, "--out", est] + extra) == 0
+            assert sha256(est / "surface.csv") == self.SURFACE[d, stride]
 
 
 class TestConverge:

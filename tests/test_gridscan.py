@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_text import read_csv
 from tailvc import gridscan
 from tailvc.cli import main
 from tailvc.concentration import RectClassSpec, union_mass
@@ -32,7 +33,6 @@ from tailvc.models import (
     tail_union_prob,
     tail_union_prob_axes,
 )
-from tailvc.reportio import read_csv
 from tailvc.rng import substream
 from tailvc.samplers import draw_copula_sample, draw_tail_uniforms
 

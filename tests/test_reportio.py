@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from csv_text import read_csv
 from tailvc import DataError, GeneratorSpec, Sample, draw_sample, independence
 from tailvc import reportio
 from tailvc.reportio import (
-    _BLOCK_LINES,
-    read_csv,
     read_manifest,
     read_sample_csv,
     write_csv,
@@ -95,9 +94,10 @@ class TestSampleCsv:
         assert err.value.exit_code == 3
 
     def test_faults_are_reported_in_block_order(self, tmp_path, monkeypatch):
-        # a bad line in block 1 comes before bytes in block 2 that are not
-        # UTF-8; block 1 spans 16 KB, past the text decoder's read-ahead
-        monkeypatch.setattr(reportio, "_BLOCK_LINES", 2048)
+        # a bad line in block 1 comes before bytes in a later block that are
+        # not UTF-8; the blocks are 6,400 characters, and the bad bytes lie
+        # 16 KB in, past the text decoder's read-ahead for block 1
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 256)
         good, not_utf8 = b"0.5,0.5\n" * 2046, b"0.5,\xff\n"
         path = tmp_path / "two.csv"
         path.write_bytes(b"x1,x2\n0.1,oops\n" + good + not_utf8)
@@ -169,7 +169,15 @@ def oracle_read_sample(path):
 PADS = st.sampled_from(["", " ", "\t", "\x1f", " \t", "\xa0"])
 ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"])
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-BAD = st.sampled_from(["oops", "", "1.0.0", "inf", "-inf", "nan", "1e999"])
+# fields where float() and np.loadtxt could disagree: whitespace only one of
+# them strips, underscores, non-ASCII digits, hex, spelled-out infinity,
+# bare signs and points, comment and quote characters, NUL, overflow
+DISAGREE = ["0.0\x1f", "1_0", "\u0661", "0x1p3", "Infinity", "+.5", "5.", "0.5#1",
+            '"0.5"', "0.5\x00", "1e999"]
+# any field the C parser may see: made only of the characters repr writes
+REPR_CHARS = st.text(alphabet="0123456789.eE+-", max_size=8)
+BAD = st.one_of(st.sampled_from(["oops", "", "1.0.0", "inf", "-inf", "nan", *DISAGREE]),
+                REPR_CHARS)
 
 
 @st.composite
@@ -195,26 +203,70 @@ def sample_texts(draw):
     return "".join(ln + draw(ENDS) for ln in lines)
 
 
+def same_as_oracle(path):
+    """Assert that read_sample_csv gives the oracle's bits or its message."""
+    try:
+        expected = oracle_read_sample(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            read_sample_csv(path)
+        assert str(err.value) == str(exc)
+        assert err.value.exit_code == 3
+        return
+    got = read_sample_csv(path).values
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestSampleCsvAgainstOracle:
+    @pytest.mark.parametrize("token", DISAGREE)
+    @pytest.mark.parametrize("where", ["first-line", "later-block"])
+    def test_parsers_disagree(self, tmp_path, monkeypatch, token, where):
+        # blocks of 50 characters: a later block is one the C parser may take
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 2)
+        good = ["0.25,0.5", "-0.0,1e-05"] * 8
+        at = 0 if where == "first-line" else 11
+        lines = good[:at] + [f"0.75,{token}", f"{token},0.125"] + good[at:]
+        path = tmp_path / "d.csv"
+        path.write_bytes(("x1,x2\n" + "\n".join(lines) + "\n").encode("utf-8"))
+        same_as_oracle(path)
+
+    def test_a_later_block_of_another_width_is_ragged(self, tmp_path, monkeypatch):
+        # every line of the second block has 3 fields: clean text, the wrong width
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 1)
+        path = tmp_path / "w.csv"
+        path.write_text("x1,x2\n0.1,0.2\n" + "0.3,0.4,0.5\n" * 3 + "0.6,0.7\n")
+        with pytest.raises(DataError) as err:
+            read_sample_csv(path)
+        assert str(err.value) == f"{path}: line 3 has 3 fields, expected 2"
+        same_as_oracle(path)
+
+    def test_clean_lines_after_the_first_are_parsed_in_c(self, tmp_path, monkeypatch):
+        # the first data line sets the width; every block after it is clean
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 256)
+        loadtxt, parsed = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            parsed.append(loadtxt(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        values = np.random.default_rng(3).random((2000, 2))
+        path = tmp_path / "c.csv"
+        write_sample_csv(Sample(values), path)
+        back = read_sample_csv(path).values
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+        assert len(parsed) > 1
+        assert sum(map(len, parsed)) == 2000 - 1
+
     @settings(max_examples=300, deadline=None)
     @given(text=sample_texts(), block=st.integers(1, 4))
     def test_same_bits_or_same_error(self, tmp_path_factory, text, block):
         path = tmp_path_factory.mktemp("oracle") / "s.csv"
         path.write_bytes(text.encode("utf-8"))
-        try:
-            expected = oracle_read_sample(path)
-        except DataError as exc:
-            expected = exc
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reportio, "_BLOCK_LINES", block)
-            if isinstance(expected, DataError):
-                with pytest.raises(DataError) as err:
-                    read_sample_csv(path)
-                assert str(err.value) == str(expected)
-            else:
-                got = read_sample_csv(path).values
-                assert got.shape == expected.shape
-                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            mp.setattr(reportio, "_BLOCK_VALUES", block)
+            same_as_oracle(path)
 
 
 def traced_peak(fn, *args):
@@ -228,13 +280,15 @@ def traced_peak(fn, *args):
 
 
 class TestBlockMemory:
-    """Memory follows the block, not the file: 16 blocks peak as 2 do."""
+    """Memory follows the block, not the file or its width: 16 blocks peak
+    as 2 do, and 32 columns as 2 do at the same number of values."""
 
-    BLOCK = 4096
+    BLOCK = 8192  # values
 
-    def peaks(self, tmp_path, blocks):
-        sample = Sample(np.random.default_rng(blocks).random((blocks * self.BLOCK, 2)))
-        path = tmp_path / f"s{blocks}.csv"
+    def peaks(self, tmp_path, blocks, width=2):
+        rows = blocks * self.BLOCK // width
+        sample = Sample(np.random.default_rng(blocks).random((rows, width)))
+        path = tmp_path / f"s{blocks}x{width}.csv"
         written, _ = traced_peak(write_sample_csv, sample, path)
         read, back = traced_peak(read_sample_csv, path)
         # the parsed array grows with the file, and its blocks are held until
@@ -242,12 +296,21 @@ class TestBlockMemory:
         return written, read - 2 * back.values.nbytes
 
     def test_peak_follows_the_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(reportio, "_BLOCK_LINES", self.BLOCK)
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", self.BLOCK)
         self.peaks(tmp_path, 1)  # first-call allocations stay out of the figures
         write2, read2 = self.peaks(tmp_path, 2)
         write16, read16 = self.peaks(tmp_path, 16)
         assert write16 < 1.5 * write2
         assert read16 < 1.5 * read2
+
+    def test_peak_follows_values_not_width(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", self.BLOCK)
+        self.peaks(tmp_path, 1)  # first-call allocations stay out of the figures
+        for narrow, wide in zip(self.peaks(tmp_path, 8, 2), self.peaks(tmp_path, 8, 32)):
+            assert max(narrow, wide) < 1.5 * min(narrow, wide)
+
+
+_ROWS_OF_3 = reportio._BLOCK_VALUES // 3  # rows per written block of 3 columns
 
 
 class TestGenericCsv:
@@ -277,13 +340,28 @@ class TestGenericCsv:
             "5e-324,0.1,-0.0\n1e-05,2.5,0.3333333333333333\n"
         )
 
+    def test_repeated_values_are_formatted_once_across_blocks(self, tmp_path,
+                                                               monkeypatch):
+        # 100 blocks of 10 rows, each column holding the same 5 values
+        monkeypatch.setattr(reportio, "_BLOCK_VALUES", 20)
+        calls = []
+        monkeypatch.setattr(reportio, "repr", lambda v: calls.append(v) or repr(v),
+                            raising=False)
+        table = np.column_stack([np.arange(1000) % 5 / 8, -(np.arange(1000) % 5) / 8])
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, ["p", "q"], table)
+        assert len(calls) == 10
+        write_csv(b, ["p", "q"], table.tolist())
+        assert a.read_bytes() == b.read_bytes()
+
     def test_empty_float_array_writes_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
         write_csv(path, ["a", "b"], np.empty((0, 2)))
         assert path.read_text() == "a,b\n"
 
-    @pytest.mark.parametrize("rows", [0, 1, _BLOCK_LINES, _BLOCK_LINES + 1,
-                                      2 * _BLOCK_LINES + 1])
+    # block edges of a 3-column table, and counts across many blocks
+    @pytest.mark.parametrize("rows", [0, 1, _ROWS_OF_3, _ROWS_OF_3 + 1, 2 * _ROWS_OF_3 + 1,
+                                      1 << 16, (1 << 16) + 1, (1 << 17) + 1])
     def test_block_writes_keep_the_bytes(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         table = rng.random((rows, 3))
