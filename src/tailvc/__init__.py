@@ -12,6 +12,8 @@ The package bundles:
 * a batch CLI that writes reproducible CSV reports plus manifests.
 """
 
+__version__ = "0.1.0"  # also the manifest's "version"; a test holds pyproject.toml to it
+
 from .classify import (
     AxisClassifier,
     ClassifierFamily,
@@ -92,5 +94,3 @@ from .samplers import (
     draw_tail_uniforms,
     parse_margin,
 )
-
-__version__ = "0.1.0"

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .models import parse_model, sup_bias_method
 from .reportio import (
-    FloatBlocks,
+    LevelTable,
     read_manifest,
     read_sample_csv,
     write_csv,
@@ -293,21 +293,18 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     d, m_top, stride = state.d, int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
     counts = stdf_lattice_counts(state, [m_top] * d, stride)
-    axis = np.arange(0, m_top + 1, stride) / k
+    flat = counts.reshape(-1)
 
-    def surface(lo, hi):
-        # rows lo..hi-1 of (x_1, ..., x_d, l_n) over the lattice in C order:
-        # x_j is the axis at the row's index along lattice axis j, and l_n
-        # the count over k, as ``empirical_stdf_lattice`` gives it
-        block = np.empty((hi - lo, d + 1))
-        for j, at in enumerate(np.unravel_index(np.arange(lo, hi), counts.shape)):
-            block[:, j] = axis[at]
-        block[:, d] = counts.reshape(-1)[lo:hi] / k
-        return block
+    def codes(lo, hi):
+        # codes of rows lo..hi-1 of (x_1, ..., x_d, l_n) over the lattice in
+        # C order: x_j's is the row's index along lattice axis j, and l_n's
+        # the row's count c, whose level c / k is ``empirical_stdf_lattice``'s
+        return [*np.unravel_index(np.arange(lo, hi), counts.shape), flat[lo:hi]]
 
+    levels = [np.arange(0, m_top + 1, stride) / k] * d + [np.arange(flat.max() + 1) / k]
     surface_path = out / "surface.csv"
     header = [f"x{j + 1}" for j in range(d)] + ["l_n"]
-    write_csv(surface_path, header, FloatBlocks(counts.size, surface))
+    write_csv(surface_path, header, LevelTable(counts.size, levels, codes))
     return [surface_path], {}
 
 

@@ -237,7 +237,9 @@ def relative_rademacher(
     Each trial draws a fresh sample from the model law and fresh
     independent signs.  The inner supremum is exact for d <= 2, scanned
     on the data's own breakpoints; d >= 3 must declare a grid resolution
-    and gets a grid scan instead.
+    and gets a grid scan instead, whose value, the largest over boxes
+    with corners on that grid, is a lower bound on the supremum, with no
+    slack reported.
     """
     if trials < 2:
         raise ConfigurationError(f"need at least 2 trials, got {trials}")

@@ -413,8 +413,18 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
 
     Every trial draws a fresh sample, so trials are independent across
     and within k values.  Trials that hit ties are recorded as failed
-    rather than silently dropped.
+    rather than silently dropped.  The biases come first, so a model
+    ``sup_bias`` cannot serve stops the run before any draw.
     """
+    biases = {}  # k -> (bias over [0, T]^d, over [0, 2T]^d or nan)
+    for k in config.k_schedule:
+        t_level = k / config.n
+        bias_T = sup_bias(config.model, t_level, config.T)
+        try:
+            bias_2T = sup_bias(config.model, t_level, 2.0 * config.T)
+        except PreconditionError:
+            bias_2T = float("nan")
+        biases[k] = bias_T, bias_2T
     jobs = [
         (config.model, config.n, config.d, k, config.T, config.seed, t,
          config.grid_resolution)
@@ -436,12 +446,7 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
     medians = []
     for k in config.k_schedule:
         devs = _ok_deviations(records, k)
-        t_level = k / config.n
-        bias_T = sup_bias(config.model, t_level, config.T)
-        try:
-            bias_2T = sup_bias(config.model, t_level, 2.0 * config.T)
-        except PreconditionError:
-            bias_2T = float("nan")
+        bias_T, bias_2T = biases[k]
         med = float(np.median(devs)) if devs.size else float("nan")
         upper = (
             float(np.quantile(devs, 1.0 - config.delta)) if devs.size else float("nan")

@@ -226,7 +226,8 @@ def sup_bias(model: StdfModel, t: float, radius: float) -> float:
     coordinate, so the supremum sits at the upper corner and is analytic.
     The logistic family is scanned on a grid of _SUP_BIAS_GRID nodes per
     axis that always contains the corner; the scan is a bound reporter,
-    not a proof.
+    not a proof.  That grid is held whole, a few arrays of 8-byte nodes,
+    so it serves d <= 3 (128 MB an array) and d >= 4 is a ConfigurationError.
     """
     if radius < 0:
         raise PreconditionError(f"radius must be >= 0, got {radius}")
@@ -238,6 +239,11 @@ def sup_bias(model: StdfModel, t: float, radius: float) -> float:
         return 0.0
     if model.variant == "independence":
         return float(model.d * radius - (1.0 - (1.0 - t * radius) ** model.d) / t)
+    if model.d > 3:
+        raise ConfigurationError(
+            f"the logistic bias grid has {_SUP_BIAS_GRID}^{model.d} = "
+            f"{_SUP_BIAS_GRID ** model.d:,} nodes, too many to hold; it serves d <= 3"
+        )
     axis = np.linspace(0.0, radius, _SUP_BIAS_GRID)
     grid_l = eval_stdf_axes(model, [axis] * model.d)
     grid_pre = tail_union_prob_axes(model, [t * axis] * model.d) / t

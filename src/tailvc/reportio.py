@@ -5,12 +5,10 @@ round-trips exactly, so re-running a configuration reproduces output
 files byte for byte.  CSVs are written and read in blocks bounded by
 ``_BLOCK_VALUES`` values, in file order, so neither the text of a whole
 file nor a block that grows with the table's width is ever held.  A
-float table is formatted block by block, column by column in row order;
-a column whose block repeats a value (bit pattern, so ``-0.0`` stays
-apart from ``0.0``), such as a lattice axis, formats each distinct value
-once, or takes its text from the column's previous block, and indexes it
-back.  A table given as ``FloatBlocks`` is also
-formed a block at a time.  Sample CSVs are UTF-8, comma-separated, '.'
+float array is formatted value by value, column by column in row order.
+A ``LevelTable`` (``estimate``'s surface) is written from its levels and
+codes: each level is formatted once, and every block indexes that text
+with the codes of its rows.  Sample CSVs are UTF-8, comma-separated, '.'
 decimal point, one observation per line; a single header line is
 auto-detected on read by a non-numeric first token.  A sample block
 made only of the characters ``repr`` writes is parsed in C by
@@ -32,10 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import DataError
 from .samplers import Sample
-
-TOOL_VERSION = "0.1.0"
 
 # values per CSV block: a written block holds max(1, _BLOCK_VALUES // width)
 # rows, and a read block the text of _BLOCK_VALUES values at repr's longest
@@ -57,60 +54,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(column: np.ndarray, known=None):
-    """``repr`` of every float in ``column``, in row order, and what the
-    next block of the column may reuse: (sorted distinct bit patterns, their
-    text), or None.
-
-    When a value repeats, each distinct one is formatted once and indexed
-    back, and one that ``known`` (the previous block's) holds is not
-    formatted again, so a lattice axis costs one ``repr`` per value and not
-    one per block; otherwise each value is formatted where it stands.
-    """
-    values = np.ascontiguousarray(column, dtype=np.float64)
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if len(distinct) == len(values):
-        return list(map(repr, values.tolist())), None
-    text = np.empty(len(distinct), dtype=object)
-    new = np.ones(len(distinct), dtype=bool)
-    if known is not None:
-        bits, old = known
-        at = np.minimum(np.searchsorted(bits, distinct), len(bits) - 1)
-        new = bits[at] != distinct
-        text[~new] = old[at[~new]]
-    text[new] = np.array(list(map(repr, distinct[new].view(np.float64).tolist())),
-                         dtype=object)
-    return text[inverse].tolist(), (distinct, text)
-
-
 @dataclass(frozen=True)
-class FloatBlocks:
-    """A float table of ``rows`` rows, formed a block at a time.
+class LevelTable:
+    """A table of ``rows`` rows whose column j takes only the values
+    ``levels[j]``, formed a block at a time.
 
-    ``block(lo, hi)`` returns rows lo..hi-1 as a 2-d float array, so a
-    table that is a function of its row index is never held whole.
+    ``codes(lo, hi)`` returns, for rows lo..hi-1, one integer array per
+    column indexing its levels, so a table that is a function of its row
+    index is never held whole.
     """
 
     rows: int
-    block: Callable[[int, int], np.ndarray]
+    levels: list
+    codes: Callable[[int, int], list]
 
     def __len__(self) -> int:
         return self.rows
 
 
-def _float_table_blocks(table: np.ndarray | FloatBlocks, step: int):
+def _lines(columns: list, rows: int) -> str:
+    """The text of ``rows`` rows given as one list of field texts per column."""
+    width = len(columns)
+    # field, separator, field, ... in row order: one join per block
+    parts = [","] * (2 * width * rows)
+    for j, text in enumerate(columns):
+        parts[2 * j::2 * width] = text
+    parts[2 * width - 1::2 * width] = ["\n"] * rows
+    return "".join(parts)
+
+
+def _float_blocks(table: np.ndarray, step: int):
+    """The text of the 2-d float array ``table``, ``step`` rows at a time."""
+    for lo in range(0, len(table), step):
+        columns = table[lo:lo + step].T.tolist()
+        yield _lines([list(map(repr, column)) for column in columns], len(columns[0]))
+
+
+def _level_blocks(table: LevelTable, step: int):
     """The text of ``table``, ``step`` rows at a time."""
-    known = {}  # column -> what its previous block formatted
+    text = [np.array(list(map(_fmt, levels)), dtype=object) for levels in table.levels]
     for lo in range(0, len(table), step):
         hi = min(lo + step, len(table))
-        block = table[lo:hi] if isinstance(table, np.ndarray) else table.block(lo, hi)
-        width = block.shape[1]
-        # field, separator, field, ... in row order: one join per block
-        parts = [","] * (2 * block.size)
-        for j, column in enumerate(block.T):
-            parts[2 * j::2 * width], known[j] = _format_column(column, known.get(j))
-        parts[2 * width - 1::2 * width] = ["\n"] * len(block)
-        yield "".join(parts)
+        yield _lines([t[c].tolist() for t, c in zip(text, table.codes(lo, hi))], hi - lo)
 
 
 def _row_blocks(rows, step: int):
@@ -122,12 +107,13 @@ def _row_blocks(rows, step: int):
 
 def _write_blocks(path, header: list[str], rows) -> None:
     """Write the header line, then ``rows`` a block of at most _BLOCK_VALUES
-    values (and at least one row) at a time; a float table (a 2-d float
-    array or ``FloatBlocks``) is formatted column-wise."""
+    values (and at least one row) at a time; a 2-d float array or a
+    ``LevelTable`` is formatted column-wise."""
     step = max(1, _BLOCK_VALUES // len(header))
-    if isinstance(rows, FloatBlocks) or (
-            isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"):
-        blocks = _float_table_blocks(rows, step)
+    if isinstance(rows, LevelTable):
+        blocks = _level_blocks(rows, step)
+    elif isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        blocks = _float_blocks(rows, step)
     else:
         blocks = _row_blocks(rows, step)
     path = Path(path)
@@ -139,8 +125,8 @@ def _write_blocks(path, header: list[str], rows) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows``; a float table (a 2-d float array or
-    ``FloatBlocks``) is formatted column-wise."""
+    """Write ``header`` and ``rows``: row lists, a 2-d float array or a
+    ``LevelTable``."""
     _write_blocks(path, header, rows)
 
 
@@ -294,7 +280,7 @@ def write_manifest(
     """Write the reproducibility manifest shipped next to every output."""
     manifest = {
         "tool": "tailvc",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "subcommand": subcommand,
         "seed": int(seed) if seed is not None else None,
         "config": _jsonable(config),

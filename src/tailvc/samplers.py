@@ -39,7 +39,6 @@ class MarginSpec:
     required so samples can be generated and margin-standardized exactly.
     """
 
-    tag: str
     transform: Callable[[np.ndarray], np.ndarray]
     survival: Callable[[np.ndarray], np.ndarray]
 
@@ -48,7 +47,6 @@ def _pareto_margin(a: float) -> MarginSpec:
     if a <= 0:
         raise ConfigurationError(f"pareto margin index must be > 0, got {a}")
     return MarginSpec(
-        tag=f"pareto({a:g})",
         transform=lambda u: (1.0 - u) ** (-1.0 / a),
         survival=lambda x: x ** (-a),
     )
@@ -57,10 +55,8 @@ def _pareto_margin(a: float) -> MarginSpec:
 _PARETO_RE = re.compile(r"^pareto\((?P<a>[^)]+)\)$")
 
 _BUILTIN_MARGINS = {
-    "uniform": MarginSpec("uniform", lambda u: u, lambda x: 1.0 - x),
-    "exponential": MarginSpec(
-        "exponential", lambda u: -np.log1p(-u), lambda x: np.exp(-x)
-    ),
+    "uniform": MarginSpec(lambda u: u, lambda x: 1.0 - x),
+    "exponential": MarginSpec(lambda u: -np.log1p(-u), lambda x: np.exp(-x)),
 }
 
 

@@ -405,6 +405,29 @@ class TestConverge:
         assert "T must be finite and > 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", ["logistic(2)", "independence", "comonotone"])
+    def test_d4_runs_unless_the_bias_needs_a_grid(self, tmp_path, capsys,
+                                                  monkeypatch, model):
+        # the logistic bias grid would be 256^4 nodes (32 GB); the closed
+        # forms of the other two models need no grid and still run at d = 4
+        import tailvc.harness as hmod
+
+        draws, draw = [], hmod.draw_copula_sample
+        monkeypatch.setattr(hmod, "draw_copula_sample",
+                            lambda *args: draws.append(args) or draw(*args))
+        code = run(["converge", "--model", model, "--n", 2000, "--d", 4,
+                    "--k-schedule", "10,20", "--T", 2, "--trials", 2,
+                    "--grid-resolution", 5, "--seed", 1, "--workers", 1,
+                    "--out", tmp_path])
+        if model.startswith("logistic"):
+            assert code == 2
+            assert ("the logistic bias grid has 256^4 = 4,294,967,296 nodes"
+                    in capsys.readouterr().err)
+            assert draws == []
+        else:
+            assert code == 0
+            assert len(draws) == 4
+
     def test_budget_violation_surfaces_verbatim(self, tmp_path, capsys):
         code = run(["converge", "--model", "independence", "--n", 1000, "--d", 2,
                     "--k-schedule", "100", "--T", 15.0, "--delta", "0.05",

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csv_text import read_csv
-from tailvc import DataError, GeneratorSpec, Sample, draw_sample, independence
+from tailvc import (DataError, GeneratorSpec, Sample, __version__, draw_sample,
+                    independence)
 from tailvc import reportio
 from tailvc.reportio import (
+    LevelTable,
     read_manifest,
     read_sample_csv,
     write_csv,
@@ -342,17 +345,39 @@ class TestGenericCsv:
 
     def test_repeated_values_are_formatted_once_across_blocks(self, tmp_path,
                                                                monkeypatch):
-        # 100 blocks of 10 rows, each column holding the same 5 values
+        # 100 blocks of 10 rows, each column taking the same 5 levels
         monkeypatch.setattr(reportio, "_BLOCK_VALUES", 20)
         calls = []
         monkeypatch.setattr(reportio, "repr", lambda v: calls.append(v) or repr(v),
                             raising=False)
-        table = np.column_stack([np.arange(1000) % 5 / 8, -(np.arange(1000) % 5) / 8])
+        levels = [np.arange(5) / 8, -np.arange(5) / 8]
+        table = LevelTable(1000, levels, lambda lo, hi: [np.arange(lo, hi) % 5] * 2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(a, ["p", "q"], table)
         assert len(calls) == 10
-        write_csv(b, ["p", "q"], table.tolist())
+        write_csv(b, ["p", "q"], [[i % 5 / 8, -(i % 5) / 8] for i in range(1000)])
         assert a.read_bytes() == b.read_bytes()
+
+    # block edges of a 3-column table
+    @pytest.mark.parametrize("rows", [0, 1, _ROWS_OF_3, _ROWS_OF_3 + 1, 2 * _ROWS_OF_3 + 1])
+    def test_level_table_matches_row_list_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        levels = [np.array([0.0, -0.0, 1e-05, 1 / 3]), np.arange(7) / 3,
+                  np.array([5e-324, 1e+16, 2.5])]
+        codes = [rng.integers(0, len(level), rows) for level in levels]
+        table = LevelTable(rows, levels, lambda lo, hi: [c[lo:hi] for c in codes])
+        body = [[level[c[i]] for level, c in zip(levels, codes)] for i in range(rows)]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, ["p", "q", "r"], table)
+        write_csv(b, ["p", "q", "r"], body)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_zero_level_keeps_its_sign(self, tmp_path):
+        path = tmp_path / "z.csv"
+        codes = np.array([1, 0, 1])
+        write_csv(path, ["z"], LevelTable(3, [np.array([0.0, -0.0])],
+                                          lambda lo, hi: [codes[lo:hi]]))
+        assert path.read_text() == "z\n-0.0\n0.0\n-0.0\n"
 
     def test_empty_float_array_writes_header_only(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -397,6 +422,14 @@ class TestManifest:
         assert m["subcommand"] == "simulate"
         assert m["seed"] == 7
         assert m["config"]["n"] == 10
+
+    def test_version_is_pyproject_version(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        path = tmp_path / "m.json"
+        write_manifest(path, "simulate", {}, seed=1, inputs=[], outputs=[], started=0.0)
+        assert read_manifest(path)["version"] == __version__ == project["version"]
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
