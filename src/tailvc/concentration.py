@@ -253,11 +253,7 @@ def relative_rademacher(
     values = np.empty(trials)
     for t in range(trials):
         rng = substream(seed, "rademacher", t)
-        z = draw_tail_uniforms(model, cls.n, rng)
-        signs = rng.integers(0, 2, size=cls.n) * 2 - 1
-        values[t] = sup_signed_count(
-            z, signs, np.full(cls.d, edge), axes=axes
-        ) / (cls.n * p)
+        values[t] = _rademacher_trial(model, cls, rng, axes) / (cls.n * p)
     return RademacherEstimate(
         mean=float(values.mean()),
         trials=trials,
@@ -266,6 +262,15 @@ def relative_rademacher(
         p=p,
         values=tuple(float(v) for v in values),
     )
+
+
+def _rademacher_trial(model, cls: RectClassSpec, rng, axes) -> float:
+    """One trial's sup_A |sum_i sigma_i 1{Z_i in A}|; its arrays end with it."""
+    z = draw_tail_uniforms(model, cls.n, rng)
+    signs = rng.integers(0, 2, size=cls.n)
+    signs *= 2
+    signs -= 1
+    return sup_signed_count(z, signs, np.full(cls.d, cls.box_edge), axes=axes)
 
 
 def pair_separation_complexity(

@@ -592,7 +592,7 @@ def _signed_dominance_range(
     d = points.shape[1]
     # one comparison per column: a reduction along the short axis 1 is slower
     folded = reduce(np.logical_and, (points[:, j] >= a[-1] for j, a in enumerate(axes)))
-    const = int(signs[folded].sum())
+    const = int(signs.sum(where=folded))
     rest, signs = points[~folded], signs[~folded]
     buckets = [np.searchsorted(a, rest[:, j], side="right") - 1
                for j, a in enumerate(axes)]

@@ -28,6 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
+from .gridscan import strip_rows
 
 VARIANTS = ("independence", "comonotone", "logistic")
 
@@ -226,8 +227,9 @@ def sup_bias(model: StdfModel, t: float, radius: float) -> float:
     coordinate, so the supremum sits at the upper corner and is analytic.
     The logistic family is scanned on a grid of _SUP_BIAS_GRID nodes per
     axis that always contains the corner; the scan is a bound reporter,
-    not a proof.  That grid is held whole, a few arrays of 8-byte nodes,
-    so it serves d <= 3 (128 MB an array) and d >= 4 is a ConfigurationError.
+    not a proof.  It is scanned in slabs of ``gridscan.strip_rows`` axis-0
+    rows with a running maximum, so it holds one slab; time grows as 256^d,
+    so d >= 4 (4.3e9 nodes) is a ConfigurationError.
     """
     if radius < 0:
         raise PreconditionError(f"radius must be >= 0, got {radius}")
@@ -242,9 +244,15 @@ def sup_bias(model: StdfModel, t: float, radius: float) -> float:
     if model.d > 3:
         raise ConfigurationError(
             f"the logistic bias grid has {_SUP_BIAS_GRID}^{model.d} = "
-            f"{_SUP_BIAS_GRID ** model.d:,} nodes, too many to hold; it serves d <= 3"
+            f"{_SUP_BIAS_GRID ** model.d:,} nodes, too slow to scan; it serves d <= 3"
         )
     axis = np.linspace(0.0, radius, _SUP_BIAS_GRID)
-    grid_l = eval_stdf_axes(model, [axis] * model.d)
-    grid_pre = tail_union_prob_axes(model, [t * axis] * model.d) / t
-    return float(np.abs(grid_pre - grid_l).max())
+    t_axis, others = t * axis, model.d - 1
+    rows = strip_rows(_SUP_BIAS_GRID ** others)
+    best = 0.0
+    for lo in range(0, _SUP_BIAS_GRID, rows):
+        slab = slice(lo, lo + rows)
+        gap = tail_union_prob_axes(model, [t_axis[slab]] + [t_axis] * others) / t
+        gap -= eval_stdf_axes(model, [axis[slab]] + [axis] * others)
+        best = max(best, float(np.abs(gap, out=gap).max()))
+    return best

@@ -169,7 +169,8 @@ def draw_tail_uniforms(model: StdfModel, n: int, rng: np.random.Generator) -> np
     Small values of U correspond to large values of X, so the low corner
     of this sample carries the model's tail dependence.
     """
-    return 1.0 - draw_copula_sample(model, n, rng)
+    x = draw_copula_sample(model, n, rng)
+    return np.subtract(1.0, x, out=x)
 
 
 def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -205,12 +206,17 @@ def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarr
 def draw_sample(spec: GeneratorSpec) -> Sample:
     """Draw the spec's sample: its model copula, then its margins."""
     rng = substream(spec.seed, "sample")
-    base = Sample(draw_copula_sample(spec.model, spec.n, rng))
-    return apply_margins(base, spec.margins)
+    return _margins_in_place(draw_copula_sample(spec.model, spec.n, rng), spec.margins)
 
 
 def apply_margins(sample: Sample, transforms) -> Sample:
     """Apply per-coordinate strictly increasing transforms; ranks unchanged."""
     specs = parse_margins(transforms, sample.d)
-    cols = [m.transform(sample.values[:, j]) for j, m in enumerate(specs)]
-    return Sample(np.column_stack(cols))
+    return _margins_in_place(sample.values.copy(), specs)
+
+
+def _margins_in_place(values: np.ndarray, specs) -> Sample:
+    """Each column of ``values`` through its margin, written back in place."""
+    for j, m in enumerate(specs):
+        values[:, j] = m.transform(values[:, j])
+    return Sample(values)

@@ -408,7 +408,7 @@ class TestConverge:
     @pytest.mark.parametrize("model", ["logistic(2)", "independence", "comonotone"])
     def test_d4_runs_unless_the_bias_needs_a_grid(self, tmp_path, capsys,
                                                   monkeypatch, model):
-        # the logistic bias grid would be 256^4 nodes (32 GB); the closed
+        # the logistic bias grid would be 256^4 nodes, too slow to scan; the closed
         # forms of the other two models need no grid and still run at d = 4
         import tailvc.harness as hmod
 

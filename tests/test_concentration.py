@@ -24,6 +24,7 @@ from tailvc import (
 )
 from tailvc.rng import substream
 from tailvc.samplers import draw_tail_uniforms
+from traced_memory import traced_peak
 
 
 class TestUnionMass:
@@ -226,6 +227,16 @@ class TestRelativeRademacher:
             est = relative_rademacher("independence", cls, 60, 123)
             vals.append(est.mean * math.sqrt(n * est.p))
         assert max(vals) / min(vals) < 2.0
+
+    def test_trials_hold_one_sample_at_a_time(self):
+        # z (n x 2 floats) and the int64 signs of one trial: 4.8 MB at this n;
+        # a trial's arrays must be gone before the next one draws
+        n = 200_000
+        cls = RectClassSpec(d=2, k=2000, n=n, T=2.0)
+        relative_rademacher("uniform", RectClassSpec(d=2, k=2, n=200, T=2.0), 2, 1)
+        peak, est = traced_peak(relative_rademacher, "uniform", cls, 4, 1)
+        assert est.trials == 4
+        assert peak < 2 * (n * 2 * 8 + n * 8)
 
 
 class TestPairSeparation:

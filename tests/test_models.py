@@ -17,8 +17,10 @@ from tailvc import (
     sup_bias,
     tail_union_prob,
 )
+from tailvc import gridscan, models
 from tailvc.models import eval_stdf_axes, tail_union_prob_axes
 from tailvc.rng import substream
+from traced_memory import traced_peak
 
 RTOL = 1e-12
 
@@ -286,3 +288,28 @@ class TestSupBias:
 
     def test_logistic_bias_small_at_small_t(self):
         assert sup_bias(logistic(2.0, 2), 1e-4, 2.0) < 1e-3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("theta", [1.2, 2.0, 5.0])
+    @pytest.mark.parametrize("t", [0.005, 0.3])
+    def test_logistic_slabs_match_the_whole_grid(self, monkeypatch, d, theta, t):
+        # 33 nodes an axis in slabs of 5 axis-0 rows: 7 slabs, the last of 3
+        grid, radius, m = 33, 2.0, logistic(theta, d)
+        monkeypatch.setattr(models, "_SUP_BIAS_GRID", grid)
+        monkeypatch.setattr(gridscan, "_STRIP_BYTES", 8 * 5 * grid ** (d - 1))
+        slabs = []
+        monkeypatch.setattr(models, "eval_stdf_axes",
+                            lambda model, axes: slabs.append(len(axes[0]))
+                            or eval_stdf_axes(model, axes))
+        axis = np.linspace(0.0, radius, grid)
+        grid_l = eval_stdf_axes(m, [axis] * d)
+        grid_pre = tail_union_prob_axes(m, [t * axis] * d) / t
+        whole = float(np.abs(grid_pre - grid_l).max())
+        assert sup_bias(m, t, radius).hex() == whole.hex()
+        assert slabs == [5] * 6 + [3]
+
+    def test_logistic_d3_holds_one_slab(self):
+        sup_bias(logistic(2.0, 3), 0.005, 2.0)
+        peak, value = traced_peak(sup_bias, logistic(2.0, 3), 0.005, 2.0)
+        assert value > 0
+        assert peak < 16 << 20

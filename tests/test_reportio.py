@@ -1,7 +1,6 @@
 """CSV and manifest round trips."""
 
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csv_text import read_csv
+from traced_memory import traced_peak
 from tailvc import (DataError, GeneratorSpec, Sample, __version__, draw_sample,
                     independence)
 from tailvc import reportio
@@ -270,16 +270,6 @@ class TestSampleCsvAgainstOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reportio, "_BLOCK_VALUES", block)
             same_as_oracle(path)
-
-
-def traced_peak(fn, *args):
-    """(peak bytes traced while ``fn(*args)`` runs, its result)."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 class TestBlockMemory:

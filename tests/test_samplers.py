@@ -17,8 +17,12 @@ from tailvc import (
     draw_sample,
     independence,
     logistic,
+    parse_margin,
+    parse_model,
 )
 from tailvc.rng import substream
+from tailvc.samplers import draw_tail_uniforms
+from traced_memory import traced_peak
 
 
 def spec(model, n, d, seed, margins=("uniform",)):
@@ -179,6 +183,65 @@ class TestMargins:
         s = draw_sample(g)
         assert np.all(s.values[:, 0] >= 0)
         assert np.all(s.values[:, 1] >= 1)
+
+
+def column_stack_margins(values, margins):
+    """The margins as one column list joined by ``np.column_stack``."""
+    return np.column_stack([parse_margin(m).transform(values[:, j])
+                            for j, m in enumerate(margins)])
+
+
+class TestInPlaceBits:
+    """The sampling paths that write over their own arrays give the bits of
+    the expressions that built a new array."""
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(1)",
+                                     "logistic(1.2)", "logistic(2)", "logistic(5)"])
+    def test_tail_uniforms(self, tag):
+        model = parse_model(tag, 2)
+        got = draw_tail_uniforms(model, 5_000, substream(3, "tail"))
+        want = 1.0 - draw_copula_sample(model, 5_000, substream(3, "tail"))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("margins", [("uniform", "uniform"),
+                                         ("exponential", "pareto(2)"),
+                                         ("pareto(0.5)", "exponential")])
+    def test_draw_sample(self, margins):
+        g = spec(logistic(2.0, 2), 5_000, 2, seed=4, margins=margins)
+        copula = draw_copula_sample(g.model, g.n, substream(g.seed, "sample"))
+        via_apply = apply_margins(Sample(copula), margins).values
+        assert draw_sample(g).values.tobytes() == via_apply.tobytes()
+        assert via_apply.tobytes() == column_stack_margins(copula, margins).tobytes()
+
+    def test_apply_margins_leaves_its_input(self):
+        s = draw_sample(spec(logistic(2.0, 2), 1_000, 2, seed=5))
+        before = s.values.copy()
+        out = apply_margins(s, ("exponential", "pareto(2)"))
+        assert s.values.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.values, s.values)
+
+
+class TestSampleMemory:
+    """Each draw holds its sample once: n = 200,000 rows, d = 2."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)"])
+    def test_tail_uniforms_add_nothing_to_the_draw(self, tag):
+        model = parse_model(tag, 2)
+        traced_peak(draw_tail_uniforms, model, 10, substream(1, "warm"))
+        copula, _ = traced_peak(draw_copula_sample, model, self.N, substream(1, "m"))
+        tail, _ = traced_peak(draw_tail_uniforms, model, self.N, substream(1, "m"))
+        assert tail <= copula + (64 << 10)
+
+    def test_margins_add_one_column_to_the_draw(self):
+        margins = ("uniform", "pareto(2)")
+        traced_peak(draw_sample, spec(logistic(2.0, 2), 10, 2, seed=6, margins=margins))
+        g = spec(logistic(2.0, 2), self.N, 2, seed=6, margins=margins)
+        copula, _ = traced_peak(draw_copula_sample, g.model, g.n,
+                                substream(g.seed, "sample"))
+        sample, _ = traced_peak(draw_sample, g)
+        assert sample < copula + 8 * self.N + (256 << 10)
 
 
 class TestSpecValidation:
