@@ -14,6 +14,12 @@ reproduces the data files byte for byte.  No command checks a scan
 precondition of its own: its grid option is the declared grid of the
 library call, and ``gridscan.scan_is_exact`` decides whether d needs one.
 
+Only the standard library and ``errors`` are imported here.  Each
+``cmd_<name>`` imports what it runs at the top of its body, so ``--help``
+and a usage error load no numpy, and a subcommand loads only its own
+modules.  A function-local ``from .x import f`` reads ``x.f`` at call time,
+so a wrapper bound to the module name still runs.
+
 Exit codes: 0 success, 2 usage/configuration (also an unreadable config
 file or an ``--out`` that cannot be a directory), 3 data (also an
 unreadable ``--data`` file), 4 precondition, 5 internal.
@@ -22,23 +28,13 @@ unreadable ``--data`` file), 4 precondition, 5 internal.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from . import classify as cls_mod
-from . import concentration as conc
-from . import harness
-from .empirical import (
-    build_ranks,
-    jitter_columns,
-    lattice_index,
-    stdf_lattice_counts,
-)
 from .errors import (
     ConfigurationError,
     DataError,
@@ -47,22 +43,13 @@ from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
 )
-from .models import parse_model, sup_bias_method
-from .reportio import (
-    LevelTable,
-    read_manifest,
-    read_sample_csv,
-    write_csv,
-    write_manifest,
-    write_sample_csv,
-)
-from .rng import substream
-from .samplers import GeneratorSpec, draw_sample
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
+    from .reportio import read_manifest
+
     try:
         raw = read_manifest(path)  # any JSON file, not only a manifest
     except DataError as exc:  # unreadable, not UTF-8 or not JSON
@@ -98,7 +85,7 @@ def _int_list(text) -> list[int]:
 
 def _positive_floats(text) -> list[float]:
     values = [float(v) for v in _split(text)]
-    if not all(0 < v < np.inf for v in values):
+    if not all(0 < v < math.inf for v in values):
         raise ConfigurationError(f"values must be finite and > 0, got {values}")
     return values
 
@@ -269,6 +256,10 @@ def _options(subcommand: str, args, config: dict) -> dict:
 
 
 def cmd_simulate(o: dict, out: Path) -> tuple[list, dict]:
+    from .models import parse_model
+    from .reportio import write_sample_csv
+    from .samplers import GeneratorSpec, draw_sample
+
     model = parse_model(o["model"], o["d"])
     spec = GeneratorSpec(model=model, n=o["n"], d=o["d"], seed=o["seed"],
                          margins=o["margins"])
@@ -282,6 +273,12 @@ def cmd_simulate(o: dict, out: Path) -> tuple[list, dict]:
 
 
 def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
+    import numpy as np
+
+    from . import harness
+    from .empirical import build_ranks, jitter_columns, lattice_index, stdf_lattice_counts
+    from .reportio import LevelTable, read_sample_csv, write_csv
+
     k, T, stride = o["k"], o["T"], o["grid-stride"]
     if stride is not None and stride < 1:
         raise ConfigurationError(f"grid stride must be >= 1, got {stride}")
@@ -312,6 +309,10 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
 
 
 def cmd_converge(o: dict, out: Path) -> tuple[list, dict]:
+    from . import harness
+    from .models import parse_model, sup_bias_method
+    from .reportio import write_csv
+
     n, d, T, delta, frozen_c = o["n"], o["d"], o["T"], o["delta"], o["frozen-c"]
 
     exp = harness.ExperimentConfig(
@@ -364,6 +365,10 @@ def cmd_converge(o: dict, out: Path) -> tuple[list, dict]:
 
 
 def cmd_bound(o: dict, out: Path) -> tuple[list, dict]:
+    from . import concentration as conc
+    from . import harness
+    from .reportio import write_csv
+
     kind, delta, C = o["kind"], o["delta"], o["C"]
     bound_path = out / "bound.csv"
 
@@ -395,6 +400,10 @@ def cmd_bound(o: dict, out: Path) -> tuple[list, dict]:
 
 
 def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
+    from . import concentration as conc
+    from .models import parse_model
+    from .reportio import write_csv
+
     seed, n, d, k, T = o["seed"], o["n"], o["d"], o["k"], o["T"]
     statistic, grid_res = o["statistic"], o["grid-resolution"]
     model = parse_model(o["model"], d)
@@ -434,6 +443,11 @@ def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
 
 
 def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
+    from . import classify as cls_mod
+    from .models import parse_model
+    from .reportio import write_csv
+    from .rng import substream
+
     seed, d, alpha, norm, trials = o["seed"], o["d"], o["alpha"], o["norm"], o["trials"]
 
     generator = cls_mod.LabeledGenerator(
@@ -539,6 +553,8 @@ def main(argv=None) -> int:
             )
         # looked up at call time, so a wrapper bound to the module name runs
         outputs, results = globals()[f"cmd_{name}"](o, out)
+        from .reportio import write_manifest
+
         write_manifest(
             out / f"{name}_manifest.json", name, o, o.get("seed"),
             inputs=[o["data"]] if "data" in o else [], outputs=outputs,

@@ -587,7 +587,8 @@ def _signed_dominance_range(
     the rows inside it, whose profile along the block changes only at
     the K_c distinct axis-0 buckets of those rows.  The extremes of the
     K_c + 1 profiles give every axis-0 row's extremes in the block, in
-    O(n + m0 nb + sum_c K_c B) integer work and O(n + m0 + m1) memory.
+    O(n + m0 nb + sum_c K_c B) integer work and O(n + m0 B) memory: one
+    block's profiles hold up to min(rows, m0) + 1 levels by B columns.
     """
     d = points.shape[1]
     # one comparison per column: a reduction along the short axis 1 is slower

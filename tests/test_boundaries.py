@@ -1,12 +1,15 @@
 """Module boundaries: only ``gridscan`` reads ``gridscan``'s private names,
 every function the benchmark tracer wraps exists, the tracer can rebind
-every alias of them, one function owns the d >= 3 scan rule, and no
-production path reads a ``TailOrder``'s ranks."""
+every alias of them and sees a command's calls, ``--help`` loads no numpy
+and a command only its own modules, one function owns the d >= 3 scan
+rule, no production path reads a ``TailOrder``'s ranks, and the package
+resolves each export from its module."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -17,7 +20,7 @@ from types import ModuleType, SimpleNamespace
 import pytest
 
 import tailvc
-from tailvc import cli, concentration, gridscan, harness
+from tailvc import cli, concentration, empirical, gridscan, harness, samplers
 from tailvc.empirical import TailOrder, tail_order
 from tailvc.errors import EXIT_USAGE, ConfigurationError
 from tailvc.models import independence, logistic
@@ -104,24 +107,93 @@ def test_every_traced_name_resolves(name):
     assert inspect.isfunction(obj)
 
 
-def test_tracer_installs_and_restores_on_a_fresh_interpreter():
-    # install raises when a dict or closure outside the package's module
-    # namespaces holds a traced function (a table of commands, say); this
-    # process's test modules hold their own, so a fresh interpreter runs it
+def traced_in_fresh_interpreter(body: str, *args) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter after loading the tracer as ``tracer``.
+
+    ``sys.argv[1]`` is the tracer's path and ``sys.argv[2:]`` are ``args``.
+    """
     code = (
         "import importlib.util, sys\n"
         "spec = importlib.util.spec_from_file_location('_tailvc_bench_tracer',"
         " sys.argv[1])\n"
         "tracer = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(tracer)\n"
+    ) + body
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code, str(TRACER), *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_tracer_installs_and_restores_on_a_fresh_interpreter():
+    # install raises when a dict or closure outside the package's module
+    # namespaces holds a traced function (a table of commands, say); this
+    # process's test modules hold their own, so a fresh interpreter runs it
+    result = traced_in_fresh_interpreter("t = tracer.Tracer()\nt.install()\nt.restore()\n")
+    assert result.returncode == 0, result.stderr
+
+
+def test_tracer_sees_the_calls_of_a_command(tmp_path):
+    # cli holds no alias of a traced function: each command imports its names
+    # when it runs, so it reads the tracer's wrapper from the defining module
+    data = tmp_path / "x.csv"
+    data.write_text("x1,x2\n" + "".join(f"{i},{7 * i % 50}\n" for i in range(50)))
+    result = traced_in_fresh_interpreter(
+        "import collections, json\n"
+        "from tailvc import cli\n"
         "t = tracer.Tracer()\n"
         "t.install()\n"
+        "code = cli.main(sys.argv[2:])\n"
         "t.restore()\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    result = subprocess.run([sys.executable, "-c", code, str(TRACER)], env=env,
-                            capture_output=True, text=True, timeout=120)
+        "print(json.dumps([code, collections.Counter(s[0] for s in t.spans)]))\n",
+        "estimate", "--data", data, "--k", 5, "--T", 2.0, "--out", tmp_path / "o")
     assert result.returncode == 0, result.stderr
+    code, calls = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert calls == {"cli.main": 1, "cli.cmd_estimate": 1, "reportio.read_sample_csv": 1,
+                     "empirical.build_ranks": 1, "empirical.stdf_lattice_counts": 1,
+                     "reportio.write_csv": 1, "reportio.write_manifest": 1}
+
+
+# ------------------------------------------------------------------ start-up
+
+SUBCOMMANDS = ("simulate", "estimate", "converge", "bound", "rademacher", "classify")
+
+
+def fresh_run(args, cwd) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """``python -X importtime -m tailvc.cli ARGS``, and every module it imported."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tailvc.cli", *map(str, args)],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    return done, imported
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_help_loads_no_numpy(sub, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as parsed:
+        cli.build_parser().parse_args([sub, "--help"])
+    assert parsed.value.code == 0
+    done, imported = fresh_run([sub, "--help"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == capsys.readouterr().out
+    assert {m for m in imported if m.split(".")[0] in ("numpy", "tailvc")} == {
+        "tailvc", "tailvc.errors"}
+
+
+@pytest.mark.parametrize("args,skipped", [
+    (["rademacher", "--n", 400, "--d", 2, "--k", 10, "--T", 2.0, "--trials", 2,
+      "--seed", 1], {"tailvc.classify", "tailvc.harness", "tailvc.empirical"}),
+    (["simulate", "--model", "independence", "--n", 50, "--d", 2, "--seed", 1],
+     {"tailvc.classify", "tailvc.concentration"}),
+], ids=["rademacher", "simulate"])
+def test_a_command_imports_only_its_modules(args, skipped, tmp_path):
+    done, imported = fresh_run(args + ["--out", tmp_path / "o"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert {"numpy", "tailvc.reportio"} <= imported  # the run did its work
+    assert imported & skipped == set()
 
 
 # ---------------------------------------------------- the d >= 3 scan policy
@@ -220,7 +292,8 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
                    "max_count_gap"]),
         (concentration, ["draw_tail_uniforms", "sup_count_vs_mass",
                          "sup_count_vs_mass_grid", "sup_signed_count"]),
-        (cli, ["draw_sample", "stdf_lattice_counts"]),
+        (samplers, ["draw_sample"]),
+        (empirical, ["stdf_lattice_counts"]),
         (gridscan, ["_dominance_strips", "_signed_dominance_range"]),
     ):
         for name in names:
@@ -285,6 +358,21 @@ def test_readme_library_layout_names_every_export():
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
-    exported = {name for name, value in vars(tailvc).items()
-                if not name.startswith("_") and not isinstance(value, ModuleType)}
-    assert sorted(exported - named) == []
+    # the package namespace holds only ``__version__`` until a name is used
+    assert set(tailvc.__all__) > {"build_ranks", "ConfigurationError", "substream"}
+    assert sorted(set(tailvc.__all__) - named) == []
+
+
+def test_lazy_package_api():
+    for name in tailvc.__all__:
+        value = getattr(tailvc, name)
+        assert not isinstance(value, ModuleType)
+        assert value.__module__.startswith("tailvc.")
+        assert value is getattr(sys.modules[value.__module__], name)
+    assert set(dir(tailvc)) >= set(tailvc.__all__) | {"__version__"}
+    # ``from . import <submodule>`` imports the submodule only on this error
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tailvc.no_such_name
+    namespace: dict = {}
+    exec("from tailvc import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(tailvc.__all__)

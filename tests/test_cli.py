@@ -796,8 +796,9 @@ class TestRefusedBeforeAnyDraw:
         def fail(*args, **kwargs):
             raise AssertionError("data was read or drawn")
 
-        for name in ("read_sample_csv", "draw_sample"):
-            monkeypatch.setattr(f"tailvc.cli.{name}", fail)
+        # the defining modules: each command imports these names at call time
+        for name in ("tailvc.reportio.read_sample_csv", "tailvc.samplers.draw_sample"):
+            monkeypatch.setattr(name, fail)
         args, flag = self.SEEDS[case]
         args = fill(args, tmp_path)
         if flag in args:  # drop the valid seed
