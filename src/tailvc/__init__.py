@@ -3,7 +3,7 @@
 The package bundles:
 
 * seeded samplers for three closed-form tail dependence models,
-* exact rank-based tail estimators and their order-statistic identity,
+* an exact tail estimator that reads only each column's tail,
 * deviation bounds over low-mass set families with their Monte Carlo
   verification machinery (coverage, relative Rademacher averages,
   pair-separation complexity),
@@ -35,9 +35,7 @@ _MODULE_OF = {name: module for module, names in {
         "sup_empirical_deviation", "union_mass",
     ),
     "empirical": (
-        "build_ranks", "empirical_stdf", "empirical_stdf_lattice",
-        "empirical_stdf_via_order_stats", "empirical_tilde_F", "jitter_columns",
-        "lattice_index", "standardize",
+        "build_ranks", "empirical_stdf_lattice", "jitter_columns", "lattice_index",
     ),
     "errors": (
         "ConfigurationError", "DataError", "PreconditionError", "TailvcError",
@@ -46,8 +44,8 @@ _MODULE_OF = {name: module for module, names in {
     "harness": (
         "DeviationReport", "ExperimentConfig", "calibrate_constant",
         "check_order_stat_event", "coverage_against_bound", "deviation_decomposition",
-        "fit_loglog_slope", "lattice_rounding_sup", "run_rate_experiment",
-        "stdf_deviation_bound", "sup_stdf_deviation",
+        "fit_loglog_slope", "run_rate_experiment", "stdf_deviation_bound",
+        "sup_stdf_deviation",
     ),
     "models": (
         "StdfModel", "comonotone", "eval_stdf", "independence", "logistic",

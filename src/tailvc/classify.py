@@ -122,14 +122,6 @@ class ClassifierFamily:
         lines = [f"{g.coord},{g.threshold!r},{g.sign}" for g in self.members]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def deserialize(cls, text: str, vc_dim: int) -> "ClassifierFamily":
-        members = []
-        for line in text.strip().splitlines():
-            coord, thr, sign = line.split(",")
-            members.append(AxisClassifier(int(coord), float(thr), int(sign)))
-        return cls(members=tuple(members), vc_dim=vc_dim)
-
 
 def axis_threshold_family(d: int, per_axis: int) -> ClassifierFamily:
     """per_axis positive-orientation thresholds on each of the d axes,

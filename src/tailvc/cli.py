@@ -6,7 +6,10 @@ Each subcommand declares its options once, in ``_SPECS``; the parser, the
 all generated from that table.  Flag values win over config-file values,
 which win over defaults; the environment variable TAILVC_OUT supplies the
 default output directory.  An option given where it does not apply, or a
-config-file key that is not an option of the subcommand, is a usage error.
+config-file key that is not an option of the subcommand, is a usage error,
+and so is a config-file value of true or false, or a fraction for an
+integer option, which would otherwise be read as 1, 0 or truncated.  A
+list option needs at least one value.
 ``cmd_<name>(options, out)`` writes its data files and returns
 ``(outputs, results)``; ``main`` alone creates ``out``, writes the manifest
 and prints the last output.  Re-running with ``--config manifest.json``
@@ -76,11 +79,22 @@ def _default_out() -> str:
 
 def _split(text) -> list:
     items = text if isinstance(text, (list, tuple)) else str(text).split(",")
-    return [item for item in items if str(item).strip()]
+    items = [item for item in items if str(item).strip()]
+    if not items:
+        raise ConfigurationError("needs at least one value")
+    return items
+
+
+def _int(value) -> int:
+    """int() that truncates nothing: a config file's 1000.7 is refused, as
+    the flag's '1000.7' is."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
 def _int_list(text) -> list[int]:
-    return [int(v) for v in _split(text)]
+    return [_int(v) for v in _split(text)]
 
 
 def _positive_floats(text) -> list[float]:
@@ -91,9 +105,10 @@ def _positive_floats(text) -> list[float]:
 
 
 def _seed(text) -> int:
-    if int(text) < 0:  # numpy's SeedSequence takes no negative entropy
-        raise ConfigurationError(f"a seed must be >= 0, got {int(text)}")
-    return int(text)
+    seed = _int(text)
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ConfigurationError(f"a seed must be >= 0, got {seed}")
+    return seed
 
 
 def _margins(text) -> list[str]:
@@ -124,7 +139,7 @@ class Opt(NamedTuple):
 _SEED = Opt("seed", _seed, required=True, help="64-bit master seed")
 _OUT = Opt("out", default=_default_out,
            help="output directory (default: $TAILVC_OUT, else ./tailvc-out)")
-_SERIAL = Opt("workers", int, 1, choices=(1,),
+_SERIAL = Opt("workers", _int, 1, choices=(1,),
               help="must be 1: this command runs serially")
 _VC_KINDS = ("vc", "vc-simple", "vc-classical")
 _STDF = ("kind", ("stdf",))
@@ -135,31 +150,31 @@ _SPECS = {
     "simulate": (
         _SEED, _OUT,
         Opt("model", required=True),
-        Opt("n", int, required=True),
-        Opt("d", int, required=True),
+        Opt("n", _int, required=True),
+        Opt("d", _int, required=True),
         Opt("margins", _margins, "uniform"),
     ),
     "estimate": (
         _OUT,
         Opt("data", required=True),
-        Opt("k", int, required=True),
+        Opt("k", _int, required=True),
         Opt("T", float, required=True),
-        Opt("grid-stride", int),
+        Opt("grid-stride", _int),
         Opt("jitter-seed", _seed,
             help="break ties in real data with seeded sub-gap noise"),
     ),
     "converge": (
         _SEED,
-        Opt("workers", int, _usable_cpus, help="worker process cap"),
+        Opt("workers", _int, _usable_cpus, help="worker process cap"),
         _OUT,
         Opt("model", required=True),
-        Opt("n", int, required=True),
-        Opt("d", int, required=True),
+        Opt("n", _int, required=True),
+        Opt("d", _int, required=True),
         Opt("k-schedule", _int_list, required=True),
         Opt("T", float, required=True),
         Opt("delta", float, 0.05),
-        Opt("trials", int, required=True),
-        Opt("grid-resolution", int),
+        Opt("trials", _int, required=True),
+        Opt("grid-resolution", _int),
         Opt("frozen-c", float, help="frozen constant for coverage evaluation"),
     ),
     "bound": (
@@ -167,40 +182,40 @@ _SPECS = {
         Opt("kind", required=True, choices=("stdf",) + _VC_KINDS + ("vc-compare",)),
         Opt("delta", float, required=True),
         Opt("C", float, 1.0),
-        Opt("k", int, required=True, when=_STDF),
-        Opt("d", int, required=True, when=_STDF),
+        Opt("k", _int, required=True, when=_STDF),
+        Opt("d", _int, required=True, when=_STDF),
         Opt("T", float, required=True, when=_STDF),
         Opt("bias", float, 0.0, when=_STDF),
-        Opt("n", int, required=True, when=("kind", _VC_KINDS)),
-        Opt("V", int, required=True, when=("kind", _VC_KINDS + ("vc-compare",))),
+        Opt("n", _int, required=True, when=("kind", _VC_KINDS)),
+        Opt("V", _int, required=True, when=("kind", _VC_KINDS + ("vc-compare",))),
         Opt("p", float, required=True, when=("kind", _VC_KINDS + ("vc-compare",))),
         Opt("n-grid", _int_list, required=True, when=("kind", ("vc-compare",))),
     ),
     "rademacher": (
         _SEED, _SERIAL, _OUT,
         Opt("model", default="uniform"),
-        Opt("n", int, required=True),
-        Opt("d", int, required=True),
-        Opt("k", int, required=True),
+        Opt("n", _int, required=True),
+        Opt("d", _int, required=True),
+        Opt("k", _int, required=True),
         Opt("T", float, required=True),
         Opt("statistic", default="rademacher",
             choices=("rademacher", "separation", "both")),
-        Opt("trials", int, 100, when=_SCAN),
-        Opt("pairs", int, 100_000, when=("statistic", ("separation", "both"))),
-        Opt("grid-resolution", int, when=_SCAN),
+        Opt("trials", _int, 100, when=_SCAN),
+        Opt("pairs", _int, 100_000, when=("statistic", ("separation", "both"))),
+        Opt("grid-resolution", _int, when=_SCAN),
     ),
     "classify": (
         _SEED, _SERIAL, _OUT,
         Opt("mode", default="rate", choices=("rate", "decomposition")),
-        Opt("d", int, 2),
+        Opt("d", _int, 2),
         Opt("alpha", float, 0.1),
         Opt("noise", float, 0.1),
         Opt("norm", default="linf"),
         Opt("rule-threshold", float, 0.5),
-        Opt("trials", int, 50),
-        Opt("family-size", int, 20, when=_RATE),
+        Opt("trials", _int, 50),
+        Opt("family-size", _int, 20, when=_RATE),
         Opt("n-alpha-grid", _positive_floats, "100,400,1600,6400", when=_RATE),
-        Opt("n", int, 1000, when=("mode", ("decomposition",))),
+        Opt("n", _int, 1000, when=("mode", ("decomposition",))),
     ),
 }
 
@@ -238,6 +253,9 @@ def _options(subcommand: str, args, config: dict) -> dict:
             value = opt.default() if callable(opt.default) else opt.default
         if value is not None:
             try:
+                # a config file's true/false: int() and float() would read 1 and 0
+                if bool in map(type, value if isinstance(value, list) else [value]):
+                    raise ValueError(value)
                 value = opt.conv(value)
             except (TypeError, ValueError):
                 raise ConfigurationError(f"--{opt.name}: cannot read {value!r}")

@@ -1,4 +1,5 @@
-"""Rank and order-statistic machinery and the two empirical tail functionals.
+"""The tie-checked tail order of a sample and the empirical tail dependence
+function on its lattice.
 
 The central estimator counts, for a point x and a tail budget k, the rows
 exceeding per-column upper order statistics:
@@ -13,11 +14,12 @@ Over [0, T]^d the estimator therefore depends only on the floor(k T)
 largest values of each column, and the lattice kernel reads nothing else:
 per column it selects the top rows in O(n) and orders only those.
 
-Every path starts from one tie-checked, column-sorted ``TailOrder``; its
-ranks are computed only when the rank-based oracles read them.  Ties are
-rejected rather than broken, because the downstream identity checks
-require exact rank arithmetic.  All evaluators are pure and safe to call
-concurrently.
+l_n is computed one way: ``tail_order`` sorts and tie-checks each column
+once, ``tail_depths`` keeps the rows of the column tails with their
+depths, and the ``gridscan`` dominance walker counts them at each node.
+No full-sample rank is formed.  Ties are rejected rather than broken,
+because a tied value has no single rank for the count to compare.  All
+evaluators are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import PreconditionError, TiesError
 from .gridscan import count_strips
-from .samplers import Sample, parse_margins
+from .samplers import Sample
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,8 @@ class TailOrder:
 
     ``sorted_cols[j]`` is column j sorted ascending.  ``top_rows`` gives
     the same rows in the same order as the last m entries of
-    ``np.argsort(values[:, j], kind="stable")`` reversed, which is the
-    order ``ranks`` assigns: NaN ranks above every number, and NaNs rank
-    among themselves by row index.
+    ``np.argsort(values[:, j], kind="stable")`` reversed: NaN ranks above
+    every number, and NaNs rank among themselves by row index.
     """
 
     values: np.ndarray
@@ -52,16 +53,6 @@ class TailOrder:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def ranks(self) -> np.ndarray:
-        """n x d ranks, 1..n per column, from one stable argsort per column
-        on each read: for the oracles, as no tail kernel needs them."""
-        n, d = self.values.shape
-        ranks = np.empty((n, d), dtype=np.int64)
-        for j in range(d):
-            ranks[np.argsort(self.values[:, j], kind="stable"), j] = np.arange(1, n + 1)
-        return ranks
 
     @property
     def order_stats(self) -> np.ndarray:
@@ -98,7 +89,7 @@ def _values_of(sample) -> np.ndarray:
 
 
 def build_ranks(sample) -> TailOrder:
-    """The sample's ``TailOrder``; its ``ranks`` are computed when read.
+    """The sample's ``TailOrder``: ``tail_order(sample)``.
 
     A function of its own, not an alias, so that wrapping it by name (as
     the benchmark tracer does) leaves the ``tail_order`` calls unwrapped.
@@ -168,43 +159,6 @@ def lattice_index(k: int, x) -> np.ndarray:
     return np.where(snap, up, m).astype(np.int64)
 
 
-def exceedance_count(ranks: TailOrder, m) -> int | np.ndarray:
-    """#rows with rank >= n - m_j + 1 in some column, exact integer.
-
-    ``m`` is an integer lattice vector (d,) or a batch (P, d); each entry
-    must satisfy 0 <= m_j <= n.
-    """
-    m = np.asarray(m, dtype=np.int64)
-    single = m.ndim == 1
-    m2 = m[None, :] if single else m
-    n = ranks.n
-    if m2.shape[-1] != ranks.d:
-        raise PreconditionError(f"lattice vector has wrong dimension {m2.shape[-1]}")
-    if np.any(m2 < 0) or np.any(m2 > n):
-        raise PreconditionError(
-            f"lattice indices must lie in [0, n] = [0, {n}]; got range "
-            f"[{m2.min()}, {m2.max()}]"
-        )
-    counts = np.empty(m2.shape[0], dtype=np.int64)
-    # chunked so P x n x d never exceeds ~32M entries
-    chunk = max(1, int(32_000_000 // max(1, n * ranks.d)))
-    thresholds = n - m2 + 1
-    rank_matrix = ranks.ranks
-    for lo in range(0, m2.shape[0], chunk):
-        hi = min(lo + chunk, m2.shape[0])
-        hit = rank_matrix[None, :, :] >= thresholds[lo:hi, None, :]
-        counts[lo:hi] = hit.any(axis=2).sum(axis=1)
-    return int(counts[0]) if single else counts
-
-
-def empirical_stdf(ranks: TailOrder, k: int, x) -> float | np.ndarray:
-    """Empirical dependence function l_n(x); multiple of 1/k, exact count."""
-    if not 1 <= k <= ranks.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
-    m = lattice_index(k, x)
-    return exceedance_count(ranks, m) / k
-
-
 def tail_depths(ranks: TailOrder, mmax) -> np.ndarray:
     """Per-column depths of the rows in some column's top mmax_j.
 
@@ -258,69 +212,3 @@ def empirical_stdf_lattice(ranks: TailOrder, k: int, mmax,
     if not 1 <= k <= ranks.n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
     return stdf_lattice_counts(ranks, mmax, stride) / k
-
-
-def tail_event_count(u, thresholds) -> int:
-    """#rows with U_i^j <= t_j in some column (closed comparison)."""
-    u = np.asarray(u, dtype=float)
-    thresholds = np.asarray(thresholds, dtype=float)
-    return int(np.any(u <= thresholds[None, :], axis=1).sum())
-
-
-def empirical_tilde_F(u, x) -> float:
-    """Fraction of rows with at least one coordinate below its threshold."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise PreconditionError("pseudo-uniform sample must be an n x d matrix")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (u.shape[1],):
-        raise PreconditionError(f"threshold vector must have shape ({u.shape[1]},)")
-    if np.any(x < 0) or np.any(x > 1):
-        raise PreconditionError("thresholds must lie in [0, 1]")
-    return tail_event_count(u, x) / u.shape[0]
-
-
-def standardize(sample, margins) -> np.ndarray:
-    """Entrywise U_i^j = 1 - F_j(X_i^j) using the known true margins."""
-    values = _values_of(sample)
-    specs = parse_margins(margins, values.shape[1])
-    u = np.column_stack([m.survival(values[:, j]) for j, m in enumerate(specs)])
-    if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
-        raise PreconditionError("standardized values left [0, 1]; wrong margins?")
-    return np.clip(u, 0.0, 1.0)
-
-
-def order_stat_thresholds(u, m) -> np.ndarray:
-    """Per-column m_j-th smallest value of u, with threshold 0 for m_j = 0."""
-    u = np.asarray(u, dtype=float)
-    m = np.asarray(m, dtype=np.int64)
-    n, d = u.shape
-    if m.shape != (d,):
-        raise PreconditionError(f"lattice vector must have shape ({d},)")
-    if np.any(m < 0) or np.any(m > n):
-        raise PreconditionError(f"order-statistic indices must lie in [0, {n}]")
-    out = np.zeros(d)
-    for j in range(d):
-        if m[j] >= 1:
-            out[j] = np.partition(u[:, j], m[j] - 1)[m[j] - 1]
-    return out
-
-
-def empirical_stdf_via_order_stats(ranks: TailOrder, u, k: int, x) -> float:
-    """(n/k) * F_n-tilde at the vector of floor(k x_j)-th smallest U values.
-
-    With u the exact margin-standardization of the ranked sample this
-    equals empirical_stdf(ranks, k, x) row for row, because the counted
-    event is rank-determined; the equality is integer-exact and is the
-    backbone identity of the estimator.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (ranks.n, ranks.d):
-        raise PreconditionError("pseudo-uniform sample does not match rank state")
-    if not 1 <= k <= ranks.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
-    m = lattice_index(k, x)
-    if np.any(m > ranks.n):
-        raise PreconditionError("floor(k x) exceeds n")
-    thr = order_stat_thresholds(u, m)
-    return (ranks.n / k) * (tail_event_count(u, thr) / ranks.n)

@@ -75,14 +75,6 @@ def stdf_deviation_bound(
     return C * d * math.sqrt(T / k * math.log((d + 3) / delta)) + bias
 
 
-def lattice_rounding_sup(k: int, T: float, d: int) -> float:
-    """sup over [0,T]^d of sum_j |floor(k x_j)/k - x_j|, exactly d * max gap."""
-    if k < 1 or not (math.isfinite(T) and T > 0) or d < 1:
-        raise PreconditionError("need k >= 1, finite T > 0, d >= 1")
-    gap = 1.0 / k if math.floor(k * T) >= 1 else T
-    return d * gap
-
-
 # The last corner grid with its key (model, k, T, d): every trial of one
 # k reads the same grid, and a new key drops it before the next grid is
 # prepared, so a process holds at most one.

@@ -22,13 +22,10 @@ import time
 import numpy as np
 
 from csv_text import read_csv
+from rank_oracles import exceedance_count, standardize
 from tailvc import apply_margins, draw_copula_sample, parse_model
 from tailvc.cli import main
-from tailvc.empirical import (
-    build_ranks,
-    exceedance_count,
-    standardize,
-)
+from tailvc.empirical import build_ranks
 from tailvc.reportio import read_manifest
 from tailvc.samplers import Sample
 

@@ -2,8 +2,8 @@
 every function the benchmark tracer wraps exists, the tracer can rebind
 every alias of them and sees a command's calls, ``--help`` loads no numpy
 and a command only its own modules, one function owns the d >= 3 scan
-rule, no production path reads a ``TailOrder``'s ranks, and the package
-resolves each export from its module."""
+rule, no production path reads a ``TailOrder``'s ranks, the package
+resolves each export from its module, and every export has a reader."""
 
 import ast
 import importlib
@@ -23,10 +23,9 @@ import tailvc
 from tailvc import cli, concentration, empirical, gridscan, harness, samplers
 from tailvc.empirical import TailOrder, tail_order
 from tailvc.errors import EXIT_USAGE, ConfigurationError
-from tailvc.models import independence, logistic
-from tailvc.reportio import write_sample_csv
+from tailvc.models import independence
 from tailvc.rng import substream
-from tailvc.samplers import Sample, draw_copula_sample
+from tailvc.samplers import draw_copula_sample
 
 PACKAGE = Path(tailvc.__file__).parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -310,54 +309,52 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
         assert err.value.exit_code == EXIT_USAGE
 
 
-def production_outputs(x, root):
-    """The bytes and values of every production path that orders a sample:
-    ``estimate`` plain, strided and jittered, a tiny ``converge``, and
-    ``sup_stdf_deviation`` and ``deviation_decomposition`` on raw values."""
-    model, data = logistic(2.0, 2), root / "sample.csv"
-    root.mkdir()
-    write_sample_csv(Sample(x), data)
-    runs = {
-        "estimate": ["estimate", "--data", data, "--k", 20, "--T", 2.0],
-        "estimate-strided": ["estimate", "--data", data, "--k", 20, "--T", 2.0,
-                             "--grid-stride", 3],
-        "estimate-jittered": ["estimate", "--data", data, "--k", 20, "--T", 2.0,
-                              "--jitter-seed", 4],
-        "converge": ["converge", "--model", "logistic(2)", "--n", 1000, "--d", 2,
-                     "--k-schedule", "10,20", "--T", 1.5, "--trials", 2,
-                     "--seed", 6, "--workers", 1],
-        "converge-grid": ["converge", "--model", "logistic(2)", "--n", 1000,
-                          "--d", 2, "--k-schedule", "20", "--T", 1.5, "--trials", 2,
-                          "--seed", 6, "--workers", 1, "--grid-resolution", 9],
-    }
-    outputs = {}
-    for name, args in runs.items():
-        out = root / name
-        assert cli.main([str(a) for a in args] + ["--out", str(out)]) == 0
-        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-    outputs["sup_stdf_deviation"] = harness.sup_stdf_deviation(x, 20, model, 2.0)
-    outputs["deviation_decomposition"] = harness.deviation_decomposition(
-        x, 20, 2.0, model)
-    return outputs
+def test_no_production_path_reads_ranks():
+    # the rank-based l_n lives in tests/rank_oracles.py: the rank state has
+    # no ranks to read, and no library module reaches the oracles
+    assert not hasattr(TailOrder, "ranks")
+    assert not hasattr(tail_order([[0.5, 2.0], [1.5, 1.0]]), "ranks")
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if "rank_oracles" in p.read_text(encoding="utf-8")] == []
 
 
-def test_no_production_path_reads_ranks(tmp_path, monkeypatch):
-    x = draw_copula_sample(logistic(2.0, 2), 2000, substream(31, "no-ranks"))
-    expected = production_outputs(x, tmp_path / "plain")
+def readme_section(heading: str) -> str:
+    """The text of README's ``## heading`` section."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
-    def refuse(self):
-        raise AssertionError("a production path read TailOrder.ranks")
 
-    monkeypatch.setattr(TailOrder, "ranks", property(refuse))
-    with pytest.raises(AssertionError, match="read TailOrder.ranks"):
-        tail_order(x).ranks
-    assert production_outputs(x, tmp_path / "patched") == expected
+def backticked_names(text: str) -> set[str]:
+    return set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", text))))
+
+
+def library_references() -> set[str]:
+    """Every name a ``tailvc`` module other than ``__init__`` reads, imports
+    or annotates with, outside the definition of that name itself."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None) for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+            found |= names - {getattr(stmt, "name", None)}  # a def's own name
+    return found
+
+
+def test_every_export_has_a_reader():
+    # an exported name is read by the library, wrapped by the benchmark
+    # tracer, or listed in README with the paper object or test it serves
+    listed = readme_section("Library layout").split(
+        "Public names that no subcommand reaches", 1)[1].split("\n\n", 2)[1]
+    traced = {fn for fns in traced_layers().values() for fn in fns}
+    unread = set(tailvc.__all__) - library_references() - traced - backticked_names(listed)
+    assert sorted(unread) == []
 
 
 def test_readme_library_layout_names_every_export():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", section))))
+    named = backticked_names(readme_section("Library layout"))
     # the package namespace holds only ``__version__`` until a name is used
     assert set(tailvc.__all__) > {"build_ranks", "ConfigurationError", "substream"}
     assert sorted(set(tailvc.__all__) - named) == []

