@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, PreconditionError
 from .harness import SlopeFit, fit_loglog_slope
 from .models import StdfModel, independence
-from .rng import substream
+from .rng import map_trials, substream
 from .samplers import draw_copula_sample
 
 # linf folds the d columns with elementwise maxima: the same maxima as
@@ -402,6 +402,17 @@ class ClassificationReport:
     family_size: int
 
 
+def _rate_trial(generator: LabeledGenerator, members, region: QuantileRegion,
+                truths: np.ndarray, n: int, seed: int,
+                t: int) -> ClassificationTrialRecord:
+    """Trial t at (n, region.alpha): the family's largest risk deviation."""
+    alpha = region.alpha
+    data = generator.sample(n, substream(seed, "class-rate", int(round(n * alpha)), t))
+    dev = float(np.abs(_family_empirical_risks(data, members, region) - truths).max())
+    return ClassificationTrialRecord(n=n, alpha=alpha, trial=t, sup_deviation=dev,
+                                     flagged=n * alpha < 10)
+
+
 def rate_experiment_classification(
     generator: LabeledGenerator,
     family: ClassifierFamily,
@@ -409,39 +420,32 @@ def rate_experiment_classification(
     trials: int,
     seed: int,
     norm: str = "linf",
+    workers: int = 1,
 ) -> ClassificationReport:
     """sup over the family of |empirical - true| risk across (n, alpha).
 
     ``schedule`` is a list of (n, alpha) pairs; the slope is fitted to the
     medians against n * alpha.  Grid points with n * alpha < 10 are kept
-    but flagged.
+    but flagged.  Trial t at (n, alpha) draws from ``substream(seed,
+    "class-rate", round(n alpha), t)``, so at most ``workers`` processes
+    run the trials (``rng.map_trials``) with the same records.
     """
     if not schedule:
         raise ConfigurationError("schedule must be nonempty")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if workers < 1:  # before the truths, which may take a reference draw
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     # every alpha is checked before any draw; the truths depend on it, not on n
     regions = [QuantileRegion(alpha=alpha, norm=norm) for _, alpha in schedule]
     truths_of = {region: np.array([r.value for r in _family_true_risks(
         generator, family.members, region)]) for region in dict.fromkeys(regions)}
-    records = []
-    medians = {}
-    for (n, alpha), region in zip(schedule, regions):
-        truths = truths_of[region]
-        flagged = n * alpha < 10
-        devs = []
-        for t in range(trials):
-            rng = substream(seed, "class-rate", int(round(n * alpha)), t)
-            data = generator.sample(n, rng)
-            emp = _family_empirical_risks(data, family.members, region)
-            dev = float(np.abs(emp - truths).max())
-            devs.append(dev)
-            records.append(
-                ClassificationTrialRecord(
-                    n=n, alpha=alpha, trial=t, sup_deviation=dev, flagged=flagged
-                )
-            )
-        medians[(n, alpha)] = float(np.median(devs))
+    jobs = [(generator, family.members, region, truths_of[region], n, seed, t)
+            for (n, _), region in zip(schedule, regions) for t in range(trials)]
+    records = map_trials(_rate_trial, jobs, workers)
+    medians = {point: float(np.median([r.sup_deviation for r in
+                                       records[i * trials:(i + 1) * trials]]))
+               for i, point in enumerate(schedule)}
     if len(schedule) >= 2:
         xs = [n * alpha for n, alpha in schedule]
         ys = [medians[(n, alpha)] for n, alpha in schedule]
@@ -502,3 +506,11 @@ def risk_decomposition_check(
         joint_term=joint,
         marginal_term=marginal,
     )
+
+
+def _decomposition_trial(generator: LabeledGenerator, family: ClassifierFamily,
+                         region: QuantileRegion, n: int, seed: int,
+                         t: int) -> DecompositionCheck:
+    """Trial t of the CLI's decomposition check: one sample, one check."""
+    data = generator.sample(n, substream(seed, "decomposition", t))
+    return risk_decomposition_check(data, family, region, generator)

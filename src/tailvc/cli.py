@@ -11,8 +11,9 @@ and so is a config-file value of true or false, or a fraction for an
 integer option, which would otherwise be read as 1, 0 or truncated.  A
 list option needs at least one value.
 ``cmd_<name>(options, out)`` writes its data files and returns
-``(outputs, results)``; ``main`` alone creates ``out``, writes the manifest
-and prints the last output.  Re-running with ``--config manifest.json``
+``(outputs, results)``; ``main`` alone creates ``out`` (and removes it if
+the command fails and leaves it empty), writes the manifest and prints
+the last output.  Re-running with ``--config manifest.json``
 reproduces the data files byte for byte.  No command checks a scan
 precondition of its own: its grid option is the declared grid of the
 library call, and ``gridscan.scan_is_exact`` decides whether d needs one.
@@ -104,6 +105,13 @@ def _positive_floats(text) -> list[float]:
     return values
 
 
+def _workers(value) -> int:
+    workers = _int(value)
+    if workers < 1:
+        raise ConfigurationError(f"needs at least one worker, got {workers}")
+    return workers
+
+
 def _seed(text) -> int:
     seed = _int(text)
     if seed < 0:  # numpy's SeedSequence takes no negative entropy
@@ -139,8 +147,7 @@ class Opt(NamedTuple):
 _SEED = Opt("seed", _seed, required=True, help="64-bit master seed")
 _OUT = Opt("out", default=_default_out,
            help="output directory (default: $TAILVC_OUT, else ./tailvc-out)")
-_SERIAL = Opt("workers", _int, 1, choices=(1,),
-              help="must be 1: this command runs serially")
+_WORKERS = Opt("workers", _workers, 1, help="worker process cap")
 _VC_KINDS = ("vc", "vc-simple", "vc-classical")
 _STDF = ("kind", ("stdf",))
 _SCAN = ("statistic", ("rademacher", "both"))
@@ -165,7 +172,7 @@ _SPECS = {
     ),
     "converge": (
         _SEED,
-        Opt("workers", _int, _usable_cpus, help="worker process cap"),
+        _WORKERS._replace(default=_usable_cpus),
         _OUT,
         Opt("model", required=True),
         Opt("n", _int, required=True),
@@ -192,7 +199,7 @@ _SPECS = {
         Opt("n-grid", _int_list, required=True, when=("kind", ("vc-compare",))),
     ),
     "rademacher": (
-        _SEED, _SERIAL, _OUT,
+        _SEED, _WORKERS, _OUT,
         Opt("model", default="uniform"),
         Opt("n", _int, required=True),
         Opt("d", _int, required=True),
@@ -205,7 +212,7 @@ _SPECS = {
         Opt("grid-resolution", _int, when=_SCAN),
     ),
     "classify": (
-        _SEED, _SERIAL, _OUT,
+        _SEED, _WORKERS, _OUT,
         Opt("mode", default="rate", choices=("rate", "decomposition")),
         Opt("d", _int, 2),
         Opt("alpha", float, 0.1),
@@ -432,6 +439,7 @@ def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
     if statistic in ("rademacher", "both"):
         est = conc.relative_rademacher(
             model, spec, o["trials"], seed, grid_resolution=grid_res,
+            workers=o["workers"],
         )
         for t, v in enumerate(est.values):
             rows.append([t, n, k, d, T, "", "relative_rademacher_sup", v])
@@ -464,7 +472,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
     from . import classify as cls_mod
     from .models import parse_model
     from .reportio import write_csv
-    from .rng import substream
+    from .rng import map_trials
 
     seed, d, alpha, norm, trials = o["seed"], o["d"], o["alpha"], o["norm"], o["trials"]
 
@@ -484,7 +492,8 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         family = cls_mod.axis_threshold_family(d, o["family-size"] // d)
         schedule = [(int(round(na / alpha)), alpha) for na in o["n-alpha-grid"]]
         report = cls_mod.rate_experiment_classification(
-            generator, family, schedule, trials, seed, norm=norm
+            generator, family, schedule, trials, seed, norm=norm,
+            workers=o["workers"],
         )
         for r in report.records:
             rows.append([r.trial, r.n, r.alpha, d, norm, "sup_risk_deviation",
@@ -509,16 +518,15 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
             members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)),
             vc_dim=d,
         )
-        holds = 0
-        for t in range(trials):
-            data = generator.sample(n, substream(seed, "decomposition", t))
-            check = cls_mod.risk_decomposition_check(data, family, region, generator)
-            holds += int(check.holds)
+        checks = map_trials(cls_mod._decomposition_trial, [
+            (generator, family, region, n, seed, t) for t in range(trials)],
+            o["workers"])
+        for t, check in enumerate(checks):
             rows.append([t, n, alpha, d, norm, "decomposition_holds",
                          int(check.holds)])
             rows.append([t, n, alpha, d, norm, "lhs", check.lhs])
             rows.append([t, n, alpha, d, norm, "rhs", check.rhs])
-        results["decomposition_holds"] = holds
+        results["decomposition_holds"] = sum(check.holds for check in checks)
         results["trials"] = trials
         outputs = []
 
@@ -563,14 +571,23 @@ def main(argv=None) -> int:
         started = time.time()
         o = _options(name, args, _load_config(args.config))
         out = Path(o["out"])
+        made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigurationError(
                 f"--out {out}: cannot create the directory: {exc.strerror or exc}"
             )
-        # looked up at call time, so a wrapper bound to the module name runs
-        outputs, results = globals()[f"cmd_{name}"](o, out)
+        try:
+            # looked up at call time, so a wrapper bound to the module name runs
+            outputs, results = globals()[f"cmd_{name}"](o, out)
+        except BaseException:
+            for path in made:  # a failed command leaves no empty directory of ours
+                try:
+                    path.rmdir()  # refused while the directory holds anything
+                except OSError:
+                    break
+            raise
         from .reportio import write_manifest
 
         write_manifest(

@@ -38,7 +38,7 @@ from .gridscan import (
     sup_signed_count,
 )
 from .models import StdfModel, parse_model, tail_union_prob, tail_union_prob_axes
-from .rng import substream
+from .rng import map_trials, substream
 from .samplers import draw_tail_uniforms
 
 
@@ -231,15 +231,18 @@ def relative_rademacher(
     trials: int,
     seed: int,
     grid_resolution: int | None = None,
+    workers: int = 1,
 ) -> RademacherEstimate:
     """Monte Carlo mean of sup_A |sum_i sigma_i 1{Z_i in A}| / (n p).
 
     Each trial draws a fresh sample from the model law and fresh
-    independent signs.  The inner supremum is exact for d <= 2, scanned
-    on the data's own breakpoints; d >= 3 must declare a grid resolution
-    and gets a grid scan instead, whose value, the largest over boxes
-    with corners on that grid, is a lower bound on the supremum, with no
-    slack reported.
+    independent signs, from its own stream ``substream(seed,
+    "rademacher", t)``, so at most ``workers`` processes run the trials
+    (``rng.map_trials``) with the same values.  The inner supremum is
+    exact for d <= 2, scanned on the data's own breakpoints; d >= 3 must
+    declare a grid resolution and gets a grid scan instead, whose value,
+    the largest over boxes with corners on that grid, is a lower bound on
+    the supremum, with no slack reported.
     """
     if trials < 2:
         raise ConfigurationError(f"need at least 2 trials, got {trials}")
@@ -250,10 +253,8 @@ def relative_rademacher(
     edge = cls.box_edge
     axes = (None if scan_is_exact(cls.d, grid_resolution)
             else [declared_axis(edge, grid_resolution)] * cls.d)
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = substream(seed, "rademacher", t)
-        values[t] = _rademacher_trial(model, cls, rng, axes) / (cls.n * p)
+    jobs = [(model, cls, seed, t, axes) for t in range(trials)]
+    values = np.array(map_trials(_rademacher_trial, jobs, workers)) / (cls.n * p)
     return RademacherEstimate(
         mean=float(values.mean()),
         trials=trials,
@@ -264,8 +265,9 @@ def relative_rademacher(
     )
 
 
-def _rademacher_trial(model, cls: RectClassSpec, rng, axes) -> float:
-    """One trial's sup_A |sum_i sigma_i 1{Z_i in A}|; its arrays end with it."""
+def _rademacher_trial(model, cls: RectClassSpec, seed: int, t: int, axes) -> float:
+    """Trial t's sup_A |sum_i sigma_i 1{Z_i in A}|; its arrays end with it."""
+    rng = substream(seed, "rademacher", t)
     z = draw_tail_uniforms(model, cls.n, rng)
     signs = rng.integers(0, 2, size=cls.n)
     signs *= 2

@@ -13,11 +13,8 @@ instead and an explicit slack is reported.  The decomposition check
 reads the same count strips, corner grid rows and cell-corner reducer,
 one strip at a time, and never builds the lattice.
 ``_check_lattice_scan`` holds every lattice scan's preconditions, the
-CLI's ``estimate`` included.
-
-Experiments are trial-parallel: every (k, trial) pair derives its own
-random stream from the master seed, so results are identical whatever
-the worker count or completion order.
+CLI's ``estimate`` included.  The rate experiment keys every trial by
+(k, trial) and runs them through ``rng.map_trials``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from .models import (
     sup_bias,
     tail_union_prob_axes,
 )
-from .rng import substream
+from .rng import map_trials, substream
 from .samplers import draw_copula_sample
 
 
@@ -310,8 +307,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if not scan_is_exact(self.d, self.grid_resolution):
             declared_axis(self.T, self.grid_resolution)  # rejects fewer than 2 nodes
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -386,10 +381,6 @@ def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
     return TrialRecord(k, trial, dev.value, event, ok=True)
 
 
-def _one_trial_star(args):
-    return _one_trial(*args)
-
-
 def _ok_deviations(records, k: int) -> np.ndarray:
     """The sup deviations of the successful trials at ``k``."""
     return np.array([r.sup_deviation for r in records if r.k == k and r.ok])
@@ -417,43 +408,20 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
         except PreconditionError:
             bias_2T = float("nan")
         biases[k] = bias_T, bias_2T
-    jobs = [
-        (config.model, config.n, config.d, k, config.T, config.seed, t,
-         config.grid_resolution)
-        for k in config.k_schedule
-        for t in range(config.trials)
-    ]
-    if config.workers > 1:
-        # imported here: a serial run, and every other subcommand, never
-        # pays for loading multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_one_trial_star, jobs, chunksize=4))
-    else:
-        records = [_one_trial_star(j) for j in jobs]
-    records.sort(key=lambda r: (r.k, r.trial))
+    jobs = [(config.model, config.n, config.d, k, config.T, config.seed, t,
+             config.grid_resolution)
+            for k in config.k_schedule for t in range(config.trials)]
+    # in (k, trial) order: the k schedule is strictly increasing
+    records = map_trials(_one_trial, jobs, config.workers)
 
     summaries = []
-    medians = []
     for k in config.k_schedule:
         devs = _ok_deviations(records, k)
-        bias_T, bias_2T = biases[k]
-        med = float(np.median(devs)) if devs.size else float("nan")
-        upper = (
-            float(np.quantile(devs, 1.0 - config.delta)) if devs.size else float("nan")
-        )
-        summaries.append(
-            KSummary(
-                k=k,
-                trials_ok=int(devs.size),
-                median=med,
-                upper_quantile=upper,
-                bias_T=bias_T,
-                bias_2T=bias_2T,
-            )
-        )
-        medians.append(med)
+        med = upper = math.nan
+        if devs.size:
+            med, upper = float(np.median(devs)), float(np.quantile(devs, 1 - config.delta))
+        summaries.append(KSummary(k, int(devs.size), med, upper, *biases[k]))
+    medians = [s.median for s in summaries]
 
     if len(config.k_schedule) >= 2 and all(m > 0 for m in medians):
         slope = fit_loglog_slope(config.k_schedule, medians)

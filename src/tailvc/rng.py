@@ -20,6 +20,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 def _key_part(part) -> int:
     if isinstance(part, str):
@@ -36,3 +38,24 @@ def substream(master_seed: int, *path) -> np.random.Generator:
     key = tuple(_key_part(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key)
     return np.random.default_rng(ss)
+
+
+def map_trials(trial, jobs, workers: int = 1) -> list:
+    """``[trial(*job) for job in jobs]``, run by at most ``workers`` processes.
+
+    ``jobs`` is a list of argument tuples.  Each job derives its own
+    stream from the master seed and its key (``substream(seed, label,
+    ..., t)``), so the results are the same, in job order, whatever the
+    worker count or completion order.  With ``workers > 1``, ``trial``
+    must be a module-level function and the jobs must pickle.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(jobs) < 2:
+        return [trial(*job) for job in jobs]
+    # imported here: a serial run, and every other subcommand, never pays
+    # for loading multiprocessing
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+        return list(pool.map(trial, *zip(*jobs), chunksize=4))

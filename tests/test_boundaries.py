@@ -182,12 +182,20 @@ def test_help_loads_no_numpy(sub, tmp_path, capsys, monkeypatch):
         "tailvc", "tailvc.errors"}
 
 
+# a serial run, --workers 1 by default, never loads the process pool
+POOL = "concurrent.futures.process"
+
+
 @pytest.mark.parametrize("args,skipped", [
     (["rademacher", "--n", 400, "--d", 2, "--k", 10, "--T", 2.0, "--trials", 2,
-      "--seed", 1], {"tailvc.classify", "tailvc.harness", "tailvc.empirical"}),
+      "--seed", 1], {"tailvc.classify", "tailvc.harness", "tailvc.empirical", POOL}),
     (["simulate", "--model", "independence", "--n", 50, "--d", 2, "--seed", 1],
      {"tailvc.classify", "tailvc.concentration"}),
-], ids=["rademacher", "simulate"])
+    (["classify", "--n-alpha-grid", "50,100", "--trials", 2, "--family-size", 4,
+      "--seed", 1], {"tailvc.concentration", POOL}),
+    (["classify", "--mode", "decomposition", "--n", 300, "--trials", 2, "--seed", 1],
+     {"tailvc.concentration", POOL}),
+], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition"])
 def test_a_command_imports_only_its_modules(args, skipped, tmp_path):
     done, imported = fresh_run(args + ["--out", tmp_path / "o"], tmp_path)
     assert done.returncode == 0, done.stderr
@@ -301,7 +309,7 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
         assert D3_CALLS[entry](d3_inputs) == EXIT_USAGE
         subcommand = entry.split("-")[1]
         assert capsys.readouterr().err == f"tailvc {subcommand}: {D3_MESSAGE}\n"
-        assert not any(d3_inputs.out.iterdir())
+        assert not d3_inputs.out.exists()
     else:
         with pytest.raises(ConfigurationError) as err:
             D3_CALLS[entry](d3_inputs)

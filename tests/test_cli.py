@@ -632,6 +632,42 @@ class TestClassify:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestWorkerCounts:
+    # small runs of the pooled commands besides converge (TestConverge has
+    # its own) and the data files each writes; no l2 norm, whose truths
+    # take a 10^7-row reference draw
+    CASES = {
+        "rademacher-both-d2": (
+            ["rademacher", "--model", "logistic(2)", "--n", 400, "--d", 2, "--k", 10,
+             "--T", 2.0, "--statistic", "both", "--trials", 6, "--pairs", 2000,
+             "--seed", 3], ["rademacher.csv"]),
+        "rademacher-d3-grid": (
+            ["rademacher", "--model", "logistic(2)", "--n", 300, "--d", 3, "--k", 10,
+             "--T", 2.0, "--trials", 5, "--grid-resolution", 6, "--seed", 4],
+            ["rademacher.csv"]),
+        "classify-rate-linf": (
+            ["classify", "--mode", "rate", "--alpha", "0.1", "--n-alpha-grid", "50,100",
+             "--trials", 5, "--family-size", 6, "--seed", 13],
+            ["classify_trials.csv", "classify_summary.csv", "family.txt"]),
+        "classify-decomposition": (
+            ["classify", "--mode", "decomposition", "--n", 300, "--alpha", "0.1",
+             "--trials", 6, "--seed", 10], ["classify_trials.csv"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_and_two_workers_write_identical_bytes(self, tmp_path, case):
+        # every trial keys its own stream, so the pool's order cannot show
+        args, names = self.CASES[case]
+        outs = [tmp_path / "w1", tmp_path / "w2"]
+        for workers, out in zip((1, 2), outs):
+            assert run(args + ["--workers", workers, "--out", out]) == 0
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        manifest = f"{args[0]}_manifest.json"
+        assert (read_manifest(outs[0] / manifest)["results"]
+                == read_manifest(outs[1] / manifest)["results"])
+
+
 class TestConfigPrecedence:
     def test_flags_win_over_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -688,8 +724,8 @@ class TestNoIgnoredOption:
         "simulate-workers": (SIMULATE + ["--workers", 1], "--workers"),
         "estimate-workers": (ESTIMATE + ["--workers", 1], "--workers"),
         "bound-workers": (BOUND_VC + ["--workers", 1], "--workers"),
-        "rademacher-workers-2": (RADEMACHER + ["--workers", 2], "--workers"),
-        "classify-workers-2": (CLASSIFY_RATE + ["--workers", 2], "--workers"),
+        "rademacher-workers-0": (RADEMACHER + ["--workers", 0], "--workers:"),
+        "classify-workers-0": (CLASSIFY_RATE + ["--workers", 0], "--workers:"),
         "bound-stdf-n-grid": (BOUND_STDF + ["--n-grid", "1,2"], "--n-grid"),
         "bound-vc-k": (BOUND_VC + ["--k", 100], "--k"),
         "bound-vc-compare-bias": (BOUND_CMP + ["--bias", 0.1], "--bias"),
@@ -704,7 +740,7 @@ class TestNoIgnoredOption:
         out = tmp_path / "o"
         assert run_status(fill(args, tmp_path) + ["--out", str(out)]) == 2
         assert f"{option} " in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", sorted(BASE))
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, subcommand):
@@ -715,7 +751,32 @@ class TestNoIgnoredOption:
                                                   "--out", str(out)]
         assert run_status(args) == 2
         assert "'sede'" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    # usage errors found by a command body, after ``main`` created --out
+    IN_BODY = {
+        "simulate-bogus-model": (["simulate", "--model", "bogus", "--n", 10, "--d", 2,
+                                  "--seed", 1], "unknown model tag 'bogus'"),
+        "estimate-stride-zero": (ESTIMATE + ["--grid-stride", 0],
+                                 "grid stride must be >= 1, got 0"),
+        "classify-family-below-d": (CLASSIFY_RATE + ["--family-size", 1],  # last wins
+                                    "--family-size must be >= --d = 2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(IN_BODY))
+    def test_usage_error_in_a_command_body_leaves_no_out(self, tmp_path, capsys, case):
+        args, message = self.IN_BODY[case]
+        out = tmp_path / "new" / "o"  # main creates both levels
+        assert run(fill(args, tmp_path) + ["--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_command_keeps_an_out_it_did_not_create(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        assert run(["simulate", "--model", "bogus", "--n", 10, "--d", 2, "--seed", 1,
+                    "--out", out]) == 2
+        assert out.is_dir()
 
 
 class TestManifestReplay:
@@ -857,6 +918,28 @@ class TestRefusedBeforeAnyDraw:
         err = self.refused(tmp_path, capsys, monkeypatch, args, flag, value, via)
         assert f"{flag}: {message}" in err
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", ["converge", "rademacher", "classify-rate",
+                                      "classify-decomposition"])
+    def test_zero_workers_is_refused_before_any_draw(self, tmp_path, capsys,
+                                                     monkeypatch, case, via):
+        import tailvc.samplers
+
+        calls = []
+        draw = tailvc.samplers.draw_copula_sample
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        # every module that binds the name, read at call time
+        for owner in ("samplers", "harness", "classify"):
+            monkeypatch.setattr(f"tailvc.{owner}.draw_copula_sample", counted)
+        args, _ = self.SEEDS[case]
+        err = self.refused(tmp_path, capsys, monkeypatch, args, "--workers", 0, via)
+        assert "--workers: needs at least one worker, got 0" in err
+        assert calls == []
+
     CLASSIFY = {
         "alpha-zero": (CLASSIFY_RATE, ["--alpha", "0"], "alpha must lie in (0, 1)"),
         "alpha-nan": (CLASSIFY_RATE, ["--alpha", "nan"], "alpha must lie in (0, 1)"),
@@ -896,4 +979,4 @@ class TestRefusedBeforeAnyDraw:
         out = tmp_path / "o"
         assert run(args + extra + ["--out", out]) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
