@@ -402,12 +402,10 @@ class ClassificationReport:
     family_size: int
 
 
-def _rate_trial(generator: LabeledGenerator, members, region: QuantileRegion,
-                truths: np.ndarray, n: int, seed: int,
-                t: int) -> ClassificationTrialRecord:
-    """Trial t at (n, region.alpha): the family's largest risk deviation."""
-    alpha = region.alpha
-    data = generator.sample(n, substream(seed, "class-rate", int(round(n * alpha)), t))
+def _rate_trial(data: LabeledSample, members, region: QuantileRegion,
+                truths: np.ndarray, t: int) -> ClassificationTrialRecord:
+    """Trial t on its sample: the family's largest risk deviation."""
+    n, alpha = data.n, region.alpha
     dev = float(np.abs(_family_empirical_risks(data, members, region) - truths).max())
     return ClassificationTrialRecord(n=n, alpha=alpha, trial=t, sup_deviation=dev,
                                      flagged=n * alpha < 10)
@@ -420,29 +418,30 @@ def rate_experiment_classification(
     trials: int,
     seed: int,
     norm: str = "linf",
-    workers: int = 1,
 ) -> ClassificationReport:
     """sup over the family of |empirical - true| risk across (n, alpha).
 
     ``schedule`` is a list of (n, alpha) pairs; the slope is fitted to the
     medians against n * alpha.  Grid points with n * alpha < 10 are kept
     but flagged.  Trial t at (n, alpha) draws from ``substream(seed,
-    "class-rate", round(n alpha), t)``, so at most ``workers`` processes
-    run the trials (``rng.map_trials``) with the same records.
+    "class-rate", round(n alpha), t)``; the trials run in turn, in one
+    process (``rng.map_trials`` at one worker).
     """
     if not schedule:
         raise ConfigurationError("schedule must be nonempty")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if workers < 1:  # before the truths, which may take a reference draw
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     # every alpha is checked before any draw; the truths depend on it, not on n
     regions = [QuantileRegion(alpha=alpha, norm=norm) for _, alpha in schedule]
     truths_of = {region: np.array([r.value for r in _family_true_risks(
         generator, family.members, region)]) for region in dict.fromkeys(regions)}
-    jobs = [(generator, family.members, region, truths_of[region], n, seed, t)
-            for (n, _), region in zip(schedule, regions) for t in range(trials)]
-    records = map_trials(_rate_trial, jobs, workers)
+    # each sample is drawn as the runner reaches its job, while the last
+    # is still held, as a plain loop holds it: a sample freed before the
+    # next draw lets malloc trim the heap, and the draw faults it back in
+    jobs = ((generator.sample(n, substream(seed, "class-rate", int(round(n * alpha)), t)),
+             family.members, region, truths_of[region], t)
+            for (n, alpha), region in zip(schedule, regions) for t in range(trials))
+    records = map_trials(_rate_trial, jobs, 1)
     medians = {point: float(np.median([r.sup_deviation for r in
                                        records[i * trials:(i + 1) * trials]]))
                for i, point in enumerate(schedule)}
@@ -507,10 +506,3 @@ def risk_decomposition_check(
         marginal_term=marginal,
     )
 
-
-def _decomposition_trial(generator: LabeledGenerator, family: ClassifierFamily,
-                         region: QuantileRegion, n: int, seed: int,
-                         t: int) -> DecompositionCheck:
-    """Trial t of the CLI's decomposition check: one sample, one check."""
-    data = generator.sample(n, substream(seed, "decomposition", t))
-    return risk_decomposition_check(data, family, region, generator)

@@ -212,7 +212,9 @@ _SPECS = {
         Opt("grid-resolution", _int, when=_SCAN),
     ),
     "classify": (
-        _SEED, _WORKERS, _OUT,
+        # serial: no pooled classify run has yet been measured to pay
+        _SEED, _WORKERS._replace(choices=(1,), help="must be 1: classify runs serially"),
+        _OUT,
         Opt("mode", default="rate", choices=("rate", "decomposition")),
         Opt("d", _int, 2),
         Opt("alpha", float, 0.1),
@@ -472,7 +474,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
     from . import classify as cls_mod
     from .models import parse_model
     from .reportio import write_csv
-    from .rng import map_trials
+    from .rng import map_trials, substream
 
     seed, d, alpha, norm, trials = o["seed"], o["d"], o["alpha"], o["norm"], o["trials"]
 
@@ -492,8 +494,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         family = cls_mod.axis_threshold_family(d, o["family-size"] // d)
         schedule = [(int(round(na / alpha)), alpha) for na in o["n-alpha-grid"]]
         report = cls_mod.rate_experiment_classification(
-            generator, family, schedule, trials, seed, norm=norm,
-            workers=o["workers"],
+            generator, family, schedule, trials, seed, norm=norm
         )
         for r in report.records:
             rows.append([r.trial, r.n, r.alpha, d, norm, "sup_risk_deviation",
@@ -518,9 +519,10 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
             members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)),
             vc_dim=d,
         )
-        checks = map_trials(cls_mod._decomposition_trial, [
-            (generator, family, region, n, seed, t) for t in range(trials)],
-            o["workers"])
+        # each sample drawn as the runner reaches its job, as in the rate mode
+        checks = map_trials(cls_mod.risk_decomposition_check, (
+            (generator.sample(n, substream(seed, "decomposition", t)), family, region,
+             generator) for t in range(trials)), 1)
         for t, check in enumerate(checks):
             rows.append([t, n, alpha, d, norm, "decomposition_holds",
                          int(check.holds)])

@@ -307,6 +307,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if not scan_is_exact(self.d, self.grid_resolution):
             declared_axis(self.T, self.grid_resolution)  # rejects fewer than 2 nodes
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,13 @@ def substream(master_seed: int, *path) -> np.random.Generator:
 def map_trials(trial, jobs, workers: int = 1) -> list:
     """``[trial(*job) for job in jobs]``, run by at most ``workers`` processes.
 
-    ``jobs`` is a list of argument tuples.  Each job derives its own
-    stream from the master seed and its key (``substream(seed, label,
-    ..., t)``), so the results are the same, in job order, whatever the
-    worker count or completion order.  With ``workers > 1``, ``trial``
-    must be a module-level function and the jobs must pickle.
+    ``jobs`` holds argument tuples.  Each job derives its own stream from
+    the master seed and its key (``substream(seed, label, ..., t)``), so
+    the results are the same, in job order, whatever the worker count or
+    completion order.  One worker takes the jobs in turn from any
+    iterable, so a generator may draw each job's sample as it is reached.
+    With ``workers > 1``, ``jobs`` is a list, ``trial`` a module-level
+    function, and the jobs must pickle.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")

@@ -284,17 +284,6 @@ class TestConverge:
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
-    def test_worker_counts_write_identical_bytes(self, tmp_path):
-        # each worker process keeps its own corner model grid per k
-        outs = [tmp_path / "w1", tmp_path / "w2"]
-        for workers, out in zip((1, 2), outs):
-            assert run(["converge", "--model", "logistic(2)", "--n", 3000,
-                        "--d", 2, "--k-schedule", "20,40,80", "--T", 2.0,
-                        "--trials", 5, "--seed", 8, "--workers", workers,
-                        "--out", out]) == 0
-        for name in ("trials.csv", "summary.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
     def test_cli_import_loads_no_process_pool(self):
         # only --workers > 1 needs the pool; --help probes and serial runs
         # should not pay for importing multiprocessing
@@ -633,10 +622,14 @@ class TestClassify:
 
 
 class TestWorkerCounts:
-    # small runs of the pooled commands besides converge (TestConverge has
-    # its own) and the data files each writes; no l2 norm, whose truths
-    # take a 10^7-row reference draw
+    # small runs of each command that takes --workers above 1, and the data
+    # files each writes
     CASES = {
+        # each worker process keeps its own corner model grid per k
+        "converge": (
+            ["converge", "--model", "logistic(2)", "--n", 3000, "--d", 2,
+             "--k-schedule", "20,40,80", "--T", 2.0, "--trials", 5, "--seed", 8],
+            ["trials.csv", "summary.csv"]),
         "rademacher-both-d2": (
             ["rademacher", "--model", "logistic(2)", "--n", 400, "--d", 2, "--k", 10,
              "--T", 2.0, "--statistic", "both", "--trials", 6, "--pairs", 2000,
@@ -645,17 +638,10 @@ class TestWorkerCounts:
             ["rademacher", "--model", "logistic(2)", "--n", 300, "--d", 3, "--k", 10,
              "--T", 2.0, "--trials", 5, "--grid-resolution", 6, "--seed", 4],
             ["rademacher.csv"]),
-        "classify-rate-linf": (
-            ["classify", "--mode", "rate", "--alpha", "0.1", "--n-alpha-grid", "50,100",
-             "--trials", 5, "--family-size", 6, "--seed", 13],
-            ["classify_trials.csv", "classify_summary.csv", "family.txt"]),
-        "classify-decomposition": (
-            ["classify", "--mode", "decomposition", "--n", 300, "--alpha", "0.1",
-             "--trials", 6, "--seed", 10], ["classify_trials.csv"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_one_and_two_workers_write_identical_bytes(self, tmp_path, case):
+    def test_worker_counts_write_identical_bytes(self, tmp_path, case):
         # every trial keys its own stream, so the pool's order cannot show
         args, names = self.CASES[case]
         outs = [tmp_path / "w1", tmp_path / "w2"]
@@ -725,6 +711,7 @@ class TestNoIgnoredOption:
         "estimate-workers": (ESTIMATE + ["--workers", 1], "--workers"),
         "bound-workers": (BOUND_VC + ["--workers", 1], "--workers"),
         "rademacher-workers-0": (RADEMACHER + ["--workers", 0], "--workers:"),
+        "classify-workers-2": (CLASSIFY_RATE + ["--workers", 2], "--workers"),
         "classify-workers-0": (CLASSIFY_RATE + ["--workers", 0], "--workers:"),
         "bound-stdf-n-grid": (BOUND_STDF + ["--n-grid", "1,2"], "--n-grid"),
         "bound-vc-k": (BOUND_VC + ["--k", 100], "--k"),
