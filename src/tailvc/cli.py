@@ -302,8 +302,8 @@ def cmd_simulate(o: dict, out: Path) -> tuple[list, dict]:
 def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     import numpy as np
 
-    from . import harness
-    from .empirical import build_ranks, jitter_columns, lattice_index, stdf_lattice_counts
+    from .empirical import (build_ranks, check_lattice_scan, jitter_columns,
+                            lattice_index, stdf_lattice_counts)
     from .reportio import LevelTable, read_sample_csv, write_csv
 
     k, T, stride = o["k"], o["T"], o["grid-stride"]
@@ -313,7 +313,7 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     if o["jitter-seed"] is not None:
         values = jitter_columns(values, o["jitter-seed"])
     state = build_ranks(values)
-    harness._check_lattice_scan(state, k, None, T, stride)  # no model to compare
+    check_lattice_scan(state, k, None, T, stride)  # no model to compare
     d, m_top, stride = state.d, int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
     counts = stdf_lattice_counts(state, [m_top] * d, stride)

@@ -17,6 +17,8 @@ per column it selects the top rows in O(n) and orders only those.
 l_n is computed one way: ``tail_order`` sorts and tie-checks each column
 once, ``tail_depths`` keeps the rows of the column tails with their
 depths, and the ``gridscan`` dominance walker counts them at each node.
+``check_lattice_scan`` holds every lattice scan's preconditions, the
+CLI's ``estimate`` and every scan of ``harness``.
 No full-sample rank is formed.  Ties are rejected rather than broken,
 because a tied value has no single rank for the count to compare.  All
 evaluators are pure and safe to call concurrently.
@@ -28,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, TiesError
-from .gridscan import count_strips
+from .errors import ConfigurationError, PreconditionError, TiesError
+from .gridscan import count_strips, scan_is_exact
+from .models import StdfModel
 from .samplers import Sample
 
 
@@ -157,6 +160,27 @@ def lattice_index(k: int, x) -> np.ndarray:
     up = np.ceil(kx)
     snap = (up - kx) <= 1e-9 * np.maximum(1.0, np.abs(kx))
     return np.where(snap, up, m).astype(np.int64)
+
+
+def check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,
+                       T: float, grid) -> bool:
+    """The preconditions of a lattice scan of ``state``, then ``scan_is_exact``.
+
+    ``grid`` is the declared grid (a resolution or a lattice stride) or
+    None; ``model`` is None when no l is compared (the CLI surface).
+    """
+    n, d = state.n, state.d
+    if model is not None and model.d != d:
+        raise ConfigurationError(
+            f"model dimension {model.d} does not match sample dimension {d}"
+        )
+    if not 0 < T < np.inf:
+        raise PreconditionError(f"T must be finite and > 0, got {T}")
+    if k * T > n:
+        raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
+    return scan_is_exact(d, grid)
 
 
 def tail_depths(ranks: TailOrder, mmax) -> np.ndarray:

@@ -35,7 +35,8 @@ The d <= 2 signed scan (``sup_signed_count``) needs only the largest
 and smallest node of the grid, so it never builds a strip: it splits
 axis 1 into blocks of about sqrt(m) columns and reads each block's
 extremes off the few distinct profiles its points allow, in integer
-arithmetic, in O(n + m^1.5) time and memory.
+arithmetic, in O(n + m^1.5) time and, with one row per axis-1 bucket
+below the top, O(n + m) memory.
 
 The lattice scan reads the reference, l at the cell corners, from a
 ``CornerGrid``, which evaluates it a strip of rows or a batch of small
@@ -587,8 +588,11 @@ def _signed_dominance_range(
     the rows inside it, whose profile along the block changes only at
     the K_c distinct axis-0 buckets of those rows.  The extremes of the
     K_c + 1 profiles give every axis-0 row's extremes in the block, in
-    O(n + m0 nb + sum_c K_c B) integer work and O(n + m0 B) memory: one
-    block's profiles hold up to min(rows, m0) + 1 levels by B columns.
+    O(n + m0 nb + sum_c K_c B) integer work.  Rows in the top axis-1
+    bucket count at every axis-1 node, so they start in the histogram of
+    rows to the right and are no block's rows.  Memory is then
+    O(n + m0 + m1) when each lower axis-1 bucket holds one row (K_c <= B);
+    repeated coordinates can stack rows in one bucket, up to O(n + m0 B).
     """
     d = points.shape[1]
     # one comparison per column: a reduction along the short axis 1 is slower
@@ -606,9 +610,13 @@ def _signed_dominance_range(
 
     width = math.isqrt(m1 - 1) + 1
     nblocks = -(-m1 // width)
-    edges = np.searchsorted(b1, np.arange(nblocks + 1) * width)
+    # rows in the top axis-1 bucket count at every axis-1 node: they start
+    # in ``beyond``, so the last block's profiles hold only its other rows
+    top = np.searchsorted(b1, m1 - 1)
+    edges = np.minimum(np.searchsorted(b1, np.arange(nblocks + 1) * width), top)
     rows = np.arange(m0)
     beyond = np.zeros(m0, dtype=np.int64)  # rows right of block c, by b0
+    np.add.at(beyond, b0[top:], signs[top:])
     lows = np.empty(nblocks, dtype=np.int64)
     highs = np.empty(nblocks, dtype=np.int64)
     for c in reversed(range(nblocks)):

@@ -12,9 +12,8 @@ exact for d <= 2.  For d >= 3 a declared grid is scanned
 instead and an explicit slack is reported.  The decomposition check
 reads the same count strips, corner grid rows and cell-corner reducer,
 one strip at a time, and never builds the lattice.
-``_check_lattice_scan`` holds every lattice scan's preconditions, the
-CLI's ``estimate`` included.  The rate experiment keys every trial by
-(k, trial) and runs them through ``rng.map_trials``.
+The rate experiment keys every trial by (k, trial) and runs them through
+``rng.map_trials``.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import numpy as np
 from .empirical import (
     TailOrder,
     build_ranks,
+    check_lattice_scan,
     lattice_index,
     tail_depths,
     tail_order,
@@ -109,27 +109,6 @@ def _corner_model_grids(model: StdfModel, k: int, T: float,
     return entry[1]
 
 
-def _check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,
-                        T: float, grid) -> bool:
-    """The preconditions of a lattice scan of ``state``, then ``scan_is_exact``.
-
-    ``grid`` is the declared grid (a resolution or a lattice stride) or
-    None; ``model`` is None when no l is compared (the CLI surface).
-    """
-    n, d = state.n, state.d
-    if model is not None and model.d != d:
-        raise ConfigurationError(
-            f"model dimension {model.d} does not match sample dimension {d}"
-        )
-    if not 0 < T < math.inf:
-        raise PreconditionError(f"T must be finite and > 0, got {T}")
-    if k * T > n:
-        raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
-    if not 1 <= k <= n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
-    return scan_is_exact(d, grid)
-
-
 def sup_stdf_deviation(
     sample,
     k: int,
@@ -147,7 +126,7 @@ def sup_stdf_deviation(
     its own.
     """
     state = sample if isinstance(sample, TailOrder) else build_ranks(sample)
-    d, exact = state.d, _check_lattice_scan(state, k, model, T, grid_resolution)
+    d, exact = state.d, check_lattice_scan(state, k, model, T, grid_resolution)
 
     # only the column tails can count: l_n(m/k) = (U - #{tail rows with
     # depth > m}) / k on the lattice, none above floor(k T)
@@ -235,7 +214,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     n, d = state.n, state.d
     if n and np.isnan(state.sorted_cols[:, -1]).any():  # NaN sorts last
         raise PreconditionError("the sample must not contain NaN")
-    _check_lattice_scan(state, k, model, T, None)
+    check_lattice_scan(state, k, model, T, None)
     m_top = int(lattice_index(k, T))
 
     # the m-th smallest U of each column, m = 0..m_top: fl(1 - x) is

@@ -23,11 +23,11 @@ import numpy as np
 
 from csv_text import read_csv
 from rank_oracles import exceedance_count, standardize
-from tailvc import apply_margins, draw_copula_sample, parse_model
 from tailvc.cli import main
 from tailvc.empirical import build_ranks
+from tailvc.models import parse_model
 from tailvc.reportio import read_manifest
-from tailvc.samplers import Sample
+from tailvc.samplers import Sample, apply_margins, draw_copula_sample
 
 
 def _criterion(num, name, ok, detail):

@@ -1,9 +1,9 @@
-"""Module boundaries: only ``gridscan`` reads ``gridscan``'s private names,
-every function the benchmark tracer wraps exists, the tracer can rebind
-every alias of them and sees a command's calls, ``--help`` loads no numpy
-and a command only its own modules, one function owns the d >= 3 scan
-rule, no production path reads a ``TailOrder``'s ranks, the package
-resolves each export from its module, and every export has a reader."""
+"""Module boundaries: no module reads another module's private names or
+imports a library name from the package root, every function the
+benchmark tracer wraps exists, the tracer can rebind every alias of them
+and sees a command's calls, ``--help`` loads no numpy and a command only
+its own modules, one function owns the d >= 3 scan rule, no production
+path reads a ``TailOrder``'s ranks, and every public name has a reader."""
 
 import ast
 import importlib
@@ -15,7 +15,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType, SimpleNamespace
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,62 +28,106 @@ from tailvc.rng import substream
 from tailvc.samplers import draw_copula_sample
 
 PACKAGE = Path(tailvc.__file__).parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def private_gridscan_reads(source: str) -> list[str]:
-    """Every underscore-prefixed ``gridscan`` name the source imports or reads.
+def private_reads(source: str, own: str) -> list[str]:
+    """Every ``module._name`` the source imports or reads from a ``tailvc``
+    module other than ``own``.
 
-    Covers ``from .gridscan import _x`` (relative or absolute), and
-    attribute reads ``g._x`` where ``g`` is bound to the module by
-    ``from . import gridscan [as g]`` or ``import tailvc.gridscan as g``,
-    and ``tailvc.gridscan._x``.
+    Covers ``from .m import _x`` (relative or absolute), and attribute
+    reads ``g._x`` where ``g`` is bound to the module by
+    ``from . import m [as g]`` or ``import tailvc.m as g``, and
+    ``tailvc.m._x``. Dunder names are not private.
     """
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
     tree = ast.parse(source)
-    aliases, found = set(), []
+    aliases, found = {}, []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if module.split(".")[-1] == "gridscan":
-                found += [a.name for a in node.names if a.name.startswith("_")]
-            elif module in ("", "tailvc"):
-                aliases |= {a.asname or a.name for a in node.names
-                            if a.name == "gridscan"}
+            if module in ("", "tailvc"):
+                aliases |= {a.asname or a.name: a.name for a in node.names
+                            if a.name in MODULES}
+            elif module.split(".")[-1] in MODULES:
+                found += [f"{module.split('.')[-1]}.{a.name}" for a in node.names
+                          if private(a.name)]
         elif isinstance(node, ast.Import):
-            aliases |= {a.asname for a in node.names
-                        if a.name == "tailvc.gridscan" and a.asname}
+            aliases |= {a.asname: a.name.split(".")[1] for a in node.names
+                        if a.asname and a.name.startswith("tailvc.")}
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+        if not (isinstance(node, ast.Attribute) and private(node.attr)):
             continue
         owner = node.value
         if isinstance(owner, ast.Name) and owner.id in aliases:
-            found.append(node.attr)
-        elif (isinstance(owner, ast.Attribute) and owner.attr == "gridscan"
+            found.append(f"{aliases[owner.id]}.{node.attr}")
+        elif (isinstance(owner, ast.Attribute) and owner.attr in MODULES
               and isinstance(owner.value, ast.Name) and owner.value.id == "tailvc"):
-            found.append(node.attr)
-    return found
+            found.append(f"{owner.attr}.{node.attr}")
+    return [name for name in found if name.split(".")[0] != own]
 
 
 @pytest.mark.parametrize("source,names", [
-    ("from .gridscan import _dominance_strips, suffix_sums", ["_dominance_strips"]),
-    ("from tailvc.gridscan import _STRIP_BYTES as b", ["_STRIP_BYTES"]),
-    ("from . import gridscan\nx = gridscan._STRIP_BYTES", ["_STRIP_BYTES"]),
-    ("from . import gridscan as g\ng._cell_corner_max(a, b)", ["_cell_corner_max"]),
-    ("import tailvc.gridscan as g\ng._corner_scan", ["_corner_scan"]),
-    ("import tailvc.gridscan\ntailvc.gridscan._check_points(z)", ["_check_points"]),
+    ("from .gridscan import _dominance_strips, suffix_sums",
+     ["gridscan._dominance_strips"]),
+    ("from tailvc.gridscan import _STRIP_BYTES as b", ["gridscan._STRIP_BYTES"]),
+    ("from . import gridscan\nx = gridscan._STRIP_BYTES", ["gridscan._STRIP_BYTES"]),
+    ("from . import gridscan as g\ng._cell_corner_max(a, b)",
+     ["gridscan._cell_corner_max"]),
+    ("import tailvc.gridscan as g\ng._corner_scan", ["gridscan._corner_scan"]),
+    ("import tailvc.gridscan\ntailvc.gridscan._check_points(z)",
+     ["gridscan._check_points"]),
     ("from . import gridscan\ngridscan.count_strips(p, a, 1.0)", []),
-    ("from . import models\nmodels._check_point(m, x)", []),
+    ("from . import models\nmodels._check_point(m, x)", ["models._check_point"]),
+    ("from . import harness\nharness._check_lattice_scan(s)",
+     ["harness._check_lattice_scan"]),
+    ("from .cli import _options\n_options(n, a, c)", []),  # its own module
+    ("from . import models\nx = models.__name__", []),
 ])
 def test_detector(source, names):
-    assert private_gridscan_reads(source) == names
+    assert private_reads(source, own="cli") == names
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "gridscan.py"))
-def test_no_module_reads_gridscan_privates(path):
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_another_modules_privates(path):
     source = (PACKAGE / path).read_text(encoding="utf-8")
-    assert private_gridscan_reads(source) == []
+    assert private_reads(source, own=Path(path).stem) == []
+
+
+def root_imports(source: str) -> list[str]:
+    """Every name the source imports from the package root that is not a
+    submodule or ``__version__``: ``from tailvc import x``, and ``from . import
+    x`` inside the package."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module, node.level) in (("tailvc", 0), (None, 1))
+            for a in node.names if a.name not in (*MODULES, "__version__")]
+
+
+@pytest.mark.parametrize("source,names", [
+    ("from tailvc import build_ranks, gridscan", ["build_ranks"]),
+    ("from . import __version__, harness", []),
+    ("from . import TailvcError as E", ["TailvcError"]),
+    ("def f():\n    from tailvc import draw_sample", ["draw_sample"]),
+    ("from tailvc.empirical import build_ranks\nimport tailvc", []),
+    ("from .models import parse_model", []),
+])
+def test_root_import_detector(source, names):
+    assert root_imports(source) == names
+
+
+def test_no_file_imports_a_library_name_from_the_package_root():
+    # each name has one import path: its defining module
+    found = {str(path.relative_to(ROOT)): names
+             for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             if (names := root_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 def traced_layers() -> dict[str, list[str]]:
@@ -195,8 +239,12 @@ POOL = "concurrent.futures.process"
       "--seed", 1], {"tailvc.concentration", POOL}),
     (["classify", "--mode", "decomposition", "--n", 300, "--trials", 2, "--seed", 1],
      {"tailvc.concentration", POOL}),
-], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition"])
+    (["estimate", "--data", "x.csv", "--k", 5, "--T", 2.0],
+     {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL}),
+], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition", "estimate"])
 def test_a_command_imports_only_its_modules(args, skipped, tmp_path):
+    (tmp_path / "x.csv").write_text("x1,x2\n" + "".join(f"{i},{7 * i % 50}\n"
+                                                        for i in range(50)))
     done, imported = fresh_run(args + ["--out", tmp_path / "o"], tmp_path)
     assert done.returncode == 0, done.stderr
     assert {"numpy", "tailvc.reportio"} <= imported  # the run did its work
@@ -351,33 +399,58 @@ def library_references() -> set[str]:
     return found
 
 
-def test_every_export_has_a_reader():
-    # an exported name is read by the library, wrapped by the benchmark
-    # tracer, or listed in README with the paper object or test it serves
+def public_names(source: str) -> set[str]:
+    """The public names a module defines at top level: its classes,
+    functions and assigned names that do not start with ``_``."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            found |= {node.id for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)}
+    return {name for name in found if not name.startswith("_")}
+
+
+def test_public_names_detector():
+    source = ("import numpy as np\nfrom .errors import DataError\nA, _B = 1, 2\n"
+              "C: int = 3\n_D = 4\ndef f(): pass\nclass G:\n    h = 5\n"
+              "def _i(): pass\n")
+    assert public_names(source) == {"A", "C", "f", "G"}
+
+
+def dispatched_commands() -> set[str]:
+    """The ``cmd_<subcommand>`` functions ``cli.main`` looks up by name."""
+    if 'globals()[f"cmd_{name}"]' not in inspect.getsource(cli.main):
+        return set()
+    return {f"cmd_{sub}" for sub in SUBCOMMANDS}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_reader(module):
+    # a public name is read elsewhere in the library, wrapped by the
+    # benchmark tracer, listed in README with the paper object or test it
+    # serves, or a subcommand that ``main`` dispatches by name
     listed = readme_section("Library layout").split(
         "Public names that no subcommand reaches", 1)[1].split("\n\n", 2)[1]
-    traced = {fn for fns in traced_layers().values() for fn in fns}
-    unread = set(tailvc.__all__) - library_references() - traced - backticked_names(listed)
+    traced = {fn.split(".")[0] for fns in traced_layers().values() for fn in fns}
+    names = public_names((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert names  # the detector sees the module's definitions
+    unread = (names - library_references() - traced - backticked_names(listed)
+              - dispatched_commands())
     assert sorted(unread) == []
 
 
-def test_readme_library_layout_names_every_export():
-    named = backticked_names(readme_section("Library layout"))
-    # the package namespace holds only ``__version__`` until a name is used
-    assert set(tailvc.__all__) > {"build_ranks", "ConfigurationError", "substream"}
-    assert sorted(set(tailvc.__all__) - named) == []
-
-
-def test_lazy_package_api():
-    for name in tailvc.__all__:
-        value = getattr(tailvc, name)
-        assert not isinstance(value, ModuleType)
-        assert value.__module__.startswith("tailvc.")
-        assert value is getattr(sys.modules[value.__module__], name)
-    assert set(dir(tailvc)) >= set(tailvc.__all__) | {"__version__"}
-    # ``from . import <submodule>`` imports the submodule only on this error
-    with pytest.raises(AttributeError, match="no_such_name"):
-        tailvc.no_such_name
-    namespace: dict = {}
-    exec("from tailvc import *", namespace)
-    assert sorted(set(namespace) - {"__builtins__"}) == sorted(tailvc.__all__)
+def test_readme_names_exist_in_their_modules():
+    # "Public names, by module": each ``- `module`: `name`, ...`` entry (and
+    # a `` `module`: `` inside one) lists names that module defines
+    layout = readme_section("Library layout").split("Public names, by module", 1)[1]
+    layout = layout.split("Public names that no subcommand reaches", 1)[0]
+    listed = {}
+    for module, names in re.findall(r"`(\w+)`: (.*?)(?=`\w+`: |\Z)", layout, re.S):
+        listed[module] = backticked_names(names)
+    assert "build_ranks" in listed["empirical"] and set(listed) <= set(MODULES)
+    missing = {f"{module}.{name}" for module, names in listed.items() for name in names
+               if not hasattr(importlib.import_module(f"tailvc.{module}"), name)}
+    assert sorted(missing) == []

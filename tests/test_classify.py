@@ -9,30 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailvc.classify as classify_mod
-from tailvc import (
+from tailvc.classify import (
     AxisClassifier,
     ClassifierFamily,
-    ConfigurationError,
-    DataError,
     ExplicitRegion,
     LabeledGenerator,
     LabeledSample,
-    PreconditionError,
     QuantileRegion,
+    _family_empirical_risks,
+    _family_true_risks,
     axis_threshold_family,
     empirical_conditional_risk,
     erm,
-    independence,
+    feature_norm,
     rate_experiment_classification,
     risk_decomposition_check,
+    sup_norm_tail_quantile,
     true_conditional_risk,
 )
-from tailvc.classify import (
-    _family_empirical_risks,
-    _family_true_risks,
-    feature_norm,
-    sup_norm_tail_quantile,
-)
+from tailvc.errors import ConfigurationError, DataError, PreconditionError
+from tailvc.models import independence
 from tailvc.rng import substream
 
 

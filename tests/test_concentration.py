@@ -6,22 +6,20 @@ import numpy as np
 import pytest
 
 from tailvc import concentration
-from tailvc import (
+from tailvc.concentration import (
     BoundParams,
-    ConfigurationError,
-    PreconditionError,
     RectClassSpec,
-    TailvcError,
     bound_comparison,
     classical_vc_bound,
     low_mass_vc_bound,
     pair_separation_complexity,
-    parse_model,
     relative_rademacher,
     simplified_vc_bound,
     sup_empirical_deviation,
     union_mass,
 )
+from tailvc.errors import ConfigurationError, PreconditionError, TailvcError
+from tailvc.models import parse_model
 from tailvc.rng import substream
 from tailvc.samplers import draw_tail_uniforms
 from traced_memory import traced_peak
@@ -284,8 +282,6 @@ class TestDeviationCoverage:
     def test_calibrated_bound_covers_fresh_trials(self):
         # calibrate the constant on a pilot seed, freeze it, then check that
         # at least 1 - delta of 500 fresh trials sit under the bound
-        import tailvc
-
         cls = RectClassSpec(d=2, k=40, n=2000, T=2.0)
         model = parse_model("independence", 2)
         p = union_mass(cls, model)

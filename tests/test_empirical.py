@@ -16,29 +16,27 @@ from rank_oracles import (
     standardize,
     tail_event_count,
 )
-from tailvc import (
-    PreconditionError,
-    Sample,
-    TiesError,
-    apply_margins,
-    build_ranks,
-    comonotone,
-    draw_copula_sample,
-    draw_sample,
-    empirical_stdf_lattice,
-    independence,
-    lattice_index,
-    parse_model,
-)
 from tailvc.empirical import (
     TailOrder,
+    build_ranks,
+    empirical_stdf_lattice,
+    lattice_index,
     stdf_lattice_counts,
     tail_depths,
     tail_order,
 )
+from tailvc.errors import PreconditionError, TiesError
 from tailvc.gridscan import dominance_weight_grid
+from tailvc.models import comonotone, independence, parse_model
 from tailvc.rng import substream
-from tailvc.samplers import GeneratorSpec, parse_margin
+from tailvc.samplers import (
+    GeneratorSpec,
+    Sample,
+    apply_margins,
+    draw_copula_sample,
+    draw_sample,
+    parse_margin,
+)
 
 
 def antimonotone_sample():

@@ -35,6 +35,7 @@ from tailvc.models import (
 )
 from tailvc.rng import substream
 from tailvc.samplers import draw_copula_sample, draw_tail_uniforms
+from traced_memory import traced_peak
 
 
 def dense_dominance_grid(points, weights, axes, strict):
@@ -267,6 +268,17 @@ class TestSupSignedCount:
         assert len(masks) == 1
         assert masks[0].dtype == bool and masks[0].tolist() == want.tolist()
         assert want.any() and not want.all()
+
+    def test_top_axis1_bucket_starts_in_the_running_sum(self):
+        # about kT = 16,000 breakpoints per axis; the rows above the box on
+        # axis 1 alone count at every axis-1 node and are no block's rows,
+        # so no profile holds m0 levels by ceil(sqrt(m1)) columns (15 MiB)
+        n, edge = 200_000, 8000 / 200_000 * 2.0
+        rng = np.random.default_rng(8000)
+        z = rng.random((n, 2))
+        signs = rng.integers(0, 2, n) * 2 - 1
+        peak, _ = traced_peak(sup_signed_count, z, signs, np.full(2, edge))
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("m1", [1, 2, 15, 16, 17, 21, 24, 25, 26, 101])
     def test_block_edges(self, m1):

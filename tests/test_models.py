@@ -5,20 +5,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from tailvc import (
-    ConfigurationError,
-    PreconditionError,
+from tailvc import gridscan, models
+from tailvc.errors import ConfigurationError, PreconditionError
+from tailvc.models import (
     comonotone,
     eval_stdf,
+    eval_stdf_axes,
     independence,
     logistic,
     parse_model,
     pre_limit_tail,
     sup_bias,
     tail_union_prob,
+    tail_union_prob_axes,
 )
-from tailvc import gridscan, models
-from tailvc.models import eval_stdf_axes, tail_union_prob_axes
 from tailvc.rng import substream
 from traced_memory import traced_peak
 
@@ -89,7 +89,7 @@ class TestPreLimit:
         assert abs(analytic - np.sqrt(2)) < 5e-3
         assert abs(pre_limit_tail(m, 0.001, [1, 1]) - np.sqrt(2)) < 1e-3
         # frequency oracle for the same probability
-        from tailvc import draw_copula_sample
+        from tailvc.samplers import draw_copula_sample
 
         rng = substream(2024, "prelimit-mc")
         u = 1.0 - draw_copula_sample(m, 10_000_000, rng)

@@ -11,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from csv_text import read_csv
 from traced_memory import traced_peak
-from tailvc import (DataError, GeneratorSpec, Sample, __version__, draw_sample,
-                    independence)
-from tailvc import reportio
+from tailvc import __version__, reportio
+from tailvc.errors import DataError
+from tailvc.models import independence
 from tailvc.reportio import (
     LevelTable,
     read_manifest,
@@ -22,6 +22,7 @@ from tailvc.reportio import (
     write_manifest,
     write_sample_csv,
 )
+from tailvc.samplers import GeneratorSpec, Sample, draw_sample
 
 
 class TestSampleCsv:

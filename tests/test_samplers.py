@@ -7,21 +7,18 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from tailvc import (
-    ConfigurationError,
+from tailvc.errors import ConfigurationError
+from tailvc.models import comonotone, independence, logistic, parse_model
+from tailvc.rng import substream
+from tailvc.samplers import (
     GeneratorSpec,
     Sample,
     apply_margins,
-    comonotone,
     draw_copula_sample,
     draw_sample,
-    independence,
-    logistic,
+    draw_tail_uniforms,
     parse_margin,
-    parse_model,
 )
-from tailvc.rng import substream
-from tailvc.samplers import draw_tail_uniforms
 from traced_memory import traced_peak
 
 
