@@ -14,9 +14,13 @@ Over [0, T]^d the estimator therefore depends only on the floor(k T)
 largest values of each column, and the lattice kernel reads nothing else:
 per column it selects the top rows in O(n) and orders only those.
 
-l_n is computed one way: ``tail_order`` sorts and tie-checks each column
-once, ``tail_depths`` keeps the rows of the column tails with their
-depths, and the ``gridscan`` dominance walker counts them at each node.
+l_n is computed one way: a tail state gives each column's top rows,
+``tail_depths`` keeps the rows of the column tails with their depths, and
+the ``gridscan`` dominance walker counts them at each node.  There are
+two tail states.  ``tail_order`` sorts and tie-checks each column in
+full (``estimate``, the decomposition, raw values); ``column_tails``
+selects and tie-checks only each column's m largest values (a
+``converge`` trial).
 ``check_lattice_scan`` holds every lattice scan's preconditions, the
 CLI's ``estimate`` and every scan of ``harness``.
 No full-sample rank is formed.  Ties are rejected rather than broken,
@@ -57,10 +61,9 @@ class TailOrder:
     def d(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def order_stats(self) -> np.ndarray:
-        """n x d ascending columns: a transposed view of ``sorted_cols``."""
-        return self.sorted_cols.T
+    def nth_largest(self, m: int) -> np.ndarray:
+        """The m-th largest value of each column (NaN above every number)."""
+        return self.sorted_cols[:, self.n - m]
 
     def top_rows(self, j: int, m: int) -> np.ndarray:
         """Rows of the m largest values of column j, largest first.
@@ -80,6 +83,76 @@ class TailOrder:
         rows = np.flatnonzero(col >= ordered[self.n - m])
         rows = rows[np.argsort(col[rows])[::-1]]
         return np.concatenate((nan_rows[::-1], rows))
+
+
+@dataclass(frozen=True)
+class ColumnTails:
+    """Each column's m largest values of an n-row sample, and their rows.
+
+    ``rows[j]`` and ``values[j]`` run largest first, in the order of the
+    last m entries of ``np.argsort(x[:, j], kind="stable")`` reversed, as
+    ``TailOrder.top_rows``.  Built by ``column_tails``; it reads as a
+    ``TailOrder`` does for ``tail_depths`` and the order-statistic event,
+    up to depth m.
+    """
+
+    n: int
+    rows: tuple
+    values: tuple
+
+    @property
+    def d(self) -> int:
+        return len(self.rows)
+
+    def top_rows(self, j: int, m: int) -> np.ndarray:
+        """Rows of the m largest values of column j, largest first."""
+        if m > self.rows[j].size:
+            raise PreconditionError(
+                f"column tail holds {self.rows[j].size} rows, {m} were asked for")
+        return self.rows[j][:m]
+
+    def nth_largest(self, m: int) -> np.ndarray:
+        """The m-th largest value of each column (NaN above every number)."""
+        return np.array([v[m - 1] for v in self.values])
+
+
+def column_tails(x, m: int, rows=None, n: int | None = None) -> ColumnTails:
+    """Each column's m largest values of a sample, checked for ties among them.
+
+    ``x`` is c x d.  Without ``rows`` it is the whole sample.  With
+    ``rows``, ascending row indices of a sample of ``n`` rows (c by
+    default), x holds those rows, and they must include every row holding
+    one of a column's m largest values, as ``samplers.draw_copula_tail``'s
+    rows do.  Per column: an O(c)
+    selection against the m-th largest value, then a sort of the selected
+    rows only.  A tie among a column's m largest values raises TiesError
+    with the first such column and the first two rows holding its
+    smallest tied value; ties below them are not looked for.  NaN never
+    ties; -0.0 ties 0.0.
+    """
+    x = _values_of(x)
+    c, d = x.shape
+    n = c if n is None else n
+    top = min(m, c)
+    tops, values = [], []
+    for j in range(d):
+        col = x[:, j]
+        if top < c:
+            thr = np.partition(col, c - top)[c - top]
+            # NaN sorts last, so NaNs are the top of the column: a NaN
+            # threshold selects every row
+            sel = np.flatnonzero(~(col < thr))
+        else:
+            sel = np.arange(c)
+        order = sel[np.argsort(col[sel], kind="stable")[::-1][:top]]
+        vals = col[order]
+        tied = np.flatnonzero(vals[1:] == vals[:-1])
+        if tied.size:
+            held = np.flatnonzero(col == vals[tied[-1]])[:2]
+            raise TiesError(column=j, rows=held if rows is None else rows[held])
+        tops.append(order if rows is None else rows[order])
+        values.append(vals)
+    return ColumnTails(n=n, rows=tuple(tops), values=tuple(values))
 
 
 def _values_of(sample) -> np.ndarray:
@@ -162,7 +235,7 @@ def lattice_index(k: int, x) -> np.ndarray:
     return np.where(snap, up, m).astype(np.int64)
 
 
-def check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,
+def check_lattice_scan(state: TailOrder | ColumnTails, k: int, model: StdfModel | None,
                        T: float, grid) -> bool:
     """The preconditions of a lattice scan of ``state``, then ``scan_is_exact``.
 
@@ -183,7 +256,7 @@ def check_lattice_scan(state: TailOrder, k: int, model: StdfModel | None,
     return scan_is_exact(d, grid)
 
 
-def tail_depths(ranks: TailOrder, mmax) -> np.ndarray:
+def tail_depths(ranks: TailOrder | ColumnTails, mmax) -> np.ndarray:
     """Per-column depths of the rows in some column's top mmax_j.
 
     Returns an int64 U x d matrix, one row per member of the union of the

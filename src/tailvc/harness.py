@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import (
+    ColumnTails,
     TailOrder,
     build_ranks,
     check_lattice_scan,
+    column_tails,
     lattice_index,
     tail_depths,
     tail_order,
@@ -41,7 +43,7 @@ from .models import (
     tail_union_prob_axes,
 )
 from .rng import map_trials, substream
-from .samplers import draw_copula_sample
+from .samplers import draw_copula_tail
 
 
 def stdf_deviation_bound(
@@ -118,14 +120,16 @@ def sup_stdf_deviation(
 ) -> SupEstimate:
     """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
 
-    ``sample`` is a TailOrder or raw values, which get one through
-    ``build_ranks``.  Both paths read only the floor(k T) largest values
-    of each column, never the ranks.
+    ``sample`` is a TailOrder, a ColumnTails at least floor(k T) deep, or
+    raw values, which get a TailOrder through ``build_ranks``.  Both paths
+    read only the floor(k T) largest values of each column, never the
+    ranks.
     The exact path is one ``gridscan.lattice_corner_max`` call against
     the kept corner grid and never holds a (floor(k T) + 1)^d grid of
     its own.
     """
-    state = sample if isinstance(sample, TailOrder) else build_ranks(sample)
+    state = (sample if isinstance(sample, (TailOrder, ColumnTails))
+             else build_ranks(sample))
     d, exact = state.d, check_lattice_scan(state, k, model, T, grid_resolution)
 
     # only the column tails can count: l_n(m/k) = (U - #{tail rows with
@@ -171,17 +175,17 @@ def check_order_stat_event(u, k: int, T: float) -> bool:
     return _event_holds(thr, n, k, T)
 
 
-def _order_stat_event(order_stats: np.ndarray, k: int, T: float) -> bool:
-    """check_order_stat_event(1.0 - x, k, T) from x's ascending order statistics.
+def _order_stat_event(state, k: int, T: float) -> bool:
+    """check_order_stat_event(1.0 - x, k, T) from x's column tails.
 
-    ``order_stats`` is n x d with each column of x sorted ascending.
+    ``state`` is x's TailOrder or a ColumnTails at least floor(k T) deep.
     fl(1 - x) is non-increasing in x, so the m-th smallest of 1 - x is
     1 - (the m-th largest x).  NaN sorts last on both sides and breaks
     that mirror, so x must be NaN-free, as every copula sample is.
     """
-    n = order_stats.shape[0]
+    n = state.n
     m = _order_stat_index(n, k, T)
-    return _event_holds(1.0 - order_stats[n - m], n, k, T)
+    return _event_holds(1.0 - state.nth_largest(m), n, k, T)
 
 
 @dataclass(frozen=True)
@@ -347,18 +351,21 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
 
 def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
                seed: int, trial: int, grid_resolution) -> TrialRecord:
+    """One keyed trial, reading only each column's floor(k T) + 1 largest values.
+
+    Only a tie among those values fails the trial: they are all that the
+    deviation and the event read, the (floor(k T) + 1)-th because a tie
+    with it would leave the floor(k T)-th without a single rank.
+    """
     rng = substream(seed, "rate", k, trial)
-    x = draw_copula_sample(model, n, rng)
+    m_top = int(lattice_index(k, T))
+    rows, x = draw_copula_tail(model, n, m_top + 1, rng)
     try:
-        state = tail_order(x)
+        tails = column_tails(x, m_top + 1, rows, n)
     except TiesError as exc:  # abort this trial but report it
         return TrialRecord(k, trial, float("nan"), None, ok=False, note=str(exc))
-    dev = sup_stdf_deviation(state, k, model, T, grid_resolution)
-    event = (
-        _order_stat_event(state.order_stats, k, T)
-        if int(lattice_index(k, T)) >= 1
-        else None
-    )
+    dev = sup_stdf_deviation(tails, k, model, T, grid_resolution)
+    event = _order_stat_event(tails, k, T) if m_top >= 1 else None
     return TrialRecord(k, trial, dev.value, event, ok=True)
 
 

@@ -35,8 +35,9 @@ from .errors import DataError
 from .samplers import Sample
 
 # values per CSV block: a written block holds max(1, _BLOCK_VALUES // width)
-# rows, and a read block the text of _BLOCK_VALUES values at repr's longest
-# (24 characters, as in -2.2250738585072014e-308) and their separators
+# rows, and a read block the text of _BLOCK_VALUES // 4 values at repr's
+# longest (24 characters, as in -2.2250738585072014e-308) and their
+# separators; a read holds a few copies of a block's text beside the sample
 _BLOCK_VALUES = 1 << 14
 
 # the characters of a sample CSV body as repr and the writer make it; only
@@ -180,8 +181,8 @@ def _parse_repr_block(text: str, width: int) -> np.ndarray | None:
     if not text.isascii():
         return None
     data = text.encode("ascii")
-    if data.translate(None, _REPR_BYTES) or not data.strip(b"\n"):
-        return None  # other characters, or no rows (np.loadtxt would warn)
+    if data.translate(None, _REPR_BYTES) or data.isspace():
+        return None  # other characters, or only line breaks (np.loadtxt would warn)
     try:
         # a line at a time off the bytes, not a list of every line
         block = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, ndmin=2,
@@ -193,6 +194,46 @@ def _parse_repr_block(text: str, width: int) -> np.ndarray | None:
     return block
 
 
+def _line_bound(path) -> int:
+    """An upper bound on the data rows of ``path``: one more than its line
+    breaks under universal newlines (\\n, \\r and \\r\\n), counted on
+    the bytes.  A \\r\\n split between two chunks counts twice."""
+    lines = 1
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return lines
+
+
+class _RowArray:
+    """Float rows written into one array as they are parsed.
+
+    The array is sized from ``bound`` when the first block gives its
+    width, grown in place if a block does not fit (a line break that
+    ``str.splitlines`` knows and the bound does not), and cut to the rows
+    written in place at the end, so the rows are held once.
+    """
+
+    def __init__(self, bound: int):
+        self.bound, self.values, self.filled = bound, None, 0
+
+    def add(self, block: np.ndarray) -> None:
+        end = self.filled + len(block)
+        if self.values is None:
+            self.values = np.empty((max(self.bound, end), block.shape[1]))
+        elif end > len(self.values):
+            self.values.resize((max(end, 2 * len(self.values)), block.shape[1]),
+                               refcheck=False)
+        self.values[self.filled:end] = block
+        self.filled = end
+
+    def result(self) -> np.ndarray:
+        self.values.resize((self.filled, self.values.shape[1]), refcheck=False)
+        return self.values
+
+
 def read_sample_csv(path) -> Sample:
     """Read a sample CSV; the first malformed line, in file order, is reported.
 
@@ -202,17 +243,20 @@ def read_sample_csv(path) -> Sample:
     block by block, so a malformed line is reported before bytes in a
     later block that are not UTF-8.  The file is read a line at a time up
     to the first data line, which sets the width, and then in blocks of
-    25 * _BLOCK_VALUES characters and the rest of the line they end in.
+    25 * _BLOCK_VALUES // 4 characters and the rest of the line they end in.
     A block is parsed in C where ``_parse_repr_block`` can; any other
     block of lines is parsed in one ``float()`` pass, and only a block
-    that fails is rescanned line by line to name the line.
+    that fails is rescanned line by line to name the line.  Each block is
+    written into one array sized from the file's line count, so the
+    sample is held once.
     """
-    blocks, width, seen = [], None, 0  # seen: non-blank lines read
-    chars = 25 * _BLOCK_VALUES
+    width, seen = None, 0  # seen: non-blank lines read
+    chars = 25 * _BLOCK_VALUES // 4
     with _reading(path), open(path, encoding="utf-8") as f:
+        rows = _RowArray(_line_bound(path))
         while text := f.readline() if width is None else f.read(chars) + f.readline():
             if width is not None and (block := _parse_repr_block(text, width)) is not None:
-                blocks.append(block)
+                rows.add(block)
                 seen += len(block)
                 continue
             lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -243,12 +287,12 @@ def read_sample_csv(path) -> Sample:
             if end < len(body):
                 raise DataError(f"{path}: line {first + end} has {commas[end] + 1} "
                                 f"fields, expected {width}")
-            blocks.append(block.reshape(end, width))
+            rows.add(block.reshape(end, width))
     if seen == 0:
         raise DataError(f"{path}: empty sample file")
     if width is None:
         raise DataError(f"{path}: no data rows")
-    return Sample(np.concatenate(blocks))
+    return Sample(rows.result())
 
 
 def _jsonable(obj):

@@ -343,7 +343,7 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
 
     # every sampler alias and every scan kernel the entry points can reach
     for module, names in (
-        (harness, ["draw_copula_sample", "tail_depths", "_corner_model_grids",
+        (harness, ["draw_copula_tail", "tail_depths", "_corner_model_grids",
                    "max_count_gap"]),
         (concentration, ["draw_tail_uniforms", "sup_count_vs_mass",
                          "sup_count_vs_mass_grid", "sup_signed_count"]),

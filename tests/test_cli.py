@@ -251,6 +251,29 @@ class TestDataFileBytes:
             assert sha256(est / "surface.csv") == self.SURFACE[d, stride]
 
 
+class TestConvergeBytes:
+    """SHA-256 of seeded ``converge`` data files, recorded before a trial drew
+    only its column tails: d = 3 on the declared grid, and d = 2 exact."""
+
+    RUNS = {
+        "d3-grid": (["--model", "logistic(2)", "--d", 3, "--k-schedule", "20,40",
+                     "--grid-resolution", 9],
+                    "6b328d63044f4d1de3573bb2fecd7cb57bad028d4b21fb21c353e3c707866543",
+                    "fb78eccb1d58e4c66b2598292c42eef5d3c365346d761f7f86eeb3b7bbc4d44f"),
+        "d2-exact": (["--model", "logistic(1.2)", "--d", 2, "--k-schedule", "20,80"],
+                     "10103ebd95ffba0fe4a5f556bba30b6c24d3bec57321d70aaf4c97fc23f76b2d",
+                     "b708bc7a9b850675eec8bb8b24df4168d1775c1748615f7e964729f876ea4152"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_trials_and_summary_hashes(self, tmp_path, case):
+        args, trials, summary = self.RUNS[case]
+        assert run(["converge", "--n", 20_000, "--T", 2.0, "--trials", 3, "--seed", 7,
+                    "--workers", 1, "--out", tmp_path] + args) == 0
+        for name, want in (("trials.csv", trials), ("summary.csv", summary)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+
 class TestConverge:
     def test_tiny_smoke_emits_reports(self, tmp_path):
         import time
@@ -387,7 +410,7 @@ class TestConverge:
         def fail(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(hmod, "draw_copula_sample", fail)
+        monkeypatch.setattr(hmod, "draw_copula_tail", fail)
         code = run(["converge", "--model", "independence", "--n", 1000, "--d", 2,
                     "--k-schedule", "10", "--T", T, "--trials", 2, "--seed", 1,
                     "--workers", 1, "--out", tmp_path])
@@ -402,8 +425,8 @@ class TestConverge:
         # forms of the other two models need no grid and still run at d = 4
         import tailvc.harness as hmod
 
-        draws, draw = [], hmod.draw_copula_sample
-        monkeypatch.setattr(hmod, "draw_copula_sample",
+        draws, draw = [], hmod.draw_copula_tail
+        monkeypatch.setattr(hmod, "draw_copula_tail",
                             lambda *args: draws.append(args) or draw(*args))
         code = run(["converge", "--model", model, "--n", 2000, "--d", 4,
                     "--k-schedule", "10,20", "--T", 2, "--trials", 2,
@@ -910,18 +933,23 @@ class TestRefusedBeforeAnyDraw:
                                       "classify-decomposition"])
     def test_zero_workers_is_refused_before_any_draw(self, tmp_path, capsys,
                                                      monkeypatch, case, via):
-        import tailvc.samplers
+        import importlib
 
         calls = []
-        draw = tailvc.samplers.draw_copula_sample
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return draw(*args, **kwargs)
+        def counted(draw):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return draw(*args, **kwargs)
+            return wrapper
 
-        # every module that binds the name, read at call time
-        for owner in ("samplers", "harness", "classify"):
-            monkeypatch.setattr(f"tailvc.{owner}.draw_copula_sample", counted)
+        # every module that binds a draw's name, read at call time
+        for owner, name in (("samplers", "draw_copula_sample"),
+                            ("samplers", "draw_copula_tail"),
+                            ("harness", "draw_copula_tail"),
+                            ("classify", "draw_copula_sample")):
+            module = importlib.import_module(f"tailvc.{owner}")
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         args, _ = self.SEEDS[case]
         err = self.refused(tmp_path, capsys, monkeypatch, args, "--workers", 0, via)
         assert "--workers: needs at least one worker, got 0" in err

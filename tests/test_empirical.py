@@ -19,6 +19,7 @@ from rank_oracles import (
 from tailvc.empirical import (
     TailOrder,
     build_ranks,
+    column_tails,
     empirical_stdf_lattice,
     lattice_index,
     stdf_lattice_counts,
@@ -76,7 +77,7 @@ class TestBuildRanks:
     def test_ties_raise_the_first_stable_argsort_pair(self, x):
         tie = first_stable_tie(x)
         if tie is None:
-            assert np.array_equal(tail_order(x).order_stats, np.sort(x, axis=0),
+            assert np.array_equal(tail_order(x).sorted_cols.T, np.sort(x, axis=0),
                                   equal_nan=True)
             return
         with pytest.raises(TiesError) as err:
@@ -87,7 +88,7 @@ class TestBuildRanks:
     def test_three_element_column(self):
         r = build_ranks(np.array([[3.0], [1.0], [2.0]]))
         assert ranks(r)[:, 0].tolist() == [3, 1, 2]
-        assert r.order_stats[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert r.sorted_cols[0].tolist() == [1.0, 2.0, 3.0]
 
     def test_sorted_column_identity_permutation(self):
         r = build_ranks(np.arange(10, dtype=float)[:, None])
@@ -335,7 +336,7 @@ class TestTailKernel:
         ranks = build_ranks(x)
         lattice = np.indices([m + 1 for m in mmax]).reshape(len(mmax), -1).T
         oracle = exceedance_count(ranks, lattice).reshape([m + 1 for m in mmax])
-        for source in (ranks, tail_order(x)):
+        for source in (ranks, tail_order(x), column_tails(x, max(mmax) + 1)):
             counts = stdf_lattice_counts(source, mmax)
             assert counts.dtype == np.int64
             assert np.array_equal(counts, oracle)
@@ -361,7 +362,7 @@ class TestTailKernel:
         ranks = build_ranks(x)
         assert isinstance(ranks, TailOrder)
         for got, want in ((ranks.sorted_cols, tail_order(x).sorted_cols),
-                          (ranks.order_stats, np.sort(x, axis=0))):
+                          (ranks.sorted_cols.T, np.sort(x, axis=0))):
             # bit for bit, but a NaN only as NaN: np.sort writes the default
             # NaN where the stable argsort keeps the row's own (a -NaN here)
             nan = np.isnan(got)
@@ -420,6 +421,71 @@ class TestTailKernel:
         assert got.value.column == expected.value.column == 1
         assert got.value.rows == expected.value.rows == sorted((a, b))
         assert str(got.value) == str(expected.value)
+        # the tail state checks only the m largest values of each column
+        for m in (5, 6, 60):
+            if depths[1] > m:
+                stable = np.argsort(x[:, 1], kind="stable")[::-1]
+                assert column_tails(x, m).rows[1].tolist() == stable[:m].tolist()
+                continue
+            with pytest.raises(TiesError) as tail:
+                column_tails(x, m)
+            assert str(tail.value) == str(expected.value)
+
+
+def first_tail_tie(x, m):
+    """(column, rows) for the first column with equal neighbours among its
+    m largest values in stable order: the first two rows holding the
+    smallest such value; None without one."""
+    for j, col in enumerate(x.T):
+        top = col[np.argsort(col, kind="stable")[::-1][:m]]
+        tied = [a for a, b in zip(top, top[1:]) if a == b]  # NaN never equals NaN
+        if tied:
+            return j, np.flatnonzero(col == min(tied))[:2].tolist()
+    return None
+
+
+class TestColumnTails:
+    @settings(max_examples=500, deadline=None)
+    @given(tie_cases(), st.data())
+    def test_top_rows_and_ties_among_them(self, x, data):
+        n = x.shape[0]
+        m = data.draw(st.integers(1, max(n, 1)))
+        tie = first_tail_tie(x, m)
+        # any rows that hold every top value of every column (NaN sorts last)
+        need = set()
+        for col in (x.T if n else ()):
+            need.update(np.flatnonzero(~(col < np.sort(col)[max(n - m, 0)])).tolist())
+        extra = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        rows = np.array(sorted(need | extra), dtype=np.intp)
+        for got in (lambda: column_tails(x, m),
+                    lambda: column_tails(x[rows], m, rows, n)):
+            if tie is not None:
+                with pytest.raises(TiesError) as err:
+                    got()
+                assert (err.value.column, err.value.rows) == tie
+                continue
+            tails = got()
+            assert (tails.n, tails.d) == (n, x.shape[1])
+            for j, col in enumerate(x.T):
+                order = np.argsort(col, kind="stable")[::-1][:m]
+                assert tails.top_rows(j, min(m, n)).tolist() == order.tolist()
+                assert np.array_equal(tails.values[j], col[order], equal_nan=True)
+
+    def test_the_whole_column_is_tail_orders_check(self):
+        rng = np.random.default_rng(84)
+        for _ in range(50):
+            x = rng.integers(0, 40, size=(30, 2)).astype(float)
+            with pytest.raises(TiesError) as full:
+                tail_order(x)
+            with pytest.raises(TiesError) as tail:
+                column_tails(x, 30)
+            assert str(tail.value) == str(full.value)
+
+    def test_depth_beyond_the_tail_is_refused(self):
+        tails = column_tails(np.random.default_rng(85).random((10, 2)), 3)
+        assert tails.top_rows(0, 3).size == 3
+        with pytest.raises(PreconditionError, match="holds 3 rows, 4 were asked"):
+            tails.top_rows(0, 4)
 
     def test_shape_and_range_guards(self):
         x = tail_order(np.random.default_rng(82).random((10, 2)))

@@ -15,11 +15,12 @@ from tailvc import gridscan
 from tailvc.concentration import RectClassSpec, sup_empirical_deviation
 from tailvc.empirical import (
     build_ranks,
+    column_tails,
     empirical_stdf_lattice,
     lattice_index,
     tail_order,
 )
-from tailvc.errors import ConfigurationError, PreconditionError
+from tailvc.errors import ConfigurationError, PreconditionError, TiesError
 from tailvc.gridscan import cell_corner_max
 from tailvc.harness import (
     ExperimentConfig,
@@ -853,8 +854,10 @@ class TestOrderStatEvent:
         m = data.draw(st.integers(1, n))
         T = m / k
         direct = check_order_stat_event(1.0 - x, k, T)
-        assert _order_stat_event(tail_order(x).order_stats, k, T) == direct
-        assert _order_stat_event(build_ranks(x).order_stats, k, T) == direct
+        assert _order_stat_event(tail_order(x), k, T) == direct
+        assert _order_stat_event(build_ranks(x), k, T) == direct
+        assert _order_stat_event(column_tails(x, int(lattice_index(k, T)) + 1),
+                                 k, T) == direct
 
     def test_order_stats_event_keeps_preconditions(self):
         x = np.random.default_rng(3).uniform(size=(10, 2))
@@ -862,7 +865,10 @@ class TestOrderStatEvent:
             with pytest.raises(PreconditionError) as direct:
                 check_order_stat_event(1.0 - x, k, T)
             with pytest.raises(PreconditionError) as read:
-                _order_stat_event(tail_order(x).order_stats, k, T)
+                _order_stat_event(tail_order(x), k, T)
+            assert str(read.value) == str(direct.value)
+            with pytest.raises(PreconditionError) as read:
+                _order_stat_event(column_tails(x, 1), k, T)
             assert str(read.value) == str(direct.value)
 
     def test_declared_grid_trial_ranks_no_rows(self, monkeypatch):
@@ -1032,14 +1038,15 @@ class TestRateExperiment:
         assert drop > 0.2 * (bias_small - bias_large)
 
     def test_tied_trials_reported_not_dropped(self, monkeypatch):
-        import tailvc.harness as hmod
+        import tailvc.samplers as smod
 
         tied = np.array([[0.5, 0.1], [0.5, 0.2], [0.7, 0.3], [0.8, 0.4]] * 20)
 
         def fake_draw(model, n, rng):
             return tied[:n]
 
-        monkeypatch.setattr(hmod, "draw_copula_sample", fake_draw)
+        # the independence tail draw is the full draw: patched where it is defined
+        monkeypatch.setattr(smod, "draw_copula_sample", fake_draw)
         cfg = ExperimentConfig(model=independence(2), n=80, d=2, k_schedule=(4,),
                                T=1.0, delta=0.05, trials=3, seed=1)
         rep = run_rate_experiment(cfg)
@@ -1194,3 +1201,50 @@ def dense_decomposition(x, k, T, model):
     lower = np.abs(l_at_thr - corners[(slice(None, -1),) * d]).max()
     upper = np.abs(l_at_thr - corners[(slice(1, None),) * d]).max()
     return substitution, bias, float(np.maximum(lower, upper))
+
+
+class TestTrialTiesContract:
+    """A converge trial fails only on a tie among a column's floor(k T) + 1
+    largest values, the only values it reads."""
+
+    N, K, T = 2000, 20, 2.0  # floor(k T) = 40
+
+    def trial(self, monkeypatch, x):
+        import tailvc.samplers as smod
+
+        # the independence tail draw is the full draw
+        monkeypatch.setattr(smod, "draw_copula_sample", lambda model, n, rng: x.copy())
+        return _one_trial(independence(2), self.N, 2, self.K, self.T, 5, 0, None)
+
+    def tied(self, column, depths):
+        """A sample with the values at two depths of ``column`` made equal
+        (depth 1 is the largest), and the same sample without that tie."""
+        x = draw_copula_sample(independence(2), self.N, substream(33, "ties"))
+        order = np.argsort(x[:, column])[::-1]
+        a, b = (order[i - 1] for i in depths)
+        tied = x.copy()
+        tied[a, column] = x[b, column]
+        return tied, x
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("depths", [(41, 42), (1000, 1999), (1999, 2000)],
+                             ids=["boundary", "body", "bottom"])
+    def test_tie_outside_the_tail_changes_nothing(self, monkeypatch, column, depths):
+        tied, untied = self.tied(column, depths)
+        with pytest.raises(TiesError):
+            tail_order(tied)  # the whole-column check sees the tie
+        record = self.trial(monkeypatch, tied)
+        assert record.ok
+        assert record == self.trial(monkeypatch, untied)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("depths", [(1, 2), (40, 41)], ids=["top", "last-read"])
+    def test_tie_inside_the_tail_fails_with_the_note(self, monkeypatch, column, depths):
+        tied, _ = self.tied(column, depths)
+        record = self.trial(monkeypatch, tied)
+        with pytest.raises(TiesError) as full:
+            tail_order(tied)
+        assert not record.ok
+        assert record.note == str(full.value)
+        assert (record.k, record.trial, record.order_stat_event) == (self.K, 0, None)
+        assert math.isnan(record.sup_deviation)

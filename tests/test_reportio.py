@@ -13,7 +13,7 @@ from csv_text import read_csv
 from traced_memory import traced_peak
 from tailvc import __version__, reportio
 from tailvc.errors import DataError
-from tailvc.models import independence
+from tailvc.models import independence, logistic
 from tailvc.reportio import (
     LevelTable,
     read_manifest,
@@ -245,6 +245,14 @@ class TestSampleCsvAgainstOracle:
         assert str(err.value) == f"{path}: line 3 has 3 fields, expected 2"
         same_as_oracle(path)
 
+    def test_line_breaks_the_byte_count_misses(self, tmp_path):
+        # the array is sized from \n and \r, and grows for the other breaks
+        path = tmp_path / "f.csv"
+        path.write_text("x1,x2\n0.5,0.25\n"
+                        + "".join(f"0.{i},0.{i}5\x0c" for i in range(1, 8)))
+        assert read_sample_csv(path).values.shape == (8, 2)
+        same_as_oracle(path)
+
     def test_clean_lines_after_the_first_are_parsed_in_c(self, tmp_path, monkeypatch):
         # the first data line sets the width; every block after it is clean
         monkeypatch.setattr(reportio, "_BLOCK_VALUES", 256)
@@ -285,9 +293,9 @@ class TestBlockMemory:
         path = tmp_path / f"s{blocks}x{width}.csv"
         written, _ = traced_peak(write_sample_csv, sample, path)
         read, back = traced_peak(read_sample_csv, path)
-        # the parsed array grows with the file, and its blocks are held until
-        # they are joined into it; the work beside those two must not grow
-        return written, read - 2 * back.values.nbytes
+        # the parsed array grows with the file, and is held once; the work
+        # beside it must not grow
+        return written, read - back.values.nbytes
 
     def test_peak_follows_the_block(self, tmp_path, monkeypatch):
         monkeypatch.setattr(reportio, "_BLOCK_VALUES", self.BLOCK)
@@ -302,6 +310,27 @@ class TestBlockMemory:
         self.peaks(tmp_path, 1)  # first-call allocations stay out of the figures
         for narrow, wide in zip(self.peaks(tmp_path, 8, 2), self.peaks(tmp_path, 8, 32)):
             assert max(narrow, wide) < 1.5 * min(narrow, wide)
+
+
+class TestReadHoldsTheSampleOnce:
+    """A read's traced peak stays within 1.3 times the array it returns."""
+
+    def check(self, sample, path):
+        write_sample_csv(sample, path)
+        read_sample_csv(path)  # first-call allocations stay out of the figure
+        peak, back = traced_peak(read_sample_csv, path)
+        assert back.values.tobytes() == sample.values.tobytes()
+        assert peak <= 1.3 * sample.values.nbytes
+
+    def test_benchmark_seed_one_sample(self, tmp_path):
+        # the 200,000 x 2 sample of the benchmark's simulate-estimate at seed 1
+        spec = GeneratorSpec(model=logistic(2.0, 2), n=200_000, d=2, seed=1,
+                             margins=("uniform", "pareto(2)"))
+        self.check(draw_sample(spec), tmp_path / "s1.csv")
+
+    def test_wide_sample(self, tmp_path):
+        sample = Sample(np.random.default_rng(32).random((65_536, 32)))
+        self.check(sample, tmp_path / "wide.csv")
 
 
 _ROWS_OF_3 = reportio._BLOCK_VALUES // 3  # rows per written block of 3 columns

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from tailvc.errors import ConfigurationError
+from tailvc import samplers
+from tailvc.empirical import column_tails
+from tailvc.errors import ConfigurationError, PreconditionError
 from tailvc.models import comonotone, independence, logistic, parse_model
 from tailvc.rng import substream
 from tailvc.samplers import (
@@ -15,6 +17,7 @@ from tailvc.samplers import (
     Sample,
     apply_margins,
     draw_copula_sample,
+    draw_copula_tail,
     draw_sample,
     draw_tail_uniforms,
     parse_margin,
@@ -142,6 +145,96 @@ class TestPositiveStableBits:
             got = draw_copula_sample(m, 5_000, substream(*key))
             old = three_sine_logistic_draw(m, 5_000, substream(*key))
             assert got.tobytes() == old.tobytes()
+
+
+class TestTailDraw:
+    """``draw_copula_tail`` keeps every row that can reach a column's m largest
+    values, with the full draw's bits."""
+
+    N = 50_000
+    THETAS = [1.2, 2.0, 5.0, 20.0]
+
+    @staticmethod
+    def draws(model, n, m, key):
+        return (draw_copula_sample(model, n, substream(*key)),
+                draw_copula_tail(model, n, m, substream(*key)))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("m", [0, 1, 1000, N - 2, N - 1])
+    def test_top_rows_and_values_are_the_full_draws(self, theta, m):
+        # m = floor(kT): a trial reads each column's m + 1 largest values
+        model = logistic(theta, 2)
+        for seed in range(3):
+            key = (seed, "tail", str(theta), m)
+            full, (rows, x) = self.draws(model, self.N, m + 1, key)
+            if rows is None:
+                assert m + 1 >= self.N
+                assert x.tobytes() == full.tobytes()
+            else:
+                assert x.tobytes() == full[rows].tobytes()
+            tails = column_tails(x, m + 1, rows, self.N)
+            for j in range(2):
+                top = np.argsort(full[:, j], kind="stable")[::-1][:m + 1]
+                assert tails.rows[j].tolist() == top.tolist()
+                assert tails.values[j].tobytes() == full[top, j].tobytes()
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions(self, theta, d):
+        model = logistic(theta, d)
+        full, (rows, x) = self.draws(model, 20_000, 41, (9, "tail-d", str(theta), d))
+        assert x.tobytes() == full[rows].tobytes()
+        for j in range(d):
+            top = np.argsort(full[:, j], kind="stable")[::-1][:41]
+            assert np.isin(top, rows).all()
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_rows_in_the_first_and_last_bucket_always_pass(self, theta):
+        n, buckets = 200_000, samplers._S1_BUCKETS
+        key = (4, "tail-edges", str(theta))
+        v = substream(*key).uniform(0.0, math.pi, size=n)  # the draw's first words
+        bucket = (v * (buckets / math.pi)).astype(np.intp)
+        first, last = np.flatnonzero(bucket == 0), np.flatnonzero(bucket >= buckets - 1)
+        assert first.size and last.size
+        full, (rows, x) = self.draws(logistic(theta, 2), n, 2, key)
+        assert np.isin(first, rows).all() and np.isin(last, rows).all()
+        assert x.tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(1)",
+                                     "logistic(60)"])
+    def test_other_models_take_the_full_draw(self, tag):
+        model = parse_model(tag, 2)
+        full, (rows, x) = self.draws(model, 5_000, 11, (2, "tail-full", tag))
+        assert rows is None
+        assert x.tobytes() == full.tobytes()
+
+    def test_a_tail_needs_a_value(self):
+        with pytest.raises(PreconditionError, match="at least one value"):
+            draw_copula_tail(logistic(2.0, 2), 100, 0, substream(1, "none"))
+
+    @pytest.mark.parametrize("theta", [1.01, 1.2, 2.0, 5.0, 20.0, 50.0])
+    def test_s1_table_is_nonincreasing_in_reciprocal_within_its_slack(self, theta):
+        buckets = samplers._S1_BUCKETS
+        lower, upper = samplers._s1_reciprocals(1.0 / theta)
+        inner = slice(1, buckets - 1)
+        for table in (lower[inner], upper[inner]):
+            assert np.all(table >= 0) and np.all(np.isfinite(table))
+            assert np.all(table[1:] <= table[:-1] * (1.0 + 1e-9))
+        assert np.all(lower <= upper)
+        assert not lower.flags.writeable and not upper.flags.writeable
+
+    @pytest.mark.parametrize("theta", [1.01, 1.2, 2.0, 5.0, 20.0, 50.0])
+    def test_buckets_bracket_the_full_draws_frailty(self, theta):
+        # q = E / S at E = 1 lies in [W^beta lower, W^beta upper] of V's bucket
+        alpha, n = 1.0 / theta, 1_000_000
+        rng = substream(6, "bracket", str(theta))
+        v, w = rng.uniform(0.0, math.pi, size=n), rng.exponential(size=n)
+        q = 1.0 / samplers._stable_frailty(alpha, v.copy(), w.copy())
+        bucket = (v * (samplers._S1_BUCKETS / math.pi)).astype(np.intp)
+        lower, upper = samplers._s1_reciprocals(alpha)
+        wb = w ** ((1.0 - alpha) / alpha)
+        assert np.all(wb * lower[bucket] <= q)
+        assert np.all(q <= wb * upper[bucket])
 
 
 class TestMargins:
