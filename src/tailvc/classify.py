@@ -26,9 +26,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigurationError, DataError, PreconditionError
-from .harness import SlopeFit, fit_loglog_slope
 from .models import StdfModel, independence
-from .rng import map_trials, substream
+from .rng import SlopeFit, fit_loglog_slope, map_trials, substream
 from .samplers import draw_copula_sample
 
 # linf folds the d columns with elementwise maxima: the same maxima as

@@ -15,6 +15,11 @@ p <= d T k/n under uniform margins.  This module evaluates
 * the pair-separation complexity: how often some set in the family
   contains exactly one of two independent draws (always at most 2 p).
 
+Both Monte Carlo estimators read their draws a block of rows at a time
+(``samplers.draw_copula_blocks``) and keep only the rows inside the box
+[0, (k/n) T)^d on some axis, about n p of the n: a row at or above the
+edge on every axis is in no set, and changes neither estimate.
+
 The multiplicative constants in the bounds are existential; callers
 calibrate them on pilot runs and freeze them, so `C` is an explicit
 parameter everywhere (default 1).
@@ -39,7 +44,7 @@ from .gridscan import (
 )
 from .models import StdfModel, parse_model, tail_union_prob, tail_union_prob_axes
 from .rng import map_trials, substream
-from .samplers import draw_tail_uniforms
+from .samplers import ROW_BLOCK, draw_copula_blocks
 
 
 @dataclass(frozen=True)
@@ -266,13 +271,43 @@ def relative_rademacher(
 
 
 def _rademacher_trial(model, cls: RectClassSpec, seed: int, t: int, axes) -> float:
-    """Trial t's sup_A |sum_i sigma_i 1{Z_i in A}|; its arrays end with it."""
+    """Trial t's sup_A |sum_i sigma_i 1{Z_i in A}|, from the rows the box reaches.
+
+    A row at or above the edge on every axis is in no set, so it adds its
+    sign to the total and to every node's dominated sum alike, and
+    ``sup_signed_count``'s total - min and max - total do not see it; nor
+    does it add a breakpoint.  So the trial keeps the other rows of its
+    draw, a block at a time, and their signs only.
+    """
     rng = substream(seed, "rademacher", t)
-    z = draw_tail_uniforms(model, cls.n, rng)
-    signs = rng.integers(0, 2, size=cls.n)
+    rows, z = _near_rows(model, cls.n, cls.box_edge, rng)
+    signs = np.empty(rows.size, dtype=np.int64)
+    for lo in range(0, cls.n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, cls.n)
+        a, b = np.searchsorted(rows, (lo, hi))
+        signs[a:b] = rng.integers(0, 2, size=hi - lo)[rows[a:b] - lo]
     signs *= 2
     signs -= 1
     return sup_signed_count(z, signs, np.full(cls.d, cls.box_edge), axes=axes)
+
+
+def _near_rows(model, n: int, edge: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``draw_tail_uniforms(model, n, rng)`` some set can hold.
+
+    Returns their ascending indices and values, drawn a block at a time
+    with the full draw's bits.  A row is dropped when it is finite and at
+    or above ``edge`` on every axis; a row holding NaN is kept, so a check
+    downstream sees it.
+    """
+    rows, kept, lo = [], [], 0
+    for x in draw_copula_blocks(model, n, rng, ROW_BLOCK):
+        z = np.subtract(1.0, x, out=x)
+        far = reduce(np.logical_and, ((c >= edge) & (c < math.inf) for c in z.T))
+        keep = np.flatnonzero(~far)
+        rows.append(keep + lo)
+        kept.append(z[keep])
+        lo += len(z)
+    return np.concatenate(rows), np.concatenate(kept)
 
 
 def pair_separation_complexity(
@@ -285,7 +320,8 @@ def pair_separation_complexity(
 
     A set A(x) contains Z but not Z' exactly when some coordinate j has
     Z_j < min(Z'_j, (k/n) T), so the supremum over the family is decided
-    coordinatewise without enumeration.
+    coordinatewise without enumeration.  Z' is read a block at a time
+    against the kept rows of Z (``_pair_splits``).
     """
     if pairs < 2:
         raise ConfigurationError(f"need at least 2 pairs, got {pairs}")
@@ -293,12 +329,30 @@ def pair_separation_complexity(
     p = union_mass(cls, model)
     edge = cls.box_edge
     rng = substream(seed, "pair-separation")
-    z = draw_tail_uniforms(model, pairs, rng)
-    z2 = draw_tail_uniforms(model, pairs, rng)
-    # the pair is split on coordinate j either way round; OR over the columns
-    split = reduce(np.logical_or, (
-        ((a < b) & (a < edge)) | ((b < a) & (b < edge)) for a, b in zip(z.T, z2.T)
-    ))
-    q_hat = float(split.mean())
+    rows, z = _near_rows(model, pairs, edge, rng)
+    splits, lo = 0, 0
+    for x in draw_copula_blocks(model, pairs, rng, ROW_BLOCK):
+        a, b = np.searchsorted(rows, (lo, lo + len(x)))
+        split = _pair_splits(z[a:b], rows[a:b] - lo, np.subtract(1.0, x, out=x), edge)
+        splits += int(np.count_nonzero(split))
+        lo += len(x)
+    q_hat = splits / pairs
     stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / pairs)
     return PairSeparationEstimate(value=q_hat, stderr=stderr, pairs=pairs, p=p)
+
+
+def _pair_splits(near: np.ndarray, rows: np.ndarray, z2: np.ndarray,
+                 edge: float) -> np.ndarray:
+    """Which pairs of a block of Z' some set splits.
+
+    ``near`` holds Z's kept rows, at positions ``rows`` of the block; every
+    other Z is at or above the edge on every axis, so its pair is split
+    exactly when Z' has a coordinate below the edge.
+    """
+    split = reduce(np.logical_or, (v < edge for v in z2.T))
+    # the pair is split on coordinate j either way round; OR over the columns
+    split[rows] = reduce(np.logical_or, (
+        ((u < v) & (u < edge)) | ((v < u) & (v < edge))
+        for u, v in zip(near.T, z2[rows].T)
+    ))
+    return split

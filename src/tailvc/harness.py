@@ -42,7 +42,7 @@ from .models import (
     sup_bias,
     tail_union_prob_axes,
 )
-from .rng import map_trials, substream
+from .rng import SlopeFit, fit_loglog_slope, map_trials, substream
 from .samplers import draw_copula_tail
 
 
@@ -315,38 +315,11 @@ class KSummary:
 
 
 @dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    stderr: float
-    intercept: float
-
-
-@dataclass(frozen=True)
 class DeviationReport:
     config: ExperimentConfig
     trials: list
     summaries: list
     slope: SlopeFit
-
-
-def fit_loglog_slope(xs, ys) -> SlopeFit:
-    """Least-squares slope of log y against log x with its standard error."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise PreconditionError("slope fit needs at least two points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise PreconditionError("slope fit needs positive values")
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    denom = np.sum((lx - lx.mean()) ** 2)
-    if xs.size > 2:
-        sigma2 = float(resid @ resid) / (xs.size - 2)
-        stderr = math.sqrt(sigma2 / denom)
-    else:
-        stderr = float("nan")
-    return SlopeFit(slope=float(slope), stderr=stderr, intercept=float(intercept))
 
 
 def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,

@@ -12,15 +12,21 @@ derivation uses ``numpy.random.SeedSequence`` spawn keys, so
 
 String labels are folded to integers with CRC-32 (stable across runs,
 unlike the built-in ``hash``).
+
+The trial runner ``map_trials`` and the rate fit ``fit_loglog_slope`` serve
+both the converge and the classify experiments; here a classify run
+reaches them without loading the estimator modules.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PreconditionError
 
 
 def _key_part(part) -> int:
@@ -61,3 +67,30 @@ def map_trials(trial, jobs, workers: int = 1) -> list:
 
     with concurrent.futures.ProcessPoolExecutor(min(workers, len(jobs))) as pool:
         return list(pool.map(trial, *zip(*jobs), chunksize=4))
+
+
+@dataclass(frozen=True)
+class SlopeFit:
+    slope: float
+    stderr: float
+    intercept: float
+
+
+def fit_loglog_slope(xs, ys) -> SlopeFit:
+    """Least-squares slope of log y against log x with its standard error."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size != ys.size or xs.size < 2:
+        raise PreconditionError("slope fit needs at least two points")
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise PreconditionError("slope fit needs positive values")
+    lx, ly = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    denom = np.sum((lx - lx.mean()) ** 2)
+    if xs.size > 2:
+        sigma2 = float(resid @ resid) / (xs.size - 2)
+        stderr = math.sqrt(sigma2 / denom)
+    else:
+        stderr = float("nan")
+    return SlopeFit(slope=float(slope), stderr=stderr, intercept=float(intercept))

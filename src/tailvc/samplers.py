@@ -14,6 +14,12 @@ Laplace transform exp(-s^alpha)) and E_j iid unit exponentials,
 has uniform margins and the logistic copula with parameter theta.  The
 construction is validated against the finite-level tail law by Monte
 Carlo in the test suite rather than trusted blindly.
+
+Two forms of the draw serve callers that need only part of it, each with
+the full draw's bits: ``draw_copula_tail`` computes only the rows that
+can reach some column's largest values, and ``draw_copula_blocks`` hands
+the draw over a block of rows at a time, so its caller keeps what it
+needs of each block.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -162,6 +168,37 @@ def draw_copula_sample(model: StdfModel, n: int, rng: np.random.Generator) -> np
     v = rng.uniform(0.0, math.pi, size=n)
     s = _stable_frailty(alpha, v, rng.standard_exponential(n))
     return _logistic_copula(alpha, rng.standard_exponential((n, d)), s)
+
+
+# Rows per block of ``draw_copula_blocks``: 256 KiB of float64 at d = 2.
+ROW_BLOCK = 1 << 14
+
+
+def draw_copula_blocks(model: StdfModel, n: int, rng: np.random.Generator,
+                       rows: int = ROW_BLOCK) -> Iterator[np.ndarray]:
+    """``draw_copula_sample(model, n, rng)`` as successive blocks of ``rows``
+    rows, with its bits, so a caller holds one block of the draw at a time.
+
+    Independence, comonotone and logistic theta = 1 take a row's random
+    words in row order, so each block is that model's draw of its rows.
+    The logistic frailty draw takes V and W for every row before any E, so
+    S is formed whole, as the full draw forms it, and each block draws
+    its rows of E and meets them with its rows of S; both steps are
+    elementwise, so each block has the full draw's bits.  Each block is
+    drawn from ``rng`` when the caller reads it.
+    """
+    if n < 1:
+        raise ConfigurationError(f"sample size must be >= 1, got {n}")
+    if model.variant != "logistic" or model.theta == 1.0:
+        for lo in range(0, n, rows):
+            yield draw_copula_sample(model, min(rows, n - lo), rng)
+        return
+    alpha = 1.0 / model.theta
+    s = _stable_frailty(alpha, rng.uniform(0.0, math.pi, size=n),
+                        rng.standard_exponential(n))
+    for lo in range(0, n, rows):
+        e = rng.standard_exponential((min(rows, n - lo), model.d))
+        yield _logistic_copula(alpha, e, s[lo:lo + rows])
 
 
 def draw_tail_uniforms(model: StdfModel, n: int, rng: np.random.Generator) -> np.ndarray:

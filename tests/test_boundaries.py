@@ -232,13 +232,14 @@ POOL = "concurrent.futures.process"
 
 @pytest.mark.parametrize("args,skipped", [
     (["rademacher", "--n", 400, "--d", 2, "--k", 10, "--T", 2.0, "--trials", 2,
-      "--seed", 1], {"tailvc.classify", "tailvc.harness", "tailvc.empirical", POOL}),
+      "--seed", 1], {"tailvc.classify", "tailvc.harness", "tailvc.empirical", POOL,
+                     "numpy.ma"}),
     (["simulate", "--model", "independence", "--n", 50, "--d", 2, "--seed", 1],
      {"tailvc.classify", "tailvc.concentration"}),
     (["classify", "--n-alpha-grid", "50,100", "--trials", 2, "--family-size", 4,
-      "--seed", 1], {"tailvc.concentration", POOL}),
+      "--seed", 1], {"tailvc.concentration", "tailvc.harness", "tailvc.empirical", POOL}),
     (["classify", "--mode", "decomposition", "--n", 300, "--trials", 2, "--seed", 1],
-     {"tailvc.concentration", POOL}),
+     {"tailvc.concentration", "tailvc.harness", "tailvc.empirical", POOL}),
     (["estimate", "--data", "x.csv", "--k", 5, "--T", 2.0],
      {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL}),
 ], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition", "estimate"])
@@ -345,7 +346,7 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
     for module, names in (
         (harness, ["draw_copula_tail", "tail_depths", "_corner_model_grids",
                    "max_count_gap"]),
-        (concentration, ["draw_tail_uniforms", "sup_count_vs_mass",
+        (concentration, ["draw_copula_blocks", "sup_count_vs_mass",
                          "sup_count_vs_mass_grid", "sup_signed_count"]),
         (samplers, ["draw_sample"]),
         (empirical, ["stdf_lattice_counts"]),

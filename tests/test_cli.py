@@ -274,6 +274,32 @@ class TestConvergeBytes:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
 
+class TestRademacherBytes:
+    """SHA-256 of seeded ``rademacher --statistic both`` files, recorded while
+    each trial still held its whole draw and every sign."""
+
+    RUNS = {
+        "uniform-d2": (["--model", "uniform", "--d", 2],
+                       "64defa7c79edae6bda5a64d07e8baeae0f23219b7d4f82c45a68c36c8f2f7456"),
+        "uniform-d1": (["--model", "uniform", "--d", 1],
+                       "d30f448ea83c27ee1db9fec1aab2945e58079538295efbd5a645c66d1885737f"),
+        "uniform-d3-grid": (["--model", "uniform", "--d", 3, "--grid-resolution", 9],
+                            "bfbbe3aa06f0aa029e68184a332335d7919c2067deaad89e298053a922dd9293"),
+        "logistic-d2": (["--model", "logistic(2)", "--d", 2],
+                        "219a8c59d8a8c71dd2f3cfa9db607a13df4346834b00b8385143b277dc896a83"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_rademacher_hash(self, tmp_path, case, workers):
+        args, want = self.RUNS[case]
+        assert run(["rademacher", "--n", 20_000, "--k", 200, "--T", 2.0,
+                    "--statistic", "both", "--trials", 3, "--pairs", 5000,
+                    "--seed", 7, "--workers", workers, "--out", tmp_path] + args) == 0
+        got = hashlib.sha256((tmp_path / "rademacher.csv").read_bytes()).hexdigest()
+        assert got == want
+
+
 class TestConverge:
     def test_tiny_smoke_emits_reports(self, tmp_path):
         import time
@@ -928,11 +954,9 @@ class TestRefusedBeforeAnyDraw:
         err = self.refused(tmp_path, capsys, monkeypatch, args, flag, value, via)
         assert f"{flag}: {message}" in err
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    @pytest.mark.parametrize("case", ["converge", "rademacher", "classify-rate",
-                                      "classify-decomposition"])
-    def test_zero_workers_is_refused_before_any_draw(self, tmp_path, capsys,
-                                                     monkeypatch, case, via):
+    @staticmethod
+    def counted_draws(monkeypatch) -> list:
+        """Every call of a copula draw, through each module that binds one."""
         import importlib
 
         calls = []
@@ -946,13 +970,35 @@ class TestRefusedBeforeAnyDraw:
         # every module that binds a draw's name, read at call time
         for owner, name in (("samplers", "draw_copula_sample"),
                             ("samplers", "draw_copula_tail"),
+                            ("samplers", "draw_copula_blocks"),
                             ("harness", "draw_copula_tail"),
+                            ("concentration", "draw_copula_blocks"),
                             ("classify", "draw_copula_sample")):
             module = importlib.import_module(f"tailvc.{owner}")
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", ["converge", "rademacher", "classify-rate",
+                                      "classify-decomposition"])
+    def test_zero_workers_is_refused_before_any_draw(self, tmp_path, capsys,
+                                                     monkeypatch, case, via):
+        calls = self.counted_draws(monkeypatch)
         args, _ = self.SEEDS[case]
         err = self.refused(tmp_path, capsys, monkeypatch, args, "--workers", 0, via)
         assert "--workers: needs at least one worker, got 0" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("case", ["simulate", "converge", "rademacher"])
+    def test_logistic_theta_above_40_is_refused_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, case, via):
+        # the frailty draw overflows above theta = 50; the tag stops at 40
+        calls = self.counted_draws(monkeypatch)
+        args, _ = self.SEEDS[case]
+        err = self.refused(tmp_path, capsys, monkeypatch, args, "--model",
+                           "logistic(41)", via)
+        assert "logistic dependence parameter must be <= 40, got 41" in err
         assert calls == []
 
     CLASSIFY = {

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailvc import concentration
 from tailvc.concentration import (
@@ -19,6 +21,7 @@ from tailvc.concentration import (
     union_mass,
 )
 from tailvc.errors import ConfigurationError, PreconditionError, TailvcError
+from tailvc.gridscan import declared_axis, sup_signed_count
 from tailvc.models import parse_model
 from tailvc.rng import substream
 from tailvc.samplers import draw_tail_uniforms
@@ -252,9 +255,10 @@ class TestPairSeparation:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_split_mask_matches_the_row_reductions(self, monkeypatch, d):
+        # 5000 pairs are one block of the draw, so one mask holds every pair
         masks = []
-        real = concentration.reduce
-        monkeypatch.setattr(concentration, "reduce",
+        real = concentration._pair_splits
+        monkeypatch.setattr(concentration, "_pair_splits",
                             lambda *a: masks.append(real(*a)) or masks[-1])
         cls = RectClassSpec(d=d, k=100, n=1000, T=2.0)
         est = pair_separation_complexity("logistic(2)", cls, 5000, 21)
@@ -304,3 +308,138 @@ class TestDeviationCoverage:
         fresh = sup_devs(1302, 500)
         coverage = float(np.mean(fresh <= c_star * unit * (1 + 1e-12)))
         assert coverage >= 1 - delta
+
+
+def far_rows(z, edge):
+    """Rows finite and at or above ``edge`` on every axis: in no set of the box."""
+    return np.all((z >= edge) & np.isfinite(z), axis=1)
+
+
+def whole_trial(model, cls, seed, t, axes):
+    """A rademacher trial on its whole draw and every sign, as it was written
+    before the trials kept only the rows the box reaches."""
+    rng = substream(seed, "rademacher", t)
+    z = draw_tail_uniforms(model, cls.n, rng)
+    signs = rng.integers(0, 2, size=cls.n) * 2 - 1
+    return sup_signed_count(z, signs, np.full(cls.d, cls.box_edge), axes=axes)
+
+
+class TestKeptRows:
+    """Dropping the rows at or above the edge on every axis moves no number."""
+
+    EDGE = 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        # coordinates on a few levels: ties, points on the edge (0.5) and above
+        cells=st.lists(st.tuples(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5,
+                                                           0.75, 1.0]),
+                                          min_size=3, max_size=3),
+                                 st.sampled_from([-1, 1])),
+                       max_size=25),
+        declared=st.one_of(st.none(), st.integers(2, 9)),
+        balance=st.booleans(),
+    )
+    def test_sup_signed_count_on_the_kept_rows(self, d, cells, declared, balance):
+        if d == 3 and declared is None:
+            declared = 5  # d >= 3 scans a declared grid only
+        if balance:  # signs that sum to zero
+            cells = [(c, (-1) ** i) for i, (c, _) in enumerate(cells[:len(cells) & ~1])]
+        z = np.array([c[:d] for c, _ in cells], dtype=float).reshape(-1, d)
+        signs = np.array([s for _, s in cells], dtype=np.int64)
+        box = np.full(d, self.EDGE)
+        axes = None if declared is None else [declared_axis(self.EDGE, declared)] * d
+        kept = ~far_rows(z, self.EDGE)
+        whole = sup_signed_count(z, signs, box, axes=axes)
+        assert sup_signed_count(z[kept], signs[kept], box, axes=axes) == whole
+
+    def test_no_row_kept(self):
+        z = np.array([[0.5, 0.9], [0.7, 0.5], [1.0, 1.0]])
+        signs = np.array([1, 1, -1])
+        assert not (~far_rows(z, 0.5)).any()
+        box = np.full(2, 0.5)
+        assert sup_signed_count(z, signs, box) == 0.0
+        assert sup_signed_count(z[:0], signs[:0], box) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        pairs=st.lists(st.tuples(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=3,
+                     max_size=3),
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=3,
+                     max_size=3)), max_size=30),
+    )
+    def test_kept_row_pair_splits(self, d, pairs):
+        z = np.array([a[:d] for a, _ in pairs], dtype=float).reshape(-1, d)
+        z2 = np.array([b[:d] for _, b in pairs], dtype=float).reshape(-1, d)
+        edge = self.EDGE
+        # the formula on every pair
+        want = np.any((z < z2) & (z < edge), axis=1) | np.any(
+            (z2 < z) & (z2 < edge), axis=1)
+        rows = np.flatnonzero(~far_rows(z, edge))
+        got = concentration._pair_splits(z[rows], rows, z2, edge)
+        assert got.tolist() == want.tolist()
+
+    MODELS = ["independence", "comonotone", "logistic(1)", "logistic(2)",
+              "logistic(5)"]
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("tag", MODELS)
+    def test_trial_is_the_whole_draws(self, monkeypatch, tag, block):
+        n = 600
+        if block is not None:
+            monkeypatch.setattr(concentration, "ROW_BLOCK", block)
+        for d, k, T, declared in ((1, 6, 2.0, None), (2, 6, 2.0, None),
+                                  (2, 30, 2.0, 6), (3, 6, 3.0, 5)):
+            model = parse_model(tag, d)
+            cls = RectClassSpec(d=d, k=k, n=n, T=T)
+            axes = None if declared is None else [declared_axis(cls.box_edge,
+                                                                declared)] * d
+            for t in range(3):
+                got = concentration._rademacher_trial(model, cls, 4, t, axes)
+                assert got == whole_trial(model, cls, 4, t, axes)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("tag", MODELS)
+    def test_pair_estimate_is_the_whole_draws(self, monkeypatch, tag, block):
+        if block is not None:
+            monkeypatch.setattr(concentration, "ROW_BLOCK", block)
+        for d in (1, 2, 3):
+            cls = RectClassSpec(d=d, k=40, n=1000, T=2.0)
+            est = pair_separation_complexity(tag, cls, 700, 12)
+            rng = substream(12, "pair-separation")
+            model = parse_model(tag, d)
+            z, z2 = (draw_tail_uniforms(model, 700, rng) for _ in range(2))
+            edge = cls.box_edge
+            want = np.any((z < z2) & (z < edge), axis=1) | np.any(
+                (z2 < z) & (z2 < edge), axis=1)
+            assert est.value == float(want.mean())
+
+    def test_a_nan_in_the_draw_fails_as_before(self, monkeypatch):
+        # a NaN row is never dropped, so the scan's finiteness check sees it
+        real = concentration.draw_copula_blocks
+
+        def with_nan(*args):
+            for i, x in enumerate(real(*args)):
+                if i == 0:
+                    x[0, 0] = np.nan
+                yield x
+
+        monkeypatch.setattr(concentration, "draw_copula_blocks", with_nan)
+        cls = RectClassSpec(d=2, k=10, n=500, T=2.0)
+        with pytest.raises(PreconditionError, match="points must be finite"):
+            relative_rademacher("uniform", cls, 2, 1)
+
+    def test_traced_peaks(self):
+        # the benchmark's rademacher-dense sizes; the whole draws traced 5.5
+        # and 3.5 MiB
+        cls = RectClassSpec(d=2, k=2000, n=200_000, T=2.0)
+        small = RectClassSpec(d=2, k=20, n=2000, T=2.0)
+        relative_rademacher("uniform", small, 2, 1)
+        pair_separation_complexity("uniform", small, 100, 1)
+        peak, _ = traced_peak(relative_rademacher, "uniform", cls, 2, 1)
+        assert peak < 2 << 20
+        peak, _ = traced_peak(pair_separation_complexity, "uniform", cls, 100_000, 1)
+        assert peak < 2 << 20

@@ -31,7 +31,6 @@ from tailvc.harness import (
     check_order_stat_event,
     coverage_against_bound,
     deviation_decomposition,
-    fit_loglog_slope,
     run_rate_experiment,
     stdf_deviation_bound,
     sup_stdf_deviation,
@@ -45,7 +44,7 @@ from tailvc.models import (
     parse_model,
     tail_union_prob_axes,
 )
-from tailvc.rng import substream
+from tailvc.rng import fit_loglog_slope, substream
 from tailvc.samplers import draw_copula_sample
 from test_gridscan import indexed
 

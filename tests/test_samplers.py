@@ -16,6 +16,7 @@ from tailvc.samplers import (
     GeneratorSpec,
     Sample,
     apply_margins,
+    draw_copula_blocks,
     draw_copula_sample,
     draw_copula_tail,
     draw_sample,
@@ -147,6 +148,40 @@ class TestPositiveStableBits:
             assert got.tobytes() == old.tobytes()
 
 
+class TestCopulaBlocks:
+    """``draw_copula_blocks`` gives ``draw_copula_sample``'s bits, and leaves
+    the stream where the full draw leaves it, at any block size."""
+
+    TAGS = ["independence", "comonotone", "logistic(1)", "logistic(1.2)",
+            "logistic(2)", "logistic(5)", "logistic(40)"]
+
+    @pytest.mark.parametrize("tag", TAGS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3_001])
+    def test_blocks_are_the_full_draw(self, tag, d, n):
+        model = parse_model(tag, d)
+        key = (5, "blocks", tag, d, n)
+        want = substream(*key)
+        full = draw_copula_sample(model, n, want)
+        for rows in sorted({1, 7, max(n - 1, 1), n, n + 5}):
+            rng = substream(*key)
+            blocks = list(draw_copula_blocks(model, n, rng, rows))
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert np.concatenate(blocks).tobytes() == full.tobytes()
+            assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_default_block(self):
+        model, n = logistic(2.0, 2), samplers.ROW_BLOCK + 3
+        blocks = list(draw_copula_blocks(model, n, substream(6, "default")))
+        assert [len(b) for b in blocks] == [samplers.ROW_BLOCK, 3]
+        full = draw_copula_sample(model, n, substream(6, "default"))
+        assert np.concatenate(blocks).tobytes() == full.tobytes()
+
+    def test_bad_size(self):
+        with pytest.raises(ConfigurationError):
+            next(draw_copula_blocks(independence(2), 0, substream(1, "none")))
+
+
 class TestTailDraw:
     """``draw_copula_tail`` keeps every row that can reach a column's m largest
     values, with the full draw's bits."""
@@ -200,10 +235,16 @@ class TestTailDraw:
         assert np.isin(first, rows).all() and np.isin(last, rows).all()
         assert x.tobytes() == full[rows].tobytes()
 
-    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(1)",
-                                     "logistic(60)"])
+    @pytest.mark.parametrize("tag", [
+        "independence", "comonotone", "logistic(1)",
+        # the frailty draw overflows at theta = 60 (CHANGES.md, the note on
+        # draw_copula_sample above theta 50)
+        pytest.param("logistic(60)", marks=pytest.mark.filterwarnings(
+            "ignore::RuntimeWarning")),
+    ])
     def test_other_models_take_the_full_draw(self, tag):
-        model = parse_model(tag, 2)
+        # parse_model refuses theta > 40; the model itself takes any theta >= 1
+        model = logistic(60.0, 2) if tag == "logistic(60)" else parse_model(tag, 2)
         full, (rows, x) = self.draws(model, 5_000, 11, (2, "tail-full", tag))
         assert rows is None
         assert x.tobytes() == full.tobytes()
@@ -223,7 +264,12 @@ class TestTailDraw:
         assert np.all(lower <= upper)
         assert not lower.flags.writeable and not upper.flags.writeable
 
-    @pytest.mark.parametrize("theta", [1.01, 1.2, 2.0, 5.0, 20.0, 50.0])
+    @pytest.mark.parametrize("theta", [
+        1.01, 1.2, 2.0, 5.0, 20.0,
+        # S overflows on a few of the 1e6 draws at theta = 50 (CHANGES.md, the
+        # note on draw_copula_sample above theta 50)
+        pytest.param(50.0, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ])
     def test_buckets_bracket_the_full_draws_frailty(self, theta):
         # q = E / S at E = 1 lies in [W^beta lower, W^beta upper] of V's bucket
         alpha, n = 1.0 / theta, 1_000_000
