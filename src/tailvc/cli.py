@@ -312,11 +312,10 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     values = read_sample_csv(o["data"]).values
     if o["jitter-seed"] is not None:
         values = jitter_columns(values, o["jitter-seed"])
-    state = build_ranks(values)
-    check_lattice_scan(state, k, None, T, stride)  # no model to compare
-    d, m_top, stride = state.d, int(lattice_index(k, T)), stride or 1
+    check_lattice_scan(values, k, None, T, stride)  # no model to compare
+    d, m_top, stride = values.shape[1], int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
-    counts = stdf_lattice_counts(state, [m_top] * d, stride)
+    counts = stdf_lattice_counts(build_ranks(values, m_top + 1), [m_top] * d, stride)
     flat = counts.reshape(-1)
 
     def codes(lo, hi):

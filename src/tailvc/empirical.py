@@ -1,5 +1,5 @@
-"""The tie-checked tail order of a sample and the empirical tail dependence
-function on its lattice.
+"""The tie-checked column tails of a sample and the empirical tail
+dependence function on its lattice.
 
 The central estimator counts, for a point x and a tail budget k, the rows
 exceeding per-column upper order statistics:
@@ -11,21 +11,18 @@ attains, so the zero case needs no special handling: its disjunct is
 simply false and l_n(0) = 0.
 
 Over [0, T]^d the estimator therefore depends only on the floor(k T)
-largest values of each column, and the lattice kernel reads nothing else:
-per column it selects the top rows in O(n) and orders only those.
+largest values of each column, and the lattice kernel reads nothing else.
 
-l_n is computed one way: a tail state gives each column's top rows,
+l_n is computed one way: ``column_tails`` selects each column's
+floor(k T) + 1 largest values in O(n) and orders only those,
 ``tail_depths`` keeps the rows of the column tails with their depths, and
-the ``gridscan`` dominance walker counts them at each node.  There are
-two tail states.  ``tail_order`` sorts and tie-checks each column in
-full (``estimate``, the decomposition, raw values); ``column_tails``
-selects and tie-checks only each column's m largest values (a
-``converge`` trial).
+the ``gridscan`` dominance walker counts them at each node.
 ``check_lattice_scan`` holds every lattice scan's preconditions, the
 CLI's ``estimate`` and every scan of ``harness``.
-No full-sample rank is formed.  Ties are rejected rather than broken,
-because a tied value has no single rank for the count to compare.  All
-evaluators are pure and safe to call concurrently.
+No full-sample rank is formed.  A tie among the values read is rejected
+rather than broken, because a tied value has no single rank for the
+count to compare; a tie below them changes no count.  All evaluators are
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -35,54 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError, TiesError
-from .gridscan import count_strips, scan_is_exact
+from .gridscan import count_strips, scan_is_exact, sorted_distinct
 from .models import StdfModel
 from .samplers import Sample
-
-
-@dataclass(frozen=True)
-class TailOrder:
-    """A tie-checked sample whose per-column tail order is read on demand.
-
-    ``sorted_cols[j]`` is column j sorted ascending.  ``top_rows`` gives
-    the same rows in the same order as the last m entries of
-    ``np.argsort(values[:, j], kind="stable")`` reversed: NaN ranks above
-    every number, and NaNs rank among themselves by row index.
-    """
-
-    values: np.ndarray
-    sorted_cols: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    def nth_largest(self, m: int) -> np.ndarray:
-        """The m-th largest value of each column (NaN above every number)."""
-        return self.sorted_cols[:, self.n - m]
-
-    def top_rows(self, j: int, m: int) -> np.ndarray:
-        """Rows of the m largest values of column j, largest first.
-
-        O(n) selection against the m-th largest value, then a sort of the
-        selected rows only.
-        """
-        col, ordered = self.values[:, j], self.sorted_cols[j]
-        # NaNs sort last, so they are the top of the column
-        nan_rows = (
-            np.flatnonzero(np.isnan(col)) if np.isnan(ordered[-1])
-            else np.empty(0, dtype=np.intp)
-        )
-        if m <= nan_rows.size:
-            return nan_rows[::-1][:m]
-        # without ties exactly m - #NaN numbers reach the m-th largest value
-        rows = np.flatnonzero(col >= ordered[self.n - m])
-        rows = rows[np.argsort(col[rows])[::-1]]
-        return np.concatenate((nan_rows[::-1], rows))
 
 
 @dataclass(frozen=True)
@@ -90,10 +42,10 @@ class ColumnTails:
     """Each column's m largest values of an n-row sample, and their rows.
 
     ``rows[j]`` and ``values[j]`` run largest first, in the order of the
-    last m entries of ``np.argsort(x[:, j], kind="stable")`` reversed, as
-    ``TailOrder.top_rows``.  Built by ``column_tails``; it reads as a
-    ``TailOrder`` does for ``tail_depths`` and the order-statistic event,
-    up to depth m.
+    last m entries of ``np.argsort(x[:, j], kind="stable")`` reversed: NaN
+    ranks above every number, and NaNs rank among themselves by row
+    index.  Built by ``column_tails``; ``tail_depths`` and the
+    order-statistic event read it up to depth m.
     """
 
     n: int
@@ -164,34 +116,13 @@ def _values_of(sample) -> np.ndarray:
     return values
 
 
-def build_ranks(sample) -> TailOrder:
-    """The sample's ``TailOrder``: ``tail_order(sample)``.
+def build_ranks(sample, m: int) -> ColumnTails:
+    """``column_tails(sample, m)``, under the name the benchmark tracer wraps.
 
-    A function of its own, not an alias, so that wrapping it by name (as
-    the benchmark tracer does) leaves the ``tail_order`` calls unwrapped.
+    A function of its own, not an alias, so that wrapping it by name
+    leaves the ``column_tails`` calls unwrapped.
     """
-    return tail_order(sample)
-
-
-def tail_order(sample) -> TailOrder:
-    """Sort every column and check it for ties in full.
-
-    A tie raises TiesError with the first tied column and the first two
-    rows holding its smallest tied value, the first equal neighbours of
-    its stable argsort.  NaN never ties; -0.0 ties 0.0.
-    """
-    values = _values_of(sample)
-    sorted_cols = np.empty(values.shape[::-1], dtype=values.dtype)
-    for j in range(values.shape[1]):
-        # sorted in place: a fresh n-row copy per column costs its page faults
-        col_sorted = sorted_cols[j]
-        col_sorted[:] = values[:, j]
-        col_sorted.sort()
-        tied = col_sorted[1:] == col_sorted[:-1]
-        if tied.any():
-            rows = np.flatnonzero(values[:, j] == col_sorted[tied.argmax()])
-            raise TiesError(column=j, rows=rows[:2])
-    return TailOrder(values=values, sorted_cols=sorted_cols)
+    return column_tails(sample, m)
 
 
 def jitter_columns(values, seed: int) -> np.ndarray:
@@ -235,14 +166,18 @@ def lattice_index(k: int, x) -> np.ndarray:
     return np.where(snap, up, m).astype(np.int64)
 
 
-def check_lattice_scan(state: TailOrder | ColumnTails, k: int, model: StdfModel | None,
-                       T: float, grid) -> bool:
-    """The preconditions of a lattice scan of ``state``, then ``scan_is_exact``.
+def check_lattice_scan(sample, k: int, model: StdfModel | None, T: float,
+                       grid) -> bool:
+    """The preconditions of a lattice scan of ``sample``, then ``scan_is_exact``.
 
+    ``sample`` is a ColumnTails or raw values.  Raw values are checked
+    before their tails are built: the depth a scan reads, floor(k T) + 1,
+    needs a valid k and T, so a bad k or T is reported before a tie.
     ``grid`` is the declared grid (a resolution or a lattice stride) or
     None; ``model`` is None when no l is compared (the CLI surface).
     """
-    n, d = state.n, state.d
+    n, d = ((sample.n, sample.d) if isinstance(sample, ColumnTails)
+            else _values_of(sample).shape)
     if model is not None and model.d != d:
         raise ConfigurationError(
             f"model dimension {model.d} does not match sample dimension {d}"
@@ -256,7 +191,7 @@ def check_lattice_scan(state: TailOrder | ColumnTails, k: int, model: StdfModel 
     return scan_is_exact(d, grid)
 
 
-def tail_depths(ranks: TailOrder | ColumnTails, mmax) -> np.ndarray:
+def tail_depths(tails: ColumnTails, mmax) -> np.ndarray:
     """Per-column depths of the rows in some column's top mmax_j.
 
     Returns an int64 U x d matrix, one row per member of the union of the
@@ -265,17 +200,16 @@ def tail_depths(ranks: TailOrder | ColumnTails, mmax) -> np.ndarray:
     outside column j's top mmax_j.  A row counts at a lattice vector m
     (0 <= m <= mmax) iff depth_j <= m_j for some j, so the rows outside
     the union never count and the count at m is U - #{rows with depth > m}.
-    It reads no ranks.  Cost: O(n) selection per column plus the ordering
-    of the selected rows.
+    It reads no ranks, and costs O(U log U) beyond the tails.
     """
-    n, d = ranks.n, ranks.d
+    n, d = tails.n, tails.d
     mmax = np.asarray(mmax, dtype=np.int64)
     if mmax.shape != (d,):
         raise PreconditionError(f"mmax must have shape ({d},)")
     if np.any(mmax < 0) or np.any(mmax > n):
         raise PreconditionError(f"mmax entries must lie in [0, n] = [0, {n}]")
-    tops = [ranks.top_rows(j, int(m)) for j, m in enumerate(mmax)]
-    union = np.unique(np.concatenate(tops))
+    tops = [tails.top_rows(j, int(m)) for j, m in enumerate(mmax)]
+    union = sorted_distinct(np.concatenate(tops))
     depths = np.empty((union.size, d), dtype=np.int64)
     for j, top in enumerate(tops):
         depths[:, j] = mmax[j] + 1
@@ -283,7 +217,7 @@ def tail_depths(ranks: TailOrder | ColumnTails, mmax) -> np.ndarray:
     return depths
 
 
-def stdf_lattice_counts(ranks: TailOrder, mmax, stride: int = 1) -> np.ndarray:
+def stdf_lattice_counts(tails: ColumnTails, mmax, stride: int = 1) -> np.ndarray:
     """Exceedance counts on the lattice 0, stride, ... <= mmax_j per axis.
 
     Returns an int64 tensor C with C[i_1, ..., i_d] = the count behind
@@ -295,7 +229,7 @@ def stdf_lattice_counts(ranks: TailOrder, mmax, stride: int = 1) -> np.ndarray:
     """
     if stride < 1:
         raise PreconditionError(f"lattice stride must be >= 1, got {stride}")
-    depths = tail_depths(ranks, mmax).astype(float)
+    depths = tail_depths(tails, mmax).astype(float)
     levels = [np.arange(0, int(m) + 1, stride, dtype=float) for m in mmax]
     counts = np.empty(tuple(a.size for a in levels), dtype=np.int64)
     for lo, hi, strip in count_strips(depths, levels, 1):
@@ -303,9 +237,9 @@ def stdf_lattice_counts(ranks: TailOrder, mmax, stride: int = 1) -> np.ndarray:
     return counts
 
 
-def empirical_stdf_lattice(ranks: TailOrder, k: int, mmax,
+def empirical_stdf_lattice(tails: ColumnTails, k: int, mmax,
                            stride: int = 1) -> np.ndarray:
     """l_n on the lattice (m_1/k, ..., m_d/k), m_j = 0, stride, ... <= mmax_j."""
-    if not 1 <= k <= ranks.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {ranks.n}], got {k}")
-    return stdf_lattice_counts(ranks, mmax, stride) / k
+    if not 1 <= k <= tails.n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {tails.n}], got {k}")
+    return stdf_lattice_counts(tails, mmax, stride) / k

@@ -111,13 +111,14 @@ def candidate_axes(points: np.ndarray, tmax: np.ndarray) -> list[np.ndarray]:
     for j in range(points.shape[1]):
         col = points[:, j]
         inside = col[(col > 0.0) & (col < tmax[j])]
-        axes.append(_sorted_distinct(np.concatenate(([0.0], inside, [tmax[j]]))))
+        axes.append(sorted_distinct(np.concatenate(([0.0], inside, [tmax[j]]))))
     return axes
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
     """``np.unique(a)`` for NaN-free ``a``, by a sort: np.unique's first call
-    loads ``numpy.ma``, which the signed scan would load for nothing else."""
+    loads ``numpy.ma``, which the signed scan and ``estimate`` would load
+    for nothing else."""
     a = np.sort(a)
     return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
@@ -628,7 +629,7 @@ def _signed_dominance_range(
     highs = np.empty(nblocks, dtype=np.int64)
     for c in reversed(range(nblocks)):
         sl = slice(edges[c], edges[c + 1])
-        levels = _sorted_distinct(b0[sl])
+        levels = sorted_distinct(b0[sl])
         state = np.searchsorted(levels, b0[sl])
         # profile q: the block's rows with b0 >= levels[q]; the last is empty
         profiles = np.zeros((len(levels) + 1, min(width, m1 - c * width)),

@@ -4,7 +4,9 @@ The headline statistic is the exact supremum over [0, T]^d of
 |l_n(x) - l(x)|.  The estimator is constant on the lattice cells
 [m_j/k, (m_j+1)/k), and l is continuous and componentwise nondecreasing,
 so on each cell the supremum of their gap is attained at one of the two
-extreme corners.  This module supplies the tail rows and l's corner
+extreme corners.  This module supplies the tail rows, off one tail
+state (``empirical.ColumnTails``: each column's floor(k T) + 1 largest
+values, from a trial's tail draw or from raw values), and l's corner
 grid, a ``gridscan.CornerGrid`` kept per (model, k, T, d) that
 evaluates l a strip or a window at a time and is never held whole.
 ``gridscan.lattice_corner_max`` covers every cell, making the supremum
@@ -25,13 +27,11 @@ import numpy as np
 
 from .empirical import (
     ColumnTails,
-    TailOrder,
     build_ranks,
     check_lattice_scan,
     column_tails,
     lattice_index,
     tail_depths,
-    tail_order,
 )
 from .errors import ConfigurationError, PreconditionError, TiesError
 from . import gridscan
@@ -120,22 +120,22 @@ def sup_stdf_deviation(
 ) -> SupEstimate:
     """sup over [0,T]^d of |l_n(x) - l(x)|, exact for d <= 2.
 
-    ``sample`` is a TailOrder, a ColumnTails at least floor(k T) deep, or
-    raw values, which get a TailOrder through ``build_ranks``.  Both paths
-    read only the floor(k T) largest values of each column, never the
-    ranks.
+    ``sample`` is a ColumnTails at least floor(k T) deep, or raw values,
+    whose floor(k T) + 1 largest values per column ``build_ranks`` takes.
+    Only the floor(k T) largest values of each column are read, never
+    the ranks.
     The exact path is one ``gridscan.lattice_corner_max`` call against
     the kept corner grid and never holds a (floor(k T) + 1)^d grid of
     its own.
     """
-    state = (sample if isinstance(sample, (TailOrder, ColumnTails))
-             else build_ranks(sample))
-    d, exact = state.d, check_lattice_scan(state, k, model, T, grid_resolution)
-
+    exact = check_lattice_scan(sample, k, model, T, grid_resolution)
     # only the column tails can count: l_n(m/k) = (U - #{tail rows with
     # depth > m}) / k on the lattice, none above floor(k T)
     m_top = int(lattice_index(k, T))
-    depths = tail_depths(state, [m_top] * d)
+    tails = (sample if isinstance(sample, ColumnTails)
+             else build_ranks(sample, m_top + 1))
+    d = tails.d
+    depths = tail_depths(tails, [m_top] * d)
     if exact:
         corners = _corner_model_grids(model, k, T, d)
         return SupEstimate(gridscan.lattice_corner_max(depths, k, corners))
@@ -175,17 +175,17 @@ def check_order_stat_event(u, k: int, T: float) -> bool:
     return _event_holds(thr, n, k, T)
 
 
-def _order_stat_event(state, k: int, T: float) -> bool:
+def _order_stat_event(tails: ColumnTails, k: int, T: float) -> bool:
     """check_order_stat_event(1.0 - x, k, T) from x's column tails.
 
-    ``state`` is x's TailOrder or a ColumnTails at least floor(k T) deep.
+    ``tails`` is x's ColumnTails, at least floor(k T) deep.
     fl(1 - x) is non-increasing in x, so the m-th smallest of 1 - x is
     1 - (the m-th largest x).  NaN sorts last on both sides and breaks
     that mirror, so x must be NaN-free, as every copula sample is.
     """
-    n = state.n
+    n = tails.n
     m = _order_stat_index(n, k, T)
-    return _event_holds(1.0 - state.nth_largest(m), n, k, T)
+    return _event_holds(1.0 - tails.nth_largest(m), n, k, T)
 
 
 @dataclass(frozen=True)
@@ -214,22 +214,21 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     exact).  The total never exceeds substitution + bias + rounding; the
     test suite asserts this trial by trial.
     """
-    state = tail_order(x)
-    n, d = state.n, state.d
-    if n and np.isnan(state.sorted_cols[:, -1]).any():  # NaN sorts last
-        raise PreconditionError("the sample must not contain NaN")
-    check_lattice_scan(state, k, model, T, None)
+    check_lattice_scan(x, k, model, T, None)
     m_top = int(lattice_index(k, T))
+    tails = column_tails(x, m_top + 1)
+    n, d = tails.n, tails.d
+    if any(np.isnan(top[0]) for top in tails.values):  # NaN tops its column
+        raise PreconditionError("the sample must not contain NaN")
 
     # the m-th smallest U of each column, m = 0..m_top: fl(1 - x) is
     # non-increasing in x, so these are 1 - the m_top largest x, in order
-    thr_axes = [np.concatenate(([0.0], 1.0 - col[::-1][:m_top]))
-                for col in state.sorted_cols]
+    thr_axes = [np.concatenate(([0.0], 1.0 - top[:m_top])) for top in tails.values]
     # l_n on the lattice, one strip of axis-0 levels at a time; the model
     # terms are elementwise, so each strip's rows equal the dense grid's
     corners = _corner_model_grids(model, k, T, d)
     levels = [np.arange(m_top + 1, dtype=float)] * d
-    depths = tail_depths(state, [m_top] * d)
+    depths = tail_depths(tails, [m_top] * d)
     substitution = bias = rounding = 0.0
     for lo, hi, counts in gridscan.count_strips(depths.astype(float), levels, k):
         rows = [thr_axes[0][lo:hi]] + thr_axes[1:]

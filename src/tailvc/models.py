@@ -34,7 +34,7 @@ VARIANTS = ("independence", "comonotone", "logistic")
 
 _SUP_BIAS_GRID = 256
 
-# The largest logistic theta a model tag may name.  Above about 50 the
+# The largest logistic theta a model may take.  Above about 50 the
 # frailty draw's sin(V) ** theta underflows and its other power overflows,
 # so S is inf or NaN and x is exactly 1.0 or NaN; ten seeded 1e6-row
 # d = 2 draws at each of theta = 10, 20, 30 and 40 held neither.
@@ -57,6 +57,11 @@ class StdfModel:
         if self.d < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {self.d}")
         if self.variant == "logistic":
+            if self.theta is not None and self.theta > _LOGISTIC_THETA_MAX:
+                raise ConfigurationError(
+                    f"logistic dependence parameter must be <= {_LOGISTIC_THETA_MAX:g}, "
+                    f"got {self.theta:g}: the frailty draw overflows above it"
+                )
             if self.theta is None or not np.isfinite(self.theta) or self.theta < 1:
                 raise ConfigurationError(
                     f"logistic dependence parameter must be >= 1, got {self.theta}"
@@ -91,11 +96,6 @@ def parse_model(tag: str, d: int) -> StdfModel:
             theta = float(tag[len("logistic(") : -1])
         except ValueError:
             raise ConfigurationError(f"cannot parse dependence parameter in {tag!r}")
-        if theta > _LOGISTIC_THETA_MAX:
-            raise ConfigurationError(
-                f"logistic dependence parameter must be <= {_LOGISTIC_THETA_MAX:g}, "
-                f"got {theta:g}: the frailty draw overflows above it"
-            )
         return logistic(theta, d)
     raise ConfigurationError(f"unknown model tag {tag!r}")
 

@@ -219,8 +219,8 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
     Returns (rows, x): ascending row indices and the c x d matrix of their
     values, so every column's m largest values of the whole draw, and the
     rows holding them, are among these rows.  ``rows`` is None when x is
-    the whole draw: for every model but the logistic one at
-    1 < theta <= ``_TAIL_THETA_MAX``, and when m >= n.
+    the whole draw: for every model but the logistic one at theta > 1,
+    and when m >= n.
 
     The logistic tail draw takes the same random words in the same order
     as the full draw (V, W, then the n x d exponentials E) and computes x
@@ -237,10 +237,9 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
     if m < 1:
         raise PreconditionError(f"the tail must hold at least one value, got m = {m}")
-    theta = model.theta
-    if model.variant != "logistic" or not 1.0 < theta <= _TAIL_THETA_MAX or m >= n:
+    if model.variant != "logistic" or model.theta == 1.0 or m >= n:
         return None, draw_copula_sample(model, n, rng)
-    alpha = 1.0 / theta
+    alpha = 1.0 / model.theta
     v = rng.uniform(0.0, math.pi, size=n)
     w = rng.standard_exponential(n)
     rows, e = _tail_candidates(alpha, v, w, m, model.d, rng)
@@ -251,14 +250,10 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
 # its bound pass draws the exponentials _TAIL_CHUNK rows at a time.
 _S1_BUCKETS = 1 << 14
 _TAIL_CHUNK = 1 << 14
-# Above this theta the tail draw takes the full draw: the slack of
-# _s1_reciprocals and _EDGE_RECIPROCAL are argued for theta <= 50, where
-# S1 and E W^beta stay far inside the float range.
-_TAIL_THETA_MAX = 50.0
 # 1 / S1's upper bound in the first and last buckets, which V -> 0, V -> pi
 # and a 0/0 frailty fall in: finite, so a zero E or W gives 0, not 0 * inf.
 # It exceeds 1 / S1 there (S1 -> alpha (1 - alpha)^beta as V -> 0), and
-# E W^beta stays below 1e100 for theta <= _TAIL_THETA_MAX.
+# E W^beta stays below 1e100 for theta <= 50, above the models' limit of 40.
 _EDGE_RECIPROCAL = 1e200
 
 

@@ -6,30 +6,32 @@ tail kernel is tested against.
 read here off full-sample ranks, one stable argsort per column, and again
 as (n/k) F~_n at the floor(k x_j)-th smallest margin-standardized values.
 ``tailvc`` computes l_n one way only, from the rows of each column's tail
-(``tail_order`` -> ``tail_depths`` -> the ``gridscan`` dominance walker);
-these definitions say what that path must equal, and no library code
-reads them.
+(``column_tails`` -> ``tail_depths`` -> the ``gridscan`` dominance
+walker); these definitions say what that path must equal, and no library
+code reads them.  Each takes the sample's raw values: an n x d matrix, a
+``Sample`` or one column.
 """
 
 import numpy as np
 
-from tailvc.empirical import TailOrder, _values_of, lattice_index
+from tailvc.empirical import _values_of, lattice_index
 from tailvc.errors import PreconditionError
 from tailvc.samplers import parse_margins
 
 
-def ranks(state: TailOrder) -> np.ndarray:
+def ranks(x) -> np.ndarray:
     """n x d ranks, 1..n per column, from one stable argsort per column:
     NaN ranks above every number, and NaNs rank among themselves by row
-    index, the order of ``TailOrder.top_rows``."""
-    n, d = state.values.shape
+    index, the order of ``ColumnTails.top_rows``."""
+    x = _values_of(x)
+    n, d = x.shape
     out = np.empty((n, d), dtype=np.int64)
     for j in range(d):
-        out[np.argsort(state.values[:, j], kind="stable"), j] = np.arange(1, n + 1)
+        out[np.argsort(x[:, j], kind="stable"), j] = np.arange(1, n + 1)
     return out
 
 
-def exceedance_count(state: TailOrder, m) -> int | np.ndarray:
+def exceedance_count(x, m) -> int | np.ndarray:
     """#rows with rank >= n - m_j + 1 in some column, exact integer.
 
     ``m`` is an integer lattice vector (d,) or a batch (P, d); each entry
@@ -38,8 +40,8 @@ def exceedance_count(state: TailOrder, m) -> int | np.ndarray:
     m = np.asarray(m, dtype=np.int64)
     single = m.ndim == 1
     m2 = m[None, :] if single else m
-    n = state.n
-    if m2.shape[-1] != state.d:
+    n, d = _values_of(x).shape
+    if m2.shape[-1] != d:
         raise PreconditionError(f"lattice vector has wrong dimension {m2.shape[-1]}")
     if np.any(m2 < 0) or np.any(m2 > n):
         raise PreconditionError(
@@ -48,9 +50,9 @@ def exceedance_count(state: TailOrder, m) -> int | np.ndarray:
         )
     counts = np.empty(m2.shape[0], dtype=np.int64)
     # chunked so P x n x d never exceeds ~32M entries
-    chunk = max(1, int(32_000_000 // max(1, n * state.d)))
+    chunk = max(1, int(32_000_000 // max(1, n * d)))
     thresholds = n - m2 + 1
-    rank_matrix = ranks(state)
+    rank_matrix = ranks(x)
     for lo in range(0, m2.shape[0], chunk):
         hi = min(lo + chunk, m2.shape[0])
         hit = rank_matrix[None, :, :] >= thresholds[lo:hi, None, :]
@@ -58,12 +60,13 @@ def exceedance_count(state: TailOrder, m) -> int | np.ndarray:
     return int(counts[0]) if single else counts
 
 
-def empirical_stdf(state: TailOrder, k: int, x) -> float | np.ndarray:
+def empirical_stdf(sample, k: int, x) -> float | np.ndarray:
     """Empirical dependence function l_n(x); multiple of 1/k, exact count."""
-    if not 1 <= k <= state.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {state.n}], got {k}")
+    n = _values_of(sample).shape[0]
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
     m = lattice_index(k, x)
-    return exceedance_count(state, m) / k
+    return exceedance_count(sample, m) / k
 
 
 def tail_event_count(u, thresholds) -> int:
@@ -112,22 +115,23 @@ def order_stat_thresholds(u, m) -> np.ndarray:
     return out
 
 
-def empirical_stdf_via_order_stats(state: TailOrder, u, k: int, x) -> float:
+def empirical_stdf_via_order_stats(sample, u, k: int, x) -> float:
     """(n/k) * F_n-tilde at the vector of floor(k x_j)-th smallest U values.
 
-    With u the exact margin-standardization of the ranked sample this
-    equals empirical_stdf(state, k, x) row for row, because the counted
-    event is rank-determined; the equality is integer-exact and is the
-    backbone identity of the estimator.
+    With u the exact margin-standardization of the sample this equals
+    empirical_stdf(sample, k, x) row for row, because the counted event
+    is rank-determined; the equality is integer-exact and is the backbone
+    identity of the estimator.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (state.n, state.d):
-        raise PreconditionError("pseudo-uniform sample does not match rank state")
-    if not 1 <= k <= state.n:
-        raise PreconditionError(f"k must lie in [1, n] = [1, {state.n}], got {k}")
+    n, d = _values_of(sample).shape
+    if u.shape != (n, d):
+        raise PreconditionError("pseudo-uniform sample does not match the sample")
+    if not 1 <= k <= n:
+        raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
     m = lattice_index(k, x)
-    if np.any(m > state.n):
+    if np.any(m > n):
         raise PreconditionError("floor(k x) exceeds n")
     thr = order_stat_thresholds(u, m)
-    return (state.n / k) * (tail_event_count(u, thr) / state.n)
+    return (n / k) * (tail_event_count(u, thr) / n)
 

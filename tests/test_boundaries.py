@@ -3,7 +3,7 @@ imports a library name from the package root, every function the
 benchmark tracer wraps exists, the tracer can rebind every alias of them
 and sees a command's calls, ``--help`` loads no numpy and a command only
 its own modules, one function owns the d >= 3 scan rule, no production
-path reads a ``TailOrder``'s ranks, and every public name has a reader."""
+path reads ranks off the tail state, and every public name has a reader."""
 
 import ast
 import importlib
@@ -21,7 +21,7 @@ import pytest
 
 import tailvc
 from tailvc import cli, concentration, empirical, gridscan, harness, samplers
-from tailvc.empirical import TailOrder, tail_order
+from tailvc.empirical import ColumnTails, column_tails
 from tailvc.errors import EXIT_USAGE, ConfigurationError
 from tailvc.models import independence
 from tailvc.rng import substream
@@ -241,7 +241,7 @@ POOL = "concurrent.futures.process"
     (["classify", "--mode", "decomposition", "--n", 300, "--trials", 2, "--seed", 1],
      {"tailvc.concentration", "tailvc.harness", "tailvc.empirical", POOL}),
     (["estimate", "--data", "x.csv", "--k", 5, "--T", 2.0],
-     {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL}),
+     {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL, "numpy.ma"}),
 ], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition", "estimate"])
 def test_a_command_imports_only_its_modules(args, skipped, tmp_path):
     (tmp_path / "x.csv").write_text("x1,x2\n" + "".join(f"{i},{7 * i % 50}\n"
@@ -369,8 +369,8 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
 def test_no_production_path_reads_ranks():
     # the rank-based l_n lives in tests/rank_oracles.py: the rank state has
     # no ranks to read, and no library module reaches the oracles
-    assert not hasattr(TailOrder, "ranks")
-    assert not hasattr(tail_order([[0.5, 2.0], [1.5, 1.0]]), "ranks")
+    assert not hasattr(ColumnTails, "ranks")
+    assert not hasattr(column_tails([[0.5, 2.0], [1.5, 1.0]], 2), "ranks")
     assert [p.name for p in sorted(PACKAGE.glob("*.py"))
             if "rank_oracles" in p.read_text(encoding="utf-8")] == []
 

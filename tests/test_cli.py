@@ -17,6 +17,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def write_distinct_sample(path, n=50):
     """A two-column CSV with no ties: i and 7 i mod n, a permutation of 0..n-1."""
     path.write_text("x1,x2\n" + "".join(f"{i},{7 * i % n}\n" for i in range(n)))
@@ -115,13 +119,13 @@ class TestEstimate:
             args += ["--grid-stride", stride]
         assert run(args) == 0
         # reference: one row per lattice cell in C order, each value repr'd
-        ranks = build_ranks(read_sample_csv(sim / "sample.csv").values)
+        values = read_sample_csv(sim / "sample.csv").values
         axis = np.arange(0, int(lattice_index(k, T)) + 1, stride or 1)
         mesh = np.meshgrid(*[axis] * d, indexing="ij")
         lines = [",".join([f"x{j + 1}" for j in range(d)] + ["l_n"])]
         for idx in np.ndindex(mesh[0].shape):
             m = [mesh[j][idx] for j in range(d)]
-            point = [mj / k for mj in m] + [exceedance_count(ranks, m) / k]
+            point = [mj / k for mj in m] + [exceedance_count(values, m) / k]
             lines.append(",".join(repr(float(v)) for v in point))
         expected = "\n".join(lines) + "\n"
         assert (est / "surface.csv").read_text() == expected
@@ -146,7 +150,8 @@ class TestEstimate:
         if "--jitter-seed" in extra:
             values = jitter_columns(values, 3)
         stride, m_top = (7 if "--grid-stride" in extra else 1), int(lattice_index(k, T))
-        sub = empirical_stdf_lattice(build_ranks(values), k, [m_top] * d, stride)
+        sub = empirical_stdf_lattice(build_ranks(values, m_top + 1), k, [m_top] * d,
+                                     stride)
         axis = np.arange(0, m_top + 1, stride) / k
         surface = np.empty(sub.shape + (d + 1,))
         for j in range(d):
@@ -185,12 +190,65 @@ class TestEstimate:
         assert f"{data}: line 3: non-finite value 'inf'" in capsys.readouterr().err
 
     def test_ties_are_data_errors(self, tmp_path, capsys):
+        # k T = 2 reads each column's 3 largest values: column 0's tie is among them
         data = tmp_path / "tied.csv"
         data.write_text("x1,x2\n1.0,2.0\n1.0,3.0\n2.0,4.0\n")
-        code = run(["estimate", "--data", data, "--k", 1, "--T", 1.0,
+        code = run(["estimate", "--data", data, "--k", 1, "--T", 2.0,
                     "--out", tmp_path / "e"])
         assert code == 3
         assert "column 0" in capsys.readouterr().err
+
+    def test_a_tie_below_the_values_read_changes_no_byte(self, tmp_path):
+        # k T = 10 reads each column's 11 largest values; the tie is column
+        # 0's two smallest, 1 and 1
+        data, tied = tmp_path / "s.csv", tmp_path / "tied.csv"
+        write_distinct_sample(data)
+        tied.write_text(data.read_text().replace("x1,x2\n0,", "x1,x2\n1,", 1))
+        for path in (data, tied):
+            assert run(["estimate", "--data", path, "--k", 5, "--T", 2.0,
+                        "--out", tmp_path / path.stem]) == 0
+        assert ((tmp_path / "tied" / "surface.csv").read_bytes()
+                == (tmp_path / "s" / "surface.csv").read_bytes())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k,T,message", [
+        (5, "0", "T must be finite and > 0, got 0.0"),
+        (5, "-1", "T must be finite and > 0, got -1.0"),
+        (5, "inf", "T must be finite and > 0, got inf"),
+        (5, "nan", "T must be finite and > 0, got nan"),
+        (0, "1.0", "k must lie in [1, n] = [1, 50], got 0"),
+        (51, "0.5", "k must lie in [1, n] = [1, 50], got 51"),
+        (51, "1.0", "k T = 51 exceeds n = 50"),
+        (30, "2.0", "k T = 60 exceeds n = 50"),
+    ])
+    def test_k_and_t_outside_the_sample_are_precondition_errors(
+            self, tmp_path, capsys, k, T, message):
+        data = tmp_path / "s.csv"
+        write_distinct_sample(data)
+        out = tmp_path / "e"
+        assert run(["estimate", "--data", data, "--k", k, "--T", T,
+                    "--out", out]) == 4
+        assert capsys.readouterr().err == f"tailvc estimate: {message}\n"
+        assert not (out / "surface.csv").exists()
+
+    @pytest.mark.parametrize("k,T,message", [
+        (5, "inf", "T must be finite and > 0, got inf"),
+        (0, "1.0", "k must lie in [1, n] = [1, 50], got 0"),
+        (30, "2.0", "k T = 60 exceeds n = 50"),
+    ])
+    def test_a_bad_k_or_t_is_reported_before_a_tie(self, tmp_path, capsys, k, T,
+                                                   message):
+        # the tie check reads floor(k T) + 1 values per column, so k and T
+        # are checked first; column 0 ties its two largest values here
+        data = tmp_path / "tied.csv"
+        write_distinct_sample(data)
+        data.write_text(data.read_text().replace("x1,x2\n0,", "x1,x2\n49,", 1))
+        assert run(["estimate", "--data", data, "--k", k, "--T", T,
+                    "--out", tmp_path / "e"]) == 4
+        assert capsys.readouterr().err == f"tailvc estimate: {message}\n"
+        assert run(["estimate", "--data", data, "--k", 5, "--T", 2.0,
+                    "--out", tmp_path / "e"]) == 3
+        assert "ties detected in column 0 at rows [0, 49]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stride", [0, -2])
     def test_stride_below_one_is_usage_error_before_the_data_is_read(
@@ -220,7 +278,9 @@ class TestEstimate:
 class TestDataFileBytes:
     """SHA-256 of seeded ``simulate`` and ``estimate`` data files, recorded
     before the CSV blocks were bounded by values; the samples span several
-    written and read blocks, and so does the d = 2 surface."""
+    written and read blocks, and so does the d = 2 surface.  The d = 3 and
+    jittered surfaces were recorded while ``estimate`` still sorted every
+    column in full."""
 
     SAMPLE = {
         1: "6ab236680e104fdeefd30939dc0b1b8ef952b9413fb51f98219b15c576d9de34",
@@ -233,11 +293,16 @@ class TestDataFileBytes:
         (2, 3): "8ef899a77c1ec335dfd13242e005f377788abd21189f7fb40cf8f0ed299fe1c3",
     }
 
+    # d = 3 needs a declared grid; k = 20 keeps its lattice at 41^3 nodes
+    D3_SURFACE = {
+        1: "36d6cbd1cdf742244409306e86cca79aefe1eeed3a540a562dcb34ca51f6373b",
+        3: "2103dc77f9b01040da0bfa7fedab902c67ef1311a4adb5a2d9a9e5c83e1ad012",
+    }
+    # a --jitter-seed run on columns that tie in groups of 4 and of 10 rows
+    JITTERED_SURFACE = "7e570863e439f09cada11cc37da9bf817620087d4b96fc38681c2fa609ba5bcb"
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_and_surface_hashes(self, tmp_path, d):
-        def sha256(path):
-            return hashlib.sha256(path.read_bytes()).hexdigest()
-
         sim = tmp_path / "sim"
         margins = "pareto(2)" if d == 1 else "uniform,pareto(2)"
         assert run(["simulate", "--model", "logistic(2)", "--n", 20_000, "--d", d,
@@ -249,6 +314,24 @@ class TestDataFileBytes:
             assert run(["estimate", "--data", sim / "sample.csv", "--k", 100,
                         "--T", 2.0, "--out", est] + extra) == 0
             assert sha256(est / "surface.csv") == self.SURFACE[d, stride]
+
+    def test_d3_surface_hashes(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--model", "logistic(2)", "--n", 20_000, "--d", 3,
+                    "--seed", 5, "--out", sim]) == 0
+        for stride, want in self.D3_SURFACE.items():
+            est = tmp_path / f"est{stride}"
+            assert run(["estimate", "--data", sim / "sample.csv", "--k", 20,
+                        "--T", 2.0, "--grid-stride", stride, "--out", est]) == 0
+            assert sha256(est / "surface.csv") == want
+
+    def test_jittered_tied_surface_hash(self, tmp_path):
+        data, est = tmp_path / "tied.csv", tmp_path / "est"
+        data.write_text("x1,x2\n" + "".join(
+            f"{i * 7919 % 2000 // 4},{i * 31 % 2000 // 10}\n" for i in range(2000)))
+        assert run(["estimate", "--data", data, "--k", 100, "--T", 2.0,
+                    "--jitter-seed", 3, "--out", est]) == 0
+        assert sha256(est / "surface.csv") == self.JITTERED_SURFACE
 
 
 class TestConvergeBytes:
@@ -547,19 +630,6 @@ class TestBound:
     def test_unknown_kind_is_usage_error(self, tmp_path):
         assert run(["bound", "--kind", "hoeffding", "--delta", "0.05",
                     "--out", tmp_path]) == 2
-
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("T", ["nan", "inf", "0", "-1"])
-    def test_t_outside_zero_to_inf_is_precondition_error(self, tmp_path, capsys,
-                                                         T):
-        data = tmp_path / "s.csv"
-        write_distinct_sample(data)
-        out = tmp_path / "e"
-        assert run(["estimate", "--data", data, "--k", 5, "--T", T,
-                    "--out", out]) == 4
-        assert "T must be finite and > 0" in capsys.readouterr().err
-        assert not (out / "surface.csv").exists()
 
 
 class TestRademacher:

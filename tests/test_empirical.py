@@ -17,14 +17,13 @@ from rank_oracles import (
     tail_event_count,
 )
 from tailvc.empirical import (
-    TailOrder,
+    ColumnTails,
     build_ranks,
     column_tails,
     empirical_stdf_lattice,
     lattice_index,
     stdf_lattice_counts,
     tail_depths,
-    tail_order,
 )
 from tailvc.errors import PreconditionError, TiesError
 from tailvc.gridscan import dominance_weight_grid
@@ -75,29 +74,34 @@ class TestBuildRanks:
     @settings(max_examples=500, deadline=None)
     @given(tie_cases())
     def test_ties_raise_the_first_stable_argsort_pair(self, x):
+        # at depth n the whole column is read, and checked
+        n = x.shape[0]
         tie = first_stable_tie(x)
         if tie is None:
-            assert np.array_equal(tail_order(x).sorted_cols.T, np.sort(x, axis=0),
-                                  equal_nan=True)
+            tails = build_ranks(x, max(n, 1))
+            for j, col in enumerate(x.T):
+                assert np.array_equal(tails.values[j], np.sort(col)[::-1],
+                                      equal_nan=True)
             return
         with pytest.raises(TiesError) as err:
-            tail_order(x)
+            build_ranks(x, n)
         assert (err.value.column, err.value.rows) == tie
         assert str(err.value) == f"ties detected in column {tie[0]} at rows {tie[1]}"
 
     def test_three_element_column(self):
-        r = build_ranks(np.array([[3.0], [1.0], [2.0]]))
-        assert ranks(r)[:, 0].tolist() == [3, 1, 2]
-        assert r.sorted_cols[0].tolist() == [1.0, 2.0, 3.0]
+        x = np.array([[3.0], [1.0], [2.0]])
+        r = build_ranks(x, 3)
+        assert ranks(x)[:, 0].tolist() == [3, 1, 2]
+        assert r.values[0].tolist() == [3.0, 2.0, 1.0]
+        assert r.rows[0].tolist() == [0, 2, 1]
 
     def test_sorted_column_identity_permutation(self):
-        r = build_ranks(np.arange(10, dtype=float)[:, None])
-        assert ranks(r)[:, 0].tolist() == list(range(1, 11))
+        assert ranks(np.arange(10, dtype=float))[:, 0].tolist() == list(range(1, 11))
 
     def test_duplicate_raises_with_location(self):
         values = np.array([[1.0, 0.5], [2.0, 0.7], [1.0, 0.9]])
         with pytest.raises(TiesError) as err:
-            build_ranks(values)
+            build_ranks(values, 3)
         assert err.value.column == 0
         assert err.value.rows == [0, 2]
 
@@ -106,8 +110,8 @@ class TestBuildRanks:
 
         values = np.array([[1.0, 5.0], [1.0, 2.0], [3.0, 2.0], [7.0, 2.0]])
         out = jitter_columns(values, seed=4)
-        ranks = build_ranks(out)  # no TiesError anymore
-        assert ranks.n == 4
+        tails = build_ranks(out, 4)  # no TiesError anymore
+        assert tails.n == 4
         # distinct values keep their relative order in both columns
         assert out[3, 0] > out[2, 0] > max(out[0, 0], out[1, 0])
         assert out[0, 1] > max(out[1, 1], out[2, 1], out[3, 1])
@@ -118,21 +122,18 @@ class TestBuildRanks:
 
 class TestEmpiricalStdf:
     def test_zero_point_is_zero(self):
-        r = build_ranks(antimonotone_sample())
-        assert empirical_stdf(r, 2, [0.0, 0.0]) == 0.0
+        assert empirical_stdf(antimonotone_sample(), 2, [0.0, 0.0]) == 0.0
 
     def test_comonotone_unit_point_attains_lower_bound(self):
         s = draw_sample(GeneratorSpec(model=comonotone(2), n=40, d=2, seed=3))
-        r = build_ranks(s)
-        assert empirical_stdf(r, 10, [1.0, 1.0]) == 1.0
+        assert empirical_stdf(s, 10, [1.0, 1.0]) == 1.0
 
     def test_antimonotone_hand_count(self):
         # thresholds are the 4th smallest per column; 4 rows exceed in union
-        r = build_ranks(antimonotone_sample())
-        assert empirical_stdf(r, 2, [1.0, 1.0]) == 2.0
+        assert empirical_stdf(antimonotone_sample(), 2, [1.0, 1.0]) == 2.0
 
     def test_lattice_domain_guard(self):
-        r = build_ranks(antimonotone_sample())
+        r = antimonotone_sample()
         with pytest.raises(PreconditionError):
             empirical_stdf(r, 2, [3.0, 0.0])  # floor(k x) = 6 > n = 5
         with pytest.raises(PreconditionError):
@@ -141,9 +142,8 @@ class TestEmpiricalStdf:
     def test_value_is_multiple_of_one_over_k(self):
         rng = substream(4, "mult")
         x = draw_copula_sample(independence(2), 30, rng)
-        r = build_ranks(x)
         for k in (1, 3, 7, 21):
-            v = empirical_stdf(r, k, [0.7, 1.3])
+            v = empirical_stdf(x, k, [0.7, 1.3])
             assert round(v * k) == pytest.approx(v * k, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
@@ -206,16 +206,14 @@ class TestStandardize:
 class TestOrderStatIdentity:
     def test_antimonotone_case(self):
         values = antimonotone_sample()
-        r = build_ranks(values)
         # margins on {1..5}/6 scale keep things in [0, 1] for standardization
         u = 1.0 - values / 6.0
-        assert empirical_stdf_via_order_stats(r, u, 2, [1.0, 1.0]) == 2.0
+        assert empirical_stdf_via_order_stats(values, u, 2, [1.0, 1.0]) == 2.0
 
     def test_zero_point(self):
         values = antimonotone_sample()
-        r = build_ranks(values)
         u = 1.0 - values / 6.0
-        assert empirical_stdf_via_order_stats(r, u, 2, [0.0, 0.0]) == 0.0
+        assert empirical_stdf_via_order_stats(values, u, 2, [0.0, 0.0]) == 0.0
 
     def test_exact_equality_randomized(self):
         rng = np.random.default_rng(2025)
@@ -230,11 +228,10 @@ class TestOrderStatIdentity:
                 for _ in range(d)
             )
             s = apply_margins(Sample(x), margins)
-            ranks = build_ranks(s)
             u = standardize(s, margins)
             k = int(rng.integers(1, n + 1))
             mvec = rng.integers(0, n + 1, size=d)
-            lhs = exceedance_count(ranks, mvec)
+            lhs = exceedance_count(s, mvec)
             rhs = tail_event_count(u, order_stat_thresholds(u, mvec))
             assert lhs == rhs
 
@@ -246,39 +243,36 @@ class TestStructuralInvariants:
             d = int(rng.integers(1, 4))
             n = int(rng.integers(2, 60))
             x = rng.random((n, d))
-            r = build_ranks(x)
             k = int(rng.integers(1, n + 1))
             pt = rng.uniform(0, n / k, d)
             m = lattice_index(k, pt)
             if np.any(m > n):
                 continue
-            val = empirical_stdf(r, k, pt)
+            val = empirical_stdf(x, k, pt)
             assert val * k >= m.max() - 1e-9
             assert val * k <= m.sum() + 1e-9
 
     def test_margin_invariance(self):
         rng = np.random.default_rng(78)
         x = rng.random((60, 2))
-        r0 = build_ranks(x)
         k, pts = 8, rng.uniform(0, 3, (20, 2))
-        base = [empirical_stdf(r0, k, p) for p in pts]
+        base = [empirical_stdf(x, k, p) for p in pts]
         for margin in ("exponential", "pareto(2)", "pareto(0.5)"):
-            r1 = build_ranks(apply_margins(Sample(x), margin))
-            after = [empirical_stdf(r1, k, p) for p in pts]
+            x1 = apply_margins(Sample(x), margin)
+            after = [empirical_stdf(x1, k, p) for p in pts]
             assert after == base
 
     def test_componentwise_monotone_and_lattice_constant(self):
         rng = np.random.default_rng(79)
         x = rng.random((50, 2))
-        r = build_ranks(x)
         k = 10
         grid = np.linspace(0, 4.9, 30)
-        vals = np.array([[empirical_stdf(r, k, [a, b]) for b in grid] for a in grid])
+        vals = np.array([[empirical_stdf(x, k, [a, b]) for b in grid] for a in grid])
         assert np.all(np.diff(vals, axis=0) >= 0)
         assert np.all(np.diff(vals, axis=1) >= 0)
         # constant within a lattice cell
-        assert empirical_stdf(r, k, [0.51, 0.73]) == empirical_stdf(
-            r, k, [0.59, 0.79]
+        assert empirical_stdf(x, k, [0.51, 0.73]) == empirical_stdf(
+            x, k, [0.59, 0.79]
         )
 
     def test_lattice_evaluator_matches_pointwise(self):
@@ -286,13 +280,12 @@ class TestStructuralInvariants:
         for d in (1, 2, 3):
             n = 40
             x = rng.random((n, d))
-            r = build_ranks(x)
             k = 6
             mmax = [5] * d
-            grid = empirical_stdf_lattice(r, k, mmax)
+            grid = empirical_stdf_lattice(build_ranks(x, 6), k, mmax)
             for idx in np.ndindex(grid.shape):
                 assert grid[idx] == empirical_stdf(
-                    r, k, np.asarray(idx, dtype=float) / k
+                    x, k, np.asarray(idx, dtype=float) / k
                 )
 
 
@@ -328,15 +321,19 @@ def tail_kernel_cases(draw):
     return np.column_stack(cols), mmax
 
 
+def tail_sources(x, mmax):
+    """x's column tails at the depth a lattice up to mmax reads, and whole."""
+    return column_tails(x, max(mmax) + 1), column_tails(x, x.shape[0])
+
+
 class TestTailKernel:
     @settings(max_examples=300, deadline=None)
     @given(tail_kernel_cases())
     def test_matches_exceedance_oracle_at_every_lattice_vector(self, case):
         x, mmax = case
-        ranks = build_ranks(x)
         lattice = np.indices([m + 1 for m in mmax]).reshape(len(mmax), -1).T
-        oracle = exceedance_count(ranks, lattice).reshape([m + 1 for m in mmax])
-        for source in (ranks, tail_order(x), column_tails(x, max(mmax) + 1)):
+        oracle = exceedance_count(x, lattice).reshape([m + 1 for m in mmax])
+        for source in tail_sources(x, mmax):
             counts = stdf_lattice_counts(source, mmax)
             assert counts.dtype == np.int64
             assert np.array_equal(counts, oracle)
@@ -345,11 +342,10 @@ class TestTailKernel:
     @given(tail_kernel_cases(), st.integers(1, 5))
     def test_strided_counts_match_exceedance_oracle(self, case, stride):
         x, mmax = case
-        ranks = build_ranks(x)
         axes = [np.arange(0, m + 1, stride) for m in mmax]
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        oracle = exceedance_count(ranks, nodes.reshape(-1, len(mmax)))
-        for source in (ranks, tail_order(x)):
+        oracle = exceedance_count(x, nodes.reshape(-1, len(mmax)))
+        for source in tail_sources(x, mmax):
             counts = stdf_lattice_counts(source, mmax, stride)
             assert counts.dtype == np.int64
             assert counts.shape == tuple(a.size for a in axes)
@@ -357,17 +353,24 @@ class TestTailKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(tail_kernel_cases())
-    def test_rank_state_sorts_as_tail_order(self, case):
-        x, _ = case
-        ranks = build_ranks(x)
-        assert isinstance(ranks, TailOrder)
-        for got, want in ((ranks.sorted_cols, tail_order(x).sorted_cols),
-                          (ranks.sorted_cols.T, np.sort(x, axis=0))):
-            # bit for bit, but a NaN only as NaN: np.sort writes the default
-            # NaN where the stable argsort keeps the row's own (a -NaN here)
-            nan = np.isnan(got)
-            assert np.array_equal(nan, np.isnan(want))
-            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    def test_rank_state_is_the_column_tails(self, case):
+        x, mmax = case
+        n = x.shape[0]
+        for m in (max(mmax) + 1, n):
+            tails = build_ranks(x, m)
+            assert isinstance(tails, ColumnTails)
+            same = column_tails(x, m)
+            for j in range(x.shape[1]):
+                assert np.array_equal(tails.rows[j], same.rows[j])
+                for got, want in ((tails.values[j], same.values[j]),
+                                  (tails.values[j], np.sort(x[:, j])[::-1][:m])):
+                    # bit for bit, but a NaN only as NaN: np.sort writes the
+                    # default NaN where the stable argsort keeps the row's
+                    # own (a -NaN here)
+                    nan = np.isnan(got)
+                    assert np.array_equal(nan, np.isnan(want))
+                    assert np.array_equal(got[~nan].view(np.int64),
+                                          want[~nan].view(np.int64))
 
     @settings(max_examples=200, deadline=None)
     @given(tail_kernel_cases(), st.data())
@@ -381,8 +384,8 @@ class TestTailKernel:
             for j, m in enumerate(mmax)
         ]
         nodes = np.stack(np.meshgrid(*levels, indexing="ij"), axis=-1)
-        oracle = exceedance_count(build_ranks(x), nodes.reshape(-1, len(mmax)))
-        for source in (build_ranks(x), tail_order(x)):
+        oracle = exceedance_count(x, nodes.reshape(-1, len(mmax)))
+        for source in tail_sources(x, mmax):
             depths = tail_depths(source, mmax)
             assert depths.dtype == np.int64
             assert np.all((depths >= 1) & (depths <= np.add(mmax, 1)))
@@ -397,12 +400,13 @@ class TestTailKernel:
     @given(tail_kernel_cases())
     def test_tail_rows_match_stable_argsort(self, case):
         x, _ = case
-        tails, ranks = tail_order(x), build_ranks(x)
+        whole = column_tails(x, x.shape[0])
         for j in range(x.shape[1]):
             order = np.argsort(x[:, j], kind="stable")[::-1]
             for m in range(x.shape[0] + 1):
-                assert tails.top_rows(j, m).tolist() == order[:m].tolist()
-                assert ranks.top_rows(j, m).tolist() == order[:m].tolist()
+                assert whole.top_rows(j, m).tolist() == order[:m].tolist()
+                assert build_ranks(x, max(m, 1)).top_rows(j, m).tolist() == (
+                    order[:m].tolist())
 
     @pytest.mark.parametrize("depths", [(30, 31), (5, 6), (1, 2)],
                              ids=["body", "tail-boundary", "top"])
@@ -415,9 +419,9 @@ class TestTailKernel:
         a, b = (order[i - 1] for i in depths)
         x[a, 1] = x[b, 1]
         with pytest.raises(TiesError) as expected:
-            build_ranks(x)
+            build_ranks(x, 60)
         with pytest.raises(TiesError) as got:
-            tail_order(x)
+            column_tails(x, 60)
         assert got.value.column == expected.value.column == 1
         assert got.value.rows == expected.value.rows == sorted((a, b))
         assert str(got.value) == str(expected.value)
@@ -471,15 +475,14 @@ class TestColumnTails:
                 assert tails.top_rows(j, min(m, n)).tolist() == order.tolist()
                 assert np.array_equal(tails.values[j], col[order], equal_nan=True)
 
-    def test_the_whole_column_is_tail_orders_check(self):
+    def test_the_whole_column_is_checked_at_depth_n(self):
         rng = np.random.default_rng(84)
         for _ in range(50):
             x = rng.integers(0, 40, size=(30, 2)).astype(float)
-            with pytest.raises(TiesError) as full:
-                tail_order(x)
+            column, rows = first_stable_tie(x)
             with pytest.raises(TiesError) as tail:
                 column_tails(x, 30)
-            assert str(tail.value) == str(full.value)
+            assert str(tail.value) == f"ties detected in column {column} at rows {rows}"
 
     def test_depth_beyond_the_tail_is_refused(self):
         tails = column_tails(np.random.default_rng(85).random((10, 2)), 3)
@@ -488,7 +491,7 @@ class TestColumnTails:
             tails.top_rows(0, 4)
 
     def test_shape_and_range_guards(self):
-        x = tail_order(np.random.default_rng(82).random((10, 2)))
+        x = column_tails(np.random.default_rng(82).random((10, 2)), 10)
         with pytest.raises(PreconditionError):
             stdf_lattice_counts(x, [3])
         with pytest.raises(PreconditionError):
@@ -498,7 +501,7 @@ class TestColumnTails:
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_is_a_precondition_error(self, stride):
-        x = tail_order(np.random.default_rng(83).random((10, 2)))
+        x = column_tails(np.random.default_rng(83).random((10, 2)), 10)
         with pytest.raises(PreconditionError, match="stride must be >= 1"):
             stdf_lattice_counts(x, [3, 3], stride)
         with pytest.raises(PreconditionError, match="stride must be >= 1"):

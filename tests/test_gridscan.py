@@ -13,7 +13,7 @@ from tailvc import gridscan
 from tailvc.cli import main
 from tailvc.concentration import RectClassSpec, union_mass
 from tailvc.errors import PreconditionError
-from tailvc.empirical import tail_depths, tail_order
+from tailvc.empirical import column_tails, tail_depths
 from tailvc.gridscan import (
     _dominance_strips,
     candidate_axes,
@@ -399,7 +399,7 @@ class TestCellCornerMax:
         model, k, T = parse_model("logistic(2)", d), 10, 2.0
         x = draw_copula_sample(model, 300, substream(41, "lattice", d))
         m_top = 20
-        depths = tail_depths(tail_order(x), [m_top] * d)
+        depths = tail_depths(column_tails(x, m_top + 1), [m_top] * d)
         axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
         corners = eval_stdf_axes(model, [axis] * d)
         m = m_top + 1
@@ -450,7 +450,7 @@ class TestCellCornerMax:
             elif scan == "max_count_gap":
                 max_count_gap(z, [declared_axis(0.4, 5)] * 2, 3, with_nan)
             else:
-                depths = tail_depths(tail_order(z), [2, 2])
+                depths = tail_depths(column_tails(z, 3), [2, 2])
                 corners = with_nan([np.arange(4) / 8] * 2)
                 lattice_corner_max(depths, 2, gridscan.CornerGrid(2, 2, indexed(corners)))
 

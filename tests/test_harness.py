@@ -18,7 +18,6 @@ from tailvc.empirical import (
     column_tails,
     empirical_stdf_lattice,
     lattice_index,
-    tail_order,
 )
 from tailvc.errors import ConfigurationError, PreconditionError, TiesError
 from tailvc.gridscan import cell_corner_max
@@ -134,12 +133,11 @@ class TestSupStdfDeviation:
     def test_matches_dense_grid_independence(self):
         m = independence(2)
         s = draw_copula_sample(m, 200, substream(6, "dense"))
-        ranks = build_ranks(s)
-        exact = sup_stdf_deviation(ranks, 10, m, 2.0).value
+        exact = sup_stdf_deviation(s, 10, m, 2.0).value
         g = np.linspace(0, 2.0, 2001)
-        n, k = ranks.n, 10
+        n, k = s.shape[0], 10
         # hit[j][a, i]: row i is in column j's top floor(k g[a]) ranks
-        hit = [rank_matrix(ranks)[:, j] >= n - lattice_index(k, g)[:, None] + 1
+        hit = [rank_matrix(s)[:, j] >= n - lattice_index(k, g)[:, None] + 1
                for j in range(2)]
         brute = 0.0
         for block in np.array_split(np.arange(g.size), 20):  # grid rows
@@ -148,7 +146,7 @@ class TestSupStdfDeviation:
             if block[0] == 0:  # the blocked count is l_n's own exact count
                 spot = pts[::7, ::97].reshape(-1, 2)
                 np.testing.assert_array_equal(
-                    counts[::7, ::97].ravel() / k, empirical_stdf(ranks, k, spot)
+                    counts[::7, ::97].ravel() / k, empirical_stdf(s, k, spot)
                 )
             brute = max(brute, np.abs(counts / k - eval_stdf(m, pts)).max())
         assert exact >= brute - 1e-12
@@ -160,23 +158,23 @@ class TestSupStdfDeviation:
         m = parse_model(tag, d)
         x = draw_copula_sample(m, 3000, substream(10, "raw", tag, d))
         for k, T in ((40, 2.0), (7, 0.09), (300, 10.0)):
-            from_ranks = sup_stdf_deviation(build_ranks(x), k, m, T)
-            assert sup_stdf_deviation(x, k, m, T) == from_ranks
-            assert sup_stdf_deviation(tail_order(x), k, m, T) == from_ranks
+            from_tails = sup_stdf_deviation(tails(x, k, T), k, m, T)
+            assert sup_stdf_deviation(x, k, m, T) == from_tails
+            assert sup_stdf_deviation(column_tails(x, 3000), k, m, T) == from_tails
 
     @pytest.mark.parametrize("tag,d", [("independence", 3), ("logistic(2)", 2)])
     def test_declared_grid_streams_in_strips(self, monkeypatch, tag, d):
         import tailvc.gridscan as gridscan
 
         m = parse_model(tag, d)
-        ranks = build_ranks(draw_copula_sample(m, 400, substream(12, "strip", tag, d)))
+        x = draw_copula_sample(m, 400, substream(12, "strip", tag, d))
         k, T, res = 10, 1.5, 9
-        whole = sup_stdf_deviation(ranks, k, m, T, grid_resolution=res)
+        whole = sup_stdf_deviation(tails(x, k, T), k, m, T, grid_resolution=res)
         monkeypatch.setattr(gridscan, "_STRIP_BYTES", 8)  # one axis-0 node per strip
-        assert sup_stdf_deviation(ranks, k, m, T, grid_resolution=res) == whole
+        assert sup_stdf_deviation(tails(x, k, T), k, m, T, grid_resolution=res) == whole
         axis = np.linspace(0.0, T, res)
         pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-        brute = np.abs(empirical_stdf(ranks, k, pts) - eval_stdf(m, pts)).max()
+        brute = np.abs(empirical_stdf(x, k, pts) - eval_stdf(m, pts)).max()
         assert whole.value == pytest.approx(brute, abs=1e-12)
 
     @pytest.mark.parametrize("res", [0, 1, -3])
@@ -204,7 +202,7 @@ class TestSupStdfDeviation:
         monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
         monkeypatch.setattr(hmod, "_corner_grid", None)  # an earlier test's grid
         m = logistic(2.0, 2)
-        x = tail_order(draw_copula_sample(m, 2000, substream(15, "spy", k)))
+        x = tails(draw_copula_sample(m, 2000, substream(15, "spy", k)), k, T)
         sup_stdf_deviation(x, k, m, T)
         # l is served in strips and windows of the one clipped corner axis
         m_top = int(lattice_index(k, T))
@@ -254,7 +252,7 @@ class TestSupStdfDeviation:
         monkeypatch.setattr(hmod, "_corner_grid", None)
         m, k, T = logistic(2.0, 2), 30, 2.0
         x = draw_copula_sample(m, 3000, substream(17, "share"))
-        sup_stdf_deviation(tail_order(x), k, m, T)
+        sup_stdf_deviation(tails(x, k, T), k, m, T)
         shapes.clear()
         deviation_decomposition(x, k, T, m)
         assert prepared == [62]  # one summary pass for both calls
@@ -319,7 +317,7 @@ class TestSupStdfDeviation:
 
         monkeypatch.setattr(hmod, "_corner_grid", None)
         m, k, T = comonotone(2), 50, 2.0
-        x = tail_order(draw_copula_sample(m, 5000, substream(4, "com")))
+        x = tails(draw_copula_sample(m, 5000, substream(4, "com")), k, T)
         want = sup_stdf_deviation(x, k, m, T)
         entry, calls = hmod._corner_grid, []
 
@@ -336,7 +334,7 @@ class TestSupStdfDeviation:
         # the former scan: l on the lower corners arange(M + 1) / k and, as a
         # second grid, on the upper corners min(arange(1, M + 2) / k, T)
         m, T = logistic(2.0, 2), 2.0
-        x = tail_order(draw_copula_sample(m, 20_000, substream(16, "two-grid")))
+        x = tails(draw_copula_sample(m, 20_000, substream(16, "two-grid")), 800, T)
         for k in (50, 100, 200, 400, 800):
             m_top = int(lattice_index(k, T))
             counts = empirical_stdf_lattice(x, k, [m_top] * 2)
@@ -361,6 +359,11 @@ class TestSupStdfDeviation:
         assert est.discretization_bound > 0
         exact_like = sup_stdf_deviation(s, 10, m, 1.5, grid_resolution=46)
         assert est.value <= exact_like.value + est.discretization_bound + 1e-12
+
+
+def tails(x, k, T):
+    """x's column tails as deep as a scan at (k, T) reads them: floor(k T) + 1."""
+    return column_tails(x, int(lattice_index(k, T)) + 1)
 
 
 def dense_sup_stdf_deviation(state, k, model, T):
@@ -427,10 +430,10 @@ class TestStripScan:
 
         m = parse_model(tag, d)
         x = draw_copula_sample(m, 20_000, substream(18, "strips", tag, d))
-        states = (tail_order(x), build_ranks(x))
+        states = (tails(x, 800, 2.0), x)  # the deepest tails the cases read, and raw
         for k, T in self.CASES:
-            old = dense_sup_stdf_deviation(states[1], k, m, T)
-            assert dense_sup_stdf_deviation(states[0], k, m, T) == old
+            old = dense_sup_stdf_deviation(states[0], k, m, T)
+            assert dense_sup_stdf_deviation(tails(x, k, T), k, m, T) == old
             rows = int(lattice_index(k, T)) + 1
             for strip in (1, 2, rows - 1, rows, rows + 1):
                 set_strip_rows(monkeypatch, strip, rows, d)
@@ -459,7 +462,7 @@ class TestStripScan:
         import tailvc.harness as hmod
 
         m, k, T = logistic(2.0, 2), 800, 2.0
-        x = tail_order(draw_copula_sample(m, 20_000, substream(19, "mem")))
+        x = tails(draw_copula_sample(m, 20_000, substream(19, "mem")), k, T)
         monkeypatch.setattr(hmod, "_corner_grid", None)
         _corner_model_grids(m, k, T, 2)
         tracemalloc.start()
@@ -486,7 +489,7 @@ class TestStripScan:
     @pytest.mark.parametrize("k,T", [(0, 2.0), (20_001, 0.5)])
     def test_k_outside_one_to_n_is_rejected(self, k, T):
         m = logistic(2.0, 2)
-        x = tail_order(draw_copula_sample(m, 20_000, substream(19, "k-guard")))
+        x = draw_copula_sample(m, 20_000, substream(19, "k-guard"))
         with pytest.raises(PreconditionError, match=r"k must lie in \[1, n\]"):
             sup_stdf_deviation(x, k, m, T)
 
@@ -587,7 +590,7 @@ class TestPrunedScan:
                             count("pruned", gridscan.pruned_corner_max))
         monkeypatch.setattr(gridscan, "_corner_scan",
                             count("walk", gridscan._corner_scan))
-        x = tail_order(draw_copula_sample(m, 20_000, substream(23, "dip")))
+        x = tails(draw_copula_sample(m, 20_000, substream(23, "dip")), k, T)
         counts = empirical_stdf_lattice(x, k, [m_top] * 2)
         for cut, walks in ((0.0, 1), (2.0, 0)):  # pruning declines, then never
             monkeypatch.setattr(gridscan, "_PRUNE_CUT", cut)
@@ -627,7 +630,7 @@ class TestPrunedScan:
         monkeypatch.setattr(gridscan, "pruned_corner_max", spy_pruned)
         monkeypatch.setattr(gridscan, "_corner_scan", spy_walk)
         m, T = parse_model(tag, 2), 2.0
-        x = tail_order(draw_copula_sample(m, n, substream(24, "path", tag)))
+        x = tails(draw_copula_sample(m, n, substream(24, "path", tag)), k, T)
         got = sup_stdf_deviation(x, k, m, T).value
         assert len(results) == 1
         assert (results[0] is not None) == pruned
@@ -661,7 +664,7 @@ class TestReboundL:
 
         m = parse_model(tag, d)
         x = draw_copula_sample(m, 20_000, substream(28, "rebound", tag, d, k))
-        state = tail_order(x)
+        state = tails(x, k, T)
         whole = gridscan._STRIP_BYTES
         served = []
 
@@ -788,7 +791,7 @@ class TestCornerGridOnDemand:
 
         monkeypatch.setattr(hmod, "_corner_grid", None)
         m, T = logistic(2.0, 2), 2.0
-        x = tail_order(draw_copula_sample(m, 20_000, substream(19, "mem")))
+        x = tails(draw_copula_sample(m, 20_000, substream(19, "mem")), k, T)
         value = sup_stdf_deviation(x, k, m, T).value
         assert value == dense_sup_stdf_deviation(x, k, m, T)
         assert hmod._corner_grid is not None
@@ -848,15 +851,14 @@ class TestOrderStatEvent:
                 st.sampled_from([np.inf, -np.inf, 1.0, 0.0]), max_size=3)):
             x[rng.integers(n), rng.integers(d)] = special
         if any(np.unique(col).size != n for col in x.T):
-            return  # tail_order and build_ranks reject ties
+            return  # the whole column's tails reject ties
         k = data.draw(st.integers(1, n))
         m = data.draw(st.integers(1, n))
         T = m / k
         direct = check_order_stat_event(1.0 - x, k, T)
-        assert _order_stat_event(tail_order(x), k, T) == direct
-        assert _order_stat_event(build_ranks(x), k, T) == direct
-        assert _order_stat_event(column_tails(x, int(lattice_index(k, T)) + 1),
-                                 k, T) == direct
+        assert _order_stat_event(column_tails(x, n), k, T) == direct
+        assert _order_stat_event(build_ranks(x, n), k, T) == direct
+        assert _order_stat_event(tails(x, k, T), k, T) == direct
 
     def test_order_stats_event_keeps_preconditions(self):
         x = np.random.default_rng(3).uniform(size=(10, 2))
@@ -864,7 +866,7 @@ class TestOrderStatEvent:
             with pytest.raises(PreconditionError) as direct:
                 check_order_stat_event(1.0 - x, k, T)
             with pytest.raises(PreconditionError) as read:
-                _order_stat_event(tail_order(x), k, T)
+                _order_stat_event(column_tails(x, 10), k, T)
             assert str(read.value) == str(direct.value)
             with pytest.raises(PreconditionError) as read:
                 _order_stat_event(column_tails(x, 1), k, T)
@@ -875,9 +877,9 @@ class TestOrderStatEvent:
 
         model, n, k, T = logistic(2.0, 2), 2000, 20, 2.0
         x = draw_copula_sample(model, n, substream(18, "rate", k, 0))
-        expected = sup_stdf_deviation(build_ranks(x), k, model, T, grid_resolution=9)
+        expected = sup_stdf_deviation(x, k, model, T, grid_resolution=9)
 
-        def no_ranks(sample):
+        def no_ranks(sample, m):
             raise AssertionError("a declared-grid trial ranked every row")
 
         monkeypatch.setattr(hmod, "build_ranks", no_ranks)
@@ -1108,7 +1110,7 @@ class TestDecomposition:
             terms = deviation_decomposition(x, k, T, m)
             got = [terms.substitution, terms.bias, terms.rounding]
             assert [v.hex() for v in got] == want, strip
-            assert terms.total == sup_stdf_deviation(tail_order(x), k, m, T).value
+            assert terms.total == sup_stdf_deviation(x, k, m, T).value
 
     def test_memory_is_linear_in_the_tail(self, monkeypatch):
         # the dense terms held (floor(kT) + 1)^2 grids here: 99.7 MiB peak
@@ -1134,11 +1136,11 @@ class TestDecomposition:
                               1e-300 * np.arange(1, 51), rng.random(150)))
         x = np.column_stack((rng.permutation(col), rng.permutation(col)))
         n, k, T = x.shape[0], 150, 2.0
-        state = tail_order(x)
+        state = column_tails(x, n)
         for j in range(2):
             u_sorted = np.sort(1.0 - x[:, j])
             assert np.unique(u_sorted).size < n
-            assert np.array_equal(1.0 - state.sorted_cols[j][::-1], u_sorted)
+            assert np.array_equal(1.0 - state.values[j], u_sorted)
         m = independence(2)
         terms = deviation_decomposition(x, k, T, m)
         got = [terms.substitution, terms.bias, terms.rounding]
@@ -1185,7 +1187,7 @@ class TestDecompositionOnDemand:
 
 def dense_decomposition(x, k, T, model):
     """The former decomposition terms, from dense lattice and model grids."""
-    state = tail_order(x)
+    state = tails(x, k, T)
     n, d = state.n, state.d
     u = 1.0 - x
     m_top = int(lattice_index(k, T))
@@ -1203,8 +1205,9 @@ def dense_decomposition(x, k, T, model):
 
 
 class TestTrialTiesContract:
-    """A converge trial fails only on a tie among a column's floor(k T) + 1
-    largest values, the only values it reads."""
+    """A converge trial, and ``sup_stdf_deviation`` and the decomposition on
+    raw values, fail only on a tie among a column's floor(k T) + 1 largest
+    values, the only values they read."""
 
     N, K, T = 2000, 20, 2.0  # floor(k T) = 40
 
@@ -1231,19 +1234,30 @@ class TestTrialTiesContract:
     def test_tie_outside_the_tail_changes_nothing(self, monkeypatch, column, depths):
         tied, untied = self.tied(column, depths)
         with pytest.raises(TiesError):
-            tail_order(tied)  # the whole-column check sees the tie
+            column_tails(tied, self.N)  # the whole column holds the tie
         record = self.trial(monkeypatch, tied)
         assert record.ok
         assert record == self.trial(monkeypatch, untied)
+        m = independence(2)
+        assert (sup_stdf_deviation(tied, self.K, m, self.T)
+                == sup_stdf_deviation(untied, self.K, m, self.T))
+        assert (deviation_decomposition(tied, self.K, self.T, m)
+                == deviation_decomposition(untied, self.K, self.T, m))
 
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("depths", [(1, 2), (40, 41)], ids=["top", "last-read"])
     def test_tie_inside_the_tail_fails_with_the_note(self, monkeypatch, column, depths):
         tied, _ = self.tied(column, depths)
         record = self.trial(monkeypatch, tied)
-        with pytest.raises(TiesError) as full:
-            tail_order(tied)
+        with pytest.raises(TiesError) as read:
+            column_tails(tied, 41)
         assert not record.ok
-        assert record.note == str(full.value)
+        assert record.note == str(read.value)
+        m = independence(2)
+        for scan in (lambda: sup_stdf_deviation(tied, self.K, m, self.T),
+                     lambda: deviation_decomposition(tied, self.K, self.T, m)):
+            with pytest.raises(TiesError) as raw:
+                scan()
+            assert str(raw.value) == str(read.value)
         assert (record.k, record.trial, record.order_stat_event) == (self.K, 0, None)
         assert math.isnan(record.sup_deviation)

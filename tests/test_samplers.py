@@ -235,19 +235,20 @@ class TestTailDraw:
         assert np.isin(first, rows).all() and np.isin(last, rows).all()
         assert x.tobytes() == full[rows].tobytes()
 
-    @pytest.mark.parametrize("tag", [
-        "independence", "comonotone", "logistic(1)",
-        # the frailty draw overflows at theta = 60 (CHANGES.md, the note on
-        # draw_copula_sample above theta 50)
-        pytest.param("logistic(60)", marks=pytest.mark.filterwarnings(
-            "ignore::RuntimeWarning")),
-    ])
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(1)"])
     def test_other_models_take_the_full_draw(self, tag):
-        # parse_model refuses theta > 40; the model itself takes any theta >= 1
-        model = logistic(60.0, 2) if tag == "logistic(60)" else parse_model(tag, 2)
-        full, (rows, x) = self.draws(model, 5_000, 11, (2, "tail-full", tag))
+        full, (rows, x) = self.draws(parse_model(tag, 2), 5_000, 11,
+                                     (2, "tail-full", tag))
         assert rows is None
         assert x.tobytes() == full.tobytes()
+
+    def test_no_model_takes_a_theta_the_draw_overflows_at(self):
+        # the frailty draw overflows above theta = 50 (CHANGES.md, the note
+        # on draw_copula_sample above theta 50); the model stops at 40
+        with pytest.raises(ConfigurationError) as err:
+            logistic(60.0, 2)
+        assert str(err.value) == ("logistic dependence parameter must be <= 40, "
+                                  "got 60: the frailty draw overflows above it")
 
     def test_a_tail_needs_a_value(self):
         with pytest.raises(PreconditionError, match="at least one value"):
