@@ -26,8 +26,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigurationError, DataError, PreconditionError
-from .models import StdfModel, independence
-from .rng import SlopeFit, fit_loglog_slope, map_trials, substream
+from .models import StdfModel
+from .rng import SlopeFit, fit_loglog_slope, map_trials, median, substream
 from .samplers import draw_copula_sample
 
 # linf folds the d columns with elementwise maxima: the same maxima as
@@ -441,8 +441,8 @@ def rate_experiment_classification(
              family.members, region, truths_of[region], t)
             for (n, alpha), region in zip(schedule, regions) for t in range(trials))
     records = map_trials(_rate_trial, jobs, 1)
-    medians = {point: float(np.median([r.sup_deviation for r in
-                                       records[i * trials:(i + 1) * trials]]))
+    medians = {point: median([r.sup_deviation for r in
+                              records[i * trials:(i + 1) * trials]])
                for i, point in enumerate(schedule)}
     if len(schedule) >= 2:
         xs = [n * alpha for n, alpha in schedule]

@@ -41,15 +41,15 @@ below the top, O(n + m) memory.
 The lattice scan reads the reference, l at the cell corners, from a
 ``CornerGrid``, which evaluates it a strip of rows or a batch of small
 windows at a time, so no scan holds the (m_top + 2)^d grid.  For d = 2
-it first tries ``pruned_corner_max``.  One pass over the grid, in
-strips of block rows, keeps l's extremes over each block's corner
-window (``corner_grid``); the scan bounds every block of nodes from
-those and from the counts at the block's two extreme nodes (two small
-dominance grids of the walker), skips each block whose bound cannot
-beat the best node value found, and evaluates the rest exactly from the
-depth permutations and l on their windows.  When most blocks survive
-the bound (a deviation flat at its maximum, as for independence and
-comonotone data), the strip walk runs instead.
+it first tries ``pruned_corner_max``.  l is nondecreasing, so over each
+block's corner window it lies between its values at the window's two
+extreme corners, the only nodes ``corner_grid`` reads for the bound.
+The scan bounds every block from those and from the counts at the
+block's two extreme nodes (two small dominance grids of the walker),
+skips each block whose bound cannot beat the best node value found, and
+evaluates the rest exactly from the depth permutations and l on their
+windows.  When most blocks survive the bound (a deviation flat at its
+maximum, as for independence and comonotone), the strip walk runs.
 """
 
 from __future__ import annotations
@@ -77,6 +77,10 @@ _NARROW_ROW = 256
 # least _PRUNE_CUT of the blocks survive the first bound pass.
 _PRUNE_BLOCK = 8
 _PRUNE_CUT = 0.3
+
+# The pruned scan widens l at a block window's corners by this relative slack:
+# l is monotone, but its evaluation may round a few ulp (2^-52 each) apart.
+_MONOTONE_SLACK = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -250,19 +254,17 @@ def dominance_weight_grid(
 class CornerBlocks:
     """A d = 2 corner grid cut into the pruned scan's blocks of nodes.
 
-    The lattice nodes 0..m_top of each axis fall in blocks of
-    _PRUNE_BLOCK nodes, lows[i]..ends[i]; the last block ends at m_top
-    and may overlap its neighbour.  Block (p, q) reads l on its corner
-    window, nodes lows..ends + 1 on both axes: ``l_min`` and ``l_max``
-    are l's extremes over each window, and ``l_end`` and ``l_up`` l at
-    (ends, ends) and (ends + 1, ends + 1).  That is all the bound pass
-    reads of the grid, O(nb^2) floats for nb blocks a side.
+    The lattice nodes 0..m_top of each axis fall in blocks of _PRUNE_BLOCK
+    nodes, lows[i]..ends[i]; the last block ends at m_top and may overlap
+    its neighbour.  Block (p, q) reads l on its corner window, nodes
+    lows..ends + 1 on both axes.  ``l_min``, ``l_end`` and ``l_up``, l at
+    (lows, lows), (ends, ends) and (ends + 1, ends + 1), are all the bound
+    pass reads of it: 3 nb^2 nodes for nb blocks a side.
     """
 
     lows: np.ndarray
     ends: np.ndarray
     l_min: np.ndarray
-    l_max: np.ndarray
     l_end: np.ndarray
     l_up: np.ndarray
 
@@ -293,48 +295,21 @@ class CornerGrid:
 def corner_grid(m_top: int, d: int, evaluate) -> CornerGrid:
     """The corner grid ``evaluate`` serves, with its blocks when d = 2.
 
-    The blocks come from one pass over the grid in strips of block rows
-    (``_corner_blocks``); none when the lattice is narrower than one
-    block.  Prepared once per grid; every scan against it reuses them.
+    The blocks hold l on three nb x nb grids of block corners; none when
+    the lattice is narrower than one block.  A NaN at any of those
+    corners raises, as it does in the strip walk.  Prepared once per
+    grid; every scan against it reuses them.
     """
     grid = CornerGrid(m_top, d, evaluate)
     if d != 2 or m_top + 1 < _PRUNE_BLOCK:
         return grid
-    return replace(grid, blocks=_corner_blocks(grid))
-
-
-def _corner_blocks(grid: CornerGrid) -> CornerBlocks:
-    """The blocks of a d = 2 corner grid, from one pass in strips of block rows.
-
-    A strip holds the grid rows of a few block rows (the next strip
-    re-reads the row they share).  Every block but the last starts at a
-    multiple of _PRUNE_BLOCK on each axis, so l's extremes fold
-    elementwise over strided views: across each block row's window of
-    rows, then across each block's window of columns.  The last block
-    row, which may overlap its neighbour, is a strip of its own.  A NaN
-    anywhere in the grid reaches some window's extremes and raises, as
-    it does in the strip walk.
-    """
-    side, m_top = _PRUNE_BLOCK, grid.m_top
+    side = _PRUNE_BLOCK
     ends = np.minimum(np.arange(side - 1, m_top + side, side), m_top)
     lows = ends - (side - 1)
-    nb = ends.size
-    l_min, l_max, l_end, l_up = (np.empty((nb, nb)) for _ in range(4))
-    per = max(1, strip_rows(m_top + 2) // side)  # block rows per strip
-    strips = [slice(p0, min(p0 + per, nb - 1)) for p0 in range(0, nb - 1, per)]
-    for p in strips + [slice(nb - 1, nb)]:
-        r0, count = lows[p.start], p.stop - p.start
-        rows = grid.rows(r0, ends[p.stop - 1] + 2)
-        for out, fold in ((l_min, np.minimum), (l_max, np.maximum)):
-            across = reduce(fold, (rows[t:t + side * count:side] for t in range(side + 1)))
-            out[p, :-1] = reduce(fold, (across[:, t:t + side * (nb - 1):side]
-                                        for t in range(side + 1)))
-            out[p, -1] = fold.reduce(across[:, lows[-1]:], axis=1)
-        l_end[p] = rows[np.ix_(ends[p] - r0, ends)]
-        l_up[p] = rows[np.ix_(ends[p] + 1 - r0, ends + 1)]
-    if np.isnan(l_max).any():
+    corners = [evaluate([at, at]) for at in (lows, ends, ends + 1)]
+    if any(np.isnan(c).any() for c in corners):
         raise PreconditionError("the comparison is NaN at some grid node")
-    return CornerBlocks(lows, ends, l_min, l_max, l_end, l_up)
+    return replace(grid, blocks=CornerBlocks(lows, ends, *corners))
 
 
 def _node_gap(count_k, l_lo, l_hi) -> np.ndarray:
@@ -353,20 +328,20 @@ def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float 
     ``tail_depths``' U x 2 integer matrix at m_top on both axes, so each
     column's depths 1..m_top belong to distinct rows.
 
+    The grid must be nonnegative and nondecreasing along both axes within
+    s = _MONOTONE_SLACK: on every block [a..A] x [b..B], l on its corner
+    window a..A+1 x b..B+1 lies in [l[a, b] (1 - s), l[A+1, B+1] (1 + s)].
     c is nondecreasing in both indices and rounded subtraction is
-    monotone in each argument, so on a block [a..A] x [b..B], whose nodes
-    read l only on its corner window, every node is at most
-    max(c(A, B)/k - min l, max l - c(a, b)/k) over that window.  The
-    bound needs no monotone l; where l is nondecreasing the window's
-    extremes are l[a, b] and l[A+1, B+1].  The best value starts at the
-    exact value of every block's high node; a block whose bound does not
-    exceed it cannot raise the maximum.  The others are evaluated
-    exactly, in descending bound order, in chunks, and the best value
-    rises after each chunk; l is read on each chunk's windows only.
-    Inside a block, a node's survivors (c = U - survivors) are the high
-    node's plus the tail rows of the block's row band and column band
-    that lie beyond the node, at most 2 (B - 1) rows, read off the depth
-    permutations.  Every node's value is the one the strip walk
+    monotone in each argument, so every node of the block is at most
+    max(c(A, B)/k - l[a, b] (1 - s), l[A+1, B+1] (1 + s) - c(a, b)/k).
+    The best value starts at the exact value of every block's high node;
+    a block whose bound does not exceed it cannot raise the maximum.  The
+    others are evaluated exactly, in descending bound order, in chunks,
+    and the best value rises after each chunk; l is read on each chunk's
+    windows only.  Inside a block, a node's survivors (c = U - survivors)
+    are the high node's plus the tail rows of the block's row band and
+    column band that lie beyond the node, at most 2 (B - 1) rows, read off
+    the depth permutations.  Every node's value is the one the strip walk
     computes, so the maximum is bit-identical to it.
 
     Returns None when at least _PRUNE_CUT of the blocks survive the first
@@ -382,11 +357,13 @@ def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float 
     count_hi = (u - surv_hi) / k
     count_lo = dominance_weight_grid(points, ones, [lows.astype(float)] * 2, strict=True)
     count_lo = np.divide(np.subtract(u, count_lo, out=count_lo), k, out=count_lo)
-    bound = np.subtract(count_hi, blocks.l_min)
-    np.maximum(bound, np.subtract(blocks.l_max, count_lo, out=count_lo), out=bound)
+    bound = np.multiply(blocks.l_up, 1.0 + _MONOTONE_SLACK)
+    np.subtract(bound, count_lo, out=count_lo)
+    np.multiply(blocks.l_min, 1.0 - _MONOTONE_SLACK, out=bound)
+    np.maximum(np.subtract(count_hi, bound, out=bound), count_lo, out=bound)
     del count_lo
     bound = bound.ravel()
-    best = max(0.0, float(_node_gap(count_hi, blocks.l_end, blocks.l_up).max()))
+    best = _checked_max(_node_gap(count_hi, blocks.l_end, blocks.l_up))
     del count_hi
     alive = np.flatnonzero(bound > best)
     if alive.size >= _PRUNE_CUT * bound.size:
@@ -424,7 +401,7 @@ def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float 
         count = np.subtract(u, surv, out=surv) / k
         l_near = corners.evaluate([a[:, None] + window, b[:, None] + window])
         gap = _node_gap(count, l_near[:, :-1, :-1], l_near[:, 1:, 1:])
-        best = max(best, float(gap.max()))
+        best = max(best, _checked_max(gap))
     return best
 
 

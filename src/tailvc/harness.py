@@ -42,7 +42,7 @@ from .models import (
     sup_bias,
     tail_union_prob_axes,
 )
-from .rng import SlopeFit, fit_loglog_slope, map_trials, substream
+from .rng import SlopeFit, fit_loglog_slope, map_trials, median, quantile, substream
 from .samplers import draw_copula_tail
 
 
@@ -379,7 +379,7 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
         devs = _ok_deviations(records, k)
         med = upper = math.nan
         if devs.size:
-            med, upper = float(np.median(devs)), float(np.quantile(devs, 1 - config.delta))
+            med, upper = median(devs), quantile(devs, 1 - config.delta)
         summaries.append(KSummary(k, int(devs.size), med, upper, *biases[k]))
     medians = [s.median for s in summaries]
 
@@ -411,7 +411,7 @@ def calibrate_constant(report: DeviationReport) -> float:
             cfg.T / summ.k * math.log((cfg.d + 3) / cfg.delta)
         )
         implied = np.maximum(devs - bias, 0.0) / unit
-        out = max(out, float(np.quantile(implied, 1.0 - cfg.delta)))
+        out = max(out, quantile(implied, 1.0 - cfg.delta))
     return out
 
 

@@ -28,7 +28,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .gridscan import strip_rows
 
 VARIANTS = ("independence", "comonotone", "logistic")
 
@@ -257,6 +256,7 @@ def sup_bias(model: StdfModel, t: float, radius: float) -> float:
             f"the logistic bias grid has {_SUP_BIAS_GRID}^{model.d} = "
             f"{_SUP_BIAS_GRID ** model.d:,} nodes, too slow to scan; it serves d <= 3"
         )
+    from .gridscan import strip_rows  # here: simulate and classify never load it
     axis = np.linspace(0.0, radius, _SUP_BIAS_GRID)
     t_axis, others = t * axis, model.d - 1
     rows = strip_rows(_SUP_BIAS_GRID ** others)

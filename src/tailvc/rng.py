@@ -13,9 +13,9 @@ derivation uses ``numpy.random.SeedSequence`` spawn keys, so
 String labels are folded to integers with CRC-32 (stable across runs,
 unlike the built-in ``hash``).
 
-The trial runner ``map_trials`` and the rate fit ``fit_loglog_slope`` serve
-both the converge and the classify experiments; here a classify run
-reaches them without loading the estimator modules.
+The trial runner ``map_trials``, the rate fit ``fit_loglog_slope`` and the
+trial summaries ``median`` and ``quantile`` serve both experiments; here
+a classify run reaches them without loading the estimator modules.
 """
 
 from __future__ import annotations
@@ -94,3 +94,26 @@ def fit_loglog_slope(xs, ys) -> SlopeFit:
     else:
         stderr = float("nan")
     return SlopeFit(slope=float(slope), stderr=stderr, intercept=float(intercept))
+
+
+def median(values) -> float:
+    """``np.median(values)`` bit for bit, for nonempty values (NaN if any is
+    NaN), without np.median's import of ``numpy.ma``."""
+    s = np.sort(np.asarray(values, dtype=float))
+    h = s.size // 2
+    value = s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2  # numpy's mean of the pair
+    return float(s[-1] if np.isnan(s[-1]) else value)
+
+
+def quantile(values, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, 0 <= q <= 1, for nonempty values
+    (NaN if any is NaN), without its import of ``numpy.ma``: numpy's linear
+    interpolation, step for step (at q = 0.5 it may round apart from ``median``)."""
+    s = np.sort(np.asarray(values, dtype=float))
+    top, v = s.size - 1, (s.size - 1) * q
+    # from the top on, numpy reads index -1 twice with weight v - (-1)
+    lo = min(math.floor(v), top)
+    hi, t = (top, v + 1) if v >= top else (lo + 1, v - lo)
+    a, b = s[lo], s[hi]
+    value = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return float(s[-1] if np.isnan(s[-1]) else value)

@@ -235,14 +235,20 @@ POOL = "concurrent.futures.process"
       "--seed", 1], {"tailvc.classify", "tailvc.harness", "tailvc.empirical", POOL,
                      "numpy.ma"}),
     (["simulate", "--model", "independence", "--n", 50, "--d", 2, "--seed", 1],
-     {"tailvc.classify", "tailvc.concentration"}),
+     {"tailvc.classify", "tailvc.concentration", "tailvc.gridscan"}),
     (["classify", "--n-alpha-grid", "50,100", "--trials", 2, "--family-size", 4,
-      "--seed", 1], {"tailvc.concentration", "tailvc.harness", "tailvc.empirical", POOL}),
+      "--seed", 1], {"tailvc.concentration", "tailvc.harness", "tailvc.empirical",
+                     "tailvc.gridscan", POOL, "numpy.ma"}),
     (["classify", "--mode", "decomposition", "--n", 300, "--trials", 2, "--seed", 1],
-     {"tailvc.concentration", "tailvc.harness", "tailvc.empirical", POOL}),
+     {"tailvc.concentration", "tailvc.harness", "tailvc.empirical", "tailvc.gridscan",
+      POOL}),
     (["estimate", "--data", "x.csv", "--k", 5, "--T", 2.0],
      {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL, "numpy.ma"}),
-], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition", "estimate"])
+    (["converge", "--model", "logistic(2)", "--n", 2000, "--d", 2, "--k-schedule", "20,40",
+      "--T", 2.0, "--trials", 2, "--workers", 1, "--seed", 1],
+     {"tailvc.classify", "tailvc.concentration", POOL, "numpy.ma"}),
+], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition", "estimate",
+        "converge"])
 def test_a_command_imports_only_its_modules(args, skipped, tmp_path):
     (tmp_path / "x.csv").write_text("x1,x2\n" + "".join(f"{i},{7 * i % 50}\n"
                                                         for i in range(50)))

@@ -335,8 +335,10 @@ class TestDataFileBytes:
 
 
 class TestConvergeBytes:
-    """SHA-256 of seeded ``converge`` data files, recorded before a trial drew
-    only its column tails: d = 3 on the declared grid, and d = 2 exact."""
+    """SHA-256 of seeded ``converge`` data files: d = 3 on the declared grid and
+    d = 2 exact, recorded before a trial drew only its column tails, and d = 2
+    through the pruned scan, recorded while the blocks' bounds were still
+    folded from the whole corner grid."""
 
     RUNS = {
         "d3-grid": (["--model", "logistic(2)", "--d", 3, "--k-schedule", "20,40",
@@ -346,6 +348,10 @@ class TestConvergeBytes:
         "d2-exact": (["--model", "logistic(1.2)", "--d", 2, "--k-schedule", "20,80"],
                      "10103ebd95ffba0fe4a5f556bba30b6c24d3bec57321d70aaf4c97fc23f76b2d",
                      "b708bc7a9b850675eec8bb8b24df4168d1775c1748615f7e964729f876ea4152"),
+        # the pruned corner scan accepts every trial at both k
+        "d2-pruned": (["--model", "logistic(2)", "--d", 2, "--k-schedule", "400,1000"],
+                      "2bead03baf7aa321d7c4b07dfc2374639d23c12e9c1a5ca9aa11b3be90b21eed",
+                      "e7304e0bfcd699049b2affb1d968e9097200a659f1b6efbbcfd906fbf7d5f496"),
     }
 
     @pytest.mark.parametrize("case", sorted(RUNS))

@@ -43,7 +43,7 @@ from tailvc.models import (
     parse_model,
     tail_union_prob_axes,
 )
-from tailvc.rng import fit_loglog_slope, substream
+from tailvc.rng import fit_loglog_slope, median, quantile, substream
 from tailvc.samplers import draw_copula_sample
 from test_gridscan import indexed
 
@@ -412,6 +412,17 @@ def monotone_grid(m_top, k, rng):
     return grid * (2.0 * m_top / k / grid[-1, -1])
 
 
+def dipped_grid(m_top, k, rng):
+    """A random nondecreasing corner grid with flats (most steps are 0), and
+    about one positive node in ten moved one ulp down or up: monotone only to
+    within an ulp, as an evaluation of l may be, and still nonnegative."""
+    steps = rng.exponential(1.0, (m_top + 2,) * 2) * (rng.random((m_top + 2,) * 2) < 0.2)
+    grid = steps.cumsum(0).cumsum(1) * (2.0 * m_top / k / (m_top + 2) ** 2)
+    moved = (rng.random(grid.shape) < 0.1) & (grid > 0)
+    toward = np.where(rng.random(grid.shape) < 0.5, -np.inf, np.inf)
+    return np.where(moved, np.nextafter(grid, toward), grid)
+
+
 def set_strip_rows(monkeypatch, rows, m, d):
     """Strips of ``rows`` axis-0 rows for a lattice of m nodes per axis."""
     import tailvc.gridscan as gridscan
@@ -510,9 +521,8 @@ class TestPrunedScan:
             grids = [monotone_grid(m_top, k, rng),
                      eval_stdf_axes(logistic(2.0, 2), [axis] * 2),
                      np.full((m_top + 2,) * 2, 0.5),
-                     # the bound needs no monotone grid
-                     np.random.default_rng((m_top, trial)).uniform(
-                         0.0, 2.0 * m_top / k, (m_top + 2,) * 2)]
+                     # the bound holds within the slack of a monotone grid
+                     dipped_grid(m_top, k, rng)]
             for corners in grids:
                 got = gridscan.pruned_corner_max(
                     depths, k, gridscan.corner_grid(m_top, 2, indexed(corners)))
@@ -547,13 +557,38 @@ class TestPrunedScan:
         assert got == dense_corner_sup(depths, k, corners) == depths.shape[0] / k
         assert len(gaps) == 1  # the high nodes only
 
+    def test_dip_below_a_block_corner_is_not_pruned_away(self, monkeypatch):
+        # a flat grid at L = 0.3 with node (63, 3), which no block summary
+        # reads, one ulp lower; every row has depth_0 <= m_top, so nodes
+        # (63, j) count all U = 63 rows, and at k = 84 their gap is
+        # 0.75 - L = 0.45 (exact, as is 0.75 - (L - ulp)).  Block (7, 0)'s
+        # high node (63, 7) reads exactly 0.45, the best of every high node:
+        # an unwidened bound would equal it and skip the block that holds
+        # the maximum, 0.45 + ulp at the dip
+        monkeypatch.setattr(gridscan, "_PRUNE_CUT", 2.0)
+        m_top, k = 63, 84
+        depths = np.column_stack((np.arange(1, m_top + 1),
+                                  np.random.default_rng(6).permutation(m_top) + 1))
+        corners = np.full((m_top + 2,) * 2, 0.3)
+        corners[63, 3] = np.nextafter(0.3, 0.0)
+        want = dense_corner_sup(depths, k, corners)
+        assert want == 0.75 - corners[63, 3] > 0.75 - 0.3
+        got = gridscan.pruned_corner_max(depths, k, gridscan.corner_grid(
+            m_top, 2, indexed(corners)))
+        assert got == want
+        # a NaN there instead is refused by the block's exact pass, not skipped
+        corners[63, 3] = np.nan
+        with pytest.raises(PreconditionError, match="NaN"):
+            gridscan.pruned_corner_max(depths, k, gridscan.corner_grid(
+                m_top, 2, indexed(corners)))
+
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("strip", [None, 1, 16])
     def test_one_ulp_dip_takes_the_strip_walk(self, monkeypatch, axis, strip):
         # node (r, c) one ulp below its neighbour on ``axis`` only (l's
         # level lines put the other neighbour lower); with strips of 1 or
-        # 16 rows, r = 160 is a strip's first row.  The block bound holds
-        # on such a grid too, so the dipped grid has blocks: the strip walk
+        # 16 rows, r = 160 is a strip's first row.  The widened block bound
+        # covers such a grid, so the dipped grid has blocks: the strip walk
         # serves it when pruning declines, the pruned scan otherwise, and
         # both equal the dense scan
         import tailvc.harness as hmod
@@ -720,6 +755,7 @@ class TestPrunedScanOnDemand(TestPrunedScan):
     test_synthetic_depths_match_dense_scan = None
     test_lattice_narrower_than_a_block_is_not_cut = None
     test_block_bound_equal_to_best_is_skipped = None
+    test_dip_below_a_block_corner_is_not_pruned_away = None
     test_one_ulp_dip_takes_the_strip_walk = None
 
 
@@ -774,19 +810,49 @@ class TestCornerGridOnDemand:
             for lo in range(0, p.size, chunk):
                 got = corners.evaluate([rows[lo:lo + chunk], cols[lo:lo + chunk]])
                 assert got.tobytes() == want[lo:lo + chunk].tobytes()
-        shape = (blocks.lows.size,) * 2
-        assert np.array_equal(blocks.l_min, want.min(axis=(1, 2)).reshape(shape))
-        assert np.array_equal(blocks.l_max, want.max(axis=(1, 2)).reshape(shape))
+        assert np.array_equal(blocks.l_min, whole[np.ix_(blocks.lows, blocks.lows)])
         assert np.array_equal(blocks.l_end, whole[np.ix_(blocks.ends, blocks.ends)])
         assert np.array_equal(blocks.l_up, whole[np.ix_(blocks.ends + 1, blocks.ends + 1)])
-        # l is nondecreasing here, so the window extremes are its corners
-        assert np.array_equal(blocks.l_min, whole[np.ix_(blocks.lows, blocks.lows)])
-        assert np.array_equal(blocks.l_max, blocks.l_up)
+        # the widened corners bracket each window's true extremes
+        shape, slack = (blocks.lows.size,) * 2, gridscan._MONOTONE_SLACK
+        assert (blocks.l_min * (1 - slack) <= want.min(axis=(1, 2)).reshape(shape)).all()
+        assert (want.max(axis=(1, 2)).reshape(shape) <= blocks.l_up * (1 + slack)).all()
+
+    @pytest.mark.parametrize("m_top", [7, 64, 401])
+    def test_summary_reads_three_nodes_a_block(self, m_top):
+        served = []
+
+        def counted(idx):
+            grid = read(idx)
+            served.append(grid.size)
+            return grid
+
+        read = indexed(np.zeros((m_top + 2,) * 2))
+        blocks = gridscan.corner_grid(m_top, 2, counted).blocks
+        assert 0 < sum(served) <= 3 * blocks.lows.size ** 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 200), T=st.floats(0.01, 3.0))
+    @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(1.01)",
+                                     "logistic(1.2)", "logistic(2)", "logistic(5)",
+                                     "logistic(40)"])
+    def test_l_is_nondecreasing_within_the_slack(self, tag, k, T):
+        # the pruned scan's precondition, on the dense corner grid: every
+        # node dominating (i, j) is at least l[i, j] (1 - s), every node it
+        # dominates at most l[i, j] (1 + s)
+        m_top = int(lattice_index(k, T))
+        axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
+        grid = eval_stdf_axes(parse_model(tag, 2), [axis] * 2)
+        above = np.minimum.accumulate(np.minimum.accumulate(grid[::-1, ::-1], 0), 1)
+        below = np.maximum.accumulate(np.maximum.accumulate(grid, 0), 1)
+        slack = gridscan._MONOTONE_SLACK
+        assert (above[::-1, ::-1] >= grid * (1 - slack)).all()
+        assert (below <= grid * (1 + slack)).all()
 
     @pytest.mark.parametrize("k", [50, 200, 800])
     def test_cache_holds_no_grid(self, monkeypatch, k):
         # at k = 800 the whole 1602 x 1602 grid is 20.5 MB, the blocks'
-        # summaries 1.3 MB; at k = 50 the grid is 83 kB, the summaries 6 kB
+        # summaries 1.0 MB; at k = 50 the grid is 83 kB, the summaries 5 kB
         import tailvc.harness as hmod
 
         monkeypatch.setattr(hmod, "_corner_grid", None)
@@ -799,8 +865,9 @@ class TestCornerGridOnDemand:
         assert held_bytes(hmod._corner_grid) < min(whole / 4, 2 * 2**20)
 
     def test_nan_in_a_blocked_grid_is_rejected(self):
-        # the bound pass reads every node: a NaN must not prune its block away
-        for where in ((0, 0), (5, 9), (17, 17)):
+        # a NaN at a block corner the summary reads must not prune its block
+        # away: lows 0, 8, 9, ends 7, 15, 16 and ends + 1 at m_top = 16
+        for where in ((0, 0), (8, 9), (15, 16), (17, 17)):
             corners = np.zeros((18, 18))
             corners[where] = np.nan
             with pytest.raises(PreconditionError, match="NaN"):
@@ -960,6 +1027,30 @@ class TestSlopeFit:
             fit_loglog_slope([10], [1.0])
         with pytest.raises(PreconditionError):
             fit_loglog_slope([10, 20], [0.0, 1.0])
+
+
+# finite doubles with ties: 1 to 64 values drawn from a pool of 1 to 64; + 0.0
+# turns -0.0 into 0.0, which numpy's partition may order either way against 0.0
+TRIAL_VALUES = st.lists(
+    st.floats(-1e300, 1e300).map(lambda v: v + 0.0), min_size=1, max_size=64,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=64))
+
+
+class TestTrialSummaries:
+    """``rng.median`` and ``rng.quantile`` against numpy's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=TRIAL_VALUES)
+    def test_bit_for_bit_with_numpy(self, values):
+        assert np.float64(median(values)).tobytes() == np.median(values).tobytes()
+        for q in (0.5, 0.9, 0.95):
+            got = np.float64(quantile(values, q)).tobytes()
+            assert got == np.quantile(values, q).tobytes(), q
+
+    def test_nan_anywhere_gives_nan(self):
+        values = [1.0, math.nan, 2.0, 3.0]
+        assert math.isnan(median(values))
+        assert math.isnan(quantile(values, 0.5))
 
 
 class TestRateExperiment:
