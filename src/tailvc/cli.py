@@ -26,7 +26,8 @@ so a wrapper bound to the module name still runs.
 
 Exit codes: 0 success, 2 usage/configuration (also an unreadable config
 file or an ``--out`` that cannot be a directory), 3 data (also an
-unreadable ``--data`` file), 4 precondition, 5 internal.
+unreadable ``--data`` file), 4 precondition (also a ``MemoryError``),
+5 internal.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def cmd_estimate(o: dict, out: Path) -> tuple[list, dict]:
     values = read_sample_csv(o["data"]).values
     if o["jitter-seed"] is not None:
         values = jitter_columns(values, o["jitter-seed"])
-    check_lattice_scan(values, k, None, T, stride)  # no model to compare
+    check_lattice_scan(values, k, None, T, None, stride=stride)  # no model to compare
     d, m_top, stride = values.shape[1], int(lattice_index(k, T)), stride or 1
     # only the strided sub-lattice is evaluated; the full one may not fit
     counts = stdf_lattice_counts(build_ranks(values, m_top + 1), [m_top] * d, stride)
@@ -601,6 +602,9 @@ def main(argv=None) -> int:
     except TailvcError as exc:
         print(f"tailvc {name}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # numpy's message names the allocation
+        print(f"tailvc {name}: does not fit in memory: {exc}", file=sys.stderr)
+        return PreconditionError.exit_code
     except Exception as exc:  # internal
         print(f"tailvc {name}: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

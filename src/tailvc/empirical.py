@@ -34,6 +34,7 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError, TiesError
 from .gridscan import count_strips, scan_is_exact, sorted_distinct
 from .models import StdfModel
+from .rng import substream
 from .samplers import Sample
 
 
@@ -134,11 +135,13 @@ def jitter_columns(values, seed: int) -> np.ndarray:
     and only tied values get a random (seeded) order.
     """
     values = np.array(_values_of(values), copy=True)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
-                                                       spawn_key=(0x6A17,)))
+    rng = substream(seed, 0x6A17)
     for j in range(values.shape[1]):
         col = values[:, j]
-        distinct = np.unique(col)
+        if not np.isfinite(col).all():  # a NaN gap would make every value NaN
+            raise PreconditionError(f"column {j} holds a non-finite value; "
+                                    "jitter needs finite data")
+        distinct = sorted_distinct(col)
         if distinct.size == col.size:
             continue
         if distinct.size > 1:
@@ -167,14 +170,16 @@ def lattice_index(k: int, x) -> np.ndarray:
 
 
 def check_lattice_scan(sample, k: int, model: StdfModel | None, T: float,
-                       grid) -> bool:
+                       grid, stride: int | None = None) -> bool:
     """The preconditions of a lattice scan of ``sample``, then ``scan_is_exact``.
 
     ``sample`` is a ColumnTails or raw values.  Raw values are checked
     before their tails are built: the depth a scan reads, floor(k T) + 1,
     needs a valid k and T, so a bad k or T is reported before a tie.
-    ``grid`` is the declared grid (a resolution or a lattice stride) or
-    None; ``model`` is None when no l is compared (the CLI surface).
+    ``grid`` is the declared grid's resolution or None; a lattice
+    ``stride`` declares the lattice at that stride instead, floor(k T) //
+    stride + 1 nodes per axis.  ``model`` is None when no l is compared
+    (the CLI surface).
     """
     n, d = ((sample.n, sample.d) if isinstance(sample, ColumnTails)
             else _values_of(sample).shape)
@@ -188,6 +193,8 @@ def check_lattice_scan(sample, k: int, model: StdfModel | None, T: float,
         raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
     if not 1 <= k <= n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
+    if stride is not None:
+        grid = int(lattice_index(k, T)) // stride + 1
     return scan_is_exact(d, grid)
 
 

@@ -4,7 +4,8 @@ Exit codes (documented in the README):
     0  success
     2  usage / configuration error
     3  data error (ties, malformed CSV)
-    4  precondition / domain error (bound preconditions, out-of-range arguments)
+    4  precondition / domain error (bound preconditions, out-of-range arguments;
+       also a MemoryError that reaches the CLI)
     5  internal error
 """
 

@@ -11,7 +11,8 @@ difference over the whole continuum is therefore attained by comparing
 each cell's count against the measure at the cell's two extreme corners.
 This module is the one place where counts meet such a reference, and
 ``scan_is_exact`` the one place that decides between that exact scan,
-which serves d <= 2, and a declared grid, which d >= 3 requires.
+which serves d <= 2, and a declared grid, which d >= 3 requires and
+which holds at most 256^3 nodes.
 
 Whether the threshold comparison is strict or closed changes the count
 only on the measure-zero set of thresholds sitting exactly on data
@@ -154,13 +155,31 @@ def strip_rows(row_nodes: int) -> int:
     return max(1, _STRIP_BYTES // (8 * max(row_nodes, 1)))
 
 
+# The most nodes a declared grid may have: 256^3, the largest grid that
+# ``models.sup_bias`` scans.
+_GRID_NODE_BUDGET = 1 << 24
+
+
 def scan_is_exact(d: int, grid) -> bool:
-    """True iff no grid is declared; the exact scan serves only d <= 2."""
-    if grid is None and d >= 3:
+    """True iff no grid is declared; the exact scan serves only d <= 2.
+
+    ``grid`` is the declared grid's nodes per axis, r, or None.  A grid of
+    more than ``_GRID_NODE_BUDGET`` nodes is refused: a scan visits all r^d
+    of them, and the d >= 3 walker holds r^(d - 1) in each strip row.
+    """
+    if grid is None:
+        if d >= 3:
+            raise ConfigurationError(
+                f"d = {d} >= 3 requires a declared grid; the exact scan serves d <= 2"
+            )
+        return True
+    nodes = int(grid) ** d
+    if nodes > _GRID_NODE_BUDGET:
         raise ConfigurationError(
-            f"d = {d} >= 3 requires a declared grid; the exact scan serves d <= 2"
+            f"a grid of {grid} nodes per axis at d = {d} has {nodes:,} nodes, "
+            f"above the budget of {_GRID_NODE_BUDGET:,} (256^3)"
         )
-    return grid is None
+    return False
 
 
 def declared_axis(edge: float, resolution: int) -> np.ndarray:

@@ -15,11 +15,12 @@ has uniform margins and the logistic copula with parameter theta.  The
 construction is validated against the finite-level tail law by Monte
 Carlo in the test suite rather than trusted blindly.
 
-Two forms of the draw serve callers that need only part of it, each with
-the full draw's bits: ``draw_copula_tail`` computes only the rows that
-can reach some column's largest values, and ``draw_copula_blocks`` hands
-the draw over a block of rows at a time, so its caller keeps what it
-needs of each block.
+One kernel, ``draw_copula_blocks``, switches on the model and hands the
+draw over a block of rows at a time, so its caller keeps what it needs
+of each block; ``draw_copula_sample`` is its one-block read.
+``draw_copula_tail`` computes only the rows that can reach some column's
+largest values, from the same random words (``_logistic_words``).  Each
+has the full draw's bits.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class MarginSpec:
 
 
 def _pareto_margin(a: float) -> MarginSpec:
-    if a <= 0:
-        raise ConfigurationError(f"pareto margin index must be > 0, got {a}")
+    if not 0 < a < math.inf:  # NaN fails too
+        raise ConfigurationError(f"pareto margin index must be finite and > 0, got {a}")
     return MarginSpec(
         transform=lambda u: (1.0 - u) ** (-1.0 / a),
         survival=lambda x: x ** (-a),
@@ -148,26 +149,9 @@ class Sample:
 
 
 def draw_copula_sample(model: StdfModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n rows from the model copula (uniform margins, upper-tail dependence)."""
-    if n < 1:
-        raise ConfigurationError(f"sample size must be >= 1, got {n}")
-    d = model.d
-    if model.variant == "independence":
-        return rng.random((n, d))
-    if model.variant == "comonotone":
-        u = rng.random(n)
-        return np.tile(u[:, None], (1, d))
-    theta = model.theta
-    if theta == 1.0:
-        return rng.random((n, d))
-    alpha = 1.0 / theta
-    # S before the exponentials are drawn: V, W and S's temporaries are
-    # never held beside the n x d matrix.  standard_exponential gives the
-    # values of exponential(scale=1.0), which multiplies each by 1.0, in
-    # half its time
-    v = rng.uniform(0.0, math.pi, size=n)
-    s = _stable_frailty(alpha, v, rng.standard_exponential(n))
-    return _logistic_copula(alpha, rng.standard_exponential((n, d)), s)
+    """Draw n rows from the model copula (uniform margins, upper-tail dependence):
+    ``draw_copula_blocks`` read as one block."""
+    return next(draw_copula_blocks(model, n, rng, max(n, 1)))
 
 
 # Rows per block of ``draw_copula_blocks``: 256 KiB of float64 at d = 2.
@@ -176,29 +160,48 @@ ROW_BLOCK = 1 << 14
 
 def draw_copula_blocks(model: StdfModel, n: int, rng: np.random.Generator,
                        rows: int = ROW_BLOCK) -> Iterator[np.ndarray]:
-    """``draw_copula_sample(model, n, rng)`` as successive blocks of ``rows``
-    rows, with its bits, so a caller holds one block of the draw at a time.
+    """The model's copula draw of n rows, ``rows`` rows at a time, each block
+    drawn from ``rng`` when the caller reads it, so a caller holds one block.
 
-    Independence, comonotone and logistic theta = 1 take a row's random
-    words in row order, so each block is that model's draw of its rows.
-    The logistic frailty draw takes V and W for every row before any E, so
-    S is formed whole, as the full draw forms it, and each block draws
-    its rows of E and meets them with its rows of S; both steps are
-    elementwise, so each block has the full draw's bits.  Each block is
-    drawn from ``rng`` when the caller reads it.
+    Any ``rows`` gives the bits of one n-row block, ``draw_copula_sample``,
+    and leaves ``rng`` where it does: the uniform draws take a row's words
+    in row order, and the logistic frailty draw forms S whole from V and W
+    before any E (``_logistic_words``), then meets each block of E with its
+    rows of S, elementwise.
     """
     if n < 1:
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
-    if model.variant != "logistic" or model.theta == 1.0:
+    d, alpha = model.d, _frailty_index(model)
+    if alpha is None:
+        # comonotone takes one uniform a row, the others one a value
+        width = 1 if model.variant == "comonotone" else d
         for lo in range(0, n, rows):
-            yield draw_copula_sample(model, min(rows, n - lo), rng)
+            u = rng.random((min(rows, n - lo), width))
+            yield u if width == d else np.tile(u, (1, d))
         return
-    alpha = 1.0 / model.theta
-    s = _stable_frailty(alpha, rng.uniform(0.0, math.pi, size=n),
-                        rng.standard_exponential(n))
-    for lo in range(0, n, rows):
-        e = rng.standard_exponential((min(rows, n - lo), model.d))
+    v, w, blocks = _logistic_words(n, d, rng, rows)
+    s = _stable_frailty(alpha, v, w)
+    del v, w  # S is V's array; W goes before any E is drawn
+    for lo, e in zip(range(0, n, rows), blocks):
         yield _logistic_copula(alpha, e, s[lo:lo + rows])
+
+
+def _frailty_index(model: StdfModel) -> float | None:
+    """alpha = 1 / theta of a logistic model at theta > 1, drawn through its
+    positive-stable frailty; None for a model drawn as uniforms."""
+    return 1.0 / model.theta if model.variant == "logistic" and model.theta != 1.0 else None
+
+
+def _logistic_words(n: int, d: int, rng: np.random.Generator, rows: int):
+    """(V, W, E blocks): the logistic draw's random words in its order.  V
+    uniform on (0, pi) and W unit exponential, n each, are drawn now; the
+    n x d unit exponentials E come ``rows`` rows at a time as the caller
+    reads them (the same values: the generator fills row by row), from
+    standard_exponential, exponential(scale=1.0)'s values in half its time."""
+    v = rng.uniform(0.0, math.pi, size=n)
+    w = rng.standard_exponential(n)
+    return v, w, (rng.standard_exponential((min(rows, n - lo), d))
+                  for lo in range(0, n, rows))
 
 
 def draw_tail_uniforms(model: StdfModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -222,10 +225,10 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
     the whole draw: for every model but the logistic one at theta > 1,
     and when m >= n.
 
-    The logistic tail draw takes the same random words in the same order
-    as the full draw (V, W, then the n x d exponentials E) and computes x
-    only on the rows it keeps.  Larger x_j is smaller q_j = E_j / S, and by
-    the Chambers-Mallows-Stuck identity S = S1(V) W^(-beta), beta =
+    The logistic tail draw reads the full draw's random words
+    (``_logistic_words``) and computes x only on the rows it keeps.
+    Larger x_j is smaller q_j = E_j / S, and by the Chambers-Mallows-Stuck
+    identity S = S1(V) W^(-beta), beta =
     (1 - alpha) / alpha, with S1 = A^beta for Zolotarev's function A,
     strictly increasing on (0, pi).  So q_j is bracketed from V's bucket in
     a table of S1 (``_s1_reciprocals``) with no sine, and a row is kept
@@ -237,19 +240,16 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
         raise ConfigurationError(f"sample size must be >= 1, got {n}")
     if m < 1:
         raise PreconditionError(f"the tail must hold at least one value, got m = {m}")
-    if model.variant != "logistic" or model.theta == 1.0 or m >= n:
+    alpha = _frailty_index(model)
+    if alpha is None or m >= n:
         return None, draw_copula_sample(model, n, rng)
-    alpha = 1.0 / model.theta
-    v = rng.uniform(0.0, math.pi, size=n)
-    w = rng.standard_exponential(n)
-    rows, e = _tail_candidates(alpha, v, w, m, model.d, rng)
+    v, w, blocks = _logistic_words(n, model.d, rng, max(ROW_BLOCK, m))
+    rows, e = _tail_candidates(alpha, v, w, m, model.d, blocks)
     return rows, _logistic_copula(alpha, e, _stable_frailty(alpha, v[rows], w[rows]))
 
 
-# The tail draw's table of S1 has _S1_BUCKETS buckets of V over [0, pi);
-# its bound pass draws the exponentials _TAIL_CHUNK rows at a time.
+# The tail draw's table of S1 has _S1_BUCKETS buckets of V over [0, pi).
 _S1_BUCKETS = 1 << 14
-_TAIL_CHUNK = 1 << 14
 # 1 / S1's upper bound in the first and last buckets, which V -> 0, V -> pi
 # and a 0/0 frailty fall in: finite, so a zero E or W gives 0, not 0 * inf.
 # It exceeds 1 / S1 there (S1 -> alpha (1 - alpha)^beta as V -> 0), and
@@ -291,32 +291,29 @@ def _s1_reciprocals(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tail_candidates(alpha: float, v: np.ndarray, w: np.ndarray, m: int, d: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                     blocks) -> tuple[np.ndarray, np.ndarray]:
     """The rows that can hold some column's m smallest q_j = E_j / S, and their E.
 
-    Draws E = ``rng.standard_exponential((n, d))`` a chunk of rows at a time
-    (the same values: the generator fills row by row), so only a chunk of
-    E is held.  q_j lies in [E_j W^beta lower, E_j W^beta upper] with the
-    bucket factors of ``_s1_reciprocals``.  tau_j, the m-th smallest upper
-    bound in column j, is at least the m-th smallest q_j, so the rows
-    with a lower bound above tau_j in every column are not needed.  tau
-    over the chunks read so far only falls as chunks are added, so each
-    chunk keeps the rows that pass the tau of the chunks before it, and
-    the final tau sorts them out.  A row a chunk drops has every upper
-    bound above tau as well, so only the kept rows' upper bounds are
-    formed to lower tau.
+    Reads E from ``blocks``, the exponentials of ``_logistic_words`` a
+    block of rows at a time, so only a block of E is held.  q_j lies in
+    [E_j W^beta lower, E_j W^beta upper] with the bucket factors of
+    ``_s1_reciprocals``.  tau_j, the m-th smallest upper bound in column
+    j, is at least the m-th smallest q_j, so the rows with a lower bound
+    above tau_j in every column are not needed.  tau over the blocks read
+    so far only falls as blocks are added, so each block keeps the rows
+    that pass the tau of the blocks before it, and the final tau sorts
+    them out.  A row a block drops has every upper bound above tau as
+    well, so only the kept rows' upper bounds are formed to lower tau.
     """
-    n = v.size
     beta = (1.0 - alpha) / alpha
     lower, upper = _s1_reciprocals(alpha)
     scale = _S1_BUCKETS / math.pi
-    chunk = max(_TAIL_CHUNK, m)
     best = [np.empty(0)] * d  # per column, the m smallest upper bounds so far
     tau = [np.inf] * d
     kept_rows, kept_e, kept_low = [], [], []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        e = rng.standard_exponential((hi - lo, d))
+    lo = 0
+    for e in blocks:
+        hi = lo + len(e)
         bucket = (v[lo:hi] * scale).astype(np.intp)
         wb = w[lo:hi] ** beta
         low_factor = wb * lower[bucket]
@@ -337,6 +334,7 @@ def _tail_candidates(alpha: float, v: np.ndarray, w: np.ndarray, m: int, d: int,
         kept_rows.append(keep + lo)
         kept_e.append(e)
         kept_low.append(low[keep])
+        lo = hi
     low = np.concatenate(kept_low)
     keep = np.flatnonzero(_any_at_most(low, tau))
     return np.concatenate(kept_rows)[keep], np.concatenate(kept_e)[keep]

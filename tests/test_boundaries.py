@@ -244,11 +244,13 @@ POOL = "concurrent.futures.process"
       POOL}),
     (["estimate", "--data", "x.csv", "--k", 5, "--T", 2.0],
      {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL, "numpy.ma"}),
+    (["estimate", "--data", "x.csv", "--k", 5, "--T", 2.0, "--jitter-seed", 3],
+     {"tailvc.harness", "tailvc.classify", "tailvc.concentration", POOL, "numpy.ma"}),
     (["converge", "--model", "logistic(2)", "--n", 2000, "--d", 2, "--k-schedule", "20,40",
       "--T", 2.0, "--trials", 2, "--workers", 1, "--seed", 1],
      {"tailvc.classify", "tailvc.concentration", POOL, "numpy.ma"}),
 ], ids=["rademacher", "simulate", "classify-rate", "classify-decomposition", "estimate",
-        "converge"])
+        "estimate-jitter", "converge"])
 def test_a_command_imports_only_its_modules(args, skipped, tmp_path):
     (tmp_path / "x.csv").write_text("x1,x2\n" + "".join(f"{i},{7 * i % 50}\n"
                                                         for i in range(50)))
@@ -370,6 +372,48 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
             D3_CALLS[entry](d3_inputs)
         assert str(err.value) == D3_MESSAGE
         assert err.value.exit_code == EXIT_USAGE
+
+
+
+# each declared-grid entry point given a grid over the node budget: 257 nodes
+# per axis at d = 3, the lattice at stride 1 up to floor(kT) = 300, and 2 at d = 30
+BUDGET_MESSAGE = ("a grid of {r} nodes per axis at d = {d} has {nodes:,} nodes, "
+                  "above the budget of 16,777,216 (256^3)")
+BUDGET_CALLS = {
+    "sup_stdf_deviation": (257, 3, lambda a: harness.sup_stdf_deviation(
+        a.x, 10, a.model, 2.0, grid_resolution=257)),
+    "ExperimentConfig": (257, 3, lambda a: harness.ExperimentConfig(
+        model=a.model, n=400, d=3, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
+        seed=1, grid_resolution=257)),
+    "sup_empirical_deviation": (257, 3, lambda a: concentration.sup_empirical_deviation(
+        1.0 - a.x, a.cls, a.model, grid_resolution=257)),
+    "relative_rademacher": (257, 3, lambda a: concentration.relative_rademacher(
+        a.model, a.cls, 5, 1, grid_resolution=257)),
+    "relative_rademacher-d30": (2, 30, lambda a: concentration.relative_rademacher(
+        "uniform", concentration.RectClassSpec(d=30, k=10, n=1000, T=1.0), 2, 1,
+        grid_resolution=2)),
+    "estimate-stride": (301, 3, lambda a: empirical.check_lattice_scan(
+        a.x, 150, None, 2.0, None, stride=1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGET_CALLS))
+def test_every_declared_grid_over_the_node_budget_is_refused_before_any_work(
+        d3_inputs, monkeypatch, entry):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sample was drawn or a scan started")
+
+    for module, names in ((harness, ["draw_copula_tail", "max_count_gap", "declared_axis"]),
+                          (concentration, ["draw_copula_blocks", "sup_count_vs_mass_grid",
+                                           "declared_axis"]),
+                          (gridscan, ["_dominance_strips"])):
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
+    r, d, call = BUDGET_CALLS[entry]
+    with pytest.raises(ConfigurationError) as err:
+        call(d3_inputs)
+    assert str(err.value) == BUDGET_MESSAGE.format(r=r, d=d, nodes=r ** d)
+    assert err.value.exit_code == EXIT_USAGE
 
 
 def test_no_production_path_reads_ranks():

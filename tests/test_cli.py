@@ -21,6 +21,28 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_in_one_gib(args):
+    """``python -m tailvc.cli ARGS`` in a child capped at 1 GiB of address
+    space, so a run that outgrows it fails there instead of taking the host."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tailvc
+
+    def cap():  # in the child, before it runs Python
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # one BLAS thread: each thread's buffers take address space of their own
+    env = dict(os.environ, PYTHONPATH=str(Path(tailvc.__file__).resolve().parents[1]),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "tailvc.cli"] + [str(a) for a in args],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=300)
+
+
 def write_distinct_sample(path, n=50):
     """A two-column CSV with no ties: i and 7 i mod n, a permutation of 0..n-1."""
     path.write_text("x1,x2\n" + "".join(f"{i},{7 * i % n}\n" for i in range(n)))
@@ -443,26 +465,9 @@ class TestConverge:
     def test_k_8000_runs_in_one_gib_of_address_space(self, tmp_path):
         # l on the whole 16002^2 corner grid would be 2.05 GB; the scan keeps
         # per-block summaries only, so the run fits under the cap
-        import os
-        import resource
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import tailvc
-
-        def cap():  # in the child, before it runs Python
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        # one BLAS thread: each thread's buffers take address space of their own
-        env = dict(os.environ, PYTHONPATH=str(Path(tailvc.__file__).resolve().parents[1]),
-                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        args = ["converge", "--model", "logistic(2)", "--n", 80000, "--d", 2,
-                "--k-schedule", 8000, "--T", 2.0, "--trials", 1, "--seed", 1,
-                "--workers", 1, "--out", tmp_path]
-        done = subprocess.run([sys.executable, "-m", "tailvc.cli"] + [str(a) for a in args],
-                              env=env, preexec_fn=cap, capture_output=True, text=True,
-                              timeout=300)
+        done = run_in_one_gib(["converge", "--model", "logistic(2)", "--n", 80000,
+                               "--d", 2, "--k-schedule", 8000, "--T", 2.0, "--trials", 1,
+                               "--seed", 1, "--workers", 1, "--out", tmp_path])
         assert done.returncode == 0, done.stderr
         _, rows = read_csv(tmp_path / "summary.csv")
         assert [r[:2] for r in rows] == [["8000", "1"]]
@@ -649,6 +654,17 @@ class TestRademacher:
         stats = {r[6] for r in rows}
         assert {"relative_rademacher_mean", "pair_separation_q",
                 "union_mass"} <= stats
+
+    def test_grid_over_the_node_budget_exits_2_before_any_draw(self, tmp_path):
+        # 2^30 nodes: the d >= 3 walker's strip row alone would be 4 GiB
+        done = run_in_one_gib(["rademacher", "--n", 1000, "--d", 30, "--k", 10, "--T", 1,
+                               "--trials", 2, "--grid-resolution", 2, "--seed", 1,
+                               "--out", tmp_path / "o"])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == ("tailvc rademacher: a grid of 2 nodes per axis at d = 30 "
+                               "has 1,073,741,824 nodes, above the budget of 16,777,216 "
+                               "(256^3)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_dimension_three_demands_grid(self, tmp_path, capsys):
         code = run(["rademacher", "--model", "uniform", "--n", 100, "--d", 3,
@@ -953,6 +969,32 @@ class TestUnusablePaths:
         assert f"--out {out}: cannot create" in capsys.readouterr().err
 
 
+class TestMemoryError:
+    # numpy's _ArrayMemoryError is a MemoryError; a stand-in raises one with its
+    # message, so nothing is allocated
+    MESSAGE = ("Unable to allocate 1.46 TiB for an array with shape (100000000000, 2) "
+               "and data type float64")
+
+    @pytest.mark.parametrize("case,draw", [
+        ("simulate", "tailvc.samplers.draw_sample"),
+        ("converge", "tailvc.harness.draw_copula_tail"),
+        ("classify-decomposition", "tailvc.classify.draw_copula_sample"),
+    ])
+    def test_memory_error_exits_4_and_names_the_allocation(self, tmp_path, capsys,
+                                                           monkeypatch, case, draw):
+        def too_big(*args, **kwargs):
+            raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(draw, too_big)
+        args, _ = TestRefusedBeforeAnyDraw.SEEDS[case]
+        out = tmp_path / "o"
+        assert run(fill(args, tmp_path) + ["--out", str(out)]) == 4
+        command = case.split("-")[0]
+        assert capsys.readouterr().err == (f"tailvc {command}: does not fit in memory: "
+                                           f"{self.MESSAGE}\n")
+        assert not out.exists()
+
+
 class TestRefusedBeforeAnyDraw:
     SEEDS = {
         "simulate": (SIMULATE, "--seed"),
@@ -1029,6 +1071,14 @@ class TestRefusedBeforeAnyDraw:
         args, flag, value, message = self.UNREADABLE[case]
         err = self.refused(tmp_path, capsys, monkeypatch, args, flag, value, via)
         assert f"{flag}: {message}" in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("index", ["inf", "nan", "0", "-2"])
+    def test_pareto_index_not_finite_and_positive_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, index, via):
+        err = self.refused(tmp_path, capsys, monkeypatch, SIMULATE, "--margins",
+                           f"uniform,pareto({index})", via)
+        assert f"pareto margin index must be finite and > 0, got {float(index)}" in err
 
     @staticmethod
     def counted_draws(monkeypatch) -> list:

@@ -120,6 +120,37 @@ class TestBuildRanks:
         assert np.array_equal(out, again)
 
 
+    @pytest.mark.parametrize("bad,j", [(np.nan, 0), (np.inf, 1), (-np.inf, 0)])
+    def test_jitter_refuses_a_non_finite_value_naming_its_column(self, bad, j):
+        from tailvc.empirical import jitter_columns
+
+        values = np.array([[1.0, 2.0], [1.0, 3.0], [5.0, 4.0], [5.0, 6.0]])
+        values[2, j] = bad
+        with pytest.raises(PreconditionError) as err:
+            jitter_columns(values, 1)
+        assert str(err.value) == (f"column {j} holds a non-finite value; "
+                                  "jitter needs finite data")
+
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 40])
+    def test_jitter_keeps_the_bytes_of_its_hand_built_stream(self, seed):
+        from tailvc.empirical import jitter_columns
+
+        # ties in groups, a constant column and an all-distinct one
+        values = np.column_stack([np.arange(40) // 4, np.full(40, 2.5),
+                                  np.arange(40) * 0.5]).astype(float)
+        want = values.copy()
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                           spawn_key=(0x6A17,)))
+        for j in range(want.shape[1]):
+            distinct = np.unique(want[:, j])
+            if distinct.size == want.shape[0]:
+                continue
+            gap = (np.diff(distinct).min() if distinct.size > 1
+                   else max(abs(distinct[0]), 1.0) * 1e-6)
+            want[:, j] += rng.uniform(-0.25, 0.25, size=want.shape[0]) * gap
+        assert jitter_columns(values, seed).tobytes() == want.tobytes()
+
+
 class TestEmpiricalStdf:
     def test_zero_point_is_zero(self):
         assert empirical_stdf(antimonotone_sample(), 2, [0.0, 0.0]) == 0.0

@@ -12,7 +12,7 @@ from csv_text import read_csv
 from tailvc import gridscan
 from tailvc.cli import main
 from tailvc.concentration import RectClassSpec, union_mass
-from tailvc.errors import PreconditionError
+from tailvc.errors import ConfigurationError, PreconditionError
 from tailvc.empirical import column_tails, tail_depths
 from tailvc.gridscan import (
     _dominance_strips,
@@ -22,6 +22,7 @@ from tailvc.gridscan import (
     dominance_weight_grid,
     lattice_corner_max,
     max_count_gap,
+    scan_is_exact,
     suffix_sums,
     sup_count_vs_mass,
     sup_count_vs_mass_grid,
@@ -598,6 +599,28 @@ class TestBoxValidation:
             sup_count_vs_mass(z, box, mass_fn)
         with pytest.raises(PreconditionError, match="threshold box"):
             sup_count_vs_mass_grid(z, box, mass_fn, resolution=5)
+
+
+class TestGridNodeBudget:
+    """A declared grid of r nodes per axis holds r^d <= 256^3 nodes."""
+
+    # the largest grids of the tests and README (46 at d = 3, 301 at d = 2),
+    # and the budget's edge in each dimension
+    @pytest.mark.parametrize("d,r", [(3, 46), (2, 301), (1, 1 << 24), (2, 4096),
+                                     (3, 256), (4, 64), (24, 2)])
+    def test_a_grid_within_the_budget_is_declared(self, d, r):
+        assert scan_is_exact(d, r) is False
+
+    @pytest.mark.parametrize("d,r", [(1, (1 << 24) + 1), (2, 4097), (3, 257), (4, 65),
+                                     (25, 2), (30, 2)])
+    def test_a_grid_over_the_budget_is_refused(self, d, r):
+        with pytest.raises(ConfigurationError) as err:
+            scan_is_exact(d, r)
+        assert str(err.value) == (f"a grid of {r} nodes per axis at d = {d} has "
+                                  f"{r ** d:,} nodes, above the budget of 16,777,216 (256^3)")
+
+    def test_no_grid_is_exact_up_to_d_2(self):
+        assert scan_is_exact(1, None) and scan_is_exact(2, None)
 
 
 class TestPointValidation:

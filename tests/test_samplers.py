@@ -242,6 +242,16 @@ class TestTailDraw:
         assert rows is None
         assert x.tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("tag", TestCopulaBlocks.TAGS)
+    @pytest.mark.parametrize("m", [1, 1000, 39_999, 40_000, 40_005])
+    def test_the_stream_ends_where_the_full_draw_leaves_it(self, tag, m):
+        # n spans three blocks of the tail draw's exponentials at m < n
+        model, n = parse_model(tag, 2), 40_000
+        want, rng = substream(8, "tail-end", tag, m), substream(8, "tail-end", tag, m)
+        draw_copula_sample(model, n, want)
+        draw_copula_tail(model, n, m, rng)
+        assert rng.bit_generator.state == want.bit_generator.state
+
     def test_no_model_takes_a_theta_the_draw_overflows_at(self):
         # the frailty draw overflows above theta = 50 (CHANGES.md, the note
         # on draw_copula_sample above theta 50); the model stops at 40
@@ -313,6 +323,12 @@ class TestMargins:
         with pytest.raises(ConfigurationError):
             apply_margins(s, "cauchy")
 
+    @pytest.mark.parametrize("a", ["inf", "nan", "0", "-1"])
+    def test_pareto_index_must_be_finite_and_positive(self, a):
+        with pytest.raises(ConfigurationError) as err:
+            parse_margin(f"pareto({a})")
+        assert str(err.value) == f"pareto margin index must be finite and > 0, got {float(a)}"
+
     def test_margins_apply_per_coordinate(self):
         g = spec(
             independence(2), 200, 2, seed=12, margins=("exponential", "pareto(3)")
@@ -370,6 +386,17 @@ class TestSampleMemory:
         copula, _ = traced_peak(draw_copula_sample, model, self.N, substream(1, "m"))
         tail, _ = traced_peak(draw_tail_uniforms, model, self.N, substream(1, "m"))
         assert tail <= copula + (64 << 10)
+
+    # the draw's peak in units of 8 N bytes: the uniforms; comonotone's column
+    # and its d copies; S beside E, or V, W and sin(V / 2) at theta = 2, as W
+    # goes before E is drawn
+    @pytest.mark.parametrize("tag,d,words", [("independence", 2, 2), ("comonotone", 3, 4),
+                                            ("logistic(2)", 2, 3), ("logistic(2)", 3, 4)])
+    def test_a_draw_holds_only_its_words(self, tag, d, words):
+        model = parse_model(tag, d)
+        traced_peak(draw_copula_sample, model, 10, substream(1, "warm"))
+        peak, _ = traced_peak(draw_copula_sample, model, self.N, substream(1, "m"))
+        assert peak <= words * 8 * self.N + (64 << 10)
 
     def test_margins_add_one_column_to_the_draw(self):
         margins = ("uniform", "pareto(2)")
