@@ -390,7 +390,6 @@ class ClassificationTrialRecord:
     alpha: float
     trial: int
     sup_deviation: float
-    flagged: bool
 
 
 @dataclass(frozen=True)
@@ -406,8 +405,7 @@ def _rate_trial(data: LabeledSample, members, region: QuantileRegion,
     """Trial t on its sample: the family's largest risk deviation."""
     n, alpha = data.n, region.alpha
     dev = float(np.abs(_family_empirical_risks(data, members, region) - truths).max())
-    return ClassificationTrialRecord(n=n, alpha=alpha, trial=t, sup_deviation=dev,
-                                     flagged=n * alpha < 10)
+    return ClassificationTrialRecord(n=n, alpha=alpha, trial=t, sup_deviation=dev)
 
 
 def rate_experiment_classification(
@@ -421,10 +419,9 @@ def rate_experiment_classification(
     """sup over the family of |empirical - true| risk across (n, alpha).
 
     ``schedule`` is a list of (n, alpha) pairs; the slope is fitted to the
-    medians against n * alpha.  Grid points with n * alpha < 10 are kept
-    but flagged.  Trial t at (n, alpha) draws from ``substream(seed,
-    "class-rate", round(n alpha), t)``; the trials run in turn, in one
-    process (``rng.map_trials`` at one worker).
+    medians against n * alpha.  Trial t at (n, alpha) draws from
+    ``substream(seed, "class-rate", round(n alpha), t)``; the trials run in
+    turn, in one process (``rng.map_trials`` at one worker).
     """
     if not schedule:
         raise ConfigurationError("schedule must be nonempty")
@@ -464,6 +461,15 @@ class DecompositionCheck:
     marginal_term: float
 
 
+def require_analytic_oracle(generator: LabeledGenerator, norm: str) -> None:
+    """Refuse, before any draw, a decomposition check with no analytic oracle."""
+    if not _analytic_applicable(generator, norm):
+        raise ConfigurationError(
+            "decomposition check needs the analytic oracle "
+            "(independence features, sup norm, axis labelers)"
+        )
+
+
 def risk_decomposition_check(
     data: LabeledSample,
     family: ClassifierFamily,
@@ -477,11 +483,7 @@ def risk_decomposition_check(
     deviation, and 1/n.  The slack term is exactly 1/n when n * alpha is
     an integer; configure the check that way.
     """
-    if not _analytic_applicable(generator, region.norm):
-        raise ConfigurationError(
-            "decomposition check needs the analytic oracle "
-            "(independence features, sup norm, axis labelers)"
-        )
+    require_analytic_oracle(generator, region.norm)
     members = family.members
     n = data.n
     alpha = region.alpha

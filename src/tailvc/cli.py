@@ -286,12 +286,10 @@ def _options(subcommand: str, args, config: dict) -> dict:
 def cmd_simulate(o: dict, out: Path) -> tuple[list, dict]:
     from .models import parse_model
     from .reportio import write_sample_csv
-    from .samplers import GeneratorSpec, draw_sample
+    from .samplers import draw_sample
 
     model = parse_model(o["model"], o["d"])
-    spec = GeneratorSpec(model=model, n=o["n"], d=o["d"], seed=o["seed"],
-                         margins=o["margins"])
-    sample = draw_sample(spec)
+    sample = draw_sample(model, o["n"], o["seed"], o["margins"])
     sample_path = out / "sample.csv"
     write_sample_csv(sample, sample_path)
     return [sample_path], {}
@@ -343,7 +341,7 @@ def cmd_converge(o: dict, out: Path) -> tuple[list, dict]:
     n, d, T, delta, frozen_c = o["n"], o["d"], o["T"], o["delta"], o["frozen-c"]
 
     exp = harness.ExperimentConfig(
-        model=parse_model(o["model"], d), n=n, d=d,
+        model=parse_model(o["model"], d), n=n,
         k_schedule=tuple(o["k-schedule"]), T=T, delta=delta,
         trials=o["trials"], seed=o["seed"],
         grid_resolution=o["grid-resolution"], workers=o["workers"],
@@ -519,6 +517,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
             members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)),
             vc_dim=d,
         )
+        cls_mod.require_analytic_oracle(generator, norm)
         # each sample drawn as the runner reaches its job, as in the rate mode
         checks = map_trials(cls_mod.risk_decomposition_check, (
             (generator.sample(n, substream(seed, "decomposition", t)), family, region,

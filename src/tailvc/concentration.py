@@ -42,7 +42,7 @@ from .gridscan import (
     sup_count_vs_mass_grid,
     sup_signed_count,
 )
-from .models import StdfModel, parse_model, tail_union_prob, tail_union_prob_axes
+from .models import StdfModel, tail_union_prob, tail_union_prob_axes
 from .rng import map_trials, substream
 from .samplers import ROW_BLOCK, draw_copula_blocks
 
@@ -102,7 +102,6 @@ class RademacherEstimate:
     mean: float
     trials: int
     stderr: float
-    n: int
     p: float
     values: tuple = ()
 
@@ -115,19 +114,16 @@ class PairSeparationEstimate:
     p: float
 
 
-def _resolve_model(model, d: int) -> StdfModel:
-    if isinstance(model, StdfModel):
-        if model.d != d:
-            raise ConfigurationError(
-                f"model dimension {model.d} does not match class dimension {d}"
-            )
-        return model
-    return parse_model(str(model), d)
+def _check_model(model: StdfModel, d: int) -> None:
+    if model.d != d:
+        raise ConfigurationError(
+            f"model dimension {model.d} does not match class dimension {d}"
+        )
 
 
-def union_mass(cls: RectClassSpec, model) -> float:
+def union_mass(cls: RectClassSpec, model: StdfModel) -> float:
     """Exact mass p of the union region under the given uniform-margin law."""
-    model = _resolve_model(model, cls.d)
+    _check_model(model, cls.d)
     a = cls.box_edge
     if a > 1.0 + 1e-12:
         raise PreconditionError(
@@ -207,7 +203,7 @@ def bound_comparison(
 def sup_empirical_deviation(
     u: np.ndarray,
     cls: RectClassSpec,
-    model,
+    model: StdfModel,
     grid_resolution: int | None = None,
 ) -> SupEstimate:
     """Supremum over the family of |true set mass - empirical set mass|.
@@ -217,7 +213,7 @@ def sup_empirical_deviation(
     explicit grid resolution must be declared; the result then carries a
     reported discretization bound.
     """
-    model = _resolve_model(model, cls.d)
+    _check_model(model, cls.d)
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != cls.d:
         raise PreconditionError(f"sample must be an n x {cls.d} matrix")
@@ -231,7 +227,7 @@ def sup_empirical_deviation(
 
 
 def relative_rademacher(
-    model,
+    model: StdfModel,
     cls: RectClassSpec,
     trials: int,
     seed: int,
@@ -251,8 +247,7 @@ def relative_rademacher(
     """
     if trials < 2:
         raise ConfigurationError(f"need at least 2 trials, got {trials}")
-    model = _resolve_model(model, cls.d)
-    p = union_mass(cls, model)
+    p = union_mass(cls, model)  # checks the model's dimension
     if p <= 0:
         raise PreconditionError("union mass is zero; renormalization undefined")
     edge = cls.box_edge
@@ -264,7 +259,6 @@ def relative_rademacher(
         mean=float(values.mean()),
         trials=trials,
         stderr=float(values.std(ddof=1) / math.sqrt(trials)),
-        n=cls.n,
         p=p,
         values=tuple(float(v) for v in values),
     )
@@ -311,7 +305,7 @@ def _near_rows(model, n: int, edge: float, rng) -> tuple[np.ndarray, np.ndarray]
 
 
 def pair_separation_complexity(
-    model,
+    model: StdfModel,
     cls: RectClassSpec,
     pairs: int,
     seed: int,
@@ -325,8 +319,7 @@ def pair_separation_complexity(
     """
     if pairs < 2:
         raise ConfigurationError(f"need at least 2 pairs, got {pairs}")
-    model = _resolve_model(model, cls.d)
-    p = union_mass(cls, model)
+    p = union_mass(cls, model)  # checks the model's dimension
     edge = cls.box_edge
     rng = substream(seed, "pair-separation")
     rows, z = _near_rows(model, pairs, edge, rng)

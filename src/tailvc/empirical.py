@@ -176,10 +176,12 @@ def check_lattice_scan(sample, k: int, model: StdfModel | None, T: float,
     ``sample`` is a ColumnTails or raw values.  Raw values are checked
     before their tails are built: the depth a scan reads, floor(k T) + 1,
     needs a valid k and T, so a bad k or T is reported before a tie.
-    ``grid`` is the declared grid's resolution or None; a lattice
-    ``stride`` declares the lattice at that stride instead, floor(k T) //
-    stride + 1 nodes per axis.  ``model`` is None when no l is compared
-    (the CLI surface).
+    ``grid`` is the declared grid's resolution or None.  At d >= 3, where
+    ``scan_is_exact`` needs a grid, a lattice ``stride`` declares the
+    lattice at that stride instead, floor(k T) // stride + 1 nodes per
+    axis; at d <= 2 the exact scan serves every stride, as it serves the
+    full lattice.  ``model`` is None when no l is compared (the CLI
+    surface).
     """
     n, d = ((sample.n, sample.d) if isinstance(sample, ColumnTails)
             else _values_of(sample).shape)
@@ -193,7 +195,7 @@ def check_lattice_scan(sample, k: int, model: StdfModel | None, T: float,
         raise PreconditionError(f"k T = {k * T:g} exceeds n = {n}")
     if not 1 <= k <= n:
         raise PreconditionError(f"k must lie in [1, n] = [1, {n}], got {k}")
-    if stride is not None:
+    if stride is not None and d >= 3:
         grid = int(lattice_index(k, T)) // stride + 1
     return scan_is_exact(d, grid)
 

@@ -7,7 +7,7 @@ so on each cell the supremum of their gap is attained at one of the two
 extreme corners.  This module supplies the tail rows, off one tail
 state (``empirical.ColumnTails``: each column's floor(k T) + 1 largest
 values, from a trial's tail draw or from raw values), and l's corner
-grid, a ``gridscan.CornerGrid`` kept per (model, k, T, d) that
+grid, a ``gridscan.CornerGrid`` kept per (model, k, T) that
 evaluates l a strip or a window at a time and is never held whole.
 ``gridscan.lattice_corner_max`` covers every cell, making the supremum
 exact for d <= 2.  For d >= 3 a declared grid is scanned
@@ -74,14 +74,13 @@ def stdf_deviation_bound(
     return C * d * math.sqrt(T / k * math.log((d + 3) / delta)) + bias
 
 
-# The last corner grid with its key (model, k, T, d): every trial of one
+# The last corner grid with its key (model, k, T): every trial of one
 # k reads the same grid, and a new key drops it before the next grid is
 # prepared, so a process holds at most one.
 _corner_grid: tuple | None = None
 
 
-def _corner_model_grids(model: StdfModel, k: int, T: float,
-                        d: int) -> gridscan.CornerGrid:
+def _corner_model_grids(model: StdfModel, k: int, T: float) -> gridscan.CornerGrid:
     """l at every corner of the lattice cells, served as a ``gridscan.CornerGrid``.
 
     Cell m covers [m/k, (m+1)/k) on each axis, m = 0..m_top with
@@ -96,7 +95,7 @@ def _corner_model_grids(model: StdfModel, k: int, T: float,
     the module's entry with its own key's meanwhile.
     """
     global _corner_grid
-    key = (model, k, T, d)
+    key = (model, k, T)
     entry = _corner_grid
     if entry is None or entry[0] != key:
         _corner_grid = None
@@ -106,7 +105,7 @@ def _corner_model_grids(model: StdfModel, k: int, T: float,
         def evaluate(idx):  # eval_stdf_axes is looked up by name, never kept
             return eval_stdf_axes(model, [axis[i] for i in idx])
 
-        entry = (key, gridscan.corner_grid(m_top, d, evaluate))
+        entry = (key, gridscan.corner_grid(m_top, model.d, evaluate))
         _corner_grid = entry
     return entry[1]
 
@@ -137,7 +136,7 @@ def sup_stdf_deviation(
     d = tails.d
     depths = tail_depths(tails, [m_top] * d)
     if exact:
-        corners = _corner_model_grids(model, k, T, d)
+        corners = _corner_model_grids(model, k, T)
         return SupEstimate(gridscan.lattice_corner_max(depths, k, corners))
 
     # declared-grid scan; the estimator is still evaluated exactly at the
@@ -226,7 +225,7 @@ def deviation_decomposition(x, k: int, T: float, model: StdfModel) -> Decomposit
     thr_axes = [np.concatenate(([0.0], 1.0 - top[:m_top])) for top in tails.values]
     # l_n on the lattice, one strip of axis-0 levels at a time; the model
     # terms are elementwise, so each strip's rows equal the dense grid's
-    corners = _corner_model_grids(model, k, T, d)
+    corners = _corner_model_grids(model, k, T)
     levels = [np.arange(m_top + 1, dtype=float)] * d
     depths = tail_depths(tails, [m_top] * d)
     substitution = bias = rounding = 0.0
@@ -252,7 +251,6 @@ class ExperimentConfig:
 
     model: StdfModel
     n: int
-    d: int
     k_schedule: tuple
     T: float
     delta: float
@@ -279,15 +277,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"T must be finite and > 0, got {self.T}")
         if any(k * self.T > self.n for k in ks):
             raise ConfigurationError(f"k T exceeds n for some k in {ks}")
-        if self.model.d != self.d:
-            raise ConfigurationError(
-                f"model dimension {self.model.d} does not match config dimension {self.d}"
-            )
         if not 0 < self.delta < 1:
             raise ConfigurationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if not scan_is_exact(self.d, self.grid_resolution):
+        if not scan_is_exact(self.model.d, self.grid_resolution):
             declared_axis(self.T, self.grid_resolution)  # rejects fewer than 2 nodes
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
@@ -321,7 +315,7 @@ class DeviationReport:
     slope: SlopeFit
 
 
-def _one_trial(model: StdfModel, n: int, d: int, k: int, T: float,
+def _one_trial(model: StdfModel, n: int, k: int, T: float,
                seed: int, trial: int, grid_resolution) -> TrialRecord:
     """One keyed trial, reading only each column's floor(k T) + 1 largest values.
 
@@ -368,8 +362,7 @@ def run_rate_experiment(config: ExperimentConfig) -> DeviationReport:
         except PreconditionError:
             bias_2T = float("nan")
         biases[k] = bias_T, bias_2T
-    jobs = [(config.model, config.n, config.d, k, config.T, config.seed, t,
-             config.grid_resolution)
+    jobs = [(config.model, config.n, k, config.T, config.seed, t, config.grid_resolution)
             for k in config.k_schedule for t in range(config.trials)]
     # in (k, trial) order: the k schedule is strictly increasing
     records = map_trials(_one_trial, jobs, config.workers)
@@ -400,16 +393,14 @@ def calibrate_constant(report: DeviationReport) -> float:
     (1 - delta) quantile of those.  Run this on a pilot report with an
     independent master seed, then freeze the result.
     """
-    cfg = report.config
+    cfg, d = report.config, report.config.model.d
     out = 0.0
     for summ in report.summaries:
         devs = _ok_deviations(report.trials, summ.k)
         if devs.size == 0:
             raise PreconditionError(f"no successful trials at k = {summ.k}")
         bias = _envelope_bias(summ)
-        unit = cfg.d * math.sqrt(
-            cfg.T / summ.k * math.log((cfg.d + 3) / cfg.delta)
-        )
+        unit = d * math.sqrt(cfg.T / summ.k * math.log((d + 3) / cfg.delta))
         implied = np.maximum(devs - bias, 0.0) / unit
         out = max(out, quantile(implied, 1.0 - cfg.delta))
     return out
@@ -420,7 +411,7 @@ def coverage_against_bound(report: DeviationReport, C: float) -> dict:
     cfg = report.config
     coverage = {}
     for summ in report.summaries:
-        bound = stdf_deviation_bound(summ.k, cfg.d, cfg.T, cfg.delta, C,
+        bound = stdf_deviation_bound(summ.k, cfg.model.d, cfg.T, cfg.delta, C,
                                      _envelope_bias(summ))
         devs = _ok_deviations(report.trials, summ.k)
         # calibrated bounds can sit exactly on a deviation; tolerate one ulp

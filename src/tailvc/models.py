@@ -162,14 +162,14 @@ def tail_union_prob(model: StdfModel, y) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y < 0) or np.any(y > 1):
         raise PreconditionError("tail thresholds must lie in [0, 1]")
-    if model.variant == "comonotone":
-        # all coordinates share one uniform; avoids the 1 - (1 - y) round trip
-        out = y.max(axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
     if y.shape[-1] != model.d:
         raise PreconditionError(
             f"point has {y.shape[-1]} coordinates, model dimension is {model.d}"
         )
+    if model.variant == "comonotone":
+        # all coordinates share one uniform; avoids the 1 - (1 - y) round trip
+        out = y.max(axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
     u = 1.0 - y
     if model.variant == "independence":
         c = u.prod(axis=-1)

@@ -103,28 +103,6 @@ def parse_margins(tags, d: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
-    """Full recipe for one synthetic sample; equal specs give bit-equal data."""
-
-    model: StdfModel
-    n: int
-    d: int
-    seed: int
-    margins: tuple = ("uniform",)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError(f"sample size must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {self.d}")
-        if self.model.d != self.d:
-            raise ConfigurationError(
-                f"model dimension {self.model.d} does not match spec dimension {self.d}"
-            )
-        object.__setattr__(self, "margins", parse_margins(self.margins, self.d))
-
-
-@dataclass(frozen=True)
 class Sample:
     """An n x d matrix of observations."""
 
@@ -388,10 +366,13 @@ def _logistic_copula(alpha: float, e: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def draw_sample(spec: GeneratorSpec) -> Sample:
-    """Draw the spec's sample: its model copula, then its margins."""
-    rng = substream(spec.seed, "sample")
-    return _margins_in_place(draw_copula_sample(spec.model, spec.n, rng), spec.margins)
+def draw_sample(model: StdfModel, n: int, seed: int, margins="uniform") -> Sample:
+    """n rows of the model copula from ``substream(seed, "sample")``, then
+    ``margins`` (``parse_margins``, read before the draw); equal inputs give
+    bit-equal data."""
+    specs = parse_margins(margins, model.d)
+    rng = substream(seed, "sample")
+    return _margins_in_place(draw_copula_sample(model, n, rng), specs)
 
 
 def apply_margins(sample: Sample, transforms) -> Sample:

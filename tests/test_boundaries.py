@@ -313,7 +313,7 @@ D3_CALLS = {
     "deviation_decomposition": lambda a: harness.deviation_decomposition(
         a.x, 10, 2.0, a.model),
     "ExperimentConfig": lambda a: harness.ExperimentConfig(
-        model=a.model, n=400, d=3, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
+        model=a.model, n=400, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
         seed=1),
     "sup_empirical_deviation": lambda a: concentration.sup_empirical_deviation(
         1.0 - a.x, a.cls, a.model),
@@ -383,14 +383,14 @@ BUDGET_CALLS = {
     "sup_stdf_deviation": (257, 3, lambda a: harness.sup_stdf_deviation(
         a.x, 10, a.model, 2.0, grid_resolution=257)),
     "ExperimentConfig": (257, 3, lambda a: harness.ExperimentConfig(
-        model=a.model, n=400, d=3, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
+        model=a.model, n=400, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
         seed=1, grid_resolution=257)),
     "sup_empirical_deviation": (257, 3, lambda a: concentration.sup_empirical_deviation(
         1.0 - a.x, a.cls, a.model, grid_resolution=257)),
     "relative_rademacher": (257, 3, lambda a: concentration.relative_rademacher(
         a.model, a.cls, 5, 1, grid_resolution=257)),
     "relative_rademacher-d30": (2, 30, lambda a: concentration.relative_rademacher(
-        "uniform", concentration.RectClassSpec(d=30, k=10, n=1000, T=1.0), 2, 1,
+        independence(30), concentration.RectClassSpec(d=30, k=10, n=1000, T=1.0), 2, 1,
         grid_resolution=2)),
     "estimate-stride": (301, 3, lambda a: empirical.check_lattice_scan(
         a.x, 150, None, 2.0, None, stride=1)),

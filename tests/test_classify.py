@@ -214,13 +214,15 @@ class TestRateExperiment:
         direct = abs(empirical_conditional_risk(data, g, region) - truth)
         assert rep.records[0].sup_deviation == pytest.approx(direct, abs=1e-12)
 
-    def test_low_budget_points_flagged(self):
+    def test_low_budget_points_keep_their_records(self):
+        # n alpha = 4 < 10: every trial is still run and recorded
         gen = toy_generator()
         family = axis_threshold_family(2, 2)
         rep = rate_experiment_classification(
             gen, family, [(40, 0.1)], trials=2, seed=7
         )
-        assert all(r.flagged for r in rep.records)
+        assert [(r.n, r.alpha, r.trial) for r in rep.records] == [(40, 0.1, 0), (40, 0.1, 1)]
+        assert all(math.isfinite(r.sup_deviation) for r in rep.records)
 
     @pytest.mark.parametrize("schedule,trials,message", [
         ([(400, 0.1)], 0, "trials must be >= 1, got 0"),

@@ -296,6 +296,23 @@ class TestEstimate:
         assert "k must lie in [1, n]" in capsys.readouterr().err
         assert not (out / "surface.csv").exists()
 
+    def test_stride_one_at_d2_is_the_run_without_it(self, tmp_path, monkeypatch):
+        # the exact d = 2 scan declares no grid, so the node budget a d >= 3
+        # lattice answers to does not refuse --grid-stride 1 on 21^2 nodes
+        import tailvc.gridscan as gridscan
+
+        monkeypatch.setattr(gridscan, "_GRID_NODE_BUDGET", 21 ** 2 - 1)
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--model", "logistic(2)", "--n", 300, "--d", 2,
+                    "--seed", 15, "--out", sim]) == 0
+        surfaces = []
+        for extra in ([], ["--grid-stride", 1]):
+            est = tmp_path / f"est{len(extra)}"
+            assert run(["estimate", "--data", sim / "sample.csv", "--k", 10, "--T", 2.0,
+                        "--out", est] + extra) == 0
+            surfaces.append((est / "surface.csv").read_bytes())
+        assert surfaces[0] == surfaces[1]
+
 
 class TestDataFileBytes:
     """SHA-256 of seeded ``simulate`` and ``estimate`` data files, recorded
@@ -1013,8 +1030,10 @@ class TestRefusedBeforeAnyDraw:
         def fail(*args, **kwargs):
             raise AssertionError("data was read or drawn")
 
-        # the defining modules: each command imports these names at call time
-        for name in ("tailvc.reportio.read_sample_csv", "tailvc.samplers.draw_sample"):
+        # the defining modules: each command imports these names at call time,
+        # and draw_sample reads its margins before it calls the copula draw
+        for name in ("tailvc.reportio.read_sample_csv",
+                     "tailvc.samplers.draw_copula_sample"):
             monkeypatch.setattr(name, fail)
         args = fill(args, tmp_path)
         if flag in args:  # drop the valid value
@@ -1148,6 +1167,9 @@ class TestRefusedBeforeAnyDraw:
                           "threshold must be finite, got nan"),
         "decomposition-threshold-inf": (CLASSIFY_DEC, ["--rule-threshold", "inf"],
                                         "threshold must be finite, got inf"),
+        "decomposition-norm-l2": (CLASSIFY_DEC, ["--norm", "l2"],
+                                  "decomposition check needs the analytic oracle "
+                                  "(independence features, sup norm, axis labelers)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CLASSIFY))

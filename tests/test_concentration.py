@@ -31,18 +31,19 @@ from traced_memory import traced_peak
 class TestUnionMass:
     def test_comonotone_is_box_edge(self):
         cls = RectClassSpec(d=3, k=50, n=1000, T=2.0)
-        assert union_mass(cls, "comonotone") == pytest.approx(0.1, abs=1e-15)
+        p = union_mass(cls, parse_model("comonotone", 3))
+        assert p == pytest.approx(0.1, abs=1e-15)
 
     def test_independence_two_dims(self):
         cls = RectClassSpec(d=2, k=100, n=2000, T=2.0)  # edge 0.1
-        assert union_mass(cls, "independence") == pytest.approx(0.19)
+        assert union_mass(cls, parse_model("independence", 2)) == pytest.approx(0.19)
 
     def test_logistic_between_single_and_sum(self):
         cls = RectClassSpec(d=2, k=100, n=2000, T=2.0)
-        p = union_mass(cls, "logistic(2)")
+        model = parse_model("logistic(2)", 2)
+        p = union_mass(cls, model)
         assert 0.1 <= p <= 0.2
         # frequency cross-check
-        model = parse_model("logistic(2)", 2)
         z = draw_tail_uniforms(model, 1_000_000, substream(3, "mass-mc"))
         freq = np.mean(np.any(z < 0.1, axis=1))
         stderr = math.sqrt(freq * (1 - freq) / z.shape[0])
@@ -51,7 +52,8 @@ class TestUnionMass:
     def test_subadditive_cap(self):
         for tag in ("independence", "comonotone", "logistic(4)"):
             cls = RectClassSpec(d=2, k=10, n=1000, T=3.0)
-            assert union_mass(cls, tag) <= cls.d * cls.T * cls.scale + 1e-12
+            p = union_mass(cls, parse_model(tag, 2))
+            assert p <= cls.d * cls.T * cls.scale + 1e-12
 
     def test_cap_violation_is_an_internal_error(self, monkeypatch):
         # a model returning more mass than subadditivity allows is a fault;
@@ -61,7 +63,7 @@ class TestUnionMass:
         monkeypatch.setattr(conc, "tail_union_prob", lambda model, t: 0.5)
         cls = RectClassSpec(d=2, k=10, n=1000, T=2.0)  # cap d (k/n) T = 0.04
         with pytest.raises(TailvcError) as err:
-            union_mass(cls, "independence")
+            union_mass(cls, parse_model("independence", 2))
         assert type(err.value) is TailvcError
         assert err.value.exit_code == 5
         assert "exceeds its subadditivity cap" in str(err.value)
@@ -69,7 +71,7 @@ class TestUnionMass:
     def test_edge_above_one_rejected(self):
         cls = RectClassSpec(d=2, k=600, n=1000, T=2.0)
         with pytest.raises(PreconditionError):
-            union_mass(cls, "independence")
+            union_mass(cls, parse_model("independence", 2))
 
 
 class TestBounds:
@@ -147,24 +149,25 @@ class TestSupEmpiricalDeviation:
     def test_all_points_outside_union(self):
         cls = RectClassSpec(d=2, k=10, n=100, T=2.0)
         z = np.full((100, 2), 0.9) + np.arange(100)[:, None] * 1e-4
-        dev = sup_empirical_deviation(z, cls, "independence")
-        assert dev.value == pytest.approx(union_mass(cls, "independence"), abs=1e-15)
+        model = parse_model("independence", 2)
+        dev = sup_empirical_deviation(z, cls, model)
+        assert dev.value == pytest.approx(union_mass(cls, model), abs=1e-15)
         assert dev.discretization_bound == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_is_rejected(self, bad):
         cls = RectClassSpec(d=2, k=2, n=5, T=1.0)  # edge 0.4
         z = np.array([[0.1, 0.2], [0.3, 0.05], [0.5, 0.5]])
-        assert sup_empirical_deviation(z, cls, "independence").value == (
-            0.5216666666666666)
+        model = parse_model("independence", 2)
+        assert sup_empirical_deviation(z, cls, model).value == 0.5216666666666666
         z[2, 0] = bad
         with pytest.raises(PreconditionError, match="points must be finite"):
-            sup_empirical_deviation(z, cls, "independence")
+            sup_empirical_deviation(z, cls, model)
 
     def test_single_point_candidate_scan(self):
         z = np.array([[0.1]])
         cls = RectClassSpec(d=1, k=1, n=1, T=0.3)
-        dev = sup_empirical_deviation(z, cls, "independence")
+        dev = sup_empirical_deviation(z, cls, parse_model("independence", 1))
         by_hand = max(abs(0.0 - 0.1), abs(1.0 - 0.1), abs(1.0 - 0.3))
         assert dev.value == by_hand
 
@@ -188,11 +191,11 @@ class TestSupEmpiricalDeviation:
 
     def test_dimension_three_needs_grid(self):
         cls = RectClassSpec(d=3, k=10, n=100, T=1.0)
-        z = draw_tail_uniforms(parse_model("independence", 3), 100,
-                               substream(1, "d3"))
+        model = parse_model("independence", 3)
+        z = draw_tail_uniforms(model, 100, substream(1, "d3"))
         with pytest.raises(ConfigurationError):
-            sup_empirical_deviation(z, cls, "independence")
-        est = sup_empirical_deviation(z, cls, "independence", grid_resolution=12)
+            sup_empirical_deviation(z, cls, model)
+        est = sup_empirical_deviation(z, cls, model, grid_resolution=12)
         assert est.discretization_bound > 0
 
 
@@ -200,24 +203,25 @@ class TestRelativeRademacher:
     def test_needs_two_trials(self):
         cls = RectClassSpec(d=2, k=10, n=100, T=1.0)
         with pytest.raises(ConfigurationError):
-            relative_rademacher("independence", cls, 1, 0)
+            relative_rademacher(parse_model("independence", 2), cls, 1, 0)
 
     def test_single_observation_normalizes_to_one(self):
         cls = RectClassSpec(d=2, k=1, n=1, T=0.3)
-        est = relative_rademacher("independence", cls, 3000, 11)
+        est = relative_rademacher(parse_model("independence", 2), cls, 3000, 11)
         assert est.mean == pytest.approx(1.0, abs=5 * est.stderr + 1e-9)
 
     def test_values_recorded_per_trial(self):
         cls = RectClassSpec(d=2, k=10, n=200, T=1.0)
-        est = relative_rademacher("independence", cls, 5, 3)
+        est = relative_rademacher(parse_model("independence", 2), cls, 5, 3)
         assert len(est.values) == 5
         assert est.mean == pytest.approx(np.mean(est.values))
 
     def test_dimension_three_needs_grid(self):
         cls = RectClassSpec(d=3, k=10, n=100, T=1.0)
+        model = parse_model("independence", 3)
         with pytest.raises(ConfigurationError):
-            relative_rademacher("independence", cls, 5, 0)
-        est = relative_rademacher("independence", cls, 5, 0, grid_resolution=8)
+            relative_rademacher(model, cls, 5, 0)
+        est = relative_rademacher(model, cls, 5, 0, grid_resolution=8)
         assert est.trials == 5
 
     def test_scaling_band_small(self):
@@ -225,7 +229,7 @@ class TestRelativeRademacher:
         vals = []
         for n in (1000, 10_000):
             cls = RectClassSpec(d=2, k=n // 100, n=n, T=2.0)
-            est = relative_rademacher("independence", cls, 60, 123)
+            est = relative_rademacher(parse_model("independence", 2), cls, 60, 123)
             vals.append(est.mean * math.sqrt(n * est.p))
         assert max(vals) / min(vals) < 2.0
 
@@ -234,8 +238,9 @@ class TestRelativeRademacher:
         # a trial's arrays must be gone before the next one draws
         n = 200_000
         cls = RectClassSpec(d=2, k=2000, n=n, T=2.0)
-        relative_rademacher("uniform", RectClassSpec(d=2, k=2, n=200, T=2.0), 2, 1)
-        peak, est = traced_peak(relative_rademacher, "uniform", cls, 4, 1)
+        model = parse_model("uniform", 2)
+        relative_rademacher(model, RectClassSpec(d=2, k=2, n=200, T=2.0), 2, 1)
+        peak, est = traced_peak(relative_rademacher, model, cls, 4, 1)
         assert est.trials == 4
         assert peak < 2 * (n * 2 * 8 + n * 8)
 
@@ -243,14 +248,14 @@ class TestRelativeRademacher:
 class TestPairSeparation:
     def test_tiny_region_rarely_splits(self):
         cls = RectClassSpec(d=2, k=1, n=100_000, T=1.0)  # edge 1e-5
-        est = pair_separation_complexity("independence", cls, 20_000, 6)
+        est = pair_separation_complexity(parse_model("independence", 2), cls, 20_000, 6)
         assert est.value <= 3 * est.p
 
     def test_upper_bound_twice_mass(self):
         for tag in ("independence", "comonotone", "logistic(2)"):
             for d in (1, 2):
                 cls = RectClassSpec(d=d, k=100, n=10_000, T=2.0)
-                est = pair_separation_complexity(tag, cls, 50_000, 17)
+                est = pair_separation_complexity(parse_model(tag, cls.d), cls, 50_000, 17)
                 assert est.value <= 2 * est.p + 3 * est.stderr
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -261,8 +266,8 @@ class TestPairSeparation:
         monkeypatch.setattr(concentration, "_pair_splits",
                             lambda *a: masks.append(real(*a)) or masks[-1])
         cls = RectClassSpec(d=d, k=100, n=1000, T=2.0)
-        est = pair_separation_complexity("logistic(2)", cls, 5000, 21)
         model = parse_model("logistic(2)", d)
+        est = pair_separation_complexity(model, cls, 5000, 21)
         rng = substream(21, "pair-separation")
         z = draw_tail_uniforms(model, 5000, rng)
         z2 = draw_tail_uniforms(model, 5000, rng)
@@ -277,7 +282,7 @@ class TestPairSeparation:
     def test_matches_closed_form(self):
         # splitting happens exactly when either draw lands in the union
         cls = RectClassSpec(d=2, k=100, n=2000, T=2.0)
-        est = pair_separation_complexity("independence", cls, 200_000, 8)
+        est = pair_separation_complexity(parse_model("independence", 2), cls, 200_000, 8)
         q_exact = 2 * est.p - est.p**2
         assert est.value == pytest.approx(q_exact, abs=4 * est.stderr)
 
@@ -408,9 +413,9 @@ class TestKeptRows:
             monkeypatch.setattr(concentration, "ROW_BLOCK", block)
         for d in (1, 2, 3):
             cls = RectClassSpec(d=d, k=40, n=1000, T=2.0)
-            est = pair_separation_complexity(tag, cls, 700, 12)
-            rng = substream(12, "pair-separation")
             model = parse_model(tag, d)
+            est = pair_separation_complexity(model, cls, 700, 12)
+            rng = substream(12, "pair-separation")
             z, z2 = (draw_tail_uniforms(model, 700, rng) for _ in range(2))
             edge = cls.box_edge
             want = np.any((z < z2) & (z < edge), axis=1) | np.any(
@@ -430,16 +435,17 @@ class TestKeptRows:
         monkeypatch.setattr(concentration, "draw_copula_blocks", with_nan)
         cls = RectClassSpec(d=2, k=10, n=500, T=2.0)
         with pytest.raises(PreconditionError, match="points must be finite"):
-            relative_rademacher("uniform", cls, 2, 1)
+            relative_rademacher(parse_model("uniform", 2), cls, 2, 1)
 
     def test_traced_peaks(self):
         # the benchmark's rademacher-dense sizes; the whole draws traced 5.5
         # and 3.5 MiB
         cls = RectClassSpec(d=2, k=2000, n=200_000, T=2.0)
         small = RectClassSpec(d=2, k=20, n=2000, T=2.0)
-        relative_rademacher("uniform", small, 2, 1)
-        pair_separation_complexity("uniform", small, 100, 1)
-        peak, _ = traced_peak(relative_rademacher, "uniform", cls, 2, 1)
+        model = parse_model("uniform", 2)
+        relative_rademacher(model, small, 2, 1)
+        pair_separation_complexity(model, small, 100, 1)
+        peak, _ = traced_peak(relative_rademacher, model, cls, 2, 1)
         assert peak < 2 << 20
-        peak, _ = traced_peak(pair_separation_complexity, "uniform", cls, 100_000, 1)
+        peak, _ = traced_peak(pair_separation_complexity, model, cls, 100_000, 1)
         assert peak < 2 << 20

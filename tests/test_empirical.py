@@ -30,7 +30,6 @@ from tailvc.gridscan import dominance_weight_grid
 from tailvc.models import comonotone, independence, parse_model
 from tailvc.rng import substream
 from tailvc.samplers import (
-    GeneratorSpec,
     Sample,
     apply_margins,
     draw_copula_sample,
@@ -156,7 +155,7 @@ class TestEmpiricalStdf:
         assert empirical_stdf(antimonotone_sample(), 2, [0.0, 0.0]) == 0.0
 
     def test_comonotone_unit_point_attains_lower_bound(self):
-        s = draw_sample(GeneratorSpec(model=comonotone(2), n=40, d=2, seed=3))
+        s = draw_sample(comonotone(2), 40, 3)
         assert empirical_stdf(s, 10, [1.0, 1.0]) == 1.0
 
     def test_antimonotone_hand_count(self):
@@ -207,28 +206,24 @@ class TestTildeF:
 
 class TestStandardize:
     def test_uniform_is_one_minus_x(self):
-        s = draw_sample(GeneratorSpec(model=independence(2), n=50, d=2, seed=5))
+        s = draw_sample(independence(2), 50, 5)
         u = standardize(s, "uniform")
         assert np.allclose(u, 1.0 - s.values)
 
     def test_exponential_inverse_transform(self):
-        base = draw_sample(GeneratorSpec(model=independence(1), n=50, d=1, seed=6))
+        base = draw_sample(independence(1), 50, 6)
         s = apply_margins(base, "exponential")
         u = standardize(s, "exponential")
         assert np.allclose(u, 1.0 - base.values, atol=1e-12)
 
     def test_pareto_margin_uniformity(self):
-        base = draw_sample(
-            GeneratorSpec(
-                model=independence(2), n=20_000, d=2, seed=7, margins=("pareto(2)",)
-            )
-        )
+        base = draw_sample(independence(2), 20_000, 7, ("pareto(2)",))
         u = standardize(base, "pareto(2)")
         for j in range(2):
             assert kstest(u[:, j], "uniform").pvalue > 0.01
 
     def test_margin_spec_is_one_tag_for_every_column(self):
-        base = draw_sample(GeneratorSpec(model=independence(2), n=50, d=2, seed=8))
+        base = draw_sample(independence(2), 50, 8)
         s = apply_margins(base, "exponential")
         u = standardize(s, parse_margin("exponential"))
         assert np.array_equal(u, standardize(s, "exponential"))

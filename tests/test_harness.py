@@ -186,7 +186,7 @@ class TestSupStdfDeviation:
             sup_stdf_deviation(s, 10, m, 1.5, grid_resolution=res)
         with pytest.raises(ConfigurationError,
                            match=f"grid resolution must be >= 2, got {res}"):
-            ExperimentConfig(model=m, n=500, d=2, k_schedule=(10,), T=1.5,
+            ExperimentConfig(model=m, n=500, k_schedule=(10,), T=1.5,
                              delta=0.05, trials=2, seed=1, grid_resolution=res)
 
     @pytest.mark.parametrize("k,T", [(50, 2.0), (7, 0.09), (3, 0.3333333333)])
@@ -226,7 +226,7 @@ class TestSupStdfDeviation:
         corner_grid = gridscan.corner_grid
         monkeypatch.setattr(gridscan, "corner_grid", spy)
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        cfg = ExperimentConfig(model=logistic(2.0, 2), n=2000, d=2,
+        cfg = ExperimentConfig(model=logistic(2.0, 2), n=2000,
                                k_schedule=(20, 40, 80), T=2.0, delta=0.05,
                                trials=3, seed=4)
         run_rate_experiment(cfg)
@@ -267,7 +267,7 @@ class TestSupStdfDeviation:
 
         monkeypatch.setattr(hmod, "_corner_grid", None)
         m, T = logistic(2.0, 2), 2.0
-        other_key = (m, 20, T, 2)
+        other_key = (m, 20, T)
         other = _corner_model_grids(*other_key)
 
         class Finaliser:
@@ -280,7 +280,7 @@ class TestSupStdfDeviation:
 
         corner_grid = gridscan.corner_grid
         monkeypatch.setattr(gridscan, "corner_grid", spy)
-        got = _corner_model_grids(m, 50, T, 2)
+        got = _corner_model_grids(m, 50, T)
         assert hmod._corner_grid[1] is other  # the store was replaced
         assert got is not other and got.m_top == int(lattice_index(50, T)) == 100
 
@@ -293,7 +293,7 @@ class TestSupStdfDeviation:
 
         def work(k):
             for _ in range(40):
-                grid = _corner_model_grids(m, k, T, 2)
+                grid = _corner_model_grids(m, k, T)
                 if grid.m_top != 2 * k:
                     wrong.append((k, grid.m_top))
 
@@ -464,7 +464,7 @@ class TestStripScan:
         whole = eval_stdf_axes(m, [axis] * d)
         set_strip_rows(monkeypatch, 1, axis.size, d)
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        grid = _corner_model_grids(m, k, T, d).rows(0, axis.size)
+        grid = _corner_model_grids(m, k, T).rows(0, axis.size)
         assert grid.shape == whole.shape
         assert grid.tobytes() == whole.tobytes()
 
@@ -475,7 +475,7 @@ class TestStripScan:
         m, k, T = logistic(2.0, 2), 800, 2.0
         x = tails(draw_copula_sample(m, 20_000, substream(19, "mem")), k, T)
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        _corner_model_grids(m, k, T, 2)
+        _corner_model_grids(m, k, T)
         tracemalloc.start()
         try:
             sup_stdf_deviation(x, k, m, T)
@@ -491,7 +491,7 @@ class TestStripScan:
         monkeypatch.setattr(hmod, "_corner_grid", None)
         tracemalloc.start()
         try:
-            _corner_model_grids(logistic(2.0, 2), 800, 2.0, 2)
+            _corner_model_grids(logistic(2.0, 2), 800, 2.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -632,7 +632,7 @@ class TestPrunedScan:
             calls.update(pruned=0, walk=0)
             got = sup_stdf_deviation(x, k, m, T).value
             assert calls == {"pruned": 1, "walk": walks}
-            corners = _corner_model_grids(m, k, T, 2)
+            corners = _corner_model_grids(m, k, T)
             near = corners.evaluate([np.array([r - 1, r]), np.array([c - 1, c])])
             neighbour = near[0, 1] if axis == 0 else near[1, 0]
             other = near[1, 0] if axis == 0 else near[0, 1]
@@ -795,7 +795,7 @@ class TestCornerGridOnDemand:
         assert int(lattice_index(k, T)) == m_top
         axis = np.minimum(np.append(np.arange(m_top + 1) / k, T), T)
         whole = eval_stdf_axes(m, [axis] * 2)
-        corners = _corner_model_grids(m, k, T, 2)
+        corners = _corner_model_grids(m, k, T)
         for rows in (1, 3, m_top + 2):  # the strips of the walk and the decomposition
             for lo in range(0, m_top + 2, rows):
                 hi = min(lo + rows, m_top + 2)
@@ -950,7 +950,7 @@ class TestOrderStatEvent:
             raise AssertionError("a declared-grid trial ranked every row")
 
         monkeypatch.setattr(hmod, "build_ranks", no_ranks)
-        record = _one_trial(model, n, 2, k, T, 18, 0, 9)
+        record = _one_trial(model, n, k, T, 18, 0, 9)
         assert record.ok
         assert record.sup_deviation == expected.value
 
@@ -958,7 +958,7 @@ class TestOrderStatEvent:
     def test_trial_event_matches_direct(self, grid_resolution):
         model, n, k, T = logistic(2.0, 2), 2000, 20, 2.0
         for trial in range(5):
-            record = _one_trial(model, n, 2, k, T, 17, trial, grid_resolution)
+            record = _one_trial(model, n, k, T, 17, trial, grid_resolution)
             x = draw_copula_sample(model, n, substream(17, "rate", k, trial))
             assert record.order_stat_event == check_order_stat_event(1.0 - x, k, T)
 
@@ -1057,25 +1057,25 @@ class TestRateExperiment:
     def test_config_guards(self):
         m = comonotone(2)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(model=m, n=1000, d=2, k_schedule=(200,), T=1.0,
+            ExperimentConfig(model=m, n=1000, k_schedule=(200,), T=1.0,
                              delta=0.05, trials=2, seed=0)  # k > n/10
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(model=m, n=1000, d=2, k_schedule=(10, 10), T=1.0,
+            ExperimentConfig(model=m, n=1000, k_schedule=(10, 10), T=1.0,
                              delta=0.05, trials=2, seed=0)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(model=m, n=1000, d=2, k_schedule=(10,), T=200.0,
+            ExperimentConfig(model=m, n=1000, k_schedule=(10,), T=200.0,
                              delta=0.05, trials=2, seed=0)  # k T > n
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_t_must_be_finite_and_positive(self, T):
         with pytest.raises(ConfigurationError, match="T must be finite and > 0"):
-            ExperimentConfig(model=comonotone(2), n=1000, d=2, k_schedule=(10,),
+            ExperimentConfig(model=comonotone(2), n=1000, k_schedule=(10,),
                              T=T, delta=0.05, trials=2, seed=0)
 
     def test_deterministic_across_worker_counts(self):
         m = independence(2)
-        base = ExperimentConfig(model=m, n=2000, d=2, k_schedule=(20, 40), T=1.5,
+        base = ExperimentConfig(model=m, n=2000, k_schedule=(20, 40), T=1.5,
                                 delta=0.05, trials=4, seed=99)
         serial = run_rate_experiment(base)
         from dataclasses import replace
@@ -1091,7 +1091,7 @@ class TestRateExperiment:
         m = independence(2)
 
         def run(trials, seed):
-            cfg = ExperimentConfig(model=m, n=4000, d=2, k_schedule=(20, 40),
+            cfg = ExperimentConfig(model=m, n=4000, k_schedule=(20, 40),
                                    T=1.5, delta=0.05, trials=trials, seed=seed)
             rep = run_rate_experiment(cfg)
             return {
@@ -1118,7 +1118,7 @@ class TestRateExperiment:
         k, T = 50, 2.0
         gaps = {}
         for n in (5000, 50_000):
-            cfg = ExperimentConfig(model=m, n=n, d=2, k_schedule=(k,), T=T,
+            cfg = ExperimentConfig(model=m, n=n, k_schedule=(k,), T=T,
                                    delta=0.05, trials=30, seed=31)
             rep = run_rate_experiment(cfg)
             gaps[n] = rep.summaries[0].median
@@ -1139,7 +1139,7 @@ class TestRateExperiment:
 
         # the independence tail draw is the full draw: patched where it is defined
         monkeypatch.setattr(smod, "draw_copula_sample", fake_draw)
-        cfg = ExperimentConfig(model=independence(2), n=80, d=2, k_schedule=(4,),
+        cfg = ExperimentConfig(model=independence(2), n=80, k_schedule=(4,),
                                T=1.0, delta=0.05, trials=3, seed=1)
         rep = run_rate_experiment(cfg)
         assert len(rep.trials) == 3
@@ -1150,12 +1150,12 @@ class TestRateExperiment:
     def test_calibration_and_coverage_roundtrip(self):
         m = comonotone(2)
         pilot = run_rate_experiment(
-            ExperimentConfig(model=m, n=20_000, d=2, k_schedule=(100,), T=4.0,
+            ExperimentConfig(model=m, n=20_000, k_schedule=(100,), T=4.0,
                              delta=0.05, trials=50, seed=111)
         )
         c_star = calibrate_constant(pilot)
         fresh = run_rate_experiment(
-            ExperimentConfig(model=m, n=20_000, d=2, k_schedule=(100,), T=4.0,
+            ExperimentConfig(model=m, n=20_000, k_schedule=(100,), T=4.0,
                              delta=0.05, trials=50, seed=222)
         )
         cov = coverage_against_bound(fresh, c_star)
@@ -1210,7 +1210,7 @@ class TestDecomposition:
         m, k, T = logistic(2.0, 2), 800, 2.0
         x = draw_copula_sample(m, 20_000, substream(19, "mem"))
         monkeypatch.setattr(hmod, "_corner_grid", None)
-        _corner_model_grids(m, k, T, 2)
+        _corner_model_grids(m, k, T)
         tracemalloc.start()
         try:
             deviation_decomposition(x, k, T, m)
@@ -1307,7 +1307,7 @@ class TestTrialTiesContract:
 
         # the independence tail draw is the full draw
         monkeypatch.setattr(smod, "draw_copula_sample", lambda model, n, rng: x.copy())
-        return _one_trial(independence(2), self.N, 2, self.K, self.T, 5, 0, None)
+        return _one_trial(independence(2), self.N, self.K, self.T, 5, 0, None)
 
     def tied(self, column, depths):
         """A sample with the values at two depths of ``column`` made equal

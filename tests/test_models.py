@@ -173,6 +173,14 @@ class TestTailUnion:
             for y in (0.0, 0.05, 0.4, 1.0):
                 assert tail_union_prob(m, [y]) == pytest.approx(y, abs=1e-12)
 
+    @pytest.mark.parametrize("variant", ["independence", "comonotone", "logistic(2)"])
+    @pytest.mark.parametrize("y", [[0.1, 0.2], [[0.1, 0.2]], [0.1, 0.2, 0.3, 0.4]])
+    def test_coordinate_count_must_match_the_model(self, variant, y):
+        with pytest.raises(PreconditionError) as err:
+            tail_union_prob(parse_model(variant, 3), y)
+        assert str(err.value) == (f"point has {np.shape(y)[-1]} coordinates, "
+                                  "model dimension is 3")
+
     def test_convergence_to_limit_on_t_grid(self):
         # discrepancy from the limit shrinks monotonically as the level drops
         x_grid = np.array([[0.5, 1.5], [1.0, 1.0], [2.0, 0.3]])

@@ -22,12 +22,12 @@ from tailvc.reportio import (
     write_manifest,
     write_sample_csv,
 )
-from tailvc.samplers import GeneratorSpec, Sample, draw_sample
+from tailvc.samplers import Sample, draw_sample
 
 
 class TestSampleCsv:
     def test_roundtrip_exact(self, tmp_path):
-        s = draw_sample(GeneratorSpec(model=independence(3), n=37, d=3, seed=5))
+        s = draw_sample(independence(3), 37, 5)
         path = tmp_path / "s.csv"
         write_sample_csv(s, path)
         back = read_sample_csv(path)
@@ -132,7 +132,7 @@ class TestSampleCsv:
         assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
     def test_byte_identical_rewrites(self, tmp_path):
-        s = draw_sample(GeneratorSpec(model=independence(2), n=20, d=2, seed=9))
+        s = draw_sample(independence(2), 20, 9)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sample_csv(s, a)
         write_sample_csv(s, b)
@@ -324,9 +324,8 @@ class TestReadHoldsTheSampleOnce:
 
     def test_benchmark_seed_one_sample(self, tmp_path):
         # the 200,000 x 2 sample of the benchmark's simulate-estimate at seed 1
-        spec = GeneratorSpec(model=logistic(2.0, 2), n=200_000, d=2, seed=1,
-                             margins=("uniform", "pareto(2)"))
-        self.check(draw_sample(spec), tmp_path / "s1.csv")
+        sample = draw_sample(logistic(2.0, 2), 200_000, 1, ("uniform", "pareto(2)"))
+        self.check(sample, tmp_path / "s1.csv")
 
     def test_wide_sample(self, tmp_path):
         sample = Sample(np.random.default_rng(32).random((65_536, 32)))

@@ -13,7 +13,6 @@ from tailvc.errors import ConfigurationError, PreconditionError
 from tailvc.models import comonotone, independence, logistic, parse_model
 from tailvc.rng import substream
 from tailvc.samplers import (
-    GeneratorSpec,
     Sample,
     apply_margins,
     draw_copula_blocks,
@@ -26,53 +25,45 @@ from tailvc.samplers import (
 from traced_memory import traced_peak
 
 
-def spec(model, n, d, seed, margins=("uniform",)):
-    return GeneratorSpec(model=model, n=n, d=d, seed=seed, margins=margins)
-
-
 class TestDeterminism:
     def test_identical_spec_bit_identical(self):
         for model in (independence(2), comonotone(2), logistic(2.0, 2)):
-            s = spec(model, 500, 2, seed=31)
-            a = draw_sample(s).values
-            b = draw_sample(s).values
+            a = draw_sample(model, 500, 31).values
+            b = draw_sample(model, 500, 31).values
             assert a.tobytes() == b.tobytes()
 
     def test_margined_sample_bits(self):
         # the exact bits of a sample with a margin of each kind
-        s = spec(logistic(2.5, 3), 2000, 3, seed=11,
-                 margins=("uniform", "pareto(2)", "exponential"))
-        values = draw_sample(s).values.astype("<f8")
+        s = draw_sample(logistic(2.5, 3), 2000, 11, ("uniform", "pareto(2)", "exponential"))
+        values = s.values.astype("<f8")
         assert hashlib.sha256(values.tobytes()).hexdigest() == (
             "473e837aa61c9f4d383fefa8049f8879c01d1d841980f1ded1123a34339e82b2")
 
     def test_different_seed_differs(self):
-        a = draw_sample(spec(independence(2), 100, 2, seed=1)).values
-        b = draw_sample(spec(independence(2), 100, 2, seed=2)).values
+        a = draw_sample(independence(2), 100, 1).values
+        b = draw_sample(independence(2), 100, 2).values
         assert not np.array_equal(a, b)
 
 
 class TestIndependence:
     def test_single_value_in_unit_interval(self):
-        s = draw_sample(spec(independence(1), 1, 1, seed=5))
+        s = draw_sample(independence(1), 1, 5)
         assert s.values.shape == (1, 1)
         assert 0.0 <= s.values[0, 0] <= 1.0
 
     def test_coordinates_uncorrelated(self):
-        s = draw_sample(spec(independence(2), 10_000, 2, seed=6))
+        s = draw_sample(independence(2), 10_000, 6)
         corr = np.corrcoef(s.values[:, 0], s.values[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
 
 class TestComonotone:
     def test_rows_constant_across_coordinates(self):
-        s = draw_sample(spec(comonotone(3), 5, 3, seed=7))
+        s = draw_sample(comonotone(3), 5, 7)
         assert np.all(s.values == s.values[:, [0]])
 
     def test_ranks_agree_across_coordinates(self):
-        s = draw_sample(
-            spec(comonotone(2), 50, 2, seed=8, margins=("uniform", "exponential"))
-        )
+        s = draw_sample(comonotone(2), 50, 8, ("uniform", "exponential"))
         r0 = np.argsort(np.argsort(s.values[:, 0]))
         r1 = np.argsort(np.argsort(s.values[:, 1]))
         assert np.array_equal(r0, r1)
@@ -90,7 +81,7 @@ class TestComonotone:
 class TestLogistic:
     def test_theta_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            spec(logistic(0.99, 2), 10, 2, seed=1)
+            draw_sample(logistic(0.99, 2), 10, 1)
 
     def test_theta_one_matches_independence(self):
         a = draw_copula_sample(logistic(1.0, 2), 10_000, substream(1, "l1"))
@@ -296,12 +287,12 @@ class TestTailDraw:
 
 class TestMargins:
     def test_identity_margin_returns_input(self):
-        s = draw_sample(spec(independence(2), 50, 2, seed=9))
+        s = draw_sample(independence(2), 50, 9)
         out = apply_margins(s, "uniform")
         assert np.array_equal(out.values, s.values)
 
     def test_exponential_preserves_ranks(self):
-        s = draw_sample(spec(independence(2), 100, 2, seed=10))
+        s = draw_sample(independence(2), 100, 10)
         out = apply_margins(s, "exponential")
         for j in range(2):
             assert np.array_equal(
@@ -319,7 +310,7 @@ class TestMargins:
             )
 
     def test_unknown_margin_rejected(self):
-        s = draw_sample(spec(independence(2), 10, 2, seed=11))
+        s = draw_sample(independence(2), 10, 11)
         with pytest.raises(ConfigurationError):
             apply_margins(s, "cauchy")
 
@@ -330,10 +321,7 @@ class TestMargins:
         assert str(err.value) == f"pareto margin index must be finite and > 0, got {float(a)}"
 
     def test_margins_apply_per_coordinate(self):
-        g = spec(
-            independence(2), 200, 2, seed=12, margins=("exponential", "pareto(3)")
-        )
-        s = draw_sample(g)
+        s = draw_sample(independence(2), 200, 12, ("exponential", "pareto(3)"))
         assert np.all(s.values[:, 0] >= 0)
         assert np.all(s.values[:, 1] >= 1)
 
@@ -360,14 +348,15 @@ class TestInPlaceBits:
                                          ("exponential", "pareto(2)"),
                                          ("pareto(0.5)", "exponential")])
     def test_draw_sample(self, margins):
-        g = spec(logistic(2.0, 2), 5_000, 2, seed=4, margins=margins)
-        copula = draw_copula_sample(g.model, g.n, substream(g.seed, "sample"))
+        model = logistic(2.0, 2)
+        copula = draw_copula_sample(model, 5_000, substream(4, "sample"))
         via_apply = apply_margins(Sample(copula), margins).values
-        assert draw_sample(g).values.tobytes() == via_apply.tobytes()
+        got = draw_sample(model, 5_000, 4, margins).values
+        assert got.tobytes() == via_apply.tobytes()
         assert via_apply.tobytes() == column_stack_margins(copula, margins).tobytes()
 
     def test_apply_margins_leaves_its_input(self):
-        s = draw_sample(spec(logistic(2.0, 2), 1_000, 2, seed=5))
+        s = draw_sample(logistic(2.0, 2), 1_000, 5)
         before = s.values.copy()
         out = apply_margins(s, ("exponential", "pareto(2)"))
         assert s.values.tobytes() == before.tobytes()
@@ -400,31 +389,43 @@ class TestSampleMemory:
 
     def test_margins_add_one_column_to_the_draw(self):
         margins = ("uniform", "pareto(2)")
-        traced_peak(draw_sample, spec(logistic(2.0, 2), 10, 2, seed=6, margins=margins))
-        g = spec(logistic(2.0, 2), self.N, 2, seed=6, margins=margins)
-        copula, _ = traced_peak(draw_copula_sample, g.model, g.n,
-                                substream(g.seed, "sample"))
-        sample, _ = traced_peak(draw_sample, g)
+        model = logistic(2.0, 2)
+        traced_peak(draw_sample, model, 10, 6, margins)
+        copula, _ = traced_peak(draw_copula_sample, model, self.N, substream(6, "sample"))
+        sample, _ = traced_peak(draw_sample, model, self.N, 6, margins)
         assert sample < copula + 8 * self.N + (256 << 10)
 
 
-class TestSpecValidation:
+class TestDrawSampleInputs:
     def test_bad_sizes(self):
         with pytest.raises(ConfigurationError):
-            spec(independence(2), 0, 2, seed=1)
+            draw_sample(independence(2), 0, 1)
         with pytest.raises(ConfigurationError):
-            spec(independence(2), 10, 0, seed=1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            GeneratorSpec(model=independence(3), n=10, d=2, seed=1)
+            draw_sample(independence(0), 10, 1)
 
     def test_margin_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            GeneratorSpec(
-                model=independence(3),
-                n=10,
-                d=3,
-                seed=1,
-                margins=("uniform", "exponential"),
-            )
+            draw_sample(independence(3), 10, 1, margins=("uniform", "exponential"))
+
+    @pytest.mark.parametrize("margins,message", [
+        ("cauchy", "unsupported margin tag 'cauchy'"),
+        (("uniform", "exponential"), "2 margin tags for dimension 3"),
+        ("uniform", None),
+    ], ids=["bad-tag", "bad-count", "good"])
+    def test_margins_are_read_before_any_draw(self, monkeypatch, margins, message):
+        draws = []
+        kernel = samplers.draw_copula_blocks
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "draw_copula_blocks", counted)
+        if message is None:
+            draw_sample(independence(3), 10, 1, margins)
+            assert len(draws) == 1  # the counter sees the draw it guards
+            return
+        with pytest.raises(ConfigurationError) as err:
+            draw_sample(independence(3), 10, 1, margins)
+        assert str(err.value) == message
+        assert draws == []
