@@ -26,8 +26,8 @@ so a wrapper bound to the module name still runs.
 
 Exit codes: 0 success, 2 usage/configuration (also an unreadable config
 file or an ``--out`` that cannot be a directory), 3 data (also an
-unreadable ``--data`` file), 4 precondition (also a ``MemoryError``),
-5 internal.
+unreadable ``--data`` file), 4 precondition (also a ``MemoryError``, and
+a sample size whose n d values no numpy array can hold), 5 internal.
 """
 
 from __future__ import annotations
@@ -473,6 +473,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
     from .models import parse_model
     from .reportio import write_csv
     from .rng import map_trials, substream
+    from .samplers import check_sample_size
 
     seed, d, alpha, norm, trials = o["seed"], o["d"], o["alpha"], o["norm"], o["trials"]
 
@@ -490,7 +491,12 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
             raise ConfigurationError(f"--family-size must be >= --d = {d}, one "
                                      f"threshold per axis; got {o['family-size']}")
         family = cls_mod.axis_threshold_family(d, o["family-size"] // d)
-        schedule = [(int(round(na / alpha)), alpha) for na in o["n-alpha-grid"]]
+        schedule = []
+        for na in o["n-alpha-grid"]:
+            n = na / alpha  # inf past the largest float, which no round() takes
+            n = int(round(n)) if math.isfinite(n) else n
+            check_sample_size(n, d)  # before any draw, for every point
+            schedule.append((n, alpha))
         report = cls_mod.rate_experiment_classification(
             generator, family, schedule, trials, seed, norm=norm
         )

@@ -134,6 +134,20 @@ def draw_copula_sample(model: StdfModel, n: int, rng: np.random.Generator) -> np
 
 # Rows per block of ``draw_copula_blocks``: 256 KiB of float64 at d = 2.
 ROW_BLOCK = 1 << 14
+# The most float64 values one numpy array can hold: its byte count is an intp.
+_MOST_VALUES = np.iinfo(np.intp).max // 8
+
+
+def check_sample_size(n, d: int) -> None:
+    """Refuse n rows at dimension d before any word is drawn: n < 1 as a
+    usage error, and n d float64 values that no numpy array can hold as a
+    precondition error."""
+    if n < 1:
+        raise ConfigurationError(f"sample size must be >= 1, got {n}")
+    if n * d > _MOST_VALUES:
+        raise PreconditionError(
+            f"a sample of n = {n:g} rows at d = {d} holds more float64 values "
+            f"than a numpy array can ({_MOST_VALUES:,})")
 
 
 def draw_copula_blocks(model: StdfModel, n: int, rng: np.random.Generator,
@@ -147,8 +161,7 @@ def draw_copula_blocks(model: StdfModel, n: int, rng: np.random.Generator,
     before any E (``_logistic_words``), then meets each block of E with its
     rows of S, elementwise.
     """
-    if n < 1:
-        raise ConfigurationError(f"sample size must be >= 1, got {n}")
+    check_sample_size(n, model.d)
     d, alpha = model.d, _frailty_index(model)
     if alpha is None:
         # comonotone takes one uniform a row, the others one a value
@@ -214,8 +227,7 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
     smallest upper bound.  The kept rows' x comes from the helpers of the
     full draw, elementwise on arrays, so it has the full draw's bits.
     """
-    if n < 1:
-        raise ConfigurationError(f"sample size must be >= 1, got {n}")
+    check_sample_size(n, model.d)
     if m < 1:
         raise PreconditionError(f"the tail must hold at least one value, got m = {m}")
     alpha = _frailty_index(model)

@@ -20,7 +20,8 @@ from types import SimpleNamespace
 import pytest
 
 import tailvc
-from tailvc import cli, concentration, empirical, gridscan, harness, samplers
+from draw_guard import forbid_draws
+from tailvc import cli, concentration, empirical, gridscan, harness
 from tailvc.empirical import ColumnTails, column_tails
 from tailvc.errors import EXIT_USAGE, ConfigurationError
 from tailvc.models import independence
@@ -348,15 +349,15 @@ def d3_inputs(tmp_path):
 def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
                                                       monkeypatch, entry):
     def fail(*args, **kwargs):
-        raise AssertionError("a sample was drawn or a scan started")
+        raise AssertionError("a scan started")
 
-    # every sampler alias and every scan kernel the entry points can reach
+    # no draw and no scan kernel the entry points can reach; estimate reads
+    # its sample to learn d
+    drawn = forbid_draws(monkeypatch, reads=False)
     for module, names in (
-        (harness, ["draw_copula_tail", "tail_depths", "_corner_model_grids",
-                   "max_count_gap"]),
-        (concentration, ["draw_copula_blocks", "sup_count_vs_mass",
-                         "sup_count_vs_mass_grid", "sup_signed_count"]),
-        (samplers, ["draw_sample"]),
+        (harness, ["tail_depths", "_corner_model_grids", "max_count_gap"]),
+        (concentration, ["sup_count_vs_mass", "sup_count_vs_mass_grid",
+                         "sup_signed_count"]),
         (empirical, ["stdf_lattice_counts"]),
         (gridscan, ["_dominance_strips", "_signed_dominance_range"]),
     ):
@@ -372,6 +373,7 @@ def test_every_d3_entry_point_refuses_before_any_work(d3_inputs, capsys,
             D3_CALLS[entry](d3_inputs)
         assert str(err.value) == D3_MESSAGE
         assert err.value.exit_code == EXIT_USAGE
+    assert drawn == []
 
 
 
@@ -401,11 +403,11 @@ BUDGET_CALLS = {
 def test_every_declared_grid_over_the_node_budget_is_refused_before_any_work(
         d3_inputs, monkeypatch, entry):
     def fail(*args, **kwargs):
-        raise AssertionError("a sample was drawn or a scan started")
+        raise AssertionError("a scan started")
 
-    for module, names in ((harness, ["draw_copula_tail", "max_count_gap", "declared_axis"]),
-                          (concentration, ["draw_copula_blocks", "sup_count_vs_mass_grid",
-                                           "declared_axis"]),
+    drawn = forbid_draws(monkeypatch)
+    for module, names in ((harness, ["max_count_gap", "declared_axis"]),
+                          (concentration, ["sup_count_vs_mass_grid", "declared_axis"]),
                           (gridscan, ["_dominance_strips"])):
         for name in names:
             monkeypatch.setattr(module, name, fail)
@@ -414,6 +416,7 @@ def test_every_declared_grid_over_the_node_budget_is_refused_before_any_work(
         call(d3_inputs)
     assert str(err.value) == BUDGET_MESSAGE.format(r=r, d=d, nodes=r ** d)
     assert err.value.exit_code == EXIT_USAGE
+    assert drawn == []
 
 
 def test_no_production_path_reads_ranks():

@@ -685,6 +685,49 @@ def rebound_l(monkeypatch):
     monkeypatch.setattr(hmod, "_corner_grid", None)
 
 
+def rebinding_moves_no_bit(monkeypatch, x, m, k, T, strips=(None, 1, 3)):
+    """The sup deviation (in ``strips``: the default strips, one-row and
+    3-row ones; pruning declining and never declining) equals the dense
+    scan, the decomposition terms equal the dense terms, and both keep
+    their bits with ``harness.eval_stdf_axes`` rebound to a pass-through,
+    through which every scan serves l."""
+    import tailvc.harness as hmod
+
+    state, d, whole, served = tails(x, k, T), x.shape[1], gridscan._STRIP_BYTES, []
+
+    def scans():
+        sups, terms, calls = [], [], []
+        for strip in strips:
+            if strip is None:
+                monkeypatch.setattr(gridscan, "_STRIP_BYTES", whole)
+            else:
+                set_strip_rows(monkeypatch, strip, int(lattice_index(k, T)) + 2, d)
+            for cut in (0.0, 2.0):
+                monkeypatch.setattr(gridscan, "_PRUNE_CUT", cut)
+                monkeypatch.setattr(hmod, "_corner_grid", None)
+                sups.append(sup_stdf_deviation(state, k, m, T).value.hex())
+                calls.append(len(served))
+            monkeypatch.setattr(hmod, "_corner_grid", None)
+            got = deviation_decomposition(x, k, T, m)
+            terms.append([v.hex() for v in (got.substitution, got.bias, got.rounding)])
+            calls.append(len(served))
+        return sups, terms, np.diff([0] + calls)
+
+    sups, terms, _ = scans()
+    assert set(sups) == {dense_sup_stdf_deviation(state, k, m, T).hex()}
+    assert all(t == [v.hex() for v in dense_decomposition(x, k, T, m)] for t in terms)
+    real = hmod.eval_stdf_axes
+
+    def pass_through(model, axes):
+        served.append(1)
+        return real(model, axes)
+
+    monkeypatch.setattr(hmod, "eval_stdf_axes", pass_through)
+    rebound_sups, rebound_terms, calls = scans()
+    assert (rebound_sups, rebound_terms) == (sups, terms)
+    assert (calls > 0).all()
+
+
 class TestReboundL:
     """The strip walk, the pruned scan and the decomposition give the same
     bits with ``harness.eval_stdf_axes`` rebound to a pass-through, and
@@ -692,71 +735,24 @@ class TestReboundL:
 
     @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)",
                                      "logistic(5)"])
-    @pytest.mark.parametrize("d,k,T", [(1, 200, 2.0), (2, 50, 2.0), (2, 400, 2.0),
-                                       (2, 7, 0.09)])
+    @pytest.mark.parametrize("d,k,T", [(1, 200, 2.0), (1, 7, 0.09), (2, 50, 2.0),
+                                       (2, 400, 2.0), (2, 7, 0.09),
+                                       (2, 3, 0.3333333333)])
     def test_rebinding_moves_no_bit(self, monkeypatch, tag, d, k, T):
-        import tailvc.harness as hmod
-
+        # k T = 0.63 < 1 leaves one lattice cell and no tail rows; k T =
+        # 0.9999999999 snaps up to the lattice node 1
         m = parse_model(tag, d)
         x = draw_copula_sample(m, 20_000, substream(28, "rebound", tag, d, k))
-        state = tails(x, k, T)
-        whole = gridscan._STRIP_BYTES
-        served = []
+        rebinding_moves_no_bit(monkeypatch, x, m, k, T)
 
-        def scans():
-            got, calls = [], []
-            for strip in (None, 3):  # the default strips, then 3-row strips
-                if strip is None:
-                    monkeypatch.setattr(gridscan, "_STRIP_BYTES", whole)
-                else:
-                    set_strip_rows(monkeypatch, strip, int(lattice_index(k, T)) + 2, d)
-                # pruning always declines (the strip walk), then never does
-                for cut in (0.0, 2.0):
-                    monkeypatch.setattr(gridscan, "_PRUNE_CUT", cut)
-                    monkeypatch.setattr(hmod, "_corner_grid", None)
-                    got.append(sup_stdf_deviation(state, k, m, T).value)
-                    calls.append(len(served))
-            monkeypatch.setattr(hmod, "_corner_grid", None)
-            terms = deviation_decomposition(x, k, T, m)
-            got += [terms.substitution, terms.bias, terms.rounding]
-            calls.append(len(served))
-            return [v.hex() for v in got], np.diff([0] + calls)
+    def test_on_the_sample_where_pruning_declines(self, monkeypatch):
+        # TestPrunedScan.test_path_taken's n = 2e5 independence sample
+        m = independence(2)
+        x = draw_copula_sample(m, 200_000, substream(24, "path", "independence"))
+        rebinding_moves_no_bit(monkeypatch, x, m, 800, 2.0, strips=(None, 1))
 
-        plain, _ = scans()
-        assert len(set(plain[:4])) == 1
-        assert plain[0] == dense_sup_stdf_deviation(state, k, m, T).hex()
-        real = hmod.eval_stdf_axes
-
-        def pass_through(model, axes):
-            served.append(1)
-            return real(model, axes)
-
-        monkeypatch.setattr(hmod, "eval_stdf_axes", pass_through)
-        rebound, calls = scans()
-        assert rebound == plain
-        assert (calls > 0).all()
-
-
-@pytest.mark.usefixtures("rebound_l")
-class TestStripScanOnDemand(TestStripScan):
-    """Every strip-scan test that serves l, with l served through a rebound
-    ``eval_stdf_axes``.  A test that never reaches the rebound name would
-    only rerun its base case, so it is not inherited."""
-
-    test_k_outside_one_to_n_is_rejected = None  # refused before any l
-
-
-@pytest.mark.usefixtures("rebound_l")
-class TestPrunedScanOnDemand(TestPrunedScan):
-    """Every pruned-scan test that serves l, with l served through a rebound
-    ``eval_stdf_axes``.  The others build their grids from arrays, or (the
-    dip) rebind the name themselves, so they are not inherited."""
-
-    test_synthetic_depths_match_dense_scan = None
-    test_lattice_narrower_than_a_block_is_not_cut = None
-    test_block_bound_equal_to_best_is_skipped = None
-    test_dip_below_a_block_corner_is_not_pruned_away = None
-    test_one_ulp_dip_takes_the_strip_walk = None
+    def test_thresholds_where_one_minus_x_collides(self, monkeypatch):
+        rebinding_moves_no_bit(monkeypatch, colliding_sample(), independence(2), 150, 2.0)
 
 
 def held_bytes(obj, seen=None) -> int:
@@ -1220,12 +1216,7 @@ class TestDecomposition:
         assert peak < 12 * 2**20
 
     def test_thresholds_where_one_minus_x_collides(self):
-        # below 0.5 distinct x can round to one 1 - x: adjacent doubles at
-        # 0.3 collide in pairs, and every x under 2^-54 gives 1 - x = 1.0
-        rng = np.random.default_rng(27)
-        col = np.concatenate((0.3 + np.arange(100) * np.spacing(0.3),
-                              1e-300 * np.arange(1, 51), rng.random(150)))
-        x = np.column_stack((rng.permutation(col), rng.permutation(col)))
+        x = colliding_sample()
         n, k, T = x.shape[0], 150, 2.0
         state = column_tails(x, n)
         for j in range(2):
@@ -1266,14 +1257,14 @@ class TestDecomposition:
             deviation_decomposition(x, 10, 2.0, m)
 
 
-@pytest.mark.usefixtures("rebound_l")
-class TestDecompositionOnDemand:
-    """The decomposition's bit-identity tests with l served through a rebound
-    ``eval_stdf_axes``."""
-
-    test_bit_identical_to_dense_terms = TestDecomposition.test_bit_identical_to_dense_terms
-    test_thresholds_where_one_minus_x_collides = (
-        TestDecomposition.test_thresholds_where_one_minus_x_collides)
+def colliding_sample():
+    """300 rows whose 1 - x collide: below 0.5 distinct x can round to one
+    1 - x, adjacent doubles at 0.3 collide in pairs, and every x under
+    2^-54 gives 1 - x = 1.0."""
+    rng = np.random.default_rng(27)
+    col = np.concatenate((0.3 + np.arange(100) * np.spacing(0.3),
+                          1e-300 * np.arange(1, 51), rng.random(150)))
+    return np.column_stack((rng.permutation(col), rng.permutation(col)))
 
 
 def dense_decomposition(x, k, T, model):
