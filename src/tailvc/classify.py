@@ -194,6 +194,15 @@ class LabeledGenerator:
         return LabeledSample(features=x, labels=y)
 
 
+def tail_count(n: int, alpha: float) -> int:
+    """floor(n alpha), the rows the quantile region keeps, refused below 1."""
+    m = int(math.floor(n * alpha))
+    if m < 1:
+        raise PreconditionError(f"floor(n alpha) = {m} < 1; no tail rows at n={n}, "
+                                f"alpha={alpha}")
+    return m
+
+
 def _tail_rows(data: LabeledSample, region) -> tuple[np.ndarray, float]:
     """Rows of ``data`` in the rare region, and the risk denominator.
 
@@ -206,11 +215,7 @@ def _tail_rows(data: LabeledSample, region) -> tuple[np.ndarray, float]:
     if not isinstance(region, QuantileRegion):
         raise ConfigurationError(f"unsupported region {region!r}")
     n = data.n
-    m = int(math.floor(n * region.alpha))
-    if m < 1:
-        raise PreconditionError(
-            f"floor(n alpha) = {m} < 1; no tail rows at n={n}, alpha={region.alpha}"
-        )
+    m = tail_count(n, region.alpha)
     norms = feature_norm(data.features, region.norm)
     ordered = np.sort(norms)
     # ties as np.unique counts them: equal neighbours, or two NaNs (sorted last)
@@ -397,7 +402,6 @@ class ClassificationReport:
     records: list
     medians: dict
     slope: SlopeFit
-    family_size: int
 
 
 def _rate_trial(data: LabeledSample, members, region: QuantileRegion,
@@ -447,9 +451,7 @@ def rate_experiment_classification(
         slope = fit_loglog_slope(xs, ys)
     else:
         slope = SlopeFit(float("nan"), float("nan"), float("nan"))
-    return ClassificationReport(
-        records=records, medians=medians, slope=slope, family_size=len(family)
-    )
+    return ClassificationReport(records=records, medians=medians, slope=slope)
 
 
 @dataclass(frozen=True)

@@ -431,15 +431,13 @@ def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
 
     seed, n, d, k, T = o["seed"], o["n"], o["d"], o["k"], o["T"]
     statistic, grid_res = o["statistic"], o["grid-resolution"]
-    model = parse_model(o["model"], d)
-    spec = conc.RectClassSpec(d=d, k=k, n=n, T=T)
+    spec = conc.RectClassSpec(model=parse_model(o["model"], d), k=k, n=n, T=T)
     rows = []
-    results: dict = {"p": conc.union_mass(spec, model)}
+    results: dict = {"p": spec.p}
 
     if statistic in ("rademacher", "both"):
         est = conc.relative_rademacher(
-            model, spec, o["trials"], seed, grid_resolution=grid_res,
-            workers=o["workers"],
+            spec, o["trials"], seed, grid_resolution=grid_res, workers=o["workers"],
         )
         for t, v in enumerate(est.values):
             rows.append([t, n, k, d, T, "", "relative_rademacher_sup", v])
@@ -449,13 +447,13 @@ def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
             "mean": est.mean, "stderr": est.stderr, "trials": est.trials,
         }
     if statistic in ("separation", "both"):
-        est_q = conc.pair_separation_complexity(model, spec, o["pairs"], seed)
+        est_q = conc.pair_separation_complexity(spec, o["pairs"], seed)
         rows.append(["", n, k, d, T, "", "pair_separation_q", est_q.value])
         rows.append(["", n, k, d, T, "", "pair_separation_stderr", est_q.stderr])
         results["pair_separation"] = {
             "q": est_q.value, "stderr": est_q.stderr, "pairs": est_q.pairs,
         }
-    rows.append(["", n, k, d, T, "", "union_mass", results["p"]])
+    rows.append(["", n, k, d, T, "", "union_mass", spec.p])
     trials_path = out / "rademacher.csv"
     write_csv(
         trials_path,
@@ -483,6 +481,8 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         noise=o["noise"],
     )
     region = cls_mod.QuantileRegion(alpha=alpha, norm=norm)
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     rows = []
     results: dict = {}
 
@@ -496,6 +496,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
             n = na / alpha  # inf past the largest float, which no round() takes
             n = int(round(n)) if math.isfinite(n) else n
             check_sample_size(n, d)  # before any draw, for every point
+            cls_mod.tail_count(n, alpha)
             schedule.append((n, alpha))
         report = cls_mod.rate_experiment_classification(
             generator, family, schedule, trials, seed, norm=norm
@@ -505,7 +506,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
                          r.sup_deviation])
         results["slope"] = report.slope
         results["medians"] = {str(k): v for k, v in report.medians.items()}
-        results["family_size"] = report.family_size
+        results["family_size"] = len(family)
         family_path = out / "family.txt"
         family_path.write_text(family.serialize(), encoding="utf-8")
         summary_path = out / "classify_summary.csv"
@@ -517,13 +518,13 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         outputs = [summary_path, family_path]
     else:
         n = o["n"]
-        if trials < 1:
-            raise ConfigurationError(f"--trials must be >= 1, got {trials}")
         family = cls_mod.ClassifierFamily(
             members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)),
             vc_dim=d,
         )
         cls_mod.require_analytic_oracle(generator, norm)
+        check_sample_size(n, d)
+        cls_mod.tail_count(n, alpha)
         # each sample drawn as the runner reaches its job, as in the rate mode
         checks = map_trials(cls_mod.risk_decomposition_check, (
             (generator.sample(n, substream(seed, "decomposition", t)), family, region,

@@ -28,7 +28,7 @@ parameter everywhere (default 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
@@ -49,20 +49,39 @@ from .samplers import ROW_BLOCK, draw_copula_blocks
 
 @dataclass(frozen=True)
 class RectClassSpec:
-    """Scaled orthant-union family on [0,1]^d; shattering dimension = d."""
+    """Scaled orthant-union family on [0,1]^d under the law ``model``, whose d
+    it takes; its union mass ``p`` is computed and checked once, here."""
 
-    d: int
+    model: StdfModel
     k: int
     n: int
     T: float
+    p: float = field(init=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {self.d}")
         if not 1 <= self.k <= self.n:
             raise ConfigurationError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not self.T > 0:
             raise ConfigurationError(f"region parameter T must be > 0, got {self.T}")
+        a = self.box_edge
+        if a > 1.0 + 1e-12:
+            raise PreconditionError(
+                f"(k/n) T = {a:g} exceeds 1; the union region leaves the unit cube"
+            )
+        p = float(tail_union_prob(self.model, np.full(self.d, min(a, 1.0))))
+        # subadditivity guarantees p <= d (k/n) T; anything above is a model fault
+        if p > self.d * a + 1e-12:
+            raise TailvcError(
+                f"union mass p = {p!r} exceeds its subadditivity cap "
+                f"d (k/n) T = {self.d * a!r}"
+            )
+        if p <= 0:
+            raise PreconditionError("union mass is zero; renormalization undefined")
+        object.__setattr__(self, "p", p)
+
+    @property
+    def d(self) -> int:
+        return self.model.d
 
     @property
     def scale(self) -> float:
@@ -102,7 +121,6 @@ class RademacherEstimate:
     mean: float
     trials: int
     stderr: float
-    p: float
     values: tuple = ()
 
 
@@ -111,32 +129,6 @@ class PairSeparationEstimate:
     value: float
     stderr: float
     pairs: int
-    p: float
-
-
-def _check_model(model: StdfModel, d: int) -> None:
-    if model.d != d:
-        raise ConfigurationError(
-            f"model dimension {model.d} does not match class dimension {d}"
-        )
-
-
-def union_mass(cls: RectClassSpec, model: StdfModel) -> float:
-    """Exact mass p of the union region under the given uniform-margin law."""
-    _check_model(model, cls.d)
-    a = cls.box_edge
-    if a > 1.0 + 1e-12:
-        raise PreconditionError(
-            f"(k/n) T = {a:g} exceeds 1; the union region leaves the unit cube"
-        )
-    p = float(tail_union_prob(model, np.full(cls.d, min(a, 1.0))))
-    # subadditivity guarantees p <= d (k/n) T; anything above is a model fault
-    if p > cls.d * a + 1e-12:
-        raise TailvcError(
-            f"union mass p = {p!r} exceeds its subadditivity cap "
-            f"d (k/n) T = {cls.d * a!r}"
-        )
-    return p
 
 
 def low_mass_vc_bound(params: BoundParams) -> float:
@@ -203,7 +195,6 @@ def bound_comparison(
 def sup_empirical_deviation(
     u: np.ndarray,
     cls: RectClassSpec,
-    model: StdfModel,
     grid_resolution: int | None = None,
 ) -> SupEstimate:
     """Supremum over the family of |true set mass - empirical set mass|.
@@ -213,21 +204,16 @@ def sup_empirical_deviation(
     explicit grid resolution must be declared; the result then carries a
     reported discretization bound.
     """
-    _check_model(model, cls.d)
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != cls.d:
         raise PreconditionError(f"sample must be an n x {cls.d} matrix")
-    edge = cls.box_edge
-    if edge > 1.0 + 1e-12:
-        raise PreconditionError(f"(k/n) T = {edge:g} exceeds 1")
-    mass_fn, tmax = partial(tail_union_prob_axes, model), np.full(cls.d, edge)
+    mass_fn, tmax = partial(tail_union_prob_axes, cls.model), np.full(cls.d, cls.box_edge)
     if scan_is_exact(cls.d, grid_resolution):
         return SupEstimate(value=sup_count_vs_mass(u, tmax, mass_fn))
     return sup_count_vs_mass_grid(u, tmax, mass_fn, grid_resolution)
 
 
 def relative_rademacher(
-    model: StdfModel,
     cls: RectClassSpec,
     trials: int,
     seed: int,
@@ -236,7 +222,7 @@ def relative_rademacher(
 ) -> RademacherEstimate:
     """Monte Carlo mean of sup_A |sum_i sigma_i 1{Z_i in A}| / (n p).
 
-    Each trial draws a fresh sample from the model law and fresh
+    Each trial draws a fresh sample from the class's law and fresh
     independent signs, from its own stream ``substream(seed,
     "rademacher", t)``, so at most ``workers`` processes run the trials
     (``rng.map_trials``) with the same values.  The inner supremum is
@@ -247,24 +233,19 @@ def relative_rademacher(
     """
     if trials < 2:
         raise ConfigurationError(f"need at least 2 trials, got {trials}")
-    p = union_mass(cls, model)  # checks the model's dimension
-    if p <= 0:
-        raise PreconditionError("union mass is zero; renormalization undefined")
-    edge = cls.box_edge
     axes = (None if scan_is_exact(cls.d, grid_resolution)
-            else [declared_axis(edge, grid_resolution)] * cls.d)
-    jobs = [(model, cls, seed, t, axes) for t in range(trials)]
-    values = np.array(map_trials(_rademacher_trial, jobs, workers)) / (cls.n * p)
+            else [declared_axis(cls.box_edge, grid_resolution)] * cls.d)
+    jobs = [(cls, seed, t, axes) for t in range(trials)]
+    values = np.array(map_trials(_rademacher_trial, jobs, workers)) / (cls.n * cls.p)
     return RademacherEstimate(
         mean=float(values.mean()),
         trials=trials,
         stderr=float(values.std(ddof=1) / math.sqrt(trials)),
-        p=p,
         values=tuple(float(v) for v in values),
     )
 
 
-def _rademacher_trial(model, cls: RectClassSpec, seed: int, t: int, axes) -> float:
+def _rademacher_trial(cls: RectClassSpec, seed: int, t: int, axes) -> float:
     """Trial t's sup_A |sum_i sigma_i 1{Z_i in A}|, from the rows the box reaches.
 
     A row at or above the edge on every axis is in no set, so it adds its
@@ -274,7 +255,7 @@ def _rademacher_trial(model, cls: RectClassSpec, seed: int, t: int, axes) -> flo
     draw, a block at a time, and their signs only.
     """
     rng = substream(seed, "rademacher", t)
-    rows, z = _near_rows(model, cls.n, cls.box_edge, rng)
+    rows, z = _near_rows(cls.model, cls.n, cls.box_edge, rng)
     signs = np.empty(rows.size, dtype=np.int64)
     for lo in range(0, cls.n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, cls.n)
@@ -305,7 +286,6 @@ def _near_rows(model, n: int, edge: float, rng) -> tuple[np.ndarray, np.ndarray]
 
 
 def pair_separation_complexity(
-    model: StdfModel,
     cls: RectClassSpec,
     pairs: int,
     seed: int,
@@ -319,19 +299,18 @@ def pair_separation_complexity(
     """
     if pairs < 2:
         raise ConfigurationError(f"need at least 2 pairs, got {pairs}")
-    p = union_mass(cls, model)  # checks the model's dimension
     edge = cls.box_edge
     rng = substream(seed, "pair-separation")
-    rows, z = _near_rows(model, pairs, edge, rng)
+    rows, z = _near_rows(cls.model, pairs, edge, rng)
     splits, lo = 0, 0
-    for x in draw_copula_blocks(model, pairs, rng, ROW_BLOCK):
+    for x in draw_copula_blocks(cls.model, pairs, rng, ROW_BLOCK):
         a, b = np.searchsorted(rows, (lo, lo + len(x)))
         split = _pair_splits(z[a:b], rows[a:b] - lo, np.subtract(1.0, x, out=x), edge)
         splits += int(np.count_nonzero(split))
         lo += len(x)
     q_hat = splits / pairs
     stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / pairs)
-    return PairSeparationEstimate(value=q_hat, stderr=stderr, pairs=pairs, p=p)
+    return PairSeparationEstimate(value=q_hat, stderr=stderr, pairs=pairs)
 
 
 def _pair_splits(near: np.ndarray, rows: np.ndarray, z2: np.ndarray,

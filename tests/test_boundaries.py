@@ -303,6 +303,17 @@ def test_the_d3_rule_is_raised_in_one_function():
     assert found == ["gridscan.scan_is_exact"]
 
 
+@pytest.mark.parametrize("fragment, raiser", [
+    ("the union region leaves the unit cube", "concentration.__post_init__"),
+    ("union mass is zero", "concentration.__post_init__"),
+    ("floor(n alpha) = ", "classify.tail_count"),
+])
+def test_each_low_mass_rule_is_raised_in_one_function(fragment, raiser):
+    found = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in raisers_of(path.read_text(encoding="utf-8"), fragment)]
+    assert found == [raiser]
+
+
 def _cli(*args):
     return lambda a: cli.main([str(v).format(data=a.data) for v in args]
                               + ["--out", str(a.out)])
@@ -317,9 +328,8 @@ D3_CALLS = {
         model=a.model, n=400, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
         seed=1),
     "sup_empirical_deviation": lambda a: concentration.sup_empirical_deviation(
-        1.0 - a.x, a.cls, a.model),
-    "relative_rademacher": lambda a: concentration.relative_rademacher(
-        a.model, a.cls, 5, 1),
+        1.0 - a.x, a.cls),
+    "relative_rademacher": lambda a: concentration.relative_rademacher(a.cls, 5, 1),
     "cli-estimate": _cli("estimate", "--data", "{data}", "--k", 5, "--T", 2.0),
     "cli-converge": _cli("converge", "--model", "independence", "--n", 400, "--d", 3,
                          "--k-schedule", 10, "--T", 2.0, "--trials", 2, "--seed", 1,
@@ -341,7 +351,7 @@ def d3_inputs(tmp_path):
                                            for i in range(50)))
     return SimpleNamespace(
         model=model, x=draw_copula_sample(model, 400, substream(5, "d3-owner")),
-        cls=concentration.RectClassSpec(d=3, k=10, n=400, T=2.0), data=data,
+        cls=concentration.RectClassSpec(model=model, k=10, n=400, T=2.0), data=data,
         out=tmp_path / "o")
 
 
@@ -388,11 +398,11 @@ BUDGET_CALLS = {
         model=a.model, n=400, k_schedule=(10,), T=2.0, delta=0.05, trials=2,
         seed=1, grid_resolution=257)),
     "sup_empirical_deviation": (257, 3, lambda a: concentration.sup_empirical_deviation(
-        1.0 - a.x, a.cls, a.model, grid_resolution=257)),
+        1.0 - a.x, a.cls, grid_resolution=257)),
     "relative_rademacher": (257, 3, lambda a: concentration.relative_rademacher(
-        a.model, a.cls, 5, 1, grid_resolution=257)),
+        a.cls, 5, 1, grid_resolution=257)),
     "relative_rademacher-d30": (2, 30, lambda a: concentration.relative_rademacher(
-        independence(30), concentration.RectClassSpec(d=30, k=10, n=1000, T=1.0), 2, 1,
+        concentration.RectClassSpec(model=independence(30), k=10, n=1000, T=1.0), 2, 1,
         grid_resolution=2)),
     "estimate-stride": (301, 3, lambda a: empirical.check_lattice_scan(
         a.x, 150, None, 2.0, None, stride=1)),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailvc import concentration
@@ -18,11 +18,10 @@ from tailvc.concentration import (
     relative_rademacher,
     simplified_vc_bound,
     sup_empirical_deviation,
-    union_mass,
 )
 from tailvc.errors import ConfigurationError, PreconditionError, TailvcError
 from tailvc.gridscan import declared_axis, sup_signed_count
-from tailvc.models import parse_model
+from tailvc.models import VARIANTS, StdfModel, parse_model, tail_union_prob
 from tailvc.rng import substream
 from tailvc.samplers import draw_tail_uniforms
 from traced_memory import traced_peak
@@ -30,18 +29,17 @@ from traced_memory import traced_peak
 
 class TestUnionMass:
     def test_comonotone_is_box_edge(self):
-        cls = RectClassSpec(d=3, k=50, n=1000, T=2.0)
-        p = union_mass(cls, parse_model("comonotone", 3))
-        assert p == pytest.approx(0.1, abs=1e-15)
+        cls = RectClassSpec(model=parse_model("comonotone", 3), k=50, n=1000, T=2.0)
+        assert cls.p == pytest.approx(0.1, abs=1e-15)
 
     def test_independence_two_dims(self):
-        cls = RectClassSpec(d=2, k=100, n=2000, T=2.0)  # edge 0.1
-        assert union_mass(cls, parse_model("independence", 2)) == pytest.approx(0.19)
+        cls = RectClassSpec(model=parse_model("independence", 2), k=100, n=2000,
+                            T=2.0)  # edge 0.1
+        assert cls.p == pytest.approx(0.19)
 
     def test_logistic_between_single_and_sum(self):
-        cls = RectClassSpec(d=2, k=100, n=2000, T=2.0)
         model = parse_model("logistic(2)", 2)
-        p = union_mass(cls, model)
+        p = RectClassSpec(model=model, k=100, n=2000, T=2.0).p
         assert 0.1 <= p <= 0.2
         # frequency cross-check
         z = draw_tail_uniforms(model, 1_000_000, substream(3, "mass-mc"))
@@ -51,9 +49,8 @@ class TestUnionMass:
 
     def test_subadditive_cap(self):
         for tag in ("independence", "comonotone", "logistic(4)"):
-            cls = RectClassSpec(d=2, k=10, n=1000, T=3.0)
-            p = union_mass(cls, parse_model(tag, 2))
-            assert p <= cls.d * cls.T * cls.scale + 1e-12
+            cls = RectClassSpec(model=parse_model(tag, 2), k=10, n=1000, T=3.0)
+            assert cls.p <= cls.d * cls.T * cls.scale + 1e-12
 
     def test_cap_violation_is_an_internal_error(self, monkeypatch):
         # a model returning more mass than subadditivity allows is a fault;
@@ -61,17 +58,36 @@ class TestUnionMass:
         import tailvc.concentration as conc
 
         monkeypatch.setattr(conc, "tail_union_prob", lambda model, t: 0.5)
-        cls = RectClassSpec(d=2, k=10, n=1000, T=2.0)  # cap d (k/n) T = 0.04
-        with pytest.raises(TailvcError) as err:
-            union_mass(cls, parse_model("independence", 2))
+        with pytest.raises(TailvcError) as err:  # cap d (k/n) T = 0.04
+            RectClassSpec(model=parse_model("independence", 2), k=10, n=1000, T=2.0)
         assert type(err.value) is TailvcError
         assert err.value.exit_code == 5
         assert "exceeds its subadditivity cap" in str(err.value)
 
     def test_edge_above_one_rejected(self):
-        cls = RectClassSpec(d=2, k=600, n=1000, T=2.0)
         with pytest.raises(PreconditionError):
-            union_mass(cls, parse_model("independence", 2))
+            RectClassSpec(model=parse_model("independence", 2), k=600, n=1000, T=2.0)
+
+    def test_zero_mass_rejected(self):
+        # the box edge k T / n = 2e-29 leaves 1 - (1 - edge)^2 at 0.0
+        with pytest.raises(PreconditionError) as err:
+            RectClassSpec(model=parse_model("independence", 2), k=10, n=10**30, T=2.0)
+        assert str(err.value) == "union mass is zero; renormalization undefined"
+        assert err.value.exit_code == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 3), variant=st.sampled_from(VARIANTS),
+           theta=st.floats(1.0, 40.0), k=st.integers(1, 10**6),
+           n=st.integers(1, 10**6), T=st.floats(1e-3, 5.0))
+    def test_mass_is_the_models_union_law(self, d, variant, theta, k, n, T):
+        assume(k <= n and k / n * T <= 1.0)
+        model = StdfModel(variant, d, theta if variant == "logistic" else None)
+        cls = RectClassSpec(model=model, k=k, n=n, T=T)
+        want = float(tail_union_prob(model, np.full(d, min(k / n * T, 1.0))))
+        assert cls.p.hex() == want.hex()
+        # 1 - C(1 - y) may round a few ulps of 1 above the exact mass (d = 1,
+        # T = 0.001: 0.0010000000000000009), inside the cap's 1e-12 allowance
+        assert 0.0 < cls.p <= d * (k / n * T) + 1e-12
 
 
 class TestBounds:
@@ -147,36 +163,35 @@ class TestBounds:
 
 class TestSupEmpiricalDeviation:
     def test_all_points_outside_union(self):
-        cls = RectClassSpec(d=2, k=10, n=100, T=2.0)
+        cls = RectClassSpec(model=parse_model("independence", 2), k=10, n=100, T=2.0)
         z = np.full((100, 2), 0.9) + np.arange(100)[:, None] * 1e-4
-        model = parse_model("independence", 2)
-        dev = sup_empirical_deviation(z, cls, model)
-        assert dev.value == pytest.approx(union_mass(cls, model), abs=1e-15)
+        dev = sup_empirical_deviation(z, cls)
+        assert dev.value == pytest.approx(cls.p, abs=1e-15)
         assert dev.discretization_bound == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_is_rejected(self, bad):
-        cls = RectClassSpec(d=2, k=2, n=5, T=1.0)  # edge 0.4
+        cls = RectClassSpec(model=parse_model("independence", 2), k=2, n=5,
+                            T=1.0)  # edge 0.4
         z = np.array([[0.1, 0.2], [0.3, 0.05], [0.5, 0.5]])
-        model = parse_model("independence", 2)
-        assert sup_empirical_deviation(z, cls, model).value == 0.5216666666666666
+        assert sup_empirical_deviation(z, cls).value == 0.5216666666666666
         z[2, 0] = bad
         with pytest.raises(PreconditionError, match="points must be finite"):
-            sup_empirical_deviation(z, cls, model)
+            sup_empirical_deviation(z, cls)
 
     def test_single_point_candidate_scan(self):
         z = np.array([[0.1]])
-        cls = RectClassSpec(d=1, k=1, n=1, T=0.3)
-        dev = sup_empirical_deviation(z, cls, parse_model("independence", 1))
+        cls = RectClassSpec(model=parse_model("independence", 1), k=1, n=1, T=0.3)
+        dev = sup_empirical_deviation(z, cls)
         by_hand = max(abs(0.0 - 0.1), abs(1.0 - 0.1), abs(1.0 - 0.3))
         assert dev.value == by_hand
 
     def test_matches_dense_grid_comonotone(self):
         # documented cross-check: dense scan with breakpoint enrichment
-        cls = RectClassSpec(d=2, k=50, n=1000, T=2.0)
         model = parse_model("comonotone", 2)
+        cls = RectClassSpec(model=model, k=50, n=1000, T=2.0)
         z = draw_tail_uniforms(model, 1000, substream(11, "dense"))
-        exact = sup_empirical_deviation(z, cls, model).value
+        exact = sup_empirical_deviation(z, cls).value
         s = cls.scale
         bp = z[:, 0][z[:, 0] <= s * cls.T]
         g = np.unique(
@@ -190,73 +205,74 @@ class TestSupEmpiricalDeviation:
         assert exact <= brute + 1e-9
 
     def test_dimension_three_needs_grid(self):
-        cls = RectClassSpec(d=3, k=10, n=100, T=1.0)
         model = parse_model("independence", 3)
+        cls = RectClassSpec(model=model, k=10, n=100, T=1.0)
         z = draw_tail_uniforms(model, 100, substream(1, "d3"))
         with pytest.raises(ConfigurationError):
-            sup_empirical_deviation(z, cls, model)
-        est = sup_empirical_deviation(z, cls, model, grid_resolution=12)
+            sup_empirical_deviation(z, cls)
+        est = sup_empirical_deviation(z, cls, grid_resolution=12)
         assert est.discretization_bound > 0
 
 
 class TestRelativeRademacher:
     def test_needs_two_trials(self):
-        cls = RectClassSpec(d=2, k=10, n=100, T=1.0)
+        cls = RectClassSpec(model=parse_model("independence", 2), k=10, n=100, T=1.0)
         with pytest.raises(ConfigurationError):
-            relative_rademacher(parse_model("independence", 2), cls, 1, 0)
+            relative_rademacher(cls, 1, 0)
 
     def test_single_observation_normalizes_to_one(self):
-        cls = RectClassSpec(d=2, k=1, n=1, T=0.3)
-        est = relative_rademacher(parse_model("independence", 2), cls, 3000, 11)
+        cls = RectClassSpec(model=parse_model("independence", 2), k=1, n=1, T=0.3)
+        est = relative_rademacher(cls, 3000, 11)
         assert est.mean == pytest.approx(1.0, abs=5 * est.stderr + 1e-9)
 
     def test_values_recorded_per_trial(self):
-        cls = RectClassSpec(d=2, k=10, n=200, T=1.0)
-        est = relative_rademacher(parse_model("independence", 2), cls, 5, 3)
+        cls = RectClassSpec(model=parse_model("independence", 2), k=10, n=200, T=1.0)
+        est = relative_rademacher(cls, 5, 3)
         assert len(est.values) == 5
         assert est.mean == pytest.approx(np.mean(est.values))
 
     def test_dimension_three_needs_grid(self):
-        cls = RectClassSpec(d=3, k=10, n=100, T=1.0)
-        model = parse_model("independence", 3)
+        cls = RectClassSpec(model=parse_model("independence", 3), k=10, n=100, T=1.0)
         with pytest.raises(ConfigurationError):
-            relative_rademacher(model, cls, 5, 0)
-        est = relative_rademacher(model, cls, 5, 0, grid_resolution=8)
+            relative_rademacher(cls, 5, 0)
+        est = relative_rademacher(cls, 5, 0, grid_resolution=8)
         assert est.trials == 5
 
     def test_scaling_band_small(self):
         # sqrt(n p)-normalized mean stays in a tight band across a decade
         vals = []
         for n in (1000, 10_000):
-            cls = RectClassSpec(d=2, k=n // 100, n=n, T=2.0)
-            est = relative_rademacher(parse_model("independence", 2), cls, 60, 123)
-            vals.append(est.mean * math.sqrt(n * est.p))
+            cls = RectClassSpec(model=parse_model("independence", 2), k=n // 100, n=n,
+                                T=2.0)
+            est = relative_rademacher(cls, 60, 123)
+            vals.append(est.mean * math.sqrt(n * cls.p))
         assert max(vals) / min(vals) < 2.0
 
     def test_trials_hold_one_sample_at_a_time(self):
         # z (n x 2 floats) and the int64 signs of one trial: 4.8 MB at this n;
         # a trial's arrays must be gone before the next one draws
         n = 200_000
-        cls = RectClassSpec(d=2, k=2000, n=n, T=2.0)
         model = parse_model("uniform", 2)
-        relative_rademacher(model, RectClassSpec(d=2, k=2, n=200, T=2.0), 2, 1)
-        peak, est = traced_peak(relative_rademacher, model, cls, 4, 1)
+        cls = RectClassSpec(model=model, k=2000, n=n, T=2.0)
+        relative_rademacher(RectClassSpec(model=model, k=2, n=200, T=2.0), 2, 1)
+        peak, est = traced_peak(relative_rademacher, cls, 4, 1)
         assert est.trials == 4
         assert peak < 2 * (n * 2 * 8 + n * 8)
 
 
 class TestPairSeparation:
     def test_tiny_region_rarely_splits(self):
-        cls = RectClassSpec(d=2, k=1, n=100_000, T=1.0)  # edge 1e-5
-        est = pair_separation_complexity(parse_model("independence", 2), cls, 20_000, 6)
-        assert est.value <= 3 * est.p
+        cls = RectClassSpec(model=parse_model("independence", 2), k=1, n=100_000,
+                            T=1.0)  # edge 1e-5
+        est = pair_separation_complexity(cls, 20_000, 6)
+        assert est.value <= 3 * cls.p
 
     def test_upper_bound_twice_mass(self):
         for tag in ("independence", "comonotone", "logistic(2)"):
             for d in (1, 2):
-                cls = RectClassSpec(d=d, k=100, n=10_000, T=2.0)
-                est = pair_separation_complexity(parse_model(tag, cls.d), cls, 50_000, 17)
-                assert est.value <= 2 * est.p + 3 * est.stderr
+                cls = RectClassSpec(model=parse_model(tag, d), k=100, n=10_000, T=2.0)
+                est = pair_separation_complexity(cls, 50_000, 17)
+                assert est.value <= 2 * cls.p + 3 * est.stderr
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_split_mask_matches_the_row_reductions(self, monkeypatch, d):
@@ -265,9 +281,9 @@ class TestPairSeparation:
         real = concentration._pair_splits
         monkeypatch.setattr(concentration, "_pair_splits",
                             lambda *a: masks.append(real(*a)) or masks[-1])
-        cls = RectClassSpec(d=d, k=100, n=1000, T=2.0)
         model = parse_model("logistic(2)", d)
-        est = pair_separation_complexity(model, cls, 5000, 21)
+        cls = RectClassSpec(model=model, k=100, n=1000, T=2.0)
+        est = pair_separation_complexity(cls, 5000, 21)
         rng = substream(21, "pair-separation")
         z = draw_tail_uniforms(model, 5000, rng)
         z2 = draw_tail_uniforms(model, 5000, rng)
@@ -281,9 +297,9 @@ class TestPairSeparation:
 
     def test_matches_closed_form(self):
         # splitting happens exactly when either draw lands in the union
-        cls = RectClassSpec(d=2, k=100, n=2000, T=2.0)
-        est = pair_separation_complexity(parse_model("independence", 2), cls, 200_000, 8)
-        q_exact = 2 * est.p - est.p**2
+        cls = RectClassSpec(model=parse_model("independence", 2), k=100, n=2000, T=2.0)
+        est = pair_separation_complexity(cls, 200_000, 8)
+        q_exact = 2 * cls.p - cls.p**2
         assert est.value == pytest.approx(q_exact, abs=4 * est.stderr)
 
 
@@ -291,18 +307,17 @@ class TestDeviationCoverage:
     def test_calibrated_bound_covers_fresh_trials(self):
         # calibrate the constant on a pilot seed, freeze it, then check that
         # at least 1 - delta of 500 fresh trials sit under the bound
-        cls = RectClassSpec(d=2, k=40, n=2000, T=2.0)
         model = parse_model("independence", 2)
-        p = union_mass(cls, model)
+        cls = RectClassSpec(model=model, k=40, n=2000, T=2.0)
         delta = 0.05
-        params = BoundParams(n=cls.n, V=cls.d, p=p, delta=delta)
+        params = BoundParams(n=cls.n, V=cls.d, p=cls.p, delta=delta)
         unit = low_mass_vc_bound(params)  # C = 1 reference shape
 
         def sup_devs(seed, trials):
             out = []
             for t in range(trials):
                 z = draw_tail_uniforms(model, cls.n, substream(seed, "cov", t))
-                out.append(sup_empirical_deviation(z, cls, model).value)
+                out.append(sup_empirical_deviation(z, cls).value)
             return np.array(out)
 
         # freeze the constant at the 1 - delta/2 pilot quantile: calibrating
@@ -320,11 +335,11 @@ def far_rows(z, edge):
     return np.all((z >= edge) & np.isfinite(z), axis=1)
 
 
-def whole_trial(model, cls, seed, t, axes):
+def whole_trial(cls, seed, t, axes):
     """A rademacher trial on its whole draw and every sign, as it was written
     before the trials kept only the rows the box reaches."""
     rng = substream(seed, "rademacher", t)
-    z = draw_tail_uniforms(model, cls.n, rng)
+    z = draw_tail_uniforms(cls.model, cls.n, rng)
     signs = rng.integers(0, 2, size=cls.n) * 2 - 1
     return sup_signed_count(z, signs, np.full(cls.d, cls.box_edge), axes=axes)
 
@@ -398,13 +413,12 @@ class TestKeptRows:
             monkeypatch.setattr(concentration, "ROW_BLOCK", block)
         for d, k, T, declared in ((1, 6, 2.0, None), (2, 6, 2.0, None),
                                   (2, 30, 2.0, 6), (3, 6, 3.0, 5)):
-            model = parse_model(tag, d)
-            cls = RectClassSpec(d=d, k=k, n=n, T=T)
+            cls = RectClassSpec(model=parse_model(tag, d), k=k, n=n, T=T)
             axes = None if declared is None else [declared_axis(cls.box_edge,
                                                                 declared)] * d
             for t in range(3):
-                got = concentration._rademacher_trial(model, cls, 4, t, axes)
-                assert got == whole_trial(model, cls, 4, t, axes)
+                got = concentration._rademacher_trial(cls, 4, t, axes)
+                assert got == whole_trial(cls, 4, t, axes)
 
     @pytest.mark.parametrize("block", [1, 7, None])
     @pytest.mark.parametrize("tag", MODELS)
@@ -412,9 +426,9 @@ class TestKeptRows:
         if block is not None:
             monkeypatch.setattr(concentration, "ROW_BLOCK", block)
         for d in (1, 2, 3):
-            cls = RectClassSpec(d=d, k=40, n=1000, T=2.0)
             model = parse_model(tag, d)
-            est = pair_separation_complexity(model, cls, 700, 12)
+            cls = RectClassSpec(model=model, k=40, n=1000, T=2.0)
+            est = pair_separation_complexity(cls, 700, 12)
             rng = substream(12, "pair-separation")
             z, z2 = (draw_tail_uniforms(model, 700, rng) for _ in range(2))
             edge = cls.box_edge
@@ -433,19 +447,19 @@ class TestKeptRows:
                 yield x
 
         monkeypatch.setattr(concentration, "draw_copula_blocks", with_nan)
-        cls = RectClassSpec(d=2, k=10, n=500, T=2.0)
+        cls = RectClassSpec(model=parse_model("uniform", 2), k=10, n=500, T=2.0)
         with pytest.raises(PreconditionError, match="points must be finite"):
-            relative_rademacher(parse_model("uniform", 2), cls, 2, 1)
+            relative_rademacher(cls, 2, 1)
 
     def test_traced_peaks(self):
         # the benchmark's rademacher-dense sizes; the whole draws traced 5.5
         # and 3.5 MiB
-        cls = RectClassSpec(d=2, k=2000, n=200_000, T=2.0)
-        small = RectClassSpec(d=2, k=20, n=2000, T=2.0)
         model = parse_model("uniform", 2)
-        relative_rademacher(model, small, 2, 1)
-        pair_separation_complexity(model, small, 100, 1)
-        peak, _ = traced_peak(relative_rademacher, model, cls, 2, 1)
+        cls = RectClassSpec(model=model, k=2000, n=200_000, T=2.0)
+        small = RectClassSpec(model=model, k=20, n=2000, T=2.0)
+        relative_rademacher(small, 2, 1)
+        pair_separation_complexity(small, 100, 1)
+        peak, _ = traced_peak(relative_rademacher, cls, 2, 1)
         assert peak < 2 << 20
-        peak, _ = traced_peak(pair_separation_complexity, model, cls, 100_000, 1)
+        peak, _ = traced_peak(pair_separation_complexity, cls, 100_000, 1)
         assert peak < 2 << 20

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from csv_text import read_csv
 from tailvc import gridscan
 from tailvc.cli import main
-from tailvc.concentration import RectClassSpec, union_mass
+from tailvc.concentration import RectClassSpec
 from tailvc.errors import ConfigurationError, PreconditionError
 from tailvc.empirical import column_tails, tail_depths
 from tailvc.gridscan import (
@@ -356,14 +356,13 @@ class TestSupSignedCount:
         _, rows = read_csv(out / "rademacher.csv")
         got = [float(r[7]) for r in rows if r[6] == "relative_rademacher_sup"]
         model = parse_model("uniform", d)
-        cls = RectClassSpec(d=d, k=k, n=n, T=T)
-        p = union_mass(cls, model)
+        cls = RectClassSpec(model=model, k=k, n=n, T=T)
         want = []
         for t in range(3):
             rng = substream(seed, "rademacher", t)
             z = draw_tail_uniforms(model, n, rng)
             signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            want.append(dense_sup_signed_count(z, signs, cls.box_edge) / (n * p))
+            want.append(dense_sup_signed_count(z, signs, cls.box_edge) / (n * cls.p))
         assert got == want
 
 

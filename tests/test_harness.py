@@ -964,8 +964,8 @@ class TestTailProcessDeviation:
         n, k, T = 5000, 50, 2.0
         m = comonotone(1)
         u = 1.0 - draw_copula_sample(m, n, substream(3, "ks"))
-        cls = RectClassSpec(d=1, k=k, n=n, T=T)
-        stat = n / k * sup_empirical_deviation(u, cls, m).value
+        cls = RectClassSpec(model=m, k=k, n=n, T=T)
+        stat = n / k * sup_empirical_deviation(u, cls).value
         q = k / n * T
         us = np.sort(u[:, 0])
         uu = us[us <= q]
@@ -986,8 +986,8 @@ class TestTailProcessDeviation:
         n = 500
         m = independence(2)
         u = 1.0 - draw_copula_sample(m, n, substream(4, "edge"))
-        cls = RectClassSpec(d=2, k=n, n=n, T=0.9)
-        stat = sup_empirical_deviation(u, cls, m)  # the n/k scale is 1 here
+        cls = RectClassSpec(model=m, k=n, n=n, T=0.9)
+        stat = sup_empirical_deviation(u, cls)  # the n/k scale is 1 here
         assert np.isfinite(stat.value)
 
     def test_rate_on_zero_discrepancy_model(self):
@@ -998,10 +998,10 @@ class TestTailProcessDeviation:
         ks = (50, 100, 200, 400, 800)
         meds = []
         for k in ks:
-            cls = RectClassSpec(d=2, k=k, n=n, T=T)
+            cls = RectClassSpec(model=m, k=k, n=n, T=T)
             vals = [
                 n / k * sup_empirical_deviation(
-                    1.0 - draw_copula_sample(m, n, substream(77, "tp", k, t)), cls, m
+                    1.0 - draw_copula_sample(m, n, substream(77, "tp", k, t)), cls
                 ).value
                 for t in range(100)
             ]
