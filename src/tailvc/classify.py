@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, PreconditionError
 from .models import StdfModel
 from .rng import SlopeFit, fit_loglog_slope, map_trials, median, substream
-from .samplers import draw_copula_sample
+from .samplers import check_sample_size, draw_copula_sample
 
 # linf folds the d columns with elementwise maxima: the same maxima as
 # max(axis=1), NaN rows included, without a reduction along a length-d
@@ -425,14 +425,18 @@ def rate_experiment_classification(
     ``schedule`` is a list of (n, alpha) pairs; the slope is fitted to the
     medians against n * alpha.  Trial t at (n, alpha) draws from
     ``substream(seed, "class-rate", round(n alpha), t)``; the trials run in
-    turn, in one process (``rng.map_trials`` at one worker).
+    turn, in one process (``rng.map_trials`` at one worker).  A point with
+    no rows or an empty tail is refused before any draw, the reference
+    sample of a truth with no closed form included.
     """
     if not schedule:
         raise ConfigurationError("schedule must be nonempty")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    # every alpha is checked before any draw; the truths depend on it, not on n
     regions = [QuantileRegion(alpha=alpha, norm=norm) for _, alpha in schedule]
+    for n, alpha in schedule:  # every point, before the truths and any draw
+        check_sample_size(n, generator.d)
+        tail_count(n, alpha)
     truths_of = {region: np.array([r.value for r in _family_true_risks(
         generator, family.members, region)]) for region in dict.fromkeys(regions)}
     # each sample is drawn as the runner reaches its job, while the last

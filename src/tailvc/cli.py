@@ -375,6 +375,9 @@ def cmd_converge(o: dict, out: Path) -> tuple[list, dict]:
          for s in report.summaries],
     )
     results = {"slope": report.slope, "bias_method": sup_bias_method(exp.model)}
+    if exp.grid_resolution is not None:
+        results["discretization_bound"] = {
+            k: harness.grid_slack(d, k, T, exp.grid_resolution) for k in exp.k_schedule}
     try:
         results["calibrated_C"] = harness.calibrate_constant(report)
     except (PreconditionError, ConfigurationError) as exc:
@@ -494,10 +497,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
         schedule = []
         for na in o["n-alpha-grid"]:
             n = na / alpha  # inf past the largest float, which no round() takes
-            n = int(round(n)) if math.isfinite(n) else n
-            check_sample_size(n, d)  # before any draw, for every point
-            cls_mod.tail_count(n, alpha)
-            schedule.append((n, alpha))
+            schedule.append((int(round(n)) if math.isfinite(n) else n, alpha))
         report = cls_mod.rate_experiment_classification(
             generator, family, schedule, trials, seed, norm=norm
         )

@@ -147,9 +147,12 @@ def sup_stdf_deviation(
         depths.astype(float), [levels.astype(float)] * d, k,
         lambda axes: eval_stdf_axes(model, axes), ref_axes=[axis] * d,
     )
-    h = T / (grid_resolution - 1)
-    slack = d * (2.0 * h + 1.0 / k)
-    return SupEstimate(value=value, discretization_bound=slack)
+    return SupEstimate(value, grid_slack(d, k, T, grid_resolution))
+
+
+def grid_slack(d: int, k: int, T: float, grid_resolution: int) -> float:
+    """The declared grid's slack on [0, T]^d: d (2h + 1/k), h = T / (r - 1)."""
+    return d * (2.0 * T / (grid_resolution - 1) + 1.0 / k)
 
 
 def _order_stat_index(n: int, k: int, T: float) -> int:

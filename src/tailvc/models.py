@@ -174,9 +174,14 @@ def tail_union_prob(model: StdfModel, y) -> float | np.ndarray:
     if model.variant == "independence":
         c = u.prod(axis=-1)
     else:
-        with np.errstate(divide="ignore"):
-            s = ((-np.log(u)) ** model.theta).sum(axis=-1)
-        c = np.exp(-(s ** (1.0 / model.theta)))
+        th, tiny = model.theta, np.finfo(float).tiny
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -np.log(u)
+            s = (q ** th).sum(axis=-1)
+            # s below the normal range lost its digits: scale by max q there
+            top = np.maximum(q.max(axis=-1, keepdims=True), tiny)
+            scaled = top[..., 0] * ((q / top) ** th).sum(axis=-1) ** (1.0 / th)
+        c = np.exp(-np.where(s < tiny, scaled, s ** (1.0 / th)))
     return 1.0 - (float(c) if np.ndim(c) == 0 else c)
 
 

@@ -219,11 +219,11 @@ def draw_copula_tail(model: StdfModel, n: int, m: int,
     The logistic tail draw reads the full draw's random words
     (``_logistic_words``) and computes x only on the rows it keeps.
     Larger x_j is smaller q_j = E_j / S, and by the Chambers-Mallows-Stuck
-    identity S = S1(V) W^(-beta), beta =
-    (1 - alpha) / alpha, with S1 = A^beta for Zolotarev's function A,
-    strictly increasing on (0, pi).  So q_j is bracketed from V's bucket in
-    a table of S1 (``_s1_reciprocals``) with no sine, and a row is kept
-    when its lower bound in some column is at most that column's m-th
+    identity S = S1(V) W^(-beta), beta = (1 - alpha) / alpha, with S1 =
+    A^beta for Zolotarev's function A, strictly increasing on (0, pi).  So
+    q_j is bracketed from V's bucket in a table of S1 (``_s1_reciprocals``)
+    with no sine, and a row is kept when its one lower bound, the least
+    over its columns, is at most max_j tau_j, tau_j column j's m-th
     smallest upper bound.  The kept rows' x comes from the helpers of the
     full draw, elementwise on arrays, so it has the full draw's bits.
     """
@@ -286,31 +286,30 @@ def _tail_candidates(alpha: float, v: np.ndarray, w: np.ndarray, m: int, d: int,
 
     Reads E from ``blocks``, the exponentials of ``_logistic_words`` a
     block of rows at a time, so only a block of E is held.  q_j lies in
-    [E_j W^beta lower, E_j W^beta upper] with the bucket factors of
+    [E_j f lower, E_j f upper], f = W^beta, with the bucket factors of
     ``_s1_reciprocals``.  tau_j, the m-th smallest upper bound in column
-    j, is at least the m-th smallest q_j, so the rows with a lower bound
-    above tau_j in every column are not needed.  tau over the blocks read
-    so far only falls as blocks are added, so each block keeps the rows
-    that pass the tau of the blocks before it, and the final tau sorts
-    them out.  A row a block drops has every upper bound above tau as
-    well, so only the kept rows' upper bounds are formed to lower tau.
+    j, is at least the m-th smallest q_j, so a row whose one bound
+    min_j E_j f lower is above max_j tau_j is not needed.  tau over the
+    blocks read so far only falls as blocks are added, so each block
+    keeps the rows that pass the tau of the blocks before it, and the
+    final tau sorts them out.  A row a block drops has every upper bound
+    above every tau_j, so only the kept rows' upper bounds lower tau.
     """
     beta = (1.0 - alpha) / alpha
     lower, upper = _s1_reciprocals(alpha)
     scale = _S1_BUCKETS / math.pi
     best = [np.empty(0)] * d  # per column, the m smallest upper bounds so far
     tau = [np.inf] * d
-    kept_rows, kept_e, kept_low = [], [], []
+    kept = []  # per block: the kept rows, their E and their bounds
     lo = 0
     for e in blocks:
         hi = lo + len(e)
         bucket = (v[lo:hi] * scale).astype(np.intp)
         wb = w[lo:hi] ** beta
-        low_factor = wb * lower[bucket]
-        low = np.empty_like(e)
-        for j in range(d):
-            np.multiply(e[:, j], low_factor, out=low[:, j])
-        keep = np.flatnonzero(_any_at_most(low, tau))
+        # the rounded product is monotone in E_j, so this is min_j of E_j f
+        # lower; folded column by column, as a length-d reduction is slow
+        low = functools.reduce(np.minimum, e.T) * (wb * lower[bucket])
+        keep = np.flatnonzero(low <= max(tau))
         e = e[keep]
         # upper bounds only for the kept rows: elsewhere high >= low > tau
         high_factor = wb[keep] * upper[bucket[keep]]
@@ -321,18 +320,11 @@ def _tail_candidates(alpha: float, v: np.ndarray, w: np.ndarray, m: int, d: int,
                 pool = np.partition(pool, m - 1)[:m]
                 tau[j] = pool[m - 1]
             best[j] = pool
-        kept_rows.append(keep + lo)
-        kept_e.append(e)
-        kept_low.append(low[keep])
+        kept.append((keep + lo, e, low[keep]))
         lo = hi
-    low = np.concatenate(kept_low)
-    keep = np.flatnonzero(_any_at_most(low, tau))
-    return np.concatenate(kept_rows)[keep], np.concatenate(kept_e)[keep]
-
-
-def _any_at_most(a: np.ndarray, bound) -> np.ndarray:
-    """Rows of ``a`` with a[:, j] <= bound[j] for some j, one column at a time."""
-    return functools.reduce(np.logical_or, (a[:, j] <= t for j, t in enumerate(bound)))
+    rows, e, low = (np.concatenate(parts) for parts in zip(*kept))
+    keep = low <= max(tau)
+    return rows[keep], e[keep]
 
 
 def _stable_frailty(alpha: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draw_guard import forbid_draws
+
 import tailvc.classify as classify_mod
 from tailvc.classify import (
     AxisClassifier,
@@ -238,6 +240,22 @@ class TestRateExperiment:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             rate_experiment_classification(
                 toy_generator(), axis_threshold_family(2, 2), schedule, trials, seed=7)
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("schedule,error,message", [
+        ([(1000, 0.1), (5, 0.1)], PreconditionError,
+         "floor(n alpha) = 0 < 1; no tail rows at n=5, alpha=0.1"),
+        ([(1000, 0.1), (0, 0.1)], ConfigurationError, "sample size must be >= 1, got 0"),
+    ], ids=["empty-tail", "no-rows"])
+    def test_refuses_every_point_before_any_draw(self, monkeypatch, norm, schedule,
+                                                 error, message):
+        # l2 has no analytic truth: its reference sample is a draw too
+        drawn = forbid_draws(monkeypatch)
+        with pytest.raises(error, match=re.escape(message)):
+            rate_experiment_classification(
+                toy_generator(), axis_threshold_family(2, 2), schedule, 3, seed=1,
+                norm=norm)
+        assert drawn == []
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_threshold_must_be_finite(self, threshold):

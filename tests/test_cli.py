@@ -362,6 +362,25 @@ class TestConverge:
         manifest = read_manifest(tmp_path / "converge_manifest.json")
         assert manifest["results"]["bias_method"] == method
 
+    @pytest.mark.parametrize("d,grid", [(3, 9), (2, 6), (2, None)])
+    def test_manifest_reports_the_grid_slack_per_k(self, tmp_path, d, grid):
+        # the slack sup_stdf_deviation forms for each trial at k, per k
+        from tailvc.harness import sup_stdf_deviation
+        from tailvc.models import logistic
+
+        argv = ["converge", "--model", "logistic(2)", "--n", 2000, "--d", d,
+                "--k-schedule", "20,40", "--T", 2.0, "--trials", 2, "--seed", 6,
+                "--workers", 1, "--out", tmp_path]
+        assert run(argv + ([] if grid is None else ["--grid-resolution", grid])) == 0
+        results = read_manifest(tmp_path / "converge_manifest.json")["results"]
+        if grid is None:
+            assert "discretization_bound" not in results
+            return
+        x, model = np.random.default_rng(6).random((2000, d)), logistic(2.0, d)
+        assert results["discretization_bound"] == {
+            str(k): sup_stdf_deviation(x, k, model, 2.0, grid).discretization_bound
+            for k in (20, 40)}
+
     @pytest.mark.parametrize("affinity,cpu_count,expected",
                              [({0}, 64, 1), (None, 2, 2)],
                              ids=["affinity", "no-affinity-api"])

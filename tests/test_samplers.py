@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest
 
 from tailvc import samplers
@@ -242,6 +244,27 @@ class TestTailDraw:
         draw_copula_sample(model, n, want)
         draw_copula_tail(model, n, m, rng)
         assert rng.bit_generator.state == want.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(1.0, 40.0, exclude_min=True), d=st.sampled_from([1, 2, 3]),
+           n=st.integers(2, 40_000), where=st.sampled_from(["one", "mid", "last", "all"]),
+           mid=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    def test_kept_rows_hold_every_columns_top_rows(self, theta, d, n, where, mid, seed):
+        # m at 1, within (1, n - 1), n - 1, and n or above (the whole draw)
+        m = {"one": 1, "mid": 1 + int(mid * (n - 2)), "last": n - 1,
+             "all": n + int(mid * 3)}[where]
+        model = logistic(theta, d)
+        want, rng = substream(seed, "tail-prop"), substream(seed, "tail-prop")
+        full = draw_copula_sample(model, n, want)
+        rows, x = draw_copula_tail(model, n, m, rng)
+        assert rng.bit_generator.state == want.bit_generator.state
+        if rows is None:
+            assert m >= n and x.tobytes() == full.tobytes()
+            return
+        assert x.tobytes() == full[rows].tobytes()
+        for j in range(d):
+            top = np.argsort(full[:, j], kind="stable")[::-1][:m]
+            assert np.isin(top, rows).all()
 
     def test_no_model_takes_a_theta_the_draw_overflows_at(self):
         # the frailty draw overflows above theta = 50 (CHANGES.md, the note
