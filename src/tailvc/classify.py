@@ -104,10 +104,9 @@ def _axis_votes(x: np.ndarray, members) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassifierFamily:
-    """Finite list of deterministic labelers with a declared dimension."""
+    """Finite list of deterministic labelers."""
 
     members: tuple
-    vc_dim: int
 
     def __post_init__(self):
         if not self.members:
@@ -129,7 +128,7 @@ def axis_threshold_family(d: int, per_axis: int) -> ClassifierFamily:
     members = [
         AxisClassifier(coord=j, threshold=float(c)) for j in range(d) for c in thresholds
     ]
-    return ClassifierFamily(members=tuple(members), vc_dim=d)
+    return ClassifierFamily(members=tuple(members))
 
 
 @dataclass(frozen=True)

@@ -447,14 +447,14 @@ def cmd_rademacher(o: dict, out: Path) -> tuple[list, dict]:
         rows.append(["", n, k, d, T, "", "relative_rademacher_mean", est.mean])
         rows.append(["", n, k, d, T, "", "relative_rademacher_stderr", est.stderr])
         results["relative_rademacher"] = {
-            "mean": est.mean, "stderr": est.stderr, "trials": est.trials,
+            "mean": est.mean, "stderr": est.stderr, "trials": o["trials"],
         }
     if statistic in ("separation", "both"):
         est_q = conc.pair_separation_complexity(spec, o["pairs"], seed)
         rows.append(["", n, k, d, T, "", "pair_separation_q", est_q.value])
         rows.append(["", n, k, d, T, "", "pair_separation_stderr", est_q.stderr])
         results["pair_separation"] = {
-            "q": est_q.value, "stderr": est_q.stderr, "pairs": est_q.pairs,
+            "q": est_q.value, "stderr": est_q.stderr, "pairs": o["pairs"],
         }
     rows.append(["", n, k, d, T, "", "union_mass", spec.p])
     trials_path = out / "rademacher.csv"
@@ -519,9 +519,7 @@ def cmd_classify(o: dict, out: Path) -> tuple[list, dict]:
     else:
         n = o["n"]
         family = cls_mod.ClassifierFamily(
-            members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)),
-            vc_dim=d,
-        )
+            members=(generator.rule, cls_mod.AxisClassifier(coord=1 % d, threshold=0.7)))
         cls_mod.require_analytic_oracle(generator, norm)
         check_sample_size(n, d)
         cls_mod.tail_count(n, alpha)

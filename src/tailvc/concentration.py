@@ -84,13 +84,9 @@ class RectClassSpec:
         return self.model.d
 
     @property
-    def scale(self) -> float:
-        return self.k / self.n
-
-    @property
     def box_edge(self) -> float:
         """Per-coordinate threshold ceiling (k/n) T of the union region."""
-        return self.scale * self.T
+        return self.k / self.n * self.T
 
 
 @dataclass(frozen=True)
@@ -119,16 +115,14 @@ class BoundParams:
 @dataclass(frozen=True)
 class RademacherEstimate:
     mean: float
-    trials: int
     stderr: float
-    values: tuple = ()
+    values: tuple
 
 
 @dataclass(frozen=True)
 class PairSeparationEstimate:
     value: float
     stderr: float
-    pairs: int
 
 
 def low_mass_vc_bound(params: BoundParams) -> float:
@@ -239,7 +233,6 @@ def relative_rademacher(
     values = np.array(map_trials(_rademacher_trial, jobs, workers)) / (cls.n * cls.p)
     return RademacherEstimate(
         mean=float(values.mean()),
-        trials=trials,
         stderr=float(values.std(ddof=1) / math.sqrt(trials)),
         values=tuple(float(v) for v in values),
     )
@@ -310,7 +303,7 @@ def pair_separation_complexity(
         lo += len(x)
     q_hat = splits / pairs
     stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / pairs)
-    return PairSeparationEstimate(value=q_hat, stderr=stderr, pairs=pairs)
+    return PairSeparationEstimate(value=q_hat, stderr=stderr)
 
 
 def _pair_splits(near: np.ndarray, rows: np.ndarray, z2: np.ndarray,

@@ -97,14 +97,15 @@ class SupEstimate:
     discretization_bound: float = 0.0
 
 
-def suffix_sums(grid: np.ndarray) -> np.ndarray:
-    """Reverse cumulative sums along every axis, in place; returns ``grid``.
+def suffix_sums(grid: np.ndarray, start: int = 0) -> np.ndarray:
+    """Reverse cumulative sums along every axis from ``start`` on, in place;
+    returns ``grid``.
 
     Accumulating into the reversed view adds in the same order as a
     copying scan, so the sums are bit-identical, without a temporary grid
     per axis.
     """
-    for ax in range(grid.ndim):
+    for ax in range(start, grid.ndim):
         rev = np.flip(grid, ax)
         np.cumsum(rev, axis=ax, out=rev)
     return grid
@@ -205,9 +206,9 @@ def _dominance_strips(
     filled with the strip's points in their original order, the carried
     axis-0 suffix row is added to its last row, each row then adds the
     row above it, from the top of the strip down (one reversed cumsum
-    for narrow rows, a row loop for wide ones), and the reversed
-    cumsums run along the other axes: the same additions in the same
-    order as ``suffix_sums`` on the dense histogram, so every node is
+    for narrow rows, a row loop for wide ones), and ``suffix_sums`` runs
+    along the other axes: the same additions in the same order as
+    ``suffix_sums`` on the dense histogram, so every node is
     bit-identical to it.  ``block`` is reused, so it is valid only
     until the next strip is requested; the caller may overwrite it.
     """
@@ -242,10 +243,7 @@ def _dominance_strips(
             for i in range(block.shape[0] - 2, -1, -1):
                 block[i] += block[i + 1]
         carry = block[0].copy()
-        for ax in range(1, block.ndim):
-            rev = np.flip(block, ax)
-            np.cumsum(rev, axis=ax, out=rev)
-        yield lo, hi, block
+        yield lo, hi, suffix_sums(block, start=1)
 
 
 def dominance_weight_grid(

@@ -58,17 +58,19 @@ def stdf_deviation_bound(
     if k < 1 or d < 1 or not (math.isfinite(T) and math.isfinite(C)):
         raise PreconditionError(
             f"need k >= 1, d >= 1 and finite T and C, got k={k}, d={d}, T={T}, C={C}")
+    if C < 0:
+        raise PreconditionError(f"C must be finite and >= 0, got {C}")
     t_required = 3.5 * (math.log(d) / k + 1.0)
     if T < t_required - 1e-12:
         raise PreconditionError(
             f"T >= 7/2((log d)/k + 1) violated: T={T}, required >= {t_required:g}"
         )
+    if not 0 < delta < 1:
+        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
     if delta < math.exp(-k):
         raise PreconditionError(
             f"delta >= exp(-k) violated: delta={delta}, required >= {math.exp(-k):.3g}"
         )
-    if not 0 < delta < 1:
-        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
     if not 0 <= bias < math.inf:
         raise PreconditionError(f"bias must be finite and >= 0, got {bias}")
     return C * d * math.sqrt(T / k * math.log((d + 3) / delta)) + bias

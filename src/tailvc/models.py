@@ -174,14 +174,10 @@ def tail_union_prob(model: StdfModel, y) -> float | np.ndarray:
     if model.variant == "independence":
         c = u.prod(axis=-1)
     else:
-        th, tiny = model.theta, np.finfo(float).tiny
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             q = -np.log(u)
-            s = (q ** th).sum(axis=-1)
-            # s below the normal range lost its digits: scale by max q there
-            top = np.maximum(q.max(axis=-1, keepdims=True), tiny)
-            scaled = top[..., 0] * ((q / top) ** th).sum(axis=-1) ** (1.0 / th)
-        c = np.exp(-np.where(s < tiny, scaled, s ** (1.0 / th)))
+        s = (q ** model.theta).sum(axis=-1)
+        c = np.exp(-_theta_norm(s, [q[..., j] for j in range(model.d)], model.theta))
     return 1.0 - (float(c) if np.ndim(c) == 0 else c)
 
 
@@ -201,11 +197,27 @@ def tail_union_prob_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray
     if model.variant == "independence":
         c = reduce(np.multiply, shaped)
     else:
-        th = model.theta
         with np.errstate(divide="ignore"):
-            s = reduce(np.add, [(-np.log(a)) ** th for a in shaped])
-        c = np.exp(-(s ** (1.0 / th)))
+            q = [-np.log(a) for a in shaped]
+        s = reduce(np.add, [qj ** model.theta for qj in q])
+        c = np.exp(-_theta_norm(s, q, model.theta))
     return 1.0 - c
+
+
+def _theta_norm(s, q: list, th: float):
+    """(sum_j q_j^th)^(1/th) from the caller's own sum ``s`` of q_j^th.
+
+    Where s fell below the normal range, q^th lost its digits; those
+    entries alone are formed again as max q (sum_j (q_j / max q)^th)^(1/th).
+    ``q`` holds the d coordinates, each broadcastable to s's shape.
+    """
+    out, tiny = np.asarray(s ** (1.0 / th)), np.finfo(float).tiny
+    low = s < tiny
+    if np.any(low):
+        qs = np.stack([np.broadcast_to(qj, out.shape)[low] for qj in q], axis=-1)
+        top = np.maximum(qs.max(axis=-1, keepdims=True), tiny)
+        out[low] = top[:, 0] * ((qs / top) ** th).sum(axis=-1) ** (1.0 / th)
+    return out
 
 
 def pre_limit_tail(model: StdfModel, t: float, x) -> float | np.ndarray:

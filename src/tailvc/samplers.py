@@ -38,40 +38,23 @@ from .models import StdfModel
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class MarginSpec:
-    """Strictly increasing margin transform with its survival inverse.
-
-    ``transform`` maps a uniform value u in [0, 1] to the observed scale;
-    ``survival`` maps an observed value x back to U = 1 - F(x).  Both are
-    required so samples can be generated and margin-standardized exactly.
-    """
-
-    transform: Callable[[np.ndarray], np.ndarray]
-    survival: Callable[[np.ndarray], np.ndarray]
-
-
-def _pareto_margin(a: float) -> MarginSpec:
+def _pareto_margin(a: float) -> Callable[[np.ndarray], np.ndarray]:
     if not 0 < a < math.inf:  # NaN fails too
         raise ConfigurationError(f"pareto margin index must be finite and > 0, got {a}")
-    return MarginSpec(
-        transform=lambda u: (1.0 - u) ** (-1.0 / a),
-        survival=lambda x: x ** (-a),
-    )
+    return lambda u: (1.0 - u) ** (-1.0 / a)
 
 
 _PARETO_RE = re.compile(r"^pareto\((?P<a>[^)]+)\)$")
 
 _BUILTIN_MARGINS = {
-    "uniform": MarginSpec(lambda u: u, lambda x: 1.0 - x),
-    "exponential": MarginSpec(lambda u: -np.log1p(-u), lambda x: np.exp(-x)),
+    "uniform": lambda u: u,
+    "exponential": lambda u: -np.log1p(-u),
 }
 
 
-def parse_margin(tag) -> MarginSpec:
-    """Resolve a margin tag: uniform | exponential | pareto(a) | MarginSpec."""
-    if isinstance(tag, MarginSpec):
-        return tag
+def parse_margin(tag: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The transform of a margin tag, uniform | exponential | pareto(a): a
+    strictly increasing map of u in [0, 1] to the observed scale."""
     if not isinstance(tag, str):
         raise ConfigurationError(f"margin tag must be a string, got {tag!r}")
     tag = tag.strip()
@@ -88,18 +71,18 @@ def parse_margin(tag) -> MarginSpec:
 
 
 def parse_margins(tags, d: int) -> tuple:
-    """One MarginSpec per column: one tag for every column, else one per column.
+    """One transform per column: one tag for every column, else one per column.
 
-    ``tags`` is a single tag or MarginSpec, or a sequence of them.
+    ``tags`` is a single tag or a sequence of them.
     """
-    if isinstance(tags, (str, MarginSpec)):
+    if isinstance(tags, str):
         tags = (tags,)
-    specs = tuple(parse_margin(t) for t in tags)
-    if len(specs) == 1:
-        specs *= d
-    if len(specs) != d:
-        raise ConfigurationError(f"{len(specs)} margin tags for dimension {d}")
-    return specs
+    margins = tuple(parse_margin(t) for t in tags)
+    if len(margins) == 1:
+        margins *= d
+    if len(margins) != d:
+        raise ConfigurationError(f"{len(margins)} margin tags for dimension {d}")
+    return margins
 
 
 @dataclass(frozen=True)
@@ -374,19 +357,18 @@ def draw_sample(model: StdfModel, n: int, seed: int, margins="uniform") -> Sampl
     """n rows of the model copula from ``substream(seed, "sample")``, then
     ``margins`` (``parse_margins``, read before the draw); equal inputs give
     bit-equal data."""
-    specs = parse_margins(margins, model.d)
+    transforms = parse_margins(margins, model.d)
     rng = substream(seed, "sample")
-    return _margins_in_place(draw_copula_sample(model, n, rng), specs)
+    return _margins_in_place(draw_copula_sample(model, n, rng), transforms)
 
 
 def apply_margins(sample: Sample, transforms) -> Sample:
     """Apply per-coordinate strictly increasing transforms; ranks unchanged."""
-    specs = parse_margins(transforms, sample.d)
-    return _margins_in_place(sample.values.copy(), specs)
+    return _margins_in_place(sample.values.copy(), parse_margins(transforms, sample.d))
 
 
-def _margins_in_place(values: np.ndarray, specs) -> Sample:
+def _margins_in_place(values: np.ndarray, transforms) -> Sample:
     """Each column of ``values`` through its margin, written back in place."""
-    for j, m in enumerate(specs):
-        values[:, j] = m.transform(values[:, j])
+    for j, f in enumerate(transforms):
+        values[:, j] = f(values[:, j])
     return Sample(values)

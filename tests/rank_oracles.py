@@ -12,11 +12,12 @@ code reads them.  Each takes the sample's raw values: an n x d matrix, a
 ``Sample`` or one column.
 """
 
+import re
+
 import numpy as np
 
 from tailvc.empirical import _values_of, lattice_index
 from tailvc.errors import PreconditionError
-from tailvc.samplers import parse_margins
 
 
 def ranks(x) -> np.ndarray:
@@ -89,11 +90,31 @@ def empirical_tilde_F(u, x) -> float:
     return tail_event_count(u, x) / u.shape[0]
 
 
+def survival(tag: str):
+    """1 - F of the margin a tag names, written from its law: the inverse of
+    the library's transform, not read from it."""
+    tag = tag.strip()
+    if tag == "uniform":
+        return lambda x: 1.0 - x
+    if tag == "exponential":
+        return lambda x: np.exp(-x)
+    pareto = re.fullmatch(r"pareto\((.+)\)", tag)
+    if pareto:
+        a = float(pareto.group(1))
+        return lambda x: x ** (-a)
+    raise PreconditionError(f"no survival function for margin {tag!r}")
+
+
 def standardize(sample, margins) -> np.ndarray:
-    """Entrywise U_i^j = 1 - F_j(X_i^j) using the known true margins."""
+    """Entrywise U_i^j = 1 - F_j(X_i^j) using the known true margins: one
+    tag for every column, else one per column."""
     values = _values_of(sample)
-    specs = parse_margins(margins, values.shape[1])
-    u = np.column_stack([m.survival(values[:, j]) for j, m in enumerate(specs)])
+    tags = (margins,) if isinstance(margins, str) else tuple(margins)
+    if len(tags) == 1:
+        tags *= values.shape[1]
+    if len(tags) != values.shape[1]:
+        raise PreconditionError(f"{len(tags)} margin tags for {values.shape[1]} columns")
+    u = np.column_stack([survival(t)(values[:, j]) for j, t in enumerate(tags)])
     if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
         raise PreconditionError("standardized values left [0, 1]; wrong margins?")
     return np.clip(u, 0.0, 1.0)

@@ -3,7 +3,8 @@ imports a library name from the package root, every function the
 benchmark tracer wraps exists, the tracer can rebind every alias of them
 and sees a command's calls, ``--help`` loads no numpy and a command only
 its own modules, one function owns the d >= 3 scan rule, no production
-path reads ranks off the tail state, and every public name has a reader."""
+path reads ranks off the tail state, and every public name and record
+field has a reader."""
 
 import ast
 import importlib
@@ -503,6 +504,50 @@ def test_every_public_name_has_a_reader(module):
     assert names  # the detector sees the module's definitions
     unread = (names - library_references() - traced - backticked_names(listed)
               - dispatched_commands())
+    assert sorted(unread) == []
+
+
+def record_fields(source: str) -> set[str]:
+    """``Class.name`` of every annotated field and every property that the
+    source's classes define."""
+    found = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found.add(f"{cls.name}.{stmt.target.id}")
+            elif isinstance(stmt, ast.FunctionDef) and any(
+                    getattr(dec, "id", None) == "property" for dec in stmt.decorator_list):
+                found.add(f"{cls.name}.{stmt.name}")
+    return found
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Every name the source reads as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_detectors():
+    source = ("@dataclass\nclass A:\n    x: int\n    y: float = 0.0\n    z = 1\n"
+              "    @property\n    def w(self):\n        return self.x\n"
+              "    def v(self):\n        pass\n"
+              "def f(a):\n    a.y = 2\n    return A(x=1).w\n")
+    assert record_fields(source) == {"A.x", "A.y", "A.w"}
+    assert attribute_reads(source) == {"x", "w"}
+
+
+def test_every_record_field_has_a_reader():
+    # a field or property is read as an attribute by the library or the
+    # benchmark tracer, or listed in README with what it serves
+    listed = set(re.findall(r"`([A-Z]\w*\.\w+)`", readme_section("Library layout").split(
+        "Record fields that no library path reads", 1)[1].split("\n\n", 2)[1]))
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    fields = set().union(*map(record_fields, sources))
+    reads = set().union(*map(attribute_reads, sources + [TRACER.read_text(encoding="utf-8")]))
+    assert listed and listed <= fields  # the README list names real fields
+    unread = {f for f in fields if f.split(".")[1] not in reads} - listed
     assert sorted(unread) == []
 
 

@@ -175,14 +175,13 @@ class TestErm:
         data = gen.sample(500, substream(3, "erm"))
         family = ClassifierFamily(
             members=(AxisClassifier(1, 0.9), gen.rule, AxisClassifier(0, 0.05)),
-            vc_dim=2,
         )
         region = QuantileRegion(alpha=0.2, norm="linf")
         assert erm(data, family, region) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         g = AxisClassifier(0, 0.5)
-        family = ClassifierFamily(members=(g, AxisClassifier(0, 0.5)), vc_dim=2)
+        family = ClassifierFamily(members=(g, AxisClassifier(0, 0.5)))
         data = toy_generator().sample(100, substream(4, "tie"))
         region = QuantileRegion(alpha=0.2, norm="linf")
         assert erm(data, family, region) == 0
@@ -207,7 +206,7 @@ class TestRateExperiment:
     def test_single_member_family_matches_direct(self):
         gen = toy_generator(noise=0.1)
         g = AxisClassifier(0, 0.5)
-        family = ClassifierFamily(members=(g,), vc_dim=2)
+        family = ClassifierFamily(members=(g,))
         schedule = [(1000, 0.1)]
         rep = rate_experiment_classification(gen, family, schedule, 5, seed=6)
         region = QuantileRegion(alpha=0.1, norm="linf")
@@ -287,7 +286,7 @@ class TestDecomposition:
     def test_holds_on_seeded_trials(self):
         gen = toy_generator(noise=0.1)
         family = ClassifierFamily(
-            members=(AxisClassifier(0, 0.5), AxisClassifier(1, 0.7)), vc_dim=2
+            members=(AxisClassifier(0, 0.5), AxisClassifier(1, 0.7))
         )
         region = QuantileRegion(alpha=0.1, norm="linf")
         for t in range(10):
@@ -297,7 +296,7 @@ class TestDecomposition:
 
     def test_requires_analytic_oracle(self):
         gen = toy_generator()
-        family = ClassifierFamily(members=(AxisClassifier(0, 0.5),), vc_dim=2)
+        family = ClassifierFamily(members=(AxisClassifier(0, 0.5),))
         region = QuantileRegion(alpha=0.1, norm="l2")
         data = gen.sample(100, substream(10, "no-oracle"))
         with pytest.raises(ConfigurationError):
@@ -401,7 +400,7 @@ class TestFamilyKernel:
     @given(family_cases())
     def test_matches_per_member_oracle(self, case):
         data, members, region = case
-        family = ClassifierFamily(members=members, vc_dim=data.features.shape[1])
+        family = ClassifierFamily(members=members)
         try:
             expected = [oracle_risk(data, g, region) for g in members]
         except (DataError, PreconditionError) as exc:
@@ -461,7 +460,6 @@ class TestFamilyKernel:
         # two copies of the Bayes rule behind a worse member; both have risk 0
         family = ClassifierFamily(
             members=(AxisClassifier(1, 0.9), gen.rule, AxisClassifier(0, 0.5)),
-            vc_dim=2,
         )
         region = QuantileRegion(alpha=0.2, norm="linf")
         risks = [oracle_risk(data, g, region) for g in family.members]

@@ -493,7 +493,7 @@ class TestBound:
         ratios = [float(r[3]) for r in rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
-    STDF = {"k": 100, "d": 2, "T": 4.0, "C": 1.0, "bias": 0.0}
+    STDF = {"k": 100, "d": 2, "T": 4.0, "C": 1.0, "bias": 0.0, "delta": 0.05}
 
     @pytest.mark.parametrize("flag,value,message", [
         ("k", 0, "need k >= 1, d >= 1"),
@@ -503,10 +503,14 @@ class TestBound:
         ("C", "nan", "finite T and C"),
         ("bias", "nan", "bias must be finite and >= 0"),
         ("bias", "inf", "bias must be finite and >= 0"),
-    ], ids=["k0", "d0", "T-nan", "T-inf", "C-nan", "bias-nan", "bias-inf"])
+        ("C", "-1", "C must be finite and >= 0, got -1.0"),
+        ("delta", "-0.5", "delta must lie in (0, 1), got -0.5"),
+        ("delta", "0", "delta must lie in (0, 1), got 0.0"),
+    ], ids=["k0", "d0", "T-nan", "T-inf", "C-nan", "bias-nan", "bias-inf",
+            "C-negative", "delta-negative", "delta-zero"])
     def test_stdf_input_outside_the_domain_writes_nothing(self, tmp_path, capsys,
                                                           flag, value, message):
-        args = ["bound", "--kind", "stdf", "--delta", "0.05", "--out", tmp_path]
+        args = ["bound", "--kind", "stdf", "--out", tmp_path]
         for name, v in dict(self.STDF, **{flag: value}).items():
             args += [f"--{name}", v]
         assert run(args) == 4

@@ -50,7 +50,7 @@ class TestUnionMass:
     def test_subadditive_cap(self):
         for tag in ("independence", "comonotone", "logistic(4)"):
             cls = RectClassSpec(model=parse_model(tag, 2), k=10, n=1000, T=3.0)
-            assert cls.p <= cls.d * cls.T * cls.scale + 1e-12
+            assert cls.p <= cls.d * cls.T * (cls.k / cls.n) + 1e-12
 
     def test_cap_violation_is_an_internal_error(self, monkeypatch):
         # a model returning more mass than subadditivity allows is a fault;
@@ -192,7 +192,7 @@ class TestSupEmpiricalDeviation:
         cls = RectClassSpec(model=model, k=50, n=1000, T=2.0)
         z = draw_tail_uniforms(model, 1000, substream(11, "dense"))
         exact = sup_empirical_deviation(z, cls).value
-        s = cls.scale
+        s = cls.k / cls.n
         bp = z[:, 0][z[:, 0] <= s * cls.T]
         g = np.unique(
             np.concatenate(
@@ -236,7 +236,7 @@ class TestRelativeRademacher:
         with pytest.raises(ConfigurationError):
             relative_rademacher(cls, 5, 0)
         est = relative_rademacher(cls, 5, 0, grid_resolution=8)
-        assert est.trials == 5
+        assert len(est.values) == 5
 
     def test_scaling_band_small(self):
         # sqrt(n p)-normalized mean stays in a tight band across a decade
@@ -256,7 +256,7 @@ class TestRelativeRademacher:
         cls = RectClassSpec(model=model, k=2000, n=n, T=2.0)
         relative_rademacher(RectClassSpec(model=model, k=2, n=200, T=2.0), 2, 1)
         peak, est = traced_peak(relative_rademacher, cls, 4, 1)
-        assert est.trials == 4
+        assert len(est.values) == 4
         assert peak < 2 * (n * 2 * 8 + n * 8)
 
 

@@ -34,7 +34,6 @@ from tailvc.samplers import (
     apply_margins,
     draw_copula_sample,
     draw_sample,
-    parse_margin,
 )
 
 
@@ -225,8 +224,8 @@ class TestStandardize:
     def test_margin_spec_is_one_tag_for_every_column(self):
         base = draw_sample(independence(2), 50, 8)
         s = apply_margins(base, "exponential")
-        u = standardize(s, parse_margin("exponential"))
-        assert np.array_equal(u, standardize(s, "exponential"))
+        u = standardize(s, "exponential")
+        assert np.array_equal(u, standardize(s, ("exponential", "exponential")))
 
 
 class TestOrderStatIdentity:

@@ -75,20 +75,25 @@ class TestDeviationBound:
             base + 0.25
         )
 
-    @pytest.mark.parametrize("k,d,T,C,bias,match", [
-        (0, 2, 4.0, 1.0, 0.0, "need k >= 1, d >= 1"),
-        (100, 0, 4.0, 1.0, 0.0, "need k >= 1, d >= 1"),
-        (100, 2, math.nan, 1.0, 0.0, "finite T and C"),
-        (100, 2, math.inf, 1.0, 0.0, "finite T and C"),
-        (100, 2, 4.0, math.nan, 0.0, "finite T and C"),
-        (100, 2, 4.0, math.inf, 0.0, "finite T and C"),
-        (100, 2, 4.0, 1.0, math.nan, "bias must be finite and >= 0"),
-        (100, 2, 4.0, 1.0, math.inf, "bias must be finite and >= 0"),
-    ], ids=["k0", "d0", "T-nan", "T-inf", "C-nan", "C-inf", "bias-nan", "bias-inf"])
+    @pytest.mark.parametrize("k,d,T,C,bias,delta,match", [
+        (0, 2, 4.0, 1.0, 0.0, 0.05, "need k >= 1, d >= 1"),
+        (100, 0, 4.0, 1.0, 0.0, 0.05, "need k >= 1, d >= 1"),
+        (100, 2, math.nan, 1.0, 0.0, 0.05, "finite T and C"),
+        (100, 2, math.inf, 1.0, 0.0, 0.05, "finite T and C"),
+        (100, 2, 4.0, math.nan, 0.0, 0.05, "finite T and C"),
+        (100, 2, 4.0, math.inf, 0.0, 0.05, "finite T and C"),
+        (100, 2, 4.0, 1.0, math.nan, 0.05, "bias must be finite and >= 0"),
+        (100, 2, 4.0, 1.0, math.inf, 0.05, "bias must be finite and >= 0"),
+        (100, 2, 8.0, -1.0, 0.0, 0.05, r"^C must be finite and >= 0, got -1.0$"),
+        # the domain of delta is checked before delta >= exp(-k)
+        (100, 2, 8.0, 1.0, 0.0, -0.5, r"^delta must lie in \(0, 1\), got -0.5$"),
+        (100, 2, 8.0, 1.0, 0.0, 0.0, r"^delta must lie in \(0, 1\), got 0.0$"),
+    ], ids=["k0", "d0", "T-nan", "T-inf", "C-nan", "C-inf", "bias-nan", "bias-inf",
+            "C-negative", "delta-negative", "delta-zero"])
     def test_input_outside_the_domain_is_a_precondition_error(self, k, d, T, C,
-                                                              bias, match):
+                                                              bias, delta, match):
         with pytest.raises(PreconditionError, match=match):
-            stdf_deviation_bound(k, d, T, 0.05, C=C, bias=bias)
+            stdf_deviation_bound(k, d, T, delta, C=C, bias=bias)
 
 
 def lattice_rounding_sup(k: int, T: float, d: int) -> float:

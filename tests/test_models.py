@@ -156,16 +156,28 @@ class TestNormStructure:
 
 
 class TestTailUnion:
+    @staticmethod
+    def assert_grid_matches_pointwise(m, axes):
+        grid = tail_union_prob_axes(m, axes)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        vals = np.array([tail_union_prob(m, p) for p in pts])
+        assert np.allclose(grid.ravel(), vals, rtol=1e-12, atol=1e-15)
+
     def test_grid_matches_pointwise(self):
         rng = np.random.default_rng(12)
         for d in (1, 2, 3):
             for m in random_models(rng, d):
                 axes = [np.sort(rng.uniform(0, 0.3, 4)) for _ in range(d)]
-                grid = tail_union_prob_axes(m, axes)
-                mesh = np.meshgrid(*axes, indexing="ij")
-                pts = np.stack([g.ravel() for g in mesh], axis=-1)
-                vals = np.array([tail_union_prob(m, p) for p in pts])
-                assert np.allclose(grid.ravel(), vals, rtol=1e-12, atol=1e-15)
+                self.assert_grid_matches_pointwise(m, axes)
+        # logistic theta up to 40 on thresholds log-uniform down to 1e-12:
+        # at theta = 40, q^theta leaves the normal range below about 2e-8
+        for d in (1, 2, 3):
+            for theta in rng.uniform(1.0, 40.0, 40):
+                for _ in range(3):
+                    axes = [np.sort(10.0 ** rng.uniform(-12, np.log10(0.3), 4))
+                            for _ in range(d)]
+                    self.assert_grid_matches_pointwise(logistic(theta, d), axes)
 
     def test_one_dimensional_margin_is_identity(self):
         # any model has uniform margins, so the union of one event is its level
@@ -296,6 +308,12 @@ class TestSupBias:
 
     def test_logistic_bias_small_at_small_t(self):
         assert sup_bias(logistic(2.0, 2), 1e-4, 2.0) < 1e-3
+
+    def test_logistic_bias_scales_with_t_where_the_norm_underflows(self):
+        # the bias is about c t as t -> 0; at theta = 40 the grid's
+        # thresholds t x fall below 2e-8, where q^theta underflows
+        ratios = [sup_bias(logistic(40.0, 2), t, 2.0) / t for t in (1e-3, 1e-5, 1e-6)]
+        assert max(ratios) <= 1.01 * min(ratios)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("theta", [1.2, 2.0, 5.0])

@@ -351,7 +351,7 @@ class TestMargins:
 
 def column_stack_margins(values, margins):
     """The margins as one column list joined by ``np.column_stack``."""
-    return np.column_stack([parse_margin(m).transform(values[:, j])
+    return np.column_stack([parse_margin(m)(values[:, j])
                             for j, m in enumerate(margins)])
 
 
