@@ -375,6 +375,9 @@ def cmd_converge(o: dict, out: Path) -> tuple[list, dict]:
          for s in report.summaries],
     )
     results = {"slope": report.slope, "bias_method": sup_bias_method(exp.model)}
+    if not all(r.ok for r in report.trials):
+        results["failed_trials"] = [{"k": r.k, "trial": r.trial, "note": r.note}
+                                    for r in report.trials if not r.ok]
     if exp.grid_resolution is not None:
         results["discretization_bound"] = {
             k: harness.grid_slack(d, k, T, exp.grid_resolution) for k in exp.k_schedule}

@@ -44,7 +44,7 @@ The lattice scan reads the reference, l at the cell corners, from a
 windows at a time, so no scan holds the (m_top + 2)^d grid.  For d = 2
 it first tries ``pruned_corner_max``.  l is nondecreasing, so over each
 block's corner window it lies between its values at the window's two
-extreme corners, the only nodes ``corner_grid`` reads for the bound.
+extreme corners, which a d = 2 ``CornerGrid`` reads once, when it is built.
 The scan bounds every block from those and from the counts at the
 block's two extreme nodes (two small dominance grids of the walker),
 skips each block whose bound cannot beat the best node value found, and
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -268,25 +268,6 @@ def dominance_weight_grid(
 
 
 @dataclass(frozen=True)
-class CornerBlocks:
-    """A d = 2 corner grid cut into the pruned scan's blocks of nodes.
-
-    The lattice nodes 0..m_top of each axis fall in blocks of _PRUNE_BLOCK
-    nodes, lows[i]..ends[i]; the last block ends at m_top and may overlap
-    its neighbour.  Block (p, q) reads l on its corner window, nodes
-    lows..ends + 1 on both axes.  ``l_min``, ``l_end`` and ``l_up``, l at
-    (lows, lows), (ends, ends) and (ends + 1, ends + 1), are all the bound
-    pass reads of it: 3 nb^2 nodes for nb blocks a side.
-    """
-
-    lows: np.ndarray
-    ends: np.ndarray
-    l_min: np.ndarray
-    l_end: np.ndarray
-    l_up: np.ndarray
-
-
-@dataclass(frozen=True)
 class CornerGrid:
     """l at the corners of a lattice's cells, served a strip or a window at a time.
 
@@ -294,39 +275,42 @@ class CornerGrid:
     of the levels 0..m_top and the box edge.  ``evaluate(idx)`` returns
     l on the product grid of the node index arrays ``idx``, one per axis;
     index arrays of shape (P, L_j) give P product grids, stacked.  No
-    scan holds the whole grid.  ``blocks`` is the pruned scan's summary
-    of the grid, or None.
+    scan holds the whole grid.  For d = 2 it also holds the pruned scan's
+    summary, computed once, when it is built: the nodes 0..m_top of each
+    axis fall in blocks of _PRUNE_BLOCK nodes, lows[i]..ends[i] (the last
+    ends at m_top and may overlap its neighbour); block (p, q) reads l on
+    nodes lows..ends + 1 of both axes, and ``l_min``, ``l_end`` and ``l_up``,
+    l at (lows, lows), (ends, ends) and (ends + 1, ends + 1), are all the
+    bound pass reads of it.  A NaN there raises, as in the strip walk.
+    Under _PRUNE_BLOCK lattice nodes a side, or at d != 2, all five are None.
     """
 
     m_top: int
     d: int
     evaluate: Callable[[list[np.ndarray]], np.ndarray]
-    blocks: CornerBlocks | None = None
+    lows: np.ndarray | None = field(init=False, default=None)
+    ends: np.ndarray | None = field(init=False, default=None)
+    l_min: np.ndarray | None = field(init=False, default=None)
+    l_end: np.ndarray | None = field(init=False, default=None)
+    l_up: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.d != 2 or self.m_top + 1 < _PRUNE_BLOCK:
+            return
+        side = _PRUNE_BLOCK
+        ends = np.minimum(np.arange(side - 1, self.m_top + side, side), self.m_top)
+        lows = ends - (side - 1)
+        corners = [self.evaluate([at, at]) for at in (lows, ends, ends + 1)]
+        if any(np.isnan(c).any() for c in corners):
+            raise PreconditionError("the comparison is NaN at some grid node")
+        for name, value in zip(("lows", "ends", "l_min", "l_end", "l_up"),
+                               (lows, ends, *corners)):
+            object.__setattr__(self, name, value)
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """The grid's axis-0 rows lo..hi-1."""
         nodes = np.arange(self.m_top + 2)
         return self.evaluate([np.arange(lo, hi)] + [nodes] * (self.d - 1))
-
-
-def corner_grid(m_top: int, d: int, evaluate) -> CornerGrid:
-    """The corner grid ``evaluate`` serves, with its blocks when d = 2.
-
-    The blocks hold l on three nb x nb grids of block corners; none when
-    the lattice is narrower than one block.  A NaN at any of those
-    corners raises, as it does in the strip walk.  Prepared once per
-    grid; every scan against it reuses them.
-    """
-    grid = CornerGrid(m_top, d, evaluate)
-    if d != 2 or m_top + 1 < _PRUNE_BLOCK:
-        return grid
-    side = _PRUNE_BLOCK
-    ends = np.minimum(np.arange(side - 1, m_top + side, side), m_top)
-    lows = ends - (side - 1)
-    corners = [evaluate([at, at]) for at in (lows, ends, ends + 1)]
-    if any(np.isnan(c).any() for c in corners):
-        raise PreconditionError("the comparison is NaN at some grid node")
-    return replace(grid, blocks=CornerBlocks(lows, ends, *corners))
 
 
 def _node_gap(count_k, l_lo, l_hi) -> np.ndarray:
@@ -341,7 +325,7 @@ def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float 
     The scan is max over the nodes (i, j), 0 <= i, j <= m_top, of
     |c/k - l[i, j]| and |c/k - l[i+1, j+1]|, with
     c = #{rows with depth_0 <= i or depth_1 <= j} and ``l`` the corner
-    grid ``corners``, which must have blocks.  ``depths`` is
+    grid ``corners``, which must hold the block summary.  ``depths`` is
     ``tail_depths``' U x 2 integer matrix at m_top on both axes, so each
     column's depths 1..m_top belong to distinct rows.
 
@@ -364,23 +348,21 @@ def pruned_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float 
     Returns None when at least _PRUNE_CUT of the blocks survive the first
     pass; the strip walk is then the cheaper exact scan.
     """
-    blocks = corners.blocks
-    lows, ends = blocks.lows, blocks.ends
-    side = int(ends[0] - lows[0]) + 1
-    m_top, nb, u = int(ends[-1]), ends.size, depths.shape[0]
+    lows, ends, side = corners.lows, corners.ends, _PRUNE_BLOCK
+    m_top, nb, u = corners.m_top, ends.size, depths.shape[0]
     points, ones = depths.astype(float), np.ones(u)
     # nb x nb arrays, each freed once read: only surv_hi and the bound stay
     surv_hi = dominance_weight_grid(points, ones, [ends.astype(float)] * 2, strict=True)
     count_hi = (u - surv_hi) / k
     count_lo = dominance_weight_grid(points, ones, [lows.astype(float)] * 2, strict=True)
     count_lo = np.divide(np.subtract(u, count_lo, out=count_lo), k, out=count_lo)
-    bound = np.multiply(blocks.l_up, 1.0 + _MONOTONE_SLACK)
+    bound = np.multiply(corners.l_up, 1.0 + _MONOTONE_SLACK)
     np.subtract(bound, count_lo, out=count_lo)
-    np.multiply(blocks.l_min, 1.0 - _MONOTONE_SLACK, out=bound)
+    np.multiply(corners.l_min, 1.0 - _MONOTONE_SLACK, out=bound)
     np.maximum(np.subtract(count_hi, bound, out=bound), count_lo, out=bound)
     del count_lo
     bound = bound.ravel()
-    best = _checked_max(_node_gap(count_hi, blocks.l_end, blocks.l_up))
+    best = _checked_max(_node_gap(count_hi, corners.l_end, corners.l_up))
     del count_hi
     alive = np.flatnonzero(bound > best)
     if alive.size >= _PRUNE_CUT * bound.size:
@@ -490,11 +472,11 @@ def lattice_corner_max(depths: np.ndarray, k: int, corners: CornerGrid) -> float
     m + 1, c(m) = #{tail rows with depth_j <= m_j for some j}.  ``depths``
     is ``tail_depths``' U x d matrix at m_top on every axis (U may be 0)
     and ``corners`` the (m_top + 2)^d grid of l.  ``pruned_corner_max``
-    runs first when the grid has blocks; otherwise, or when it declines,
+    runs first when the grid has a summary; otherwise, or when it declines,
     the count strips at the levels 0..m_top meet rows lo..hi of
     ``corners``, read a strip at a time.  Both give one float.
     """
-    if corners.blocks is not None:
+    if corners.lows is not None:
         value = pruned_corner_max(depths, k, corners)
         if value is not None:
             return value

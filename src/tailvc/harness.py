@@ -90,10 +90,10 @@ def _corner_model_grids(model: StdfModel, k: int, T: float) -> gridscan.CornerGr
     upper corner node m + 1 of the axis 0, 1/k, ..., m_top/k, T.  The axis
     is clipped to T: when ``lattice_index`` snaps floor(k T) up, m_top/k
     lies just above T.  l is evaluated on demand, a strip or a window at
-    a time; it depends on no sample, so the grid and its blocks (d = 2),
-    prepared once, are kept for the next call with the same key.  l is
-    elementwise, so every value served equals the whole grid's, bit for
-    bit.  The entry is returned from a local: another thread may replace
+    a time; it depends on no sample, so the grid and its block summary
+    (d = 2), prepared once, are kept for the next call with the same key.
+    l is elementwise, so every value served equals the whole grid's, bit
+    for bit.  The entry is returned from a local: another thread may replace
     the module's entry with its own key's meanwhile.
     """
     global _corner_grid
@@ -107,7 +107,7 @@ def _corner_model_grids(model: StdfModel, k: int, T: float) -> gridscan.CornerGr
         def evaluate(idx):  # eval_stdf_axes is looked up by name, never kept
             return eval_stdf_axes(model, [axis[i] for i in idx])
 
-        entry = (key, gridscan.corner_grid(m_top, model.d, evaluate))
+        entry = (key, gridscan.CornerGrid(m_top, model.d, evaluate))
         _corner_grid = entry
     return entry[1]
 

@@ -118,7 +118,8 @@ def eval_stdf(model: StdfModel, x) -> float | np.ndarray:
     elif model.variant == "comonotone":
         out = x.max(axis=-1)
     else:
-        out = (x ** model.theta).sum(axis=-1) ** (1.0 / model.theta)
+        th = model.theta
+        out = _theta_norm((x ** th).sum(axis=-1), [x[..., j] for j in range(model.d)], th)
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,7 +155,7 @@ def eval_stdf_axes(model: StdfModel, axes: list[np.ndarray]) -> np.ndarray:
     if model.variant == "comonotone":
         return _plus_zero(reduce(np.maximum, shaped), model.d)
     th = model.theta
-    return reduce(np.add, [a**th for a in shaped]) ** (1.0 / th)
+    return _theta_norm(reduce(np.add, [a**th for a in shaped]), shaped, th)
 
 
 def tail_union_prob(model: StdfModel, y) -> float | np.ndarray:

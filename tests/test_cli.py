@@ -323,6 +323,30 @@ class TestConverge:
         assert len(summary) == 2
         manifest = read_manifest(out / "converge_manifest.json")
         assert "slope" in manifest["results"]
+        assert "failed_trials" not in manifest["results"]  # no trial failed
+
+    def test_manifest_explains_each_failed_trial(self, tmp_path, monkeypatch):
+        # the values at depths 41 and 42 of column 0 tie: k = 20 reads the
+        # 41 largest and runs, k = 40 reads 81 and fails every trial
+        import tailvc.samplers as smod
+        from tailvc.empirical import column_tails
+        from tailvc.errors import TiesError
+        from tailvc.models import independence
+        from tailvc.rng import substream
+
+        x = smod.draw_copula_sample(independence(2), 2000, substream(33, "ties"))
+        order = np.argsort(x[:, 0])[::-1]
+        x[order[40], 0] = x[order[41], 0]
+        with pytest.raises(TiesError) as tie:
+            column_tails(x, 81)
+        # the independence tail draw is the full draw
+        monkeypatch.setattr(smod, "draw_copula_sample", lambda model, n, rng: x.copy())
+        assert run(["converge", "--model", "independence", "--n", 2000, "--d", 2,
+                    "--k-schedule", "20,40", "--T", 2.0, "--trials", 2, "--seed", 5,
+                    "--workers", 1, "--out", tmp_path]) == 0
+        results = read_manifest(tmp_path / "converge_manifest.json")["results"]
+        assert results["failed_trials"] == [
+            {"k": 40, "trial": t, "note": str(tie.value)} for t in (0, 1)]
 
     def test_cli_import_loads_no_process_pool(self):
         # only --workers > 1 needs the pool; --help probes and serial runs

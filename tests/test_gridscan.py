@@ -406,7 +406,8 @@ class TestCellCornerMax:
         strip = {"1": 1, "2": 2, "m-1": m - 1, "m": m, "m+1": m + 1}[rows]
         set_strip_rows(monkeypatch, strip, [axis[:-1]] * d)
         want = per_cell_corner_max(lattice_counts(depths, k, m_top), corners)
-        walked = gridscan.CornerGrid(m_top, d, indexed(corners))  # no blocks
+        monkeypatch.setattr(gridscan, "_PRUNE_CUT", 0.0)  # the pruned scan declines
+        walked = gridscan.CornerGrid(m_top, d, indexed(corners))
         assert lattice_corner_max(depths, k, walked) == want
 
     @pytest.mark.parametrize("d", [1, 2])

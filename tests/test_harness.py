@@ -48,6 +48,15 @@ from tailvc.samplers import draw_copula_sample
 from test_gridscan import indexed
 
 
+@pytest.fixture(autouse=True)
+def no_corner_grid(monkeypatch):
+    """Each test starts with no corner grid kept: the cache would otherwise
+    carry an earlier test's grid, and its summary, into this one."""
+    import tailvc.harness as hmod
+
+    monkeypatch.setattr(hmod, "_corner_grid", None)
+
+
 class TestDeviationBound:
     def test_reference_value(self):
         assert stdf_deviation_bound(100, 2, 4.0, 0.05) == pytest.approx(
@@ -205,7 +214,6 @@ class TestSupStdfDeviation:
             return eval_stdf_axes(model, axes)
 
         monkeypatch.setattr(hmod, "eval_stdf_axes", spy)
-        monkeypatch.setattr(hmod, "_corner_grid", None)  # an earlier test's grid
         m = logistic(2.0, 2)
         x = tails(draw_copula_sample(m, 2000, substream(15, "spy", k)), k, T)
         sup_stdf_deviation(x, k, m, T)
@@ -226,11 +234,10 @@ class TestSupStdfDeviation:
         def spy(m_top, d, evaluate):
             prepared.append(m_top + 2)
             held.append(hmod._corner_grid)
-            return corner_grid(m_top, d, evaluate)
+            return built(m_top, d, evaluate)
 
-        corner_grid = gridscan.corner_grid
-        monkeypatch.setattr(gridscan, "corner_grid", spy)
-        monkeypatch.setattr(hmod, "_corner_grid", None)
+        built = gridscan.CornerGrid
+        monkeypatch.setattr(gridscan, "CornerGrid", spy)
         cfg = ExperimentConfig(model=logistic(2.0, 2), n=2000,
                                k_schedule=(20, 40, 80), T=2.0, delta=0.05,
                                trials=3, seed=4)
@@ -245,16 +252,15 @@ class TestSupStdfDeviation:
 
         def spy(m_top, d, evaluate):
             prepared.append(m_top + 2)
-            return corner_grid(m_top, d, evaluate)
+            return built(m_top, d, evaluate)
 
         def spy_l(model, axes):
             shapes.append(tuple(np.shape(a) for a in axes))
             return eval_stdf_axes(model, axes)
 
-        corner_grid = gridscan.corner_grid
-        monkeypatch.setattr(gridscan, "corner_grid", spy)
+        built = gridscan.CornerGrid
+        monkeypatch.setattr(gridscan, "CornerGrid", spy)
         monkeypatch.setattr(hmod, "eval_stdf_axes", spy_l)
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         m, k, T = logistic(2.0, 2), 30, 2.0
         x = draw_copula_sample(m, 3000, substream(17, "share"))
         sup_stdf_deviation(tails(x, k, T), k, m, T)
@@ -270,7 +276,6 @@ class TestSupStdfDeviation:
         # store, stands in for that thread here
         import tailvc.harness as hmod
 
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         m, T = logistic(2.0, 2), 2.0
         other_key = (m, 20, T)
         other = _corner_model_grids(*other_key)
@@ -281,18 +286,15 @@ class TestSupStdfDeviation:
 
         def spy(m_top, d, evaluate):
             hmod._corner_grid = (other_key, Finaliser())
-            return corner_grid(m_top, d, evaluate)
+            return built(m_top, d, evaluate)
 
-        corner_grid = gridscan.corner_grid
-        monkeypatch.setattr(gridscan, "corner_grid", spy)
+        built = gridscan.CornerGrid
+        monkeypatch.setattr(gridscan, "CornerGrid", spy)
         got = _corner_model_grids(m, 50, T)
         assert hmod._corner_grid[1] is other  # the store was replaced
         assert got is not other and got.m_top == int(lattice_index(50, T)) == 100
 
-    def test_threads_at_different_k_get_their_own_grids(self, monkeypatch):
-        import tailvc.harness as hmod
-
-        monkeypatch.setattr(hmod, "_corner_grid", None)
+    def test_threads_at_different_k_get_their_own_grids(self):
         m, T = logistic(2.0, 2), 2.0
         wrong = []
 
@@ -320,7 +322,6 @@ class TestSupStdfDeviation:
         # must look it up by name at every call
         import tailvc.harness as hmod
 
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         m, k, T = comonotone(2), 50, 2.0
         x = tails(draw_copula_sample(m, 5000, substream(4, "com")), k, T)
         want = sup_stdf_deviation(x, k, m, T)
@@ -462,24 +463,18 @@ class TestStripScan:
     @pytest.mark.parametrize("tag", ["independence", "comonotone", "logistic(2)"])
     @pytest.mark.parametrize("d", [1, 2])
     def test_corner_grid_filled_in_one_row_strips(self, monkeypatch, tag, d):
-        import tailvc.harness as hmod
-
         m, k, T = parse_model(tag, d), 50, 2.0
         axis = np.minimum(np.append(np.arange(101) / k, T), T)
         whole = eval_stdf_axes(m, [axis] * d)
         set_strip_rows(monkeypatch, 1, axis.size, d)
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         grid = _corner_model_grids(m, k, T).rows(0, axis.size)
         assert grid.shape == whole.shape
         assert grid.tobytes() == whole.tobytes()
 
-    def test_exact_scan_memory_is_linear_in_the_tail(self, monkeypatch):
+    def test_exact_scan_memory_is_linear_in_the_tail(self):
         # the dense scan held three 1601 x 1601 grids here, about 40 MiB
-        import tailvc.harness as hmod
-
         m, k, T = logistic(2.0, 2), 800, 2.0
         x = tails(draw_copula_sample(m, 20_000, substream(19, "mem")), k, T)
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         _corner_model_grids(m, k, T)
         tracemalloc.start()
         try:
@@ -489,11 +484,8 @@ class TestStripScan:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_corner_grid_fill_holds_no_full_temporary(self, monkeypatch):
+    def test_corner_grid_fill_holds_no_full_temporary(self):
         # a full 1602 x 1602 temporary alone is about 19.6 MiB
-        import tailvc.harness as hmod
-
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         tracemalloc.start()
         try:
             _corner_model_grids(logistic(2.0, 2), 800, 2.0)
@@ -530,14 +522,15 @@ class TestPrunedScan:
                      dipped_grid(m_top, k, rng)]
             for corners in grids:
                 got = gridscan.pruned_corner_max(
-                    depths, k, gridscan.corner_grid(m_top, 2, indexed(corners)))
+                    depths, k, gridscan.CornerGrid(m_top, 2, indexed(corners)))
                 assert got == dense_corner_sup(depths, k, corners), (trial,)
 
     @pytest.mark.parametrize("m_top,cut", [(0, False), (1, False), (6, False),
                                            (7, True)])
     def test_lattice_narrower_than_a_block_is_not_cut(self, m_top, cut):
-        blocks = gridscan.corner_grid(m_top, 2, indexed(np.zeros((m_top + 2,) * 2))).blocks
-        assert (blocks is not None) == cut
+        grid = gridscan.CornerGrid(m_top, 2, indexed(np.zeros((m_top + 2,) * 2)))
+        summary = [grid.lows, grid.ends, grid.l_min, grid.l_end, grid.l_up]
+        assert [a is not None for a in summary] == [cut] * 5
 
     def test_block_bound_equal_to_best_is_skipped(self, monkeypatch):
         # on a zero grid every block's bound is its high node's exact value,
@@ -557,7 +550,7 @@ class TestPrunedScan:
         m_top, k = 64, 32
         depths = synthetic_depths(m_top, np.random.default_rng(5))
         corners = np.zeros((m_top + 2,) * 2)
-        got = gridscan.pruned_corner_max(depths, k, gridscan.corner_grid(
+        got = gridscan.pruned_corner_max(depths, k, gridscan.CornerGrid(
             m_top, 2, indexed(corners)))
         assert got == dense_corner_sup(depths, k, corners) == depths.shape[0] / k
         assert len(gaps) == 1  # the high nodes only
@@ -578,13 +571,13 @@ class TestPrunedScan:
         corners[63, 3] = np.nextafter(0.3, 0.0)
         want = dense_corner_sup(depths, k, corners)
         assert want == 0.75 - corners[63, 3] > 0.75 - 0.3
-        got = gridscan.pruned_corner_max(depths, k, gridscan.corner_grid(
+        got = gridscan.pruned_corner_max(depths, k, gridscan.CornerGrid(
             m_top, 2, indexed(corners)))
         assert got == want
         # a NaN there instead is refused by the block's exact pass, not skipped
         corners[63, 3] = np.nan
         with pytest.raises(PreconditionError, match="NaN"):
-            gridscan.pruned_corner_max(depths, k, gridscan.corner_grid(
+            gridscan.pruned_corner_max(depths, k, gridscan.CornerGrid(
                 m_top, 2, indexed(corners)))
 
     @pytest.mark.parametrize("axis", [0, 1])
@@ -641,7 +634,7 @@ class TestPrunedScan:
             near = corners.evaluate([np.array([r - 1, r]), np.array([c - 1, c])])
             neighbour = near[0, 1] if axis == 0 else near[1, 0]
             other = near[1, 0] if axis == 0 else near[0, 1]
-            assert other <= near[1, 1] < neighbour and corners.blocks is not None
+            assert other <= near[1, 1] < neighbour and corners.lows is not None
             whole = corners.rows(0, m_top + 2)
             want = cell_corner_max(counts.copy(), whole, scratch=np.empty_like(counts))
             assert got == want, cut
@@ -681,13 +674,13 @@ class TestPrunedScan:
 @pytest.fixture
 def rebound_l(monkeypatch):
     """``harness.eval_stdf_axes`` rebound to a pass-through, as the benchmark
-    tracer rebinds it, and no grid cached: every grid the test prepares
-    serves l through the rebound name, and the test's values must not move."""
+    tracer rebinds it, before any grid is cached (``no_corner_grid``): every
+    grid the test prepares serves l through the rebound name, and the test's
+    values must not move."""
     import tailvc.harness as hmod
 
     real = hmod.eval_stdf_axes
     monkeypatch.setattr(hmod, "eval_stdf_axes", lambda model, axes: real(model, axes))
-    monkeypatch.setattr(hmod, "_corner_grid", None)
 
 
 def rebinding_moves_no_bit(monkeypatch, x, m, k, T, strips=(None, 1, 3)):
@@ -802,8 +795,7 @@ class TestCornerGridOnDemand:
                 hi = min(lo + rows, m_top + 2)
                 assert corners.rows(lo, hi).tobytes() == whole[lo:hi].tobytes()
         # every block's corner window, alone and in the pruned scan's chunks
-        blocks = corners.blocks
-        p, q = (a.ravel() for a in np.meshgrid(blocks.lows, blocks.lows, indexing="ij"))
+        p, q = (a.ravel() for a in np.meshgrid(corners.lows, corners.lows, indexing="ij"))
         window = np.arange(gridscan._PRUNE_BLOCK + 1)
         rows, cols = p[:, None] + window, q[:, None] + window
         want = whole[rows[:, :, None], cols[:, None, :]]
@@ -811,13 +803,13 @@ class TestCornerGridOnDemand:
             for lo in range(0, p.size, chunk):
                 got = corners.evaluate([rows[lo:lo + chunk], cols[lo:lo + chunk]])
                 assert got.tobytes() == want[lo:lo + chunk].tobytes()
-        assert np.array_equal(blocks.l_min, whole[np.ix_(blocks.lows, blocks.lows)])
-        assert np.array_equal(blocks.l_end, whole[np.ix_(blocks.ends, blocks.ends)])
-        assert np.array_equal(blocks.l_up, whole[np.ix_(blocks.ends + 1, blocks.ends + 1)])
+        assert np.array_equal(corners.l_min, whole[np.ix_(corners.lows, corners.lows)])
+        assert np.array_equal(corners.l_end, whole[np.ix_(corners.ends, corners.ends)])
+        assert np.array_equal(corners.l_up, whole[np.ix_(corners.ends + 1, corners.ends + 1)])
         # the widened corners bracket each window's true extremes
-        shape, slack = (blocks.lows.size,) * 2, gridscan._MONOTONE_SLACK
-        assert (blocks.l_min * (1 - slack) <= want.min(axis=(1, 2)).reshape(shape)).all()
-        assert (want.max(axis=(1, 2)).reshape(shape) <= blocks.l_up * (1 + slack)).all()
+        shape, slack = (corners.lows.size,) * 2, gridscan._MONOTONE_SLACK
+        assert (corners.l_min * (1 - slack) <= want.min(axis=(1, 2)).reshape(shape)).all()
+        assert (want.max(axis=(1, 2)).reshape(shape) <= corners.l_up * (1 + slack)).all()
 
     @pytest.mark.parametrize("m_top", [7, 64, 401])
     def test_summary_reads_three_nodes_a_block(self, m_top):
@@ -829,8 +821,8 @@ class TestCornerGridOnDemand:
             return grid
 
         read = indexed(np.zeros((m_top + 2,) * 2))
-        blocks = gridscan.corner_grid(m_top, 2, counted).blocks
-        assert 0 < sum(served) <= 3 * blocks.lows.size ** 2
+        grid = gridscan.CornerGrid(m_top, 2, counted)
+        assert 0 < sum(served) <= 3 * grid.lows.size ** 2
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(1, 200), T=st.floats(0.01, 3.0))
@@ -856,7 +848,6 @@ class TestCornerGridOnDemand:
         # summaries 1.0 MB; at k = 50 the grid is 83 kB, the summaries 5 kB
         import tailvc.harness as hmod
 
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         m, T = logistic(2.0, 2), 2.0
         x = tails(draw_copula_sample(m, 20_000, substream(19, "mem")), k, T)
         value = sup_stdf_deviation(x, k, m, T).value
@@ -872,7 +863,7 @@ class TestCornerGridOnDemand:
             corners = np.zeros((18, 18))
             corners[where] = np.nan
             with pytest.raises(PreconditionError, match="NaN"):
-                gridscan.corner_grid(16, 2, indexed(corners))
+                gridscan.CornerGrid(16, 2, indexed(corners))
 
 
 class TestOrderStatEvent:
@@ -1204,13 +1195,10 @@ class TestDecomposition:
             assert [v.hex() for v in got] == want, strip
             assert terms.total == sup_stdf_deviation(x, k, m, T).value
 
-    def test_memory_is_linear_in_the_tail(self, monkeypatch):
+    def test_memory_is_linear_in_the_tail(self):
         # the dense terms held (floor(kT) + 1)^2 grids here: 99.7 MiB peak
-        import tailvc.harness as hmod
-
         m, k, T = logistic(2.0, 2), 800, 2.0
         x = draw_copula_sample(m, 20_000, substream(19, "mem"))
-        monkeypatch.setattr(hmod, "_corner_grid", None)
         _corner_model_grids(m, k, T)
         tracemalloc.start()
         try:

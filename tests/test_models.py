@@ -142,6 +142,24 @@ class TestNormStructure:
                 rhs = eval_stdf(m, x) + eval_stdf(m, y)
                 assert np.all(lhs <= rhs + 1e-12)
 
+    def test_small_coordinates_keep_their_digits(self):
+        # logistic theta up to 40 on coordinates log-uniform down to 1e-12:
+        # at theta = 40, x^theta leaves the normal range below about 2e-8
+        rng = np.random.default_rng(14)
+        assert eval_stdf(logistic(40.0, 2), [1e-9, 1e-9]) == pytest.approx(
+            2.0 ** (1 / 40) * 1e-9, rel=RTOL)
+        for d in (1, 2, 3):
+            for theta in rng.uniform(1.0, 40.0, 40):
+                m = logistic(theta, d)
+                axes = [np.sort(10.0 ** rng.uniform(-12, 0, 4)) for _ in range(d)]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                pts = np.stack([g.ravel() for g in mesh], axis=-1)
+                vals = eval_stdf(m, pts)
+                assert np.allclose(eval_stdf_axes(m, axes).ravel(), vals,
+                                   rtol=RTOL, atol=0)
+                c = 10.0 ** rng.uniform(-3, 3)
+                assert np.allclose(eval_stdf(m, c * pts), c * vals, rtol=RTOL, atol=0)
+
     def test_grid_evaluator_matches_pointwise(self):
         rng = np.random.default_rng(11)
         for d in (1, 2, 3):
@@ -308,6 +326,11 @@ class TestSupBias:
 
     def test_logistic_bias_small_at_small_t(self):
         assert sup_bias(logistic(2.0, 2), 1e-4, 2.0) < 1e-3
+
+    def test_logistic_bias_on_a_box_where_l_underflows(self):
+        # the grid's l nodes lie below 4e-9, where x^40 underflows; the
+        # bias there is the rounding of 1 - C(1 - y), about 3e-15
+        assert sup_bias(logistic(40.0, 2), 0.05, 1e-6) < 1e-12
 
     def test_logistic_bias_scales_with_t_where_the_norm_underflows(self):
         # the bias is about c t as t -> 0; at theta = 40 the grid's
